@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzzseeds stress allocgate slo-sim chaos-gate cache-gate push-chaos benchtrend verify chaos bench bench-contention bench-wire bench-vector bench-slo bench-gate bench-cache bench-push clean
+.PHONY: all build vet test race fuzzseeds stress allocgate bench-smoke slo-sim chaos-gate cache-gate push-chaos benchtrend verify chaos bench bench-contention bench-wire bench-vector bench-slo bench-gate bench-cache bench-push clean
 
 all: verify
 
@@ -20,7 +20,7 @@ race:
 # generation) so a codec or parser regression on a known-nasty input
 # fails the gate deterministically.
 fuzzseeds:
-	$(GO) test -run '^Fuzz' ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service
+	$(GO) test -run '^Fuzz' ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
 
 # stress runs the concurrency gate: the hot-path stress tests (sharded
 # session store, atomic stats, expiry janitor vs pulls) under -race,
@@ -28,11 +28,22 @@ fuzzseeds:
 stress:
 	$(GO) test -race -count=1 -run '^TestStress' ./internal/service/... ./internal/e2e/...
 
-# allocgate runs the wire allocation regression gate WITHOUT the race
+# allocgate runs the allocation regression gates WITHOUT the race
 # detector (instrumentation would inflate the counts): a binary-codec
-# block round-trip must stay within its per-block allocation budget.
+# block round-trip must stay within its per-block allocation budget, and
+# so must one block proxied through the gateway hop.
 allocgate:
 	$(GO) test -count=1 -run '^TestBinaryRoundTripAllocGate$$' ./internal/wire
+	$(GO) test -count=1 -run '^TestGatewayHopAllocGate$$' ./internal/gateway
+
+# bench-smoke compiles, vets and tests the nested bench/ module, which
+# `build`, `vet` and `test` do not descend into although it imports
+# internal/replica, internal/gateway and internal/service: an internal
+# API change that breaks the benchmark must fail the PR that makes it.
+# CI runs it as its own step; it is not part of `verify`.
+bench-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # slo-sim runs the deterministic coupled-loop control suite under
 # -race: regulator unit behaviour (tracking, clamping, anti-windup,

@@ -553,6 +553,31 @@ type proxiedBlock struct {
 	replayed    bool
 	injectedMS  string
 	backendSeq  uint64
+	// buf is the pooled buffer backing payload, owned by this block from
+	// pullFrom until release; nil when payload belongs to someone else (a
+	// standby copy, a backend's error message).
+	buf *bytes.Buffer
+}
+
+// maxBlockBytes caps one proxied block's body.
+const maxBlockBytes = 256 << 20
+
+// blockBufPool recycles the buffers proxied blocks are read into. The
+// proxiedBlock pullFrom returns owns its buffer until release, which
+// must wait for the client write to return (net/http keeps no reference
+// to a written slice). Nothing that outlives the request — sess.standby,
+// a replica.Store payload — is ever backed by the pool.
+var blockBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// release returns the block's buffer, if it has one, to the pool. The
+// block's payload is dead afterwards.
+func (blk *proxiedBlock) release() {
+	if blk.buf == nil {
+		return
+	}
+	blk.buf.Reset()
+	blockBufPool.Put(blk.buf)
+	blk.buf, blk.payload = nil, nil
 }
 
 func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
@@ -645,6 +670,7 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 	} else {
 		sess.backend.ep.Success()
 	}
+	defer blk.release()
 
 	if !replay {
 		sess.lastSeq = seq
@@ -682,11 +708,23 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, si
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return &proxiedBlock{payload: msg}, resp.StatusCode, nil
 	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	// Store-and-forward: the whole body lands in one pooled buffer before
+	// the caller sees it. Sized up front from Content-Length, plus the
+	// spare room ReadFrom wants before the read that returns EOF, the
+	// buffer never regrows; a warm one is not even allocated.
+	buf := blockBufPool.Get().(*bytes.Buffer)
+	if n := resp.ContentLength; n > 0 && n <= maxBlockBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	n, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBlockBytes+1))
+	if err == nil && (n > maxBlockBytes || resp.ContentLength >= 0 && n != resp.ContentLength) {
+		err = fmt.Errorf("%d bytes against Content-Length %d and a %d-byte cap", n, resp.ContentLength, maxBlockBytes)
+	}
+	blk := &proxiedBlock{payload: buf.Bytes(), buf: buf, contentType: resp.Header.Get("Content-Type")}
 	if err != nil {
+		blk.release()
 		return nil, 0, fmt.Errorf("read block body: %w", err)
 	}
-	blk := &proxiedBlock{payload: payload, contentType: resp.Header.Get("Content-Type")}
 	blk.tuples, _ = strconv.Atoi(resp.Header.Get(service.HeaderBlockTuples))
 	blk.done, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockDone))
 	blk.replayed, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockReplay))
@@ -782,6 +820,7 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 			return nil, fmt.Errorf("re-pull lost block on %s: status %d: %v", targetURL, status, err)
 		}
 		if pulled.tuples != sess.lastTuples {
+			pulled.release()
 			return nil, fmt.Errorf("re-pulled block has %d tuples, committed block had %d", pulled.tuples, sess.lastTuples)
 		}
 		pulled.replayed = true

@@ -1,0 +1,257 @@
+package gateway
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"wsopt/internal/service"
+)
+
+// fakeBackend speaks just enough of the block protocol for the gateway
+// to proxy it: every session serves block(session id) on every pull and
+// is never done. serve writes the block's body, so a test can mangle it;
+// nil writes it whole under its Content-Length. No replication feed
+// (404: alive, not replicated).
+func fakeBackend(t testing.TB, block func(session string) []byte, serve func(w http.ResponseWriter, payload []byte)) *httptest.Server {
+	t.Helper()
+	var next atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusCreated)
+		fmt.Fprintf(w, `{"session":"b%d"}`, next.Add(1))
+	})
+	mux.HandleFunc("POST /sessions/{id}/next", func(w http.ResponseWriter, r *http.Request) {
+		payload := block(r.PathValue("id"))
+		h := w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set(service.HeaderBlockTuples, "1")
+		h.Set(service.HeaderBlockDone, "false")
+		h.Set(service.HeaderBlockSeq, r.URL.Query().Get("seq"))
+		h.Set("Content-Length", strconv.Itoa(len(payload)))
+		if serve != nil {
+			serve(w, payload)
+			return
+		}
+		_, _ = w.Write(payload)
+	})
+	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// newFakeGateway fronts the fake backends with a started gateway.
+func newFakeGateway(t testing.TB, backends ...*httptest.Server) *httptest.Server {
+	t.Helper()
+	urls := make([]string, len(backends))
+	for i, b := range backends {
+		urls[i] = b.URL
+	}
+	gw, err := New(Config{Backends: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	gw.Start(ctx)
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRingSpreadsSequentialIDs is the regression test for ring
+// clustering: the gateway's own session ids are sequential, and raw
+// FNV-1a put a whole run of them on one backend.
+func TestRingSpreadsSequentialIDs(t *testing.T) {
+	for _, backends := range [][]string{
+		{"http://127.0.0.1:8081", "http://127.0.0.1:8082"},
+		{"http://127.0.0.1:8081", "http://127.0.0.1:8082", "http://127.0.0.1:8083"},
+		{"http://a", "http://b"},
+		{"http://a", "http://b", "http://c"},
+	} {
+		r := newRing(backends, 0)
+		counts := map[string]int{}
+		const ids = 1000
+		for i := 1; i <= ids; i++ {
+			counts[r.pick(fmt.Sprintf("g%08x", i), nil)]++
+		}
+		for _, b := range backends {
+			share, fair := 100*counts[b]/ids, 100/len(backends)
+			if share < fair-15 || share > fair+15 {
+				t.Errorf("%v: backend %s owns %d%% of %d sequential ids, want %d%% ± 15: %v", backends, b, share, ids, fair, counts)
+			}
+		}
+	}
+}
+
+// TestPooledBufferNotReusedWhileClientWriteInFlight is the -race
+// regression for the proxied-block pool: a block's buffer goes back only
+// after the client write has returned. One client stalls mid-body on a
+// block far larger than the socket buffers, so the gateway's Write of it
+// is parked; meanwhile another session churns the pool with blocks of a
+// different fill. Were the stalled block's buffer reused, the churn's
+// reads would race the parked write and the slow client would see the
+// other fill.
+func TestPooledBufferNotReusedWhileClientWriteInFlight(t *testing.T) {
+	const size = 8 << 20
+	fills := map[string]byte{}
+	blocks := map[string][]byte{}
+	for i, fill := range []byte{'A', 'B'} {
+		id := fmt.Sprintf("b%d", i+1)
+		fills[id], blocks[id] = fill, bytes.Repeat([]byte{fill}, size)
+	}
+	be := fakeBackend(t, func(id string) []byte { return blocks[id] }, nil)
+	gw := newFakeGateway(t, be)
+
+	slow, _ := openSession(t, gw.URL, `{"table":"t"}`)  // backend session b1: 'A'
+	churn, _ := openSession(t, gw.URL, `{"table":"t"}`) // backend session b2: 'B'
+
+	resp := pull(t, gw.URL, slow, 1, 1)
+	defer resp.Body.Close()
+	head := make([]byte, 4096)
+	if _, err := io.ReadFull(resp.Body, head); err != nil {
+		t.Fatal(err)
+	}
+	// The slow client now sits on its unread body while the pool churns.
+	for seq := uint64(1); seq <= 6; seq++ {
+		r := pull(t, gw.URL, churn, 1, seq)
+		body, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil || len(body) != size || bytes.Count(body, []byte{'B'}) != size {
+			t.Fatalf("churn seq %d: %d bytes, err %v, or a foreign fill", seq, len(body), err)
+		}
+	}
+	rest, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Count(head, []byte{'A'}) + bytes.Count(rest, []byte{'A'}); got != size || len(head)+len(rest) != size {
+		t.Fatalf("slow client read %d bytes, %d of its own fill; want %d of each", len(head)+len(rest), got, size)
+	}
+}
+
+// TestStandbyCopiesNeverAliasPooledBuffers pins the other half of the
+// ownership rule: what outlives a request — the store.Get copy a failover
+// validates and the sess.standby copy repeat retries are served from — is
+// never pool memory, so churning the pool after the failover cannot
+// change the replayed bytes.
+func TestStandbyCopiesNeverAliasPooledBuffers(t *testing.T) {
+	const rows = 400
+	fleet := newFleet(t, 2, rows, true)
+	gwy, ts := newTestGateway(t, fleet, nil)
+	id, _ := openSession(t, ts.URL, `{"table":"items"}`)
+
+	resp := pull(t, ts.URL, id, 100, 1)
+	committed, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	primary := resp.Header.Get(service.HeaderGatewayBackend)
+	waitFor(t, 2*time.Second, "replication to catch up", func() bool {
+		for _, b := range gwy.Stats().Backends {
+			if b.URL == primary {
+				return b.Applied >= 2 && b.LagRecords == 0
+			}
+		}
+		return false
+	})
+	backendFor(t, fleet, primary).kill()
+
+	for attempt := 1; attempt <= 3; attempt++ {
+		retry := pull(t, ts.URL, id, 100, 1)
+		replayed, _ := io.ReadAll(retry.Body)
+		retry.Body.Close()
+		if retry.StatusCode != http.StatusOK || !bytes.Equal(replayed, committed) {
+			t.Fatalf("retry %d: %s, replay differs from the committed block: %v", attempt, retry.Status, !bytes.Equal(replayed, committed))
+		}
+		// Another session's blocks, of other rows, through every pooled buffer.
+		other, _ := openSession(t, ts.URL, `{"table":"items","where":"id >= 200"}`)
+		for seq := uint64(1); seq <= 4; seq++ {
+			r := pull(t, ts.URL, other, 50, seq)
+			_, _ = io.Copy(io.Discard, r.Body)
+			r.Body.Close()
+		}
+	}
+	if st := gwy.Stats(); st.StandbyReplays != 3 || st.Failovers != 1 {
+		t.Fatalf("standby replays = %d, failovers = %d; want 3 and 1", st.StandbyReplays, st.Failovers)
+	}
+}
+
+// TestGatewayFailsOverOnShortBody pins store-and-forward: a backend that
+// dies mid-body (fewer bytes than its Content-Length promised) costs the
+// client nothing — no byte of the short block is forwarded, and the
+// successor serves the block whole.
+func TestGatewayFailsOverOnShortBody(t *testing.T) {
+	block := bytes.Repeat([]byte("0123456789abcdef"), 64<<10) // 1 MiB
+	var truncated atomic.Bool
+	serve := func(w http.ResponseWriter, payload []byte) {
+		if truncated.CompareAndSwap(false, true) {
+			_, _ = w.Write(payload[:len(payload)/2])
+			panic(http.ErrAbortHandler) // sever the connection mid-body
+		}
+		_, _ = w.Write(payload)
+	}
+	all := func(string) []byte { return block }
+	gw := newFakeGateway(t, fakeBackend(t, all, serve), fakeBackend(t, all, serve))
+
+	id, _ := openSession(t, gw.URL, `{"table":"t"}`)
+	resp := pull(t, gw.URL, id, 1, 1)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, block) {
+		t.Fatalf("pull across a short body: %s, %d bytes, err %v; want the whole %d-byte block", resp.Status, len(body), err, len(block))
+	}
+	if got := resp.Header.Get(service.HeaderGatewayFailovers); got != "1" || !truncated.Load() {
+		t.Fatalf("%s = %q, truncated = %v; want one failover past the short body", service.HeaderGatewayFailovers, got, truncated.Load())
+	}
+}
+
+// TestGatewayHopAllocGate bounds what one proxied block costs the whole
+// process — client, gateway and backend share it — in allocated bytes.
+// The body is read once into a pooled buffer and written once from it,
+// so the per-block cost is net/http's request plumbing on two hops and
+// nothing that scales with the block. Growing the buffer the way
+// io.ReadAll does allocated ~1 MB per 256 KiB block.
+func TestGatewayHopAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	const (
+		size   = 256 << 10
+		warm   = 20
+		blocks = 200
+		budget = 32 << 10
+	)
+	block := bytes.Repeat([]byte{0x5a}, size)
+	gw := newFakeGateway(t, fakeBackend(t, func(string) []byte { return block }, nil))
+	id, _ := openSession(t, gw.URL, `{"table":"t"}`)
+
+	var before, after runtime.MemStats
+	for seq := uint64(1); seq <= warm+blocks; seq++ {
+		if seq == warm+1 {
+			runtime.ReadMemStats(&before)
+		}
+		resp := pull(t, gw.URL, id, 1, seq)
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || n != size {
+			t.Fatalf("seq %d: %d bytes, %v", seq, n, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBlock := (after.TotalAlloc - before.TotalAlloc) / blocks
+	t.Logf("%d B allocated per proxied %d KiB block (budget %d)", perBlock, size>>10, budget)
+	if perBlock > budget {
+		t.Fatalf("%d B allocated per proxied block, budget %d", perBlock, budget)
+	}
+}

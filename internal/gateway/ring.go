@@ -37,10 +37,21 @@ func newRing(backends []string, vnodes int) *ring {
 	return r
 }
 
+// ringHash is FNV-1a finished with the splitmix64 mix. Raw FNV-1a only
+// multiplies a key's last bytes in once, so the gateway's sequential
+// session ids ("g0000002a") hashed to within ~2^44 of each other on a
+// ring whose arcs average 2^57, and a whole run's sessions were placed
+// on one backend; the finaliser avalanches those low bits over the ring.
 func ringHash(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
-	return h.Sum64()
+	z := h.Sum64()
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return z
 }
 
 // pick returns the backend owning key: the first point clockwise from

@@ -22,7 +22,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"strconv"
 	"sync"
 	"time"
@@ -59,49 +58,56 @@ func (o Op) String() string {
 
 // Record is one replication log entry. Payload may alias a pooled server
 // buffer: the log owns a reference to it (via Release) from Append until
-// the record is evicted, and Read hands out private copies, so consumers
-// never observe a reused buffer.
+// the record is evicted, and Read takes a further reference (via Retain)
+// on each payload it hands out, so consumers never observe a reused
+// buffer and no payload byte is copied on the primary.
 type Record struct {
 	// LSN is the log sequence number, assigned by Log.Append.
-	LSN uint64 `json:"lsn"`
+	LSN uint64
 	// Op is the mutation kind.
-	Op Op `json:"op"`
+	Op Op
 	// Session is the primary's session id.
-	Session string `json:"session"`
+	Session string
 	// Query is the session's create request body (OpCreate only), so a
 	// follower can reconstruct the plan without ever having seen it.
-	Query json.RawMessage `json:"query,omitempty"`
+	Query json.RawMessage
 	// Seq is the last-acked block sequence number (OpCommit).
-	Seq uint64 `json:"seq,omitempty"`
+	Seq uint64
 	// Committed is the absolute tuple cursor after block Seq: create
 	// offset plus every tuple served through Seq (OpCreate carries the
 	// starting offset here).
-	Committed int64 `json:"committed,omitempty"`
+	Committed int64
 	// Tuples is the tuple count of block Seq (OpCommit).
-	Tuples int `json:"tuples,omitempty"`
+	Tuples int
 	// Done marks block Seq as the final block (OpCommit).
-	Done bool `json:"done,omitempty"`
+	Done bool
 	// Codec names the wire codec the payload is encoded with.
-	Codec string `json:"codec,omitempty"`
+	Codec string
 	// Payload is the committed block's encoded bytes (OpCommit), the
-	// replay a same-seq retry needs after the primary dies.
-	Payload []byte `json:"payload,omitempty"`
+	// replay a same-seq retry needs after the primary dies. In a batch
+	// from Log.Read or the feed, only the last commit of each session
+	// carries it (see Read).
+	Payload []byte
 	// ShippedUnixNano is when the primary appended the record; the
 	// follower's apply time minus this is the per-record replication lag.
-	ShippedUnixNano int64 `json:"shipped_unix_nano"`
+	ShippedUnixNano int64
 
 	// Release, when non-nil, is called exactly once when the log no
 	// longer references Payload (eviction or Close) — the hook the
-	// service uses to refcount its pooled replay buffers. Never
-	// serialized.
-	Release func() `json:"-"`
+	// service uses to refcount its pooled replay buffers. Retain, when
+	// non-nil, adds a reference that one further Release call drops;
+	// Read uses the pair to hold a payload past its record's eviction.
+	// Neither is shipped.
+	Release func()
+	Retain  func()
 }
 
 // Log is the primary-side bounded replication log: an LSN-ordered ring
 // of the most recent records. Append is called on the block hot path
 // (under the session lock) and takes only the log's own mutex; Read is
-// the feed's pull path and copies payloads so the returned records are
-// immune to later eviction. Safe for concurrent use.
+// the feed's pull path and holds that mutex only to copy record headers
+// and retain payload references — never while payload bytes move. Safe
+// for concurrent use.
 type Log struct {
 	// boot identifies this Log instantiation (one primary process life).
 	// The log is in-memory: a restarted primary starts a fresh log whose
@@ -211,35 +217,75 @@ func (l *Log) Len() int {
 	return l.n
 }
 
+// feedBatchBytes bounds the payload and query bytes of one Read batch
+// (which still holds at least one record), so a follower that lags a
+// deep log drains it in bounded responses.
+const feedBatchBytes = 8 << 20
+
 // Read returns up to max records with LSN >= from, in LSN order,
 // together with the log's first retained LSN and the next LSN to ask
-// for. Payloads are private copies: the caller may hold them
-// indefinitely. A from below the retention window silently starts at the
-// window (the caller detects the gap by comparing from with first).
-func (l *Log) Read(from uint64, max int) (recs []Record, first, next uint64) {
+// for. The batch is coalesced: of a session's commits in it, only the
+// last carries its Payload — a follower keeps only the latest block per
+// session, so applying the batch whole (Store.Apply) leaves exactly the
+// state the un-coalesced records would — and it ends early once the
+// bytes it still carries reach feedBatchBytes.
+//
+// Payloads are not copied: Read retains each one it returns while the
+// lock still pins its record in the ring, and the caller must call
+// release exactly once when done with the bytes. A from below the
+// retention window silently starts at the window (the caller detects
+// the gap by comparing from with first).
+func (l *Log) Read(from uint64, max int) (recs []Record, first, next uint64, release func()) {
 	if max <= 0 {
 		max = 256
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	next = l.next
 	if l.n == 0 {
-		return nil, 0, next
+		l.mu.Unlock()
+		return nil, 0, next, func() {}
 	}
 	first = l.next - uint64(l.n)
 	start := from
 	if start < first {
 		start = first
 	}
+	carrier := make(map[string]int) // session → index in recs of its payload-carrying commit
+	size := 0
 	for lsn := start; lsn < l.next && len(recs) < max; lsn++ {
 		r := l.recs[(l.head+int(lsn-first))%len(l.recs)]
-		if r.Payload != nil {
-			r.Payload = append([]byte(nil), r.Payload...)
+		grown := size + len(r.Payload) + len(r.Query)
+		prev, coalesce := carrier[r.Session]
+		if r.Op == OpCommit && coalesce {
+			grown -= len(recs[prev].Payload)
 		}
-		r.Release = nil
+		if len(recs) > 0 && grown > feedBatchBytes {
+			break
+		}
+		if r.Op == OpCommit {
+			if coalesce {
+				recs[prev].Payload, recs[prev].Retain, recs[prev].Release = nil, nil, nil
+			}
+			carrier[r.Session] = len(recs)
+		}
+		size = grown
 		recs = append(recs, r)
 	}
-	return recs, first, next
+	var held []func()
+	for i := range recs {
+		r := &recs[i]
+		if r.Retain != nil && r.Release != nil {
+			r.Retain()
+			held = append(held, r.Release)
+		}
+		r.Retain, r.Release = nil, nil
+	}
+	l.mu.Unlock()
+	return recs, first, next, func() {
+		for _, f := range held {
+			f()
+		}
+	}
 }
 
 // Stats reports append/evict totals for metrics.
@@ -271,53 +317,5 @@ func (l *Log) Close() {
 	l.mu.Unlock()
 	for _, f := range rel {
 		f()
-	}
-}
-
-// feedResponse is the wire shape of the replication feed.
-type feedResponse struct {
-	// Boot is the primary log's boot id; a follower that sees it change
-	// knows the primary restarted (its LSNs and session ids reset) and
-	// must rewind its cursor and drop its standby state.
-	Boot string `json:"boot,omitempty"`
-	// First is the oldest retained LSN (0 = empty log); a follower whose
-	// cursor is below it has missed records.
-	First uint64 `json:"first"`
-	// Next is the LSN to pass as from on the next pull.
-	Next uint64 `json:"next"`
-	// Records are the shipped entries, in LSN order.
-	Records []Record `json:"records"`
-}
-
-// FeedHandler serves the log as a pull-based HTTP feed:
-//
-//	GET /replication/feed?from=LSN&max=N
-//
-// returning {"first", "next", "records"} as JSON. Payload bytes ride as
-// base64. The handler never blocks: an empty batch tells the follower it
-// is caught up and should poll again after its interval.
-func FeedHandler(l *Log) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var from uint64
-		if v := r.URL.Query().Get("from"); v != "" {
-			f, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "from must be a non-negative integer", http.StatusBadRequest)
-				return
-			}
-			from = f
-		}
-		max := 256
-		if v := r.URL.Query().Get("max"); v != "" {
-			m, err := strconv.Atoi(v)
-			if err != nil || m < 1 {
-				http.Error(w, "max must be a positive integer", http.StatusBadRequest)
-				return
-			}
-			max = m
-		}
-		recs, firstLSN, nextLSN := l.Read(from, max)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(feedResponse{Boot: l.Boot(), First: firstLSN, Next: nextLSN, Records: recs})
 	}
 }

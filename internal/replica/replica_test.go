@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -83,24 +84,109 @@ func TestLogAppendAfterCloseReleasesImmediately(t *testing.T) {
 	l.Close() // idempotent
 }
 
-func TestLogReadCopiesPayloads(t *testing.T) {
+// TestLogReadRetainsPayloads pins Read's ownership contract: a payload is
+// handed out by reference, never copied, and the reference Read takes
+// under the lock keeps the buffer out of its pool until the caller's
+// release — even when the record is evicted in between.
+func TestLogReadRetainsPayloads(t *testing.T) {
 	l := NewLog(16)
 	buf := []byte("block-1-bytes")
-	l.Append(Record{Op: OpCommit, Session: "s", Seq: 1, Payload: buf})
-	recs, first, next := l.Read(1, 10)
+	refs := 1 // the log's own reference, handed over by Append
+	var mu sync.Mutex
+	add := func(d int) func() {
+		return func() {
+			mu.Lock()
+			refs += d
+			if refs == 0 {
+				// Last reference gone: the owner recycles the buffer.
+				copy(buf, "XXXXXXXXXXXXX")
+			}
+			mu.Unlock()
+		}
+	}
+	l.Append(Record{Op: OpCommit, Session: "s", Seq: 1, Payload: buf, Retain: add(+1), Release: add(-1)})
+	recs, first, next, release := l.Read(1, 10)
 	if len(recs) != 1 || first != 1 || next != 2 {
 		t.Fatalf("Read = %d recs, first %d, next %d", len(recs), first, next)
 	}
-	// Poison the original buffer (models the pooled buffer being reused
-	// after the record's reference is dropped).
-	for i := range buf {
-		buf[i] = 'X'
+	if &recs[0].Payload[0] != &buf[0] {
+		t.Fatal("Read copied the payload")
+	}
+	if recs[0].Release != nil || recs[0].Retain != nil {
+		t.Fatal("Read leaked a refcount hook")
+	}
+	// Evict the record while the read is outstanding.
+	for i := 0; i < 16; i++ {
+		l.Append(Record{Op: OpClose, Session: "filler"})
 	}
 	if got := string(recs[0].Payload); got != "block-1-bytes" {
-		t.Fatalf("read payload mutated by buffer reuse: %q", got)
+		t.Fatalf("payload recycled while a read still held it: %q", got)
 	}
-	if recs[0].Release != nil {
-		t.Fatal("Read leaked a Release hook")
+	release()
+	mu.Lock()
+	defer mu.Unlock()
+	if refs != 0 || string(buf) != "XXXXXXXXXXXXX" {
+		t.Fatalf("after eviction and release: refs = %d, buffer %q; want 0 and recycled", refs, buf)
+	}
+}
+
+// TestLogReadCoalescesAndBoundsBatches pins the batch contract: of one
+// session's commits in a batch only the last carries its payload, every
+// record is still shipped, and a batch ends once the bytes it carries
+// reach the budget — but never before its first record.
+func TestLogReadCoalescesAndBoundsBatches(t *testing.T) {
+	l := NewLog(64)
+	l.Append(Record{Op: OpCreate, Session: "a", Query: json.RawMessage(`{}`)})
+	for i := 1; i <= 3; i++ {
+		l.Append(Record{Op: OpCommit, Session: "a", Seq: uint64(i), Payload: []byte{byte(i)}})
+		l.Append(Record{Op: OpCommit, Session: "b", Seq: uint64(i), Payload: []byte{byte(10 * i)}})
+	}
+	l.Append(Record{Op: OpClose, Session: "a"})
+	recs, _, _, release := l.Read(1, 100)
+	release()
+	if len(recs) != 8 {
+		t.Fatalf("batch has %d records, want all 8", len(recs))
+	}
+	for _, r := range recs {
+		want := r.Op == OpCommit && r.Seq == 3
+		if (r.Payload != nil) != want {
+			t.Fatalf("lsn %d (%s %s seq %d): payload present = %v, want %v", r.LSN, r.Op, r.Session, r.Seq, r.Payload != nil, want)
+		}
+	}
+	// A batch cut short by max coalesces over what it holds, not the log.
+	recs, _, _, release = l.Read(1, 3) // create a, commit a/1, commit b/1
+	release()
+	if len(recs) != 3 || recs[1].Payload == nil || recs[2].Payload == nil {
+		t.Fatalf("short batch dropped a payload it is the last carrier of: %+v", recs)
+	}
+
+	// Byte budget: distinct sessions, so nothing coalesces away.
+	big := NewLog(64)
+	half := make([]byte, feedBatchBytes/2+1)
+	for i := 0; i < 3; i++ {
+		big.Append(Record{Op: OpCommit, Session: fmt.Sprintf("s%d", i), Seq: 1, Payload: half})
+	}
+	recs, _, next, release := big.Read(1, 100)
+	release()
+	if len(recs) != 1 || next != 4 {
+		t.Fatalf("budgeted batch = %d records, next %d; want 1 record and next 4 (more retained)", len(recs), next)
+	}
+	over := NewLog(16)
+	over.Append(Record{Op: OpCommit, Session: "s", Seq: 1, Payload: make([]byte, feedBatchBytes+1)})
+	if recs, _, _, release = over.Read(1, 100); len(recs) != 1 {
+		t.Fatalf("a record over the budget must still ship alone; got %d records", len(recs))
+	}
+	release()
+	// The budget counts what a batch still carries: one session's three
+	// commits of the same size coalesce to one payload and ship together.
+	same := NewLog(16)
+	for i := 1; i <= 3; i++ {
+		same.Append(Record{Op: OpCommit, Session: "s", Seq: uint64(i), Payload: half})
+	}
+	recs, _, _, release = same.Read(1, 100)
+	release()
+	if len(recs) != 3 || recs[2].Payload == nil {
+		t.Fatalf("coalesced batch = %d records, want 3 with the last carrying the payload", len(recs))
 	}
 }
 
@@ -109,7 +195,8 @@ func TestLogReadClampsBelowRetention(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		l.Append(Record{Op: OpCommit, Session: "s", Seq: uint64(i + 1)})
 	}
-	recs, first, next := l.Read(1, 100)
+	recs, first, next, release := l.Read(1, 100)
+	release()
 	if first != 25 {
 		t.Fatalf("first = %d, want 25 (oldest retained)", first)
 	}
@@ -385,6 +472,10 @@ func TestStoreEvictsOldestBeyondCapacity(t *testing.T) {
 	}
 }
 
+// TestLogConcurrentAppendRead races the block hot path's Append (with
+// eviction recycling each record's buffer) against the feed's Read: every
+// batch must hold exactly one payload — its last commit's — and that
+// payload must read intact until the batch is released.
 func TestLogConcurrentAppendRead(t *testing.T) {
 	l := NewLog(32)
 	var wg sync.WaitGroup
@@ -393,7 +484,16 @@ func TestLogConcurrentAppendRead(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
-			l.Append(Record{Op: OpCommit, Session: "s", Seq: uint64(i), Payload: []byte("payload")})
+			buf := []byte("payload")
+			var refs atomic.Int32
+			refs.Store(1)
+			l.Append(Record{Op: OpCommit, Session: "s", Seq: uint64(i), Payload: buf,
+				Retain: func() { refs.Add(1) },
+				Release: func() {
+					if refs.Add(-1) == 0 {
+						copy(buf, "RECYCLE") // a read without a reference races this
+					}
+				}})
 		}
 		close(stop)
 	}()
@@ -402,13 +502,15 @@ func TestLogConcurrentAppendRead(t *testing.T) {
 		defer wg.Done()
 		var from uint64 = 1
 		for {
-			recs, _, next := l.Read(from, 64)
-			for _, r := range recs {
-				if string(r.Payload) != "payload" {
+			recs, _, next, release := l.Read(from, 64)
+			for i, r := range recs {
+				if last := i == len(recs)-1; (r.Payload != nil) != last {
+					t.Errorf("lsn %d of a %d-record batch: payload present = %v", r.LSN, len(recs), r.Payload != nil)
+				} else if last && string(r.Payload) != "payload" {
 					t.Errorf("corrupt payload %q at lsn %d", r.Payload, r.LSN)
-					return
 				}
 			}
+			release()
 			from = next
 			select {
 			case <-stop:

@@ -1,12 +1,12 @@
 package replica
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -65,45 +65,51 @@ func NewStore(maxSessions int) *Store {
 // setClock injects a fake clock for deterministic lag tests.
 func (st *Store) setClock(now func() time.Time) { st.now = now }
 
-// Apply folds one record into the standby state and records its lag.
-func (st *Store) Apply(rec Record) {
+// Apply folds records into the standby state, in order, and records
+// their lag. The records of one call are applied atomically: a feed
+// batch carries a session's payload only on its last commit, and no Get
+// may see the state between a coalesced commit and the one that carries
+// the bytes.
+func (st *Store) Apply(recs ...Record) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	now := st.now()
-	st.applied++
-	if rec.ShippedUnixNano > 0 {
-		st.lastLagMS = float64(now.UnixNano()-rec.ShippedUnixNano) / 1e6
-		if st.lastLagMS < 0 {
-			st.lastLagMS = 0
+	for _, rec := range recs {
+		st.applied++
+		if rec.ShippedUnixNano > 0 {
+			st.lastLagMS = float64(now.UnixNano()-rec.ShippedUnixNano) / 1e6
+			if st.lastLagMS < 0 {
+				st.lastLagMS = 0
+			}
 		}
-	}
-	switch rec.Op {
-	case OpCreate:
-		st.evictOverflowLocked()
-		st.sessions[rec.Session] = &SessionState{
-			Session:   rec.Session,
-			Query:     rec.Query,
-			Committed: rec.Committed,
-			AppliedAt: now,
-		}
-	case OpCommit:
-		ss := st.sessions[rec.Session]
-		if ss == nil {
-			// The create record fell outside the retention window; standby
-			// state can still serve retries from the commit alone.
+		switch rec.Op {
+		case OpCreate:
 			st.evictOverflowLocked()
-			ss = &SessionState{Session: rec.Session}
-			st.sessions[rec.Session] = ss
+			st.sessions[rec.Session] = &SessionState{
+				Session:   rec.Session,
+				Query:     rec.Query,
+				Committed: rec.Committed,
+				AppliedAt: now,
+			}
+		case OpCommit:
+			ss := st.sessions[rec.Session]
+			if ss == nil {
+				// The create record fell outside the retention window; standby
+				// state can still serve retries from the commit alone.
+				st.evictOverflowLocked()
+				ss = &SessionState{Session: rec.Session}
+				st.sessions[rec.Session] = ss
+			}
+			ss.Seq = rec.Seq
+			ss.Committed = rec.Committed
+			ss.Tuples = rec.Tuples
+			ss.Done = rec.Done
+			ss.Codec = rec.Codec
+			ss.Payload = rec.Payload
+			ss.AppliedAt = now
+		case OpClose:
+			delete(st.sessions, rec.Session)
 		}
-		ss.Seq = rec.Seq
-		ss.Committed = rec.Committed
-		ss.Tuples = rec.Tuples
-		ss.Done = rec.Done
-		ss.Codec = rec.Codec
-		ss.Payload = rec.Payload
-		ss.AppliedAt = now
-	case OpClose:
-		delete(st.sessions, rec.Session)
 	}
 }
 
@@ -210,8 +216,8 @@ type Puller struct {
 	URL string
 	// Store receives the applied records. Required.
 	Store *Store
-	// Interval is the idle poll period (default 25ms); a batch that
-	// filled up is followed immediately.
+	// Interval is the idle poll period (default 25ms); a pull that left
+	// records behind on the primary is followed immediately.
 	Interval time.Duration
 	// HTTP is the client used for feed pulls (default: 10s timeout).
 	HTTP *http.Client
@@ -290,9 +296,6 @@ func (p *Puller) poll(ctx context.Context) (applied int, restarted bool, err err
 	from := p.from
 	p.mu.Unlock()
 	u := p.URL + "/replication/feed?from=" + strconv.FormatUint(from, 10) + "&max=" + strconv.Itoa(batch)
-	if _, err := url.Parse(u); err != nil {
-		return 0, false, err
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return 0, false, err
@@ -308,8 +311,8 @@ func (p *Puller) poll(ctx context.Context) (applied int, restarted bool, err err
 	if resp.StatusCode != http.StatusOK {
 		return 0, false, &StatusError{Code: resp.StatusCode, URL: p.URL, Status: resp.Status}
 	}
-	var fr feedResponse
-	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
+	fr, err := readFeed(bufio.NewReader(resp.Body))
+	if err != nil {
 		return 0, false, fmt.Errorf("replica: decode feed %s: %w", p.URL, err)
 	}
 	// A restarted primary serves a fresh log: its boot id changes and its
@@ -344,9 +347,7 @@ func (p *Puller) poll(ctx context.Context) (applied int, restarted bool, err err
 	} else if len(fr.Records) == 0 && fr.First > from && fr.Next > fr.First {
 		p.Store.MarkLost(fr.First - from)
 	}
-	for _, rec := range fr.Records {
-		p.Store.Apply(rec)
-	}
+	p.Store.Apply(fr.Records...)
 	p.mu.Lock()
 	if len(fr.Records) > 0 {
 		p.from = fr.Records[len(fr.Records)-1].LSN + 1
@@ -362,20 +363,17 @@ func (p *Puller) poll(ctx context.Context) (applied int, restarted bool, err err
 	return len(fr.Records), false, nil
 }
 
-// Run polls until the context is cancelled. A full batch is followed up
-// immediately (the follower is behind); otherwise the puller sleeps for
-// its interval.
+// Run polls until the context is cancelled. A pull whose response says
+// the primary retains more (Lag > 0: a batch ends at its record cap or
+// its byte budget, whichever comes first) is followed up immediately;
+// otherwise the puller sleeps for its interval.
 func (p *Puller) Run(ctx context.Context) {
 	interval := p.Interval
 	if interval <= 0 {
 		interval = 25 * time.Millisecond
 	}
-	batch := p.Batch
-	if batch <= 0 {
-		batch = 256
-	}
 	for ctx.Err() == nil {
-		n, err := p.PollOnce(ctx)
+		_, err := p.PollOnce(ctx)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -384,7 +382,7 @@ func (p *Puller) Run(ctx context.Context) {
 				p.OnError(err)
 			}
 		}
-		if err == nil && n >= batch {
+		if err == nil && p.Lag() > 0 {
 			continue // behind: keep draining without sleeping
 		}
 		select {

@@ -239,7 +239,8 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 			// Follower-visible invariant: nothing for this session lands
 			// after its OpClose, so no ghost standby session can be
 			// resurrected.
-			recs, _, _ := rlog.Read(1, 1000)
+			recs, _, _, release := rlog.Read(1, 1000)
+			release()
 			closeSeen := false
 			for _, rec := range recs {
 				if rec.Session != id {

@@ -2,7 +2,7 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,8 +14,10 @@ import (
 
 // TestReplicationShipsSessionLifecycle checks the service ships one
 // record per session mutation — create (with the verbatim query body and
-// starting cursor), commit (seq, committed cursor, and the exact served
-// payload), close — and serves them at GET /replication/feed.
+// starting cursor), commit (seq, committed cursor), close — that a batch
+// carries the payload of each session's LAST commit only, byte-identical
+// to the served block, and that GET /replication/feed hands a real
+// follower exactly that.
 func TestReplicationShipsSessionLifecycle(t *testing.T) {
 	rlog := replica.NewLog(256)
 	_, ts := newTestServer(t, Config{Catalog: testCatalog(t, 100), Replica: rlog})
@@ -38,34 +40,45 @@ func TestReplicationShipsSessionLifecycle(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
+	// A follower pulling mid-session, over HTTP, holds block 3's bytes.
+	store := replica.NewStore(0)
+	puller := &replica.Puller{URL: ts.URL, Store: store}
+	if n, err := puller.PollOnce(context.Background()); err != nil || n != 4 {
+		t.Fatalf("PollOnce = (%d, %v), want (4, nil): create + 3 commits", n, err)
+	}
+	ss, ok := store.Get(id)
+	if !ok || ss.Seq != 3 || ss.Committed != 50 || ss.Tuples != 10 || ss.Done || ss.Codec != "xml" || string(ss.Query) != body {
+		t.Fatalf("standby state = %+v (ok=%v)", ss, ok)
+	}
+	if !bytes.Equal(ss.Payload, served[3]) {
+		t.Fatal("standby payload differs from the served block 3")
+	}
+
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sessions/%s", ts.URL, id), nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dresp.Body.Close()
+	if n, err := puller.PollOnce(context.Background()); err != nil || n != 1 {
+		t.Fatalf("PollOnce after close = (%d, %v), want (1, nil)", n, err)
+	}
+	if _, ok := store.Get(id); ok {
+		t.Fatal("standby state survived the close record")
+	}
 
-	// Pull the feed over HTTP, like a real follower.
-	fresp, err := http.Get(ts.URL + "/replication/feed?from=1&max=100")
-	if err != nil {
-		t.Fatal(err)
+	// The whole lifecycle as one batch.
+	recs, _, _, release := rlog.Read(1, 100)
+	defer release()
+	if len(recs) != 5 {
+		t.Fatalf("shipped %d records, want 5 (create + 3 commits + close)", len(recs))
 	}
-	defer fresp.Body.Close()
-	var feed struct {
-		Records []replica.Record `json:"records"`
-	}
-	if err := json.NewDecoder(fresp.Body).Decode(&feed); err != nil {
-		t.Fatal(err)
-	}
-	if len(feed.Records) != 5 {
-		t.Fatalf("shipped %d records, want 5 (create + 3 commits + close)", len(feed.Records))
-	}
-	cr := feed.Records[0]
+	cr := recs[0]
 	if cr.Op != replica.OpCreate || cr.Session != id || string(cr.Query) != body || cr.Committed != 20 {
 		t.Fatalf("create record = %+v", cr)
 	}
 	for i := 1; i <= 3; i++ {
-		rec := feed.Records[i]
+		rec := recs[i]
 		if rec.Op != replica.OpCommit || rec.Session != id {
 			t.Fatalf("record %d = %+v", i, rec)
 		}
@@ -81,11 +94,14 @@ func TestReplicationShipsSessionLifecycle(t *testing.T) {
 		if rec.Codec != "xml" {
 			t.Fatalf("record %d: codec %q", i, rec.Codec)
 		}
-		if !bytes.Equal(rec.Payload, served[rec.Seq]) {
-			t.Fatalf("record %d: shipped payload differs from served block", i)
+		if i < 3 && rec.Payload != nil {
+			t.Fatalf("record %d: carries a payload a later commit of the batch supersedes", i)
 		}
 	}
-	if cl := feed.Records[4]; cl.Op != replica.OpClose || cl.Session != id {
+	if !bytes.Equal(recs[3].Payload, served[3]) {
+		t.Fatal("last commit's shipped payload differs from the served block")
+	}
+	if cl := recs[4]; cl.Op != replica.OpClose || cl.Session != id {
 		t.Fatalf("close record = %+v", cl)
 	}
 }
@@ -165,7 +181,7 @@ func TestShippedPayloadStableUnderPoolChurn(t *testing.T) {
 		defer wg.Done()
 		var from uint64 = 1
 		for {
-			recs, _, next := rlog.Read(from, 32)
+			recs, _, next, release := rlog.Read(from, 32)
 			for _, rec := range recs {
 				sum := 0
 				for _, b := range rec.Payload {
@@ -173,6 +189,7 @@ func TestShippedPayloadStableUnderPoolChurn(t *testing.T) {
 				}
 				_ = sum
 			}
+			release()
 			from = next
 			select {
 			case <-stop:

@@ -502,8 +502,9 @@ func newCachedReplay(ent *blockcache.Entry, delayMS float64) *replayBlock {
 	return rb
 }
 
-// retain adds a reference (the replication log is about to hold the
-// payload past the session's own lifetime).
+// retain adds a reference (the replication log, or a feed response
+// shipping from it, is about to hold the payload past the session's own
+// lifetime).
 func (rb *replayBlock) retain() { rb.refs.Add(1) }
 
 // blockBufPool pools the per-pull encode buffers. Ownership rule: a
@@ -587,7 +588,9 @@ func (s *Server) shipCreate(sess *session, body []byte) {
 // the encoded payload a same-seq retry needs after this process dies.
 // Called under the session lock at the commit point; the record retains
 // the pooled replay buffer (rb.retain) until it falls out of the log,
-// which releases it via Record.Release.
+// which releases it via Record.Release. The feed ships the payload from
+// that same buffer, holding one more reference (Record.Retain) for as
+// long as the socket write takes.
 func (s *Server) shipCommit(sess *session, rb *replayBlock) {
 	if s.cfg.Replica == nil {
 		return
@@ -602,6 +605,7 @@ func (s *Server) shipCommit(sess *session, rb *replayBlock) {
 		Done:      rb.done,
 		Codec:     s.codec.Name(),
 		Payload:   rb.payload,
+		Retain:    rb.retain,
 		Release:   func() { releaseReplay(rb) },
 	})
 }
@@ -1071,8 +1075,8 @@ func (s *Server) serveReplay(w http.ResponseWriter, sess *session, fault faultKi
 }
 
 // writeBlock writes one block response (fresh or replayed), applying any
-// injected drop/truncate fault, and accounts served stats only after the
-// payload is fully written. started is when the pull entered the handler;
+// injected drop/truncate fault, and accounts served stats only for a
+// payload that is fully written. started is when the pull entered the handler;
 // the served wall time (injected delay included) feeds the block-RTT
 // histogram the SLO regulator closes its loop on.
 func (s *Server) writeBlock(w http.ResponseWriter, sess *session, rb *replayBlock, hasSeq, replayed bool, fault faultKind, started time.Time) {
@@ -1091,19 +1095,28 @@ func (s *Server) writeBlock(w http.ResponseWriter, sess *session, rb *replayBloc
 	if replayed {
 		w.Header().Set(HeaderBlockReplay, "true")
 	}
+	// The length is known before the first byte: say so, so a block
+	// larger than net/http's buffer does not leave chunked and the next
+	// hop (wsgate) can size its buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(rb.payload)))
 	if fault == faultTruncate {
 		s.countFault(fault)
 		s.logf("session %s: injected fault: truncating response", sess.id)
-		w.Header().Set("Content-Length", strconv.Itoa(len(rb.payload)))
 		_, _ = w.Write(rb.payload[:len(rb.payload)/2])
 		abortConnection()
 	}
+	// With the length declared, the peer holds the whole block the moment
+	// Write returns — before this handler does. Whoever reads Stats after
+	// receiving a block must find it counted, so the block is counted
+	// first and a failed write takes it back.
+	s.stats.blocksServed.Add(1)
+	s.stats.tuplesServed.Add(int64(rb.tuples))
 	if _, err := w.Write(rb.payload); err != nil {
+		s.stats.blocksServed.Add(-1)
+		s.stats.tuplesServed.Add(-int64(rb.tuples))
 		s.logf("session %s: write block: %v", sess.id, err)
 		return
 	}
-	s.stats.blocksServed.Add(1)
-	s.stats.tuplesServed.Add(int64(rb.tuples))
 	s.metrics.blocksServed.Inc()
 	s.metrics.tuplesServed.Add(int64(rb.tuples))
 	s.metrics.blockSize.Observe(float64(rb.tuples))

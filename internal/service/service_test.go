@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -399,5 +400,49 @@ func TestLimitQuery(t *testing.T) {
 	}
 	if len(rows) != 15 {
 		t.Fatalf("limited query returned %d rows", len(rows))
+	}
+}
+
+// countingWriter is a ResponseWriter that samples the server's counters
+// from inside Write — the instant the peer could hold the bytes.
+type countingWriter struct {
+	*httptest.ResponseRecorder
+	srv    *Server
+	seen   Stats
+	failed error
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.seen = w.srv.Stats()
+	if w.failed != nil {
+		return 0, w.failed
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestBlockCountedBeforeItsLastByteLeaves pins the ordering a declared
+// Content-Length makes necessary: the client holds the whole block when
+// Write returns, not when the handler does, so a Stats read that follows
+// a received block must already include it (a chunked response hid this:
+// its terminator left after the handler returned). A failed write is not
+// served and must not stay counted.
+func TestBlockCountedBeforeItsLastByteLeaves(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 40)})
+	id, _ := openSession(t, ts, `{"table":"items"}`)
+	next := func(seq int, failed error) *countingWriter {
+		w := &countingWriter{ResponseRecorder: httptest.NewRecorder(), srv: srv, failed: failed}
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, fmt.Sprintf("/sessions/%s/next?size=10&seq=%d", id, seq), nil))
+		return w
+	}
+	w := next(1, nil)
+	if w.Code != http.StatusOK || w.seen.BlocksServed != 1 || w.seen.TuplesServed != 10 {
+		t.Fatalf("status %d; during the write Stats had %d blocks / %d tuples served, want 1 / 10", w.Code, w.seen.BlocksServed, w.seen.TuplesServed)
+	}
+	if got := w.Header().Get("Content-Length"); got != strconv.Itoa(w.Body.Len()) {
+		t.Fatalf("Content-Length = %q on a %d-byte block", got, w.Body.Len())
+	}
+	next(2, errors.New("peer gone"))
+	if st := srv.Stats(); st.BlocksServed != 1 || st.TuplesServed != 10 {
+		t.Fatalf("after a failed write: %d blocks / %d tuples served, want 1 / 10", st.BlocksServed, st.TuplesServed)
 	}
 }

@@ -9,13 +9,15 @@ go build ./...
 go vet ./...
 go test -race ./...
 # Replay the checked-in fuzz seed corpora (deterministic, no generation).
-go test -run '^Fuzz' ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service
+go test -run '^Fuzz' ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
 # Concurrency stress gate: hot-path stress tests under -race, including
 # the e2e run that drives a race-built wsblockd with concurrent wsload.
 go test -race -count=1 -run '^TestStress' ./internal/service/... ./internal/e2e/...
-# Wire allocation gate (no -race: instrumentation inflates the counts):
-# a binary-codec block round-trip must stay within its allocation budget.
+# Allocation gates (no -race: instrumentation inflates the counts): a
+# binary-codec block round-trip and one block proxied through the
+# gateway hop must each stay within their allocation budget.
 go test -count=1 -run '^TestBinaryRoundTripAllocGate$' ./internal/wire
+go test -count=1 -run '^TestGatewayHopAllocGate$' ./internal/gateway
 # Coupled-loop control gate: regulator unit behaviour plus the
 # deterministic client-vs-admission stability scenarios under -race,
 # including the mis-tuned-gain oscillation regression.
