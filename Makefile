@@ -1,40 +1,22 @@
 GO ?= go
 
-.PHONY: all build vet test race fuzzseeds stress allocgate bench-smoke slo-sim chaos-gate cache-gate push-chaos benchtrend verify chaos bench bench-contention bench-wire bench-vector bench-slo bench-gate bench-cache bench-push clean
+GATES = build vet race fuzzseeds stress allocgate slo-sim chaos-gate cache-gate push-chaos
+
+.PHONY: all $(GATES) verify test bench-smoke benchtrend chaos bench bench-contention bench-wire bench-vector bench-slo bench-gate bench-cache bench-push clean
 
 all: verify
 
-build:
-	$(GO) build ./...
+# verify is the tier-1 gate: every gate of scripts/verify.sh, in its
+# order. That script is the one place a gate's commands are spelled out;
+# each gate is also a target of its own (`make stress`, `make allocgate`).
+verify:
+	GO="$(GO)" scripts/verify.sh
 
-vet:
-	$(GO) vet ./...
+$(GATES):
+	GO="$(GO)" scripts/verify.sh $@
 
 test:
 	$(GO) test ./...
-
-race:
-	$(GO) test -race ./...
-
-# fuzzseeds replays the checked-in fuzz seed corpora (no new input
-# generation) so a codec or parser regression on a known-nasty input
-# fails the gate deterministically.
-fuzzseeds:
-	$(GO) test -run '^Fuzz' ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
-
-# stress runs the concurrency gate: the hot-path stress tests (sharded
-# session store, atomic stats, expiry janitor vs pulls) under -race,
-# plus the e2e run that drives a race-built wsblockd with wsload.
-stress:
-	$(GO) test -race -count=1 -run '^TestStress' ./internal/service/... ./internal/e2e/...
-
-# allocgate runs the allocation regression gates WITHOUT the race
-# detector (instrumentation would inflate the counts): a binary-codec
-# block round-trip must stay within its per-block allocation budget, and
-# so must one block proxied through the gateway hop.
-allocgate:
-	$(GO) test -count=1 -run '^TestBinaryRoundTripAllocGate$$' ./internal/wire
-	$(GO) test -count=1 -run '^TestGatewayHopAllocGate$$' ./internal/gateway
 
 # bench-smoke compiles, vets and tests the nested bench/ module, which
 # `build`, `vet` and `test` do not descend into although it imports
@@ -44,54 +26,6 @@ allocgate:
 bench-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
-
-# slo-sim runs the deterministic coupled-loop control suite under
-# -race: regulator unit behaviour (tracking, clamping, anti-windup,
-# seeded determinism) plus the coupled client-vs-admission scenarios,
-# including the mis-tuned-gain oscillation regression.
-slo-sim:
-	$(GO) test -race -count=1 ./internal/regulator
-	$(GO) test -race -count=1 -run '^TestCoupledLoop' ./internal/sim
-
-# chaos-gate runs the gateway failover gates: the deterministic sim
-# scenario (a converged controller must re-converge after a transparent
-# failover to a differently-loaded replica) and the e2e chaos run
-# (SIGKILL of the measured session's primary under wsload — exact tuple
-# totals, no duplicate keys, bounded stall, zero client-side failovers,
-# replication lag drained on the survivors).
-chaos-gate:
-	$(GO) test -race -count=1 -run '^TestFailover' ./internal/sim
-	$(GO) test -count=1 -run '^TestChaosGate$$' ./internal/e2e
-
-# cache-gate runs the encoded-block cache gates: the blockcache package
-# (LRU/disk/single-flight/refcount semantics) and the service cache
-# wiring, close-race ownership handoff, and standby-copy invariants
-# under -race, then the e2e cache-hot chaos arm (SIGKILL of a primary
-# with every backend's cache warm — exact tuples, warm-hit failover).
-cache-gate:
-	$(GO) test -race -count=1 ./internal/blockcache
-	$(GO) test -race -count=1 -run 'TestCache|TestCloseRace' ./internal/service
-	$(GO) test -race -count=1 -run '^TestStandby' ./internal/replica
-	$(GO) test -count=1 -run '^TestChaosGateCache$$' ./internal/e2e
-
-# push-chaos runs the push transport gates: the service-side push
-# protocol suite (framing, backpressure, unacked-tail replay, cache
-# serve) and the client stream transport suite (resume, session re-open,
-# failover, controller-driven window) under -race, then the e2e chaos
-# run — SIGKILL of the replica serving a live push stream with unacked
-# frames in flight; the query must still deliver the exact relation
-# through a stream reconnect and a session failover to the survivor.
-push-chaos:
-	$(GO) test -race -count=1 -run 'TestPush|TestStream|TestRunPush' ./internal/service ./internal/client
-	$(GO) test -count=1 -run '^TestChaosPush$$' ./internal/e2e
-
-# verify is the tier-1 gate: everything must build, vet clean, pass
-# under the race detector, survive the fuzz seed corpora, hold up under
-# the concurrency stress gate, keep the wire hot path within its
-# allocation budget, keep the coupled control loops stable, and survive
-# the gateway chaos gate, the encoded-block cache gate, and the push
-# transport chaos gate.
-verify: build vet race fuzzseeds stress allocgate slo-sim chaos-gate cache-gate push-chaos
 
 # benchtrend folds the committed BENCH_*.json reports into one
 # trajectory file (BENCH_trend.json) and gates the wire hot path: a live

@@ -29,9 +29,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"wsopt/internal/client"
@@ -151,15 +153,24 @@ func main() {
 		c.SetMetrics(reg)
 	}
 
+	// The transfer engine emits one record per block in every run mode;
+	// -events writes them as JSONL and -trace prints them on the way.
 	var eventsFile *os.File
 	var events *client.EventWriter
+	var sink client.EventSink
 	if *eventsOut != "" {
 		eventsFile, err = os.Create(*eventsOut)
 		if err != nil {
 			logger.Fatal(err)
 		}
 		events = client.NewEventWriter(eventsFile)
-		c.SetEvents(events)
+		sink = events
+	}
+	if *trace {
+		sink = &tracePrinter{out: os.Stdout, useInjected: *useInj, next: sink}
+	}
+	if sink != nil {
+		c.SetEvents(sink)
 	}
 
 	q := client.Query{Table: *table, Where: *where}
@@ -169,40 +180,18 @@ func main() {
 
 	ctx := context.Background()
 	if vectorMode {
-		if err := runVectorQuery(ctx, logger, c, q, vectorOpts{
+		err = runVectorQuery(ctx, logger, c, q, vectorOpts{
 			size: *size, b1: *b1, b2: *b2, limits: limits,
 			streams: *streams, depth: *pipeDepth, chunk: *chunkTuples,
 			storePath: *profileStore, tupleBytes: *tupleBytes, sf: *workloadSF,
 			useInjected: *useInj, push: *push,
-		}); err != nil {
-			logger.Fatal(err)
-		}
-		if reg != nil {
-			f, err := os.Create(*metricsOut)
-			if err != nil {
-				logger.Fatal(err)
-			}
-			if err := reg.WritePrometheus(f); err != nil {
-				logger.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				logger.Fatal(err)
-			}
-			logger.Printf("metrics written to %s", *metricsOut)
-		}
-		return
-	}
-	start := time.Now()
-	var res *client.RunResult
-	if *trace {
-		res, err = runTraced(ctx, c, q, ctl, *useInj, events)
+		})
 	} else {
-		res, err = c.Run(ctx, q, ctl, client.MetricPerTuple, *useInj)
+		err = runQuery(ctx, c, q, ctl, *useInj)
 	}
 	if err != nil {
 		logger.Fatal(err)
 	}
-	elapsed := time.Since(start)
 
 	if events != nil {
 		if err := events.Flush(); err != nil {
@@ -213,7 +202,6 @@ func main() {
 		}
 		logger.Printf("events written to %s", *eventsOut)
 	}
-
 	if tracer != nil {
 		f, err := os.Create(*traceCSV)
 		if err != nil {
@@ -240,9 +228,28 @@ func main() {
 		}
 		logger.Printf("metrics written to %s", *metricsOut)
 	}
+}
+
+// runQuery executes the query on the single-session path and prints its
+// summary.
+func runQuery(ctx context.Context, c *client.Client, q client.Query, ctl core.Controller, useInjected bool) error {
+	start := time.Now()
+	res, err := c.Run(ctx, q, ctl, client.MetricPerTuple, useInjected)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("controller:      %s\n", ctl.Name())
 	fmt.Printf("tuples:          %d in %d blocks\n", res.Tuples, res.Blocks)
-	fmt.Printf("wall time:       %v\n", elapsed.Round(time.Millisecond))
+	fmt.Printf("wall time:       %v\n", time.Since(start).Round(time.Millisecond))
+	printTransfer(res)
+	if len(res.Sizes) > 0 {
+		fmt.Printf("final size:      %d tuples\n", res.Sizes[len(res.Sizes)-1])
+	}
+	return nil
+}
+
+// printTransfer prints the summary lines every run mode shares.
+func printTransfer(res *client.RunResult) {
 	if res.Retries > 0 || res.Replays > 0 {
 		fmt.Printf("retries:         %d (%d blocks replayed by the server)\n", res.Retries, res.Replays)
 	}
@@ -252,9 +259,42 @@ func main() {
 	if res.SimulatedMS > 0 {
 		fmt.Printf("simulated time:  %.1f s\n", res.SimulatedMS/1000)
 	}
-	if len(res.Sizes) > 0 {
-		fmt.Printf("final size:      %d tuples\n", res.Sizes[len(res.Sizes)-1])
+}
+
+// tracePrinter is -trace: it prints every block record the transfer
+// engine emits — whichever run mode and transport produced it — and
+// passes the record on to the -events writer, if there is one. Vector
+// streams write concurrently, hence the mutex.
+type tracePrinter struct {
+	out         io.Writer
+	useInjected bool
+	next        client.EventSink
+
+	mu     sync.Mutex
+	blocks int
+}
+
+func (p *tracePrinter) Write(ev client.BlockEvent) error {
+	y := ev.RTTMS
+	if p.useInjected && ev.InjectedMS > 0 {
+		y = ev.InjectedMS
 	}
+	note := ""
+	if ev.Hedged {
+		note += " hedged"
+	}
+	if ev.Failovers > 0 {
+		note += fmt.Sprintf(" failovers=%d", ev.Failovers)
+	}
+	p.mu.Lock()
+	p.blocks++
+	_, err := fmt.Fprintf(p.out, "block %3d: size=%6d got=%6d time=%9.2fms per-tuple=%.4fms next=%6d %s#%d%s\n",
+		p.blocks, ev.Size, ev.Tuples, y, y/float64(ev.Tuples), ev.Decision, ev.Session, ev.Seq, note)
+	p.mu.Unlock()
+	if err != nil || p.next == nil {
+		return err
+	}
+	return p.next.Write(ev)
 }
 
 // vectorOpts bundles the flag values driving one vector-controller run.
@@ -344,83 +384,9 @@ func runVectorQuery(ctx context.Context, logger *log.Logger, c *client.Client, q
 	fmt.Printf("tuples:          %d in %d blocks over %d chunks\n", res.Tuples, res.Blocks, res.Chunks)
 	fmt.Printf("wall time:       %v\n", res.WallTime.Round(time.Millisecond))
 	fmt.Printf("peak streams:    %d\n", res.PeakStreams)
-	if res.Retries > 0 || res.Replays > 0 {
-		fmt.Printf("retries:         %d (%d blocks replayed by the server)\n", res.Retries, res.Replays)
-	}
-	if res.SimulatedMS > 0 {
-		fmt.Printf("simulated time:  %.1f s\n", res.SimulatedMS/1000)
-	}
+	printTransfer(&res.RunResult)
 	fmt.Printf("final vector:    %v\n", res.Final)
 	return nil
-}
-
-// runTraced mirrors client.Run while printing each decision (and, when
-// an event sink is given, emitting the same structured trace Run would).
-func runTraced(ctx context.Context, c *client.Client, q client.Query, ctl core.Controller, useInj bool, events *client.EventWriter) (*client.RunResult, error) {
-	sess, err := c.OpenSession(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close(context.WithoutCancel(ctx))
-	sess.OnDisturbance = func(reason string) {
-		fmt.Printf("disturbance: %s\n", reason)
-		core.NotifyDisturbance(ctl, reason)
-	}
-
-	res := &client.RunResult{}
-	defer func() {
-		res.Failovers, res.HedgeWins = sess.Failovers(), sess.HedgeWins()
-	}()
-	for !sess.Done() {
-		size := ctl.Size()
-		blk, err := sess.Next(ctx, size)
-		if err != nil {
-			return res, err
-		}
-		if len(blk.Rows) == 0 {
-			if !blk.Done {
-				return res, fmt.Errorf("server returned an empty block without the done flag (after %d tuples)", res.Tuples)
-			}
-			continue
-		}
-		res.Tuples += len(blk.Rows)
-		res.Blocks++
-		res.Elapsed += blk.Elapsed
-		res.SimulatedMS += blk.InjectedMS
-		res.Sizes = append(res.Sizes, size)
-		res.Retries += blk.Attempts - 1
-		if blk.Replayed {
-			res.Replays++
-		}
-		y := float64(blk.Elapsed.Milliseconds())
-		if useInj && blk.InjectedMS > 0 {
-			y = blk.InjectedMS
-		}
-		perTuple := y / float64(len(blk.Rows))
-		fmt.Printf("block %3d: size=%6d got=%6d time=%9.2fms per-tuple=%.4fms\n",
-			res.Blocks, size, len(blk.Rows), y, perTuple)
-		ctl.Observe(perTuple)
-		if events != nil {
-			ev := client.BlockEvent{
-				Seq:        sess.Seq(),
-				Size:       size,
-				Tuples:     len(blk.Rows),
-				Bytes:      blk.Bytes,
-				RTTMS:      float64(blk.Elapsed.Microseconds()) / 1000,
-				InjectedMS: blk.InjectedMS,
-				Decision:   ctl.Size(),
-				Phase:      core.PhaseOf(ctl),
-				Retries:    blk.Attempts - 1,
-				Replayed:   blk.Replayed,
-				Done:       blk.Done,
-				Controller: ctl.Name(),
-			}
-			if err := events.Write(ev); err != nil {
-				return res, err
-			}
-		}
-	}
-	return res, nil
 }
 
 func buildController(name string, size int, b1, b2 float64, limits core.Limits) (core.Controller, error) {

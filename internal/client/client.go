@@ -60,7 +60,7 @@ type Client struct {
 	retry   RetryPolicy
 	push    PushConfig
 	metrics *clientMetrics
-	events  *EventWriter
+	events  EventSink
 }
 
 // New builds a client for the service at baseURL using codec to decode
@@ -171,8 +171,8 @@ type Session struct {
 	scratch *wire.Scratch
 
 	// OnDisturbance, when set, is invoked after a session failover or a
-	// hedge adoption with a human-readable reason — the hook Run uses to
-	// tell the controller conditions just changed under it.
+	// hedge adoption with a human-readable reason — the hook the transfer
+	// engine uses to tell the controller conditions just changed under it.
 	OnDisturbance func(reason string)
 }
 
@@ -247,10 +247,6 @@ func (s *Session) ID() string { return s.id }
 
 // Columns returns the projected column names of the session's result.
 func (s *Session) Columns() []string { return s.columns }
-
-// Seq returns the sequence number of the most recently pulled block
-// (0 before the first pull), for trace and event bookkeeping.
-func (s *Session) Seq() uint64 { return s.seq }
 
 // Done reports whether the result set has been exhausted.
 func (s *Session) Done() bool { return s.done }
@@ -674,21 +670,21 @@ func (c *Client) SetLoad(ctx context.Context, jobs, queries int, memory float64)
 	return nil
 }
 
-// RunResult summarizes one adaptive query execution over the live service.
+// RunResult summarizes one adaptive transfer over the live service.
 type RunResult struct {
 	// Tuples and Blocks count what was transferred.
 	Tuples int
 	Blocks int
-	// Elapsed is the total wall time spent pulling blocks.
+	// Elapsed is the total wall time spent transferring blocks.
 	Elapsed time.Duration
 	// SimulatedMS is the sum of server-injected model delays, the
 	// scale-free response time used when comparing against profiles.
 	SimulatedMS float64
 	// Sizes is the commanded block size per request.
 	Sizes []int
-	// Retries counts extra pull attempts beyond the first, and Replays
-	// counts blocks the server served from its replay buffer — both 0
-	// on a fault-free run.
+	// Retries counts extra attempts beyond the first, and Replays counts
+	// blocks the server recognized as a repeat (served from its replay
+	// buffer, or an upload it deduplicated) — both 0 on a fault-free run.
 	Retries int
 	Replays int
 	// Failovers counts session moves to another replica; HedgeWins counts
@@ -711,83 +707,9 @@ func (c *Client) Run(ctx context.Context, q Query, ctl core.Controller, metric M
 	if err != nil {
 		return nil, err
 	}
-	tr := c.transportFor(sess, windowFn(ctl))
-	defer func() {
-		// Best-effort cleanup; the session may already be gone.
-		_ = tr.Close(context.WithoutCancel(ctx))
-	}()
-	sess.OnDisturbance = func(reason string) {
-		core.NotifyDisturbance(ctl, reason)
-	}
-
-	res := &RunResult{}
-	for !tr.Done() {
-		size := ctl.Size()
-		blk, err := tr.Next(ctx, size)
-		if err != nil {
-			res.Failovers, res.HedgeWins = sess.failovers, sess.hedgeWins
-			return res, err
-		}
-		got := len(blk.Rows)
-		if got == 0 {
-			if !blk.Done {
-				// A correct server only sends an empty block as the done
-				// marker; silently accepting one here would report a
-				// truncated result as success.
-				return res, fmt.Errorf("client: server returned an empty block without the done flag (after %d tuples)", res.Tuples)
-			}
-			continue // loop condition observes sess.Done()
-		}
-		res.Tuples += got
-		res.Blocks++
-		res.Elapsed += blk.Elapsed
-		res.SimulatedMS += blk.InjectedMS
-		res.Sizes = append(res.Sizes, size)
-		res.Retries += blk.Attempts - 1
-		if blk.Replayed {
-			res.Replays++
-		}
-
-		y := float64(blk.Elapsed) / float64(time.Millisecond)
-		if useInjected && blk.InjectedMS > 0 {
-			y = blk.InjectedMS
-		}
-		if metric == MetricPerTuple {
-			y /= float64(got)
-		}
-		ctl.Observe(y)
-		if err := c.emitEvent(sess, blk, size, ctl); err != nil {
-			return res, err
-		}
-	}
-	res.Failovers, res.HedgeWins = sess.failovers, sess.hedgeWins
-	return res, nil
-}
-
-// emitEvent writes the structured trace record for one pulled block,
-// after the controller has observed it (so the event carries the
-// decision the block produced). A nil sink is a no-op.
-func (c *Client) emitEvent(sess *Session, blk *Block, size int, ctl core.Controller) error {
-	if c.events == nil {
-		return nil
-	}
-	return c.events.Write(BlockEvent{
-		Seq:        sess.seq,
-		Size:       size,
-		Tuples:     len(blk.Rows),
-		Bytes:      blk.Bytes,
-		RTTMS:      float64(blk.Elapsed.Microseconds()) / 1000,
-		InjectedMS: blk.InjectedMS,
-		Decision:   ctl.Size(),
-		Phase:      core.PhaseOf(ctl),
-		Retries:    blk.Attempts - 1,
-		Replayed:   blk.Replayed,
-		Done:       blk.Done,
-		Controller: ctl.Name(),
-		Endpoint:   blk.Endpoint,
-		Hedged:     blk.Hedged,
-		Failovers:  blk.Failovers,
-	})
+	r := run{c: c, ctl: ctl, metric: metric, useInjected: useInjected, res: &RunResult{}}
+	_, err = r.transfer(ctx, sess, windowFn(ctl), 0, nil)
+	return r.res, err
 }
 
 // endpoint builds an absolute URL on the current primary endpoint from

@@ -1,0 +1,249 @@
+package client
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"wsopt/internal/core"
+)
+
+// This file is the one transfer engine (DESIGN.md "Transfer engine"):
+// Algorithm 1's loop — pick a size, pull a block, time it, feed the
+// controller — and the per-block accounting exist here once. Run,
+// RunPipelined and every RunVector chunk are configurations of
+// run.transfer; Push (the upload direction, whose data flows the other
+// way) keeps its own loop but accounts through run.account too.
+
+// run is the accounting state of one transfer: the controller it drives,
+// what that controller observes, and the result the blocks add up to.
+type run struct {
+	c           *Client
+	ctl         core.Controller
+	metric      Metric
+	useInjected bool
+	res         *RunResult
+	// mu, when non-nil, guards ctl and res: RunVector shares both across
+	// its stream workers. Single-session runs leave it nil.
+	mu *sync.Mutex
+}
+
+func (r *run) lock() {
+	if r.mu != nil {
+		r.mu.Lock()
+	}
+}
+
+func (r *run) unlock() {
+	if r.mu != nil {
+		r.mu.Unlock()
+	}
+}
+
+// size is the controller's block size for the next pull.
+func (r *run) size() int {
+	r.lock()
+	n := r.ctl.Size()
+	r.unlock()
+	return n
+}
+
+// sample is what the accounting point reads of one transferred block; a
+// pulled Block and an uploaded PushBlock both reduce to it.
+type sample struct {
+	tuples     int
+	elapsed    time.Duration
+	injectedMS float64
+	attempts   int
+	replayed   bool
+}
+
+// account is the one per-block accounting point: it adds a block
+// requested at size to the result and feeds the controller its
+// observation — wall time by default, the scale-free injected delay when
+// the run asked for it and the server reported one, per tuple or per
+// block. Callers hold r.mu when the run has one.
+func (r *run) account(size int, s sample) {
+	res := r.res
+	res.Tuples += s.tuples
+	res.Blocks++
+	res.Elapsed += s.elapsed
+	res.SimulatedMS += s.injectedMS
+	res.Sizes = append(res.Sizes, size)
+	res.Retries += s.attempts - 1
+	if s.replayed {
+		res.Replays++
+	}
+
+	y := float64(s.elapsed) / float64(time.Millisecond)
+	if r.useInjected && s.injectedMS > 0 {
+		y = s.injectedMS
+	}
+	if r.metric == MetricPerTuple {
+		y /= float64(s.tuples)
+	}
+	r.ctl.Observe(y)
+}
+
+// fetched is one pull's outcome with everything session-derived captured
+// at fetch time: under prefetch the session has moved on (or failed over
+// to a fresh server session) by the time the block is handed off. A nil
+// blk with a nil err is the empty done marker that ends the result set.
+type fetched struct {
+	blk     *Block
+	size    int
+	seq     uint64
+	session string
+	err     error
+}
+
+// fetch is the engine's one pull. clone detaches the rows from the
+// session's decode scratch, for a handler that reads them while or after
+// the next pull reuses it.
+func fetch(ctx context.Context, sess *Session, tr Transport, size int, clone bool) fetched {
+	blk, err := tr.Next(ctx, size)
+	switch {
+	case err != nil:
+		return fetched{err: err}
+	case len(blk.Rows) > 0:
+		if clone {
+			blk = blk.Clone()
+		}
+		return fetched{blk: blk, size: size, seq: sess.seq, session: sess.id}
+	case blk.Done:
+		return fetched{}
+	}
+	// A correct server only sends an empty block as the done marker;
+	// accepting one here would report a truncated result as success.
+	return fetched{err: fmt.Errorf("client: server returned an empty block without the done flag (session %s, after %d tuples)", sess.id, sess.committed)}
+}
+
+// handOff accounts one fetched block, lets the controller observe it and
+// writes its event — after the observation, so the event carries the
+// decision the block produced. Accounting happens here, at hand-off, not
+// at fetch: a prefetched block the run abandons never shows in a result.
+func (r *run) handOff(f *fetched) error {
+	blk, sink := f.blk, r.c.events
+	var ev BlockEvent
+	r.lock()
+	r.account(f.size, sample{len(blk.Rows), blk.Elapsed, blk.InjectedMS, blk.Attempts, blk.Replayed})
+	if sink != nil {
+		ev = BlockEvent{
+			Session:    f.session,
+			Seq:        f.seq,
+			Size:       f.size,
+			Tuples:     len(blk.Rows),
+			Bytes:      blk.Bytes,
+			RTTMS:      float64(blk.Elapsed.Microseconds()) / 1000,
+			InjectedMS: blk.InjectedMS,
+			Decision:   r.ctl.Size(),
+			Phase:      core.PhaseOf(r.ctl),
+			Retries:    blk.Attempts - 1,
+			Replayed:   blk.Replayed,
+			Done:       blk.Done,
+			Controller: r.ctl.Name(),
+			Endpoint:   blk.Endpoint,
+			Hedged:     blk.Hedged,
+			Failovers:  blk.Failovers,
+		}
+	}
+	r.unlock()
+	if sink == nil {
+		return nil
+	}
+	return sink.Write(ev)
+}
+
+// transfer is the block loop: it moves the open session's whole result
+// over the configured transport, closes the session, and returns how many
+// tuples it handed off. win supplies the push credit window (nil = the
+// configured default). Failovers, hedge adoptions and gateway failovers
+// reach the controller as disturbances.
+//
+// ahead == 0 runs lock-step on the caller's goroutine: every size
+// decision sees the previous block's observation. ahead >= 1 starts a
+// prefetcher that keeps up to ahead pulls beyond the hand-off point — one
+// in flight, the rest buffered — so transfer overlaps handle. The
+// prefetcher only pulls: sizes are decided here, one per hand-off, right
+// after the observation and before handle runs, so a size is exactly
+// ahead observations stale and the controller is never touched from two
+// goroutines at once.
+func (r *run) transfer(ctx context.Context, sess *Session, win func() int, ahead int, handle BlockHandler) (tuples int, err error) {
+	tr := r.c.transportFor(sess, win)
+	sess.OnDisturbance = func(reason string) {
+		r.lock()
+		core.NotifyDisturbance(r.ctl, reason)
+		r.unlock()
+	}
+	defer func() {
+		r.lock()
+		r.res.Failovers += sess.failovers
+		r.res.HedgeWins += sess.hedgeWins
+		r.unlock()
+		// Best-effort cleanup; the session may already be gone.
+		_ = tr.Close(context.WithoutCancel(ctx))
+	}()
+
+	var sizes chan int // the prefetcher's pull permits; nil in lock-step
+	consume := func(f fetched) error {
+		if f.err != nil || f.blk == nil {
+			return f.err
+		}
+		if err := r.handOff(&f); err != nil {
+			return err
+		}
+		tuples += len(f.blk.Rows)
+		if sizes != nil {
+			sizes <- r.size()
+		}
+		if handle != nil {
+			return handle(f.blk.Schema, f.blk.Rows)
+		}
+		return nil
+	}
+	clone := handle != nil
+	if ahead == 0 {
+		for !tr.Done() {
+			if err := consume(fetch(ctx, sess, tr, r.size(), clone)); err != nil {
+				return tuples, err
+			}
+		}
+		return tuples, nil
+	}
+
+	// Both channels are sized so that neither side ever blocks on a
+	// send: a pull needs a permit, ahead permits are issued up front and
+	// one more per hand-off, so at most ahead permits or fetched blocks
+	// are ever waiting.
+	cctx, stop := context.WithCancel(ctx)
+	sizes = make(chan int, ahead)
+	feed := make(chan fetched, ahead)
+	go func() {
+		defer close(feed)
+		for size := range sizes {
+			f := fetch(cctx, sess, tr, size, clone)
+			feed <- f
+			if f.err != nil || tr.Done() {
+				return
+			}
+		}
+	}()
+	// Stop the prefetcher and join it before the deferred Close touches
+	// the session it is still using.
+	defer func() {
+		stop()
+		close(sizes)
+		for range feed {
+		}
+	}()
+	for i := 0; i < ahead; i++ {
+		sizes <- r.size()
+	}
+	for f := range feed {
+		if err := consume(f); err != nil {
+			return tuples, err
+		}
+	}
+	return tuples, nil
+}

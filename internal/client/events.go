@@ -8,16 +8,21 @@ import (
 	"sync"
 )
 
-// Structured transfer traces: one JSONL event per pulled block, the
-// machine-readable counterpart of `wsquery -trace`. Captured event logs
-// are the raw material for offline tuning — replaying a real transfer
-// against candidate controllers, fitting cost models, or comparing
-// convergence across runs.
+// Structured transfer traces: one JSONL event per block handed off by
+// the transfer engine, the machine-readable counterpart of `wsquery
+// -trace`. Captured event logs are the raw material for offline tuning —
+// replaying a real transfer against candidate controllers, fitting cost
+// models, or comparing convergence across runs.
 
 // BlockEvent describes one block transfer end to end: what was asked
 // for, what arrived, how long it took, and what the controller decided
 // next.
 type BlockEvent struct {
+	// Session is the id of the server-side session that served the block.
+	// With Seq it attributes the event: concurrent vector streams
+	// interleave in one trace, and a failover or hedge adoption moves a
+	// run to a fresh session whose Seq restarts at 1.
+	Session string `json:"session"`
 	// Seq is the block's sequence number within the session (1-based).
 	Seq uint64 `json:"seq"`
 	// Size is the block size the controller commanded for this pull.
@@ -88,11 +93,19 @@ func (ew *EventWriter) Flush() error {
 	return ew.buf.Flush()
 }
 
-// SetEvents installs a sink that receives one BlockEvent per block
-// pulled by Run/RunPipelined; nil disables emission. A failed event
-// write aborts the run — a trace with silent holes would poison any
+// EventSink receives the transfer engine's per-block records;
+// *EventWriter is the JSONL implementation. Vector runs write from
+// several stream workers at once, so a sink must be safe for concurrent
+// use.
+type EventSink interface {
+	Write(BlockEvent) error
+}
+
+// SetEvents installs a sink that receives one BlockEvent per block handed
+// off by Run, RunPipelined or RunVector; nil disables emission. A failed
+// event write aborts the run — a trace with silent holes would poison any
 // offline analysis built on it.
-func (c *Client) SetEvents(ew *EventWriter) { c.events = ew }
+func (c *Client) SetEvents(sink EventSink) { c.events = sink }
 
 // ReadEvents parses a JSONL event stream back, for tests and offline
 // tooling. It fails on the first malformed line.

@@ -1,0 +1,197 @@
+package client
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"testing"
+
+	"wsopt/internal/core"
+	"wsopt/internal/service"
+	"wsopt/internal/wire"
+)
+
+// fleetStats sums the backends' /stats over HTTP (startGatewayFleet hands
+// out test servers, not service handles).
+func fleetStats(t *testing.T, urls []string) service.Stats {
+	t.Helper()
+	var sum service.Stats
+	for _, u := range urls {
+		resp, err := http.Get(u + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st service.Stats
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("decode %s/stats: %v", u, err)
+		}
+		sum.SessionsOpened += st.SessionsOpened
+		sum.BlocksServed += st.BlocksServed
+		sum.TuplesServed += st.TuplesServed
+		sum.BlocksReplayed += st.BlocksReplayed
+		sum.PushFramesSent += st.PushFramesSent
+	}
+	return sum
+}
+
+// pinnedVector is a vector controller whose stream and depth knobs are
+// fixed, so a cell runs at exactly the fan-out and prefetch it names.
+func pinnedVector(t *testing.T, streams, depth int) *core.VectorController {
+	t.Helper()
+	cfg := vectorTestConfig()
+	cfg.Dims[core.DimStreams].Initial = streams
+	cfg.Dims[core.DimStreams].Limits = core.Limits{Min: streams, Max: streams}
+	cfg.Dims[core.DimDepth].Initial = depth
+	cfg.Dims[core.DimDepth].Limits = core.Limits{Min: depth, Max: depth}
+	ctl, err := core.NewVector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctl
+}
+
+// TestTransferMatrix closes the transport × topology × mode matrix: every
+// run mode is the same engine, so every cell must deliver the relation
+// exactly once, emit one event per accounted block and reconcile with the
+// servers' own counters — over pull and push, direct and via the gateway.
+func TestTransferMatrix(t *testing.T) {
+	const rows = 1300
+	type runFn func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error)
+	vector := func(streams, depth int) runFn {
+		return func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error) {
+			res, err := c.RunVector(ctx, Query{Table: "items"}, pinnedVector(t, streams, depth),
+				VectorRunConfig{ChunkTuples: 300, MaxStreams: streams, Handle: handle})
+			if res == nil {
+				return nil, err
+			}
+			if err == nil && res.PeakStreams != streams {
+				t.Errorf("peak streams = %d, want %d", res.PeakStreams, streams)
+			}
+			return &res.RunResult, err
+		}
+	}
+	modes := []struct {
+		name string
+		// keyed is false for Run, which has no handler to see rows with.
+		keyed bool
+		run   runFn
+	}{
+		{"run", false, func(ctx context.Context, c *Client, _ BlockHandler) (*RunResult, error) {
+			return c.Run(ctx, Query{Table: "items"}, core.NewStatic(70), MetricPerTuple, false)
+		}},
+		{"pipelined", true, func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error) {
+			res, err := c.RunPipelined(ctx, Query{Table: "items"}, core.NewStatic(70), MetricPerTuple, false, handle)
+			if res == nil {
+				return nil, err
+			}
+			return &res.RunResult, err
+		}},
+		{"vector/depth=1/streams=1", true, vector(1, 1)},
+		{"vector/depth=1/streams=3", true, vector(3, 1)},
+		{"vector/depth=3/streams=1", true, vector(1, 3)},
+		{"vector/depth=3/streams=3", true, vector(3, 3)},
+	}
+
+	for _, push := range []bool{false, true} {
+		for _, viaGateway := range []bool{false, true} {
+			for _, mode := range modes {
+				transport, topology := "pull", "direct"
+				if push {
+					transport = "push"
+				}
+				if viaGateway {
+					topology = "gateway"
+				}
+				t.Run(transport+"/"+topology+"/"+mode.name, func(t *testing.T) {
+					_, gwURL, servers := startGatewayFleet(t, 2, rows)
+					var backends []string
+					for u := range servers {
+						backends = append(backends, u)
+					}
+					target := backends[0]
+					if viaGateway {
+						target = gwURL
+					}
+					c, err := New(target, wire.XML{}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.SetPush(PushConfig{Enabled: push})
+					var trace bytes.Buffer
+					ew := NewEventWriter(&trace)
+					c.SetEvents(ew)
+					handle, keys := collectKeys(t)
+
+					res, err := mode.run(context.Background(), c, handle)
+					if err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					if res.Tuples != rows {
+						t.Errorf("delivered %d tuples, want %d", res.Tuples, rows)
+					}
+					if res.Blocks == 0 || len(res.Sizes) != res.Blocks {
+						t.Errorf("%d blocks with %d recorded sizes", res.Blocks, len(res.Sizes))
+					}
+					if mode.keyed {
+						seen := keys()
+						for k := int64(0); k < rows; k++ {
+							if seen[k] != 1 {
+								t.Fatalf("key %d delivered %d times, want exactly once", k, seen[k])
+							}
+						}
+					}
+
+					// One event per accounted block, attributable to its session.
+					if err := ew.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					events, err := ReadEvents(&trace)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(events) != res.Blocks {
+						t.Errorf("%d events for %d accounted blocks", len(events), res.Blocks)
+					}
+					evTuples := 0
+					blocks := map[string]bool{}
+					for _, ev := range events {
+						evTuples += ev.Tuples
+						id := fmt.Sprintf("%s#%d", ev.Session, ev.Seq)
+						if ev.Session == "" || ev.Seq == 0 || blocks[id] {
+							t.Errorf("event not attributable to one block of one session: %+v", ev)
+						}
+						blocks[id] = true
+					}
+					if evTuples != res.Tuples {
+						t.Errorf("events account for %d tuples, result for %d", evTuples, res.Tuples)
+					}
+
+					// The servers saw the same transfer: every tuple served once,
+					// and no block beyond the accounted ones except each
+					// session's empty done marker.
+					st := fleetStats(t, backends)
+					if st.TuplesServed != int64(res.Tuples) || st.BlocksReplayed != 0 {
+						t.Errorf("servers served %d tuples (%d replays), client accounted %d", st.TuplesServed, st.BlocksReplayed, res.Tuples)
+					}
+					if extra := st.BlocksServed - int64(res.Blocks); extra < 0 || extra > st.SessionsOpened {
+						t.Errorf("servers served %d blocks over %d sessions, client accounted %d", st.BlocksServed, st.SessionsOpened, res.Blocks)
+					}
+					switch {
+					case push && !viaGateway && st.PushFramesSent == 0:
+						t.Error("push enabled against a backend, yet no push frame was sent")
+					case push && viaGateway && st.PushFramesSent != 0:
+						// transportFor: a transparent gateway does not proxy the
+						// stream endpoints, so push falls back to pull behind it.
+						t.Errorf("%d push frames behind the gateway; the documented pull fallback is gone — update transportFor's contract and this cell", st.PushFramesSent)
+					case !push && st.PushFramesSent != 0:
+						t.Errorf("%d push frames on a pull run", st.PushFramesSent)
+					}
+				})
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"wsopt/internal/core"
@@ -12,10 +11,10 @@ import (
 // The paper's introduction notes that block-based transfer lets
 // "applications also benefit from pipelined parallel processing" — the
 // next block can be in flight while the previous one is being processed.
-// RunPipelined provides that overlap: a prefetch goroutine keeps exactly
-// one request outstanding while the caller's handler consumes the
-// previous block. The controller still observes every block's transfer
-// time, so block-size adaptation is unchanged.
+// RunPipelined provides that overlap: the transfer engine's prefetcher
+// keeps exactly one request outstanding while the caller's handler
+// consumes the previous block. The controller still observes every
+// block's transfer time, so block-size adaptation is unchanged.
 
 // BlockHandler consumes one block's rows. Returning an error aborts the
 // run.
@@ -32,119 +31,30 @@ type PipelinedResult struct {
 	WallTime time.Duration
 }
 
-// prefetched carries one pulled block (plus the size it was requested at)
-// or the error that ended the stream. It is raw: no accounting has been
-// done on it yet — a prefetched block that is never handed to the handler
-// (because the handler aborted the run) must not appear in the result.
-type prefetched struct {
-	blk  *Block
-	size int
-	err  error
-}
-
 // RunPipelined executes Algorithm 1 with single-block prefetch: while the
 // handler processes block n, block n+1 is already being pulled. The
 // controller's decision for block n+1 is made from the measurements
-// available when the prefetch is issued (one block of extra decision
-// latency — the price of the overlap).
+// through block n, before the handler runs (one block of extra decision
+// latency — the price of the overlap). The handler's rows are its own
+// copy and may be retained.
 func (c *Client) RunPipelined(ctx context.Context, q Query, ctl core.Controller, metric Metric, useInjected bool, handle BlockHandler) (*PipelinedResult, error) {
 	sess, err := c.OpenSession(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		_ = sess.Close(context.WithoutCancel(ctx))
-	}()
-	sess.OnDisturbance = func(reason string) {
-		core.NotifyDisturbance(ctl, reason)
-	}
-
 	start := time.Now()
 	res := &PipelinedResult{}
-
-	// fetch pulls one block at the controller's current size. It performs
-	// no bookkeeping and no controller feedback: both happen on the main
-	// loop when the block is handed off, so a prefetched block that an
-	// aborting handler never receives is not counted into the result.
-	fetch := func() prefetched {
-		size := ctl.Size()
-		blk, err := sess.Next(ctx, size)
-		if err != nil {
-			return prefetched{err: err}
-		}
-		return prefetched{blk: blk, size: size}
-	}
-
-	cur := fetch()
-	for {
-		res.Failovers, res.HedgeWins = sess.failovers, sess.hedgeWins
-		if cur.err != nil {
-			res.WallTime = time.Since(start)
-			return res, cur.err
-		}
-		blk := cur.blk
-		if len(blk.Rows) == 0 && !blk.Done {
-			// A correct server only sends an empty block as the done
-			// marker; treating one as end-of-stream would report a
-			// truncated result as success.
-			res.WallTime = time.Since(start)
-			return res, fmt.Errorf("client: server returned an empty block without the done flag (after %d tuples)", res.Tuples)
-		}
-
-		// Account the block and feed the controller at handoff. Observing
-		// here, before the next prefetch is launched, preserves the one
-		// block of decision latency the prefetch costs: block n+1's size is
-		// still chosen from the measurements through block n.
-		if len(blk.Rows) > 0 {
-			res.Tuples += len(blk.Rows)
-			res.Blocks++
-			res.Elapsed += blk.Elapsed
-			res.SimulatedMS += blk.InjectedMS
-			res.Sizes = append(res.Sizes, cur.size)
-			res.Retries += blk.Attempts - 1
-			if blk.Replayed {
-				res.Replays++
-			}
-
-			y := float64(blk.Elapsed) / float64(time.Millisecond)
-			if useInjected && blk.InjectedMS > 0 {
-				y = blk.InjectedMS
-			}
-			if metric == MetricPerTuple {
-				y /= float64(len(blk.Rows))
-			}
-			ctl.Observe(y)
-		}
-
-		// Launch the prefetch of the next block (if any) while this one
-		// is being processed. The session is only touched by this one
-		// outstanding goroutine; the loop joins it before the next round.
-		// The prefetch is a pull, and a pull invalidates the previous
-		// block's scratch-backed rows — so when the handler will run
-		// concurrently with one, it gets its own copy of the block.
-		var next chan prefetched
-		if !sess.Done() {
-			blk = blk.Clone()
-			next = make(chan prefetched, 1)
-			go func() { next <- fetch() }()
-		}
-
-		if len(blk.Rows) > 0 && handle != nil {
+	timed := handle
+	if handle != nil {
+		timed = func(schema minidb.Schema, rows []minidb.Row) error {
 			t0 := time.Now()
-			err := handle(blk.Schema, blk.Rows)
+			err := handle(schema, rows)
 			res.ProcessTime += time.Since(t0)
-			if err != nil {
-				if next != nil {
-					<-next // join the in-flight prefetch before returning
-				}
-				res.WallTime = time.Since(start)
-				return res, err
-			}
+			return err
 		}
-		if next == nil {
-			res.WallTime = time.Since(start)
-			return res, nil
-		}
-		cur = <-next
 	}
+	r := run{c: c, ctl: ctl, metric: metric, useInjected: useInjected, res: &res.RunResult}
+	_, err = r.transfer(ctx, sess, windowFn(ctl), 1, timed)
+	res.WallTime = time.Since(start)
+	return res, err
 }

@@ -164,27 +164,16 @@ func (p *PushSession) Close(ctx context.Context) (int, error) {
 	return cr.Tuples, nil
 }
 
-// PushResult summarizes one adaptive upload.
-type PushResult struct {
-	// Tuples and Blocks count what was shipped.
-	Tuples int
-	Blocks int
-	// Elapsed is the total wall time spent uploading.
-	Elapsed time.Duration
-	// SimulatedMS is the sum of server-injected delays.
-	SimulatedMS float64
-	// Sizes is the commanded block size per request.
-	Sizes []int
-	// Retries counts extra upload attempts beyond the first, and
-	// Replays counts duplicate blocks the server deduplicated — both 0
-	// on a fault-free run.
-	Retries int
-	Replays int
-}
+// PushResult summarizes one adaptive upload: a RunResult whose Replays
+// counts duplicate blocks the server deduplicated and whose Failovers
+// and HedgeWins stay 0.
+type PushResult = RunResult
 
 // Push ships every row of the iterator to the named server table,
 // Algorithm 1 in the upload direction: the controller picks each block's
-// size from the observed per-tuple (or per-block) upload cost.
+// size from the observed per-tuple (or per-block) upload cost. The data
+// flows the other way, so Push keeps its own loop, but it accounts each
+// block through the same function the transfer engine uses.
 func (c *Client) Push(ctx context.Context, table string, src minidb.Iterator, ctl core.Controller, metric Metric, useInjected bool) (*PushResult, error) {
 	sess, err := c.OpenPush(ctx, table)
 	if err != nil {
@@ -195,39 +184,22 @@ func (c *Client) Push(ctx context.Context, table string, src minidb.Iterator, ct
 	}()
 
 	schema := src.Schema()
-	res := &PushResult{}
+	r := run{c: c, ctl: ctl, metric: metric, useInjected: useInjected, res: &PushResult{}}
 	for {
 		size := ctl.Size()
 		rows, done, err := nextRows(src, size)
 		if err != nil {
-			return res, err
+			return r.res, err
 		}
 		if len(rows) > 0 {
 			blk, err := sess.Send(ctx, schema, rows)
 			if err != nil {
-				return res, err
+				return r.res, err
 			}
-			res.Tuples += blk.Tuples
-			res.Blocks++
-			res.Elapsed += blk.Elapsed
-			res.SimulatedMS += blk.InjectedMS
-			res.Sizes = append(res.Sizes, size)
-			res.Retries += blk.Attempts - 1
-			if blk.Replayed {
-				res.Replays++
-			}
-
-			y := float64(blk.Elapsed) / float64(time.Millisecond)
-			if useInjected && blk.InjectedMS > 0 {
-				y = blk.InjectedMS
-			}
-			if metric == MetricPerTuple {
-				y /= float64(blk.Tuples)
-			}
-			ctl.Observe(y)
+			r.account(size, sample{blk.Tuples, blk.Elapsed, blk.InjectedMS, blk.Attempts, blk.Replayed})
 		}
 		if done {
-			return res, nil
+			return r.res, nil
 		}
 	}
 }

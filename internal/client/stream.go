@@ -52,8 +52,7 @@ func newStreamSession(s *Session, win func() int) *streamSession {
 	return t
 }
 
-func (t *streamSession) Done() bool  { return t.s.done }
-func (t *streamSession) Seq() uint64 { return t.s.seq }
+func (t *streamSession) Done() bool { return t.s.done }
 
 // Close tears the stream down, stops the grant loop and deletes the
 // server-side session.

@@ -19,8 +19,6 @@ type Transport interface {
 	Next(ctx context.Context, size int) (*Block, error)
 	// Done reports whether the result set has been exhausted.
 	Done() bool
-	// Seq returns the sequence number of the most recent block.
-	Seq() uint64
 	// Close releases the transport and deletes the server-side session.
 	Close(ctx context.Context) error
 }
@@ -36,7 +34,7 @@ const DefaultPushWindow = 4
 // PushConfig enables and tunes the client side of the server-push
 // streaming transport (DESIGN.md §16).
 type PushConfig struct {
-	// Enabled switches Run/RunVector sessions from pull to push.
+	// Enabled switches every run mode's sessions from pull to push.
 	Enabled bool
 	// Window is the credit window granted when the controller does not
 	// expose a window knob (core.Windower); default DefaultPushWindow.

@@ -20,9 +20,10 @@ import (
 //   - streams      — the number of concurrent workers; workers re-check
 //     the target at every chunk boundary, so the fan-out follows the
 //     controller between chunks without tearing down in-flight pulls;
-//   - depth        — how many blocks a worker keeps in flight ahead of
-//     the accounting/consumption point within a chunk (1 = lock-step,
-//     as Run; d>1 trades control lag for overlap, as RunPipelined).
+//   - depth        — the transfer engine's ahead count within a chunk:
+//     how many pulls a worker keeps beyond the hand-off point (1 =
+//     lock-step, as Run; d>1 trades control lag for overlap, as
+//     RunPipelined).
 //
 // The result set is partitioned by a lease dispenser: workers atomically
 // lease disjoint [offset, offset+chunk) tuple ranges and open one
@@ -64,20 +65,12 @@ func (cfg VectorRunConfig) withDefaults() VectorRunConfig {
 
 // VectorRunResult summarizes one parallel-stream adaptive execution.
 type VectorRunResult struct {
-	// Tuples and Blocks count what was transferred across all streams.
-	Tuples int
-	Blocks int
-	// Elapsed sums every block's pull time across streams; with S
-	// concurrent streams it can exceed WallTime by up to a factor of S.
-	Elapsed time.Duration
+	// RunResult adds up every block of every stream. With S concurrent
+	// streams its Elapsed can exceed WallTime by up to a factor of S, and
+	// Sizes is in hand-off order across streams.
+	RunResult
 	// WallTime is the end-to-end duration of the run.
 	WallTime time.Duration
-	// SimulatedMS sums the server-injected model delays.
-	SimulatedMS float64
-	// Retries counts extra pull attempts; Replays counts server-side
-	// replay serves.
-	Retries int
-	Replays int
 	// Chunks counts cursor-range leases actually served (empty
 	// overshoot leases included).
 	Chunks int
@@ -146,15 +139,15 @@ func (d *leaseDispenser) shorten(start, got int) {
 }
 
 // vectorRun is the shared state of one RunVector execution. One mutex
-// guards the controller, the aggregate accounting, and the live-worker
-// count — all off the per-block hot path's critical section (the pull
-// itself runs without it).
+// guards the controller, the aggregate accounting (both also reached
+// through run) and the live-worker count — all off the per-block hot
+// path's critical section (the pull itself runs without it).
 type vectorRun struct {
-	c   *Client
-	q   Query
-	ctl *core.VectorController
-	cfg VectorRunConfig
-	dis *leaseDispenser
+	run  run
+	q    Query
+	vctl *core.VectorController
+	cfg  VectorRunConfig
+	dis  *leaseDispenser
 
 	mu   sync.Mutex
 	res  VectorRunResult
@@ -162,15 +155,9 @@ type vectorRun struct {
 }
 
 // target is the worker count the controller currently asks for, clamped
-// to the configured cap.
+// to the configured cap. Called with r.mu held.
 func (r *vectorRun) target() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.targetLocked()
-}
-
-func (r *vectorRun) targetLocked() int {
-	t := r.ctl.Streams()
+	t := r.vctl.Streams()
 	if t < 1 {
 		t = 1
 	}
@@ -180,17 +167,11 @@ func (r *vectorRun) targetLocked() int {
 	return t
 }
 
-// size and depth read the controller's other knobs for one pull/chunk.
-func (r *vectorRun) size() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ctl.Size()
-}
-
+// depth reads the controller's pipeline-depth knob for one chunk.
 func (r *vectorRun) depth() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ctl.Depth()
+	return r.vctl.Depth()
 }
 
 // window reads the controller's credit-window knob for the push
@@ -198,69 +179,7 @@ func (r *vectorRun) depth() int {
 func (r *vectorRun) window() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.ctl.Window()
-}
-
-// pulled is the per-block record the in-chunk prefetcher hands to the
-// accounting point: the lightweight measurements always, the cloned block
-// only when a handler needs the rows.
-type pulled struct {
-	tuples     int
-	elapsed    time.Duration
-	injectedMS float64
-	attempts   int
-	replayed   bool
-	blk        *Block
-	err        error
-}
-
-// extract captures a block's measurements (and, when a handler will
-// consume the rows, a clone) before the next pull on the same session
-// invalidates the scratch-backed rows.
-func (r *vectorRun) extract(blk *Block) pulled {
-	p := pulled{
-		tuples:     len(blk.Rows),
-		elapsed:    blk.Elapsed,
-		injectedMS: blk.InjectedMS,
-		attempts:   blk.Attempts,
-		replayed:   blk.Replayed,
-	}
-	if r.cfg.Handle != nil {
-		p.blk = blk.Clone()
-	}
-	return p
-}
-
-// consume accounts one pulled block and hands its rows to the handler.
-func (r *vectorRun) consume(p pulled) error {
-	r.account(p)
-	if r.cfg.Handle != nil {
-		return r.cfg.Handle(p.blk.Schema, p.blk.Rows)
-	}
-	return nil
-}
-
-// account feeds one block's measurement to the shared controller and
-// aggregates it into the result.
-func (r *vectorRun) account(p pulled) {
-	y := float64(p.elapsed) / float64(time.Millisecond)
-	if r.cfg.UseInjected && p.injectedMS > 0 {
-		y = p.injectedMS
-	}
-	if r.cfg.Metric == MetricPerTuple {
-		y /= float64(p.tuples)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.res.Tuples += p.tuples
-	r.res.Blocks++
-	r.res.Elapsed += p.elapsed
-	r.res.SimulatedMS += p.injectedMS
-	r.res.Retries += p.attempts - 1
-	if p.replayed {
-		r.res.Replays++
-	}
-	r.ctl.Observe(y)
+	return r.vctl.Window()
 }
 
 // RunVector executes one query as an adaptive parallel-stream transfer
@@ -276,13 +195,8 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	r := &vectorRun{
-		c:   c,
-		q:   q,
-		ctl: ctl,
-		cfg: cfg,
-		dis: newLeaseDispenser(cfg.ChunkTuples),
-	}
+	r := &vectorRun{q: q, vctl: ctl, cfg: cfg, dis: newLeaseDispenser(cfg.ChunkTuples)}
+	r.run = run{c: c, ctl: ctl, metric: cfg.Metric, useInjected: cfg.UseInjected, res: &r.res.RunResult, mu: &r.mu}
 	r.q.StreamGroup = fmt.Sprintf("vg-%08x", groupCounter.Add(1))
 	// The outer query's own Limit bounds the result set from the start.
 	if q.Limit > 0 {
@@ -303,7 +217,7 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 	worker := func() {
 		for {
 			r.mu.Lock()
-			over := r.live > r.targetLocked()
+			over := r.live > r.target()
 			if over {
 				r.live--
 			}
@@ -344,7 +258,7 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 	// drop before the exit event is delivered.
 	outstanding := 0
 	r.mu.Lock()
-	for r.live < r.targetLocked() {
+	for r.live < r.target() {
 		spawn()
 		outstanding++
 	}
@@ -366,7 +280,7 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 			// no lease and exit, and its exit event would trigger another
 			// futile spawn, forever.
 			r.mu.Lock()
-			for r.live < r.targetLocked() {
+			for r.live < r.target() {
 				spawn()
 				outstanding++
 			}
@@ -399,93 +313,21 @@ func (r *vectorRun) chunk(ctx context.Context, start int) error {
 	q := r.q
 	q.Offset = r.q.Offset + start
 	q.Limit = r.q.Offset + end
-	sess, err := r.c.OpenSession(ctx, q)
+	sess, err := r.run.c.OpenSession(ctx, q)
 	if err != nil {
 		return err
 	}
-	tr := r.c.transportFor(sess, r.window)
-	defer func() {
-		_ = tr.Close(context.WithoutCancel(ctx))
-	}()
-	sess.OnDisturbance = func(reason string) {
-		r.mu.Lock()
-		core.NotifyDisturbance(r.ctl, reason)
-		r.mu.Unlock()
+	// Depth d keeps d pulls ahead of the hand-off point; depth 1 is
+	// lock-step, as Run.
+	ahead := r.depth()
+	if ahead <= 1 {
+		ahead = 0
 	}
-
-	depth := r.depth()
-	got := 0
-	if depth <= 1 {
-		// Lock-step, as Run: every pull's size decision sees the
-		// previous block's observation.
-		for !tr.Done() {
-			blk, err := tr.Next(ctx, r.size())
-			if err != nil {
-				return err
-			}
-			if len(blk.Rows) == 0 {
-				if blk.Done {
-					continue
-				}
-				return fmt.Errorf("client: server returned an empty block without the done flag (chunk offset %d)", q.Offset)
-			}
-			got += len(blk.Rows)
-			if err := r.consume(r.extract(blk)); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Pipelined: the prefetcher keeps up to `depth` blocks ahead of
-		// the accounting point — one in flight plus depth-1 buffered. The
-		// price is control lag: a pull's size decision can be up to
-		// `depth` observations stale.
-		cctx, cstop := context.WithCancel(ctx)
-		defer cstop()
-		feed := make(chan pulled, depth-1)
-		go func() {
-			defer close(feed)
-			for !tr.Done() {
-				blk, err := tr.Next(cctx, r.size())
-				if err != nil {
-					select {
-					case feed <- pulled{err: err}:
-					case <-cctx.Done():
-					}
-					return
-				}
-				if len(blk.Rows) == 0 {
-					if blk.Done {
-						continue
-					}
-					select {
-					case feed <- pulled{err: fmt.Errorf("client: server returned an empty block without the done flag (chunk offset %d)", q.Offset)}:
-					case <-cctx.Done():
-					}
-					return
-				}
-				select {
-				case feed <- r.extract(blk):
-				case <-cctx.Done():
-					return
-				}
-			}
-		}()
-		for p := range feed {
-			if p.err != nil {
-				return p.err
-			}
-			got += p.tuples
-			if err := r.consume(p); err != nil {
-				// Stop the prefetcher and join it before the deferred
-				// Close touches the session it is still using.
-				cstop()
-				for range feed {
-				}
-				return err
-			}
-		}
+	got, err := r.run.transfer(ctx, sess, r.window, ahead, r.cfg.Handle)
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return err
 	}
 	if got < lease {

@@ -270,6 +270,9 @@ func TestDaemonQueryMetricsEndToEnd(t *testing.T) {
 		if ev.Controller != "hybrid" || ev.Phase == "" {
 			t.Fatalf("event %d: missing controller/phase: %+v", i, ev)
 		}
+		if ev.Session == "" || ev.Endpoint != d.baseURL {
+			t.Fatalf("event %d: not attributed to its session and endpoint: %+v", i, ev)
+		}
 		evTuples += ev.Tuples
 	}
 	if evTuples != wantTuples {
@@ -297,6 +300,11 @@ func TestDaemonQueryMetricsEndToEnd(t *testing.T) {
 	if len(traceEvents) != blocks2 {
 		t.Fatalf("%d traced events for %d blocks", len(traceEvents), blocks2)
 	}
+	for i, ev := range traceEvents {
+		if ev.Session == "" || ev.Endpoint != d.baseURL {
+			t.Fatalf("traced event %d: -trace dropped session/endpoint: %+v", i, ev)
+		}
+	}
 
 	// The hot scrape reflects both transfers exactly.
 	_, body = httpGet(t, d.metricsURL+"/metrics")
@@ -312,6 +320,42 @@ func TestDaemonQueryMetricsEndToEnd(t *testing.T) {
 	}
 	if got := hot["wsopt_service_block_size_tuples_count"]; got < float64(blocks+blocks2) {
 		t.Errorf("block_size histogram count = %g, want >= %d", got, blocks+blocks2)
+	}
+
+	// A vector run — parallel streams, prefetch — is the same engine and
+	// ends on the same finish path: its -events file must be flushed and
+	// account for the whole relation, and -metrics-out must be written.
+	vecPath := filepath.Join(t.TempDir(), "vector-events.jsonl")
+	vecMetrics := filepath.Join(t.TempDir(), "vector-metrics.prom")
+	tuples3, blocks3 := runQuery(t, wsquery,
+		"-url", d.baseURL, "-table", "customer",
+		"-streams", "3", "-pipeline-depth", "2", "-chunk-tuples", "400", "-size", "150",
+		"-events", vecPath, "-metrics-out", vecMetrics)
+	if tuples3 != wantTuples {
+		t.Fatalf("vector query delivered %d tuples, want %d", tuples3, wantTuples)
+	}
+	f3, err := os.Open(vecPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecEvents, err := client.ReadEvents(f3)
+	f3.Close()
+	if err != nil {
+		t.Fatalf("parse vector events: %v", err)
+	}
+	if len(vecEvents) != blocks3 {
+		t.Fatalf("%d vector events for %d blocks", len(vecEvents), blocks3)
+	}
+	vecTuples, vecSessions := 0, map[string]bool{}
+	for _, ev := range vecEvents {
+		vecTuples += ev.Tuples
+		vecSessions[ev.Session] = true
+	}
+	if vecTuples != wantTuples || len(vecSessions) < 2 || vecSessions[""] {
+		t.Fatalf("vector events account for %d tuples over sessions %v, want %d over several", vecTuples, vecSessions, wantTuples)
+	}
+	if prom, err := os.ReadFile(vecMetrics); err != nil || !strings.Contains(string(prom), "wsopt_client_") {
+		t.Fatalf("vector run left no client metrics at exit: %v", err)
 	}
 
 	// pprof is mounted on the observability plane.

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -121,12 +120,11 @@ type Gateway struct {
 	mu       sync.Mutex
 	sessions map[string]*gwSession
 
-	nextID  atomic.Uint64
-	cursors atomic.Int64
-	// limit and pressureBits mirror the service's admission state at the
-	// edge; the fleet-wide SLO regulator owns them via the Sink methods.
-	limit        atomic.Int64
-	pressureBits atomic.Uint64
+	nextID atomic.Uint64
+	// Admission is the edge's instance of the one admission
+	// implementation; the fleet-wide SLO regulator owns its limit and
+	// pressure through the promoted regulator.Sink methods.
+	*service.Admission
 
 	sessionsOpened  atomic.Int64
 	sessionsShed    atomic.Int64
@@ -207,9 +205,6 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: backend URL %q must be absolute", raw)
 		}
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.PullInterval <= 0 {
 		cfg.PullInterval = 25 * time.Millisecond
 	}
@@ -228,8 +223,9 @@ func New(cfg Config) (*Gateway, error) {
 		order:    append([]string(nil), cfg.Backends...),
 		sessions: make(map[string]*gwSession),
 		logger:   cfg.Logger,
+
+		Admission: service.NewAdmission(cfg.MaxSessions, cfg.RetryAfter),
 	}
-	g.limit.Store(int64(cfg.MaxSessions))
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -325,38 +321,13 @@ func (g *Gateway) ExpireIdle(now time.Time) int {
 		b, bid := sess.backend, sess.backendID
 		sess.mu.Unlock()
 		b.sessions.Add(-1)
-		g.cursors.Add(-1)
+		g.Release()
 		g.sessionsExpired.Add(1)
 		g.metrics.sessionsExpired.Inc()
 		g.deleteBackendSession(b, bid)
 		g.logf("session %s expired idle", sess.id)
 	}
 	return len(expired)
-}
-
-// SetSessionLimit updates the edge admission ceiling (regulator.Sink).
-func (g *Gateway) SetSessionLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	g.limit.Store(int64(n))
-}
-
-// SessionLimit returns the live edge admission ceiling (0 = unlimited).
-func (g *Gateway) SessionLimit() int { return int(g.limit.Load()) }
-
-// SetAdmissionPressure updates the edge delay-pricing pressure
-// (regulator.Sink).
-func (g *Gateway) SetAdmissionPressure(p float64) {
-	if math.IsNaN(p) || p < 0 {
-		p = 0
-	}
-	g.pressureBits.Store(math.Float64bits(p))
-}
-
-// AdmissionPressure returns the live edge delay-pricing pressure.
-func (g *Gateway) AdmissionPressure() float64 {
-	return math.Float64frombits(g.pressureBits.Load())
 }
 
 // BlockServeSnapshot freezes the fleet-wide block-serve histogram — the
@@ -387,28 +358,13 @@ func (g *Gateway) healthy(url string) bool {
 // (priced by the regulator's pressure) when the fleet-wide ceiling is
 // reached.
 func (g *Gateway) admit(w http.ResponseWriter) bool {
-	n := g.cursors.Add(1)
-	if max := g.limit.Load(); max > 0 && n > max {
-		g.cursors.Add(-1)
+	limit, ok := g.Admit(w.Header())
+	if !ok {
 		g.sessionsShed.Add(1)
 		g.metrics.sessionsShed.Inc()
-		p := g.AdmissionPressure()
-		d := time.Duration(math.Round(float64(g.cfg.RetryAfter) * (1 + p)))
-		if d < time.Millisecond {
-			d = time.Millisecond
-		}
-		secs := int((d + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		h := w.Header()
-		h.Set("Retry-After", strconv.Itoa(secs))
-		h.Set(service.HeaderRetryAfterMS, strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64))
-		h.Set(service.HeaderAdmissionPressure, strconv.FormatFloat(p, 'f', 4, 64))
-		httpError(w, http.StatusServiceUnavailable, "gateway session limit reached (%d open)", max)
-		return false
+		httpError(w, http.StatusServiceUnavailable, "gateway session limit reached (%d open)", limit)
 	}
-	return true
+	return ok
 }
 
 // createResponse mirrors the service's session-create body.
@@ -425,7 +381,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	committed := false
 	defer func() {
 		if !committed {
-			g.cursors.Add(-1)
+			g.Release()
 		}
 	}()
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
@@ -932,7 +888,7 @@ func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request) {
 	b, bid := sess.backend, sess.backendID
 	sess.mu.Unlock()
 	b.sessions.Add(-1)
-	g.cursors.Add(-1)
+	g.Release()
 	g.deleteBackendSession(b, bid)
 	g.logf("session %s closed", id)
 	w.WriteHeader(http.StatusNoContent)

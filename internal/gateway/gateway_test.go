@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -408,6 +409,60 @@ func TestGatewayEdgeAdmission(t *testing.T) {
 	gw.SetSessionLimit(1)
 	id3, _ := openSession(t, ts.URL, `{"table":"items"}`)
 	_ = id3
+}
+
+// TestAdmissionPricingParity: both tiers hold the one admission
+// implementation, so for the same base hint and pressure a shed create
+// on a backend and on the gateway must carry byte-identical pricing
+// headers.
+func TestAdmissionPricingParity(t *testing.T) {
+	shed := func(base string) http.Header {
+		t.Helper()
+		resp, err := http.Post(base+"/sessions", "application/json", strings.NewReader(`{"table":"items"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("over-limit create on %s: %s, want 503", base, resp.Status)
+		}
+		return resp.Header
+	}
+	for _, tc := range []struct {
+		base     time.Duration
+		pressure float64
+	}{
+		{0, 0},
+		{time.Second, 0.5},
+		{1500 * time.Millisecond, 0},
+		{200 * time.Millisecond, 2},
+		{100 * time.Microsecond, 0},
+		{time.Second, math.NaN()},
+		{2 * time.Second, 7.25},
+	} {
+		srv, err := service.New(service.Config{Catalog: testCatalog(t, 5), MaxSessions: 1, RetryAfter: tc.base})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct := httptest.NewServer(srv.Handler())
+		t.Cleanup(direct.Close)
+		gw, edge := newTestGateway(t, newFleet(t, 1, 5, false), func(c *Config) {
+			c.MaxSessions = 1
+			c.RetryAfter = tc.base
+		})
+		srv.SetAdmissionPressure(tc.pressure)
+		gw.SetAdmissionPressure(tc.pressure)
+		openSession(t, direct.URL, `{"table":"items"}`)
+		openSession(t, edge.URL, `{"table":"items"}`)
+
+		fromService, fromGateway := shed(direct.URL), shed(edge.URL)
+		for _, h := range []string{"Retry-After", service.HeaderRetryAfterMS, service.HeaderAdmissionPressure} {
+			if s, g := fromService.Get(h), fromGateway.Get(h); s == "" || s != g {
+				t.Errorf("base %v pressure %g: %s = %q on the service, %q on the gateway", tc.base, tc.pressure, h, s, g)
+			}
+		}
+	}
 }
 
 // TestGatewayFailoverFresh kills the primary between pulls: the next

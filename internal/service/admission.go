@@ -24,12 +24,20 @@ const (
 	HeaderAdmissionPressure = "X-Admission-Pressure"
 )
 
-// admission is the regulator-actuated admission state. The static
-// Config.MaxSessions value only seeds limit; at runtime the SLO regulator
-// (or an operator) owns it via SetSessionLimit, and every shed response
-// prices its Retry-After from the live pressure value rather than the
-// configured constant.
-type admission struct {
+// Admission is the regulator-actuated admission state of one tier: the
+// slot counter, the live session ceiling, the delay-pricing pressure and
+// the shed-response pricing. It exists once; service.Server and
+// gateway.Gateway each embed one, which is also what makes both a
+// regulator.Sink. The static MaxSessions value only seeds the limit; at
+// runtime the SLO regulator (or an operator) owns it via SetSessionLimit,
+// and every shed response prices its Retry-After from the live pressure
+// rather than the configured constant.
+type Admission struct {
+	// base is the backoff hint a shed request gets at zero pressure.
+	base time.Duration
+	// cursors counts reserved slots (open cursors plus creates in
+	// flight), giving the limit a hard bound without a global lock.
+	cursors atomic.Int64
 	// limit bounds concurrently open cursors (0 = unlimited). Read on
 	// every session create, written by the regulator tick.
 	limit atomic.Int64
@@ -41,30 +49,38 @@ type admission struct {
 	pressureBits atomic.Uint64
 }
 
+// NewAdmission seeds the ceiling with maxSessions (0 = unlimited) and
+// prices shed responses from retryAfter (default 1s).
+func NewAdmission(maxSessions int, retryAfter time.Duration) *Admission {
+	a := &Admission{base: retryAfter}
+	a.SetSessionLimit(maxSessions)
+	return a
+}
+
 // SetSessionLimit updates the admitted-session ceiling. The regulator
 // calls this every tick; n < 0 is clamped to 0 (unlimited).
-func (s *Server) SetSessionLimit(n int) {
+func (a *Admission) SetSessionLimit(n int) {
 	if n < 0 {
 		n = 0
 	}
-	s.admission.limit.Store(int64(n))
+	a.limit.Store(int64(n))
 }
 
 // SessionLimit returns the live admitted-session ceiling (0 = unlimited).
-func (s *Server) SessionLimit() int { return int(s.admission.limit.Load()) }
+func (a *Admission) SessionLimit() int { return int(a.limit.Load()) }
 
 // SetAdmissionPressure updates the delay-pricing pressure. NaN and
 // negative values clamp to 0.
-func (s *Server) SetAdmissionPressure(p float64) {
+func (a *Admission) SetAdmissionPressure(p float64) {
 	if math.IsNaN(p) || p < 0 {
 		p = 0
 	}
-	s.admission.pressureBits.Store(math.Float64bits(p))
+	a.pressureBits.Store(math.Float64bits(p))
 }
 
 // AdmissionPressure returns the live delay-pricing pressure.
-func (s *Server) AdmissionPressure() float64 {
-	return math.Float64frombits(s.admission.pressureBits.Load())
+func (a *Admission) AdmissionPressure() float64 {
+	return math.Float64frombits(a.pressureBits.Load())
 }
 
 // retryAfterForPressure prices the backoff hint for a shed request:
@@ -99,39 +115,43 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// shedHeaders sets the admission-control response headers for a refused
-// request: rounded-up Retry-After, the precise millisecond hint, and the
-// pressure that priced them.
-func (s *Server) shedHeaders(h http.Header) {
-	p := s.AdmissionPressure()
-	d := retryAfterForPressure(s.cfg.RetryAfter, p)
+// Admit reserves an admission slot for a new cursor. With no live limit
+// it only counts; at the limit it gives the slot back, sets the shed
+// headers on h — rounded-up Retry-After, the precise millisecond hint,
+// and the pressure that priced them — and reports the limit that
+// refused, for the caller's 503. The reservation is a single atomic add,
+// giving a hard bound even under concurrent creates; the caller must
+// Release when the cursor closes (or when creation fails). The limit is
+// the *live* regulator setpoint, not the configured constant: a tick that
+// lowers it does not evict open cursors, it only stops admitting new ones
+// until attrition brings the population under the new ceiling.
+func (a *Admission) Admit(h http.Header) (limit int64, ok bool) {
+	n := a.cursors.Add(1)
+	limit = a.limit.Load()
+	if limit <= 0 || n <= limit {
+		return limit, true
+	}
+	a.cursors.Add(-1)
+	p := a.AdmissionPressure()
+	d := retryAfterForPressure(a.base, p)
 	h.Set("Retry-After", strconv.Itoa(retryAfterSeconds(d)))
 	h.Set(HeaderRetryAfterMS, strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64))
 	h.Set(HeaderAdmissionPressure, strconv.FormatFloat(p, 'f', 4, 64))
+	return limit, false
 }
 
-// admitCursor reserves an admission slot for a new cursor. With no live
-// limit it only counts; with a limit it refuses with 503 + Retry-After
-// once the limit is reached — before any query executes, so shedding is
-// cheap. The reservation is a single atomic add, giving a hard bound even
-// under concurrent creates; the caller must releaseCursor when the cursor
-// closes (or when creation fails). The limit is the *live* regulator
-// setpoint, not the configured constant: a tick that lowers it does not
-// evict open cursors, it only stops admitting new ones until attrition
-// brings the population under the new ceiling.
+// Release returns an admission slot.
+func (a *Admission) Release() { a.cursors.Add(-1) }
+
+// admitCursor reserves a slot for a new cursor or sheds the request with
+// 503 + Retry-After — before any query executes, so shedding is cheap.
 func (s *Server) admitCursor(w http.ResponseWriter) bool {
-	n := s.cursors.Add(1)
-	if max := s.admission.limit.Load(); max > 0 && n > max {
-		s.cursors.Add(-1)
+	limit, ok := s.Admit(w.Header())
+	if !ok {
 		s.stats.sessionsShed.Add(1)
 		s.metrics.sessionsShed.Inc()
-		s.shedHeaders(w.Header())
 		httpError(w, http.StatusServiceUnavailable,
-			"session limit reached (%d open)", max)
-		return false
+			"session limit reached (%d open)", limit)
 	}
-	return true
+	return ok
 }
-
-// releaseCursor returns an admission slot.
-func (s *Server) releaseCursor() { s.cursors.Add(-1) }

@@ -76,6 +76,8 @@ func TestRetryAfterForPressureNeverZero(t *testing.T) {
 		{"saturated pressure", time.Second, 8, 9 * time.Second, 9},
 		{"sub-second base no pressure", 100 * time.Millisecond, 0, 100 * time.Millisecond, 1},
 		{"sub-second base priced", 200 * time.Millisecond, 2, 600 * time.Millisecond, 1},
+		{"1500ms hint rounds up, not down", 1500 * time.Millisecond, 0, 1500 * time.Millisecond, 2},
+		{"sub-ms hint floors at 1ms", 100 * time.Microsecond, 0.5, time.Millisecond, 1},
 		{"zero base defaults to 1s", 0, 0.5, 1500 * time.Millisecond, 2},
 		{"negative pressure clamps", time.Second, -3, time.Second, 1},
 		{"NaN pressure clamps", time.Second, math.NaN(), time.Second, 1},
@@ -93,6 +95,28 @@ func TestRetryAfterForPressureNeverZero(t *testing.T) {
 		}
 		if d < time.Millisecond {
 			t.Errorf("%s: priced backoff %v < 1ms", tc.name, d)
+		}
+
+		// The same row through the shared Admission both tiers embed: the
+		// shed headers carry exactly this price.
+		a := NewAdmission(1, tc.base)
+		a.SetAdmissionPressure(tc.pressure)
+		h := http.Header{}
+		if _, ok := a.Admit(h); !ok || len(h) != 0 {
+			t.Fatalf("%s: first admit under limit 1 refused (headers %v)", tc.name, h)
+		}
+		if limit, ok := a.Admit(h); ok || limit != 1 {
+			t.Fatalf("%s: second admit = (%d, %v), want refused at 1", tc.name, limit, ok)
+		}
+		if got := h.Get("Retry-After"); got != strconv.Itoa(tc.wantSecs) {
+			t.Errorf("%s: Retry-After = %q, want %d", tc.name, got, tc.wantSecs)
+		}
+		if got, want := h.Get(HeaderRetryAfterMS), strconv.FormatFloat(float64(tc.wantDur)/float64(time.Millisecond), 'f', 3, 64); got != want {
+			t.Errorf("%s: %s = %q, want %q", tc.name, HeaderRetryAfterMS, got, want)
+		}
+		a.Release()
+		if _, ok := a.Admit(h); !ok {
+			t.Errorf("%s: the refused admit kept its slot: releasing the one open cursor made no room", tc.name)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func (s *Server) handleIngestCreate(w http.ResponseWriter, r *http.Request) {
 	committed := false
 	defer func() {
 		if !committed {
-			s.releaseCursor()
+			s.Release()
 		}
 	}()
 	var req ingestCreateRequest
@@ -234,7 +234,7 @@ func (s *Server) handleIngestClose(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such ingest session")
 		return
 	}
-	s.releaseCursor()
+	s.Release()
 	s.faults.forget(id)
 	// An in-flight block (looked up before the remove) may still be
 	// loading; take the session lock so the tuple count read is sound.

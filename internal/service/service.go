@@ -179,13 +179,10 @@ type Server struct {
 	sessions *shardedStore[*session]
 	ingests  *shardedStore[*ingestSession]
 	nextID   atomic.Uint64
-	// cursors counts reserved admission slots (open cursors plus creates
-	// in flight), giving the session limit a hard bound without a global
-	// lock.
-	cursors atomic.Int64
-	// admission holds the live session limit and delay-pricing pressure —
-	// the two actuators the SLO regulator drives (admission.go).
-	admission admission
+	// Admission is the slot counter plus the live session limit and
+	// delay-pricing pressure — the two actuators the SLO regulator drives
+	// (admission.go).
+	*Admission
 	// groups accounts for parallel-stream clients (streams.go); touched
 	// only on session create/close, never on the block hot path.
 	groups streamGroups
@@ -214,9 +211,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSessions < 0 {
 		return nil, fmt.Errorf("service: max sessions %d must be non-negative", cfg.MaxSessions)
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	if cfg.PushMaxWindow <= 0 {
 		cfg.PushMaxWindow = DefaultPushMaxWindow
 	}
@@ -232,8 +226,9 @@ func New(cfg Config) (*Server, error) {
 		faults:   newFaultInjector(cfg.Faults, cfg.Seed+1),
 		sessions: newShardedStore[*session](),
 		ingests:  newShardedStore[*ingestSession](),
+
+		Admission: NewAdmission(cfg.MaxSessions, cfg.RetryAfter),
 	}
-	s.admission.limit.Store(int64(cfg.MaxSessions))
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -376,7 +371,7 @@ func (s *Server) ExpireIdle(now time.Time) int {
 		s.shipClose(id)
 		s.groups.leave(vals[i].group)
 		s.faults.forget(id)
-		s.releaseCursor()
+		s.Release()
 		n++
 	}
 	expired, _ := s.ingests.removeIf(func(_ string, ing *ingestSession) bool {
@@ -384,7 +379,7 @@ func (s *Server) ExpireIdle(now time.Time) int {
 	})
 	for _, id := range expired {
 		s.faults.forget(id)
-		s.releaseCursor()
+		s.Release()
 		n++
 	}
 	return n
@@ -671,7 +666,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	committed := false
 	defer func() {
 		if !committed {
-			s.releaseCursor()
+			s.Release()
 		}
 	}()
 	// The raw body is kept so replication can ship the query verbatim: a
@@ -1160,7 +1155,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	closeSession(sess)
 	s.shipClose(id)
 	s.groups.leave(sess.group)
-	s.releaseCursor()
+	s.Release()
 	s.faults.forget(id)
 	s.logf("session %s closed", id)
 	w.WriteHeader(http.StatusNoContent)

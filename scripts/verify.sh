@@ -1,44 +1,102 @@
 #!/bin/sh
-# Tier-1 verification gate: build, vet, and race-detector tests.
-# Same as `make verify`, for environments without make.
-set -eux
+# The tier-1 gates, listed once. `scripts/verify.sh` runs every gate in
+# order (that is `make verify`); `scripts/verify.sh GATE...` runs the
+# named ones. The Makefile gate targets and the CI steps are one-line
+# calls of this script: what a gate runs is spelled out only here.
+set -eu
 
 cd "$(dirname "$0")/.."
+GO=${GO:-go}
 
-go build ./...
-go vet ./...
-go test -race ./...
-# Replay the checked-in fuzz seed corpora (deterministic, no generation).
-go test -run '^Fuzz' ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
-# Concurrency stress gate: hot-path stress tests under -race, including
-# the e2e run that drives a race-built wsblockd with concurrent wsload.
-go test -race -count=1 -run '^TestStress' ./internal/service/... ./internal/e2e/...
-# Allocation gates (no -race: instrumentation inflates the counts): a
-# binary-codec block round-trip and one block proxied through the
-# gateway hop must each stay within their allocation budget.
-go test -count=1 -run '^TestBinaryRoundTripAllocGate$' ./internal/wire
-go test -count=1 -run '^TestGatewayHopAllocGate$' ./internal/gateway
-# Coupled-loop control gate: regulator unit behaviour plus the
-# deterministic client-vs-admission stability scenarios under -race,
-# including the mis-tuned-gain oscillation regression.
-go test -race -count=1 ./internal/regulator
-go test -race -count=1 -run '^TestCoupledLoop' ./internal/sim
-# Gateway chaos gate: the deterministic sim failover scenario (a
-# converged controller must re-converge after a transparent failover)
-# and the e2e SIGKILL-under-load run (exact tuples, no duplicates,
-# bounded stall, replication lag drained).
-go test -race -count=1 -run '^TestFailover' ./internal/sim
-go test -count=1 -run '^TestChaosGate$' ./internal/e2e
-# Encoded-block cache gate: blockcache semantics, the service's cache
-# wiring and close-race ownership handoff, the standby-copy invariant,
-# and the e2e cache-hot chaos arm (exact tuples, warm-hit failover).
-go test -race -count=1 ./internal/blockcache
-go test -race -count=1 -run 'TestCache|TestCloseRace' ./internal/service
-go test -race -count=1 -run '^TestStandby' ./internal/replica
-go test -count=1 -run '^TestChaosGateCache$' ./internal/e2e
-# Push transport chaos gate: the service push protocol and client stream
-# transport suites under -race, then the e2e SIGKILL of the replica
-# serving a live push stream (exact tuples across the reconnect and the
-# failover to the survivor).
-go test -race -count=1 -run 'TestPush|TestStream|TestRunPush' ./internal/service ./internal/client
-go test -count=1 -run '^TestChaosPush$' ./internal/e2e
+gates="build vet race fuzzseeds stress allocgate slo-sim chaos-gate cache-gate push-chaos"
+
+gate_build() { $GO build ./...; }
+
+gate_vet() { $GO vet ./...; }
+
+gate_race() { $GO test -race ./...; }
+
+# Replay the checked-in fuzz seed corpora (deterministic, no new input
+# generation), so a codec or parser regression on a known-nasty input
+# fails the gate.
+gate_fuzzseeds() {
+	$GO test -run '^Fuzz' ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
+}
+
+# Concurrency gate: the hot-path stress tests (sharded session store,
+# atomic stats, expiry janitor vs pulls) under -race, plus the e2e run
+# that drives a race-built wsblockd with concurrent wsload.
+gate_stress() {
+	$GO test -race -count=1 -run '^TestStress' ./internal/service/... ./internal/e2e/...
+}
+
+# Allocation gates, WITHOUT the race detector (instrumentation would
+# inflate the counts): a binary-codec block round-trip and one block
+# proxied through the gateway hop must each stay within their per-block
+# allocation budget.
+gate_allocgate() {
+	$GO test -count=1 -run '^TestBinaryRoundTripAllocGate$' ./internal/wire
+	$GO test -count=1 -run '^TestGatewayHopAllocGate$' ./internal/gateway
+}
+
+# Coupled-loop control gate: regulator unit behaviour (tracking,
+# clamping, anti-windup, seeded determinism) plus the deterministic
+# client-vs-admission stability scenarios under -race, including the
+# mis-tuned-gain oscillation regression.
+gate_slo_sim() {
+	$GO test -race -count=1 ./internal/regulator
+	$GO test -race -count=1 -run '^TestCoupledLoop' ./internal/sim
+}
+
+# Gateway chaos gate: the deterministic sim scenario (a converged
+# controller must re-converge after a transparent failover to a
+# differently-loaded replica) and the e2e SIGKILL of the measured
+# session's primary under wsload — exact tuple totals, no duplicate
+# keys, bounded stall, zero client-side failovers, replication lag
+# drained on the survivors.
+gate_chaos_gate() {
+	$GO test -race -count=1 -run '^TestFailover' ./internal/sim
+	$GO test -count=1 -run '^TestChaosGate$' ./internal/e2e
+}
+
+# Encoded-block cache gate: blockcache semantics (LRU/disk/single-flight/
+# refcount), the service's cache wiring and close-race ownership
+# handoff, and the standby-copy invariant under -race, then the e2e
+# cache-hot chaos arm (SIGKILL of a primary with every backend's cache
+# warm — exact tuples, warm-hit failover).
+gate_cache_gate() {
+	$GO test -race -count=1 ./internal/blockcache
+	$GO test -race -count=1 -run 'TestCache|TestCloseRace' ./internal/service
+	$GO test -race -count=1 -run '^TestStandby' ./internal/replica
+	$GO test -count=1 -run '^TestChaosGateCache$' ./internal/e2e
+}
+
+# Push transport chaos gate: the service push protocol suite (framing,
+# backpressure, unacked-tail replay, cache serve) and the client stream
+# transport suite (resume, session re-open, failover, controller-driven
+# window) under -race, then the e2e SIGKILL of the replica serving a
+# live push stream with unacked frames in flight — exact tuples across
+# the stream reconnect and the failover to the survivor.
+gate_push_chaos() {
+	$GO test -race -count=1 -run 'TestPush|TestStream|TestRunPush' ./internal/service ./internal/client
+	$GO test -count=1 -run '^TestChaosPush$' ./internal/e2e
+}
+
+[ $# -gt 0 ] || set -- $gates
+for g; do
+	case " $gates " in
+	*" $g "*) ;;
+	*)
+		echo "verify.sh: unknown gate '$g' (gates: $gates)" >&2
+		exit 2
+		;;
+	esac
+done
+for g; do
+	fn="gate_$(echo "$g" | tr - _)"
+	echo "== gate: $g"
+	(
+		set -x
+		"$fn"
+	)
+done
