@@ -44,6 +44,14 @@ import (
 	"wsopt/internal/wire"
 )
 
+// Slow-peer bounds on both listeners: how long a connection may take to
+// send its request headers, and how long an idle keep-alive connection is
+// kept. No WriteTimeout — it would cut long-lived push streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -263,7 +271,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	// Observability plane: /metrics, /healthz, and pprof on their own
 	// listener so operational scrapes never contend with block traffic.
@@ -284,7 +292,7 @@ func main() {
 		mmux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		metricsSrv = &http.Server{Handler: mmux}
+		metricsSrv = &http.Server{Handler: mmux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		go func() {
 			if err := metricsSrv.Serve(mln); err != nil && err != http.ErrServerClosed {
 				logger.Printf("metrics server: %v", err)

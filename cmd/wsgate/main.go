@@ -36,6 +36,14 @@ import (
 	"wsopt/internal/resilience"
 )
 
+// Slow-peer bounds on both listeners: how long a connection may take to
+// send its request headers, and how long an idle keep-alive connection is
+// kept. No WriteTimeout — it would cut long-lived push streams.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8079", "listen address")
@@ -148,7 +156,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	httpSrv := &http.Server{Handler: gw.Handler()}
+	httpSrv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	var metricsSrv *http.Server
 	if *metricsAddr != "" {
@@ -162,7 +170,7 @@ func main() {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			fmt.Fprintln(w, "ok")
 		})
-		metricsSrv = &http.Server{Handler: mmux}
+		metricsSrv = &http.Server{Handler: mmux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		go func() {
 			if err := metricsSrv.Serve(mln); err != nil && err != http.ErrServerClosed {
 				logger.Printf("metrics server: %v", err)

@@ -372,60 +372,56 @@ func (s *Session) Next(ctx context.Context, size int) (*Block, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("client: block size %d must be positive", size)
 	}
-	c := s.c
-	policy := c.retry.normalized()
-	delay := policy.BaseDelay
-	failovers := 0
-	for attempt := 1; ; attempt++ {
-		blk, seqAfter, err := s.pullAttempt(ctx, size, s.seq+1, attempt)
-		if err == nil {
-			blk.Attempts = attempt
-			blk.Failovers = failovers
-			s.adopt(blk)
-			s.seq = seqAfter
-			s.done = blk.Done
-			s.committed += len(blk.Rows)
-			// A transparent gateway reports its cumulative failover count on
-			// every block; surface each gateway failover as a disturbance
-			// EXACTLY once (on the delta) and never as a client failover —
-			// the session never moved from the client's point of view.
-			if s.transparent && blk.GatewayFailovers > s.gwFailovers {
-				s.gwFailovers = blk.GatewayFailovers
-				if s.OnDisturbance != nil {
-					s.OnDisturbance(fmt.Sprintf("transparent gateway failover (%d total) behind %s", s.gwFailovers, s.ep.URL()))
-				}
-			}
-			c.metrics.recordBlock(blk)
-			return blk, nil
-		}
-		if !isTransient(err) {
-			return nil, err
-		}
-		// Failover: the current endpoint's breaker refuses traffic and an
-		// alternative exists — re-open the session there and retry
-		// immediately (no backoff: the failure was this replica's, not the
-		// service's). Bounded by the pool size so a pathological pool
-		// cannot extend the retry budget indefinitely. A transparent
-		// gateway owns failover for its sessions (the backend death is
-		// handled behind this endpoint), so the client never performs its
-		// own — that would re-open elsewhere and count the same
-		// disturbance twice.
-		if !c.rcfg.DisableFailover && !s.transparent && c.pool.Len() > 1 && failovers < c.pool.Len() && !s.ep.Allow() {
-			if ferr := s.failover(ctx); ferr == nil {
-				failovers++
-				continue
-			}
-		}
-		if attempt >= policy.MaxAttempts {
-			if attempt > 1 {
-				return nil, fmt.Errorf("client: pull block seq %d: giving up after %d attempts: %w", s.seq+1, attempt, err)
-			}
-			return nil, err
-		}
-		if delay, err = backoff(ctx, delay, policy.MaxDelay, err); err != nil {
-			return nil, err
+	var (
+		blk       *Block
+		seqAfter  uint64
+		failovers int
+	)
+	attempts, err := s.c.retryBlock(ctx, "pull", &s.seq, func(attempt int) (err error) {
+		blk, seqAfter, err = s.pullAttempt(ctx, size, s.seq+1, attempt)
+		return err
+	}, func(error) bool { return s.failAway(ctx, &failovers) })
+	if err != nil {
+		return nil, err
+	}
+	blk.Attempts = attempts
+	blk.Failovers = failovers
+	s.adopt(blk)
+	s.seq = seqAfter
+	s.done = blk.Done
+	s.committed += len(blk.Rows)
+	// A transparent gateway reports its cumulative failover count on
+	// every block; surface each gateway failover as a disturbance
+	// EXACTLY once (on the delta) and never as a client failover —
+	// the session never moved from the client's point of view.
+	if s.transparent && blk.GatewayFailovers > s.gwFailovers {
+		s.gwFailovers = blk.GatewayFailovers
+		if s.OnDisturbance != nil {
+			s.OnDisturbance(fmt.Sprintf("transparent gateway failover (%d total) behind %s", s.gwFailovers, s.ep.URL()))
 		}
 	}
+	s.c.metrics.recordBlock(blk)
+	return blk, nil
+}
+
+// failAway is the reroute step of both block transports: the current
+// endpoint's breaker refuses traffic and an alternative exists, so
+// re-open the session there and retry at once. Bounded by the pool size
+// so a pathological pool cannot extend the retry budget indefinitely. A
+// transparent gateway owns failover for its sessions (the backend death
+// is handled behind this endpoint), so the client never performs its
+// own — that would re-open elsewhere and count the same disturbance
+// twice.
+func (s *Session) failAway(ctx context.Context, failovers *int) bool {
+	c := s.c
+	if c.rcfg.DisableFailover || s.transparent || c.pool.Len() < 2 || *failovers >= c.pool.Len() || s.ep.Allow() {
+		return false
+	}
+	if s.failover(ctx) != nil {
+		return false
+	}
+	*failovers++
+	return true
 }
 
 // pullResult carries one primary pull attempt's outcome.

@@ -90,28 +90,17 @@ func (p *PushSession) Send(ctx context.Context, schema minidb.Schema, rows []min
 	seq := p.seq + 1
 	u := base + "?seq=" + strconv.FormatUint(seq, 10)
 
-	policy := p.c.retry.normalized()
-	delay := policy.BaseDelay
-	for attempt := 1; ; attempt++ {
-		blk, err := p.sendOnce(ctx, u, buf.Bytes(), len(rows))
-		if err == nil {
-			blk.Attempts = attempt
-			p.seq = seq
-			return blk, nil
-		}
-		if !isTransient(err) {
-			return nil, err
-		}
-		if attempt >= policy.MaxAttempts {
-			if attempt > 1 {
-				return nil, fmt.Errorf("client: push block seq %d: giving up after %d attempts: %w", seq, attempt, err)
-			}
-			return nil, err
-		}
-		if delay, err = backoff(ctx, delay, policy.MaxDelay, err); err != nil {
-			return nil, err
-		}
+	var blk *PushBlock
+	attempts, err := p.c.retryBlock(ctx, "push", &p.seq, func(int) (err error) {
+		blk, err = p.sendOnce(ctx, u, buf.Bytes(), len(rows))
+		return err
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
+	blk.Attempts = attempts
+	p.seq = seq
+	return blk, nil
 }
 
 // sendOnce performs one upload attempt, marking recoverable failures

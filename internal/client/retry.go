@@ -175,8 +175,41 @@ func backoff(ctx context.Context, delay, maxDelay time.Duration, lastErr error) 
 	return delay, nil
 }
 
+// retryBlock is the one retry loop of every block transfer (pull, push
+// stream, ingest upload). try runs attempt n of the block after *seq.
+// A transient failure goes first to reroute, the transport's way around
+// it without waiting (fail over, re-open the session); a true from it
+// starts the next attempt at once, because the failure was that
+// replica's, not the service's. Otherwise the attempt budget is checked
+// and the loop backs off. It returns the attempts made.
+func (c *Client) retryBlock(ctx context.Context, kind string, seq *uint64, try func(attempt int) error, reroute func(err error) bool) (int, error) {
+	policy := c.retry.normalized()
+	delay := policy.BaseDelay
+	for attempt := 1; ; attempt++ {
+		err := try(attempt)
+		if err == nil || !isTransient(err) {
+			return attempt, err
+		}
+		if reroute != nil && reroute(err) {
+			continue
+		}
+		if attempt >= policy.MaxAttempts {
+			if attempt > 1 {
+				err = fmt.Errorf("client: %s block seq %d: giving up after %d attempts: %w", kind, *seq+1, attempt, err)
+			}
+			return attempt, err
+		}
+		if delay, err = backoff(ctx, delay, policy.MaxDelay, err); err != nil {
+			return attempt, err
+		}
+	}
+}
+
 // doManagement performs a session-management request with the configured
-// retry policy. body may be nil; it is re-materialized per attempt.
+// retry policy. It keeps its own loop: it retries on a response status as
+// well as on an error, hands non-retryable statuses back as a response
+// and never reroutes, so folding it into retryBlock would make that loop
+// branch on its caller. body may be nil; it is re-materialized per attempt.
 // wantStatus is the success status. The caller owns the returned response
 // body on success.
 func (c *Client) doManagement(ctx context.Context, method, url string, body []byte, contentType string, wantStatus ...int) (*http.Response, error) {

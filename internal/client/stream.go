@@ -98,60 +98,45 @@ func (t *streamSession) Next(ctx context.Context, size int) (*Block, error) {
 		return nil, fmt.Errorf("client: block size %d must be positive", size)
 	}
 	c := t.c
-	policy := c.retry.normalized()
-	delay := policy.BaseDelay
-	failovers := 0
-	for attempt := 1; ; attempt++ {
-		blk, err := t.nextAttempt(ctx, size, attempt)
-		if err == nil {
-			blk.Attempts = attempt
-			blk.Failovers = failovers
-			s.ep.Success()
-			c.deadline.Observe(blk.Elapsed, len(blk.Rows))
-			s.adopt(blk)
-			s.seq++
-			s.done = blk.Done
-			s.committed += len(blk.Rows)
-			if blk.Done {
-				t.finishStream()
-			} else {
-				t.queueGrant(size)
-			}
-			c.metrics.pushFrames.Inc()
-			c.metrics.recordBlock(blk)
-			return blk, nil
-		}
-		if !isTransient(err) {
-			return nil, err
-		}
+	var (
+		blk       *Block
+		failovers int
+	)
+	attempts, err := c.retryBlock(ctx, "push", &s.seq, func(attempt int) (err error) {
+		blk, err = t.nextAttempt(ctx, size, attempt)
+		return err
+	}, func(err error) bool {
 		if t.body != nil {
 			t.teardown()
 			c.metrics.pushReconnects.Inc()
 		}
-		if errors.Is(err, errSessionLost) {
-			// The endpoint is up but forgot the session: open a fresh one
-			// at the committed cursor on the same endpoint and retry
-			// immediately — no backoff, the server already answered.
-			if rerr := t.reopenSession(ctx); rerr == nil {
-				continue
-			}
+		// The endpoint is up but forgot the session: open a fresh one at
+		// the committed cursor on the same endpoint — the server already
+		// answered, so there is nothing to wait for.
+		if errors.Is(err, errSessionLost) && t.reopenSession(ctx) == nil {
+			return true
 		}
-		if !c.rcfg.DisableFailover && !s.transparent && c.pool.Len() > 1 && failovers < c.pool.Len() && !s.ep.Allow() {
-			if ferr := s.failover(ctx); ferr == nil {
-				failovers++
-				continue
-			}
-		}
-		if attempt >= policy.MaxAttempts {
-			if attempt > 1 {
-				return nil, fmt.Errorf("client: push block seq %d: giving up after %d attempts: %w", s.seq+1, attempt, err)
-			}
-			return nil, err
-		}
-		if delay, err = backoff(ctx, delay, policy.MaxDelay, err); err != nil {
-			return nil, err
-		}
+		return s.failAway(ctx, &failovers)
+	})
+	if err != nil {
+		return nil, err
 	}
+	blk.Attempts = attempts
+	blk.Failovers = failovers
+	s.ep.Success()
+	c.deadline.Observe(blk.Elapsed, len(blk.Rows))
+	s.adopt(blk)
+	s.seq++
+	s.done = blk.Done
+	s.committed += len(blk.Rows)
+	if blk.Done {
+		t.finishStream()
+	} else {
+		t.queueGrant(size)
+	}
+	c.metrics.pushFrames.Inc()
+	c.metrics.recordBlock(blk)
+	return blk, nil
 }
 
 // nextAttempt reads one fresh frame off the stream (opening it first if

@@ -1,10 +1,19 @@
 // Package experiments defines one reproducible experiment per table and
 // figure of the paper's evaluation, plus the ablations called out in
-// DESIGN.md. Each experiment builds its workload from the calibrated
-// profiles, runs the controllers through the simulation engine, and
-// renders the same rows/series the paper reports.
+// DESIGN.md and the sweeps behind this reproduction's own extensions
+// (vector-sweep, slo-sweep, push-vs-pull). Each experiment builds its
+// workload from the calibrated profiles, runs the controllers through
+// the simulation engine (or the priced HTTP stack, which reports a
+// block's modelled cost instead of sleeping it), and renders the
+// rows/series the docs quote.
 //
-// Experiments are registered by paper id ("fig4a", "table1", ...) and are
+// The rule for what belongs here: the number is a pure function of the
+// seed. results/ holds every report as committed text and the `results`
+// gate of scripts/verify.sh regenerates and compares them, so a
+// wall-clock measurement cannot live here; those are bench/ and the Go
+// benchmarks.
+//
+// Experiments are registered by id ("fig4a", "table1", ...) and are
 // driven by cmd/labrunner and by the benchmark harness at the repo root.
 package experiments
 
@@ -257,3 +266,7 @@ func runBlocks(p profile.Profile, ctl core.Controller, blocks int) sim.Result {
 func f1(v float64) string { return strconv.FormatFloat(v, 'f', 1, 64) }
 func f2(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 func f3(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
+func f4(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+
+// pct renders a fraction as a whole percentage.
+func pct(frac float64) string { return strconv.FormatFloat(100*frac, 'f', 0, 64) + "%" }

@@ -14,7 +14,8 @@ func fastOpts() Options {
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the evaluation must be registered, plus
-	// the ablations from DESIGN.md.
+	// the ablations from DESIGN.md and the sweeps behind the extensions'
+	// claims.
 	want := []string{
 		"fig1", "fig2a", "fig2b", "fig3",
 		"fig4a", "fig4b", "fig4c", "fig5",
@@ -24,6 +25,7 @@ func TestRegistryComplete(t *testing.T) {
 		"ablation-averaging", "ablation-dither", "ablation-criterion",
 		"ablation-reset", "ablation-samples", "ablation-mimd",
 		"live-validation", "extension-selftuning", "ablation-metric",
+		"vector-sweep", "slo-sweep", "push-vs-pull",
 	}
 	ids := IDs()
 	have := make(map[string]bool, len(ids))

@@ -34,6 +34,24 @@ func liveModel() netsim.CostModel {
 	}
 }
 
+// pricedStack is the deployed pipeline with a cost model in place of a
+// network: a service over cat that prices every block by model and
+// reports the price instead of sleeping it (SleepScale 0), an HTTP
+// listener, and a client on it. The binary codec keeps decode cheap, so
+// what a run accumulates in SimulatedMS is the cost model alone.
+func pricedStack(cat *minidb.Catalog, model netsim.CostModel, seed int64) (*client.Client, *service.Server, func()) {
+	srv, err := service.New(service.Config{Catalog: cat, Codec: wire.Binary{}, CostModel: model, Seed: seed})
+	if err != nil {
+		panic(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	c, err := client.New(ts.URL, wire.Binary{}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return c, srv, ts.Close
+}
+
 // liveValidation runs the full HTTP stack (service + codec + client +
 // controller) with injected delays (SleepScale 0, so no real sleeping)
 // and compares the accumulated simulated time against the pure simulation
@@ -51,21 +69,8 @@ func liveValidation(opts Options) Report {
 	}
 	tuples := tpch.OrdersCount(0.1)
 
-	srv, err := service.New(service.Config{
-		Catalog:   cat,
-		Codec:     wire.Binary{}, // cheap decode: isolate the cost model
-		CostModel: model,
-		Seed:      opts.Seed,
-	})
-	if err != nil {
-		panic(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	c, err := client.New(ts.URL, wire.Binary{}, nil)
-	if err != nil {
-		panic(err)
-	}
+	c, _, stop := pricedStack(cat, model, opts.Seed)
+	defer stop()
 
 	mkCfg := func(seed int64) core.Config {
 		cfg := core.DefaultConfig()

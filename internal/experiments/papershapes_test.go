@@ -174,6 +174,65 @@ func TestShapeLiveMatchesSimulation(t *testing.T) {
 	}
 }
 
+// TestShapePushBeatsPullOnHighRTT is the push transport's acceptance
+// gate: at the size that flatters pull (pull's own optimum) push must
+// still be >= 1.5x faster, and push's optimum must sit at a strictly
+// smaller size, because with the round-trip gone there is less for big
+// blocks to amortize.
+func TestShapePushBeatsPullOnHighRTT(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins two HTTP servers")
+	}
+	rep, err := Run("push-vs-pull", shapeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Columns: paper-scale size, size, pull s, push s, pull/push.
+	pullOpt, pushOpt := rep.Rows[0], rep.Rows[0]
+	for _, row := range rep.Rows {
+		if parse(t, row[2]) < parse(t, pullOpt[2]) {
+			pullOpt = row
+		}
+		if parse(t, row[3]) < parse(t, pushOpt[3]) {
+			pushOpt = row
+		}
+	}
+	if speedup := parse(t, pullOpt[4]); speedup < 1.5 {
+		t.Errorf("push is %.2fx pull at pull's optimum %s, want >= 1.5x", speedup, pullOpt[0])
+	}
+	if parse(t, pushOpt[0]) >= parse(t, pullOpt[0]) {
+		t.Errorf("push optimum %s is not smaller than pull optimum %s", pushOpt[0], pullOpt[0])
+	}
+}
+
+// TestShapeVectorSweepShowsWhereEachDriverEnded: every cell prints how
+// far from the optimum it ended next to the round it was credited with
+// convergence. The two disagree for the warm-started vector controller
+// (converged in round 1, ends ~1.9x the optimum on latency-bound); the
+// sweep's job is to keep that visible, so the ratio is logged here and
+// not judged.
+func TestShapeVectorSweepShowsWhereEachDriverEnded(t *testing.T) {
+	rep, err := Run("vector-sweep", shapeOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rows) != 12 {
+		t.Fatalf("rows = %d, want 3 scenarios x 4 drivers", len(rep.Rows))
+	}
+	if rep.Columns[4] != "converged@" || rep.Columns[7] != "final/opt" {
+		t.Fatalf("columns = %v: converged@ and final/opt must both be printed", rep.Columns)
+	}
+	for _, row := range rep.Rows {
+		ratio := parse(t, row[7])
+		if ratio <= 0 {
+			t.Errorf("%s/%s: final/opt = %q", row[0], row[1], row[7])
+		}
+		if row[1] == "vector-hybrid+warm-start" {
+			t.Logf("%s: %s converged@ %s, ends at %.2fx the optimum", row[0], row[1], row[4], ratio)
+		}
+	}
+}
+
 func TestShapeFig1Concavity(t *testing.T) {
 	rep, err := Run("fig1", shapeOpts())
 	if err != nil {

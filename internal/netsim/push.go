@@ -43,7 +43,7 @@ func (m CostModel) Push(overheadMS float64) CostModel {
 
 // PushSpeedup returns the expected pull/push total-time ratio for a
 // whole transfer of `tuples` rows at fixed block size x — the headline
-// number BENCH_push.json gates on.
+// number of the push-vs-pull experiment, which its shape test gates.
 func (m CostModel) PushSpeedup(tuples, x int, overheadMS float64) float64 {
 	push := m.Push(overheadMS).ExpectedTotalMS(tuples, x)
 	if push <= 0 {

@@ -610,9 +610,10 @@ func TestStressConcurrentSessions(t *testing.T) {
 // BenchmarkConcurrentPulls measures block serves per second with one
 // session per worker, the scenario the sharded store exists for. On the
 // pre-shard server every block took the global mutex, so -cpu 1,4,8 was
-// ~flat; now the only shared writes are the atomic counters. Results are
-// recorded by `make bench-contention` (BENCH_contention.json) via the
-// wsbench -contention sweep, which drives the same path end to end.
+// ~flat; now the only shared writes are the atomic counters. Run it as
+// `go test -run '^$' -bench ConcurrentPulls -cpu 1,4,8 ./internal/service`
+// on a machine with that many cores; the same path end to end, over
+// sockets, is bench/'s hot-binary-small workload.
 func BenchmarkConcurrentPulls(b *testing.B) {
 	cat := minidb.NewCatalog()
 	tbl, err := cat.CreateTable("items", minidb.Schema{

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"wsopt/internal/minidb"
+	"wsopt/internal/wire"
 )
 
 // The paper's motivation covers both directions: pulling results from a
@@ -132,8 +134,16 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	schema, rows, err := s.codec.Decode(r.Body)
+	// One uploaded block is capped like one push frame or one replicated
+	// payload: the decoders buffer what they read, so an unbounded body
+	// is unbounded memory.
+	schema, rows, err := s.codec.Decode(http.MaxBytesReader(w, r.Body, wire.MaxFramePayload))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "block body exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "decode block: %v", err)
 		return
 	}

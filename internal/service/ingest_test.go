@@ -169,6 +169,35 @@ func TestIngestBlockErrors(t *testing.T) {
 	}
 }
 
+// endlessBody is an upload that never ends; read counts what the
+// server took of it.
+type endlessBody struct{ read int64 }
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	b.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestIngestRefusesOversizedBody: an upload past the per-block byte cap
+// is a 413 once the cap is crossed, not a body buffered for as long as
+// the peer keeps sending.
+func TestIngestRefusesOversizedBody(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 0), Codec: wire.Binary{}})
+	id, _ := openIngest(t, ts, `{"table":"items"}`)
+	var body endlessBody
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/ingest/"+id+"/block", &body))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("endless upload: status %d, want 413", w.Code)
+	}
+	if body.read > wire.MaxFramePayload+1 {
+		t.Fatalf("server read %d bytes of an upload capped at %d", body.read, wire.MaxFramePayload)
+	}
+	if st := srv.Stats(); st.BlocksIngested != 0 {
+		t.Fatalf("refused upload was ingested: %+v", st)
+	}
+}
+
 func TestIngestSeqDeduplicatesRetries(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 0)})
 	id, _ := openIngest(t, ts, `{"table":"items"}`)

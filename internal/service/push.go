@@ -431,7 +431,9 @@ func (s *Server) runPushProducer(w http.ResponseWriter, flusher http.Flusher, r 
 // writeFrame frames one committed block onto the stream and flushes it,
 // applying any injected drop/truncate fault (which severs the whole
 // stream — the client reconnects and the unacked tail replays). Serve
-// accounting matches the pull path: a frame counts once fully written.
+// accounting matches writeBlock: the peer holds the frame the moment
+// Flush returns, so it is counted first and a failed write takes it
+// back.
 func (s *Server) writeFrame(w http.ResponseWriter, flusher http.Flusher, sess *session, seq uint64, rb *replayBlock, replayed bool) error {
 	f := wire.Frame{
 		Type:    wire.FrameData,
@@ -457,26 +459,35 @@ func (s *Server) writeFrame(w http.ResponseWriter, flusher http.Flusher, sess *s
 		}
 		abortConnection()
 	}
+	s.countFrame(rb, replayed, 1)
 	if err := wire.WriteFrame(w, f); err != nil {
+		s.countFrame(rb, replayed, -1)
 		s.logf("session %s: write frame %d: %v", sess.id, seq, err)
 		return err
 	}
 	flusher.Flush()
-	s.stats.blocksServed.Add(1)
-	s.stats.tuplesServed.Add(int64(rb.tuples))
-	s.stats.pushFramesSent.Add(1)
 	s.metrics.blocksServed.Inc()
 	s.metrics.tuplesServed.Add(int64(rb.tuples))
 	s.metrics.pushFramesSent.Inc()
 	s.metrics.blockSize.Observe(float64(rb.tuples))
 	s.metrics.blockDelay.Observe(rb.delayMS)
 	if replayed {
-		s.stats.blocksReplayed.Add(1)
-		s.stats.pushFramesReplayed.Add(1)
 		s.metrics.blocksReplayed.Inc()
 		s.metrics.pushFramesReplayed.Inc()
 	}
 	return nil
+}
+
+// countFrame adds n (+1, or -1 to take a failed write back) frames of
+// rb to the Stats counters a reader reconciles against delivered blocks.
+func (s *Server) countFrame(rb *replayBlock, replayed bool, n int64) {
+	s.stats.blocksServed.Add(n)
+	s.stats.tuplesServed.Add(n * int64(rb.tuples))
+	s.stats.pushFramesSent.Add(n)
+	if replayed {
+		s.stats.blocksReplayed.Add(n)
+		s.stats.pushFramesReplayed.Add(n)
+	}
 }
 
 // writeErrorFrame terminates the stream with an in-band error. The

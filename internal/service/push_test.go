@@ -230,7 +230,7 @@ func TestPushReconnectReplaysUnacked(t *testing.T) {
 	}
 
 	// Consume three frames but ack only the first: seqs 2..3 are
-	// delivered-but-unacked, and up to 4 more may be in flight.
+	// delivered-but-unacked, and up to 2 more may be in flight.
 	var got []minidb.Row
 	var delivered uint64
 	for i := 0; i < 3; i++ {
@@ -245,11 +245,19 @@ func TestPushReconnectReplaysUnacked(t *testing.T) {
 		got = append(got, blockRows...)
 		delivered = f.Seq
 	}
+	// A fourth frame is lost in flight: read off the wire but never
+	// delivered. Its arrival is also the proof that the server produced
+	// it into the retained tail before the connection dies — a producer
+	// that has not got that far has nothing to replay, and would serve
+	// seq 4 fresh.
+	if f, err := pc.read(); err != nil || f.Seq != delivered+1 {
+		t.Fatalf("in-flight frame: seq %d, err %v", f.Seq, err)
+	}
 	pc.ack(t, 1)
 	pc.close() // simulate the connection dying
 
-	// Reconnect from delivered+1: the server must replay retained
-	// frames 4.. (whatever it produced into the window) and continue.
+	// Reconnect from delivered+1: the server must replay the retained
+	// frames from 4 on and continue.
 	pc2, resp := openStream(t, ts, id, 40, 4, delivered+1)
 	if pc2 == nil {
 		t.Fatalf("reopen: %s", resp.Status)
@@ -266,6 +274,9 @@ func TestPushReconnectReplaysUnacked(t *testing.T) {
 		}
 		if f.Seq != last+1 {
 			t.Fatalf("seq %d after %d", f.Seq, last)
+		}
+		if f.Seq == delivered+1 && !f.Replay {
+			t.Fatalf("frame %d was produced before the reconnect but is not flagged a replay", f.Seq)
 		}
 		last = f.Seq
 		_, blockRows, err := wire.Binary{}.Decode(strings.NewReader(string(f.Payload)))

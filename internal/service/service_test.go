@@ -429,10 +429,13 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 func TestBlockCountedBeforeItsLastByteLeaves(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 40)})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
-	next := func(seq int, failed error) *countingWriter {
+	post := func(path string, failed error) *countingWriter {
 		w := &countingWriter{ResponseRecorder: httptest.NewRecorder(), srv: srv, failed: failed}
-		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, fmt.Sprintf("/sessions/%s/next?size=10&seq=%d", id, seq), nil))
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, nil))
 		return w
+	}
+	next := func(seq int, failed error) *countingWriter {
+		return post(fmt.Sprintf("/sessions/%s/next?size=10&seq=%d", id, seq), failed)
 	}
 	w := next(1, nil)
 	if w.Code != http.StatusOK || w.seen.BlocksServed != 1 || w.seen.TuplesServed != 10 {
@@ -444,5 +447,21 @@ func TestBlockCountedBeforeItsLastByteLeaves(t *testing.T) {
 	next(2, errors.New("peer gone"))
 	if st := srv.Stats(); st.BlocksServed != 1 || st.TuplesServed != 10 {
 		t.Fatalf("after a failed write: %d blocks / %d tuples served, want 1 / 10", st.BlocksServed, st.TuplesServed)
+	}
+
+	// The push arm: a frame is in the reader's hands once Flush returns.
+	// size 50 over 40 rows is one done frame, so the handler returns.
+	stream := func(failed error) *countingWriter {
+		id, _ := openSession(t, ts, `{"table":"items"}`)
+		return post(fmt.Sprintf("/sessions/%s/stream?size=50&window=1", id), failed)
+	}
+	w = stream(nil)
+	if w.Code != http.StatusOK || w.seen.BlocksServed != 2 || w.seen.TuplesServed != 50 || w.seen.PushFramesSent != 1 {
+		t.Fatalf("status %d; during the frame write Stats had %d blocks / %d tuples / %d frames, want 2 / 50 / 1",
+			w.Code, w.seen.BlocksServed, w.seen.TuplesServed, w.seen.PushFramesSent)
+	}
+	stream(errors.New("peer gone"))
+	if st := srv.Stats(); st.BlocksServed != 2 || st.TuplesServed != 50 || st.PushFramesSent != 1 {
+		t.Fatalf("after a failed frame write: %d blocks / %d tuples / %d frames, want 2 / 50 / 1", st.BlocksServed, st.TuplesServed, st.PushFramesSent)
 	}
 }

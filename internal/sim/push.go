@@ -13,7 +13,8 @@ import (
 // per-frame overhead survives. Because everything else — per-tuple
 // cost, knee, penalty, noise structure — is identical, any difference
 // between the arms is the transport, which is exactly the
-// counterfactual BENCH_push.json reports.
+// counterfactual the push-vs-pull experiment reports
+// (results/push-vs-pull.txt).
 
 // PushComparison summarizes one pull-vs-push sweep over fixed block
 // sizes on a single cost model.

@@ -13,8 +13,10 @@ import (
 // benchmark is the codec half of the paper's transfer-cost model: for a
 // given block size, the per-block CPU cost is encode + decode, and the
 // adaptive controller's gains evaporate if that cost is dominated by
-// allocator churn. Run via `make bench-wire`, which also snapshots the
-// numbers into BENCH_wire.json.
+// allocator churn. Run as `go test -run '^$' -bench CodecRoundTrip
+// -benchmem ./internal/wire`; `make allocgate` holds the allocation
+// budget, and bench/ reports the same encode and decode inside a real
+// transfer (wire.encode_ms_per_block, wire.decode_ms_per_block).
 
 // benchBlockSizes are the block sizes (rows per block) the round-trip
 // benchmark sweeps. They bracket the sizes the runtime controller

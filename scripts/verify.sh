@@ -8,11 +8,23 @@ set -eu
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 
-gates="build vet race fuzzseeds stress allocgate slo-sim chaos-gate cache-gate push-chaos"
+gates="build vet results race fuzzseeds stress allocgate slo-sim chaos-gate cache-gate push-chaos"
 
 gate_build() { $GO build ./...; }
 
 gate_vet() { $GO vet ./...; }
+
+# Committed-numbers gate: every experiment is deterministic per seed, so
+# results/ must be exactly what the code prints. Regenerate all of them
+# into a scratch directory and compare; a difference is either an
+# unintended change of behaviour or a results/ that was not re-recorded
+# (`go run ./cmd/labrunner -out results`).
+gate_results() {
+	tmp=$(mktemp -d)
+	trap 'rm -rf "$tmp"' EXIT
+	$GO run ./cmd/labrunner -out "$tmp"
+	diff -r results "$tmp"
+}
 
 gate_race() { $GO test -race ./...; }
 
