@@ -32,11 +32,11 @@ import (
 
 func main() {
 	var (
-		url       = flag.String("url", "http://localhost:8080", "service base URL")
-		table     = flag.String("table", "customer", "relation each stream scans")
-		size      = flag.Int("size", 2000, "fixed block size of the load streams")
-		streams   = flag.Int("streams", 3, "concurrent query streams")
-		duration  = flag.Duration("duration", 30*time.Second, "how long to run")
+		url        = flag.String("url", "http://localhost:8080", "service base URL")
+		table      = flag.String("table", "customer", "relation each stream scans")
+		size       = flag.Int("size", 2000, "fixed block size of the load streams")
+		streams    = flag.Int("streams", 3, "concurrent query streams")
+		duration   = flag.Duration("duration", 30*time.Second, "how long to run")
 		codecName  = flag.String("codec", "xml", "block codec (must match the server)")
 		setLoad    = flag.String("set-load", "", "set the simulated load knob as jobs:queries:memory and exit")
 		maxQueries = flag.Int("max-queries", 0, "queries per stream before it stops early (0 = run until -duration)")

@@ -287,4 +287,3 @@ func TestPushWindowFollowsController(t *testing.T) {
 		t.Fatalf("controller window = %d, want >= 1", got)
 	}
 }
-

@@ -136,12 +136,13 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 
 	// One uploaded block is capped like one push frame or one replicated
 	// payload: the decoders buffer what they read, so an unbounded body
-	// is unbounded memory.
+	// is unbounded memory — and so is a small gzipped body that inflates
+	// without bound, which the +gzip codecs cap at the same size.
 	schema, rows, err := s.codec.Decode(http.MaxBytesReader(w, r.Body, wire.MaxFramePayload))
 	if err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "block body exceeds %d bytes", tooBig.Limit)
+		if errors.As(err, &tooBig) || errors.Is(err, wire.ErrInflatedTooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge, "block body exceeds %d bytes", wire.MaxFramePayload)
 			return
 		}
 		httpError(w, http.StatusBadRequest, "decode block: %v", err)

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -192,6 +193,35 @@ func TestIngestRefusesOversizedBody(t *testing.T) {
 	}
 	if body.read > wire.MaxFramePayload+1 {
 		t.Fatalf("server read %d bytes of an upload capped at %d", body.read, wire.MaxFramePayload)
+	}
+	if st := srv.Stats(); st.BlocksIngested != 0 {
+		t.Fatalf("refused upload was ingested: %+v", st)
+	}
+}
+
+// TestIngestRefusesInflateBomb: a body well under the byte cap that
+// inflates past it is the same 413, not 64 MiB and counting of buffered
+// whitespace.
+func TestIngestRefusesInflateBomb(t *testing.T) {
+	if testing.Short() {
+		t.Skip("inflates 64 MiB")
+	}
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 0), Codec: wire.Gzip(wire.XML{})})
+	id, _ := openIngest(t, ts, `{"table":"items"}`)
+	var bomb bytes.Buffer
+	zw := gzip.NewWriter(&bomb)
+	chunk := bytes.Repeat([]byte{' '}, 64<<10)
+	for n := 0; n <= wire.MaxFramePayload; n += len(chunk) {
+		zw.Write(chunk)
+	}
+	zw.Close()
+	resp, err := http.Post(ts.URL+"/ingest/"+id+"/block", "application/xml", &bomb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("inflate bomb: status %s, want 413", resp.Status)
 	}
 	if st := srv.Stats(); st.BlocksIngested != 0 {
 		t.Fatalf("refused upload was ingested: %+v", st)

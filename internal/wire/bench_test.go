@@ -66,30 +66,33 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkBinaryDecodeScratch isolates the decode half: the server
-// encodes once, the client decodes every block — this is the per-pull
-// client cost.
-func BenchmarkBinaryDecodeScratch(b *testing.B) {
-	for _, n := range benchBlockSizes {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			schema, rows := benchBlock(n)
-			var enc bytes.Buffer
-			if err := (Binary{}).Encode(&enc, schema, rows); err != nil {
-				b.Fatal(err)
-			}
-			payload := enc.Bytes()
-			rd := bytes.NewReader(nil)
-			scratch := new(Scratch)
-			b.SetBytes(int64(len(payload)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rd.Reset(payload)
-				if _, _, err := (Binary{}).DecodeScratch(rd, scratch); err != nil {
+// BenchmarkDecodeScratch isolates the decode half: the server encodes
+// once (and usually serves the bytes from its cache), the client decodes
+// every block — this is the per-pull client cost, for the lean codec,
+// the paper's SOAP codec and the SOAP codec under transport compression.
+func BenchmarkDecodeScratch(b *testing.B) {
+	for _, c := range []Codec{Binary{}, XML{}, Gzip(XML{})} {
+		for _, n := range benchBlockSizes {
+			b.Run(fmt.Sprintf("%s/rows=%d", c.Name(), n), func(b *testing.B) {
+				schema, rows := benchBlock(n)
+				var enc bytes.Buffer
+				if err := c.Encode(&enc, schema, rows); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				payload := enc.Bytes()
+				rd := bytes.NewReader(nil)
+				scratch := new(Scratch)
+				b.SetBytes(int64(len(payload)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rd.Reset(payload)
+					if _, _, err := DecodeBlock(c, rd, scratch); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -153,4 +156,46 @@ func TestBinaryRoundTripAllocGate(t *testing.T) {
 			t.Logf("binary round-trip, %d rows: %.1f allocs/block (gate %d)", n, allocs, binaryRoundTripAllocLimit)
 		})
 	}
+}
+
+// xmlDecodeAllocLimit is the verify gate for the SOAP codec's decode
+// half: a steady-state scratch decode of a 512-row block allocates the
+// block's string arena and nothing per row or per cell (the reflective
+// decoder it replaced spent ~39 000 allocations on such a block).
+const xmlDecodeAllocLimit = 16
+
+func TestXMLDecodeAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	if testing.Short() {
+		t.Skip("alloc gate needs steady-state timing")
+	}
+	const n = 512
+	schema, rows := benchBlock(n)
+	var enc bytes.Buffer
+	if err := (XML{}).Encode(&enc, schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	scratch := new(Scratch)
+	decode := func() {
+		rd.Reset(enc.Bytes())
+		_, got, err := DecodeBlock(XML{}, rd, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("decoded %d rows, want %d", len(got), n)
+		}
+	}
+	for i := 0; i < 3; i++ { // size the scratch, cache the schema
+		decode()
+	}
+	allocs := testing.AllocsPerRun(50, decode)
+	if allocs > xmlDecodeAllocLimit {
+		t.Fatalf("xml decode of a %d-row block costs %.1f allocs, gate is %d — the decoder started allocating per row or per cell",
+			n, allocs, xmlDecodeAllocLimit)
+	}
+	t.Logf("xml decode, %d rows: %.1f allocs/block (gate %d)", n, allocs, xmlDecodeAllocLimit)
 }

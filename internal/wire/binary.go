@@ -263,6 +263,10 @@ func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 		}
 	}
 
+	if p.off != len(raw) {
+		return nil, nil, fmt.Errorf("wire: binary decode: %d bytes of trailing data", len(raw)-p.off)
+	}
+
 	// One arena per block: a single immutable string holding every string
 	// cell's bytes. The fix-up pass slices the cells out of it; nothing
 	// ever mutates or reuses it, so retained cells stay intact.
@@ -313,7 +317,7 @@ func (Binary) decodeSchema(p *byteParser, s *Scratch) (minidb.Schema, error) {
 		}
 	}
 	key := p.b[keyStart:p.off]
-	if len(s.schema) > 0 && bytes.Equal(key, s.schemaRaw) {
+	if s.schemaCodec == "binary" && bytes.Equal(key, s.schemaRaw) {
 		return s.schema, nil
 	}
 	// Schema changed (or first block): materialize it once and cache.
@@ -325,7 +329,6 @@ func (Binary) decodeSchema(p *byteParser, s *Scratch) (minidb.Schema, error) {
 		tb, _ := q.byte()
 		schema[i] = minidb.Column{Name: string(name), Type: minidb.Type(tb)}
 	}
-	s.schema = schema
-	s.schemaRaw = append(s.schemaRaw[:0], key...)
+	s.cacheSchema("binary", schema, key)
 	return schema, nil
 }

@@ -31,6 +31,12 @@ func fuzzSeed(f *testing.F) {
 	f.Add([]byte("WSB1"))
 	f.Add([]byte(`{"columns":[{"name":"x","type":"INT64"}],"rows":[["1"]]}`))
 	f.Add([]byte("<Envelope><Body><rowset></rowset></Body></Envelope>"))
+	for _, doc := range xmlSpellings {
+		f.Add([]byte(doc.xml))
+	}
+	for _, doc := range xmlRejected {
+		f.Add([]byte(doc.xml))
+	}
 
 	// Arena-path nasties: zero-length strings and NULL-heavy rows stress
 	// the span fix-up pass (spans of length 0, cells skipped entirely),
@@ -145,41 +151,63 @@ func poisonScratch(t *testing.T, codec Codec, s *Scratch) {
 
 func fuzzDecode(f *testing.F, codec Codec) {
 	fuzzSeed(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		schema, rows, err := codec.Decode(bytes.NewReader(data))
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecode(t, codec, data) })
+}
 
-		// Differential: the scratch path must accept exactly the inputs
-		// the plain path accepts, and produce the same block.
-		scratch := new(Scratch)
-		sSchema, sRows, sErr := DecodeBlock(codec, bytes.NewReader(data), scratch)
-		if (err == nil) != (sErr == nil) {
-			t.Fatalf("plain/scratch disagree on validity: plain=%v scratch=%v", err, sErr)
-		}
-		if err != nil {
-			return
-		}
-		sameBlock(t, "scratch vs plain", schema, rows, sSchema, sRows)
+// checkDecode is the property every decoder must hold on any input.
+func checkDecode(t *testing.T, codec Codec, data []byte) {
+	t.Helper()
+	schema, rows, err := codec.Decode(bytes.NewReader(data))
 
-		// A successful decode must be internally consistent and must
-		// re-encode cleanly.
-		for i, r := range rows {
-			if len(r) != len(schema) {
-				t.Fatalf("row %d arity %d != schema %d", i, len(r), len(schema))
-			}
-		}
-		var buf bytes.Buffer
-		if err := codec.Encode(&buf, schema, rows); err != nil {
-			t.Fatalf("re-encode of a decoded block failed: %v", err)
-		}
+	// Differential: the scratch path must accept exactly the inputs
+	// the plain path accepts, and produce the same block.
+	scratch := new(Scratch)
+	sSchema, sRows, sErr := DecodeBlock(codec, bytes.NewReader(data), scratch)
+	if (err == nil) != (sErr == nil) {
+		t.Fatalf("plain/scratch disagree on validity: plain=%v scratch=%v", err, sErr)
+	}
+	if err != nil {
+		return
+	}
+	sameBlock(t, "scratch vs plain", schema, rows, sSchema, sRows)
 
-		// Retention: shallow-copied cells must survive scratch reuse —
-		// string values decoded through the arena path may never alias
-		// memory a later decode overwrites.
-		retainedSchema := append(minidb.Schema(nil), sSchema...)
-		retained := retainRows(sRows)
-		poisonScratch(t, codec, scratch)
-		sameBlock(t, "retained after scratch reuse", schema, rows, retainedSchema, retained)
-	})
+	// Oracle: the hand-written XML parser accepts a subset of what
+	// encoding/xml accepts, and never reads a document differently.
+	if _, ok := codec.(XML); ok {
+		rSchema, rRows, rErr := decodeXMLReference(bytes.NewReader(data))
+		if rErr != nil {
+			t.Fatalf("accepted a document encoding/xml rejects: %v\n%q", rErr, data)
+		}
+		sameBlock(t, "arena parser vs encoding/xml", rSchema, rRows, schema, rows)
+	}
+
+	// A successful decode must be internally consistent and must
+	// re-encode cleanly.
+	for i, r := range rows {
+		if len(r) != len(schema) {
+			t.Fatalf("row %d arity %d != schema %d", i, len(r), len(schema))
+		}
+	}
+	var buf bytes.Buffer
+	if err := codec.Encode(&buf, schema, rows); err != nil {
+		t.Fatalf("re-encode of a decoded block failed: %v", err)
+	}
+
+	// Retention: shallow-copied cells must survive scratch reuse —
+	// string values decoded through the arena path may never alias
+	// memory a later decode overwrites.
+	retainedSchema := append(minidb.Schema(nil), sSchema...)
+	retained := retainRows(sRows)
+	poisonScratch(t, codec, scratch)
+	sameBlock(t, "retained after scratch reuse", schema, rows, retainedSchema, retained)
+
+	// Schema cache: the poison block left another schema cached; the
+	// same scratch must decode this block to the same result again.
+	sSchema, sRows, sErr = DecodeBlock(codec, bytes.NewReader(data), scratch)
+	if sErr != nil {
+		t.Fatalf("re-decode into a reused scratch: %v", sErr)
+	}
+	sameBlock(t, "reused scratch vs plain", schema, rows, sSchema, sRows)
 }
 
 func FuzzBinaryDecode(f *testing.F) { fuzzDecode(f, Binary{}) }

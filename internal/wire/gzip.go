@@ -51,7 +51,16 @@ func getGzipWriter(w io.Writer, level int) (*gzip.Writer, *sync.Pool, error) {
 	return zw, pool, err
 }
 
-var gzipReaderPool sync.Pool
+// gzipReader is the pooled decode state: the inflater (its zero value
+// is ready for Reset), the cap on what it may produce, and the one byte
+// read past the inner document.
+type gzipReader struct {
+	inflate gzip.Reader
+	capped  io.LimitedReader
+	probe   [1]byte
+}
+
+var gzipReaderPool = sync.Pool{New: func() any { return new(gzipReader) }}
 
 // Encode implements Codec.
 func (g Gzipped) Encode(w io.Writer, schema minidb.Schema, rows []minidb.Row) error {
@@ -82,24 +91,35 @@ func (g Gzipped) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 	return g.decode(r, s)
 }
 
+// ErrInflatedTooLarge is returned when a gzipped block inflates past
+// MaxFramePayload. The in-memory decoders buffer the whole inflated
+// payload, so the cap on the compressed bytes a transport enforces does
+// not bound memory by itself.
+var ErrInflatedTooLarge = fmt.Errorf("wire: block inflates past %d bytes", MaxFramePayload)
+
 func (g Gzipped) decode(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, error) {
-	var zr *gzip.Reader
-	if pooled, ok := gzipReaderPool.Get().(*gzip.Reader); ok {
-		if err := pooled.Reset(r); err != nil {
-			gzipReaderPool.Put(pooled)
-			return nil, nil, fmt.Errorf("wire: gzip reader: %w", err)
-		}
-		zr = pooled
-	} else {
-		fresh, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wire: gzip reader: %w", err)
-		}
-		zr = fresh
+	zr := gzipReaderPool.Get().(*gzipReader)
+	defer gzipReaderPool.Put(zr)
+	if err := zr.inflate.Reset(r); err != nil {
+		return nil, nil, fmt.Errorf("wire: gzip reader: %w", err)
 	}
-	defer func() {
-		zr.Close()
-		gzipReaderPool.Put(zr)
-	}()
-	return DecodeBlock(g.Inner, zr, s)
+	// One byte past the cap is readable so that reaching it is told
+	// apart from a payload of exactly the cap.
+	zr.capped = io.LimitedReader{R: &zr.inflate, N: MaxFramePayload + 1}
+	schema, rows, err := DecodeBlock(g.Inner, &zr.capped, s)
+	if zr.capped.N == 0 {
+		return nil, nil, ErrInflatedTooLarge
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	// The inner codec may stop at the end of its document; the gzip
+	// CRC-32/ISIZE trailer is only checked on reading the stream to EOF.
+	switch n, err := io.ReadFull(&zr.capped, zr.probe[:]); {
+	case n > 0:
+		return nil, nil, fmt.Errorf("wire: gzip: trailing data after the %s block", g.Inner.Name())
+	case err != io.EOF:
+		return nil, nil, fmt.Errorf("wire: gzip: %w", err)
+	}
+	return schema, rows, nil
 }

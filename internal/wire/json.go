@@ -167,6 +167,15 @@ func (JSON) Decode(r io.Reader) (minidb.Schema, []minidb.Row, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, nil, fmt.Errorf("wire: json decode: %w", err)
 	}
+	// The decoder reads ahead, so what follows the document may already
+	// sit in its buffer: only it can tell trailing data from a clean end
+	// (and, under gzip, it is this read to EOF that checks the trailer).
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("a second value follows the document")
+		}
+		return nil, nil, fmt.Errorf("wire: json decode: trailing data: %w", err)
+	}
 	if len(doc.Columns) == 0 {
 		return nil, nil, fmt.Errorf("wire: json document has no columns")
 	}

@@ -12,9 +12,10 @@ import (
 // encoders write through, and the DecodeBlock entry point that picks the
 // scratch path when the codec supports it.
 //
-// Ownership rules (see DESIGN.md §11): a Scratch may only be used by one
-// decode at a time, and the rows returned by a scratch decode alias the
-// scratch — they stay valid until the next decode that reuses it. String
+// Ownership rules (see DESIGN.md §11), the same for the binary and the
+// XML codec: a Scratch may only be used by one decode at a time, and the
+// rows returned by a scratch decode alias the scratch — they stay valid
+// until the next decode that reuses it. String
 // cell bytes are NOT part of the scratch: each block's strings live in
 // one immutable per-block arena, so a shallow copy of the Values (e.g.
 // minidb.Row.Clone) is always enough to retain cells beyond the next
@@ -36,11 +37,20 @@ type Scratch struct {
 	strbuf []byte
 	spans  []int
 	// schema caches the previously decoded schema; schemaRaw is the raw
-	// header region that produced it. Blocks of one session share a
-	// schema, so steady-state decodes re-use it without allocating a
-	// single column name.
-	schema    minidb.Schema
-	schemaRaw []byte
+	// header region that produced it and schemaCodec the codec that read
+	// it (scratches are pooled across clients, so the next decode may be
+	// another codec's). Blocks of one session share a schema, so
+	// steady-state decodes re-use it without allocating a single column
+	// name.
+	schema      minidb.Schema
+	schemaRaw   []byte
+	schemaCodec string
+}
+
+// cacheSchema records the schema codec just parsed out of raw.
+func (s *Scratch) cacheSchema(codec string, schema minidb.Schema, raw []byte) {
+	s.schema, s.schemaCodec = schema, codec
+	s.schemaRaw = append(s.schemaRaw[:0], raw...)
 }
 
 // ScratchDecoder is implemented by codecs that can decode into a
@@ -107,9 +117,9 @@ func (e *encodeBuf) release() {
 	encBufPool.Put(e)
 }
 
-func (e *encodeBuf) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *encodeBuf) str(s string)     { e.buf = append(e.buf, s...) }
-func (e *encodeBuf) raw(b []byte)     { e.buf = append(e.buf, b...) }
+func (e *encodeBuf) byte(b byte)  { e.buf = append(e.buf, b) }
+func (e *encodeBuf) str(s string) { e.buf = append(e.buf, s...) }
+func (e *encodeBuf) raw(b []byte) { e.buf = append(e.buf, b...) }
 
 // maybeFlush writes the accumulated bytes out once they cross the
 // threshold. Call at row boundaries.

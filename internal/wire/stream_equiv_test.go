@@ -170,35 +170,8 @@ func TestXMLStreamMatchesMarshal(t *testing.T) {
 // schemas and rows, including random byte strings (often invalid UTF-8).
 func TestStreamMatchesMarshalRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	types := []minidb.Type{minidb.Int64, minidb.Float64, minidb.String, minidb.Date}
 	for iter := 0; iter < 300; iter++ {
-		ncols := 1 + rng.Intn(5)
-		schema := make(minidb.Schema, ncols)
-		for i := range schema {
-			schema[i] = minidb.Column{Name: randEquivString(rng, 8), Type: types[rng.Intn(len(types))]}
-		}
-		nrows := rng.Intn(6)
-		rows := make([]minidb.Row, nrows)
-		for i := range rows {
-			row := make(minidb.Row, ncols)
-			for j := range row {
-				if rng.Intn(4) == 0 {
-					row[j] = minidb.Null(schema[j].Type)
-					continue
-				}
-				switch schema[j].Type {
-				case minidb.Int64:
-					row[j] = minidb.NewInt(rng.Int63() - rng.Int63())
-				case minidb.Float64:
-					row[j] = minidb.NewFloat(rng.NormFloat64() * 1e6)
-				case minidb.String:
-					row[j] = minidb.NewString(randEquivString(rng, 20))
-				case minidb.Date:
-					row[j] = minidb.NewDate(int64(rng.Intn(40000) - 20000))
-				}
-			}
-			rows[i] = row
-		}
+		schema, rows := randEquivBlock(rng)
 		var wantJ, gotJ, wantX, gotX bytes.Buffer
 		if err := marshalJSONReference(&wantJ, schema, rows); err != nil {
 			t.Fatalf("iter %d: json reference: %v", iter, err)
@@ -219,6 +192,40 @@ func TestStreamMatchesMarshalRandom(t *testing.T) {
 			t.Fatalf("iter %d: XML mismatch\nwant: %q\ngot:  %q", iter, wantX.Bytes(), gotX.Bytes())
 		}
 	}
+}
+
+// randEquivBlock draws a small random schema and block: every type,
+// one cell in four NULL, strings from randEquivString.
+func randEquivBlock(rng *rand.Rand) (minidb.Schema, []minidb.Row) {
+	types := []minidb.Type{minidb.Int64, minidb.Float64, minidb.String, minidb.Date}
+	ncols := 1 + rng.Intn(5)
+	schema := make(minidb.Schema, ncols)
+	for i := range schema {
+		schema[i] = minidb.Column{Name: randEquivString(rng, 8), Type: types[rng.Intn(len(types))]}
+	}
+	nrows := rng.Intn(6)
+	rows := make([]minidb.Row, nrows)
+	for i := range rows {
+		row := make(minidb.Row, ncols)
+		for j := range row {
+			if rng.Intn(4) == 0 {
+				row[j] = minidb.Null(schema[j].Type)
+				continue
+			}
+			switch schema[j].Type {
+			case minidb.Int64:
+				row[j] = minidb.NewInt(rng.Int63() - rng.Int63())
+			case minidb.Float64:
+				row[j] = minidb.NewFloat(rng.NormFloat64() * 1e6)
+			case minidb.String:
+				row[j] = minidb.NewString(randEquivString(rng, 20))
+			case minidb.Date:
+				row[j] = minidb.NewDate(int64(rng.Intn(40000) - 20000))
+			}
+		}
+		rows[i] = row
+	}
+	return schema, rows
 }
 
 // randEquivString emits a mix of ASCII, multibyte runes and raw (often

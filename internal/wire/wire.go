@@ -1,13 +1,21 @@
 // Package wire serializes blocks of tuples for transport between the web
-// service and the client. Two codecs are provided:
+// service and the client. Codecs:
 //
 //   - an XML codec that wraps a WebRowSet-style rowset in a SOAP-like
-//     envelope, reproducing the encoding and parsing overheads that make
-//     web services "notoriously slow" — the realistic default;
+//     envelope — the realistic default. It carries the paper's encoding
+//     overheads where they are inherent: ~5x the bytes of the binary
+//     codec, every value rendered and re-parsed as text, and (as
+//     xml+gzip) the deflate that buys the bytes back. It no longer
+//     carries a reflective parse: both directions are hand-written for
+//     the one rowset grammar (xml.go, xmldecode.go);
+//   - a JSON codec of the same shape;
 //   - a compact length-prefixed binary codec, the ablation baseline for
-//     quantifying that overhead (BenchmarkWireCodecs).
+//     quantifying that overhead (BenchmarkCodecRoundTrip);
+//   - any of them under gzip ("+gzip"), which verifies the stream's
+//     trailer and caps what a block may inflate to.
 //
-// Both codecs round-trip schema and rows exactly, including NULLs.
+// All codecs round-trip schema and rows exactly, including NULLs. XML
+// and binary decode into a reusable Scratch (scratch.go).
 package wire
 
 import (

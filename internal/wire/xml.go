@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"strconv"
@@ -24,8 +23,13 @@ import (
 // rows are written as they are visited, numbers rendered with
 // strconv.Append* into a per-encode scratch. The output is byte-identical
 // to what encoding/xml produced for the old structs
-// (TestXMLStreamMatchesMarshal pins this).
+// (TestXMLStreamMatchesMarshal pins this). Decode is the hand-written
+// arena parser in xmldecode.go.
 type XML struct{}
+
+// xmlHeader is the declaration Encode opens every document with
+// (encoding/xml's Header, spelled out so only tests import that package).
+const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
 // Name implements Codec.
 func (XML) Name() string { return "xml" }
@@ -33,41 +37,12 @@ func (XML) Name() string { return "xml" }
 // ContentType implements Codec.
 func (XML) ContentType() string { return "application/xml" }
 
-type xmlValue struct {
-	Null bool   `xml:"null,attr,omitempty"`
-	Data string `xml:",chardata"`
-}
-
-type xmlRow struct {
-	V []xmlValue `xml:"v"`
-}
-
-type xmlColumn struct {
-	Name string `xml:"name,attr"`
-	Type string `xml:"type,attr"`
-}
-
-type xmlRowset struct {
-	XMLName xml.Name    `xml:"rowset"`
-	Columns []xmlColumn `xml:"metadata>column"`
-	Rows    []xmlRow    `xml:"rows>row"`
-}
-
-type xmlBody struct {
-	Rowset xmlRowset `xml:"rowset"`
-}
-
-type xmlEnvelope struct {
-	XMLName xml.Name `xml:"Envelope"`
-	Body    xmlBody  `xml:"Body"`
-}
-
 // Encode implements Codec, streaming rows as they are visited.
 func (XML) Encode(w io.Writer, schema minidb.Schema, rows []minidb.Row) error {
 	e := newEncodeBuf(w)
 	defer e.release()
 	var scratch [40]byte
-	e.str(xml.Header)
+	e.str(xmlHeader)
 	e.str("<Envelope><Body><rowset><metadata>")
 	for _, c := range schema {
 		e.str(`<column name="`)
@@ -156,47 +131,4 @@ func xmlCharOK(r rune) bool {
 		r >= 0x20 && r <= 0xD7FF ||
 		r >= 0xE000 && r <= 0xFFFD ||
 		r >= 0x10000 && r <= 0x10FFFF
-}
-
-// Decode implements Codec.
-func (XML) Decode(r io.Reader) (minidb.Schema, []minidb.Row, error) {
-	var env xmlEnvelope
-	if err := xml.NewDecoder(r).Decode(&env); err != nil {
-		return nil, nil, fmt.Errorf("wire: xml decode: %w", err)
-	}
-	rs := env.Body.Rowset
-	schema := make(minidb.Schema, len(rs.Columns))
-	for i, c := range rs.Columns {
-		t, err := parseTypeName(c.Type)
-		if err != nil {
-			return nil, nil, err
-		}
-		schema[i] = minidb.Column{Name: c.Name, Type: t}
-	}
-	rows := make([]minidb.Row, len(rs.Rows))
-	for i, xr := range rs.Rows {
-		if len(xr.V) != len(schema) {
-			return nil, nil, fmt.Errorf("wire: row %d has %d values, schema has %d columns", i, len(xr.V), len(schema))
-		}
-		row := make(minidb.Row, len(xr.V))
-		for j, xv := range xr.V {
-			if xv.Null {
-				row[j] = minidb.Null(schema[j].Type)
-				continue
-			}
-			if schema[j].Type == minidb.String {
-				// Bypass ParseValue, which maps "" to NULL: an empty
-				// string value is distinct from a NULL here.
-				row[j] = minidb.NewString(xv.Data)
-				continue
-			}
-			v, err := minidb.ParseValue(schema[j].Type, xv.Data)
-			if err != nil {
-				return nil, nil, fmt.Errorf("wire: row %d column %d: %w", i, j, err)
-			}
-			row[j] = v
-		}
-		rows[i] = row
-	}
-	return schema, rows, nil
 }

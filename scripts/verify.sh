@@ -12,7 +12,14 @@ gates="build vet results race fuzzseeds stress allocgate slo-sim chaos-gate cach
 
 gate_build() { $GO build ./...; }
 
-gate_vet() { $GO vet ./...; }
+gate_vet() {
+	$GO vet ./...
+	unformatted=$(gofmt -l .)
+	[ -z "$unformatted" ] || {
+		echo "gofmt -l names: $unformatted" >&2
+		return 1
+	}
+}
 
 # Committed-numbers gate: every experiment is deterministic per seed, so
 # results/ must be exactly what the code prints. Regenerate all of them
@@ -43,11 +50,11 @@ gate_stress() {
 }
 
 # Allocation gates, WITHOUT the race detector (instrumentation would
-# inflate the counts): a binary-codec block round-trip and one block
-# proxied through the gateway hop must each stay within their per-block
-# allocation budget.
+# inflate the counts): a binary-codec block round-trip, an XML block
+# decode and one block proxied through the gateway hop must each stay
+# within their per-block allocation budget.
 gate_allocgate() {
-	$GO test -count=1 -run '^TestBinaryRoundTripAllocGate$' ./internal/wire
+	$GO test -count=1 -run '^(TestBinaryRoundTripAllocGate|TestXMLDecodeAllocGate)$' ./internal/wire
 	$GO test -count=1 -run '^TestGatewayHopAllocGate$' ./internal/gateway
 }
 
