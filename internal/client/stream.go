@@ -354,7 +354,10 @@ type grantLoop struct {
 	acked        uint64
 	window, size int
 
-	dirty, closed, started bool
+	dirty, closed bool
+	// exited is non-nil once the loop has started and is closed when it
+	// returns; stop waits on it.
+	exited chan struct{}
 }
 
 // post queues the newest grant snapshot for sending.
@@ -366,22 +369,30 @@ func (g *grantLoop) post(ep, id string, acked uint64, window, size int) {
 	}
 	g.ep, g.id, g.acked, g.window, g.size = ep, id, acked, window, size
 	g.dirty = true
-	if !g.started {
-		g.started = true
+	if g.exited == nil {
+		g.exited = make(chan struct{})
 		go g.run()
 	}
 	g.cond.Signal()
 }
 
-// stop ends the loop; a send in flight finishes on its own timeout.
+// stop ends the loop and waits for it, so that neither the goroutine nor
+// a credit POST outlives the session. A send in flight is waited for,
+// not cancelled — cancelling an HTTP/1.1 request costs its keep-alive
+// connection — and its own timeout bounds the wait.
 func (g *grantLoop) stop() {
 	g.mu.Lock()
 	g.closed = true
 	g.cond.Broadcast()
+	exited := g.exited
 	g.mu.Unlock()
+	if exited != nil {
+		<-exited
+	}
 }
 
 func (g *grantLoop) run() {
+	defer close(g.exited)
 	for {
 		g.mu.Lock()
 		for !g.dirty && !g.closed {

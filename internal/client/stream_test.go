@@ -89,6 +89,7 @@ func TestPushChaosExactlyOnce(t *testing.T) {
 	const rows = 3000
 	reg := metrics.NewRegistry()
 	c, srv := chaosStack(t, rows, wire.Binary{}, 7, reg)
+	live := srv.TrackReplayRefs()
 	c.SetPush(PushConfig{Enabled: true, Window: 4})
 
 	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
@@ -112,6 +113,7 @@ func TestPushChaosExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertExactSet(t, seen, rows)
+	assertNoLiveReplayRefs(t, live)
 
 	st := srv.Stats()
 	injected := st.FaultsInjected.Dropped + st.FaultsInjected.Truncated + st.FaultsInjected.Refused

@@ -32,7 +32,7 @@ var _ Transport = (*Session)(nil)
 const DefaultPushWindow = 4
 
 // PushConfig enables and tunes the client side of the server-push
-// streaming transport (DESIGN.md §16).
+// streaming transport (DESIGN.md §19).
 type PushConfig struct {
 	// Enabled switches every run mode's sessions from pull to push.
 	Enabled bool

@@ -185,15 +185,6 @@ type gwSession struct {
 // touch records client activity for the expiry janitor.
 func (sess *gwSession) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
 
-// standbyLookup returns the replicated state backing a pre-failover
-// replay, if any. Called with sess.mu held.
-func (sess *gwSession) standbyLookup() (replica.SessionState, bool) {
-	if sess.standby == nil || len(sess.standby.Payload) == 0 {
-		return replica.SessionState{}, false
-	}
-	return *sess.standby, true
-}
-
 // New builds a Gateway over the configured backends.
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
@@ -508,7 +499,6 @@ type proxiedBlock struct {
 	done        bool
 	replayed    bool
 	injectedMS  string
-	backendSeq  uint64
 	// buf is the pooled buffer backing payload, owned by this block from
 	// pullFrom until release; nil when payload belongs to someone else (a
 	// standby copy, a backend's error message).
@@ -546,20 +536,12 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.touch()
-	size, err := strconv.Atoi(r.URL.Query().Get("size"))
-	if err != nil || size < 1 {
-		httpError(w, http.StatusBadRequest, "size must be a positive integer")
+	// The request grammar and the seq window are the service's: the
+	// gateway keeps, like a pull session, only the newest block replayable.
+	q, err := service.ParseQuery(r.URL.Query(), service.Limits{}, true)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	var seq uint64
-	hasSeq := false
-	if qs := r.URL.Query().Get("seq"); qs != "" {
-		seq, err = strconv.ParseUint(qs, 10, 64)
-		if err != nil || seq < 1 {
-			httpError(w, http.StatusBadRequest, "seq must be a positive integer")
-			return
-		}
-		hasSeq = true
 	}
 
 	sess.mu.Lock()
@@ -568,47 +550,25 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	if !hasSeq {
-		// Legacy pull: behaves like the next fresh seq.
-		seq = sess.lastSeq + 1
-	}
-	replay := false
-	switch {
-	case seq == sess.lastSeq && sess.lastSeq > 0:
-		replay = true
-	case seq == sess.lastSeq+1:
-		if sess.done {
-			httpError(w, http.StatusGone, "result set exhausted")
-			return
-		}
-	default:
-		httpError(w, http.StatusConflict,
-			"seq %d outside the replay window (last served %d)", seq, sess.lastSeq)
+	seq, class := service.ClassifySeq(q.Seq, sess.lastSeq, sess.lastSeq, sess.done)
+	if class.Refuse(w, seq) {
 		return
 	}
+	replay := class == service.SeqReplay
 
 	if replay && seq == sess.seqBase {
 		// The block predates the current backend session (it was served
 		// from the standby copy during a failover; its translated seq
 		// would be 0). Serve the standby copy again.
-		if ss, ok := sess.standbyLookup(); ok {
-			blk := &proxiedBlock{
-				payload:     ss.Payload,
-				contentType: codecContentType(ss.Codec),
-				tuples:      ss.Tuples,
-				done:        ss.Done,
-				replayed:    true,
-			}
-			g.standbyReplays.Add(1)
-			g.metrics.standbyReplays.Inc()
-			g.writeBlock(w, sess, blk, seq, hasSeq, started)
+		if sess.standby == nil || len(sess.standby.Payload) == 0 {
+			httpError(w, http.StatusConflict, "seq %d is no longer replayable after failover", seq)
 			return
 		}
-		httpError(w, http.StatusConflict, "seq %d is no longer replayable after failover", seq)
+		g.writeBlock(w, sess, g.standbyBlock(sess.standby), seq, q.Seq != 0, started)
 		return
 	}
 
-	blk, status, err := g.pullFrom(r.Context(), sess.backend, sess.backendID, size, seq-sess.seqBase)
+	blk, status, err := g.pullFrom(r.Context(), sess.backend, sess.backendID, q.Size, seq-sess.seqBase)
 	if err == nil && status != 0 {
 		// A definitive client-facing status from the backend (409, 410,
 		// 400...): pass it through untouched.
@@ -618,7 +578,7 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		sess.backend.ep.Failure()
 		g.logf("session %s: pull seq %d on %s failed: %v", sess.id, seq, sess.backend.url, err)
-		blk, err = g.failover(r.Context(), sess, seq, size, replay)
+		blk, err = g.failover(r.Context(), sess, seq, q.Size, replay)
 		if err != nil {
 			httpError(w, http.StatusBadGateway, "failover: %v", err)
 			return
@@ -635,7 +595,22 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 		sess.done = blk.done
 		sess.standby = nil
 	}
-	g.writeBlock(w, sess, blk, seq, hasSeq, started)
+	g.writeBlock(w, sess, blk, seq, q.Seq != 0, started)
+}
+
+// standbyBlock wraps a replicated copy of a session's newest block for
+// serving in place of its dead primary, and counts the standby replay.
+// The payload is the copy's own, never a pooled buffer.
+func (g *Gateway) standbyBlock(ss *replica.SessionState) *proxiedBlock {
+	g.standbyReplays.Add(1)
+	g.metrics.standbyReplays.Inc()
+	return &proxiedBlock{
+		payload:     ss.Payload,
+		contentType: codecContentType(ss.Codec),
+		tuples:      ss.Tuples,
+		done:        ss.Done,
+		replayed:    true,
+	}
 }
 
 // pullFrom forwards one pull to a backend. It returns (block, 0, nil) on
@@ -685,7 +660,6 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, si
 	blk.done, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockDone))
 	blk.replayed, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockReplay))
 	blk.injectedMS = resp.Header.Get(service.HeaderInjectedDelayMS)
-	blk.backendSeq, _ = strconv.ParseUint(resp.Header.Get(service.HeaderBlockSeq), 10, 64)
 	return blk, 0, nil
 }
 
@@ -732,18 +706,10 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 		if ok && ss.Seq == sess.lastSeq-sess.seqBase && ss.Seq > 0 && len(ss.Payload) > 0 &&
 			ss.Committed == sess.committed && ss.Done == sess.done &&
 			(len(ss.Query) == 0 || bytes.Equal(ss.Query, sess.openBody)) {
-			blk = &proxiedBlock{
-				payload:     ss.Payload,
-				contentType: codecContentType(ss.Codec),
-				tuples:      ss.Tuples,
-				done:        ss.Done,
-				replayed:    true,
-			}
-			g.standbyReplays.Add(1)
-			g.metrics.standbyReplays.Inc()
 			// Repeat retries of this seq can't be served by the promoted
 			// backend (translated seq 0); keep a private copy reachable.
 			sess.standby = &ss
+			blk = g.standbyBlock(&ss)
 			if !sess.done {
 				// Future fresh pulls need a live backend session at the
 				// committed cursor.

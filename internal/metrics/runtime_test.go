@@ -4,7 +4,7 @@ import "testing"
 
 // TestRegisterRuntimeSeries pins the runtime gauge set — in particular
 // the heap/GC series the allocation-discipline work watches (DESIGN.md
-// §11) — and their basic invariants at scrape time.
+// §14) — and their basic invariants at scrape time.
 func TestRegisterRuntimeSeries(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntime(r)

@@ -115,16 +115,10 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such ingest session")
 		return
 	}
-	var seq uint64
-	hasSeq := false
-	if qs := r.URL.Query().Get("seq"); qs != "" {
-		var err error
-		seq, err = strconv.ParseUint(qs, 10, 64)
-		if err != nil || seq < 1 {
-			httpError(w, http.StatusBadRequest, "seq must be a positive integer")
-			return
-		}
-		hasSeq = true
+	q, err := ParseQuery(r.URL.Query(), s.limits, false)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	fault := s.faults.decide(sess.id)
@@ -173,22 +167,19 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 	sess.touch()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	if hasSeq {
-		switch {
-		case seq == sess.lastSeq && sess.lastSeq > 0:
-			// Duplicate of the last applied block (the client never saw
-			// our acknowledgement): ack again without loading it.
-			s.stats.blocksIngestReplayed.Add(1)
-			s.metrics.ingestReplays.Inc()
-			s.ackIngestBlock(w, sess.id, sess.lastTuples, sess.lastDelayMS, true, fault)
-			return
-		case seq == sess.lastSeq+1:
-			// Fresh block, applied below.
-		default:
-			httpError(w, http.StatusConflict,
-				"seq %d outside the replay window (last applied %d)", seq, sess.lastSeq)
-			return
-		}
+	// An upload session keeps no bytes to replay, only the last block's
+	// acknowledgement: its window is the newest block alone.
+	seq, class := ClassifySeq(q.Seq, sess.lastSeq, sess.lastSeq, false)
+	if class.Refuse(w, seq) {
+		return
+	}
+	if class == SeqReplay {
+		// Duplicate of the last applied block (the client never saw our
+		// acknowledgement): ack again without loading it.
+		s.stats.blocksIngestReplayed.Add(1)
+		s.metrics.ingestReplays.Inc()
+		s.ackIngestBlock(w, sess.id, sess.lastTuples, sess.lastDelayMS, true, fault)
+		return
 	}
 	if err := sess.table.BulkLoad(rows); err != nil {
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
@@ -204,15 +195,12 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 	s.metrics.tuplesIngested.Add(int64(len(rows)))
 	s.metrics.blockSize.Observe(float64(len(rows)))
 
-	delayMS := s.priceBlock(len(rows), sess.rng)
-	if scale := s.cfg.SleepScale; scale > 0 && delayMS > 0 {
-		// The rows are already applied, so even when the client vanishes
-		// mid-delay the seq must still advance below — its retry of the
-		// same seq is then a recognized duplicate, not a double-load. The
-		// interruptible sleep only stops pinning the session for the rest
-		// of the simulated delay.
-		sleepInterruptible(r.Context(), time.Duration(delayMS*scale*float64(time.Millisecond)))
-	}
+	// The rows are already applied, so even when the client vanishes
+	// mid-delay the seq must still advance below — its retry of the same
+	// seq is then a recognized duplicate, not a double-load. The
+	// interruptible sleep only stops pinning the session for the rest of
+	// the simulated delay.
+	delayMS, _ := s.pricedDelay(r.Context(), len(rows), sess.rng)
 	// Commit the seq before acknowledging: if the ack is lost (or the
 	// fault layer severs the connection) the client's retry of the same
 	// seq is recognized as a duplicate.

@@ -45,10 +45,10 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 		if !ok {
 			t.Fatalf("seq %d: session vanished", seq)
 		}
-		sess.mu.Lock()
-		rb := sess.replay
-		sess.mu.Unlock()
-		if rb == nil || rb.buf == nil {
+		sess.tail.mu.Lock()
+		rb := sess.tail.frames[len(sess.tail.frames)-1].rb
+		sess.tail.mu.Unlock()
+		if rb.buf == nil {
 			t.Fatalf("seq %d: live replay has no pooled buffer", seq)
 		}
 		if !bytes.Equal(rb.payload, body) {
@@ -155,16 +155,17 @@ func TestExpireIdleReleasesReplayBuffers(t *testing.T) {
 }
 
 // TestCloseRaceOwnershipHandoff is the regression test for the
-// delete-during-pull ownership window: when DELETE wins the session-map
-// race while a pull holds the session lock (sleeping its injected
-// delay), closeSession's TryLock fails and its OpClose is already in
-// the replication log. Pre-fix, the pull would then (a) ship its
-// OpCommit AFTER the OpClose — resurrecting a ghost standby session on
-// every follower — and (b) park its fresh replay buffer in the
-// unreachable session, leaking the buffer's pool slot forever. The fix
-// hands both duties to the pull: it ships nothing and releases every
-// buffer itself. Run with -race; the cached arm covers the same window
-// on the cache-entry commit path.
+// delete-during-pull ownership window: DELETE wins the session-map race
+// while a pull holds the session lock (sleeping its injected delay), so
+// the tail is closed and its OpClose is in the replication log before
+// the pull commits. Pre-fix, the pull would then (a) ship its OpCommit
+// AFTER the OpClose — resurrecting a ghost standby session on every
+// follower — and (b) park its fresh replay buffer in the unreachable
+// session, leaking the buffer's pool slot forever. Now a commit into a
+// closed tail records and ships nothing, and the pull's own write
+// reference is the block's only one. Run with -race; the cached arm
+// covers the same window on the cache-entry commit path, and
+// TestStressCloseRacesCommit the narrow window at the commit itself.
 func TestCloseRaceOwnershipHandoff(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		name := "pooled"
@@ -196,6 +197,7 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 				cfg.Cache = c
 			}
 			srv, ts := newTestServer(t, cfg)
+			live := srv.TrackReplayRefs()
 			id, _ := openSession(t, ts, `{"table":"items"}`)
 
 			// Block 1 commits normally (and ships), so the close-racing
@@ -218,7 +220,7 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 				pulled <- body
 			}()
 			// Wait until the pull demonstrably holds the lock, then land
-			// the DELETE mid-pull: closeSession's TryLock must fail.
+			// the DELETE mid-pull.
 			for sess.mu.TryLock() {
 				sess.mu.Unlock()
 				time.Sleep(time.Millisecond)
@@ -268,6 +270,7 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 			if n != 2 {
 				t.Fatalf("%d replay blocks released, want 2 (close-racing pull must release its own commit)", n)
 			}
+			assertNoLiveReplayRefs(t, live)
 		})
 	}
 }

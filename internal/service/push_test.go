@@ -223,6 +223,7 @@ func TestPushWindowBackpressure(t *testing.T) {
 func TestPushReconnectReplaysUnacked(t *testing.T) {
 	const rows = 400
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, rows), Codec: wire.Binary{}})
+	live := srv.TrackReplayRefs()
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 	pc, resp := openStream(t, ts, id, 40, 4, 0)
 	if pc == nil {
@@ -300,6 +301,16 @@ func TestPushReconnectReplaysUnacked(t *testing.T) {
 	if st := srv.Stats(); st.PushStreamsOpened != 2 || st.PushFramesReplayed == 0 {
 		t.Fatalf("expected a second stream with replayed frames: %+v", st)
 	}
+
+	// Both streams' writers, the replayed tail and the frames the client
+	// never acked: all of it is given back once the session closes.
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+id, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	assertNoLiveReplayRefs(t, live)
 }
 
 // TestPushRejectsPullAndStaleFrom: a session in push mode refuses

@@ -5,10 +5,16 @@
 // Algorithm 1 of the paper:
 //
 //	POST   /sessions                 {"table": "...", "columns": [...]}
-//	POST   /sessions/{id}/next?size=N   -> one encoded block
+//	POST   /sessions/{id}/next?size=N&seq=S   -> one encoded block
+//	POST   /sessions/{id}/stream?size=N&window=W&from=S   -> framed blocks, pushed
+//	POST   /sessions/{id}/credit?acked=A&window=W&size=N  -> 204 (the stream's acks)
 //	DELETE /sessions/{id}
+//	POST   /ingest, POST /ingest/{id}/block?seq=S, DELETE /ingest/{id}   (uploads)
 //	GET    /healthz
 //	GET    /load       PUT /load     {"jobs":J, "queries":Q, "memory":M}
+//
+// /next and /stream are two framings of one session protocol
+// (protocol.go): one retained tail, one produce path, one serve function.
 //
 // The service can inject per-block delays drawn from a netsim cost model
 // scaled by the configured load, so a single laptop reproduces the WAN and
@@ -19,7 +25,7 @@
 // are sharded (shard.go), the Stats counters are atomics (stats.go), the
 // load knob is an atomic pointer, and the delay-noise RNG is per-session
 // — so concurrent sessions only synchronize on their own session mutex
-// and throughput scales with cores (see DESIGN.md §9).
+// and throughput scales with cores (see DESIGN.md §12).
 package service
 
 import (
@@ -159,7 +165,7 @@ type Config struct {
 	// absolute cursor, the block size, the codec (and gzip level), and
 	// the catalog's dataset version, so repeated queries across sessions
 	// — including gateway failover re-opens — serve hits at ~memcpy cost
-	// and a dataset write invalidates by construction (see DESIGN.md §15).
+	// and a dataset write invalidates by construction (see DESIGN.md §18).
 	Cache *blockcache.Cache
 }
 
@@ -174,6 +180,8 @@ type Server struct {
 	codec  wire.Codec
 	mux    *http.ServeMux
 	faults *faultInjector
+	// limits bounds every request's query (protocol.go).
+	limits Limits
 
 	load     atomic.Pointer[netsim.Load]
 	sessions *shardedStore[*session]
@@ -189,6 +197,9 @@ type Server struct {
 
 	stats   serverStats
 	metrics *serviceMetrics
+	// replayRefs, when non-nil, counts the live references to this
+	// server's replay blocks (TrackReplayRefs; tests only).
+	replayRefs *atomic.Int64
 }
 
 // New builds a Server; the catalog is required.
@@ -224,6 +235,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		codec:    cfg.Codec,
 		faults:   newFaultInjector(cfg.Faults, cfg.Seed+1),
+		limits:   Limits{MaxSize: cfg.MaxBlockSize, MaxWindow: cfg.PushMaxWindow},
 		sessions: newShardedStore[*session](),
 		ingests:  newShardedStore[*ingestSession](),
 
@@ -362,17 +374,11 @@ func (s *Server) liveSessions() int {
 // finishes its block normally and the next pull gets a clean 404.
 func (s *Server) ExpireIdle(now time.Time) int {
 	cut := now.Add(-s.cfg.SessionTTL).UnixNano()
-	n := 0
 	ids, vals := s.sessions.removeIf(func(_ string, sess *session) bool {
 		return sess.lastUsed.Load() < cut
 	})
-	for i, id := range ids {
-		closeSession(vals[i])
-		s.shipClose(id)
-		s.groups.leave(vals[i].group)
-		s.faults.forget(id)
-		s.Release()
-		n++
+	for _, sess := range vals {
+		s.closeSession(sess)
 	}
 	expired, _ := s.ingests.removeIf(func(_ string, ing *ingestSession) bool {
 		return ing.lastUsed.Load() < cut
@@ -380,25 +386,22 @@ func (s *Server) ExpireIdle(now time.Time) int {
 	for _, id := range expired {
 		s.faults.forget(id)
 		s.Release()
-		n++
 	}
-	return n
+	return len(ids) + len(expired)
 }
 
-// session is one open block-pull cursor.
+// session is one open block cursor: the query's iterator and position,
+// plus the protocol state (tail) both framings serve from.
 //
-// The transfer is made idempotent by per-session sequence numbers: a
-// client that sends seq on each pull gets block seq==lastSeq+1 by
-// advancing the iterator, and a verbatim replay of the buffered bytes
-// when it re-requests seq==lastSeq — so a lost or truncated response is
-// recovered by retrying the same seq, with no tuple skipped or
-// duplicated. Legacy pulls without seq advance unconditionally, exactly
-// as before.
+// The transfer is idempotent by per-session block numbers: a request
+// for the block after the newest advances the iterator, a request for a
+// block still in the tail is answered with the retained bytes — so a
+// lost or truncated response is recovered by asking again, with no tuple
+// skipped or duplicated.
 type session struct {
 	mu   sync.Mutex
 	id   string
 	iter minidb.Iterator
-	done bool
 	// group is the stream-group ID this cursor was tagged with at
 	// creation ("" for standalone sessions); immutable, so the close and
 	// expiry paths read it without the session lock.
@@ -409,22 +412,18 @@ type session struct {
 	// lastUsed is the unix-nano timestamp of the last touch, atomic so
 	// the expiry janitor reads it without racing an in-flight pull.
 	lastUsed atomic.Int64
-	// closed flips when the session is deleted or expired; a pull that
-	// raced the close observes it after locking mu and backs out without
-	// touching the (possibly released) replay buffer.
-	closed atomic.Bool
 
-	// lastSeq is the sequence number of the most recent fresh block
-	// (0 = none served yet); replay buffers that block's response.
-	lastSeq uint64
-	replay  *replayBlock
+	// tail is the protocol state: newest committed block, peer's ack, the
+	// retained frames between them, closed. It has its own lock (see
+	// tail); blocks are committed to it with mu held as well.
+	tail tail
 	// cursor is the absolute committed tuple position: the create offset
-	// plus every tuple in committed blocks through lastSeq. Replication
-	// ships it so a follower can resume the query at exactly this row.
+	// plus every tuple in committed blocks. Replication ships it so a
+	// follower can resume the query at exactly this row.
 	cursor int64
 	// batch is the reusable row slice NextBlockAppend fills each pull;
 	// safe to reuse because the previous block's rows are fully encoded
-	// into the replay buffer before the next pull starts.
+	// before the next pull starts.
 	batch []minidb.Row
 	// cacheFP is the session's plan fingerprint for the encoded-block
 	// cache (nil when the server runs without one); immutable after
@@ -442,31 +441,21 @@ type session struct {
 	pendingRows []minidb.Row
 	pendingDone bool
 	hasPending  bool
-
-	// push holds the session's push-stream state once a stream has been
-	// opened (nil while the session is pull-only). Atomic because the
-	// close/expiry paths read it without the session lock; it is set
-	// exactly once, under sess.mu, by the first stream open. A session
-	// with push state refuses further pulls — the two transports share
-	// the seq/replay protocol but not a live cursor.
-	push atomic.Pointer[pushState]
 }
 
 // touch records activity for the expiry janitor.
 func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
 
-// replayBlock is the buffered response of the last served block. Its
-// payload is backed either by a pooled encode buffer (uncached blocks)
-// or by a retained immutable cache entry (cache hits): the backing is
-// released only when the block is superseded by the next committed
-// block or the session closes — never while a retry could still request
-// this seq — so replays serve the exact committed bytes.
+// replayBlock is one committed block's encoded response. Its payload is
+// backed either by a pooled encode buffer (uncached blocks) or by a
+// retained immutable cache entry (cache hits); the backing is recycled
+// only when the last reference is gone — never while a retry could still
+// request this block — so replays serve the exact committed bytes.
 //
-// The backing can have more than one consumer: the session itself (for
-// same-seq replays) and the replication log (which holds the payload
-// until the shipped record is evicted). refs counts them; releaseReplay
-// drops one reference and only pools the buffer (or releases the cache
-// entry) when the last consumer is gone.
+// refs counts the holders (see tail for the rule): the session's tail
+// while the block is unacked, each writer for the duration of its write,
+// the replication log until the shipped record is evicted, and a feed
+// response for as long as its socket write takes.
 type replayBlock struct {
 	buf     *bytes.Buffer     // pooled encode buffer (nil for cache hits)
 	entry   *blockcache.Entry // retained cache entry (nil for pooled blocks)
@@ -474,63 +463,58 @@ type replayBlock struct {
 	tuples  int
 	done    bool
 	delayMS float64
-	// refs is the number of live references to the backing: 1 for the
-	// owning session, +1 per replication record still retaining the
-	// payload.
-	refs atomic.Int32
+	refs    atomic.Int32
+	// live is the owning server's replayRefs (nil outside tests).
+	live *atomic.Int64
 }
 
-// newReplayBlock wraps a committed encode buffer with the session's own
-// reference already counted.
-func newReplayBlock(buf *bytes.Buffer, tuples int, done bool, delayMS float64) *replayBlock {
-	rb := &replayBlock{buf: buf, payload: buf.Bytes(), tuples: tuples, done: done, delayMS: delayMS}
-	rb.refs.Store(1)
-	return rb
+// retain adds a reference.
+func (rb *replayBlock) retain() {
+	rb.refs.Add(1)
+	if rb.live != nil {
+		rb.live.Add(1)
+	}
 }
-
-// newCachedReplay wraps a cache entry; ownership of the caller's
-// retained reference transfers to the replayBlock, which releases it
-// from releaseReplay when the last consumer is gone.
-func newCachedReplay(ent *blockcache.Entry, delayMS float64) *replayBlock {
-	rb := &replayBlock{entry: ent, payload: ent.Bytes(), tuples: ent.Tuples(), done: ent.Done(), delayMS: delayMS}
-	rb.refs.Store(1)
-	return rb
-}
-
-// retain adds a reference (the replication log, or a feed response
-// shipping from it, is about to hold the payload past the session's own
-// lifetime).
-func (rb *replayBlock) retain() { rb.refs.Add(1) }
 
 // blockBufPool pools the per-pull encode buffers. Ownership rule: a
-// buffer obtained for a pull either travels into the committed
-// replayBlock (released later via releaseReplay) or is returned to the
-// pool on the spot when the pull aborts before commit.
+// buffer obtained for a pull either travels into a replayBlock (recycled
+// by its last releaseReplay) or is returned on the spot when the encode
+// fails or its bytes were copied into a cache entry.
 var blockBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBlockBuf(buf *bytes.Buffer) {
+	buf.Reset()
+	blockBufPool.Put(buf)
+}
 
 // testReplayRelease, when non-nil (set only by tests, before traffic),
 // observes every replay-buffer release.
 var testReplayRelease func(rb *replayBlock)
 
+// TrackReplayRefs turns on the live-reference count of this server's
+// replay blocks and returns its reader. It is for tests, which call it
+// before any traffic and expect zero once every session is closed and
+// the replication log drained: an over-release panics (in the cache's
+// own count, or on the nil buffer of a block already recycled), an
+// under-release is otherwise silent.
+func (s *Server) TrackReplayRefs() (live func() int64) {
+	s.replayRefs = new(atomic.Int64)
+	return s.replayRefs.Load
+}
+
 // releaseReplay drops one reference to rb's backing and recycles it when
 // the last reference is gone: a pooled encode buffer goes back to the
-// pool, a cache entry gets its retained reference released. The session
-// calls it when the block is superseded under the session lock or the
-// closed session is unreachable to new pulls; the replication log calls
-// it (via Record.Release) when the shipped record is evicted. Either
-// order is safe — only the final release recycles the backing.
+// pool, a cache entry gets its retained reference released. Holders
+// release in any order — only the final release recycles the backing.
 func releaseReplay(rb *replayBlock) {
-	if rb == nil {
-		return
+	if rb.live != nil {
+		rb.live.Add(-1)
 	}
 	if rb.refs.Add(-1) > 0 {
 		return
 	}
 	// Only the releaser that took the last reference gets here; the
 	// atomic Add orders it after every other holder's release.
-	if rb.buf == nil && rb.entry == nil {
-		return
-	}
 	if testReplayRelease != nil {
 		testReplayRelease(rb)
 	}
@@ -541,28 +525,19 @@ func releaseReplay(rb *replayBlock) {
 	}
 	buf := rb.buf
 	rb.buf, rb.payload = nil, nil
-	buf.Reset()
-	blockBufPool.Put(buf)
+	putBlockBuf(buf)
 }
 
-// closeSession releases a removed session's pooled resources. If a pull
-// still holds the session lock, the buffers are deliberately NOT pooled
-// (the pull may be writing those bytes); they go to the GC instead —
-// losing a buffer to the GC is always safe, reusing a live one never is.
-func closeSession(sess *session) {
-	sess.closed.Store(true)
-	if ps := sess.push.Load(); ps != nil {
-		// Wake a producer parked on credits and release the retained
-		// in-flight frames; the producer's own commit path handles the
-		// closed-race ownership handoff exactly like a pull.
-		ps.close()
-	}
-	if sess.mu.TryLock() {
-		releaseReplay(sess.replay)
-		sess.replay = nil
-		sess.pendingRows, sess.batch = nil, nil
-		sess.mu.Unlock()
-	}
+// closeSession ends a session already removed from the store: the tail
+// closes (its frames released, a parked producer woken) and only then is
+// the close replicated, so followers drop their standby state after the
+// session's last commit record, never before it.
+func (s *Server) closeSession(sess *session) {
+	sess.tail.close()
+	s.shipClose(sess.id)
+	s.groups.leave(sess.group)
+	s.faults.forget(sess.id)
+	s.Release()
 }
 
 // shipCreate replicates a session creation: id, the verbatim query body
@@ -579,14 +554,14 @@ func (s *Server) shipCreate(sess *session, body []byte) {
 	})
 }
 
-// shipCommit replicates block lastSeq's commit: the committed cursor and
-// the encoded payload a same-seq retry needs after this process dies.
-// Called under the session lock at the commit point; the record retains
-// the pooled replay buffer (rb.retain) until it falls out of the log,
-// which releases it via Record.Release. The feed ships the payload from
-// that same buffer, holding one more reference (Record.Retain) for as
-// long as the socket write takes.
-func (s *Server) shipCommit(sess *session, rb *replayBlock) {
+// shipCommit replicates block seq's commit: the committed cursor and the
+// encoded payload a same-seq retry needs after this process dies. Called
+// at the commit point (commitLocked); the record holds its own reference
+// to the block until it falls out of the log, which releases it via
+// Record.Release. The feed ships the payload from that same buffer,
+// holding one more reference (Record.Retain) for as long as the socket
+// write takes.
+func (s *Server) shipCommit(sess *session, seq uint64, rb *replayBlock) {
 	if s.cfg.Replica == nil {
 		return
 	}
@@ -594,7 +569,7 @@ func (s *Server) shipCommit(sess *session, rb *replayBlock) {
 	s.cfg.Replica.Append(replica.Record{
 		Op:        replica.OpCommit,
 		Session:   sess.id,
-		Seq:       sess.lastSeq,
+		Seq:       seq,
 		Committed: sess.cursor,
 		Tuples:    rb.tuples,
 		Done:      rb.done,
@@ -710,6 +685,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	n := s.nextID.Add(1)
 	id := fmt.Sprintf("s%08x", n)
 	sess := &session{id: id, iter: it, group: req.StreamGroup, cursor: int64(req.Offset), iterPos: int64(req.Offset), rng: rand.New(rand.NewSource(s.sessionSeed(n)))}
+	sess.tail.cond.L = &sess.tail.mu
 	if s.cfg.Cache != nil {
 		sess.cacheFP = s.planFingerprint(&req)
 	}
@@ -784,42 +760,6 @@ func catchUpIterator(sess *session) error {
 	return nil
 }
 
-// fillCacheEntry is the cache's single-flight fill: scan the next block
-// and encode it into an immutable cache entry. It runs on the GetOrFill
-// leader — this pull's own goroutine, holding sess.mu. The pooled
-// encode buffer never escapes: blockcache.NewEntry copies the bytes,
-// and the buffer is back in the pool before the entry is published, so
-// a cached payload can never alias a recycled pool buffer.
-func (s *Server) fillCacheEntry(sess *session, size int) (*blockcache.Entry, error) {
-	if err := catchUpIterator(sess); err != nil {
-		return nil, err
-	}
-	rows, done, err := minidb.NextBlockAppend(sess.iter, size, sess.batch)
-	if err != nil {
-		return nil, err
-	}
-	sess.batch = rows
-	sess.iterPos += int64(len(rows))
-	buf := blockBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := s.codec.Encode(buf, sess.iter.Schema(), rows); err != nil {
-		buf.Reset()
-		blockBufPool.Put(buf)
-		// Park the rows: the iterator has advanced, so losing them would
-		// skip tuples. The same-seq retry sees hasPending and re-encodes
-		// through the uncached path.
-		sess.pendingRows, sess.pendingDone, sess.hasPending = rows, done, true
-		s.stats.encodeFailures.Add(1)
-		s.metrics.encodeFailures.Inc()
-		s.logf("session %s: encode block: %v", sess.id, err)
-		return nil, fmt.Errorf("encode block: %w", err)
-	}
-	ent := blockcache.NewEntry(buf.Bytes(), len(rows), done)
-	buf.Reset()
-	blockBufPool.Put(buf)
-	return ent, nil
-}
-
 // errProduceCancelled reports that the caller's context died during the
 // injected delay: nothing was committed, the rows (or the cache entry)
 // survive for a same-seq retry, and there is nothing to write.
@@ -851,8 +791,7 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, r
 	if err := s.codec.Encode(buf, sess.iter.Schema(), rows); err != nil {
 		// Park the rows: the iterator has advanced, so losing them here
 		// would skip tuples. A retry of the same seq re-encodes.
-		buf.Reset()
-		blockBufPool.Put(buf)
+		putBlockBuf(buf)
 		sess.pendingRows, sess.pendingDone, sess.hasPending = rows, done, true
 		s.stats.encodeFailures.Add(1)
 		s.metrics.encodeFailures.Inc()
@@ -863,102 +802,109 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, r
 	return buf, rows, done, nil
 }
 
-// commitLocked makes rb the session's committed block: the previous
-// replay buffer is superseded, lastSeq advances, the cursor moves past
-// rb's tuples, and the commit is replicated. It reports whether the
-// session was still alive at the commit point. When it returns false
-// the session was deleted or expired while the caller held the lock:
-// closeSession's TryLock failed, its OpClose is already in the
-// replication log, and no future pull can reach this session to release
-// anything — so the buffers were released here, the commit was NOT
-// shipped (an OpCommit landing after the OpClose would resurrect a
-// ghost session on every follower), and the caller must releaseReplay
-// its own rb after writing the bytes it still owes the client. Caller
-// holds sess.mu.
-func (s *Server) commitLocked(sess *session, rb *replayBlock) (alive bool) {
-	superseded := sess.replay
-	sess.lastSeq++
-	sess.cursor += int64(rb.tuples)
-	sess.done = rb.done
-	if sess.closed.Load() {
-		sess.replay = nil
-		sess.batch = nil
-		releaseReplay(superseded)
-		return false
-	}
-	sess.replay = rb
-	s.shipCommit(sess, rb)
-	releaseReplay(superseded)
-	return true
+// pricedDelay prices a block of the given size under the current load
+// and sleeps the scaled delay (nothing, without a cost model or a sleep
+// scale) unless ctx dies first; it returns the model delay and whether
+// the whole of it elapsed.
+func (s *Server) pricedDelay(ctx context.Context, tuples int, rng *rand.Rand) (delayMS float64, slept bool) {
+	delayMS = s.priceBlock(tuples, rng)
+	return delayMS, sleepInterruptible(ctx, time.Duration(delayMS*s.cfg.SleepScale*float64(time.Millisecond)))
 }
 
-// produceBlockLocked advances the session by exactly one block: cache
-// fast path when available, scan+encode otherwise, then the injected
-// delay and the commit. It returns the committed replay block and
-// whether the session survived the commit (see commitLocked). On
-// errProduceCancelled nothing was committed and the state is parked for
-// a same-seq retry. Both the pull handler and the push producer drive
-// the session through this single path. Caller holds sess.mu.
-func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int) (rb *replayBlock, alive bool, err error) {
+// commitLocked makes rb the session's newest block: the cursor moves
+// past its tuples, the tail records it, and the commit is replicated —
+// the last two under the tail's mutex, which close takes before OpClose
+// is shipped. A session deleted or expired while the caller held sess.mu
+// therefore records nothing and ships nothing (an OpCommit after the
+// OpClose would resurrect a ghost session on every follower); the caller
+// still writes the block it owes its peer, on its own write reference.
+// It returns the block's number. Caller holds sess.mu.
+func (s *Server) commitLocked(sess *session, rb *replayBlock) uint64 {
+	sess.cursor += int64(rb.tuples)
+	t := &sess.tail
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.produced++
+	t.done = rb.done
+	if !t.closed {
+		rb.retain()
+		t.frames = append(t.frames, tailFrame{seq: t.produced, rb: rb})
+		s.shipCommit(sess, t.produced, rb)
+	}
+	return t.produced
+}
+
+// produceBlockLocked advances the session by exactly one block — the
+// cache when it has the block or can be filled, scan + encode otherwise
+// — then sleeps the priced delay and commits. The returned block carries
+// the caller's write reference (see tail). On errProduceCancelled nothing
+// was committed and the state is parked for a same-seq retry. Both
+// framings drive the session through this single path. Caller holds
+// sess.mu.
+func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int) (rb *replayBlock, seq uint64, err error) {
 	// Cache fast path. Bypassed while rows are parked: a parked block's
 	// shape was fixed by the pull that parked it, so a size-keyed cache
 	// entry would misdescribe it.
 	if s.cfg.Cache != nil && !sess.hasPending {
 		key := blockcache.DeriveKey(sess.cacheFP, sess.cursor, size)
+		// The fill runs on the GetOrFill leader: this goroutine, holding
+		// sess.mu. NewEntry copies the bytes and the pooled buffer is back
+		// in the pool before the entry is published, so a cached payload
+		// can never alias a recycled buffer.
 		ent, _, cerr := s.cfg.Cache.GetOrFill(key, func() (*blockcache.Entry, error) {
-			return s.fillCacheEntry(sess, size)
+			buf, rows, done, err := s.scanEncodeLocked(sess, size)
+			if err != nil {
+				return nil, err
+			}
+			ent := blockcache.NewEntry(buf.Bytes(), len(rows), done)
+			putBlockBuf(buf)
+			return ent, nil
 		})
 		switch {
 		case cerr == nil:
-			delayMS := s.priceBlock(ent.Tuples(), sess.rng)
-			if scale := s.cfg.SleepScale; scale > 0 && delayMS > 0 {
-				if !sleepInterruptible(ctx, time.Duration(delayMS*scale*float64(time.Millisecond))) {
-					// Nothing committed; the entry stays resident, so the
-					// same-seq retry is a pure hit. Drop this pull's reference.
-					ent.Release()
-					s.logf("session %s: pull cancelled mid-delay (cached block)", sess.id)
-					return nil, true, errProduceCancelled
-				}
-			}
-			rb = newCachedReplay(ent, delayMS)
-			return rb, s.commitLocked(sess, rb), nil
-		case cerr == blockcache.ErrFillFailed:
-			// Another session's concurrent fill of this key failed; fall
-			// through and produce the block the uncached way.
-		default:
+			// The reference GetOrFill retained for us becomes the block's.
+			rb = &replayBlock{entry: ent, payload: ent.Bytes(), tuples: ent.Tuples(), done: ent.Done()}
+		case cerr != blockcache.ErrFillFailed:
 			// Our own fill failed (scan or encode error); it has already
 			// parked rows and counted stats where appropriate.
-			return nil, true, cerr
+			return nil, 0, cerr
 		}
+		// ErrFillFailed: another session's concurrent fill of this key
+		// failed; produce the block the uncached way.
 	}
-
-	buf, rows, done, err := s.scanEncodeLocked(sess, size)
-	if err != nil {
-		return nil, true, err
-	}
-	delayMS := s.priceBlock(len(rows), sess.rng)
-	if scale := s.cfg.SleepScale; scale > 0 && delayMS > 0 {
-		if !sleepInterruptible(ctx, time.Duration(delayMS*scale*float64(time.Millisecond))) {
-			// The client is gone mid-delay: park the rows and release the
-			// session immediately instead of pinning it for the full
-			// simulated delay. Nothing is committed, so a same-seq retry
-			// re-serves these exact rows (and this pull's buffer is free to
-			// pool again).
-			buf.Reset()
-			blockBufPool.Put(buf)
-			sess.pendingRows, sess.pendingDone, sess.hasPending = rows, done, true
-			s.logf("session %s: pull cancelled mid-delay, %d rows parked", sess.id, len(rows))
-			return nil, true, errProduceCancelled
+	var rows []minidb.Row
+	if rb == nil {
+		buf, scanned, done, err := s.scanEncodeLocked(sess, size)
+		if err != nil {
+			return nil, 0, err
 		}
+		rows = scanned
+		rb = &replayBlock{buf: buf, payload: buf.Bytes(), tuples: len(rows), done: done}
 	}
+	rb.live = s.replayRefs
+	rb.retain() // the caller's write reference
 
+	var slept bool
+	if rb.delayMS, slept = s.pricedDelay(ctx, rb.tuples, sess.rng); !slept {
+		// The peer is gone mid-delay: release the session now instead of
+		// pinning it for the rest of the simulated delay. Nothing is
+		// committed. Scanned rows are parked, so a same-seq retry re-serves
+		// exactly them; a cache entry stays resident and the retry is a hit.
+		if rb.entry == nil {
+			sess.pendingRows, sess.pendingDone, sess.hasPending = rows, rb.done, true
+		}
+		releaseReplay(rb)
+		s.logf("session %s: block cancelled mid-delay", sess.id)
+		return nil, 0, errProduceCancelled
+	}
 	// Commit the block before attempting to write it: from here on the
 	// session state says "seq N was produced", and any delivery failure
-	// is recovered by replaying the buffer.
-	rb = newReplayBlock(buf, len(rows), done, delayMS)
+	// is recovered by replaying the retained bytes.
 	return rb, s.commitLocked(sess, rb), nil
 }
 
+// handleNext serves POST /sessions/{id}/next: the response framing, one
+// block per request.
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	sess, ok := s.sessions.get(r.PathValue("id"))
@@ -966,26 +912,11 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	size, err := strconv.Atoi(r.URL.Query().Get("size"))
-	if err != nil || size < 1 {
-		httpError(w, http.StatusBadRequest, "size must be a positive integer")
+	q, err := ParseQuery(r.URL.Query(), s.limits, true)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if size > s.cfg.MaxBlockSize {
-		httpError(w, http.StatusBadRequest, "size %d exceeds maximum %d", size, s.cfg.MaxBlockSize)
-		return
-	}
-	var seq uint64
-	hasSeq := false
-	if qs := r.URL.Query().Get("seq"); qs != "" {
-		seq, err = strconv.ParseUint(qs, 10, 64)
-		if err != nil || seq < 1 {
-			httpError(w, http.StatusBadRequest, "seq must be a positive integer")
-			return
-		}
-		hasSeq = true
-	}
-
 	fault := s.faults.decide(sess.id)
 	if fault == fault503 {
 		// Refused before touching any session state: a clean retry.
@@ -997,53 +928,25 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	sess.touch()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-
-	if sess.closed.Load() {
-		// The session was deleted or expired while this pull was between
-		// the store lookup and the lock; its replay buffer may already be
-		// pooled, so back out before touching it.
-		httpError(w, http.StatusNotFound, "no such session")
+	seq, class, replays, _ := sess.tail.begin(q.Seq, nil)
+	if class.Refuse(w, seq) {
 		return
 	}
-
-	if sess.push.Load() != nil {
-		httpError(w, http.StatusConflict, "session is in push-stream mode")
-		return
-	}
-
-	if hasSeq {
-		switch {
-		case seq == sess.lastSeq && sess.replay != nil:
-			s.serveReplay(w, sess, fault, started)
+	var rb *replayBlock
+	if class == SeqReplay {
+		rb = replays[0].rb
+	} else {
+		rb, seq, err = s.produceBlockLocked(r.Context(), sess, q.Size)
+		if err == errProduceCancelled {
 			return
-		case seq == sess.lastSeq+1:
-			// Fresh block, handled below.
-		default:
-			httpError(w, http.StatusConflict,
-				"seq %d outside the replay window (last served %d)", seq, sess.lastSeq)
+		}
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 	}
-	if sess.done {
-		httpError(w, http.StatusGone, "result set exhausted")
-		return
-	}
-
-	rb, alive, err := s.produceBlockLocked(r.Context(), sess, size)
-	if err == errProduceCancelled {
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.writeBlock(w, sess, rb, hasSeq, false, fault, started)
-	if !alive {
-		// The session raced its close while this pull held the lock; the
-		// client still got its block, and releasing this pull's buffer is
-		// our job (see commitLocked).
-		releaseReplay(rb)
-	}
+	// A legacy pull that sent no seq gets none echoed.
+	_ = s.serveBlock(w, sess, framing{echoSeq: q.Seq != 0, started: started}, seq, rb, class == SeqReplay, fault)
 }
 
 // sleepInterruptible sleeps for d unless the context is cancelled first;
@@ -1062,61 +965,136 @@ func sleepInterruptible(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// serveReplay re-sends the buffered block verbatim.
-func (s *Server) serveReplay(w http.ResponseWriter, sess *session, fault faultKind, started time.Time) {
-	s.stats.blocksReplayed.Add(1)
-	s.metrics.blocksReplayed.Inc()
-	s.writeBlock(w, sess, sess.replay, true, true, fault, started)
+// blockWriteDeadline bounds one block's write to its peer. A reader that
+// stops reading would otherwise hold the producer goroutine, its
+// retained frames and (for a pull) sess.mu until the session TTL. A
+// variable only so that tests can shorten it.
+var blockWriteDeadline = 2 * time.Minute
+
+// framing is how serveBlock puts a block on the wire: as one HTTP
+// response, metadata in headers and the payload as the body (/next), or
+// as one wire.Frame on the open stream, flushed (/stream).
+type framing struct {
+	stream bool
+	// The response framing echoes the seq when the request named one and
+	// feeds the served wall time since started (injected delay included)
+	// to the block-serve histogram the SLO regulator closes its loop on.
+	echoSeq bool
+	started time.Time
 }
 
-// writeBlock writes one block response (fresh or replayed), applying any
-// injected drop/truncate fault, and accounts served stats only for a
-// payload that is fully written. started is when the pull entered the handler;
-// the served wall time (injected delay included) feeds the block-RTT
-// histogram the SLO regulator closes its loop on.
-func (s *Server) writeBlock(w http.ResponseWriter, sess *session, rb *replayBlock, hasSeq, replayed bool, fault faultKind, started time.Time) {
+// serveBlock is the one function that writes a committed block — fresh
+// or replayed — to a peer. It applies the injected drop/truncate fault,
+// bounds the write by blockWriteDeadline, counts the block before the
+// write and takes a failed write back, and records the post-write
+// metrics. It takes over the caller's write reference to rb and drops it
+// when the write is over, however it ends (an injected fault leaves by
+// panic).
+func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, seq uint64, rb *replayBlock, replayed bool, fault faultKind) error {
+	defer releaseReplay(rb)
 	if fault == faultDrop {
 		s.countFault(fault)
 		s.logf("session %s: injected fault: dropping connection", sess.id)
 		abortConnection()
 	}
-	w.Header().Set("Content-Type", s.codec.ContentType())
-	w.Header().Set(HeaderBlockTuples, strconv.Itoa(rb.tuples))
-	w.Header().Set(HeaderBlockDone, strconv.FormatBool(rb.done))
-	w.Header().Set(HeaderInjectedDelayMS, strconv.FormatFloat(rb.delayMS, 'f', 3, 64))
-	if hasSeq {
-		w.Header().Set(HeaderBlockSeq, strconv.FormatUint(sess.lastSeq, 10))
+	rc := http.NewResponseController(w)
+	var f wire.Frame
+	if fr.stream {
+		if len(rb.payload) > s.cfg.PushMaxFrameBytes {
+			// The block stays committed and retained; a reconnect meets the
+			// same answer until the operator fixes the configuration.
+			err := fmt.Errorf("block %d encodes to %d bytes, past the %d push frame cap — lower the block size or raise -push-max-frame",
+				seq, len(rb.payload), s.cfg.PushMaxFrameBytes)
+			s.writeErrorFrame(w, sess, err)
+			return err
+		}
+		f = wire.Frame{Type: wire.FrameData, Seq: seq, Tuples: uint32(rb.tuples), Done: rb.done, Replay: replayed, DelayMS: rb.delayMS, Payload: rb.payload}
+	} else {
+		h := w.Header()
+		h.Set("Content-Type", s.codec.ContentType())
+		h.Set(HeaderBlockTuples, strconv.Itoa(rb.tuples))
+		h.Set(HeaderBlockDone, strconv.FormatBool(rb.done))
+		h.Set(HeaderInjectedDelayMS, strconv.FormatFloat(rb.delayMS, 'f', 3, 64))
+		if fr.echoSeq {
+			h.Set(HeaderBlockSeq, strconv.FormatUint(seq, 10))
+		}
+		if replayed {
+			h.Set(HeaderBlockReplay, "true")
+		}
+		// The length is known before the first byte: say so, so a block
+		// larger than net/http's buffer does not leave chunked and the next
+		// hop (wsgate) can size its buffer once.
+		h.Set("Content-Length", strconv.Itoa(len(rb.payload)))
 	}
-	if replayed {
-		w.Header().Set(HeaderBlockReplay, "true")
-	}
-	// The length is known before the first byte: say so, so a block
-	// larger than net/http's buffer does not leave chunked and the next
-	// hop (wsgate) can size its buffer once.
-	w.Header().Set("Content-Length", strconv.Itoa(len(rb.payload)))
 	if fault == faultTruncate {
 		s.countFault(fault)
-		s.logf("session %s: injected fault: truncating response", sess.id)
-		_, _ = w.Write(rb.payload[:len(rb.payload)/2])
+		s.logf("session %s: injected fault: truncating block %d", sess.id, seq)
+		if fr.stream {
+			var image bytes.Buffer
+			_ = wire.WriteFrame(&image, f)
+			_, _ = w.Write(image.Bytes()[:image.Len()/2])
+			_ = rc.Flush()
+		} else {
+			_, _ = w.Write(rb.payload[:len(rb.payload)/2])
+		}
 		abortConnection()
 	}
+
+	// With no server-wide WriteTimeout (it would cut healthy streams)
+	// nothing else bounds a write, and nothing else resets the deadline on
+	// a keep-alive connection. Recorders answer ErrNotSupported.
+	_ = rc.SetWriteDeadline(time.Now().Add(blockWriteDeadline))
 	// With the length declared, the peer holds the whole block the moment
-	// Write returns — before this handler does. Whoever reads Stats after
-	// receiving a block must find it counted, so the block is counted
-	// first and a failed write takes it back.
-	s.stats.blocksServed.Add(1)
-	s.stats.tuplesServed.Add(int64(rb.tuples))
-	if _, err := w.Write(rb.payload); err != nil {
-		s.stats.blocksServed.Add(-1)
-		s.stats.tuplesServed.Add(-int64(rb.tuples))
-		s.logf("session %s: write block: %v", sess.id, err)
-		return
+	// the write returns — before this handler does. Whoever reads Stats
+	// after receiving a block must find it counted, so the block is
+	// counted first and a failed write takes it back. That is why Stats
+	// and the metrics registry are bumped apart: registry counters are
+	// monotone and count after the write.
+	s.countServed(fr, rb, replayed, 1)
+	var err error
+	if !fr.stream {
+		_, err = w.Write(rb.payload)
+	} else if err = wire.WriteFrame(w, f); err == nil {
+		err = rc.Flush()
+	}
+	_ = rc.SetWriteDeadline(time.Time{})
+	if err != nil {
+		s.countServed(fr, rb, replayed, -1)
+		s.logf("session %s: write block %d: %v", sess.id, seq, err)
+		return err
 	}
 	s.metrics.blocksServed.Inc()
 	s.metrics.tuplesServed.Add(int64(rb.tuples))
 	s.metrics.blockSize.Observe(float64(rb.tuples))
 	s.metrics.blockDelay.Observe(rb.delayMS)
-	s.metrics.blockServe.Observe(float64(time.Since(started)) / float64(time.Millisecond))
+	if replayed {
+		s.metrics.blocksReplayed.Inc()
+	}
+	if fr.stream {
+		s.metrics.pushFramesSent.Inc()
+		if replayed {
+			s.metrics.pushFramesReplayed.Inc()
+		}
+	} else {
+		s.metrics.blockServe.Observe(float64(time.Since(fr.started)) / float64(time.Millisecond))
+	}
+	return nil
+}
+
+// countServed adds n (+1, or -1 to take a failed write back) serves of rb
+// to the Stats counters a reader reconciles against delivered blocks.
+func (s *Server) countServed(fr framing, rb *replayBlock, replayed bool, n int64) {
+	s.stats.blocksServed.Add(n)
+	s.stats.tuplesServed.Add(n * int64(rb.tuples))
+	if replayed {
+		s.stats.blocksReplayed.Add(n)
+	}
+	if fr.stream {
+		s.stats.pushFramesSent.Add(n)
+		if replayed {
+			s.stats.pushFramesReplayed.Add(n)
+		}
+	}
 }
 
 // BlockServeSnapshot freezes the served-block wall-time histogram. The
@@ -1152,11 +1130,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	closeSession(sess)
-	s.shipClose(id)
-	s.groups.leave(sess.group)
-	s.Release()
-	s.faults.forget(id)
+	s.closeSession(sess)
 	s.logf("session %s closed", id)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -12,7 +12,7 @@ import (
 // encoders write through, and the DecodeBlock entry point that picks the
 // scratch path when the codec supports it.
 //
-// Ownership rules (see DESIGN.md §11), the same for the binary and the
+// Ownership rules (see DESIGN.md §14), the same for the binary and the
 // XML codec: a Scratch may only be used by one decode at a time, and the
 // rows returned by a scratch decode alias the scratch — they stay valid
 // until the next decode that reuses it. String

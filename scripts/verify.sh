@@ -111,11 +111,21 @@ for g; do
 		;;
 	esac
 done
+# Each gate's wall seconds and the total are printed at the end: the
+# figure a CHANGES.md line records next to scripts/size.sh's, so that
+# what verification costs has a trajectory too.
+began=$(date +%s)
+took=""
 for g; do
 	fn="gate_$(echo "$g" | tr - _)"
 	echo "== gate: $g"
+	start=$(date +%s)
 	(
 		set -x
 		"$fn"
 	)
+	took="$took$(printf '%-11s %5ds' "$g" $(($(date +%s) - start)))
+"
 done
+echo "== wall seconds per gate"
+printf '%s%-11s %5ds\n' "$took" total $(($(date +%s) - began))
