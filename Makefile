@@ -7,8 +7,9 @@ GATES = build vet results race fuzzseeds stress allocgate slo-sim chaos-gate cac
 all: verify
 
 # verify is the tier-1 gate: every gate of scripts/verify.sh, in its
-# order. That script is the one place a gate's commands are spelled out;
-# each gate is also a target of its own (`make stress`, `make allocgate`).
+# order. That script is the one place a gate's commands are spelled out,
+# and it gives every test to exactly one gate (`race` runs what no other
+# gate owns); each gate is also a target of its own (`make stress`).
 verify:
 	GO="$(GO)" scripts/verify.sh
 

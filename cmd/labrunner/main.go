@@ -25,7 +25,6 @@ func main() {
 		seed   = flag.Int64("seed", 1, "randomization seed")
 		format = flag.String("format", "txt", "output format: txt, csv or md")
 		outDir = flag.String("out", "", "write one file per experiment into this directory instead of stdout")
-		plot   = flag.Bool("plot", false, "render an ASCII chart under each chartable report")
 	)
 	flag.Parse()
 
@@ -58,9 +57,6 @@ func main() {
 			fmt.Println(rep.MarkdownTable())
 		default:
 			fmt.Println(rep)
-		}
-		if *plot && rep.Chartable() {
-			fmt.Println(rep.Chart(72, 16))
 		}
 	}
 	if *id != "" {

@@ -58,7 +58,6 @@ func main() {
 		limitsArg = flag.String("limits", "100:20000", "block-size limits lo:hi")
 		useInj    = flag.Bool("simtime", true, "observe server-injected simulated delays instead of wall time")
 		trace     = flag.Bool("trace", false, "print each block decision")
-		traceCSV  = flag.String("trace-csv", "", "write the full controller trace to this CSV file")
 		eventsOut = flag.String("events", "", "write a JSONL structured trace (one event per block) to this file")
 		retries   = flag.Int("retries", 5, "attempts per request; block transfers replay safely via the seq protocol (1 = no retry)")
 		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubles per attempt, full jitter)")
@@ -99,16 +98,11 @@ func main() {
 	// original single-session path.
 	vectorMode := *ctlName == "vector" || *streams > 1 || *pipeDepth > 1
 	var ctl core.Controller
-	var tracer *core.Tracer
 	if !vectorMode {
 		var err error
 		ctl, err = buildController(*ctlName, *size, *b1, *b2, limits)
 		if err != nil {
 			logger.Fatal(err)
-		}
-		if *traceCSV != "" {
-			tracer = core.NewTracer(ctl, 0)
-			ctl = tracer
 		}
 	}
 	codec, err := wire.ByName(*codecName)
@@ -201,19 +195,6 @@ func main() {
 			logger.Fatal(err)
 		}
 		logger.Printf("events written to %s", *eventsOut)
-	}
-	if tracer != nil {
-		f, err := os.Create(*traceCSV)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		if err := tracer.WriteCSV(f); err != nil {
-			logger.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			logger.Fatal(err)
-		}
-		logger.Printf("trace written to %s", *traceCSV)
 	}
 	if reg != nil {
 		f, err := os.Create(*metricsOut)

@@ -160,7 +160,7 @@ type Config struct {
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness, exposed on
-// /stats and mirrored as metrics.
+// /stats; the wsopt_cache_* series read the same counters.
 type Stats struct {
 	MemHits            int64 `json:"mem_hits"`
 	DiskHits           int64 `json:"disk_hits"`
@@ -202,7 +202,6 @@ type flight struct {
 type Cache struct {
 	memLimit int64
 	disk     *diskTier
-	m        *cacheMetrics
 
 	mu      sync.Mutex
 	entries map[Key]*list.Element
@@ -210,6 +209,8 @@ type Cache struct {
 	bytes   int64
 	flights map[Key]*flight
 
+	// One atomic per counted fact; Stats() and the wsopt_cache_* series
+	// (metrics.go) both read these.
 	memHits, diskHits, misses atomic.Int64
 	memEvict, diskEvict       atomic.Int64
 	shared                    atomic.Int64
@@ -230,19 +231,14 @@ func New(cfg Config) (*Cache, error) {
 		flights:  make(map[Key]*flight),
 	}
 	if cfg.Dir != "" {
-		d, err := newDiskTier(cfg.Dir, cfg.DiskBytes, func(n int64) {
-			c.diskEvict.Add(n)
-			if c.m != nil {
-				c.m.diskEvictions.Add(n)
-			}
-		})
+		d, err := newDiskTier(cfg.Dir, cfg.DiskBytes, func(n int64) { c.diskEvict.Add(n) })
 		if err != nil {
 			return nil, err
 		}
 		c.disk = d
 	}
 	if cfg.Metrics != nil {
-		c.m = newCacheMetrics(cfg.Metrics, c)
+		c.registerMetrics(cfg.Metrics)
 	}
 	return c, nil
 }
@@ -280,17 +276,14 @@ func (c *Cache) getDisk(key Key) *Entry {
 // the caller, or nil on a miss.
 func (c *Cache) Get(key Key) *Entry {
 	if e := c.getMem(key); e != nil {
-		c.countMemHit()
+		c.memHits.Add(1)
 		return e
 	}
 	if e := c.getDisk(key); e != nil {
-		c.countDiskHit()
+		c.diskHits.Add(1)
 		return e
 	}
 	c.misses.Add(1)
-	if c.m != nil {
-		c.m.misses.Inc()
-	}
 	return nil
 }
 
@@ -322,9 +315,6 @@ func (c *Cache) put(key Key, ent *Entry) {
 	// raced the eviction keep valid references.
 	for _, it := range spill {
 		c.memEvict.Add(1)
-		if c.m != nil {
-			c.m.memEvictions.Inc()
-		}
 		if c.disk != nil {
 			c.disk.put(it.key, it.ent.payload, it.ent.tuples, it.ent.done)
 		}
@@ -345,7 +335,7 @@ func (c *Cache) GetOrFill(key Key, fill func() (*Entry, error)) (ent *Entry, sha
 		e := el.Value.(*lruItem).ent
 		e.Retain()
 		c.mu.Unlock()
-		c.countMemHit()
+		c.memHits.Add(1)
 		return e, false, nil
 	}
 	if f, ok := c.flights[key]; ok {
@@ -356,9 +346,6 @@ func (c *Cache) GetOrFill(key Key, fill func() (*Entry, error)) (ent *Entry, sha
 			return nil, false, ErrFillFailed
 		}
 		c.shared.Add(1)
-		if c.m != nil {
-			c.m.singleflightShared.Inc()
-		}
 		return f.ent, true, nil
 	}
 	f := &flight{done: make(chan struct{})}
@@ -368,14 +355,11 @@ func (c *Cache) GetOrFill(key Key, fill func() (*Entry, error)) (ent *Entry, sha
 	// Leader path. The disk probe and the fill both run outside the
 	// cache lock; waiters queue on the flight meanwhile.
 	if e := c.getDisk(key); e != nil {
-		c.countDiskHit()
+		c.diskHits.Add(1)
 		c.resolve(key, f, e)
 		return e, false, nil
 	}
 	c.misses.Add(1)
-	if c.m != nil {
-		c.m.misses.Inc()
-	}
 	e, err := fill()
 	if err != nil {
 		c.resolve(key, f, nil)
@@ -401,20 +385,6 @@ func (c *Cache) resolve(key Key, f *flight, ent *Entry) {
 	f.ent = ent
 	c.mu.Unlock()
 	close(f.done)
-}
-
-func (c *Cache) countMemHit() {
-	c.memHits.Add(1)
-	if c.m != nil {
-		c.m.memHits.Inc()
-	}
-}
-
-func (c *Cache) countDiskHit() {
-	c.diskHits.Add(1)
-	if c.m != nil {
-		c.m.diskHits.Inc()
-	}
 }
 
 // Stats snapshots the cache counters and tier occupancy.

@@ -597,18 +597,20 @@ func (c *Client) pullOnce(cctx, parent context.Context, u string) (*Block, error
 	}
 	elapsed := time.Since(t1)
 
-	blk := &Block{Rows: rows, Schema: schema, Elapsed: elapsed, Bytes: body.n, scratch: sc}
-	blk.Done, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockDone))
-	blk.InjectedMS, _ = strconv.ParseFloat(resp.Header.Get(service.HeaderInjectedDelayMS), 64)
-	blk.Replayed, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockReplay))
-	blk.GatewayFailovers, _ = strconv.Atoi(resp.Header.Get(service.HeaderGatewayFailovers))
-	if want := resp.Header.Get(service.HeaderBlockTuples); want != "" {
-		if n, err := strconv.Atoi(want); err == nil && n != len(rows) {
-			scratchPool.Put(sc)
-			return nil, markTransient(fmt.Errorf("client: server announced %d tuples but block decoded %d", n, len(rows)))
-		}
+	meta, announced := service.ParseBlockMeta(resp.Header)
+	if announced && meta.Tuples != len(rows) {
+		scratchPool.Put(sc)
+		return nil, markTransient(fmt.Errorf("client: server announced %d tuples but block decoded %d", meta.Tuples, len(rows)))
 	}
+	blk := &Block{Rows: rows, Schema: schema, Elapsed: elapsed, Bytes: body.n, scratch: sc}
+	blk.setMeta(meta)
 	return blk, nil
+}
+
+// setMeta copies what the server said about the block, whichever framing
+// carried it.
+func (b *Block) setMeta(m service.BlockMeta) {
+	b.Done, b.InjectedMS, b.Replayed, b.GatewayFailovers = m.Done, m.DelayMS, m.Replayed, m.Failovers
 }
 
 // classifyPullErr decides whether a failed pull is worth retrying: the

@@ -124,10 +124,8 @@ func (p *PushSession) sendOnce(ctx context.Context, u string, payload []byte, tu
 		}
 		return nil, err
 	}
-	blk := &PushBlock{Tuples: tuples, Elapsed: time.Since(t1)}
-	blk.InjectedMS, _ = strconv.ParseFloat(resp.Header.Get(service.HeaderInjectedDelayMS), 64)
-	blk.Replayed, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockReplay))
-	return blk, nil
+	ack, _ := service.ParseBlockMeta(resp.Header)
+	return &PushBlock{Tuples: tuples, Elapsed: time.Since(t1), InjectedMS: ack.DelayMS, Replayed: ack.Replayed}, nil
 }
 
 // Close finishes the upload and returns the server-confirmed tuple count.

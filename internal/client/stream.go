@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"wsopt/internal/service"
 	"wsopt/internal/wire"
 )
 
@@ -208,22 +209,15 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 			s.ep.Failure()
 			return nil, markTransient(fmt.Errorf("client: decode push frame: %w", err))
 		}
-		if int(f.Tuples) != len(rows) {
+		meta := service.FrameMeta(f)
+		if meta.Tuples != len(rows) {
 			scratchPool.Put(sc)
 			s.ep.Failure()
-			return nil, markTransient(fmt.Errorf("client: frame announced %d tuples but decoded %d", f.Tuples, len(rows)))
+			return nil, markTransient(fmt.Errorf("client: frame announced %d tuples but decoded %d", meta.Tuples, len(rows)))
 		}
-		return &Block{
-			Rows:       rows,
-			Schema:     schema,
-			Elapsed:    time.Since(t1),
-			Bytes:      int64(len(f.Payload)),
-			Done:       f.Done,
-			InjectedMS: f.DelayMS,
-			Replayed:   f.Replay,
-			Endpoint:   s.ep.URL(),
-			scratch:    sc,
-		}, nil
+		blk := &Block{Rows: rows, Schema: schema, Elapsed: time.Since(t1), Bytes: int64(len(f.Payload)), Endpoint: s.ep.URL(), scratch: sc}
+		blk.setMeta(meta)
+		return blk, nil
 	}
 }
 

@@ -94,7 +94,7 @@ func NotifyDisturbance(ctl Controller, reason string) bool {
 // PhaseOf reports the operating phase of a controller for traces and
 // events: "transient" or "steady" for the switching extremum family
 // (which exposes InSteadyState), "" for controllers without phases.
-// Wrappers such as Tracer are unwrapped transparently.
+// Wrappers that expose Unwrap are unwrapped transparently.
 func PhaseOf(ctl Controller) string {
 	type steady interface{ InSteadyState() bool }
 	type unwrapper interface{ Unwrap() Controller }
@@ -246,7 +246,7 @@ type Config struct {
 	Seed int64
 	// Metrics, when non-nil, receives the controller's phase-transition
 	// counter (wsopt_core_phase_transitions_total). Decisions themselves
-	// are traced by core.Tracer and the client's event log.
+	// are traced by the client's event log (client.BlockEvent).
 	Metrics *metrics.Registry
 }
 

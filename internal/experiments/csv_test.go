@@ -47,41 +47,6 @@ func TestMarkdownTable(t *testing.T) {
 	}
 }
 
-func TestReportChart(t *testing.T) {
-	rep := Report{
-		ID:      "traj",
-		Columns: []string{"step", "a", "b"},
-		Rows: [][]string{
-			{"1", "100", "200"},
-			{"2", "150", "180"},
-			{"3", "200", "160"},
-		},
-	}
-	if !rep.Chartable() {
-		t.Fatal("numeric trajectory should be chartable")
-	}
-	out := rep.Chart(30, 6)
-	if !strings.Contains(out, "o a") || !strings.Contains(out, "x b") {
-		t.Fatalf("chart legend missing:\n%s", out)
-	}
-	// Non-numeric tables are not chartable.
-	tbl := Report{
-		Columns: []string{"config", "value"},
-		Rows:    [][]string{{"conf1.1", "ok"}, {"conf1.2", "fine"}},
-	}
-	if tbl.Chartable() {
-		t.Fatal("text table should not be chartable")
-	}
-	// Padded (blank) trajectory cells are skipped, not fatal.
-	padded := Report{
-		Columns: []string{"step", "s"},
-		Rows:    [][]string{{"1", "10"}, {"2", ""}, {"3", "30"}},
-	}
-	if !padded.Chartable() {
-		t.Fatal("padded trajectory should chart from its non-blank cells")
-	}
-}
-
 func TestSaveAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")

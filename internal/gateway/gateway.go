@@ -126,17 +126,10 @@ type Gateway struct {
 	// pressure through the promoted regulator.Sink methods.
 	*service.Admission
 
-	sessionsOpened  atomic.Int64
-	sessionsShed    atomic.Int64
-	sessionsExpired atomic.Int64
-	blocksProxied   atomic.Int64
-	tuplesProxied   atomic.Int64
-	failovers       atomic.Int64
-	standbyReplays  atomic.Int64
-	fallbackReplays atomic.Int64
-
-	metrics *gwMetrics
-	mux     *http.ServeMux
+	stats gwStats
+	// blockServe is the fleet-wide block-serve histogram, registry-owned.
+	blockServe *metrics.Histogram
+	mux        *http.ServeMux
 }
 
 // gwSession is one client-facing session. The client sees a stable id
@@ -248,7 +241,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		g.backends[b.url] = b
 	}
-	g.metrics = newGatewayMetrics(reg, g)
+	g.registerMetrics(reg)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", g.handleCreate)
@@ -263,38 +256,18 @@ func New(cfg Config) (*Gateway, error) {
 // Handler returns the gateway's HTTP handler.
 func (g *Gateway) Handler() http.Handler { return g.mux }
 
-// Start launches the per-backend replication pullers and the idle-session
-// janitor; they stop when ctx is cancelled.
+// Start launches the per-backend replication pullers; they stop when ctx
+// is cancelled. Idle sessions are expired by whoever runs the gateway
+// calling ExpireIdle (cmd/wsgate's daemon chassis runs that janitor).
 func (g *Gateway) Start(ctx context.Context) {
 	for _, url := range g.order {
 		go g.backends[url].puller.Run(ctx)
 	}
-	interval := g.cfg.SessionTTL / 4
-	if interval > time.Minute {
-		interval = time.Minute
-	}
-	if interval < time.Second {
-		interval = time.Second
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				if n := g.ExpireIdle(time.Now()); n > 0 {
-					g.logf("expired %d idle sessions", n)
-				}
-			}
-		}
-	}()
 }
 
 // ExpireIdle drops gateway sessions idle longer than the TTL, releasing
 // their admission slots and best-effort deleting the backend side; it
-// returns how many were dropped. Start runs it periodically.
+// returns how many were dropped.
 func (g *Gateway) ExpireIdle(now time.Time) int {
 	cut := now.Add(-g.cfg.SessionTTL).UnixNano()
 	g.mu.Lock()
@@ -313,8 +286,7 @@ func (g *Gateway) ExpireIdle(now time.Time) int {
 		sess.mu.Unlock()
 		b.sessions.Add(-1)
 		g.Release()
-		g.sessionsExpired.Add(1)
-		g.metrics.sessionsExpired.Inc()
+		g.stats.sessionsExpired.Add(1)
 		g.deleteBackendSession(b, bid)
 		g.logf("session %s expired idle", sess.id)
 	}
@@ -326,7 +298,7 @@ func (g *Gateway) ExpireIdle(now time.Time) int {
 // backend flows through the gateway, so this is the fleet p95, not one
 // replica's.
 func (g *Gateway) BlockServeSnapshot() metrics.HistogramSnapshot {
-	return g.metrics.blockServe.Snapshot()
+	return g.blockServe.Snapshot()
 }
 
 // SessionCount reports live gateway sessions.
@@ -337,7 +309,7 @@ func (g *Gateway) SessionCount() int {
 }
 
 // Failovers reports transparent failovers performed so far.
-func (g *Gateway) Failovers() int64 { return g.failovers.Load() }
+func (g *Gateway) Failovers() int64 { return g.stats.failovers.Load() }
 
 // healthy reports whether a backend's breaker currently admits traffic.
 func (g *Gateway) healthy(url string) bool {
@@ -351,8 +323,7 @@ func (g *Gateway) healthy(url string) bool {
 func (g *Gateway) admit(w http.ResponseWriter) bool {
 	limit, ok := g.Admit(w.Header())
 	if !ok {
-		g.sessionsShed.Add(1)
-		g.metrics.sessionsShed.Inc()
+		g.stats.sessionsShed.Add(1)
 		httpError(w, http.StatusServiceUnavailable, "gateway session limit reached (%d open)", limit)
 	}
 	return ok
@@ -425,8 +396,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	g.mu.Unlock()
 	placed.sessions.Add(1)
 	committed = true
-	g.sessionsOpened.Add(1)
-	g.metrics.sessionsOpened.Inc()
+	g.stats.sessionsOpened.Add(1)
 	g.logf("session %s opened on %s (backend id %s, offset %d)", id, placed.url, cr.Session, offset)
 
 	w.Header().Set("Content-Type", "application/json")
@@ -495,10 +465,9 @@ func (g *Gateway) openOn(ctx context.Context, b *backend, body []byte) (createRe
 type proxiedBlock struct {
 	payload     []byte
 	contentType string
-	tuples      int
-	done        bool
-	replayed    bool
-	injectedMS  string
+	// meta is the block's metadata as the backend (or the standby copy)
+	// gave it; writeBlock stamps the client's seq and the gateway hop on it.
+	meta service.BlockMeta
 	// buf is the pooled buffer backing payload, owned by this block from
 	// pullFrom until release; nil when payload belongs to someone else (a
 	// standby copy, a backend's error message).
@@ -564,7 +533,7 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusConflict, "seq %d is no longer replayable after failover", seq)
 			return
 		}
-		g.writeBlock(w, sess, g.standbyBlock(sess.standby), seq, q.Seq != 0, started)
+		g.writeBlock(w, sess, g.standbyBlock(sess.standby), q.Seq, started)
 		return
 	}
 
@@ -590,26 +559,23 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 
 	if !replay {
 		sess.lastSeq = seq
-		sess.lastTuples = blk.tuples
-		sess.committed += int64(blk.tuples)
-		sess.done = blk.done
+		sess.lastTuples = blk.meta.Tuples
+		sess.committed += int64(blk.meta.Tuples)
+		sess.done = blk.meta.Done
 		sess.standby = nil
 	}
-	g.writeBlock(w, sess, blk, seq, q.Seq != 0, started)
+	g.writeBlock(w, sess, blk, q.Seq, started)
 }
 
 // standbyBlock wraps a replicated copy of a session's newest block for
 // serving in place of its dead primary, and counts the standby replay.
 // The payload is the copy's own, never a pooled buffer.
 func (g *Gateway) standbyBlock(ss *replica.SessionState) *proxiedBlock {
-	g.standbyReplays.Add(1)
-	g.metrics.standbyReplays.Inc()
+	g.stats.standbyReplays.Add(1)
 	return &proxiedBlock{
 		payload:     ss.Payload,
 		contentType: codecContentType(ss.Codec),
-		tuples:      ss.Tuples,
-		done:        ss.Done,
-		replayed:    true,
+		meta:        service.BlockMeta{Tuples: ss.Tuples, Done: ss.Done, Replayed: true},
 	}
 }
 
@@ -656,10 +622,7 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, si
 		blk.release()
 		return nil, 0, fmt.Errorf("read block body: %w", err)
 	}
-	blk.tuples, _ = strconv.Atoi(resp.Header.Get(service.HeaderBlockTuples))
-	blk.done, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockDone))
-	blk.replayed, _ = strconv.ParseBool(resp.Header.Get(service.HeaderBlockReplay))
-	blk.injectedMS = resp.Header.Get(service.HeaderInjectedDelayMS)
+	blk.meta, _ = service.ParseBlockMeta(resp.Header)
 	return blk, 0, nil
 }
 
@@ -741,16 +704,15 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 		if err != nil || status != 0 {
 			return nil, fmt.Errorf("re-pull lost block on %s: status %d: %v", targetURL, status, err)
 		}
-		if pulled.tuples != sess.lastTuples {
+		if pulled.meta.Tuples != sess.lastTuples {
 			pulled.release()
-			return nil, fmt.Errorf("re-pulled block has %d tuples, committed block had %d", pulled.tuples, sess.lastTuples)
+			return nil, fmt.Errorf("re-pulled block has %d tuples, committed block had %d", pulled.meta.Tuples, sess.lastTuples)
 		}
-		pulled.replayed = true
+		pulled.meta.Replayed = true
 		sess.backendID = id
 		sess.seqBase = sess.lastSeq - 1
 		blk = pulled
-		g.fallbackReplays.Add(1)
-		g.metrics.fallbackReplays.Inc()
+		g.stats.fallbackReplays.Add(1)
 	default:
 		// Fresh pull: resume the query at the committed cursor.
 		id, err := g.reopen(ctx, sess, target, sess.committed)
@@ -771,8 +733,7 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 	target.sessions.Add(1)
 	sess.backend = target
 	sess.failovers++
-	g.failovers.Add(1)
-	g.metrics.failovers.Inc()
+	g.stats.failovers.Add(1)
 	// Prefer the proven-healthy successor for future picks too.
 	g.pool.Promote(target.ep)
 	g.logf("session %s failed over %s -> %s (seq %d, committed %d, replay=%v)",
@@ -805,36 +766,29 @@ func (g *Gateway) reopen(ctx context.Context, sess *gwSession, b *backend, offse
 	return cr.Session, nil
 }
 
-// writeBlock writes one proxied block to the client, translating the
-// seq and stamping the gateway headers. Called with sess.mu held.
-func (g *Gateway) writeBlock(w http.ResponseWriter, sess *gwSession, blk *proxiedBlock, seq uint64, hasSeq bool, started time.Time) {
+// writeBlock writes one proxied block to the client, stamping the seq the
+// client named (echoSeq; 0 = it named none, nothing is echoed) and the
+// gateway hop on its metadata. Like the service, it counts the block
+// before the write — the client holds it the moment the write returns —
+// and takes a failed write back. Called with sess.mu held.
+func (g *Gateway) writeBlock(w http.ResponseWriter, sess *gwSession, blk *proxiedBlock, echoSeq uint64, started time.Time) {
+	meta := blk.meta
+	meta.Seq, meta.Backend, meta.Failovers = echoSeq, sess.backend.url, sess.failovers
 	h := w.Header()
 	if blk.contentType != "" {
 		h.Set("Content-Type", blk.contentType)
 	}
-	h.Set(service.HeaderBlockTuples, strconv.Itoa(blk.tuples))
-	h.Set(service.HeaderBlockDone, strconv.FormatBool(blk.done))
-	if blk.injectedMS != "" {
-		h.Set(service.HeaderInjectedDelayMS, blk.injectedMS)
-	}
-	if hasSeq {
-		h.Set(service.HeaderBlockSeq, strconv.FormatUint(seq, 10))
-	}
-	if blk.replayed {
-		h.Set(service.HeaderBlockReplay, "true")
-	}
-	h.Set(service.HeaderGatewayBackend, sess.backend.url)
-	h.Set(service.HeaderGatewayFailovers, strconv.Itoa(sess.failovers))
+	meta.WriteHeader(h)
 	h.Set("Content-Length", strconv.Itoa(len(blk.payload)))
+	g.stats.blocksProxied.Add(1)
+	g.stats.tuplesProxied.Add(int64(meta.Tuples))
 	if _, err := w.Write(blk.payload); err != nil {
+		g.stats.blocksProxied.Add(-1)
+		g.stats.tuplesProxied.Add(-int64(meta.Tuples))
 		g.logf("session %s: write block: %v", sess.id, err)
 		return
 	}
-	g.blocksProxied.Add(1)
-	g.tuplesProxied.Add(int64(blk.tuples))
-	g.metrics.blocksProxied.Inc()
-	g.metrics.tuplesProxied.Add(int64(blk.tuples))
-	g.metrics.blockServe.Observe(float64(time.Since(started)) / float64(time.Millisecond))
+	g.blockServe.Observe(float64(time.Since(started)) / float64(time.Millisecond))
 }
 
 func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -939,14 +893,14 @@ type Stats struct {
 // Stats snapshots the gateway's counters, backends, and live sessions.
 func (g *Gateway) Stats() Stats {
 	st := Stats{
-		SessionsOpened:  g.sessionsOpened.Load(),
-		SessionsShed:    g.sessionsShed.Load(),
-		SessionsExpired: g.sessionsExpired.Load(),
-		BlocksProxied:   g.blocksProxied.Load(),
-		TuplesProxied:   g.tuplesProxied.Load(),
-		Failovers:       g.failovers.Load(),
-		StandbyReplays:  g.standbyReplays.Load(),
-		FallbackReplays: g.fallbackReplays.Load(),
+		SessionsOpened:  g.stats.sessionsOpened.Load(),
+		SessionsShed:    g.stats.sessionsShed.Load(),
+		SessionsExpired: g.stats.sessionsExpired.Load(),
+		BlocksProxied:   g.stats.blocksProxied.Load(),
+		TuplesProxied:   g.stats.tuplesProxied.Load(),
+		Failovers:       g.stats.failovers.Load(),
+		StandbyReplays:  g.stats.standbyReplays.Load(),
+		FallbackReplays: g.stats.fallbackReplays.Load(),
 		SessionLimit:    g.SessionLimit(),
 		Pressure:        g.AdmissionPressure(),
 	}

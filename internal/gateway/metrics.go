@@ -1,45 +1,44 @@
 package gateway
 
-import "wsopt/internal/metrics"
+import (
+	"sync/atomic"
 
-// gwMetrics holds the gateway's metric instruments. The gateway
-// re-exports an AGGREGATE view: per-backend health and replication lag
-// plus fleet-wide session/block/failover counters, so one scrape of the
-// gateway describes the whole tier.
-type gwMetrics struct {
-	sessionsOpened  *metrics.Counter
-	sessionsShed    *metrics.Counter
-	sessionsExpired *metrics.Counter
-	blocksProxied   *metrics.Counter
-	tuplesProxied   *metrics.Counter
-	failovers       *metrics.Counter
-	standbyReplays  *metrics.Counter
-	fallbackReplays *metrics.Counter
-	blockServe      *metrics.Histogram
+	"wsopt/internal/metrics"
+)
+
+// gwStats is the gateway's one set of counters: one atomic per counted
+// fact, bumped once where the fact happens. Stats() (GET /stats) and the
+// wsopt_gateway_*_total series are two read-only views of them.
+type gwStats struct {
+	sessionsOpened  atomic.Int64
+	sessionsShed    atomic.Int64
+	sessionsExpired atomic.Int64
+	blocksProxied   atomic.Int64
+	tuplesProxied   atomic.Int64
+	failovers       atomic.Int64
+	standbyReplays  atomic.Int64
+	fallbackReplays atomic.Int64
 }
 
-func newGatewayMetrics(reg *metrics.Registry, g *Gateway) *gwMetrics {
-	m := &gwMetrics{
-		sessionsOpened: reg.Counter("wsopt_gateway_sessions_opened_total",
-			"Client sessions opened through the gateway."),
-		sessionsShed: reg.Counter("wsopt_gateway_sessions_shed_total",
-			"Session creates refused by edge admission control."),
-		sessionsExpired: reg.Counter("wsopt_gateway_sessions_expired_total",
-			"Idle gateway sessions expired by the janitor (admission slot released)."),
-		blocksProxied: reg.Counter("wsopt_gateway_blocks_proxied_total",
-			"Blocks served to clients through the gateway."),
-		tuplesProxied: reg.Counter("wsopt_gateway_tuples_proxied_total",
-			"Tuples served to clients through the gateway."),
-		failovers: reg.Counter("wsopt_gateway_failovers_total",
-			"Sessions transparently moved to a successor backend after a primary died."),
-		standbyReplays: reg.Counter("wsopt_gateway_standby_replays_total",
-			"Post-failover retries served byte-identical from the replicated standby copy."),
-		fallbackReplays: reg.Counter("wsopt_gateway_fallback_replays_total",
-			"Post-failover retries re-pulled from the successor because replication lagged behind the crash."),
-		blockServe: reg.Histogram("wsopt_gateway_block_serve_ms",
-			"Client-observed block serve time through the gateway in milliseconds (fleet-wide; feeds the edge SLO regulator).",
-			metrics.DefServeBuckets),
-	}
+// registerMetrics exposes the gateway in reg. The gateway re-exports an
+// AGGREGATE view: per-backend health and replication lag plus fleet-wide
+// session/block/failover counters, so one scrape of the gateway
+// describes the whole tier. Counters and gauges are read at scrape time
+// from the state they describe; only the block-serve histogram is the
+// registry's own.
+func (g *Gateway) registerMetrics(reg *metrics.Registry) {
+	st := &g.stats
+	reg.CounterFunc("wsopt_gateway_sessions_opened_total", "Client sessions opened through the gateway.", st.sessionsOpened.Load)
+	reg.CounterFunc("wsopt_gateway_sessions_shed_total", "Session creates refused by edge admission control.", st.sessionsShed.Load)
+	reg.CounterFunc("wsopt_gateway_sessions_expired_total", "Idle gateway sessions expired by the janitor (admission slot released).", st.sessionsExpired.Load)
+	reg.CounterFunc("wsopt_gateway_blocks_proxied_total", "Blocks served to clients through the gateway.", st.blocksProxied.Load)
+	reg.CounterFunc("wsopt_gateway_tuples_proxied_total", "Tuples served to clients through the gateway.", st.tuplesProxied.Load)
+	reg.CounterFunc("wsopt_gateway_failovers_total", "Sessions transparently moved to a successor backend after a primary died.", st.failovers.Load)
+	reg.CounterFunc("wsopt_gateway_standby_replays_total", "Post-failover retries served byte-identical from the replicated standby copy.", st.standbyReplays.Load)
+	reg.CounterFunc("wsopt_gateway_fallback_replays_total", "Post-failover retries re-pulled from the successor because replication lagged behind the crash.", st.fallbackReplays.Load)
+	g.blockServe = reg.Histogram("wsopt_gateway_block_serve_ms",
+		"Client-observed block serve time through the gateway in milliseconds (fleet-wide; feeds the edge SLO regulator).",
+		metrics.DefServeBuckets)
 	reg.GaugeFunc("wsopt_gateway_sessions_live",
 		"Client sessions currently open at the gateway.",
 		func() float64 { return float64(g.SessionCount()) })
@@ -72,5 +71,4 @@ func newGatewayMetrics(reg *metrics.Registry, g *Gateway) *gwMetrics {
 			"Primary restarts observed on this backend's replication feed (boot id changed or LSNs regressed); each rewound the puller and cleared the standby store.",
 			func() float64 { return float64(b.puller.Restarts()) }, lbl)
 	}
-	return m
 }

@@ -140,6 +140,7 @@ type collector struct {
 	name   string
 	labels []Label
 	ctr    *Counter
+	cfn    func() int64
 	gauge  *Gauge
 	gfn    func() float64
 	hist   *Histogram
@@ -214,9 +215,25 @@ func (r *Registry) register(name, help, typ string, labels []Label, mk func() *c
 
 // Counter finds or creates a counter series.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.register(name, help, "counter", labels, func() *collector {
+	c := r.register(name, help, "counter", labels, func() *collector {
 		return &collector{ctr: &Counter{}}
-	}).ctr
+	})
+	if c.ctr == nil {
+		panic(fmt.Sprintf("metrics: %s is a counter func, not an incrementable counter", name))
+	}
+	return c.ctr
+}
+
+// CounterFunc registers a counter whose value is read at scrape time from
+// an atomic its owner keeps: the owner counts each event once, and its
+// own snapshot (a tier's Stats()) and this series are two views of that
+// one number. fn must be safe to call from any goroutine. As with
+// GaugeFunc the first registration of a series wins: two owners cannot
+// share one.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	r.register(name, help, "counter", labels, func() *collector {
+		return &collector{cfn: fn}
+	})
 }
 
 // Gauge finds or creates a gauge series.
@@ -292,6 +309,9 @@ func writeSeries(w io.Writer, c *collector) error {
 	switch {
 	case c.ctr != nil:
 		_, err := fmt.Fprintf(w, "%s %d\n", seriesKey(c.name, c.labels), c.ctr.Value())
+		return err
+	case c.cfn != nil:
+		_, err := fmt.Fprintf(w, "%s %d\n", seriesKey(c.name, c.labels), c.cfn())
 		return err
 	case c.gauge != nil:
 		_, err := fmt.Fprintf(w, "%s %s\n", seriesKey(c.name, c.labels), formatFloat(c.gauge.Value()))

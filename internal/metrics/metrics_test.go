@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -88,6 +89,9 @@ func TestPrometheusExposition(t *testing.T) {
 	r.GaugeFunc("wsopt_uptime_seconds", "uptime", func() float64 { return 12.5 })
 	r.Histogram("wsopt_rtt_ms", "rtt", []float64{10, 100}).Observe(42)
 	r.Counter("wsopt_faults_total", "faults", L("kind", "dropped")).Inc()
+	var served atomic.Int64 // a tier's own counter, exported as a view
+	served.Add(5)
+	r.CounterFunc("wsopt_served_total", "served", served.Load, L("tier", "mem"))
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -108,11 +112,27 @@ func TestPrometheusExposition(t *testing.T) {
 		"wsopt_rtt_ms_sum 42",
 		"wsopt_rtt_ms_count 1",
 		`wsopt_faults_total{kind="dropped"} 1`,
+		"# TYPE wsopt_served_total counter",
+		`wsopt_served_total{tier="mem"} 5`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\n%s", want, body)
 		}
 	}
+	// A counter func is read at scrape time, in the snapshot too, and can
+	// go back down when its owner takes a failed event back.
+	served.Add(-1)
+	if got := r.Snapshot().Counter("wsopt_served_total", L("tier", "mem")); got != 4 {
+		t.Errorf("snapshot of the counter func = %d, want 4", got)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Counter() handed out an incrementable twin of a counter func")
+			}
+		}()
+		r.Counter("wsopt_served_total", "served", L("tier", "mem"))
+	}()
 	// Families must be sorted for deterministic scrapes.
 	if strings.Index(body, "wsopt_blocks_total") > strings.Index(body, "wsopt_sessions_live") {
 		t.Error("families not sorted by name")

@@ -110,6 +110,8 @@ func (r *Registry) Snapshot() Snapshot {
 		switch {
 		case c.ctr != nil:
 			s.Counters[keys[i]] = c.ctr.Value()
+		case c.cfn != nil:
+			s.Counters[keys[i]] = c.cfn()
 		case c.gauge != nil:
 			s.Gauges[keys[i]] = c.gauge.Value()
 		case c.gfn != nil:

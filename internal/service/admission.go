@@ -149,7 +149,6 @@ func (s *Server) admitCursor(w http.ResponseWriter) bool {
 	limit, ok := s.Admit(w.Header())
 	if !ok {
 		s.stats.sessionsShed.Add(1)
-		s.metrics.sessionsShed.Inc()
 		httpError(w, http.StatusServiceUnavailable,
 			"session limit reached (%d open)", limit)
 	}

@@ -37,10 +37,10 @@ func (c FaultConfig) enabled() bool {
 	return c.DropProb > 0 || c.TruncateProb > 0 || c.Error503Prob > 0
 }
 
-// validate rejects probabilities outside [0, 1] and combined rates
+// Validate rejects probabilities outside [0, 1] and combined rates
 // above 1 (the three bands stack, so their sum is the total fault
 // probability per request).
-func (c FaultConfig) validate() error {
+func (c FaultConfig) Validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64

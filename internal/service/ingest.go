@@ -96,7 +96,6 @@ func (s *Server) handleIngestCreate(w http.ResponseWriter, r *http.Request) {
 	s.ingests.put(id, ing)
 	committed = true
 	s.stats.ingestsOpened.Add(1)
-	s.metrics.ingestsOpened.Inc()
 	s.logf("ingest %s opened: table=%s", id, req.Table)
 
 	w.Header().Set("Content-Type", "application/json")
@@ -128,18 +127,27 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// One uploaded block is capped like one push frame or one replicated
-	// payload: the decoders buffer what they read, so an unbounded body
-	// is unbounded memory — and so is a small gzipped body that inflates
-	// without bound, which the +gzip codecs cap at the same size.
-	schema, rows, err := s.codec.Decode(http.MaxBytesReader(w, r.Body, wire.MaxFramePayload))
+	// One uploaded block is capped three ways, because the decoders buffer
+	// what they read and materialise what they parse: its body like one
+	// push frame or one replicated payload; what a gzipped body may inflate
+	// to, at the same size (the +gzip codecs); and — while decoding, before
+	// the rows are allocated — its cells, at the largest block this table
+	// could legitimately carry (64 MiB of empty cells would otherwise
+	// decode to a dozen times that before the size check below saw it).
+	// The scratch is this request's own, so the rows own fresh memory.
+	want := sess.table.Schema()
+	sc := wire.Scratch{MaxCells: s.cfg.MaxBlockSize * len(want)}
+	schema, rows, err := wire.DecodeBlock(s.codec, http.MaxBytesReader(w, r.Body, wire.MaxFramePayload), &sc)
 	if err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) || errors.Is(err, wire.ErrInflatedTooLarge) {
+		switch {
+		case errors.As(err, &tooBig) || errors.Is(err, wire.ErrInflatedTooLarge):
 			httpError(w, http.StatusRequestEntityTooLarge, "block body exceeds %d bytes", wire.MaxFramePayload)
-			return
+		case errors.Is(err, wire.ErrTooManyCells):
+			httpError(w, http.StatusBadRequest, "block exceeds maximum %d tuples of %d columns", s.cfg.MaxBlockSize, len(want))
+		default:
+			httpError(w, http.StatusBadRequest, "decode block: %v", err)
 		}
-		httpError(w, http.StatusBadRequest, "decode block: %v", err)
 		return
 	}
 	if len(rows) == 0 {
@@ -152,7 +160,6 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 	}
 	// The wire schema must match the target table (names and types, in
 	// order): the upload path performs full validation before loading.
-	want := sess.table.Schema()
 	if len(schema) != len(want) {
 		httpError(w, http.StatusUnprocessableEntity, "block has %d columns, table %q has %d", len(schema), sess.table.Name(), len(want))
 		return
@@ -177,7 +184,6 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 		// Duplicate of the last applied block (the client never saw our
 		// acknowledgement): ack again without loading it.
 		s.stats.blocksIngestReplayed.Add(1)
-		s.metrics.ingestReplays.Inc()
 		s.ackIngestBlock(w, sess.id, sess.lastTuples, sess.lastDelayMS, true, fault)
 		return
 	}
@@ -191,9 +197,7 @@ func (s *Server) handleIngestBlock(w http.ResponseWriter, r *http.Request) {
 	sess.tuples += len(rows)
 	s.stats.blocksIngested.Add(1)
 	s.stats.tuplesIngested.Add(int64(len(rows)))
-	s.metrics.blocksIngested.Inc()
-	s.metrics.tuplesIngested.Add(int64(len(rows)))
-	s.metrics.blockSize.Observe(float64(len(rows)))
+	s.hist.blockSize.Observe(float64(len(rows)))
 
 	// The rows are already applied, so even when the client vanishes
 	// mid-delay the seq must still advance below — its retry of the same

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -226,6 +227,106 @@ func TestIngestRefusesInflateBomb(t *testing.T) {
 	if st := srv.Stats(); st.BlocksIngested != 0 {
 		t.Fatalf("refused upload was ingested: %+v", st)
 	}
+}
+
+// TestIngestRefusesCellBombBeforeAllocating: the byte caps bound a block's
+// body, not what it decodes to — a body of empty cells (<v/> is 4 bytes, a
+// decoded cell 48) used to be materialised in full before MaxBlockSize was
+// looked at. The cells are bounded while decoding (wire.Scratch.MaxCells,
+// fed from MaxBlockSize x the table's columns), so refusing the bomb
+// allocates no more than refusing a body of the same length that is not
+// even XML: what both pay is the buffering of the body.
+func TestIngestRefusesCellBombBeforeAllocating(t *testing.T) {
+	const rows = 400_000 // 800 k cells: ~38 MB of values, in a 7.6 MB body
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 0), MaxBlockSize: 1000})
+	id, _ := openIngest(t, ts, `{"table":"items"}`)
+	bomb := `<Envelope><Body><rowset><metadata><column name="id" type="INT64"/><column name="label" type="STRING"/></metadata><rows>` +
+		strings.Repeat(`<row><v/><v/></row>`, rows) + `</rows></rowset></Body></Envelope>`
+	post := func(body string) (status int, msg string, allocated uint64) {
+		var before, after runtime.MemStats
+		w := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/ingest/"+id+"/block?seq=1", strings.NewReader(body))
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		srv.Handler().ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+		return w.Code, w.Body.String(), after.TotalAlloc - before.TotalAlloc
+	}
+	status, msg, forBomb := post(bomb)
+	if status != http.StatusBadRequest || !strings.Contains(msg, "exceeds maximum 1000") {
+		t.Fatalf("cell bomb: status %d %q, want 400 naming the maximum", status, msg)
+	}
+	status, _, forJunk := post(strings.Repeat(" ", len(bomb)-1) + "x")
+	if status != http.StatusBadRequest {
+		t.Fatalf("junk body: status %d, want 400", status)
+	}
+	if forBomb > forJunk+1<<20 {
+		t.Errorf("refusing the bomb allocated %d bytes, refusing %d bytes of junk %d: its cells were materialised", forBomb, len(bomb), forJunk)
+	}
+	if st := srv.Stats(); st.BlocksIngested != 0 || st.TuplesIngested != 0 {
+		t.Fatalf("refused upload was ingested: %+v", st)
+	}
+}
+
+// FuzzIngestBlock posts arbitrary bytes as one upload block, under every
+// codec: whatever they are, the answer is an acknowledgement of a block
+// within the size limit that the table then holds, or a refusal that
+// leaves the table alone — never a panic, never another status.
+func FuzzIngestBlock(f *testing.F) {
+	codecs := []wire.Codec{wire.XML{}, wire.JSON{}, wire.Binary{}, wire.Gzip(wire.XML{}), wire.Gzip(wire.JSON{}), wire.Gzip(wire.Binary{})}
+	good := []minidb.Row{{minidb.NewInt(1), minidb.NewString("a")}, {minidb.NewInt(2), minidb.Null(minidb.String)}}
+	wide := make([]minidb.Row, 9) // one past the limit below
+	for i := range wide {
+		wide[i] = minidb.Row{minidb.NewInt(int64(i)), minidb.NewString("w")}
+	}
+	schema := minidb.Schema{{Name: "id", Type: minidb.Int64}, {Name: "label", Type: minidb.String}}
+	for i, c := range codecs {
+		for _, rows := range [][]minidb.Row{good, wide, nil} {
+			var buf bytes.Buffer
+			if err := c.Encode(&buf, schema, rows); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(i), buf.Bytes())
+		}
+	}
+	// The hole this target was added for: few bytes per cell.
+	f.Add(uint8(0), []byte(`<Envelope><Body><rowset><metadata><column name="id" type="INT64"/><column name="label" type="STRING"/></metadata><rows>`+
+		strings.Repeat(`<row><v/><v/></row>`, 500)+`</rows></rowset></Body></Envelope>`))
+	f.Add(uint8(0), []byte(`<Envelope><Body><rowset><metadata/><rows>`+strings.Repeat(`<row/>`, 500)+`</rows></rowset></Body></Envelope>`))
+	f.Add(uint8(1), []byte(`{"columns":[{"name":"id","type":"INT64"},{"name":"label","type":"STRING"}],"rows":[`+strings.Repeat(`[null,null],`, 500)+`[null,null]]}`))
+	f.Add(uint8(1), []byte(`{"columns":[`+strings.Repeat(`{},`, 500)+`{}],"rows":[`+strings.Repeat(`[],`, 500)+`[]]}`))
+	f.Add(uint8(2), append([]byte("WSB1\x01\x01c\x00\xf4\x03"), bytes.Repeat([]byte{1}, 500)...))
+
+	f.Fuzz(func(t *testing.T, codec uint8, body []byte) {
+		const maxBlock = 8
+		cat := testCatalog(t, 0)
+		srv, err := New(Config{Catalog: cat, Codec: codecs[int(codec)%len(codecs)], MaxBlockSize: maxBlock})
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(open, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(`{"table":"items"}`)))
+		var cr struct{ Session string }
+		if err := json.Unmarshal(open.Body.Bytes(), &cr); err != nil || cr.Session == "" {
+			t.Fatalf("open ingest: %d %s", open.Code, open.Body)
+		}
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/ingest/"+cr.Session+"/block?seq=1", bytes.NewReader(body)))
+		tbl, _ := cat.Table("items")
+		st := srv.Stats()
+		switch w.Code {
+		case http.StatusNoContent:
+			if n := st.TuplesIngested; n < 1 || n > maxBlock || int64(tbl.RowCount()) != n || st.BlocksIngested != 1 {
+				t.Fatalf("acknowledged block: %d tuples ingested in %d blocks, table holds %d, limit %d", n, st.BlocksIngested, tbl.RowCount(), maxBlock)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+			if tbl.RowCount() != 0 || st.BlocksIngested != 0 || st.TuplesIngested != 0 {
+				t.Fatalf("refused (%d) block left %d rows, Stats %+v", w.Code, tbl.RowCount(), st)
+			}
+		default:
+			t.Fatalf("status %d %s", w.Code, w.Body)
+		}
+	})
 }
 
 func TestIngestSeqDeduplicatesRetries(t *testing.T) {

@@ -2,10 +2,50 @@ package service
 
 import (
 	"context"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
+
+// inProcessTransport serves requests directly through the server's
+// handler, without opening a socket: the full HTTP semantics (routing,
+// headers, status codes, body streaming) at function-call cost.
+type inProcessTransport struct {
+	handler http.Handler
+}
+
+// errConnectionDropped is what an in-process caller sees when a handler
+// aborts the connection (e.g. the fault injector severing it) — the
+// function-call analogue of a TCP reset.
+var errConnectionDropped = errors.New("service: in-process connection dropped")
+
+// RoundTrip implements http.RoundTripper. A handler panicking with
+// http.ErrAbortHandler — the net/http idiom for severing the connection,
+// used by the fault injector — surfaces as a transport error, exactly as
+// a real client would observe it.
+func (t inProcessTransport) RoundTrip(req *http.Request) (resp *http.Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != http.ErrAbortHandler {
+				panic(r)
+			}
+			resp, err = nil, errConnectionDropped
+		}
+	}()
+	rec := httptest.NewRecorder()
+	t.handler.ServeHTTP(rec, req)
+	resp = rec.Result()
+	resp.Request = req
+	return resp, nil
+}
+
+// InProcessClient returns an *http.Client whose requests are served
+// directly by this server, with no network in between — a test helper.
+func InProcessClient(s *Server) *http.Client {
+	return &http.Client{Transport: inProcessTransport{handler: s.Handler()}}
+}
 
 func TestInProcessClient(t *testing.T) {
 	srv, _ := newTestServer(t, Config{Catalog: testCatalog(t, 42)})

@@ -75,7 +75,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	s.stats.pushStreamsOpened.Add(1)
-	s.metrics.pushStreamsOpened.Inc()
 	s.logf("session %s: push stream opened (gen %d, from %d, size %d, window %d)", sess.id, gen, from, q.Size, q.Window)
 
 	// Cancellation must wake a producer parked on t.cond: the connection
@@ -103,10 +102,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Then the serve loop: wait for credit, produce one block through the
 	// shared produce path, frame and flush it.
 	for {
-		size, err := t.waitCredit(r.Context(), gen, func() {
-			s.stats.pushCreditStalls.Add(1)
-			s.metrics.pushCreditStalls.Inc()
-		})
+		size, err := t.waitCredit(r.Context(), gen, func() { s.stats.pushCreditStalls.Add(1) })
 		if err != nil {
 			// errTailDone is the orderly end: chunked EOF after the done
 			// frame, so the client drains to EOF and the connection goes
@@ -168,6 +164,5 @@ func (s *Server) handleCredit(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.touch()
 	s.stats.pushCreditGrants.Add(1)
-	s.metrics.pushCreditGrants.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -51,42 +51,6 @@ import (
 	"wsopt/internal/wire"
 )
 
-// Block-transfer response headers.
-const (
-	// HeaderBlockTuples reports how many tuples the block carries.
-	HeaderBlockTuples = "X-Block-Tuples"
-	// HeaderBlockDone is "true" on the final block of a result set.
-	HeaderBlockDone = "X-Block-Done"
-	// HeaderInjectedDelayMS reports the simulated (model) latency that
-	// was injected for this block, in milliseconds, before scaling.
-	HeaderInjectedDelayMS = "X-Injected-Delay-Ms"
-	// HeaderBlockSeq echoes the sequence number the block was served
-	// under (absent for legacy pulls that sent no seq).
-	HeaderBlockSeq = "X-Block-Seq"
-	// HeaderBlockReplay is "true" when the block was served from the
-	// replay buffer rather than by advancing the iterator.
-	HeaderBlockReplay = "X-Block-Replay"
-)
-
-// Gateway-tier headers, spoken by cmd/wsgate and understood by the
-// client. They live here (next to the block headers) so the client and
-// the gateway share one definition without an import cycle.
-const (
-	// HeaderGatewayTransparentFailover is "true" on session-create
-	// responses from a tier that replicates session state and handles
-	// backend failover itself. A capable client must then NOT fail over
-	// endpoints on its own, and must not surface gateway failovers as a
-	// second disturbance to its controller.
-	HeaderGatewayTransparentFailover = "X-WSGate-Transparent-Failover"
-	// HeaderGatewayFailovers carries the session's cumulative transparent
-	// failover count on every block response, so the client can surface
-	// each backend death to its controller exactly once.
-	HeaderGatewayFailovers = "X-WSGate-Failovers"
-	// HeaderGatewayBackend names the backend that actually served the
-	// block, for traces and tests.
-	HeaderGatewayBackend = "X-WSGate-Backend"
-)
-
 // Config parameterizes a Server.
 type Config struct {
 	// Catalog serves the queries. Required.
@@ -195,8 +159,8 @@ type Server struct {
 	// only on session create/close, never on the block hot path.
 	groups streamGroups
 
-	stats   serverStats
-	metrics *serviceMetrics
+	stats serverStats
+	hist  histograms
 	// replayRefs, when non-nil, counts the live references to this
 	// server's replay blocks (TrackReplayRefs; tests only).
 	replayRefs *atomic.Int64
@@ -207,7 +171,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Catalog == nil {
 		return nil, fmt.Errorf("service: config needs a catalog")
 	}
-	if err := cfg.Faults.validate(); err != nil {
+	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Codec == nil {
@@ -245,7 +209,7 @@ func New(cfg Config) (*Server, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	s.metrics = newServiceMetrics(reg, s)
+	s.registerMetrics(reg)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", s.handleCreate)
 	mux.HandleFunc("POST /sessions/{id}/next", s.handleNext)
@@ -361,14 +325,8 @@ func (s *Server) SessionCount() int {
 	return s.sessions.size()
 }
 
-// liveSessions counts all open cursors (downloads + uploads) for the
-// sessions-live gauge.
-func (s *Server) liveSessions() int {
-	return s.sessions.size() + s.ingests.size()
-}
-
 // ExpireIdle drops sessions idle longer than the TTL and returns how many
-// were dropped. Call it periodically (cmd/wsblockd runs a janitor). The
+// were dropped. Call it periodically (internal/daemon runs the janitor). The
 // sweep takes each shard lock briefly and reads lastUsed atomically, so
 // it never races or blocks an in-flight pull — a session expired mid-pull
 // finishes its block normally and the next pull gets a clean 404.
@@ -695,7 +653,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.groups.join(sess.group)
 	s.shipCreate(sess, body)
 	s.stats.sessionsOpened.Add(1)
-	s.metrics.sessionsOpened.Inc()
 	s.logf("session %s opened: table=%s cols=%v offset=%d group=%s", id, req.Table, req.Columns, req.Offset, req.StreamGroup)
 
 	w.Header().Set("Content-Type", "application/json")
@@ -794,7 +751,6 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, r
 		putBlockBuf(buf)
 		sess.pendingRows, sess.pendingDone, sess.hasPending = rows, done, true
 		s.stats.encodeFailures.Add(1)
-		s.metrics.encodeFailures.Inc()
 		s.logf("session %s: encode block: %v", sess.id, err)
 		return nil, nil, false, fmt.Errorf("encode block: %w", err)
 	}
@@ -986,10 +942,10 @@ type framing struct {
 // serveBlock is the one function that writes a committed block — fresh
 // or replayed — to a peer. It applies the injected drop/truncate fault,
 // bounds the write by blockWriteDeadline, counts the block before the
-// write and takes a failed write back, and records the post-write
-// metrics. It takes over the caller's write reference to rb and drops it
-// when the write is over, however it ends (an injected fault leaves by
-// panic).
+// write and takes a failed write back, and feeds the histograms once the
+// write is through. It takes over the caller's write reference to rb and
+// drops it when the write is over, however it ends (an injected fault
+// leaves by panic).
 func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, seq uint64, rb *replayBlock, replayed bool, fault faultKind) error {
 	defer releaseReplay(rb)
 	if fault == faultDrop {
@@ -998,6 +954,7 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 		abortConnection()
 	}
 	rc := http.NewResponseController(w)
+	meta := BlockMeta{Seq: seq, Tuples: rb.tuples, Done: rb.done, Replayed: replayed, DelayMS: rb.delayMS}
 	var f wire.Frame
 	if fr.stream {
 		if len(rb.payload) > s.cfg.PushMaxFrameBytes {
@@ -1008,19 +965,14 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 			s.writeErrorFrame(w, sess, err)
 			return err
 		}
-		f = wire.Frame{Type: wire.FrameData, Seq: seq, Tuples: uint32(rb.tuples), Done: rb.done, Replay: replayed, DelayMS: rb.delayMS, Payload: rb.payload}
+		f = meta.Frame(rb.payload)
 	} else {
+		if !fr.echoSeq {
+			meta.Seq = 0
+		}
 		h := w.Header()
 		h.Set("Content-Type", s.codec.ContentType())
-		h.Set(HeaderBlockTuples, strconv.Itoa(rb.tuples))
-		h.Set(HeaderBlockDone, strconv.FormatBool(rb.done))
-		h.Set(HeaderInjectedDelayMS, strconv.FormatFloat(rb.delayMS, 'f', 3, 64))
-		if fr.echoSeq {
-			h.Set(HeaderBlockSeq, strconv.FormatUint(seq, 10))
-		}
-		if replayed {
-			h.Set(HeaderBlockReplay, "true")
-		}
+		meta.WriteHeader(h)
 		// The length is known before the first byte: say so, so a block
 		// larger than net/http's buffer does not leave chunked and the next
 		// hop (wsgate) can size its buffer once.
@@ -1045,11 +997,9 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 	// a keep-alive connection. Recorders answer ErrNotSupported.
 	_ = rc.SetWriteDeadline(time.Now().Add(blockWriteDeadline))
 	// With the length declared, the peer holds the whole block the moment
-	// the write returns — before this handler does. Whoever reads Stats
-	// after receiving a block must find it counted, so the block is
-	// counted first and a failed write takes it back. That is why Stats
-	// and the metrics registry are bumped apart: registry counters are
-	// monotone and count after the write.
+	// the write returns — before this handler does. Whoever reads Stats or
+	// /metrics after receiving a block must find it counted, so the block
+	// is counted first and a failed write takes it back.
 	s.countServed(fr, rb, replayed, 1)
 	var err error
 	if !fr.stream {
@@ -1063,26 +1013,16 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 		s.logf("session %s: write block %d: %v", sess.id, seq, err)
 		return err
 	}
-	s.metrics.blocksServed.Inc()
-	s.metrics.tuplesServed.Add(int64(rb.tuples))
-	s.metrics.blockSize.Observe(float64(rb.tuples))
-	s.metrics.blockDelay.Observe(rb.delayMS)
-	if replayed {
-		s.metrics.blocksReplayed.Inc()
-	}
-	if fr.stream {
-		s.metrics.pushFramesSent.Inc()
-		if replayed {
-			s.metrics.pushFramesReplayed.Inc()
-		}
-	} else {
-		s.metrics.blockServe.Observe(float64(time.Since(fr.started)) / float64(time.Millisecond))
+	s.hist.blockSize.Observe(float64(rb.tuples))
+	s.hist.blockDelay.Observe(rb.delayMS)
+	if !fr.stream {
+		s.hist.blockServe.Observe(float64(time.Since(fr.started)) / float64(time.Millisecond))
 	}
 	return nil
 }
 
 // countServed adds n (+1, or -1 to take a failed write back) serves of rb
-// to the Stats counters a reader reconciles against delivered blocks.
+// to the counters a reader reconciles against delivered blocks.
 func (s *Server) countServed(fr framing, rb *replayBlock, replayed bool, n int64) {
 	s.stats.blocksServed.Add(n)
 	s.stats.tuplesServed.Add(n * int64(rb.tuples))
@@ -1100,7 +1040,7 @@ func (s *Server) countServed(fr framing, rb *replayBlock, replayed bool, n int64
 // BlockServeSnapshot freezes the served-block wall-time histogram. The
 // SLO regulator windows consecutive snapshots into per-interval p95s.
 func (s *Server) BlockServeSnapshot() metrics.HistogramSnapshot {
-	return s.metrics.blockServe.Snapshot()
+	return s.hist.blockServe.Snapshot()
 }
 
 // priceBlock draws the simulated delay for a block under the current

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wsopt/internal/metrics"
 	"wsopt/internal/minidb"
 	"wsopt/internal/netsim"
 	"wsopt/internal/wire"
@@ -403,17 +404,20 @@ func TestLimitQuery(t *testing.T) {
 	}
 }
 
-// countingWriter is a ResponseWriter that samples the server's counters
-// from inside Write — the instant the peer could hold the bytes.
+// countingWriter is a ResponseWriter that samples the server's counters,
+// in both of their views, from inside Write — the instant the peer could
+// hold the bytes.
 type countingWriter struct {
 	*httptest.ResponseRecorder
-	srv    *Server
-	seen   Stats
-	failed error
+	srv     *Server
+	reg     *metrics.Registry
+	seen    Stats
+	seenReg metrics.Snapshot
+	failed  error
 }
 
 func (w *countingWriter) Write(p []byte) (int, error) {
-	w.seen = w.srv.Stats()
+	w.seen, w.seenReg = w.srv.Stats(), w.reg.Snapshot()
 	if w.failed != nil {
 		return 0, w.failed
 	}
@@ -425,13 +429,19 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // Write returns, not when the handler does, so a Stats read that follows
 // a received block must already include it (a chunked response hid this:
 // its terminator left after the handler returned). A failed write is not
-// served and must not stay counted.
+// served and must not stay counted. /metrics is a view of the same
+// counters, so a scrape obeys the same ordering: every sample taken here —
+// mid-write, after a write, after a failed write — is compared in both
+// views.
 func TestBlockCountedBeforeItsLastByteLeaves(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 40)})
+	reg := metrics.NewRegistry()
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 40), Metrics: reg})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 	post := func(path string, failed error) *countingWriter {
-		w := &countingWriter{ResponseRecorder: httptest.NewRecorder(), srv: srv, failed: failed}
+		w := &countingWriter{ResponseRecorder: httptest.NewRecorder(), srv: srv, reg: reg, failed: failed}
 		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, nil))
+		assertViewsAgree(t, "inside the write of "+path, w.seen, w.seenReg)
+		assertViewsAgree(t, "after "+path, srv.Stats(), reg.Snapshot())
 		return w
 	}
 	next := func(seq int, failed error) *countingWriter {

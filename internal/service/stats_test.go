@@ -1,0 +1,185 @@
+package service
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"wsopt/internal/metrics"
+	"wsopt/internal/minidb"
+	"wsopt/internal/wire"
+)
+
+// statsSeries lists every counter of Stats beside the /metrics series
+// that must be a view of the same atomic.
+func statsSeries(st Stats) map[string]int64 {
+	return map[string]int64{
+		"wsopt_service_sessions_opened_total":                   st.SessionsOpened,
+		"wsopt_service_ingests_opened_total":                    st.IngestsOpened,
+		"wsopt_service_blocks_served_total":                     st.BlocksServed,
+		"wsopt_service_tuples_served_total":                     st.TuplesServed,
+		"wsopt_service_blocks_replayed_total":                   st.BlocksReplayed,
+		"wsopt_service_sessions_shed_total":                     st.SessionsShed,
+		"wsopt_service_encode_failures_total":                   st.EncodeFailures,
+		"wsopt_service_blocks_ingested_total":                   st.BlocksIngested,
+		"wsopt_service_tuples_ingested_total":                   st.TuplesIngested,
+		"wsopt_service_ingest_replays_total":                    st.BlocksIngestReplayed,
+		"wsopt_service_push_streams_opened_total":               st.PushStreamsOpened,
+		"wsopt_service_push_frames_sent_total":                  st.PushFramesSent,
+		"wsopt_service_push_frames_replayed_total":              st.PushFramesReplayed,
+		"wsopt_service_push_credit_grants_total":                st.PushCreditGrants,
+		"wsopt_service_push_credit_stalls_total":                st.PushCreditStalls,
+		`wsopt_service_faults_injected_total{kind="dropped"}`:   st.FaultsInjected.Dropped,
+		`wsopt_service_faults_injected_total{kind="truncated"}`: st.FaultsInjected.Truncated,
+		`wsopt_service_faults_injected_total{kind="refused"}`:   st.FaultsInjected.Refused,
+	}
+}
+
+// assertViewsAgree checks, counter for counter, that a Stats snapshot and
+// a registry snapshot show the same numbers, and that the table above
+// names every counter series the service registers.
+func assertViewsAgree(t *testing.T, at string, st Stats, snap metrics.Snapshot) {
+	t.Helper()
+	table := statsSeries(st)
+	for series, want := range table {
+		got, ok := snap.Counters[series]
+		if !ok || got != want {
+			t.Errorf("%s: /metrics %s = %d (registered: %v), Stats() = %d", at, series, got, ok, want)
+		}
+	}
+	for series := range snap.Counters {
+		if _, ok := table[series]; !ok && strings.HasPrefix(series, "wsopt_service_") {
+			t.Errorf("%s: counter series %s has no Stats() field in the table", at, series)
+		}
+	}
+}
+
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached in 5 s")
+		}
+	}
+}
+
+// TestStatsAndMetricsAreTwoViewsOfOneCounter walks one server through
+// every counted event and compares the two views after each step. Each
+// step also says what it should have moved, so that 0 == 0 proves nothing.
+func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, ts := newTestServer(t, Config{
+		Catalog:     testCatalog(t, 40),
+		Codec:       &failingCodec{Codec: wire.XML{}, failures: 1},
+		MaxSessions: 3,
+		Metrics:     reg,
+	})
+	do := func(resp *http.Response, want int) {
+		t.Helper()
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("status %s, want %d", resp.Status, want)
+		}
+	}
+	var a, b, ing string
+	var pc *pushConn
+	steps := []struct {
+		name string
+		act  func()
+		want func(st Stats) bool
+	}{
+		{"before traffic", func() {}, func(st Stats) bool { return st == Stats{} }},
+		{"create", func() { a, _ = openSession(t, ts, `{"table":"items"}`) },
+			func(st Stats) bool { return st.SessionsOpened == 1 }},
+		{"encode failure", func() { do(pullSeq(t, ts, a, 10, 1), 500) },
+			func(st Stats) bool { return st.EncodeFailures == 1 && st.BlocksServed == 0 }},
+		{"block", func() { do(pullSeq(t, ts, a, 10, 1), 200) },
+			func(st Stats) bool { return st.BlocksServed == 1 && st.TuplesServed == 10 }},
+		{"replay", func() { do(pullSeq(t, ts, a, 10, 1), 200) },
+			func(st Stats) bool { return st.BlocksServed == 2 && st.BlocksReplayed == 1 && st.TuplesServed == 20 }},
+		{"failed write", func() {
+			w := &countingWriter{ResponseRecorder: httptest.NewRecorder(), srv: srv, reg: reg, failed: errors.New("peer gone")}
+			srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, fmt.Sprintf("/sessions/%s/next?size=10&seq=2", a), nil))
+			assertViewsAgree(t, "inside the failing write", w.seen, w.seenReg)
+			if w.seen.BlocksServed != 3 {
+				t.Errorf("inside the failing write: %d blocks served, want 3 (counted before the write)", w.seen.BlocksServed)
+			}
+		}, func(st Stats) bool { return st.BlocksServed == 2 && st.TuplesServed == 20 }},
+		{"stream frame, then a credit stall", func() {
+			b, _ = openSession(t, ts, `{"table":"items"}`)
+			pc, _ = openStream(t, ts, b, 10, 1, 0)
+			if f, err := pc.read(); err != nil || f.Seq != 1 {
+				t.Fatalf("frame 1: %+v, %v", f, err)
+			}
+			waitFor(t, func() bool { return srv.Stats().PushCreditStalls == 1 })
+		}, func(st Stats) bool {
+			return st.PushStreamsOpened == 1 && st.PushFramesSent == 1 && st.BlocksServed == 3
+		}},
+		{"reconnect replays the unacked frame", func() {
+			pc.close()
+			pc, _ = openStream(t, ts, b, 10, 1, 1)
+			if f, err := pc.read(); err != nil || f.Seq != 1 || !f.Replay {
+				t.Fatalf("replayed frame 1: %+v, %v", f, err)
+			}
+		}, func(st Stats) bool {
+			return st.PushStreamsOpened == 2 && st.PushFramesReplayed == 1 && st.BlocksReplayed == 2
+		}},
+		{"credit", func() {
+			pc.ack(t, 1)
+			if f, err := pc.read(); err != nil || f.Seq != 2 {
+				t.Fatalf("frame 2: %+v, %v", f, err)
+			}
+			pc.close()
+		}, func(st Stats) bool { return st.PushCreditGrants == 1 && st.PushFramesSent == 3 }},
+		{"ingest", func() {
+			ing, _ = openIngest(t, ts, `{"table":"items"}`)
+			rows := []minidb.Row{{minidb.NewInt(100), minidb.NewString("x")}, {minidb.NewInt(101), minidb.NewString("y")}}
+			for range 2 { // the second post of seq 1 is a replay
+				resp, err := http.Post(ts.URL+"/ingest/"+ing+"/block?seq=1", "application/xml", encodeItems(t, rows))
+				if err != nil {
+					t.Fatal(err)
+				}
+				do(resp, 204)
+			}
+		}, func(st Stats) bool {
+			return st.IngestsOpened == 1 && st.BlocksIngested == 1 && st.TuplesIngested == 2 && st.BlocksIngestReplayed == 1
+		}},
+		{"shed", func() {
+			if _, status := openSession(t, ts, `{"table":"items"}`); status != http.StatusServiceUnavailable {
+				t.Fatalf("fourth cursor under MaxSessions 3: status %d", status)
+			}
+		}, func(st Stats) bool { return st.SessionsShed == 1 && st.SessionsOpened == 2 }},
+	}
+	for _, step := range steps {
+		step.act()
+		st := srv.Stats()
+		assertViewsAgree(t, "after "+step.name, st, reg.Snapshot())
+		if !step.want(st) {
+			t.Fatalf("after %s: unexpected Stats %+v", step.name, st)
+		}
+	}
+
+	// The three injected faults, each on a server that always fires it.
+	for kind, faults := range map[string]FaultConfig{
+		"refused": {Error503Prob: 1}, "dropped": {DropProb: 1}, "truncated": {TruncateProb: 1},
+	} {
+		reg := metrics.NewRegistry()
+		srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 40), Faults: faults, Metrics: reg})
+		id, _ := openSession(t, ts, `{"table":"items"}`)
+		if resp, err := http.Post(fmt.Sprintf("%s/sessions/%s/next?size=10&seq=1", ts.URL, id), "", nil); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+		st := srv.Stats()
+		assertViewsAgree(t, "after a "+kind+" fault", st, reg.Snapshot())
+		if f := st.FaultsInjected; f.Refused+f.Dropped+f.Truncated != 1 || st.BlocksServed != 0 {
+			t.Errorf("after a %s fault: %+v, %d blocks served; want exactly that fault and no block", kind, f, st.BlocksServed)
+		}
+	}
+}

@@ -199,6 +199,9 @@ func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 	if ncells > uint64(len(raw)-p.off) {
 		return nil, nil, fmt.Errorf("wire: row count %d exceeds payload", nrows)
 	}
+	if s.MaxCells > 0 && ncells > uint64(s.MaxCells) {
+		return nil, nil, fmt.Errorf("wire: binary decode: %d rows of %d columns: %w", nrows, ncols, ErrTooManyCells)
+	}
 
 	vals := s.vals
 	if uint64(cap(vals)) < ncells {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,6 +37,11 @@ func fuzzSeed(f *testing.F) {
 	}
 	for _, doc := range xmlRejected {
 		f.Add([]byte(doc.xml))
+	}
+	// Cell bombs: few bytes per cell, so the byte caps bound nothing (see
+	// Scratch.MaxCells and limit_test.go).
+	for _, bomb := range cellBombs(2000) {
+		f.Add(bomb.body)
 	}
 
 	// Arena-path nasties: zero-length strings and NULL-heavy rows stress
@@ -208,6 +214,29 @@ func checkDecode(t *testing.T, codec Codec, data []byte) {
 		t.Fatalf("re-decode into a reused scratch: %v", sErr)
 	}
 	sameBlock(t, "reused scratch vs plain", schema, rows, sSchema, sRows)
+
+	// Cell limit: a limit the block fits decodes it unchanged, a limit a
+	// whole row short refuses it with the typed error. (A row of a
+	// zero-column schema counts as one cell; XML checks per row, so one
+	// cell short is not yet a refusal; JSON counts the arrays of keys the
+	// decoder skips too, so it may refuse — never mis-decode — at n.)
+	n := max(len(rows)*len(schema), len(rows))
+	if n == 0 {
+		return
+	}
+	_, isJSON := codec.(JSON)
+	lSchema, lRows, lErr := DecodeBlock(codec, bytes.NewReader(data), &Scratch{MaxCells: n})
+	switch {
+	case lErr == nil:
+		sameBlock(t, "decode under a limit it fits", schema, rows, lSchema, lRows)
+	case !isJSON || !errors.Is(lErr, ErrTooManyCells):
+		t.Fatalf("%d cells under MaxCells %d: %v", n, n, lErr)
+	}
+	if short := n - max(len(schema), 1); short > 0 {
+		if _, _, err := DecodeBlock(codec, bytes.NewReader(data), &Scratch{MaxCells: short}); !errors.Is(err, ErrTooManyCells) {
+			t.Fatalf("%d cells under MaxCells %d: err = %v, want ErrTooManyCells", n, short, err)
+		}
+	}
 }
 
 func FuzzBinaryDecode(f *testing.F) { fuzzDecode(f, Binary{}) }

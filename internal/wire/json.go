@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -160,6 +161,31 @@ func jsonEscape(e *encodeBuf, s string) {
 	e.byte('"')
 }
 
+// DecodeScratch implements ScratchDecoder for the scratch's MaxCells
+// alone; the rows own fresh memory either way. encoding/json materialises
+// the whole document before a row can be looked at, so under a limit the
+// body is buffered and the limit checked on its bytes first: a row is an
+// element of an outermost array (as a column is), a cell an element of an
+// array inside one. c columns and r rows are at most c·r+1 outer elements.
+func (j JSON) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, error) {
+	if s == nil || s.MaxCells <= 0 {
+		return j.Decode(r)
+	}
+	raw, err := readAllReuse(r, s.raw[:0])
+	s.raw = raw
+	if err != nil {
+		return nil, nil, fmt.Errorf("wire: json decode: %w", err)
+	}
+	outer, inner, ok := jsonArrayElems(raw)
+	if !ok {
+		return nil, nil, fmt.Errorf("wire: json decode: nested deeper than a rowset")
+	}
+	if inner > s.MaxCells || outer > s.MaxCells+1 {
+		return nil, nil, fmt.Errorf("wire: json decode: %w", ErrTooManyCells)
+	}
+	return j.Decode(bytes.NewReader(raw))
+}
+
 // Decode implements Codec.
 func (JSON) Decode(r io.Reader) (minidb.Schema, []minidb.Row, error) {
 	var doc jsonRowset
@@ -211,4 +237,68 @@ func (JSON) Decode(r io.Reader) (minidb.Schema, []minidb.Row, error) {
 		rows[i] = row
 	}
 	return schema, rows, nil
+}
+
+// jsonArrayElems counts, in one pass that allocates nothing, the elements
+// of doc's arrays that are in no other array (outer: in a rowset, its
+// columns plus its rows) and of the arrays inside those (inner: its
+// cells); objects are not counted as nesting. doc need not be valid: on
+// whatever json.Unmarshal accepts the counts are exact. ok is false when
+// doc nests containers deeper than a rowset could.
+func jsonArrayElems(doc []byte) (outer, inner int, ok bool) {
+	var (
+		n      [3]int  // n[d]: elements of arrays with d arrays open
+		stack  [8]byte // the open containers, innermost last
+		sp     int
+		arrays int // how many of them are arrays
+		// inString: inside a string; opened: just past a '[', whose first
+		// element (if the next byte is not its ']') is not yet counted.
+		inString, opened bool
+	)
+	for i := 0; i < len(doc); i++ {
+		c := doc[i]
+		switch {
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+			continue
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			continue
+		}
+		if opened && c != ']' && arrays <= 2 {
+			n[arrays]++
+		}
+		opened = false
+		switch c {
+		case '"':
+			inString = true
+		case '[', '{':
+			if sp == len(stack) {
+				return 0, 0, false
+			}
+			stack[sp] = c
+			sp++
+			if c == '[' {
+				arrays++
+				opened = true
+			}
+		case ']', '}':
+			if sp == 0 {
+				return 0, 0, false
+			}
+			sp--
+			if stack[sp] == '[' {
+				arrays--
+			}
+		case ',':
+			// Every element after an array's first follows a comma.
+			if sp > 0 && stack[sp-1] == '[' && arrays <= 2 {
+				n[arrays]++
+			}
+		}
+	}
+	return n[1], n[2], true
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"io"
 	"sync"
 
@@ -25,6 +26,14 @@ import (
 // value backing arrays, and a cache of the previous block's schema. The
 // zero value is ready to use. Not safe for concurrent use.
 type Scratch struct {
+	// MaxCells, when positive, bounds what a decode into this scratch may
+	// materialise: a block of more cells (rows × columns) fails with
+	// ErrTooManyCells while it is being decoded, before the arrays that
+	// would hold it are sized. A reader of untrusted uploads sets it; the
+	// byte caps alone do not bound memory (64 MiB of empty cells decode to
+	// a dozen times that).
+	MaxCells int
+
 	// raw is the whole encoded (or inflated) payload of the last block.
 	raw []byte
 	// rows and vals back the returned block: rows[i] is a sub-slice of
@@ -47,6 +56,10 @@ type Scratch struct {
 	schemaCodec string
 }
 
+// ErrTooManyCells is returned by a decode into a Scratch whose MaxCells
+// the block exceeds.
+var ErrTooManyCells = errors.New("wire: block has more cells than the decode limit")
+
 // cacheSchema records the schema codec just parsed out of raw.
 func (s *Scratch) cacheSchema(codec string, schema minidb.Schema, raw []byte) {
 	s.schema, s.schemaCodec = schema, codec
@@ -54,8 +67,9 @@ func (s *Scratch) cacheSchema(codec string, schema minidb.Schema, raw []byte) {
 }
 
 // ScratchDecoder is implemented by codecs that can decode into a
-// caller-supplied reusable Scratch. Codecs without it fall back to their
-// plain Decode path under DecodeBlock.
+// caller-supplied Scratch, honouring its MaxCells (every codec of this
+// package; JSON reuses nothing else of it). Codecs without it fall back
+// to their plain Decode path under DecodeBlock.
 type ScratchDecoder interface {
 	DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, error)
 }

@@ -68,7 +68,7 @@ func (XML) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: xml decode: %w", err)
 	}
-	p := xmlParser{b: raw, vals: s.vals[:0], strbuf: s.strbuf[:0], spans: s.spans[:0]}
+	p := xmlParser{b: raw, maxCells: s.MaxCells, vals: s.vals[:0], strbuf: s.strbuf[:0], spans: s.spans[:0]}
 	schema, rows, err := p.document(s)
 	s.vals, s.strbuf, s.spans = p.vals, p.strbuf, p.spans
 	if err != nil {
@@ -82,6 +82,8 @@ func (XML) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, 
 type xmlParser struct {
 	b   []byte
 	off int
+	// maxCells is the scratch's MaxCells (0 = unbounded).
+	maxCells int
 
 	vals   []minidb.Value
 	strbuf []byte
@@ -493,6 +495,12 @@ func (p *xmlParser) rows(schema minidb.Schema) (int, error) {
 	}
 	nrows := 0
 	for !empty && !p.atClose() {
+		// A row is at least one cell to the limit, so that rows of a
+		// zero-column schema are bounded too; with the check per row the
+		// arrays overshoot the limit by less than one row.
+		if p.maxCells > 0 && max(len(p.vals), nrows) >= p.maxCells {
+			return 0, fmt.Errorf("row %d: %w", nrows, ErrTooManyCells)
+		}
 		emptyRow, err := p.open("row")
 		if err != nil {
 			return 0, err

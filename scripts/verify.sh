@@ -19,6 +19,7 @@ gate_vet() {
 		echo "gofmt -l names: $unformatted" >&2
 		return 1
 	}
+	check_owned
 }
 
 # Committed-numbers gate: every experiment is deterministic per seed, so
@@ -33,39 +34,108 @@ gate_results() {
 	diff -r results "$tmp"
 }
 
-gate_race() { $GO test -race ./...; }
+# Ownership: every row gives one gate a set of tests — a -run pattern in
+# some packages, built with or without the race detector. A test a row
+# selects is run by that gate and no other: the race gate is `go test -race
+# ./...` MINUS every row (per package, via -skip), so each test in the
+# tree is selected by exactly one gate and a failure names the gate that
+# owns it. Two rows must not select the same test of one package
+# (check_owned, in the vet gate, refuses a table where they do).
+#
+#   gate     detector  -run pattern              packages
+owned='
+fuzzseeds   -race    ^Fuzz                        ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
+stress      -race    ^TestStress                  ./internal/service ./internal/e2e
+allocgate   -norace  ^(TestBinaryRoundTripAllocGate|TestXMLDecodeAllocGate)$ ./internal/wire
+allocgate   -norace  ^TestGatewayHopAllocGate$    ./internal/gateway
+slo-sim     -race    ^Test                        ./internal/regulator
+slo-sim     -race    ^TestCoupledLoop             ./internal/sim
+chaos-gate  -race    ^TestFailover                ./internal/sim
+chaos-gate  -norace  ^TestChaosGate$              ./internal/e2e
+cache-gate  -race    ^Test                        ./internal/blockcache
+cache-gate  -race    TestCache|TestCloseRace      ./internal/service
+cache-gate  -race    ^TestStandby                 ./internal/replica
+cache-gate  -norace  ^TestChaosGateCache$         ./internal/e2e
+push-chaos  -race    TestPush|TestStream|TestRunPush ./internal/service ./internal/client
+push-chaos  -norace  ^TestChaosPush$              ./internal/e2e
+'
+
+# check_owned fails when two rows select the same test of one package
+# (part of the vet gate: it checks this script, not the code).
+check_owned() {
+	for pkg in $(echo "$owned" | awk '{for (i = 4; i <= NF; i++) print $i}' | sort -u); do
+		rows=$(echo "$owned" | awk -v p="$pkg" '{for (i = 4; i <= NF; i++) if ($i == p) print $1 "=" $3}')
+		$GO test -list . "$pkg" | grep -E '^(Test|Fuzz)' | awk -v pkg="$pkg" -v rows="$rows" '
+			BEGIN { n = split(rows, row, "\n") }
+			{
+				owners = ""; c = 0
+				for (i = 1; i <= n; i++) { split(row[i], kv, "="); if ($0 ~ kv[2]) { c++; owners = owners " " kv[1] } }
+				if (c > 1) { print "verify.sh: " pkg " " $0 " is selected by" owners; bad = 1 }
+			}
+			END { exit bad }' >&2
+	done
+}
+
+# run_owned GATE runs the gate's rows, in order (tracing the commands it
+# runs, not the loop that finds them).
+run_owned() {
+	{ set +x; } 2>/dev/null
+	echo "$owned" | while read -r gate detector pattern pkgs; do
+		[ "$gate" = "$1" ] || continue
+		flags=-count=1
+		[ "$detector" = -race ] && flags="-race -count=1"
+		echo "+ $GO test $flags -run '$pattern' $pkgs" >&2
+		$GO test $flags -run "$pattern" $pkgs
+	done
+}
+
+# Everything no other gate owns, under the race detector. -skip holds for
+# a whole `go test` invocation, so a package with owned tests is an
+# invocation of its own, skipping what its owners select, and the rest are
+# one batch (which skips nothing: no test is named ""). The invocations
+# run as many at a time as there are processors — what `go test ./...`
+# would have done with the packages. race_jobs prints one invocation per
+# line: its -skip pattern, then its packages.
+race_jobs() {
+	batch='^$' jobs=""
+	for pkg in $($GO list ./... | sed 's|^wsopt|.|'); do
+		skip=$(echo "$owned" | awk -v p="$pkg" '{for (i = 4; i <= NF; i++) if ($i == p) print $3}' | paste -sd '|' -)
+		if [ -n "$skip" ]; then
+			jobs="$jobs$skip $pkg
+"
+		else
+			batch="$batch $pkg"
+		fi
+	done
+	printf '%s\n%s' "$batch" "$jobs" # the batch first: it is the longest
+}
+
+gate_race() {
+	race_jobs | GO="$GO" xargs -L 1 -P "$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)" \
+		sh -xc 'skip=$1; shift; $GO test -race -skip "$skip" "$@"' sh
+}
 
 # Replay the checked-in fuzz seed corpora (deterministic, no new input
 # generation), so a codec or parser regression on a known-nasty input
 # fails the gate.
-gate_fuzzseeds() {
-	$GO test -run '^Fuzz' ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
-}
+gate_fuzzseeds() { run_owned fuzzseeds; }
 
 # Concurrency gate: the hot-path stress tests (sharded session store,
-# atomic stats, expiry janitor vs pulls) under -race, plus the e2e run
-# that drives a race-built wsblockd with concurrent wsload.
-gate_stress() {
-	$GO test -race -count=1 -run '^TestStress' ./internal/service/... ./internal/e2e/...
-}
+# atomic stats, expiry janitor vs pulls, DELETE racing a commit), plus the
+# e2e runs that drive a race-built wsblockd with concurrent wsload.
+gate_stress() { run_owned stress; }
 
 # Allocation gates, WITHOUT the race detector (instrumentation would
 # inflate the counts): a binary-codec block round-trip, an XML block
 # decode and one block proxied through the gateway hop must each stay
 # within their per-block allocation budget.
-gate_allocgate() {
-	$GO test -count=1 -run '^(TestBinaryRoundTripAllocGate|TestXMLDecodeAllocGate)$' ./internal/wire
-	$GO test -count=1 -run '^TestGatewayHopAllocGate$' ./internal/gateway
-}
+gate_allocgate() { run_owned allocgate; }
 
 # Coupled-loop control gate: regulator unit behaviour (tracking,
 # clamping, anti-windup, seeded determinism) plus the deterministic
-# client-vs-admission stability scenarios under -race, including the
-# mis-tuned-gain oscillation regression.
-gate_slo_sim() {
-	$GO test -race -count=1 ./internal/regulator
-	$GO test -race -count=1 -run '^TestCoupledLoop' ./internal/sim
-}
+# client-vs-admission stability scenarios, including the mis-tuned-gain
+# oscillation regression.
+gate_slo_sim() { run_owned slo-sim; }
 
 # Gateway chaos gate: the deterministic sim scenario (a converged
 # controller must re-converge after a transparent failover to a
@@ -73,33 +143,22 @@ gate_slo_sim() {
 # session's primary under wsload — exact tuple totals, no duplicate
 # keys, bounded stall, zero client-side failovers, replication lag
 # drained on the survivors.
-gate_chaos_gate() {
-	$GO test -race -count=1 -run '^TestFailover' ./internal/sim
-	$GO test -count=1 -run '^TestChaosGate$' ./internal/e2e
-}
+gate_chaos_gate() { run_owned chaos-gate; }
 
 # Encoded-block cache gate: blockcache semantics (LRU/disk/single-flight/
 # refcount), the service's cache wiring and close-race ownership
-# handoff, and the standby-copy invariant under -race, then the e2e
-# cache-hot chaos arm (SIGKILL of a primary with every backend's cache
-# warm — exact tuples, warm-hit failover).
-gate_cache_gate() {
-	$GO test -race -count=1 ./internal/blockcache
-	$GO test -race -count=1 -run 'TestCache|TestCloseRace' ./internal/service
-	$GO test -race -count=1 -run '^TestStandby' ./internal/replica
-	$GO test -count=1 -run '^TestChaosGateCache$' ./internal/e2e
-}
+# handoff, and the standby-copy invariant, then the e2e cache-hot chaos
+# arm (SIGKILL of a primary with every backend's cache warm — exact
+# tuples, warm-hit failover).
+gate_cache_gate() { run_owned cache-gate; }
 
 # Push transport chaos gate: the service push protocol suite (framing,
 # backpressure, unacked-tail replay, cache serve) and the client stream
 # transport suite (resume, session re-open, failover, controller-driven
-# window) under -race, then the e2e SIGKILL of the replica serving a
-# live push stream with unacked frames in flight — exact tuples across
-# the stream reconnect and the failover to the survivor.
-gate_push_chaos() {
-	$GO test -race -count=1 -run 'TestPush|TestStream|TestRunPush' ./internal/service ./internal/client
-	$GO test -count=1 -run '^TestChaosPush$' ./internal/e2e
-}
+# window), then the e2e SIGKILL of the replica serving a live push stream
+# with unacked frames in flight — exact tuples across the stream
+# reconnect and the failover to the survivor.
+gate_push_chaos() { run_owned push-chaos; }
 
 [ $# -gt 0 ] || set -- $gates
 for g; do

@@ -169,13 +169,6 @@ func NewSupervisorController(bank []Controller, cfg SupervisorConfig) (*core.Sup
 	return core.NewSupervisor(bank, cfg)
 }
 
-// Tracer wraps a controller and records every observation and decision.
-type Tracer = core.Tracer
-
-// NewTracer wraps a controller with trace recording; maxEntries bounds
-// memory (0 = unbounded).
-func NewTracer(inner Controller, maxEntries int) *Tracer { return core.NewTracer(inner, maxEntries) }
-
 // FitQuadratic least-squares fits Eq. 8 (y = a·x² + b·x + c) to samples.
 func FitQuadratic(xs, ys []float64) (Model, error) { return sysid.FitQuadratic(xs, ys) }
 
