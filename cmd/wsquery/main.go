@@ -18,11 +18,13 @@
 // hedged pulls for stragglers, and mid-query session failover that
 // resumes from the committed tuple cursor.
 //
-// With -controller vector (or -streams/-pipeline-depth above 1), the
-// query runs as an adaptive parallel-stream transfer: the
-// multi-dimensional controller tunes block size, stream count, and
-// per-stream pipeline depth together, and -profile-store warm-starts it
-// from the nearest stored workload optimum.
+// With -controller vector (or, when no -controller is named,
+// -streams/-pipeline-depth above 1), the query runs as an adaptive
+// parallel-stream transfer: the multi-dimensional controller tunes block
+// size, stream count, and per-stream pipeline depth together, and
+// -profile-store warm-starts it from the nearest stored workload optimum.
+// Every other controller drives one stream at depth 1, so naming one
+// together with -streams/-pipeline-depth above 1 is refused.
 package main
 
 import (
@@ -51,7 +53,7 @@ func main() {
 		columns   = flag.String("columns", "", "comma-separated projection (default: all)")
 		where     = flag.String("where", "", "SQL-flavoured filter, e.g. \"c_acctbal > 1000 AND c_mktsegment = 'BUILDING'\"")
 		codecName = flag.String("codec", "xml", "block codec (must match the server)")
-		ctlName   = flag.String("controller", "hybrid", "static | constant | adaptive | hybrid | hybrid-s | aimd | mimd | model-quadratic | model-parabolic | self-tuning | setpoint | supervisor")
+		ctlName   = flag.String("controller", "hybrid", "static | constant | adaptive | hybrid | hybrid-s | aimd | mimd | model-quadratic | model-parabolic | self-tuning | setpoint | supervisor | vector")
 		size      = flag.Int("size", 1000, "initial (or static) block size")
 		b1        = flag.Float64("b1", 2000, "constant gain")
 		b2        = flag.Float64("b2", 25, "adaptive gain coefficient")
@@ -84,26 +86,18 @@ func main() {
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "wsquery: ", 0)
-	opts := options{push: *push, pushWindow: *pushWindow}
+	opts := options{
+		push: *push, pushWindow: *pushWindow,
+		controller: *ctlName, streams: *streams, pipeDepth: *pipeDepth,
+		size: *size, b1: *b1, b2: *b2, limitsArg: *limitsArg,
+	}
+	flag.Visit(func(f *flag.Flag) { opts.controllerSet = opts.controllerSet || f.Name == "controller" })
 	if err := opts.validate(); err != nil {
 		logger.Fatal(err)
 	}
-	var limits core.Limits
-	if _, err := fmt.Sscanf(*limitsArg, "%d:%d", &limits.Min, &limits.Max); err != nil {
-		logger.Fatalf("bad -limits %q: %v", *limitsArg, err)
-	}
-
-	// -controller vector (or any multi-stream/pipelined request) switches
-	// to the multi-dimensional runner; the scalar controllers keep the
-	// original single-session path.
-	vectorMode := *ctlName == "vector" || *streams > 1 || *pipeDepth > 1
-	var ctl core.Controller
-	if !vectorMode {
-		var err error
-		ctl, err = buildController(*ctlName, *size, *b1, *b2, limits)
-		if err != nil {
-			logger.Fatal(err)
-		}
+	ctl, err := buildController(opts)
+	if err != nil {
+		logger.Fatal(err)
 	}
 	codec, err := wire.ByName(*codecName)
 	if err != nil {
@@ -172,18 +166,10 @@ func main() {
 		q.Columns = strings.Split(*columns, ",")
 	}
 
-	ctx := context.Background()
-	if vectorMode {
-		err = runVectorQuery(ctx, logger, c, q, vectorOpts{
-			size: *size, b1: *b1, b2: *b2, limits: limits,
-			streams: *streams, depth: *pipeDepth, chunk: *chunkTuples,
-			storePath: *profileStore, tupleBytes: *tupleBytes, sf: *workloadSF,
-			useInjected: *useInj, push: *push,
-		})
-	} else {
-		err = runQuery(ctx, c, q, ctl, *useInj)
-	}
-	if err != nil {
+	if err := runQuery(context.Background(), logger, c, q, ctl, runOpts{
+		storePath: *profileStore, workload: sysid.WorkloadDescriptor{TupleBytes: *tupleBytes, ScaleFactor: *workloadSF},
+		chunk: *chunkTuples, maxStreams: *streams, useInjected: *useInj,
+	}); err != nil {
 		logger.Fatal(err)
 	}
 
@@ -211,26 +197,83 @@ func main() {
 	}
 }
 
-// runQuery executes the query on the single-session path and prints its
-// summary.
-func runQuery(ctx context.Context, c *client.Client, q client.Query, ctl core.Controller, useInjected bool) error {
+// runOpts bundles the flag values of a run beyond its controller: the
+// parallel-stream runner's and the profile store's.
+type runOpts struct {
+	storePath   string
+	workload    sysid.WorkloadDescriptor
+	chunk       int
+	maxStreams  int
+	useInjected bool
+}
+
+// runQuery executes the query and prints its summary. The vector
+// controller runs on the parallel-stream runner (block size × streams ×
+// pipeline depth); with -profile-store it warm-starts from the nearest
+// stored workload optimum and the run's outcome is recorded back, so
+// later runs of similar workloads skip the search. Every other
+// controller runs on the single-session path.
+func runQuery(ctx context.Context, logger *log.Logger, c *client.Client, q client.Query, ctl core.Controller, o runOpts) error {
 	start := time.Now()
-	res, err := c.Run(ctx, q, ctl, client.MetricPerTuple, useInjected)
+	vctl, vector := ctl.(*core.VectorController)
+	if !vector {
+		res, err := c.Run(ctx, q, ctl, client.MetricPerTuple, o.useInjected)
+		if err != nil {
+			return err
+		}
+		printSummary(ctl.Name(), res, nil, time.Since(start))
+		return nil
+	}
+
+	var store *sysid.Store
+	if o.storePath != "" {
+		var err error
+		if store, err = sysid.OpenStore(o.storePath); err != nil {
+			return err
+		}
+		if store.WarmStart(vctl, o.workload, 0) {
+			logger.Printf("warm-started from profile store at %v", vctl.Vector())
+		} else {
+			logger.Printf("no stored profile within range; starting cold at %v", vctl.Vector())
+		}
+	}
+	res, err := c.RunVector(ctx, q, ctl, client.VectorRunConfig{
+		Metric:      client.MetricPerTuple,
+		UseInjected: o.useInjected,
+		ChunkTuples: o.chunk,
+		MaxStreams:  o.maxStreams,
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("controller:      %s\n", ctl.Name())
-	fmt.Printf("tuples:          %d in %d blocks\n", res.Tuples, res.Blocks)
-	fmt.Printf("wall time:       %v\n", time.Since(start).Round(time.Millisecond))
-	printTransfer(res)
-	if len(res.Sizes) > 0 {
-		fmt.Printf("final size:      %d tuples\n", res.Sizes[len(res.Sizes)-1])
+	if store != nil && res.Tuples > 0 {
+		perTuple := float64(res.Elapsed.Milliseconds()) / float64(res.Tuples)
+		if o.useInjected && res.SimulatedMS > 0 {
+			perTuple = res.SimulatedMS / float64(res.Tuples)
+		}
+		rec := sysid.ProfileRecord{Workload: o.workload, Optimum: res.Final, PerTupleMS: perTuple, Rounds: res.Blocks}
+		if err := store.Put(rec); err != nil {
+			return err
+		}
+		logger.Printf("profile store updated: %v (%.4f ms/tuple over %d blocks)", res.Final, perTuple, res.Blocks)
 	}
+	printSummary(ctl.Name(), &res.RunResult, res, res.WallTime)
 	return nil
 }
 
-// printTransfer prints the summary lines every run mode shares.
-func printTransfer(res *client.RunResult) {
+// printSummary prints the run's summary; vec carries what only a
+// parallel-stream run has.
+func printSummary(name string, res *client.RunResult, vec *client.VectorRunResult, wall time.Duration) {
+	chunks := ""
+	if vec != nil {
+		chunks = fmt.Sprintf(" over %d chunks", vec.Chunks)
+	}
+	fmt.Printf("controller:      %s\n", name)
+	fmt.Printf("tuples:          %d in %d blocks%s\n", res.Tuples, res.Blocks, chunks)
+	fmt.Printf("wall time:       %v\n", wall.Round(time.Millisecond))
+	if vec != nil {
+		fmt.Printf("peak streams:    %d\n", vec.PeakStreams)
+	}
 	if res.Retries > 0 || res.Replays > 0 {
 		fmt.Printf("retries:         %d (%d blocks replayed by the server)\n", res.Retries, res.Replays)
 	}
@@ -239,6 +282,12 @@ func printTransfer(res *client.RunResult) {
 	}
 	if res.SimulatedMS > 0 {
 		fmt.Printf("simulated time:  %.1f s\n", res.SimulatedMS/1000)
+	}
+	switch {
+	case vec != nil:
+		fmt.Printf("final vector:    %v\n", vec.Final)
+	case len(res.Sizes) > 0:
+		fmt.Printf("final size:      %d tuples\n", res.Sizes[len(res.Sizes)-1])
 	}
 }
 
@@ -278,106 +327,17 @@ func (p *tracePrinter) Write(ev client.BlockEvent) error {
 	return p.next.Write(ev)
 }
 
-// vectorOpts bundles the flag values driving one vector-controller run.
-type vectorOpts struct {
-	size        int
-	b1, b2      float64
-	limits      core.Limits
-	streams     int
-	depth       int
-	chunk       int
-	storePath   string
-	tupleBytes  int
-	sf          float64
-	useInjected bool
-	push        bool
-}
-
-// runVectorQuery executes the query with the multi-dimensional controller
-// (block size × parallel streams × pipeline depth). With -profile-store,
-// the controller warm-starts from the nearest stored workload optimum and
-// the run's outcome is recorded back, so later runs of similar workloads
-// skip the search.
-func runVectorQuery(ctx context.Context, logger *log.Logger, c *client.Client, q client.Query, o vectorOpts) error {
-	// Under push the credit-window dimension joins the search; the pull
-	// config pins it so trajectories stay comparable with prior runs.
-	cfg := core.DefaultVectorConfig()
-	if o.push {
-		cfg = core.DefaultPushVectorConfig()
-	}
-	cfg.Dims[core.DimSize].Initial = o.size
-	cfg.Dims[core.DimSize].Limits = o.limits
-	cfg.Dims[core.DimSize].B1 = o.b1
-	cfg.Dims[core.DimSize].B2 = o.b2
-	if o.streams > 0 {
-		cfg.Dims[core.DimStreams].Limits = core.Limits{Min: 1, Max: o.streams}
-	}
-	if o.depth > 0 {
-		cfg.Dims[core.DimDepth].Limits = core.Limits{Min: 1, Max: o.depth}
-	}
-	cfg.Seed = time.Now().UnixNano()
-	ctl, err := core.NewVector(cfg)
-	if err != nil {
-		return err
-	}
-
-	var store *sysid.Store
-	w := sysid.WorkloadDescriptor{TupleBytes: o.tupleBytes, ScaleFactor: o.sf}
-	if o.storePath != "" {
-		store, err = sysid.OpenStore(o.storePath)
-		if err != nil {
-			return err
-		}
-		if store.WarmStart(ctl, w, 0) {
-			logger.Printf("warm-started from profile store at %v", ctl.Vector())
-		} else {
-			logger.Printf("no stored profile within range; starting cold at %v", ctl.Vector())
-		}
-	}
-
-	res, err := c.RunVector(ctx, q, ctl, client.VectorRunConfig{
-		Metric:      client.MetricPerTuple,
-		UseInjected: o.useInjected,
-		ChunkTuples: o.chunk,
-		MaxStreams:  o.streams,
-	})
-	if err != nil {
-		return err
-	}
-
-	perTuple := 0.0
-	if res.Tuples > 0 {
-		if o.useInjected && res.SimulatedMS > 0 {
-			perTuple = res.SimulatedMS / float64(res.Tuples)
-		} else {
-			perTuple = float64(res.Elapsed.Milliseconds()) / float64(res.Tuples)
-		}
-	}
-	if store != nil && res.Tuples > 0 {
-		rec := sysid.ProfileRecord{Workload: w, Optimum: res.Final, PerTupleMS: perTuple, Rounds: res.Blocks}
-		if err := store.Put(rec); err != nil {
-			return err
-		}
-		logger.Printf("profile store updated: %v (%.4f ms/tuple over %d blocks)", res.Final, perTuple, res.Blocks)
-	}
-
-	fmt.Printf("controller:      %s\n", ctl.Name())
-	fmt.Printf("tuples:          %d in %d blocks over %d chunks\n", res.Tuples, res.Blocks, res.Chunks)
-	fmt.Printf("wall time:       %v\n", res.WallTime.Round(time.Millisecond))
-	fmt.Printf("peak streams:    %d\n", res.PeakStreams)
-	printTransfer(&res.RunResult)
-	fmt.Printf("final vector:    %v\n", res.Final)
-	return nil
-}
-
-func buildController(name string, size int, b1, b2 float64, limits core.Limits) (core.Controller, error) {
+// buildController builds the controller -controller names (validate has
+// resolved the name: "vector" when -streams/-pipeline-depth asked for it).
+func buildController(o options) (core.Controller, error) {
+	size, limits := o.size, o.limits
 	cfg := core.DefaultConfig()
 	cfg.InitialSize = size
-	cfg.B1 = b1
-	cfg.B2 = b2
+	cfg.B1 = o.b1
+	cfg.B2 = o.b2
 	cfg.Limits = limits
 	cfg.Seed = time.Now().UnixNano()
-	switch name {
+	switch o.controller {
 	case "static":
 		return core.NewStatic(size), nil
 	case "constant":
@@ -390,7 +350,7 @@ func buildController(name string, size int, b1, b2 float64, limits core.Limits) 
 		cfg.AllowSwitchBack = true
 		return core.NewHybrid(cfg)
 	case "aimd":
-		return core.NewAIMD(core.AIMDConfig{InitialSize: size, Increase: b1 / 2, Decrease: 0.5, Limits: limits, AvgHorizon: cfg.AvgHorizon})
+		return core.NewAIMD(core.AIMDConfig{InitialSize: size, Increase: o.b1 / 2, Decrease: 0.5, Limits: limits, AvgHorizon: cfg.AvgHorizon})
 	case "mimd":
 		return core.NewMIMD(core.MIMDConfig{InitialSize: size, Gain: 1.5, Limits: limits, AvgHorizon: cfg.AvgHorizon, ScaleWindow: 4})
 	case "model-quadratic":
@@ -411,7 +371,26 @@ func buildController(name string, size int, b1, b2 float64, limits core.Limits) 
 			return nil, err
 		}
 		return core.NewSupervisor([]core.Controller{hybrid, constant}, core.SupervisorConfig{})
+	case "vector":
+		// Under push the credit-window dimension joins the search; the pull
+		// config pins it so trajectories stay comparable with prior runs.
+		vcfg := core.DefaultVectorConfig()
+		if o.push {
+			vcfg = core.DefaultPushVectorConfig()
+		}
+		vcfg.Dims[core.DimSize].Initial = size
+		vcfg.Dims[core.DimSize].Limits = limits
+		vcfg.Dims[core.DimSize].B1 = o.b1
+		vcfg.Dims[core.DimSize].B2 = o.b2
+		if o.streams > 0 {
+			vcfg.Dims[core.DimStreams].Limits = core.Limits{Min: 1, Max: o.streams}
+		}
+		if o.pipeDepth > 0 {
+			vcfg.Dims[core.DimDepth].Limits = core.Limits{Min: 1, Max: o.pipeDepth}
+		}
+		vcfg.Seed = cfg.Seed
+		return core.NewVector(vcfg)
 	default:
-		return nil, fmt.Errorf("unknown controller %q", name)
+		return nil, fmt.Errorf("unknown controller %q", o.controller)
 	}
 }

@@ -706,7 +706,7 @@ func (c *Client) Run(ctx context.Context, q Query, ctl core.Controller, metric M
 		return nil, err
 	}
 	r := run{c: c, ctl: ctl, metric: metric, useInjected: useInjected, res: &RunResult{}}
-	_, err = r.transfer(ctx, sess, windowFn(ctl), 0, nil)
+	_, err = r.transfer(ctx, sess, 0, nil)
 	return r.res, err
 }
 

@@ -24,29 +24,32 @@ type run struct {
 	metric      Metric
 	useInjected bool
 	res         *RunResult
-	// mu, when non-nil, guards ctl and res: RunVector shares both across
-	// its stream workers. Single-session runs leave it nil.
-	mu *sync.Mutex
+	// mu guards ctl, win and res: RunVector shares them across its stream
+	// workers, and a push transport reads win from the prefetcher.
+	mu sync.Mutex
+	// win is the credit window of the latest size decision.
+	win int
 }
 
-func (r *run) lock() {
-	if r.mu != nil {
-		r.mu.Lock()
-	}
-}
-
-func (r *run) unlock() {
-	if r.mu != nil {
-		r.mu.Unlock()
-	}
-}
-
-// size is the controller's block size for the next pull.
+// size asks the controller for its operating point and returns the block
+// size of the next pull. It is the one read per pull, as Algorithm 1 has
+// one Size call per block: a wrapper that times a decision (bench/'s
+// timedCtl) opens its iteration there, so the push transport gets the
+// window that came with the size, not a read of its own.
 func (r *run) size() int {
-	r.lock()
-	n := r.ctl.Size()
-	r.unlock()
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := core.VectorOf(r.ctl)
+	r.win = v.Window
+	return v.Size
+}
+
+// window is the push credit window of the latest decision; 0 (the
+// controller has no window knob) leaves the configured default.
+func (r *run) window() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.win
 }
 
 // sample is what the accounting point reads of one transferred block; a
@@ -63,7 +66,8 @@ type sample struct {
 // requested at size to the result and feeds the controller its
 // observation — wall time by default, the scale-free injected delay when
 // the run asked for it and the server reported one, per tuple or per
-// block. Callers hold r.mu when the run has one.
+// block. Callers hold r.mu, except Push, whose run never leaves its
+// goroutine.
 func (r *run) account(size int, s sample) {
 	res := r.res
 	res.Tuples += s.tuples
@@ -126,7 +130,7 @@ func fetch(ctx context.Context, sess *Session, tr Transport, size int, clone boo
 func (r *run) handOff(f *fetched) error {
 	blk, sink := f.blk, r.c.events
 	var ev BlockEvent
-	r.lock()
+	r.mu.Lock()
 	r.account(f.size, sample{len(blk.Rows), blk.Elapsed, blk.InjectedMS, blk.Attempts, blk.Replayed})
 	if sink != nil {
 		ev = BlockEvent{
@@ -148,7 +152,7 @@ func (r *run) handOff(f *fetched) error {
 			Failovers:  blk.Failovers,
 		}
 	}
-	r.unlock()
+	r.mu.Unlock()
 	if sink == nil {
 		return nil
 	}
@@ -157,8 +161,7 @@ func (r *run) handOff(f *fetched) error {
 
 // transfer is the block loop: it moves the open session's whole result
 // over the configured transport, closes the session, and returns how many
-// tuples it handed off. win supplies the push credit window (nil = the
-// configured default). Failovers, hedge adoptions and gateway failovers
+// tuples it handed off. Failovers, hedge adoptions and gateway failovers
 // reach the controller as disturbances.
 //
 // ahead == 0 runs lock-step on the caller's goroutine: every size
@@ -169,18 +172,18 @@ func (r *run) handOff(f *fetched) error {
 // after the observation and before handle runs, so a size is exactly
 // ahead observations stale and the controller is never touched from two
 // goroutines at once.
-func (r *run) transfer(ctx context.Context, sess *Session, win func() int, ahead int, handle BlockHandler) (tuples int, err error) {
-	tr := r.c.transportFor(sess, win)
+func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle BlockHandler) (tuples int, err error) {
+	tr := r.c.transportFor(sess, r.window)
 	sess.OnDisturbance = func(reason string) {
-		r.lock()
+		r.mu.Lock()
 		core.NotifyDisturbance(r.ctl, reason)
-		r.unlock()
+		r.mu.Unlock()
 	}
 	defer func() {
-		r.lock()
+		r.mu.Lock()
 		r.res.Failovers += sess.failovers
 		r.res.HedgeWins += sess.hedgeWins
-		r.unlock()
+		r.mu.Unlock()
 		// Best-effort cleanup; the session may already be gone.
 		_ = tr.Close(context.WithoutCancel(ctx))
 	}()

@@ -41,7 +41,7 @@ func TestEngineDecisionOrder(t *testing.T) {
 		}
 		var log strings.Builder
 		r := run{c: c, ctl: logController{&log}, res: &RunResult{}}
-		got, err := r.transfer(context.Background(), sess, nil, tc.ahead,
+		got, err := r.transfer(context.Background(), sess, tc.ahead,
 			func(minidb.Schema, []minidb.Row) error { log.WriteByte('H'); return nil })
 		if err != nil || got != 200 || r.res.Blocks != 5 {
 			t.Fatalf("ahead=%d: transferred %d tuples in %d blocks, err %v", tc.ahead, got, r.res.Blocks, err)

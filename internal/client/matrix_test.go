@@ -10,6 +10,7 @@ import (
 
 	"wsopt/internal/core"
 	"wsopt/internal/service"
+	"wsopt/internal/sysid"
 	"wsopt/internal/wire"
 )
 
@@ -61,39 +62,78 @@ func pinnedVector(t *testing.T, streams, depth int) *core.VectorController {
 func TestTransferMatrix(t *testing.T) {
 	const rows = 1300
 	type runFn func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error)
-	vector := func(streams, depth int) runFn {
+	// vectorWith runs mk's controller on the parallel-stream runner, which
+	// must fan out to exactly the streams the controller commands — never
+	// to the cap, which is 3 whatever the cell.
+	vectorWith := func(streams int, mk func() core.Controller) runFn {
 		return func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error) {
-			res, err := c.RunVector(ctx, Query{Table: "items"}, pinnedVector(t, streams, depth),
-				VectorRunConfig{ChunkTuples: 300, MaxStreams: streams, Handle: handle})
+			res, err := c.RunVector(ctx, Query{Table: "items"}, mk(),
+				VectorRunConfig{ChunkTuples: 300, MaxStreams: 3, Handle: handle})
 			if res == nil {
 				return nil, err
 			}
 			if err == nil && res.PeakStreams != streams {
 				t.Errorf("peak streams = %d, want %d", res.PeakStreams, streams)
 			}
+			if err == nil && res.Final.Streams != streams {
+				t.Errorf("final vector %v, want %d streams", res.Final, streams)
+			}
 			return &res.RunResult, err
 		}
+	}
+	vector := func(streams, depth int) runFn {
+		return vectorWith(streams, func() core.Controller { return pinnedVector(t, streams, depth) })
+	}
+	hybrid := func() core.Controller {
+		cfg := core.DefaultConfig()
+		cfg.InitialSize, cfg.Limits, cfg.B1, cfg.AvgHorizon = 50, core.Limits{Min: 10, Max: 200}, 20, 1
+		h, err := core.NewHybrid(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
 	modes := []struct {
 		name string
 		// keyed is false for Run, which has no handler to see rows with.
 		keyed bool
-		run   runFn
+		// phased: something on the controller's chain has phases, so every
+		// event must name one.
+		phased bool
+		run    runFn
 	}{
-		{"run", false, func(ctx context.Context, c *Client, _ BlockHandler) (*RunResult, error) {
+		{"run", false, false, func(ctx context.Context, c *Client, _ BlockHandler) (*RunResult, error) {
 			return c.Run(ctx, Query{Table: "items"}, core.NewStatic(70), MetricPerTuple, false)
 		}},
-		{"pipelined", true, func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error) {
+		{"pipelined", true, false, func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error) {
 			res, err := c.RunPipelined(ctx, Query{Table: "items"}, core.NewStatic(70), MetricPerTuple, false, handle)
 			if res == nil {
 				return nil, err
 			}
 			return &res.RunResult, err
 		}},
-		{"vector/depth=1/streams=1", true, vector(1, 1)},
-		{"vector/depth=1/streams=3", true, vector(3, 1)},
-		{"vector/depth=3/streams=1", true, vector(1, 3)},
-		{"vector/depth=3/streams=3", true, vector(3, 3)},
+		{"vector/depth=1/streams=1", true, true, vector(1, 1)},
+		{"vector/depth=1/streams=3", true, true, vector(3, 1)},
+		{"vector/depth=3/streams=1", true, true, vector(1, 3)},
+		{"vector/depth=3/streams=3", true, true, vector(3, 3)},
+		// Every controller runs on this runner, at the operating point
+		// core.VectorOf reads off it: a scalar one as one stream at depth
+		// 1, a wrapper at what the controller it drives commands.
+		{"vector/ctl=hybrid", true, true, vectorWith(1, hybrid)},
+		{"vector/ctl=supervisor(vector,hybrid)", true, true, vectorWith(3, func() core.Controller {
+			s, err := core.NewSupervisor([]core.Controller{pinnedVector(t, 3, 3), hybrid()}, core.SupervisorConfig{DegradeFactor: 1e9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		})},
+		{"vector/ctl=vector-cold-start", true, true, vectorWith(3, func() core.Controller {
+			cold, err := sysid.NewVectorColdStart(pinnedVector(t, 3, 3), core.Limits{Min: 10, Max: 200}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cold
+		})},
 	}
 
 	for _, push := range []bool{false, true} {
@@ -163,6 +203,9 @@ func TestTransferMatrix(t *testing.T) {
 						id := fmt.Sprintf("%s#%d", ev.Session, ev.Seq)
 						if ev.Session == "" || ev.Seq == 0 || blocks[id] {
 							t.Errorf("event not attributable to one block of one session: %+v", ev)
+						}
+						if mode.phased != (ev.Phase != "") {
+							t.Errorf("event phase %q from a controller chain with phases = %v: %+v", ev.Phase, mode.phased, ev)
 						}
 						blocks[id] = true
 					}

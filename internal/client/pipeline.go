@@ -54,7 +54,7 @@ func (c *Client) RunPipelined(ctx context.Context, q Query, ctl core.Controller,
 		}
 	}
 	r := run{c: c, ctl: ctl, metric: metric, useInjected: useInjected, res: &res.RunResult}
-	_, err = r.transfer(ctx, sess, windowFn(ctl), 1, timed)
+	_, err = r.transfer(ctx, sess, 1, timed)
 	res.WallTime = time.Since(start)
 	return res, err
 }

@@ -285,7 +285,7 @@ func TestPushWindowFollowsController(t *testing.T) {
 	if st.PushStreamsOpened < 1 {
 		t.Fatal("vector push run opened no stream")
 	}
-	if got := ctl.Window(); got < 1 {
+	if got := ctl.Vector().Window; got < 1 {
 		t.Fatalf("controller window = %d, want >= 1", got)
 	}
 }

@@ -1,10 +1,6 @@
 package client
 
-import (
-	"context"
-
-	"wsopt/internal/core"
-)
+import "context"
 
 // Transport is one strategy for moving an open session's result blocks
 // from server to client. The pull transport (Session itself) requests
@@ -36,8 +32,8 @@ const DefaultPushWindow = 4
 type PushConfig struct {
 	// Enabled switches every run mode's sessions from pull to push.
 	Enabled bool
-	// Window is the credit window granted when the controller does not
-	// expose a window knob (core.Windower); default DefaultPushWindow.
+	// Window is the credit window granted when the controller has no
+	// window knob (core.VectorOf reports 0); default DefaultPushWindow.
 	Window int
 }
 
@@ -54,9 +50,9 @@ func (c *Client) SetPush(pc PushConfig) { c.push = pc.normalized() }
 // PushEnabled reports whether the push transport is enabled.
 func (c *Client) PushEnabled() bool { return c.push.Enabled }
 
-// transportFor wraps an open session in the configured transport. win,
-// when non-nil, supplies the live credit-window target (the
-// controller's window knob); nil fixes it at the configured default.
+// transportFor wraps an open session in the configured transport. win
+// supplies the live credit-window target (the controller's window knob);
+// while it is nil or reports 0 the configured default applies.
 // Transparent-gateway sessions always pull: the gateway tier owns
 // failover per pull request and does not proxy the stream endpoints.
 func (c *Client) transportFor(sess *Session, win func() int) Transport {
@@ -64,14 +60,4 @@ func (c *Client) transportFor(sess *Session, win func() int) Transport {
 		return sess
 	}
 	return newStreamSession(sess, win)
-}
-
-// windowFn adapts a controller to the push window supplier: a
-// controller exposing core.Windower drives the credit window; any other
-// controller leaves it at the configured fixed default.
-func windowFn(ctl core.Controller) func() int {
-	if w, ok := ctl.(core.Windower); ok {
-		return w.Window
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,9 +11,10 @@ import (
 
 // This file is the multi-dimensional counterpart of Run: one logical
 // query executed as N parallel streams, each stream pulling its own
-// cursor-range of the result set, all feeding one shared vector
-// controller. The controller's three knobs map onto the runner as
-// follows:
+// cursor-range of the result set, all feeding one shared controller.
+// The knobs of its operating point (core.VectorOf — a controller without
+// a vector of its own commands one stream at depth 1) map onto the runner
+// as follows:
 //
 //   - block size   — requested per pull, exactly as in Run;
 //   - streams      — the number of concurrent workers; workers re-check
@@ -139,55 +139,39 @@ func (d *leaseDispenser) shorten(start, got int) {
 }
 
 // vectorRun is the shared state of one RunVector execution. One mutex
-// guards the controller, the aggregate accounting (both also reached
-// through run) and the live-worker count — all off the per-block hot
-// path's critical section (the pull itself runs without it).
+// (run.mu) guards the controller, the aggregate accounting (both also
+// reached through run) and the live-worker count — all off the per-block
+// hot path's critical section (the pull itself runs without it).
 type vectorRun struct {
 	run  run
 	q    Query
-	vctl *core.VectorController
 	cfg  VectorRunConfig
 	dis  *leaseDispenser
-
-	mu   sync.Mutex
 	res  VectorRunResult
 	live int
 }
 
 // target is the worker count the controller currently asks for, clamped
-// to the configured cap. Called with r.mu held.
+// to the configured cap. Called with run.mu held.
 func (r *vectorRun) target() int {
-	t := r.vctl.Streams()
-	if t < 1 {
-		t = 1
-	}
-	if t > r.cfg.MaxStreams {
-		t = r.cfg.MaxStreams
-	}
-	return t
+	return min(max(core.VectorOf(r.run.ctl).Streams, 1), r.cfg.MaxStreams)
 }
 
 // depth reads the controller's pipeline-depth knob for one chunk.
 func (r *vectorRun) depth() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.vctl.Depth()
-}
-
-// window reads the controller's credit-window knob for the push
-// transport (pinned at 1 in the default pull config).
-func (r *vectorRun) window() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.vctl.Window()
+	r.run.mu.Lock()
+	defer r.run.mu.Unlock()
+	return core.VectorOf(r.run.ctl).Depth
 }
 
 // RunVector executes one query as an adaptive parallel-stream transfer
-// driven by the vector controller. It returns when the whole result set
-// has been delivered (exactly once, across all streams) or on the first
-// stream error, whichever comes first. Failovers and hedge adoptions on
-// any stream are surfaced to the shared controller as disturbances.
-func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorController, cfg VectorRunConfig) (*VectorRunResult, error) {
+// driven by ctl — the vector controller, or any other controller at the
+// operating point core.VectorOf reads off it. It returns when the whole
+// result set has been delivered (exactly once, across all streams) or on
+// the first stream error, whichever comes first. Failovers and hedge
+// adoptions on any stream are surfaced to the shared controller as
+// disturbances.
+func (c *Client) RunVector(ctx context.Context, q Query, ctl core.Controller, cfg VectorRunConfig) (*VectorRunResult, error) {
 	if ctl == nil {
 		return nil, fmt.Errorf("client: RunVector needs a controller")
 	}
@@ -195,8 +179,8 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	r := &vectorRun{q: q, vctl: ctl, cfg: cfg, dis: newLeaseDispenser(cfg.ChunkTuples)}
-	r.run = run{c: c, ctl: ctl, metric: cfg.Metric, useInjected: cfg.UseInjected, res: &r.res.RunResult, mu: &r.mu}
+	r := &vectorRun{q: q, cfg: cfg, dis: newLeaseDispenser(cfg.ChunkTuples)}
+	r.run = run{c: c, ctl: ctl, metric: cfg.Metric, useInjected: cfg.UseInjected, res: &r.res.RunResult}
 	r.q.StreamGroup = fmt.Sprintf("vg-%08x", groupCounter.Add(1))
 	// The outer query's own Limit bounds the result set from the start.
 	if q.Limit > 0 {
@@ -216,28 +200,28 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 	var spawn func()
 	worker := func() {
 		for {
-			r.mu.Lock()
+			r.run.mu.Lock()
 			over := r.live > r.target()
 			if over {
 				r.live--
 			}
-			r.mu.Unlock()
+			r.run.mu.Unlock()
 			if over || ctx.Err() != nil {
 				events <- workerEvent{exited: true}
 				return
 			}
 			lease, ok := r.dis.take()
 			if !ok {
-				r.mu.Lock()
+				r.run.mu.Lock()
 				r.live--
-				r.mu.Unlock()
+				r.run.mu.Unlock()
 				events <- workerEvent{exited: true}
 				return
 			}
 			if err := r.chunk(ctx, lease); err != nil {
-				r.mu.Lock()
+				r.run.mu.Lock()
 				r.live--
-				r.mu.Unlock()
+				r.run.mu.Unlock()
 				events <- workerEvent{err: err, exited: true}
 				return
 			}
@@ -245,7 +229,7 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 		}
 	}
 	spawn = func() {
-		// Called with r.mu held.
+		// Called with run.mu held.
 		r.live++
 		if r.live > r.res.PeakStreams {
 			r.res.PeakStreams = r.live
@@ -257,12 +241,12 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 	// exit — the join condition; r.live is the workers' own view and can
 	// drop before the exit event is delivered.
 	outstanding := 0
-	r.mu.Lock()
+	r.run.mu.Lock()
 	for r.live < r.target() {
 		spawn()
 		outstanding++
 	}
-	r.mu.Unlock()
+	r.run.mu.Unlock()
 
 	var firstErr error
 	for outstanding > 0 {
@@ -279,20 +263,20 @@ func (c *Client) RunVector(ctx context.Context, q Query, ctl *core.VectorControl
 			// dispenser is drained, never spawn: a new worker would find
 			// no lease and exit, and its exit event would trigger another
 			// futile spawn, forever.
-			r.mu.Lock()
+			r.run.mu.Lock()
 			for r.live < r.target() {
 				spawn()
 				outstanding++
 			}
-			r.mu.Unlock()
+			r.run.mu.Unlock()
 		}
 	}
 
-	r.mu.Lock()
+	r.run.mu.Lock()
 	res := r.res
-	r.mu.Unlock()
+	r.run.mu.Unlock()
 	res.WallTime = time.Since(start)
-	res.Final = ctl.Vector()
+	res.Final = core.VectorOf(ctl)
 	if firstErr != nil {
 		return &res, firstErr
 	}
@@ -323,7 +307,7 @@ func (r *vectorRun) chunk(ctx context.Context, start int) error {
 	if ahead <= 1 {
 		ahead = 0
 	}
-	got, err := r.run.transfer(ctx, sess, r.window, ahead, r.cfg.Handle)
+	got, err := r.run.transfer(ctx, sess, ahead, r.cfg.Handle)
 	if err == nil {
 		err = ctx.Err()
 	}
@@ -333,8 +317,8 @@ func (r *vectorRun) chunk(ctx context.Context, start int) error {
 	if got < lease {
 		r.dis.shorten(start, got)
 	}
-	r.mu.Lock()
+	r.run.mu.Lock()
 	r.res.Chunks++
-	r.mu.Unlock()
+	r.run.mu.Unlock()
 	return nil
 }

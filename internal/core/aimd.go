@@ -1,31 +1,16 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // AIMD is the additive-increase / multiplicative-decrease linear
 // controller, the TCP congestion-control scheme the paper cites when
 // discussing linear models ("recall the AIMD scheme adopted in TCP/IP",
 // Section III-B): when the last move improved the per-tuple cost the
 // block size grows by a fixed increment, when it degraded it is cut by a
-// multiplicative factor. It completes the linear family next to the
-// constant-gain (AIAD-like) and MIMD controllers.
-type AIMD struct {
-	limits   Limits
-	increase float64 // additive step, tuples
-	decrease float64 // multiplicative cut in (0, 1)
-	avg      *averager
-	dith     *dither
-
-	cur      float64
-	initial  float64
-	havePrev bool
-	prevX    float64
-	prevY    float64
-	steps    int
-}
+// multiplicative factor. "Improvement" is the extremum schemes' own sign
+// test, so it is their fourth law (lawAIMD), beside the constant-gain
+// (AIAD-like), adaptive and hybrid ones.
+type AIMD struct{ extremum }
 
 // AIMDConfig parameterizes the AIMD controller.
 type AIMDConfig struct {
@@ -48,82 +33,27 @@ type AIMDConfig struct {
 
 // NewAIMD builds the controller.
 func NewAIMD(cfg AIMDConfig) (*AIMD, error) {
-	if cfg.InitialSize < 1 {
-		return nil, fmt.Errorf("core: AIMD initial size %d must be positive", cfg.InitialSize)
-	}
 	if cfg.Increase <= 0 {
 		return nil, fmt.Errorf("core: AIMD increase %g must be positive", cfg.Increase)
 	}
 	if cfg.Decrease <= 0 || cfg.Decrease >= 1 {
 		return nil, fmt.Errorf("core: AIMD decrease %g must be in (0, 1)", cfg.Decrease)
 	}
-	if !cfg.Limits.Valid() {
-		return nil, fmt.Errorf("core: invalid limits [%d, %d]", cfg.Limits.Min, cfg.Limits.Max)
+	e, err := newExtremum(Config{
+		InitialSize:     cfg.InitialSize,
+		Limits:          cfg.Limits,
+		B1:              cfg.Increase,
+		DitherFactor:    cfg.DitherFactor,
+		AvgHorizon:      cfg.AvgHorizon,
+		CriterionWindow: 1, // unused by this law; Validate wants it positive
+		Seed:            cfg.Seed,
+	}, lawAIMD)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.DitherFactor < 0 {
-		return nil, fmt.Errorf("core: dither factor %g must be non-negative", cfg.DitherFactor)
-	}
-	return &AIMD{
-		limits:   cfg.Limits,
-		increase: cfg.Increase,
-		decrease: cfg.Decrease,
-		avg:      newAverager(cfg.AvgHorizon),
-		dith:     newDither(cfg.DitherFactor, cfg.Seed),
-		cur:      float64(cfg.Limits.Clamp(cfg.InitialSize)),
-		initial:  float64(cfg.Limits.Clamp(cfg.InitialSize)),
-	}, nil
+	e.decrease = cfg.Decrease
+	return &AIMD{extremum: *e}, nil
 }
-
-// Size implements Controller.
-func (a *AIMD) Size() int { return round(a.cur) }
-
-// Observe implements Controller.
-func (a *AIMD) Observe(responseTime float64) {
-	if math.IsNaN(responseTime) || math.IsInf(responseTime, 0) || responseTime < 0 {
-		return
-	}
-	mx, my, full := a.avg.add(a.cur, responseTime)
-	if !full {
-		return
-	}
-	a.step(mx, my)
-}
-
-func (a *AIMD) step(mx, my float64) {
-	a.steps++
-	if !a.havePrev {
-		a.havePrev = true
-		a.prevX, a.prevY = mx, my
-		a.setSize(a.cur + a.increase + a.dith.next())
-		return
-	}
-	dy := my - a.prevY
-	dx := mx - a.prevX
-	a.prevX, a.prevY = mx, my
-	// "Improvement" means the per-tuple cost moved the right way for the
-	// direction travelled: the same sign test as the extremum schemes.
-	if Sign(dy*dx) < 0 {
-		a.setSize(a.cur + a.increase + a.dith.next())
-	} else {
-		a.setSize(a.cur*a.decrease + a.dith.next())
-	}
-}
-
-func (a *AIMD) setSize(x float64) { a.cur = a.limits.ClampF(x) }
 
 // Name implements Controller.
 func (a *AIMD) Name() string { return "aimd" }
-
-// Steps returns the adaptivity steps taken so far.
-func (a *AIMD) Steps() int { return a.steps }
-
-// Reset implements Resetter. The dither RNG is rewound so a reset
-// controller replays exactly like a freshly constructed one.
-func (a *AIMD) Reset() {
-	a.avg.reset()
-	a.dith.rewind()
-	a.havePrev = false
-	a.prevX, a.prevY = 0, 0
-	a.steps = 0
-	a.cur = a.initial
-}

@@ -45,15 +45,6 @@ type Controller interface {
 	Name() string
 }
 
-// Windower is implemented by controllers that also command the push
-// transport's credit window — how many blocks the server may keep in
-// flight beyond the client's cumulative ack. Push runners feed the
-// granted window from it; controllers without the knob get a static
-// window from configuration instead.
-type Windower interface {
-	Window() int
-}
-
 // Resetter is implemented by controllers whose internal adaptation state can
 // be cleared without changing their configuration, e.g. between queries.
 type Resetter interface {
@@ -70,48 +61,65 @@ type Disturber interface {
 	Disturb()
 }
 
-// NotifyDisturbance forwards a disturbance to ctl if it (or anything it
-// wraps) implements Disturber. It returns whether any controller reacted.
-// The reason is currently informational only; it keeps call sites
-// self-documenting and leaves room for per-cause policies.
-func NotifyDisturbance(ctl Controller, reason string) bool {
-	_ = reason
-	type unwrapper interface{ Unwrap() Controller }
-	for ctl != nil {
-		if d, ok := ctl.(Disturber); ok {
-			d.Disturb()
-			return true
-		}
-		u, ok := ctl.(unwrapper)
-		if !ok {
-			return false
-		}
-		ctl = u.Unwrap()
+// A wrapper — a supervisor, a model-based start, a tracing shim — exposes
+// the controller it currently drives through one method,
+//
+//	Unwrap() Controller
+//
+// (nil while it drives none), and forwards no capability itself.
+// NotifyDisturbance, PhaseOf and VectorOf are the three ways a runner
+// reaches a capability, and inner is how all three walk the chain.
+
+// inner returns the controller ctl wraps, nil when it wraps none.
+func inner(ctl Controller) Controller {
+	if u, ok := ctl.(interface{ Unwrap() Controller }); ok {
+		return u.Unwrap()
 	}
-	return false
+	return nil
 }
 
-// PhaseOf reports the operating phase of a controller for traces and
-// events: "transient" or "steady" for the switching extremum family
-// (which exposes InSteadyState), "" for controllers without phases.
-// Wrappers that expose Unwrap are unwrapped transparently.
+// NotifyDisturbance delivers a disturbance to every Disturber on ctl's
+// chain — a supervisor re-baselines and the controller it drives re-enters
+// its search. It returns whether any controller reacted. The reason is
+// informational only; it keeps call sites self-documenting.
+func NotifyDisturbance(ctl Controller, reason string) (reacted bool) {
+	_ = reason
+	for c := ctl; c != nil; c = inner(c) {
+		if d, ok := c.(Disturber); ok {
+			d.Disturb()
+			reacted = true
+		}
+	}
+	return reacted
+}
+
+// PhaseOf reports the operating phase of the first controller on ctl's
+// chain that has one, for traces and events: "transient" or "steady" for
+// the switching extremum family and the vector controller, "" when
+// nothing on the chain has phases.
 func PhaseOf(ctl Controller) string {
-	type steady interface{ InSteadyState() bool }
-	type unwrapper interface{ Unwrap() Controller }
-	for ctl != nil {
-		if s, ok := ctl.(steady); ok {
+	for c := ctl; c != nil; c = inner(c) {
+		if s, ok := c.(interface{ InSteadyState() bool }); ok {
 			if s.InSteadyState() {
-				return "steady"
+				return phaseSteady.String()
 			}
-			return "transient"
+			return phaseTransient.String()
 		}
-		u, ok := ctl.(unwrapper)
-		if !ok {
-			return ""
-		}
-		ctl = u.Unwrap()
 	}
 	return ""
+}
+
+// VectorOf is the operating point ctl commands for the next transfer: the
+// Vector() of the first controller on its chain that has one, else ctl's
+// block size on one stream at depth 1. Window 0 means the controller has
+// no credit-window knob and the runner's configured default applies.
+func VectorOf(ctl Controller) Vector {
+	for c := ctl; c != nil; c = inner(c) {
+		if v, ok := c.(interface{ Vector() Vector }); ok {
+			return v.Vector()
+		}
+	}
+	return Vector{Size: ctl.Size(), Streams: 1, Depth: 1}
 }
 
 // Limits bound the block sizes a controller may emit. The paper imposes
@@ -330,14 +338,16 @@ func (d *dither) rewind() {
 	d.rng = rand.New(rand.NewSource(d.seed))
 }
 
-// averager accumulates per-block (x, y) measurements and emits their means
-// every n samples — the pre-filter of Eq. 2.
+// averager is the measurement front-end every stepping controller shares:
+// it drops broken measurements, averages per-block (x, y) over n samples —
+// the pre-filter of Eq. 2 — and remembers the previous step's means, so a
+// step sees the change (Δx, Δy) the control laws are written in.
 type averager struct {
 	n            int
 	sumX, sumY   float64
 	count        int
 	lastX, lastY float64
-	ready        bool
+	ready        bool // lastX, lastY hold a completed step
 }
 
 func newAverager(n int) *averager {
@@ -348,8 +358,13 @@ func newAverager(n int) *averager {
 }
 
 // add records one measurement. When the horizon fills, it returns the means
-// and true, and restarts the window.
+// and true, and restarts the window. A broken measurement (failed request,
+// clock skew: NaN, infinite or negative) is dropped rather than poisoning
+// the averaged state.
 func (a *averager) add(x, y float64) (mx, my float64, full bool) {
+	if math.IsNaN(y) || math.IsInf(y, 0) || y < 0 {
+		return 0, 0, false
+	}
 	a.sumX += x
 	a.sumY += y
 	a.count++
@@ -364,12 +379,31 @@ func (a *averager) add(x, y float64) (mx, my float64, full bool) {
 	return mx, my, true
 }
 
+// sample is the input of one adaptivity step.
+type sample struct {
+	x, y   float64 // the window's means x̄_k, ȳ_k
+	dx, dy float64 // their change since the previous step
+	first  bool    // there is no previous step, so no Δ yet
+}
+
+// next is add in the form the control laws consume: it reports a step when
+// the horizon fills.
+func (a *averager) next(x, y float64) (s sample, ok bool) {
+	prevX, prevY, first := a.lastX, a.lastY, !a.ready
+	mx, my, full := a.add(x, y)
+	if !full {
+		return sample{}, false
+	}
+	if first {
+		return sample{x: mx, y: my, first: true}, true
+	}
+	return sample{x: mx, y: my, dx: mx - prevX, dy: my - prevY}, true
+}
+
 // reset clears any partially filled window and the last emitted means, so
 // a reset averager is indistinguishable from a freshly constructed one.
 func (a *averager) reset() {
-	a.sumX, a.sumY, a.count = 0, 0, 0
-	a.lastX, a.lastY = 0, 0
-	a.ready = false
+	*a = averager{n: a.n}
 }
 
 // round converts the continuous internal state to a concrete tuple count.

@@ -117,15 +117,10 @@ func (m *MIMD) Size() int {
 
 // Observe implements Controller.
 func (m *MIMD) Observe(responseTime float64) {
-	if math.IsNaN(responseTime) || math.IsInf(responseTime, 0) || responseTime < 0 {
-		return
-	}
 	x := float64(m.Size())
-	_, my, full := m.avg.add(x, responseTime)
-	if !full {
-		return
+	if _, my, full := m.avg.add(x, responseTime); full {
+		m.step(x, my)
 	}
-	m.step(x, my)
 }
 
 func (m *MIMD) step(x, my float64) {

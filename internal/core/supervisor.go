@@ -136,16 +136,17 @@ func (s *Supervisor) failover() {
 // active controller (e.g. a session failover moved the query to another
 // replica), so the reference performance is stale. The supervisor
 // re-baselines — best is cleared and the warmup restarts, preventing a
-// spurious failover against a reference measured on the old replica — and
-// forwards the disturbance to the active controller.
+// spurious failover against a reference measured on the old replica.
+// NotifyDisturbance goes on to the active controller through Unwrap.
 func (s *Supervisor) Disturb() {
 	s.window = s.window[:0]
 	s.best = math.Inf(1)
 	s.steps = 0
-	if d, ok := s.bank[s.active].(Disturber); ok {
-		d.Disturb()
-	}
 }
+
+// Unwrap returns the active controller: the one whose phase, vector and
+// disturbance reaction are the supervisor's at this moment.
+func (s *Supervisor) Unwrap() Controller { return s.bank[s.active] }
 
 // Name implements Controller.
 func (s *Supervisor) Name() string {

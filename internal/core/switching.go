@@ -1,86 +1,45 @@
 package core
 
-import (
-	"math"
+import "math"
 
-	"wsopt/internal/metrics"
-)
-
-// phase labels the hybrid controller's operating regime.
-type phase int
+// gainLaw selects the control law of a switching extremum controller.
+type gainLaw int
 
 const (
-	phaseTransient phase = iota // constant-gain stepping toward the optimum
-	phaseSteady                 // adaptive-gain fine tuning around it
-)
-
-func (p phase) String() string {
-	if p == phaseSteady {
-		return "steady"
-	}
-	return "transient"
-}
-
-// gainMode selects the gain law of a switching extremum controller.
-type gainMode int
-
-const (
-	gainConstant gainMode = iota // g = b1 (Eq. 1 with constant gain)
-	gainAdaptive                 // g = |b2·(Δy/y)·Δx| (Eq. 3)
-	gainHybrid                   // Eq. 4: constant in transient, adaptive in steady state
+	lawConstant gainLaw = iota // g = b1 (Eq. 1 with constant gain)
+	lawAdaptive                // g = |b2·(Δy/y)·Δx| (Eq. 3)
+	lawHybrid                  // Eq. 4: constant in transient, adaptive in steady state
+	lawAIMD                    // +b1 after an improving move, ×decrease after a degrading one
 )
 
 // extremum is the shared implementation of the switching extremum
 // controllers (Eqs. 1–5 of the paper). The concrete constructors select the
-// gain mode.
+// gain law.
 type extremum struct {
-	cfg  Config
-	mode gainMode
+	cfg      Config
+	law      gainLaw
+	decrease float64 // lawAIMD's multiplicative cut
 
 	avg  *averager
 	dith *dither
+	cur  float64 // current commanded block size (continuous state)
 
-	cur      float64 // current commanded block size (continuous state)
-	havePrev bool
-	prevX    float64 // previous averaged block size x̄_{k-1}
-	prevY    float64 // previous averaged response time ȳ_{k-1}
-
-	// Phase machinery (hybrid only).
-	ph            phase
-	justSwitched  bool      // first adaptivity step after entering steady state
-	signHist      []float64 // last CriterionWindow values of sign(Δy·Δx)
-	xbarHist      []float64 // recent averaged block sizes, for Eq. 6
-	stepCount     int       // adaptivity steps taken
-	phaseStep     int       // stepCount at which the current phase was entered
-	phaseSwitches int       // number of transient<->steady transitions
-	phaseCtr      *metrics.Counter
+	phaseMachine           // drives lawHybrid only; the other laws stay transient
+	xbarHist     []float64 // recent averaged block sizes, for Eq. 6 and parking
 }
 
-func newExtremum(cfg Config, mode gainMode) (*extremum, error) {
+func newExtremum(cfg Config, law gainLaw) (*extremum, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &extremum{
-		cfg:  cfg,
-		mode: mode,
-		avg:  newAverager(cfg.AvgHorizon),
-		dith: newDither(cfg.DitherFactor, cfg.Seed),
-		cur:  float64(cfg.Limits.Clamp(cfg.InitialSize)),
-		ph:   phaseTransient,
-	}
-	if cfg.Metrics != nil {
-		e.phaseCtr = cfg.Metrics.Counter("wsopt_core_phase_transitions_total",
-			"Transient<->steady phase transitions across all switching controllers.")
-	}
-	return e, nil
-}
-
-// countPhaseSwitch records one transient<->steady transition.
-func (e *extremum) countPhaseSwitch() {
-	e.phaseSwitches++
-	if e.phaseCtr != nil {
-		e.phaseCtr.Inc()
-	}
+	return &extremum{
+		cfg:          cfg,
+		law:          law,
+		avg:          newAverager(cfg.AvgHorizon),
+		dith:         newDither(cfg.DitherFactor, cfg.Seed),
+		cur:          float64(cfg.Limits.Clamp(cfg.InitialSize)),
+		phaseMachine: newPhaseMachine(cfg.CriterionWindow, cfg.CriterionThreshold, cfg.ResetPeriod, cfg.Metrics),
+	}, nil
 }
 
 // Size implements Controller.
@@ -90,190 +49,115 @@ func (e *extremum) Size() int { return round(e.cur) }
 // the averaging pre-filter and, when the horizon fills, takes one
 // adaptivity step.
 func (e *extremum) Observe(responseTime float64) {
-	if math.IsNaN(responseTime) || math.IsInf(responseTime, 0) || responseTime < 0 {
-		// A broken measurement (failed request, clock skew) is dropped
-		// rather than poisoning the averaged state.
-		return
+	if s, ok := e.avg.next(e.cur, responseTime); ok {
+		e.step(s)
 	}
-	mx, my, full := e.avg.add(e.cur, responseTime)
-	if !full {
-		return
-	}
-	e.step(mx, my)
 }
 
 // step performs one adaptivity step on averaged measurements.
-func (e *extremum) step(mx, my float64) {
-	e.stepCount++
-	if !e.havePrev {
+func (e *extremum) step(s sample) {
+	e.steps++
+	if s.first {
 		// The formulas take effect from the second adaptivity step; in the
 		// first, the controller increases the block by b1 (Section III-A).
-		e.prevX, e.prevY = mx, my
-		e.havePrev = true
 		e.setSize(e.cur + e.cfg.B1 + e.dith.next())
 		return
 	}
-
-	dy := my - e.prevY
-	dx := mx - e.prevX
-	sg := Sign(dy * dx)
-
-	e.prevX, e.prevY = mx, my
+	sg := Sign(s.dy * s.dx)
 	e.pushSign(sg)
-	e.pushXbar(mx)
-	if e.mode == gainHybrid && e.updatePhase() {
+	e.pushXbar(s.x)
+	if e.law == lawHybrid && e.updatePhase() {
 		// A phase transition just parked the controller at the center of
 		// the saw-tooth; keep that decision for the next block.
 		return
 	}
-	g := e.gain(dy, dx, my)
-	e.setSize(e.cur - g*sg + e.dith.next())
+	next := e.cur - e.gain(s)*sg
+	if e.law == lawAIMD && sg > 0 {
+		next = e.cur * e.decrease
+	}
+	e.setSize(next + e.dith.next())
 }
 
-// gain returns the step magnitude for the current mode/phase.
-func (e *extremum) gain(dy, dx, y float64) float64 {
-	adaptive := func() float64 {
-		if y <= 0 {
-			return 0
-		}
-		return math.Abs(e.cfg.B2 * dy / y * dx)
+// gain returns the step magnitude for the current law and phase.
+func (e *extremum) gain(s sample) float64 {
+	adaptive := 0.0
+	if s.y > 0 {
+		adaptive = math.Abs(e.cfg.B2 * s.dy / s.y * s.dx)
 	}
-	switch e.mode {
-	case gainConstant:
-		return e.cfg.B1
-	case gainAdaptive:
-		return adaptive()
-	default: // gainHybrid — Eq. 4
-		if e.ph == phaseSteady {
-			if e.justSwitched {
-				// Hand-off step: the last Δx still has the transient's
-				// magnitude b1, which combined with measurement noise
-				// would fire one large, randomly directed adaptive step.
-				// Hold position instead; the dither restarts probing at
-				// its own small scale.
-				e.justSwitched = false
-				return 0
-			}
-			// The steady-state refinement must never out-step the
-			// transient policy it replaced.
-			if g := adaptive(); g < e.cfg.B1 {
-				return g
-			}
-			return e.cfg.B1
-		}
-		return e.cfg.B1
+	switch e.law {
+	case lawAdaptive:
+		return adaptive
+	case lawHybrid:
+		return e.clampGain(e.cfg.B1, adaptive)
 	}
+	return e.cfg.B1
 }
 
 func (e *extremum) setSize(x float64) {
 	e.cur = e.cfg.Limits.ClampF(x)
 }
 
-func (e *extremum) pushSign(sg float64) {
-	e.signHist = append(e.signHist, sg)
-	if n := e.cfg.CriterionWindow; len(e.signHist) > n {
-		e.signHist = e.signHist[len(e.signHist)-n:]
-	}
-}
-
 func (e *extremum) pushXbar(x float64) {
 	e.xbarHist = append(e.xbarHist, x)
-	if n := 2 * e.cfg.CriterionWindow; len(e.xbarHist) > n {
+	if n := 2 * e.window; len(e.xbarHist) > n {
 		e.xbarHist = e.xbarHist[len(e.xbarHist)-n:]
 	}
 }
 
 // updatePhase applies the phase-transition logic of the hybrid controller:
-// the transition criterion (Eq. 5 or Eq. 6), the optional switch-back of
-// the "hybrid-s" flavor, and the optional periodic reset for long-lived
-// queries (Fig. 8). It reports whether the transition parked the
+// the optional periodic reset for long-lived queries (Fig. 8), the
+// transition criterion (Eq. 5 or Eq. 6) and the optional switch-back of
+// the "hybrid-s" flavor. It reports whether the transition parked the
 // controller at a new block size that should stand for the next step.
 func (e *extremum) updatePhase() bool {
-	// The periodic reset exists to kick a converged controller back into
-	// searching (Fig. 8's long-lived queries), so the period is counted
-	// from the moment steady state was entered — never from an absolute
-	// step count. Firing on stepCount%ResetPeriod while still transient
-	// would repeatedly clear signHist and, whenever ResetPeriod ≤
-	// CriterionWindow, make steady-state detection impossible.
-	if e.cfg.ResetPeriod > 0 && e.ph == phaseSteady && e.stepCount-e.phaseStep >= e.cfg.ResetPeriod {
-		e.countPhaseSwitch()
-		e.ph = phaseTransient
-		e.phaseStep = e.stepCount
-		e.justSwitched = false
-		e.signHist = e.signHist[:0]
+	switch {
+	case e.resetDue():
+		e.enterTransient()
 		e.xbarHist = e.xbarHist[:0]
-		return false
-	}
-	switch e.ph {
-	case phaseTransient:
-		if e.steadyStateDetected() {
-			e.ph = phaseSteady
-			e.phaseStep = e.stepCount
-			e.justSwitched = true
-			e.countPhaseSwitch()
-			// The saw-tooth of the constant-gain phase straddles the
-			// stability point; its center — the mean recent decision — is
-			// the best estimate of the optimum, while the current value
-			// is by construction an extreme of the oscillation. Park at
-			// the center.
-			if n := e.cfg.CriterionWindow; len(e.xbarHist) >= n {
-				e.setSize(mean(e.xbarHist[len(e.xbarHist)-n:]))
-				return true
-			}
+	case e.ph == phaseTransient && e.steadyStateDetected():
+		e.enterSteady()
+		// The saw-tooth of the constant-gain phase straddles the
+		// stability point; its center — the mean recent decision — is
+		// the best estimate of the optimum, while the current value
+		// is by construction an extreme of the oscillation. Park at
+		// the center.
+		if n := e.window; len(e.xbarHist) >= n {
+			e.setSize(mean(e.xbarHist[len(e.xbarHist)-n:]))
+			return true
 		}
-	case phaseSteady:
-		if e.cfg.AllowSwitchBack && e.driftDetected() {
-			e.ph = phaseTransient
-			e.phaseStep = e.stepCount
-			e.justSwitched = false
-			e.countPhaseSwitch()
-			e.signHist = e.signHist[:0]
-		}
+	case e.ph == phaseSteady && e.cfg.AllowSwitchBack && e.driftDetected():
+		e.enterTransient()
 	}
 	return false
 }
 
 // steadyStateDetected evaluates the configured transition criterion.
 func (e *extremum) steadyStateDetected() bool {
-	n := e.cfg.CriterionWindow
-	switch e.cfg.Criterion {
-	case CriterionWindowedMean:
-		// Eq. 6: the mean block size over two consecutive disjoint windows
-		// of length n' is (almost) unchanged.
-		if len(e.xbarHist) < 2*n {
-			return false
-		}
-		h := e.xbarHist[len(e.xbarHist)-2*n:]
-		recent := mean(h[n:])
-		older := mean(h[:n])
-		return math.Abs(recent-older) <= e.eq6Threshold()
-	default:
-		// Eq. 5: the signs of Δy·Δx over the last n' steps are balanced —
-		// the constant-gain controller oscillates around the optimum in a
-		// saw-tooth manner, flipping direction (almost) every step.
-		if len(e.signHist) < n {
-			return false
-		}
-		return math.Abs(sum(e.signHist)) <= float64(e.cfg.CriterionThreshold)
+	if e.cfg.Criterion != CriterionWindowedMean {
+		return e.balanced()
 	}
+	// Eq. 6: the mean block size over two consecutive disjoint windows
+	// of length n' is (almost) unchanged.
+	n := e.window
+	if len(e.xbarHist) < 2*n {
+		return false
+	}
+	h := e.xbarHist[len(e.xbarHist)-2*n:]
+	return math.Abs(mean(h[n:])-mean(h[:n])) <= e.eq6Threshold()
 }
 
 // driftDetected reports a consistent drift of the sign statistic: all n'
 // recent steps move the same way, which the hybrid-s flavor takes as the
 // optimum having moved (re-entering the transient phase).
 func (e *extremum) driftDetected() bool {
-	n := e.cfg.CriterionWindow
-	if len(e.signHist) < n {
-		return false
-	}
-	return math.Abs(sum(e.signHist)) >= float64(n)
+	return len(e.signHist) >= e.window && math.Abs(sum(e.signHist)) >= float64(e.window)
 }
 
 func (e *extremum) eq6Threshold() float64 {
 	if e.cfg.Eq6Threshold > 0 {
 		return e.cfg.Eq6Threshold
 	}
-	den := float64(e.cfg.CriterionWindow - 1)
+	den := float64(e.window - 1)
 	if den <= 0 {
 		den = 1
 	}
@@ -290,15 +174,8 @@ func (e *extremum) Reset() {
 	e.avg.reset()
 	e.dith.rewind()
 	e.cur = float64(e.cfg.Limits.Clamp(e.cfg.InitialSize))
-	e.havePrev = false
-	e.prevX, e.prevY = 0, 0
-	e.ph = phaseTransient
-	e.justSwitched = false
-	e.signHist = e.signHist[:0]
+	e.phaseMachine.reset()
 	e.xbarHist = e.xbarHist[:0]
-	e.stepCount = 0
-	e.phaseStep = 0
-	e.phaseSwitches = 0
 }
 
 // Disturb implements Disturber: an external disturbance (e.g. a session
@@ -308,29 +185,9 @@ func (e *extremum) Reset() {
 // regime than the initial one. Compare Reset, which discards both.
 func (e *extremum) Disturb() {
 	e.avg.reset()
-	e.havePrev = false
-	e.prevX, e.prevY = 0, 0
-	if e.ph == phaseSteady {
-		e.countPhaseSwitch()
-	}
-	e.ph = phaseTransient
-	e.phaseStep = e.stepCount
-	e.justSwitched = false
-	e.signHist = e.signHist[:0]
+	e.enterTransient()
 	e.xbarHist = e.xbarHist[:0]
 }
-
-// Steps returns the number of adaptivity steps taken so far.
-func (e *extremum) Steps() int { return e.stepCount }
-
-// InSteadyState reports whether a hybrid controller currently applies the
-// adaptive gain. It is always false for the other modes.
-func (e *extremum) InSteadyState() bool {
-	return e.mode == gainHybrid && e.ph == phaseSteady
-}
-
-// PhaseSwitches returns how many transient<->steady transitions occurred.
-func (e *extremum) PhaseSwitches() int { return e.phaseSwitches }
 
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -358,7 +215,7 @@ type Constant struct{ extremum }
 
 // NewConstant builds a constant-gain controller.
 func NewConstant(cfg Config) (*Constant, error) {
-	e, err := newExtremum(cfg, gainConstant)
+	e, err := newExtremum(cfg, lawConstant)
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +232,7 @@ type Adaptive struct{ extremum }
 
 // NewAdaptive builds an adaptive-gain controller.
 func NewAdaptive(cfg Config) (*Adaptive, error) {
-	e, err := newExtremum(cfg, gainAdaptive)
+	e, err := newExtremum(cfg, lawAdaptive)
 	if err != nil {
 		return nil, err
 	}
@@ -393,7 +250,7 @@ type Hybrid struct{ extremum }
 
 // NewHybrid builds a hybrid controller.
 func NewHybrid(cfg Config) (*Hybrid, error) {
-	e, err := newExtremum(cfg, gainHybrid)
+	e, err := newExtremum(cfg, lawHybrid)
 	if err != nil {
 		return nil, err
 	}

@@ -262,7 +262,7 @@ func (c VectorConfig) Validate() error {
 // (block size, streams, pipeline depth). It implements Controller — Size
 // returns the block-size coordinate and Observe consumes the per-tuple
 // cost of one transfer round at the full current vector — plus Vector,
-// Streams and Depth accessors for the runner.
+// which runners read through VectorOf.
 //
 // Like the scalar controllers it is not safe for concurrent use; callers
 // with parallel streams serialize Observe (one shared controller fed by
@@ -276,23 +276,14 @@ type VectorController struct {
 	dith    [NumDims]*dither
 	avg     *averager
 
-	havePrev bool
-	prevY    float64
-
 	lastDim   Dim              // dimension moved by the previous decision
 	lastDx    float64          // signed move applied to lastDim
 	dir       [NumDims]float64 // prevailing direction per dimension (±1)
 	probed    [NumDims]bool    // dimension has been stepped at least once
-	steppedAt [NumDims]int     // stepCount of each dimension's last step
+	steppedAt [NumDims]int     // steps at each dimension's last step
 	sens      [NumDims]float64 // EWMA sensitivity score per dimension
 
-	ph            phase
-	justSwitched  bool
-	signHist      []float64
-	stepCount     int
-	phaseStep     int
-	phaseSwitches int
-	phaseCtr      *metrics.Counter
+	phaseMachine // Eq. 5 over the vector trajectory
 }
 
 // NewVector builds the multi-dimensional controller.
@@ -320,10 +311,10 @@ func NewVector(cfg VectorConfig) (*VectorController, error) {
 		refresh = 2 * active
 	}
 	v := &VectorController{
-		cfg:     cfg,
-		refresh: refresh,
-		avg:     newAverager(cfg.AvgHorizon),
-		ph:      phaseTransient,
+		cfg:          cfg,
+		refresh:      refresh,
+		avg:          newAverager(cfg.AvgHorizon),
+		phaseMachine: newPhaseMachine(cfg.CriterionWindow, cfg.CriterionThreshold, cfg.ResetPeriod, cfg.Metrics),
 	}
 	for d := Dim(0); d < NumDims; d++ {
 		v.cur[d] = float64(cfg.Dims[d].Limits.Clamp(cfg.Dims[d].Initial))
@@ -335,10 +326,6 @@ func NewVector(cfg VectorConfig) (*VectorController, error) {
 		v.dir[d] = 1
 	}
 	v.markPinned()
-	if cfg.Metrics != nil {
-		v.phaseCtr = cfg.Metrics.Counter("wsopt_core_phase_transitions_total",
-			"Transient<->steady phase transitions across all switching controllers.")
-	}
 	return v, nil
 }
 
@@ -369,16 +356,6 @@ func (v *VectorController) coord(d Dim) int {
 // Size implements Controller: the block-size coordinate.
 func (v *VectorController) Size() int { return v.coord(DimSize) }
 
-// Streams returns the parallel-stream coordinate.
-func (v *VectorController) Streams() int { return v.coord(DimStreams) }
-
-// Depth returns the pipeline-depth coordinate.
-func (v *VectorController) Depth() int { return v.coord(DimDepth) }
-
-// Window returns the push credit-window coordinate. It implements
-// Windower; pull-mode configurations pin it at 1.
-func (v *VectorController) Window() int { return v.coord(DimWindow) }
-
 // Name implements Controller.
 func (v *VectorController) Name() string { return "vector-hybrid" }
 
@@ -386,30 +363,23 @@ func (v *VectorController) Name() string { return "vector-hybrid" }
 // transfer round executed at the full current vector — typically the
 // per-tuple cost across all parallel streams.
 func (v *VectorController) Observe(y float64) {
-	if math.IsNaN(y) || math.IsInf(y, 0) || y < 0 {
-		return
+	if s, ok := v.avg.next(0, y); ok {
+		v.step(s)
 	}
-	_, my, full := v.avg.add(0, y)
-	if !full {
-		return
-	}
-	v.step(my)
 }
 
-func (v *VectorController) step(my float64) {
-	v.stepCount++
-	if !v.havePrev {
+func (v *VectorController) step(s sample) {
+	v.steps++
+	if s.first {
 		// First adaptivity step: no gradient yet. Probe the first
 		// dimension upward by its constant gain (Section III-A).
-		v.havePrev = true
-		v.prevY = my
 		v.move(DimSize, v.dir[DimSize], v.cfg.Dims[DimSize].B1)
 		return
 	}
 
-	dy := my - v.prevY
-	dx := v.lastDx
-	v.prevY = my
+	// Δx is the move the controller applied, not a difference of averaged
+	// coordinates: one step moves one dimension.
+	dy, dx, my := s.dy, v.lastDx, s.y
 
 	// Sign attribution: the measurement change is credited to the
 	// dimension that actually moved. A boundary-clamped (zero) move
@@ -424,13 +394,16 @@ func (v *VectorController) step(my float64) {
 		v.updateSensitivity(v.lastDim, dy, dx, my)
 	}
 
-	if v.updatePhase() {
-		return
+	// Eq. 5 over the vector trajectory, after the anchored periodic reset.
+	switch {
+	case v.resetDue():
+		v.enterTransient()
+	case v.ph == phaseTransient && v.balanced():
+		v.enterSteady()
 	}
 
 	d := v.chooseDim()
-	g := v.gain(d, dy, dx, my)
-	v.move(d, v.dir[d], g)
+	v.move(d, v.dir[d], v.gain(d, dy, dx, my))
 }
 
 // updateSensitivity folds one normalized gradient magnitude into the
@@ -455,7 +428,7 @@ func (v *VectorController) chooseDim() Dim {
 			return d
 		}
 	}
-	if v.refresh > 0 && v.stepCount%v.refresh == 0 {
+	if v.refresh > 0 && v.steps%v.refresh == 0 {
 		return v.stalestDim()
 	}
 	return v.DominantDim()
@@ -496,31 +469,19 @@ func (v *VectorController) stalestDim() Dim {
 	return best
 }
 
-// gain returns the step magnitude for dimension d: constant gain in the
-// transient phase, adaptive gain clamped at b1 in steady state (Eq. 4).
+// gain returns the step magnitude for dimension d: Eq. 4 with dimension
+// d's constant gain and an adaptive gain rescaled across dimensions.
 func (v *VectorController) gain(d Dim, dy, dx, y float64) float64 {
 	dc := v.cfg.Dims[d]
-	if v.ph != phaseSteady {
-		return dc.B1
+	adaptive := 0.0
+	if y > 0 {
+		// The gradient was measured along lastDim; rescale its
+		// span-relative magnitude into dimension d's units so
+		// cross-dimension steps stay proportionate.
+		relDx := math.Abs(dx) / v.cfg.Dims[v.lastDim].span()
+		adaptive = math.Abs(dc.B2 * dy / y * relDx * dc.span())
 	}
-	if v.justSwitched {
-		// Hand-off step, as in the scalar hybrid: the last Δ still has
-		// transient magnitude; hold and let the dither restart probing.
-		v.justSwitched = false
-		return 0
-	}
-	if y <= 0 {
-		return 0
-	}
-	// The gradient was measured along lastDim; rescale its span-relative
-	// magnitude into dimension d's units so cross-dimension steps stay
-	// proportionate.
-	relDx := math.Abs(dx) / v.cfg.Dims[v.lastDim].span()
-	g := math.Abs(dc.B2 * dy / y * relDx * dc.span())
-	if g > dc.B1 {
-		return dc.B1
-	}
-	return g
+	return v.clampGain(dc.B1, adaptive)
 }
 
 // move applies one signed step (plus dither) to dimension d and records
@@ -539,42 +500,7 @@ func (v *VectorController) move(d Dim, dir, g float64) {
 	v.lastDim = d
 	v.lastDx = applied
 	v.probed[d] = true
-	v.steppedAt[d] = v.stepCount
-}
-
-func (v *VectorController) pushSign(sg float64) {
-	v.signHist = append(v.signHist, sg)
-	if n := v.cfg.CriterionWindow; len(v.signHist) > n {
-		v.signHist = v.signHist[len(v.signHist)-n:]
-	}
-}
-
-// updatePhase applies Eq. 5 to the vector trajectory, plus the anchored
-// periodic reset. It reports whether a transition consumed this step.
-func (v *VectorController) updatePhase() bool {
-	if v.cfg.ResetPeriod > 0 && v.ph == phaseSteady && v.stepCount-v.phaseStep >= v.cfg.ResetPeriod {
-		v.countPhaseSwitch()
-		v.ph = phaseTransient
-		v.phaseStep = v.stepCount
-		v.justSwitched = false
-		v.signHist = v.signHist[:0]
-		return false
-	}
-	if v.ph == phaseTransient && len(v.signHist) >= v.cfg.CriterionWindow &&
-		math.Abs(sum(v.signHist)) <= float64(v.cfg.CriterionThreshold) {
-		v.ph = phaseSteady
-		v.phaseStep = v.stepCount
-		v.justSwitched = true
-		v.countPhaseSwitch()
-	}
-	return false
-}
-
-func (v *VectorController) countPhaseSwitch() {
-	v.phaseSwitches++
-	if v.phaseCtr != nil {
-		v.phaseCtr.Inc()
-	}
+	v.steppedAt[d] = v.steps
 }
 
 // WarmStart moves the controller's operating point (and the point Reset
@@ -586,19 +512,10 @@ func (v *VectorController) WarmStart(vec Vector) {
 		v.cur[d] = float64(v.cfg.Dims[d].Limits.Clamp(vec.Get(d)))
 		v.initial[d] = v.cur[d]
 	}
-	if v.havePrev {
+	if v.avg.ready {
 		v.Disturb()
 	}
 }
-
-// Steps returns the number of adaptivity steps taken so far.
-func (v *VectorController) Steps() int { return v.stepCount }
-
-// InSteadyState reports whether the adaptive gain is active.
-func (v *VectorController) InSteadyState() bool { return v.ph == phaseSteady }
-
-// PhaseSwitches returns how many transient<->steady transitions occurred.
-func (v *VectorController) PhaseSwitches() int { return v.phaseSwitches }
 
 // Sensitivity returns dimension d's current EWMA sensitivity score, for
 // traces and tests.
@@ -610,16 +527,9 @@ func (v *VectorController) Sensitivity(d Dim) float64 { return v.sens[d] }
 // fresh one.
 func (v *VectorController) Reset() {
 	v.avg.reset()
-	v.havePrev = false
-	v.prevY = 0
 	v.lastDim = 0
 	v.lastDx = 0
-	v.ph = phaseTransient
-	v.justSwitched = false
-	v.signHist = v.signHist[:0]
-	v.stepCount = 0
-	v.phaseStep = 0
-	v.phaseSwitches = 0
+	v.phaseMachine.reset()
 	for d := Dim(0); d < NumDims; d++ {
 		v.cur[d] = v.initial[d]
 		v.dith[d].rewind()
@@ -636,16 +546,8 @@ func (v *VectorController) Reset() {
 // likely near the current operating point than near the initial one.
 func (v *VectorController) Disturb() {
 	v.avg.reset()
-	v.havePrev = false
-	v.prevY = 0
 	v.lastDx = 0
-	if v.ph == phaseSteady {
-		v.countPhaseSwitch()
-	}
-	v.ph = phaseTransient
-	v.phaseStep = v.stepCount
-	v.justSwitched = false
-	v.signHist = v.signHist[:0]
+	v.enterTransient()
 	for d := Dim(0); d < NumDims; d++ {
 		v.probed[d] = false
 		v.sens[d] = 0

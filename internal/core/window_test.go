@@ -25,7 +25,7 @@ func TestPinnedWindowNeverMoves(t *testing.T) {
 	}
 	f := bowl(cfg, Vector{Size: 4000, Streams: 6, Depth: 3, Window: 32}, [NumDims]float64{8, 8, 8, 100})
 	for i := 0; i < 300; i++ {
-		if got := ctl.Window(); got != 1 {
+		if got := ctl.Vector().Window; got != 1 {
 			t.Fatalf("step %d: pinned window moved to %d", i, got)
 		}
 		if d := ctl.DominantDim(); d == DimWindow {
@@ -73,7 +73,7 @@ func TestPinnedWindowResetAndDisturbStayPinned(t *testing.T) {
 	driveVector(ctl, f, 50)
 	ctl.Reset()
 	driveVector(ctl, f, 50)
-	if got := ctl.Window(); got != 1 {
+	if got := ctl.Vector().Window; got != 1 {
 		t.Fatalf("window = %d after reset/disturb cycles, want 1", got)
 	}
 }

@@ -50,7 +50,8 @@ func vectorSweep(opts Options) Report {
 	for _, sc := range sim.VectorScenarios() {
 		hcfg := core.DefaultConfig()
 		hcfg.Seed = opts.Seed
-		hybrid1d := &sim.ScalarVector{Ctl: mustHybrid(hcfg), Streams: 1, Depth: 1}
+		hybrid1d := sim.RunVector(sc, mustHybrid(hcfg), opt)
+		hybrid1d.Controller += "-1d"
 
 		warmCtl := mkVector()
 		store, err := sysid.OpenStore("")
@@ -75,7 +76,7 @@ func vectorSweep(opts Options) Report {
 
 		for _, r := range []sim.VectorResult{
 			sim.RunVector(sc, mkVector(), opt),
-			sim.RunVector(sc, hybrid1d, opt),
+			hybrid1d,
 			warm,
 			sim.RunVector(sc, cold, opt),
 		} {

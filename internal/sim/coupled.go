@@ -102,10 +102,6 @@ type CoupledOptions struct {
 	RoundsPerTick int
 	// Seed drives every random source in the run.
 	Seed int64
-	// SettleBand is the settling criterion: the fraction of the SLO the
-	// p95 error must stay within (default 0.35 — the limit is an integer
-	// actuator, so adjacent admitted counts quantize the reachable p95).
-	SettleBand float64
 	// OscAmp and OscSwings parameterize the sustained-oscillation
 	// detector: late error swings of at least OscAmp·SLO amplitude, at
 	// least OscSwings sign alternations (defaults 0.5 and 6).
@@ -113,15 +109,17 @@ type CoupledOptions struct {
 	OscSwings int
 }
 
+// settleBand is the settling criterion: the fraction of the SLO the p95
+// error must stay within. The limit is an integer actuator, so adjacent
+// admitted counts quantize the reachable p95.
+const settleBand = 0.35
+
 func (o CoupledOptions) withDefaults() CoupledOptions {
 	if o.Ticks <= 0 {
 		o.Ticks = 140
 	}
 	if o.RoundsPerTick <= 0 {
 		o.RoundsPerTick = 8
-	}
-	if o.SettleBand <= 0 {
-		o.SettleBand = 0.35
 	}
 	if o.OscAmp <= 0 {
 		o.OscAmp = 0.5
@@ -153,7 +151,7 @@ type CoupledResult struct {
 	MeanAdmitted float64 `json:"mean_admitted"`
 
 	// SettlingTick is the first tick from which the p95 error stayed
-	// within ±SettleBand·SLO, -1 when it never settled.
+	// within ±settleBand·SLO, -1 when it never settled.
 	SettlingTick int `json:"settling_tick"`
 	// OvershootFrac is the worst |p95−SLO|/SLO excursion after the loop
 	// first entered the settle band.
@@ -161,7 +159,7 @@ type CoupledResult struct {
 	// Oscillating reports a sustained late limit cycle in the error.
 	Oscillating bool `json:"oscillating"`
 	// WithinSLOFrac is the fraction of second-half ticks whose p95 was at
-	// or below SLO·(1+SettleBand).
+	// or below SLO·(1+settleBand).
 	WithinSLOFrac float64 `json:"within_slo_frac"`
 }
 
@@ -250,14 +248,14 @@ func RunCoupled(sc CoupledScenario, opt CoupledOptions) CoupledResult {
 
 	res.FinalLimit = limit
 	res.MeanAdmitted = sumAdmitted / float64(opt.Ticks)
-	band := opt.SettleBand * sc.SLOp95MS
+	band := settleBand * sc.SLOp95MS
 	res.SettlingTick = regulator.SettlingIndex(res.Errors, band)
 	res.OvershootFrac = regulator.Overshoot(res.P95s, sc.SLOp95MS, band)
 	res.Oscillating = regulator.Oscillating(res.Errors, opt.OscAmp*sc.SLOp95MS, opt.OscSwings)
 	half := res.P95s[len(res.P95s)/2:]
 	within := 0
 	for _, p := range half {
-		if p <= sc.SLOp95MS*(1+opt.SettleBand) {
+		if p <= sc.SLOp95MS*(1+settleBand) {
 			within++
 		}
 	}

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"wsopt/internal/core"
 	"wsopt/internal/profile"
 )
@@ -60,25 +62,15 @@ func RunFailover(sc FailoverScenario, ctl core.Controller, opt Options) Failover
 		Result:             Result{Controller: ctl.Name(), Profile: sc.Name},
 		ReconvergedAtBlock: -1,
 	}
-	active := sc.Primary
-	for i := 0; i < sc.Blocks; i++ {
-		if i == sc.KillAtBlock {
-			res.PhaseAtKill = core.PhaseOf(ctl)
-			active = sc.Successor
-			res.Disturbed = core.NotifyDisturbance(ctl, "primary killed; transparent gateway failover")
+	kill := func(i int) profile.Profile {
+		if i != sc.KillAtBlock {
+			return nil
 		}
-		size := ctl.Size()
-		if size < 1 {
-			size = 1
-		}
-		ms := active.BlockMS(size)
-		res.TotalMS += ms
-		res.Blocks++
-		res.Tuples += size
-		res.Sizes = append(res.Sizes, size)
-		res.BlockMS = append(res.BlockMS, ms)
-		ctl.Observe(feedback(opt.Metric, ms, size))
-
+		res.PhaseAtKill = core.PhaseOf(ctl)
+		res.Disturbed = core.NotifyDisturbance(ctl, "primary killed; transparent gateway failover")
+		return sc.Successor
+	}
+	track := func(i int) {
 		phase := core.PhaseOf(ctl)
 		switch {
 		case i < sc.KillAtBlock:
@@ -91,6 +83,7 @@ func RunFailover(sc FailoverScenario, ctl core.Controller, opt Options) Failover
 			res.ReconvergedAtBlock = i
 		}
 	}
+	res.run(sc.Primary, ctl, opt.Metric, math.MaxInt, sc.Blocks, kill, track)
 	return res
 }
 

@@ -82,26 +82,7 @@ func (r *Result) StepSizes(avgHorizon int) []int {
 // remaining rows.
 func RunTuples(p profile.Profile, ctl core.Controller, tuples int, opt Options) Result {
 	res := Result{Controller: ctl.Name(), Profile: p.Name()}
-	remaining := tuples
-	maxBlocks := opt.maxBlocks()
-	for remaining > 0 && res.Blocks < maxBlocks {
-		size := ctl.Size()
-		if size < 1 {
-			size = 1
-		}
-		take := size
-		if take > remaining {
-			take = remaining
-		}
-		ms := p.BlockMS(take)
-		res.TotalMS += ms
-		res.Blocks++
-		res.Tuples += take
-		res.Sizes = append(res.Sizes, size)
-		res.BlockMS = append(res.BlockMS, ms)
-		ctl.Observe(feedback(opt.Metric, ms, take))
-		remaining -= take
-	}
+	res.run(p, ctl, opt.Metric, tuples, opt.maxBlocks(), nil, nil)
 	return res
 }
 
@@ -110,20 +91,36 @@ func RunTuples(p profile.Profile, ctl core.Controller, tuples int, opt Options) 
 // plot adaptivity steps, not completed result sets).
 func RunBlocks(p profile.Profile, ctl core.Controller, blocks int, opt Options) Result {
 	res := Result{Controller: ctl.Name(), Profile: p.Name()}
-	for i := 0; i < blocks; i++ {
-		size := ctl.Size()
-		if size < 1 {
-			size = 1
+	res.run(p, ctl, opt.Metric, math.MaxInt, blocks, nil, nil)
+	return res
+}
+
+// run is the simulator's one block loop. Until tuples tuples or blocks
+// blocks have been transferred, the controller picks a size, the profile
+// prices the block — truncated to the tuples that remain — and the
+// controller observes metric m. before(i), when set, runs ahead of block i
+// and may return another profile to price it and every later block (nil
+// keeps the current one); after(i) runs once block i has been observed.
+func (res *Result) run(p profile.Profile, ctl core.Controller, m Metric, tuples, blocks int, before func(i int) profile.Profile, after func(i int)) {
+	for i := 0; res.Tuples < tuples && i < blocks; i++ {
+		if before != nil {
+			if next := before(i); next != nil {
+				p = next
+			}
 		}
-		ms := p.BlockMS(size)
+		size := max(ctl.Size(), 1)
+		take := min(size, tuples-res.Tuples)
+		ms := p.BlockMS(take)
 		res.TotalMS += ms
 		res.Blocks++
-		res.Tuples += size
+		res.Tuples += take
 		res.Sizes = append(res.Sizes, size)
 		res.BlockMS = append(res.BlockMS, ms)
-		ctl.Observe(feedback(opt.Metric, ms, size))
+		ctl.Observe(feedback(m, ms, take))
+		if after != nil {
+			after(i)
+		}
 	}
-	return res
 }
 
 func feedback(m Metric, blockMS float64, size int) float64 {
@@ -153,21 +150,23 @@ type Aggregate struct {
 // aggregates them. avgHorizon is used to downsample trajectories to
 // adaptivity steps.
 func ReplicateTuples(n int, seed0 int64, mk Setup, tuples, avgHorizon int, opt Options) Aggregate {
-	results := make([]Result, 0, n)
-	for i := 0; i < n; i++ {
-		p, ctl := mk(seed0 + int64(i)*7919)
-		results = append(results, RunTuples(p, ctl, tuples, opt))
-	}
-	return aggregate(results, avgHorizon)
+	return replicate(n, seed0, mk, avgHorizon, func(p profile.Profile, ctl core.Controller) Result {
+		return RunTuples(p, ctl, tuples, opt)
+	})
 }
 
 // ReplicateBlocks runs n independent replicas of a block-count run and
 // aggregates them.
 func ReplicateBlocks(n int, seed0 int64, mk Setup, blocks, avgHorizon int, opt Options) Aggregate {
+	return replicate(n, seed0, mk, avgHorizon, func(p profile.Profile, ctl core.Controller) Result {
+		return RunBlocks(p, ctl, blocks, opt)
+	})
+}
+
+func replicate(n int, seed0 int64, mk Setup, avgHorizon int, run func(profile.Profile, core.Controller) Result) Aggregate {
 	results := make([]Result, 0, n)
 	for i := 0; i < n; i++ {
-		p, ctl := mk(seed0 + int64(i)*7919)
-		results = append(results, RunBlocks(p, ctl, blocks, opt))
+		results = append(results, run(mk(seed0+int64(i)*7919)))
 	}
 	return aggregate(results, avgHorizon)
 }

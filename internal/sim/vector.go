@@ -8,48 +8,12 @@ import (
 	"wsopt/internal/netsim"
 )
 
-// This file simulates the multi-dimensional transfer loop: a driver
+// This file simulates the multi-dimensional transfer loop: a controller
 // commands a vector (block size, streams, depth), the model prices one
 // round — s concurrent blocks of x tuples with d-deep pipelining — and
-// the driver observes the per-tuple cost. Three scenarios place the
+// the controller observes the per-tuple cost. Three scenarios place the
 // optimum in different dimensions, so a controller that only tunes the
 // block size is structurally unable to reach it on two of them.
-
-// VectorDriver is anything that can command a transfer vector and learn
-// from per-tuple feedback: the vector controller, the cold-start wrapper,
-// or a scalar controller adapted via ScalarVector.
-type VectorDriver interface {
-	Vector() core.Vector
-	Observe(y float64)
-	Name() string
-}
-
-// ScalarVector adapts a single-knob (block size) controller to the vector
-// loop by pinning streams and depth — the baseline the vector controller
-// is compared against.
-type ScalarVector struct {
-	Ctl     core.Controller
-	Streams int
-	Depth   int
-}
-
-// Vector implements VectorDriver.
-func (s *ScalarVector) Vector() core.Vector {
-	st, d := s.Streams, s.Depth
-	if st < 1 {
-		st = 1
-	}
-	if d < 1 {
-		d = 1
-	}
-	return core.Vector{Size: s.Ctl.Size(), Streams: st, Depth: d}
-}
-
-// Observe implements VectorDriver.
-func (s *ScalarVector) Observe(y float64) { s.Ctl.Observe(y) }
-
-// Name implements VectorDriver.
-func (s *ScalarVector) Name() string { return s.Ctl.Name() + "-1d" }
 
 // VectorScenario is a named vector cost model whose optimum stresses a
 // particular dimension.
@@ -128,36 +92,19 @@ type VectorOptions struct {
 	Rounds int
 	// Seed drives the measurement noise.
 	Seed int64
-	// Tolerance is the convergence band around the optimum per-tuple cost
-	// (default 0.05 — "within 5%").
-	Tolerance float64
-	// Sustain is how many consecutive rounds must stay inside the band to
-	// count as converged (default 3).
-	Sustain int
-	// Limits bound the ground-truth search (default DefaultVectorLimits).
-	Limits netsim.VectorLimits
-	// SizeStep is the ground-truth grid step over sizes (default 100).
-	SizeStep int
 }
 
-func (o VectorOptions) withDefaults() VectorOptions {
-	if o.Rounds <= 0 {
-		o.Rounds = 300
-	}
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.05
-	}
-	if o.Sustain <= 0 {
-		o.Sustain = 3
-	}
-	if o.Limits == (netsim.VectorLimits{}) {
-		o.Limits = netsim.DefaultVectorLimits()
-	}
-	if o.SizeStep <= 0 {
-		o.SizeStep = 100
-	}
-	return o
-}
+const (
+	// vectorTolerance is the convergence band around the optimum per-tuple
+	// cost: "within 5%".
+	vectorTolerance = 0.05
+	// vectorSustain is how many consecutive rounds must stay inside the
+	// band to count as converged.
+	vectorSustain = 3
+	// vectorSizeStep is the ground-truth grid step over sizes; the grid
+	// spans netsim.DefaultVectorLimits.
+	vectorSizeStep = 100
+)
 
 // VectorResult is the trace and verdict of one simulated vector run.
 type VectorResult struct {
@@ -172,28 +119,31 @@ type VectorResult struct {
 	// FinalPerTupleMS is the expected (noise-free) per-tuple cost at Final.
 	FinalPerTupleMS float64 `json:"final_per_tuple_ms"`
 	// ConvergedRound is the first round from which the expected per-tuple
-	// cost of the commanded vector stayed within Tolerance of the optimum
-	// for Sustain consecutive rounds; -1 when that never happened.
+	// cost of the commanded vector stayed within vectorTolerance of the
+	// optimum for vectorSustain consecutive rounds; -1 when that never
+	// happened.
 	ConvergedRound int `json:"converged_round"`
 	// MeanPerTupleMS averages the expected per-tuple cost over all rounds
 	// — the regret-style summary statistic.
 	MeanPerTupleMS float64 `json:"mean_per_tuple_ms"`
 	// Rounds is the number of simulated rounds.
 	Rounds int `json:"rounds"`
-	// PhaseSwitches counts the driver's phase transitions, when exposed.
-	PhaseSwitches int `json:"phase_switches,omitempty"`
 }
 
 // Converged reports whether the run reached the tolerance band at all.
 func (r VectorResult) Converged() bool { return r.ConvergedRound > 0 }
 
 // RunVector drives one controller through rounds of the scenario and
-// measures convergence against the brute-forced ground truth.
-func RunVector(sc VectorScenario, drv VectorDriver, opt VectorOptions) VectorResult {
-	opt = opt.withDefaults()
-	optVec, optY := sc.Model.OptimalVector(opt.Limits, opt.SizeStep)
+// measures convergence against the brute-forced ground truth. Any
+// controller runs: one without a vector of its own commands its block
+// size on one stream at depth 1 (core.VectorOf).
+func RunVector(sc VectorScenario, ctl core.Controller, opt VectorOptions) VectorResult {
+	if opt.Rounds <= 0 {
+		opt.Rounds = 300
+	}
+	optVec, optY := sc.Model.OptimalVector(netsim.DefaultVectorLimits(), vectorSizeStep)
 	res := VectorResult{
-		Controller:        drv.Name(),
+		Controller:        ctl.Name(),
 		Scenario:          sc.Name,
 		Optimum:           optVec,
 		OptimumPerTupleMS: optY,
@@ -201,35 +151,27 @@ func RunVector(sc VectorScenario, drv VectorDriver, opt VectorOptions) VectorRes
 		Rounds:            opt.Rounds,
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	band := optY * (1 + opt.Tolerance)
+	band := optY * (1 + vectorTolerance)
 	inBand := 0
 	sumExpected := 0.0
 	for round := 1; round <= opt.Rounds; round++ {
-		v := drv.Vector()
+		v := core.VectorOf(ctl)
 		expected := sc.Model.ExpectedPerTupleMS(v)
 		sumExpected += expected
 		if expected <= band {
 			inBand++
-			if inBand >= opt.Sustain && res.ConvergedRound < 0 {
-				res.ConvergedRound = round - opt.Sustain + 1
+			if inBand >= vectorSustain && res.ConvergedRound < 0 {
+				res.ConvergedRound = round - vectorSustain + 1
 			}
 		} else {
 			inBand = 0
 		}
 		roundMS := sc.Model.RoundMS(v, rng)
-		tuples := v.Size * v.Streams
-		if tuples < 1 {
-			tuples = 1
-		}
-		drv.Observe(roundMS / float64(tuples))
+		ctl.Observe(roundMS / float64(max(v.Size*v.Streams, 1)))
 	}
-	final := drv.Vector()
-	res.Final = final
-	res.FinalPerTupleMS = sc.Model.ExpectedPerTupleMS(final)
+	res.Final = core.VectorOf(ctl)
+	res.FinalPerTupleMS = sc.Model.ExpectedPerTupleMS(res.Final)
 	res.MeanPerTupleMS = sumExpected / float64(opt.Rounds)
-	if ps, ok := drv.(interface{ PhaseSwitches() int }); ok {
-		res.PhaseSwitches = ps.PhaseSwitches()
-	}
 	if math.IsInf(res.FinalPerTupleMS, 0) {
 		res.FinalPerTupleMS = -1
 	}

@@ -56,7 +56,7 @@ func TestVectorControllerBeatsSingleKnobOnMultiDimProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sres := RunVector(sc, &ScalarVector{Ctl: hctl, Streams: 1, Depth: 1}, opt)
+	sres := RunVector(sc, hctl, opt)
 
 	if !vres.Converged() {
 		t.Fatalf("vector controller never entered the 5%% band: final %v (%.4f ms/tuple, optimum %.4f at %v)",

@@ -231,6 +231,11 @@ func (m *ModelBased) watchResidual(y float64) {
 	m.reidentify++
 }
 
+// Unwrap returns the refiner once the decision handed control to it, nil
+// before: from then on its phase and its disturbance reaction are this
+// controller's (core.PhaseOf, core.NotifyDisturbance).
+func (m *ModelBased) Unwrap() core.Controller { return m.refiner }
+
 // Reidentifications reports how many times the controller restarted its
 // identification sweep due to model drift.
 func (m *ModelBased) Reidentifications() int { return m.reidentify }

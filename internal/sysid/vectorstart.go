@@ -13,8 +13,10 @@ import (
 // model, and warm-start the vector controller at the fitted optimum.
 // From then on every call is forwarded to the wrapped controller.
 //
-// It exposes the same Vector/Observe/Name surface as the controller, so
-// runners and the simulator can drive either interchangeably.
+// It is a core.Controller with a Vector of its own (the sweep's probe
+// point while identifying), so any runner drives it through
+// core.VectorOf; the wrapped controller's phase and disturbance reaction
+// are reached through Unwrap.
 type VectorColdStart struct {
 	ctl    *core.VectorController
 	limits core.Limits
@@ -97,5 +99,5 @@ func (c *VectorColdStart) Done() bool { return c.done }
 // unusable.
 func (c *VectorColdStart) FittedSize() int { return c.fitted }
 
-// Controller returns the wrapped vector controller.
-func (c *VectorColdStart) Controller() *core.VectorController { return c.ctl }
+// Unwrap returns the wrapped vector controller.
+func (c *VectorColdStart) Unwrap() core.Controller { return c.ctl }

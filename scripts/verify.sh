@@ -20,6 +20,24 @@ gate_vet() {
 		return 1
 	}
 	check_owned
+	check_capabilities
+}
+
+# check_capabilities fails when a non-test file outside internal/core
+# type-asserts a controller capability. A runner reaches a controller's
+# disturbance reaction, phase and operating point through
+# core.NotifyDisturbance, core.PhaseOf and core.VectorOf, which walk the
+# Unwrap chain; an assertion on the controller in hand misses whatever a
+# wrapper drives. (Like check_owned it checks the tree, not behaviour.)
+check_capabilities() {
+	found=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'\.\((core\.(Disturber|Resetter|Windower)|interface ?\{ ?(Vector|Window|PhaseSwitches|InSteadyState|Unwrap|Disturb|Reset)\(\))' . |
+		grep -v '^\./internal/core/' || true)
+	[ -z "$found" ] || {
+		echo "verify.sh: controller capability asserted outside internal/core (use core.NotifyDisturbance/PhaseOf/VectorOf):" >&2
+		echo "$found" >&2
+		return 1
+	}
 }
 
 # Committed-numbers gate: every experiment is deterministic per seed, so
