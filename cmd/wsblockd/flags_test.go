@@ -64,6 +64,8 @@ func TestOptionsValidate(t *testing.T) {
 		{"push frame cap without push", set("push", "false", "push-window", ""), "-push-max-frame is meaningless"},
 
 		{"unknown codec", set("codec", "yaml"), "-codec"},
+		{"codec compressed twice", set("codec", "binary+gzip+gzip"), `-codec: wire: codec "binary+gzip+gzip"`},
+		{"valid compressed codec", set("codec", "json+gzip"), ""},
 		{"unknown conf", set("conf", "conf9.9"), "-conf"},
 		{"valid conf", set("conf", "conf2.2"), ""},
 		{"negative timescale", set("timescale", "-1"), "-timescale"},

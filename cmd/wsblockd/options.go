@@ -59,7 +59,7 @@ type options struct {
 func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{Flags: daemon.Register(fs, words)}
 	fs.Float64Var(&o.sf, "sf", 0.1, "TPC-H scale factor (1 = 150K customers, 450K orders)")
-	codec := fs.String("codec", "xml", "block codec: xml or binary")
+	codec := fs.String("codec", "xml", "block codec: xml, json or binary, each optionally +gzip (e.g. xml+gzip)")
 	fs.StringVar(&o.conf, "conf", "", "inject delays from a calibrated profile (conf1.1 .. conf2.2)")
 	fs.Float64Var(&o.timescale, "timescale", 0.001, "real milliseconds slept per simulated millisecond")
 	fs.StringVar(&o.dataDir, "data", "", "cache generated tables in this directory across restarts")

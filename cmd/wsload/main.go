@@ -37,7 +37,7 @@ func main() {
 		size       = flag.Int("size", 2000, "fixed block size of the load streams")
 		streams    = flag.Int("streams", 3, "concurrent query streams")
 		duration   = flag.Duration("duration", 30*time.Second, "how long to run")
-		codecName  = flag.String("codec", "xml", "block codec (must match the server)")
+		codecName  = flag.String("codec", "xml", "block codec: xml, json or binary, each optionally +gzip (must match the server: nothing is negotiated)")
 		setLoad    = flag.String("set-load", "", "set the simulated load knob as jobs:queries:memory and exit")
 		maxQueries = flag.Int("max-queries", 0, "queries per stream before it stops early (0 = run until -duration)")
 		retries    = flag.Int("retries", 3, "pull attempts per block before a stream gives up")

@@ -52,7 +52,7 @@ func main() {
 		table     = flag.String("table", "customer", "relation to scan")
 		columns   = flag.String("columns", "", "comma-separated projection (default: all)")
 		where     = flag.String("where", "", "SQL-flavoured filter, e.g. \"c_acctbal > 1000 AND c_mktsegment = 'BUILDING'\"")
-		codecName = flag.String("codec", "xml", "block codec (must match the server)")
+		codecName = flag.String("codec", "xml", "block codec: xml, json or binary, each optionally +gzip (must match the server: nothing is negotiated)")
 		ctlName   = flag.String("controller", "hybrid", "static | constant | adaptive | hybrid | hybrid-s | aimd | mimd | model-quadratic | model-parabolic | self-tuning | setpoint | supervisor | vector")
 		size      = flag.Int("size", 1000, "initial (or static) block size")
 		b1        = flag.Float64("b1", 2000, "constant gain")

@@ -745,7 +745,10 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, r
 	}
 	buf = blockBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	if err := s.codec.Encode(buf, sess.iter.Schema(), rows); err != nil {
+	began := time.Now()
+	err = s.codec.Encode(buf, sess.iter.Schema(), rows)
+	s.hist.blockEncode.Observe(float64(time.Since(began)) / float64(time.Millisecond))
+	if err != nil {
 		// Park the rows: the iterator has advanced, so losing them here
 		// would skip tuples. A retry of the same seq re-encodes.
 		putBlockBuf(buf)

@@ -35,16 +35,19 @@ type serverStats struct {
 }
 
 // histograms are the service's registry-owned distributions; they have
-// no Stats() twin. blockServe is the SLO regulator's feedback signal.
+// no Stats() twin. blockServe is the SLO regulator's feedback signal;
+// blockEncode is one stage of it, observed only when a block is encoded
+// (a cache hit or a replay serves bytes that already exist).
 type histograms struct {
-	blockSize  *metrics.Histogram
-	blockDelay *metrics.Histogram
-	blockServe *metrics.Histogram
+	blockSize   *metrics.Histogram
+	blockDelay  *metrics.Histogram
+	blockServe  *metrics.Histogram
+	blockEncode *metrics.Histogram
 }
 
 // registerMetrics exposes the server in reg: every counter as a
 // scrape-time view of its atomic, the live gauges as views of the state
-// they describe, and the three histograms. All series exist (at 0) before
+// they describe, and the four histograms. All series exist (at 0) before
 // traffic, so a scrape sees the full schema.
 func (s *Server) registerMetrics(reg *metrics.Registry) {
 	st := &s.stats
@@ -68,9 +71,10 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("wsopt_service_faults_injected_total", faultsHelp, st.faultsTruncated.Load, metrics.L("kind", "truncated"))
 	reg.CounterFunc("wsopt_service_faults_injected_total", faultsHelp, st.faultsRefused.Load, metrics.L("kind", "refused"))
 	s.hist = histograms{
-		blockSize:  reg.Histogram("wsopt_service_block_size_tuples", "Tuples per served block.", metrics.DefSizeBuckets),
-		blockDelay: reg.Histogram("wsopt_service_block_delay_ms", "Injected simulated delay per served block, in milliseconds.", metrics.DefLatencyBuckets),
-		blockServe: reg.Histogram("wsopt_service_block_serve_ms", "Wall time to serve one block (injected delay included), in milliseconds — the SLO regulator's feedback signal.", metrics.DefServeBuckets),
+		blockSize:   reg.Histogram("wsopt_service_block_size_tuples", "Tuples per served block.", metrics.DefSizeBuckets),
+		blockDelay:  reg.Histogram("wsopt_service_block_delay_ms", "Injected simulated delay per served block, in milliseconds.", metrics.DefLatencyBuckets),
+		blockServe:  reg.Histogram("wsopt_service_block_serve_ms", "Wall time to serve one block (injected delay included), in milliseconds — the SLO regulator's feedback signal.", metrics.DefServeBuckets),
+		blockEncode: reg.Histogram("wsopt_service_block_encode_ms", "Wall time the codec took to encode (and compress) one block, in milliseconds; cache hits and replays encode nothing and are not observed.", metrics.DefServeBuckets),
 	}
 	reg.GaugeFunc("wsopt_service_sessions_live", "Currently open sessions (downloads + uploads).", func() float64 {
 		return float64(s.sessions.size() + s.ingests.size())

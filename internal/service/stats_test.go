@@ -183,3 +183,64 @@ func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockEncodeHistogramCountsEncodesNotServes: block_encode_ms is the
+// encode stage of a block's serve time, so it has one observation per
+// block the codec encoded — not per block served. A cache hit and a
+// same-seq replay write bytes that already exist and observe nothing.
+func TestBlockEncodeHistogramCountsEncodesNotServes(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv, ts := newTestServer(t, Config{
+		Catalog: testCatalog(t, 100),
+		Codec:   wire.Gzip(wire.XML{}),
+		Cache:   newTestCache(t, 1<<20),
+		Metrics: reg,
+	})
+	encodes := func() int64 { return reg.Snapshot().Histogram("wsopt_service_block_encode_ms").Count }
+
+	const size = 40
+	cold, _ := openSession(t, ts, `{"table":"items"}`)
+	blocks := 0
+	for done := false; !done; {
+		blocks++
+		_, done = pullBody(t, ts, cold, size, blocks)
+	}
+	if got := encodes(); got != int64(blocks) {
+		t.Fatalf("cold pull of %d blocks: %d encodes observed", blocks, got)
+	}
+	pullBody(t, ts, cold, size, blocks) // same-seq replay
+	hot, _ := openSession(t, ts, `{"table":"items"}`)
+	for seq := 1; seq <= blocks; seq++ {
+		pullBody(t, ts, hot, size, seq) // cache hits
+	}
+	if got := encodes(); got != int64(blocks) {
+		t.Errorf("after a replay and %d cache hits: %d encodes observed, want still %d", blocks, got, blocks)
+	}
+	if served := srv.Stats().BlocksServed; served != int64(2*blocks+1) {
+		t.Errorf("%d blocks served, want %d", served, 2*blocks+1)
+	}
+}
+
+// TestGzipBlockCarriesNoContentEncoding: a +gzip codec compresses the
+// block, not the HTTP message. Were the response to say Content-Encoding:
+// gzip, net/http's transport would inflate the body on its own and the
+// client's codec would be handed XML where it expects a gzip member; the
+// codec name both ends are started with is the only agreement there is.
+func TestGzipBlockCarriesNoContentEncoding(t *testing.T) {
+	_, ts := newTestServer(t, Config{Catalog: testCatalog(t, 30), Codec: wire.Gzip(wire.XML{})})
+	id, _ := openSession(t, ts, `{"table":"items"}`)
+	resp := pullSeq(t, ts, id, 30, 1)
+	defer resp.Body.Close()
+	if ce, ok := resp.Header["Content-Encoding"]; ok {
+		t.Errorf("Content-Encoding: %q on an xml+gzip block", ce)
+	}
+	if resp.Uncompressed {
+		t.Error("the transport inflated the body behind the codec's back")
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/xml" {
+		t.Errorf("Content-Type = %q, want the inner codec's", ct)
+	}
+	if _, rows, err := wire.Gzip(wire.XML{}).Decode(resp.Body); err != nil || len(rows) != 30 {
+		t.Fatalf("body is not an xml+gzip block: %d rows, %v", len(rows), err)
+	}
+}

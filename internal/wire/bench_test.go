@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"wsopt/internal/minidb"
+	"wsopt/internal/tpch"
 )
 
 // Benchmarks and allocation gates for the wire hot path. The round-trip
@@ -29,6 +31,23 @@ var benchBlockSizes = []int{64, 512, 4096}
 func benchBlock(n int) (minidb.Schema, []minidb.Row) {
 	rng := rand.New(rand.NewSource(42))
 	return sampleSchema(), sampleRows(n, rng)
+}
+
+// customerBlock returns the first n rows of the TPC-H CUSTOMER relation:
+// the rows bench/'s cold-xmlgz workload pulls, ~240 B of XML each, so a
+// 512-row block is 122 KB — unlike benchBlock's narrow rows it crosses a
+// gzip piece boundary at the block sizes the controller settles on.
+func customerBlock(tb testing.TB, n int) (minidb.Schema, []minidb.Row) {
+	tb.Helper()
+	table, err := tpch.GenCustomer(minidb.NewCatalog(), float64(n+1)/tpch.CustomersPerSF)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows, _, err := minidb.NextBlock(table.Scan(), n)
+	if err != nil || len(rows) != n {
+		tb.Fatalf("customer block of %d rows: %d rows, err %v", n, len(rows), err)
+	}
+	return table.Schema(), rows
 }
 
 func BenchmarkCodecRoundTrip(b *testing.B) {
@@ -198,4 +217,97 @@ func TestXMLDecodeAllocGate(t *testing.T) {
 			n, allocs, xmlDecodeAllocLimit)
 	}
 	t.Logf("xml decode, %d rows: %.1f allocs/block (gate %d)", n, allocs, xmlDecodeAllocLimit)
+}
+
+// BenchmarkGzipEncode is the server's compute term on the +gzip paths:
+// one block encoded and deflated, alone (serial: the closed-loop pull,
+// where the process's other cores idle) and with every core already
+// encoding (saturated: b.RunParallel, where no core is spare and the
+// chunked deflate must cost what a serial one does). DESIGN.md §14
+// records its -cpu 1,2 figures.
+func BenchmarkGzipEncode(b *testing.B) {
+	for _, c := range []Codec{Gzip(XML{}), Gzip(Binary{})} {
+		for _, n := range benchBlockSizes {
+			schema, rows := customerBlock(b, n)
+			var sized bytes.Buffer
+			if err := c.Encode(&sized, schema, rows); err != nil {
+				b.Fatal(err)
+			}
+			perRow := float64(sized.Len()) / float64(n)
+			b.Run(fmt.Sprintf("%s/rows=%d/serial", c.Name(), n), func(b *testing.B) {
+				var enc bytes.Buffer
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					enc.Reset()
+					if err := c.Encode(&enc, schema, rows); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(perRow, "wireB/row")
+			})
+			b.Run(fmt.Sprintf("%s/rows=%d/saturated", c.Name(), n), func(b *testing.B) {
+				b.SetParallelism(4) // encoders per core: more callers than cores, as under load
+				b.ReportAllocs()
+				b.RunParallel(func(pb *testing.PB) {
+					var enc bytes.Buffer
+					for pb.Next() {
+						enc.Reset()
+						if err := c.Encode(&enc, schema, rows); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+				b.ReportMetric(perRow, "wireB/row")
+			})
+		}
+	}
+}
+
+// gzipEncodeAllocLimit is the verify gate for the chunk-parallel gzip
+// encode: the per-encode state, the pieces with their deflate writers
+// and the list of pieces in flight are all pooled, and a helper is
+// started through a func value bound once per piece, so a steady-state
+// encode allocates nothing of its own. The budget leaves room for the
+// runtime making a goroutine when none is free to reuse.
+const gzipEncodeAllocLimit = 4
+
+func TestGzipEncodeAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	if testing.Short() {
+		t.Skip("alloc gate needs steady-state timing")
+	}
+	const n = 512 // two pieces of XML
+	schema, rows := customerBlock(t, n)
+	var enc bytes.Buffer
+	encode := func() {
+		enc.Reset()
+		if err := Gzip(XML{}).Encode(&enc, schema, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Counted by hand at two procs, where the first piece goes to a
+	// helper: testing.AllocsPerRun would pin GOMAXPROCS to 1 and measure
+	// the path with no goroutine in it.
+	for _, procs := range []int{1, 2} {
+		setGOMAXPROCS(t, procs)
+		for i := 0; i < 3; i++ { // size the buffer, prime the pools
+			encode()
+		}
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			encode()
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		if allocs > gzipEncodeAllocLimit {
+			t.Fatalf("GOMAXPROCS=%d: xml+gzip encode of a %d-row block costs %.1f allocs, gate is %d — the encoder started allocating per encode or per piece",
+				procs, n, allocs, gzipEncodeAllocLimit)
+		}
+		t.Logf("GOMAXPROCS=%d: xml+gzip encode, %d rows: %.1f allocs/block (gate %d)", procs, n, allocs, gzipEncodeAllocLimit)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,11 +195,14 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("carrier-pigeon"); err == nil {
-		t.Error("unknown codec accepted")
-	}
-	if _, err := ByName("carrier-pigeon+gzip"); err == nil {
-		t.Error("unknown gzipped codec accepted")
+	// Unknown names, and +gzip more than once or around nothing: the
+	// error quotes the whole name as it was given.
+	for _, name := range []string{"carrier-pigeon", "carrier-pigeon+gzip", "xml+gzip+gzip", "binary+gzip+gzip+gzip", "+gzip", "+gzip+gzip"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted", name)
+		} else if !strings.Contains(err.Error(), strconv.Quote(name)) {
+			t.Errorf("ByName(%q): error %q does not quote the name", name, err)
+		}
 	}
 	c, _ := ByName("binary+gzip")
 	if c.Name() != "binary+gzip" {

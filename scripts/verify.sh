@@ -64,7 +64,7 @@ gate_results() {
 owned='
 fuzzseeds   -race    ^Fuzz                        ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
 stress      -race    ^TestStress                  ./internal/service ./internal/e2e
-allocgate   -norace  ^(TestBinaryRoundTripAllocGate|TestXMLDecodeAllocGate)$ ./internal/wire
+allocgate   -norace  ^(TestBinaryRoundTripAllocGate|TestXMLDecodeAllocGate|TestGzipEncodeAllocGate)$ ./internal/wire
 allocgate   -norace  ^TestGatewayHopAllocGate$    ./internal/gateway
 slo-sim     -race    ^Test                        ./internal/regulator
 slo-sim     -race    ^TestCoupledLoop             ./internal/sim
@@ -145,8 +145,8 @@ gate_stress() { run_owned stress; }
 
 # Allocation gates, WITHOUT the race detector (instrumentation would
 # inflate the counts): a binary-codec block round-trip, an XML block
-# decode and one block proxied through the gateway hop must each stay
-# within their per-block allocation budget.
+# decode, an xml+gzip block encode and one block proxied through the
+# gateway hop must each stay within their per-block allocation budget.
 gate_allocgate() { run_owned allocgate; }
 
 # Coupled-loop control gate: regulator unit behaviour (tracking,
