@@ -18,6 +18,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -27,48 +28,35 @@ import (
 
 	"wsopt/internal/client"
 	"wsopt/internal/core"
-	"wsopt/internal/wire"
 )
 
 func main() {
-	var (
-		url        = flag.String("url", "http://localhost:8080", "service base URL")
-		table      = flag.String("table", "customer", "relation each stream scans")
-		size       = flag.Int("size", 2000, "fixed block size of the load streams")
-		streams    = flag.Int("streams", 3, "concurrent query streams")
-		duration   = flag.Duration("duration", 30*time.Second, "how long to run")
-		codecName  = flag.String("codec", "xml", "block codec: xml, json or binary, each optionally +gzip (must match the server: nothing is negotiated)")
-		setLoad    = flag.String("set-load", "", "set the simulated load knob as jobs:queries:memory and exit")
-		maxQueries = flag.Int("max-queries", 0, "queries per stream before it stops early (0 = run until -duration)")
-		retries    = flag.Int("retries", 3, "pull attempts per block before a stream gives up")
-	)
-	flag.Parse()
 	logger := log.New(os.Stderr, "wsload: ", 0)
-
-	codec, err := wire.ByName(*codecName)
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	opts, err := parseOptions(fs, os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case err != nil && opts == nil:
+		os.Exit(2) // fs.Parse has printed the error and the usage
+	case err != nil:
+		logger.Fatal(err)
+	}
+	c, err := client.New(opts.url, opts.codec, nil)
 	if err != nil {
 		logger.Fatal(err)
 	}
-	c, err := client.New(*url, codec, nil)
-	if err != nil {
-		logger.Fatal(err)
-	}
-	c.SetRetry(client.RetryPolicy{MaxAttempts: *retries})
+	c.SetRetry(client.RetryPolicy{MaxAttempts: opts.retries})
 
-	if *setLoad != "" {
-		var jobs, queries int
-		var memory float64
-		if _, err := fmt.Sscanf(*setLoad, "%d:%d:%f", &jobs, &queries, &memory); err != nil {
-			logger.Fatalf("bad -set-load %q: %v", *setLoad, err)
-		}
-		if err := c.SetLoad(context.Background(), jobs, queries, memory); err != nil {
+	if opts.setLoad != "" {
+		if err := c.SetLoad(context.Background(), opts.jobs, opts.queries, opts.memory); err != nil {
 			logger.Fatal(err)
 		}
-		fmt.Printf("load set to jobs=%d queries=%d memory=%.2f\n", jobs, queries, memory)
+		fmt.Printf("load set to jobs=%d queries=%d memory=%.2f\n", opts.jobs, opts.queries, opts.memory)
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *duration)
+	ctx, cancel := context.WithTimeout(context.Background(), opts.duration)
 	defer cancel()
 
 	type streamStats struct {
@@ -77,16 +65,16 @@ func main() {
 		blocks  int
 		errors  int
 	}
-	stats := make([]streamStats, *streams)
+	stats := make([]streamStats, opts.streams)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < *streams; i++ {
+	for i := 0; i < opts.streams; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for ctx.Err() == nil && (*maxQueries == 0 || stats[i].queries < *maxQueries) {
-				res, err := c.Run(ctx, client.Query{Table: *table},
-					core.NewStatic(*size), client.MetricPerTuple, false)
+			for ctx.Err() == nil && (opts.maxQueries == 0 || stats[i].queries < opts.maxQueries) {
+				res, err := c.Run(ctx, client.Query{Table: opts.table},
+					core.NewStatic(opts.size), client.MetricPerTuple, false)
 				if res != nil {
 					stats[i].tuples += res.Tuples
 					stats[i].blocks += res.Blocks

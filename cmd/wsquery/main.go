@@ -15,8 +15,9 @@
 //
 // With -endpoints, the client spreads resilience across the listed
 // replicas: per-endpoint circuit breakers, adaptive per-block deadlines,
-// hedged pulls for stragglers, and mid-query session failover that
-// resumes from the committed tuple cursor.
+// and mid-query session failover — off a replica whose breaker opened or
+// that let a block outlive its deadline — that resumes from the committed
+// tuple cursor.
 //
 // With -controller vector (or, when no -controller is named,
 // -streams/-pipeline-depth above 1), the query runs as an adaptive
@@ -29,6 +30,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,102 +43,38 @@ import (
 	"wsopt/internal/client"
 	"wsopt/internal/core"
 	"wsopt/internal/metrics"
-	"wsopt/internal/resilience"
 	"wsopt/internal/sysid"
-	"wsopt/internal/wire"
 )
 
 func main() {
-	var (
-		url       = flag.String("url", "http://localhost:8080", "service base URL")
-		table     = flag.String("table", "customer", "relation to scan")
-		columns   = flag.String("columns", "", "comma-separated projection (default: all)")
-		where     = flag.String("where", "", "SQL-flavoured filter, e.g. \"c_acctbal > 1000 AND c_mktsegment = 'BUILDING'\"")
-		codecName = flag.String("codec", "xml", "block codec: xml, json or binary, each optionally +gzip (must match the server: nothing is negotiated)")
-		ctlName   = flag.String("controller", "hybrid", "static | constant | adaptive | hybrid | hybrid-s | aimd | mimd | model-quadratic | model-parabolic | self-tuning | setpoint | supervisor | vector")
-		size      = flag.Int("size", 1000, "initial (or static) block size")
-		b1        = flag.Float64("b1", 2000, "constant gain")
-		b2        = flag.Float64("b2", 25, "adaptive gain coefficient")
-		limitsArg = flag.String("limits", "100:20000", "block-size limits lo:hi")
-		useInj    = flag.Bool("simtime", true, "observe server-injected simulated delays instead of wall time")
-		trace     = flag.Bool("trace", false, "print each block decision")
-		eventsOut = flag.String("events", "", "write a JSONL structured trace (one event per block) to this file")
-		retries   = flag.Int("retries", 5, "attempts per request; block transfers replay safely via the seq protocol (1 = no retry)")
-		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubles per attempt, full jitter)")
-
-		push       = flag.Bool("push", false, "use the server-push streaming transport: one long-lived stream per session, flow-controlled by credit grants")
-		pushWindow = flag.Int("push-window", 0, "push: credit window in blocks granted to the server (0 = default 4; vector runs let the controller drive it)")
-
-		streams      = flag.Int("streams", 1, "max parallel streams; >1 (or -controller vector) runs the multi-dimensional vector controller")
-		pipeDepth    = flag.Int("pipeline-depth", 1, "max per-stream pipeline depth (blocks in flight ahead of processing; vector runs only)")
-		profileStore = flag.String("profile-store", "", "JSON profile store; warm-starts the vector controller from the nearest stored workload optimum and records this run's outcome")
-		chunkTuples  = flag.Int("chunk-tuples", 4096, "cursor-range lease size per stream chunk (vector runs only)")
-		tupleBytes   = flag.Int("workload-bytes", 0, "average tuple width of the workload, for profile-store matching (0 = unknown)")
-		workloadSF   = flag.Float64("workload-sf", 0, "dataset scale factor of the workload, for profile-store matching (0 = unknown)")
-
-		endpoints       = flag.String("endpoints", "", "comma-separated replica base URLs (overrides -url; enables hedging and failover)")
-		breakerThresh   = flag.Int("breaker-threshold", 5, "consecutive failures before an endpoint's circuit breaker opens")
-		breakerCooldown = flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker refuses traffic before probing")
-		deadlineMult    = flag.Float64("deadline-mult", 4, "adaptive deadline = mult x p95 per-tuple RTT x block size")
-		deadlineMin     = flag.Duration("deadline-min", time.Second, "lower clamp on the adaptive per-block deadline")
-		deadlineMax     = flag.Duration("deadline-max", 2*time.Minute, "upper clamp on (and fallback for) the adaptive deadline")
-		hedge           = flag.Float64("hedge", 0.9, "hedge a straggling pull after this fraction of its deadline (0 disables hedging)")
-		metricsOut      = flag.String("metrics-out", "", "write the client's metrics (Prometheus text) to this file at exit")
-	)
-	flag.Parse()
-
 	logger := log.New(os.Stderr, "wsquery: ", 0)
-	opts := options{
-		push: *push, pushWindow: *pushWindow,
-		controller: *ctlName, streams: *streams, pipeDepth: *pipeDepth,
-		size: *size, b1: *b1, b2: *b2, limitsArg: *limitsArg,
-	}
-	flag.Visit(func(f *flag.Flag) { opts.controllerSet = opts.controllerSet || f.Name == "controller" })
-	if err := opts.validate(); err != nil {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	opts, err := parseOptions(fs, os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return
+	case err != nil && opts == nil:
+		os.Exit(2) // fs.Parse has printed the error and the usage
+	case err != nil:
 		logger.Fatal(err)
 	}
 	ctl, err := buildController(opts)
 	if err != nil {
 		logger.Fatal(err)
 	}
-	codec, err := wire.ByName(*codecName)
+	c, err := client.NewMulti(opts.urls, opts.codec, nil)
 	if err != nil {
 		logger.Fatal(err)
 	}
-	urls := []string{*url}
-	if *endpoints != "" {
-		urls = nil
-		for _, u := range strings.Split(*endpoints, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
-	}
-	c, err := client.NewMulti(urls, codec, nil)
-	if err != nil {
+	c.SetRetry(opts.retry)
+	if err := c.SetResilience(client.ResilienceConfig{Breaker: opts.breaker, Deadline: opts.deadline}); err != nil {
 		logger.Fatal(err)
 	}
-	c.SetRetry(client.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase})
-	if err := c.SetResilience(client.ResilienceConfig{
-		Breaker: resilience.BreakerConfig{
-			FailureThreshold: *breakerThresh,
-			Cooldown:         *breakerCooldown,
-		},
-		Deadline: resilience.DeadlineConfig{
-			Multiplier: *deadlineMult,
-			Min:        *deadlineMin,
-			Max:        *deadlineMax,
-		},
-		HedgeFraction:  *hedge,
-		DisableHedging: *hedge <= 0,
-	}); err != nil {
-		logger.Fatal(err)
-	}
-	if *push {
-		c.SetPush(client.PushConfig{Enabled: true, Window: *pushWindow})
+	if opts.push {
+		c.SetPush(client.PushConfig{Enabled: true, Window: opts.pushWindow})
 	}
 	var reg *metrics.Registry
-	if *metricsOut != "" {
+	if opts.metricsOut != "" {
 		reg = metrics.NewRegistry()
 		c.SetMetrics(reg)
 	}
@@ -146,30 +84,27 @@ func main() {
 	var eventsFile *os.File
 	var events *client.EventWriter
 	var sink client.EventSink
-	if *eventsOut != "" {
-		eventsFile, err = os.Create(*eventsOut)
+	if opts.eventsOut != "" {
+		eventsFile, err = os.Create(opts.eventsOut)
 		if err != nil {
 			logger.Fatal(err)
 		}
 		events = client.NewEventWriter(eventsFile)
 		sink = events
 	}
-	if *trace {
-		sink = &tracePrinter{out: os.Stdout, useInjected: *useInj, next: sink}
+	if opts.trace {
+		sink = &tracePrinter{out: os.Stdout, useInjected: opts.useInjected, next: sink}
 	}
 	if sink != nil {
 		c.SetEvents(sink)
 	}
 
-	q := client.Query{Table: *table, Where: *where}
-	if *columns != "" {
-		q.Columns = strings.Split(*columns, ",")
+	q := client.Query{Table: opts.table, Where: opts.where}
+	if opts.columns != "" {
+		q.Columns = strings.Split(opts.columns, ",")
 	}
 
-	if err := runQuery(context.Background(), logger, c, q, ctl, runOpts{
-		storePath: *profileStore, workload: sysid.WorkloadDescriptor{TupleBytes: *tupleBytes, ScaleFactor: *workloadSF},
-		chunk: *chunkTuples, maxStreams: *streams, useInjected: *useInj,
-	}); err != nil {
+	if err := runQuery(context.Background(), logger, c, q, ctl, opts); err != nil {
 		logger.Fatal(err)
 	}
 
@@ -180,10 +115,10 @@ func main() {
 		if err := eventsFile.Close(); err != nil {
 			logger.Fatal(err)
 		}
-		logger.Printf("events written to %s", *eventsOut)
+		logger.Printf("events written to %s", opts.eventsOut)
 	}
 	if reg != nil {
-		f, err := os.Create(*metricsOut)
+		f, err := os.Create(opts.metricsOut)
 		if err != nil {
 			logger.Fatal(err)
 		}
@@ -193,18 +128,8 @@ func main() {
 		if err := f.Close(); err != nil {
 			logger.Fatal(err)
 		}
-		logger.Printf("metrics written to %s", *metricsOut)
+		logger.Printf("metrics written to %s", opts.metricsOut)
 	}
-}
-
-// runOpts bundles the flag values of a run beyond its controller: the
-// parallel-stream runner's and the profile store's.
-type runOpts struct {
-	storePath   string
-	workload    sysid.WorkloadDescriptor
-	chunk       int
-	maxStreams  int
-	useInjected bool
 }
 
 // runQuery executes the query and prints its summary. The vector
@@ -213,7 +138,7 @@ type runOpts struct {
 // stored workload optimum and the run's outcome is recorded back, so
 // later runs of similar workloads skip the search. Every other
 // controller runs on the single-session path.
-func runQuery(ctx context.Context, logger *log.Logger, c *client.Client, q client.Query, ctl core.Controller, o runOpts) error {
+func runQuery(ctx context.Context, logger *log.Logger, c *client.Client, q client.Query, ctl core.Controller, o *options) error {
 	start := time.Now()
 	vctl, vector := ctl.(*core.VectorController)
 	if !vector {
@@ -226,9 +151,9 @@ func runQuery(ctx context.Context, logger *log.Logger, c *client.Client, q clien
 	}
 
 	var store *sysid.Store
-	if o.storePath != "" {
+	if o.profileStore != "" {
 		var err error
-		if store, err = sysid.OpenStore(o.storePath); err != nil {
+		if store, err = sysid.OpenStore(o.profileStore); err != nil {
 			return err
 		}
 		if store.WarmStart(vctl, o.workload, 0) {
@@ -240,8 +165,8 @@ func runQuery(ctx context.Context, logger *log.Logger, c *client.Client, q clien
 	res, err := c.RunVector(ctx, q, ctl, client.VectorRunConfig{
 		Metric:      client.MetricPerTuple,
 		UseInjected: o.useInjected,
-		ChunkTuples: o.chunk,
-		MaxStreams:  o.maxStreams,
+		ChunkTuples: o.chunkTuples,
+		MaxStreams:  o.streams,
 	})
 	if err != nil {
 		return err
@@ -277,8 +202,8 @@ func printSummary(name string, res *client.RunResult, vec *client.VectorRunResul
 	if res.Retries > 0 || res.Replays > 0 {
 		fmt.Printf("retries:         %d (%d blocks replayed by the server)\n", res.Retries, res.Replays)
 	}
-	if res.Failovers > 0 || res.HedgeWins > 0 {
-		fmt.Printf("resilience:      %d session failovers, %d hedged blocks won\n", res.Failovers, res.HedgeWins)
+	if res.Failovers > 0 {
+		fmt.Printf("resilience:      %d session failovers\n", res.Failovers)
 	}
 	if res.SimulatedMS > 0 {
 		fmt.Printf("simulated time:  %.1f s\n", res.SimulatedMS/1000)
@@ -310,9 +235,6 @@ func (p *tracePrinter) Write(ev client.BlockEvent) error {
 		y = ev.InjectedMS
 	}
 	note := ""
-	if ev.Hedged {
-		note += " hedged"
-	}
 	if ev.Failovers > 0 {
 		note += fmt.Sprintf(" failovers=%d", ev.Failovers)
 	}
@@ -329,7 +251,7 @@ func (p *tracePrinter) Write(ev client.BlockEvent) error {
 
 // buildController builds the controller -controller names (validate has
 // resolved the name: "vector" when -streams/-pipeline-depth asked for it).
-func buildController(o options) (core.Controller, error) {
+func buildController(o *options) (core.Controller, error) {
 	size, limits := o.size, o.limits
 	cfg := core.DefaultConfig()
 	cfg.InitialSize = size

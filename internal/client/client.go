@@ -5,18 +5,24 @@
 // the plain pull interface ("minimally intrusive", Section I).
 //
 // The client can be given several replica endpoints (NewMulti). Each gets
-// a passive-health circuit breaker; block pulls carry an adaptive deadline
-// derived from recent RTTs; a straggling pull is hedged to a second
-// healthy replica; and when an endpoint's breaker opens mid-query the
-// session fails over, resuming from the committed tuple cursor. All of it
-// leans on the seq/replay idempotence of the protocol — a duplicated pull
-// can neither skip nor repeat tuples.
+// a passive-health circuit breaker; block transfers carry an adaptive
+// deadline derived from recent RTTs; and when an endpoint's breaker opens
+// mid-query, or a block outlives its deadline there, the session fails
+// over, resuming from the committed tuple cursor. All of it leans on the
+// seq/replay idempotence of the protocol — a repeated pull can neither
+// skip nor repeat tuples.
+//
+// This file is the client half of the session protocol (DESIGN.md §8):
+// one cursor with one writer (commit), one place a session moves
+// (rebind), one block step (nextBlock) under both transports and one
+// block reader (readBlock) under both framings.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -72,8 +78,7 @@ func New(baseURL string, codec wire.Codec, hc *http.Client) (*Client, error) {
 
 // NewMulti builds a client over several replica endpoints serving the
 // same deterministic data. The first URL is the initial primary; the rest
-// are failover and hedging targets. A single URL behaves exactly like
-// New.
+// are failover targets. A single URL behaves exactly like New.
 func NewMulti(urls []string, codec wire.Codec, hc *http.Client) (*Client, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("client: need at least one endpoint URL")
@@ -98,7 +103,6 @@ func NewMulti(urls []string, codec wire.Codec, hc *http.Client) (*Client, error)
 		hc:    hc,
 		shc:   &http.Client{Transport: hc.Transport},
 		codec: codec,
-		rcfg:  ResilienceConfig{}.normalized(),
 		push:  PushConfig{}.normalized(),
 	}
 	// A private registry keeps recording unconditional; SetMetrics
@@ -109,9 +113,6 @@ func NewMulti(urls []string, codec wire.Codec, hc *http.Client) (*Client, error)
 	}
 	return c, nil
 }
-
-// Endpoints returns the configured replica base URLs.
-func (c *Client) Endpoints() []string { return append([]string(nil), c.urls...) }
 
 // Query names the server-side plan to open.
 type Query struct {
@@ -126,9 +127,9 @@ type Query struct {
 	Distinct bool `json:"distinct,omitempty"`
 	// Limit truncates the result when positive.
 	Limit int `json:"limit,omitempty"`
-	// Offset skips the first N result tuples server-side — how a hedged
-	// or failed-over session resumes from the committed cursor on a
-	// different replica.
+	// Offset skips the first N result tuples server-side — how a
+	// failed-over session resumes from the committed cursor on a different
+	// replica.
 	Offset int `json:"offset,omitempty"`
 	// StreamGroup tags the session as one parallel stream of a larger
 	// logical query, for the service's stream accounting. RunVector sets
@@ -138,23 +139,24 @@ type Query struct {
 
 // Session is an open pull cursor. Not safe for concurrent use.
 type Session struct {
-	c       *Client
-	q       Query
-	ep      *resilience.Endpoint
-	id      string
+	c  *Client
+	q  Query
+	ep *resilience.Endpoint
+	id string
+	// url is the server-side session's own URL on ep, built once per
+	// (endpoint, id); every request of the session appends to it.
+	url     string
 	columns []string
 	done    bool
-	// seq numbers the blocks pulled so far on the *current* server-side
-	// session; the next pull requests seq+1, and a retry re-requests the
-	// same number so the server can replay a block whose response was
-	// lost. A failover or hedge adoption opens a fresh server session and
-	// resets the counter.
+	// seq numbers the blocks committed so far on the *current* server-side
+	// session; the next block is seq+1, and a retry re-requests the same
+	// number so the server can replay a block whose response was lost. A
+	// session move opens a fresh server session and resets the counter.
 	seq uint64
 	// committed counts tuples already delivered to the caller (plus the
-	// query's own Offset) — the resume cursor for failover and hedging.
+	// query's own Offset) — the resume cursor of a session move.
 	committed int
 	failovers int
-	hedgeWins int
 	// transparent is true when the endpoint announced transparent
 	// failover capability (a wsgate tier): backend deaths are handled
 	// behind the session's back, so the client suppresses its own
@@ -165,14 +167,18 @@ type Session struct {
 	// gwFailovers is the last gateway failover count acknowledged, so
 	// only the delta is surfaced.
 	gwFailovers int
-	// scratch is the decode scratch backing the most recently adopted
+	// scratch is the decode scratch backing the most recently committed
 	// block's rows. It is recycled into scratchPool when the next block is
-	// adopted — the moment the previous block's rows become invalid.
+	// committed — the moment the previous block's rows become invalid.
 	scratch *wire.Scratch
+	// body counts the payload bytes of the block being read; it lives here
+	// so that a block costs no reader of its own.
+	body countingReader
 
-	// OnDisturbance, when set, is invoked after a session failover or a
-	// hedge adoption with a human-readable reason — the hook the transfer
-	// engine uses to tell the controller conditions just changed under it.
+	// OnDisturbance, when set, is invoked after the session moved (a
+	// failover, a re-open) or a gateway failed it over, with a
+	// human-readable reason — the hook the transfer engine uses to tell the
+	// controller conditions just changed under it.
 	OnDisturbance func(reason string)
 }
 
@@ -188,11 +194,11 @@ func (c *Client) OpenSession(ctx context.Context, q Query) (*Session, error) {
 	}
 	var lastErr error
 	for _, ep := range order {
-		id, cols, transparent, err := c.openSessionOn(ctx, ep, q, q.Offset)
+		o, err := c.openSessionOn(ctx, ep, q, q.Offset)
 		if err == nil {
 			ep.Success()
 			c.pool.Promote(ep)
-			return &Session{c: c, q: q, ep: ep, id: id, columns: cols, committed: q.Offset, transparent: transparent}, nil
+			return &Session{c: c, q: q, ep: ep, id: o.id, url: o.url, columns: o.columns, committed: q.Offset, transparent: o.transparent}, nil
 		}
 		if isTransient(err) {
 			ep.Failure()
@@ -205,39 +211,48 @@ func (c *Client) OpenSession(ctx context.Context, q Query) (*Session, error) {
 	return nil, lastErr
 }
 
+// opened is a freshly created server-side session. transparent reports
+// whether the endpoint announced gateway-side transparent failover.
+type opened struct {
+	id, url     string
+	columns     []string
+	transparent bool
+}
+
 // openSessionOn creates a server-side session on one specific endpoint,
-// resuming at the given tuple offset. transparent reports whether the
-// endpoint announced gateway-side transparent failover.
-func (c *Client) openSessionOn(ctx context.Context, ep *resilience.Endpoint, q Query, offset int) (id string, columns []string, transparent bool, err error) {
+// resuming at the given tuple offset.
+func (c *Client) openSessionOn(ctx context.Context, ep *resilience.Endpoint, q Query, offset int) (o opened, err error) {
 	q.Offset = offset
 	body, err := json.Marshal(q)
 	if err != nil {
-		return "", nil, false, fmt.Errorf("client: marshal query: %w", err)
+		return o, fmt.Errorf("client: marshal query: %w", err)
 	}
 	u, err := joinURL(ep.URL(), "sessions")
 	if err != nil {
-		return "", nil, false, err
+		return o, err
 	}
 	resp, err := c.doManagement(ctx, http.MethodPost, u, body, "application/json", http.StatusCreated)
 	if err != nil {
-		return "", nil, false, fmt.Errorf("client: open session: %w", err)
+		return o, fmt.Errorf("client: open session: %w", err)
 	}
 	defer drain(resp)
 	if resp.StatusCode != http.StatusCreated {
-		return "", nil, false, httpFailure("open session", resp)
+		return o, httpFailure("open session", resp)
 	}
-	transparent, _ = strconv.ParseBool(resp.Header.Get(service.HeaderGatewayTransparentFailover))
+	o.transparent, _ = strconv.ParseBool(resp.Header.Get(service.HeaderGatewayTransparentFailover))
 	var cr struct {
 		Session string   `json:"session"`
 		Columns []string `json:"columns"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		return "", nil, false, fmt.Errorf("client: decode session response: %w", err)
+		return o, fmt.Errorf("client: decode session response: %w", err)
 	}
 	if cr.Session == "" {
-		return "", nil, false, fmt.Errorf("client: server returned empty session id")
+		return o, fmt.Errorf("client: server returned empty session id")
 	}
-	return cr.Session, cr.Columns, transparent, nil
+	o.id, o.columns = cr.Session, cr.Columns
+	o.url, err = joinURL(u, cr.Session)
+	return o, err
 }
 
 // ID returns the server-assigned session identifier (a gateway id when
@@ -266,9 +281,6 @@ func (s *Session) Transparent() bool { return s.transparent }
 // gateway reports having performed for this session — disjoint from
 // Failovers(), which counts only failovers the client performed itself.
 func (s *Session) GatewayFailovers() int { return s.gwFailovers }
-
-// HedgeWins returns how many blocks were won by a hedged pull.
-func (s *Session) HedgeWins() int { return s.hedgeWins }
 
 // Block is one pulled block with its client-side timing.
 //
@@ -301,9 +313,6 @@ type Block struct {
 	Bytes int64
 	// Endpoint is the base URL of the replica that served the block.
 	Endpoint string
-	// Hedged is true when the block was won by a hedged pull against a
-	// second replica rather than the session's primary.
-	Hedged bool
 	// Failovers counts session failovers that happened while pulling this
 	// block.
 	Failovers int
@@ -314,9 +323,8 @@ type Block struct {
 
 	// scratch is the decode scratch backing Rows (nil when the codec has
 	// no scratch path). The session recycles it when the next block is
-	// adopted; a block that is never adopted (an abandoned hedge or
-	// cancelled primary) just drops it to the GC — a scratch is never
-	// pooled while its rows may still be read.
+	// committed — a scratch is never pooled while its rows may still be
+	// read.
 	scratch *wire.Scratch
 }
 
@@ -341,31 +349,35 @@ func (b *Block) Clone() *Block {
 	return &nb
 }
 
-// scratchPool recycles decode scratches across pulls (and sessions). A
-// scratch enters the pool only from Session.adopt — when the block it
-// backed has been superseded — never from an abandoned in-flight pull.
+// scratchPool recycles decode scratches across blocks (and sessions). A
+// scratch leaves it in readBlock and comes back either there, when the
+// decode failed and its rows never escaped, or in commit, when the block
+// it backed has been superseded.
 var scratchPool = sync.Pool{New: func() any { return new(wire.Scratch) }}
-
-// adopt makes blk the session's current block: the previous block's
-// rows are now invalid per the Block contract, so its scratch goes back
-// to the pool.
-func (s *Session) adopt(blk *Block) {
-	if s.scratch != nil {
-		scratchPool.Put(s.scratch)
-	}
-	s.scratch = blk.scratch
-}
 
 // Next pulls one block of up to size tuples and times it. Transient
 // failures — severed connections, truncated bodies, deadline expiries,
 // 5xx responses — are retried under the client's RetryPolicy,
 // re-requesting the same sequence number so the server can replay the
 // block without skipping or duplicating tuples. When the current
-// endpoint's breaker refuses traffic and another replica exists, the
-// session fails over and resumes from the committed cursor. Elapsed
-// covers the successful attempt only, so the controller's timing signal
-// is not polluted by failed tries.
+// endpoint's breaker refuses traffic, or the block outlived its adaptive
+// deadline there, and another replica exists, the session fails over and
+// resumes from the committed cursor. Elapsed covers the successful
+// attempt only, so the controller's timing signal is not polluted by
+// failed tries.
 func (s *Session) Next(ctx context.Context, size int) (*Block, error) {
+	return s.nextBlock(ctx, "pull", size, func(attempt int) (*Block, error) {
+		return s.pullAttempt(ctx, size, attempt)
+	}, nil)
+}
+
+// nextBlock is the block step of both transports: the done/size
+// preamble, the breaker gate before every attempt, the retry loop with
+// its two ways around a failure that need no waiting — detour, the
+// transport's own (nil when it has none), then failAway — and commit.
+// try makes attempt n at block seq+1 and reports the endpoint's failures
+// to its breaker; success is commit's to report.
+func (s *Session) nextBlock(ctx context.Context, kind string, size int, try func(attempt int) (*Block, error), detour func(err error) bool) (*Block, error) {
 	if s.done {
 		return nil, fmt.Errorf("client: session %s already exhausted", s.id)
 	}
@@ -374,22 +386,41 @@ func (s *Session) Next(ctx context.Context, size int) (*Block, error) {
 	}
 	var (
 		blk       *Block
-		seqAfter  uint64
 		failovers int
 	)
-	attempts, err := s.c.retryBlock(ctx, "pull", &s.seq, func(attempt int) (err error) {
-		blk, seqAfter, err = s.pullAttempt(ctx, size, s.seq+1, attempt)
+	attempts, err := s.c.retryBlock(ctx, kind, &s.seq, func(attempt int) (err error) {
+		// The breaker only gates a transfer when an alternative endpoint
+		// exists: on a single-endpoint pool refusing traffic would just burn
+		// the retry budget without anywhere to send it.
+		if s.c.pool.Len() > 1 && !s.ep.Allow() {
+			return markTransient(fmt.Errorf("client: endpoint %s: circuit breaker open", s.ep.URL()))
+		}
+		blk, err = try(attempt)
 		return err
-	}, func(error) bool { return s.failAway(ctx, &failovers) })
+	}, func(err error) bool {
+		return detour != nil && detour(err) || s.failAway(ctx, err, &failovers)
+	})
 	if err != nil {
 		return nil, err
 	}
-	blk.Attempts = attempts
-	blk.Failovers = failovers
-	s.adopt(blk)
-	s.seq = seqAfter
+	s.commit(blk, attempts, failovers)
+	return blk, nil
+}
+
+// commit makes blk the session's newest block — the one writer of the
+// cursor. The previous block's rows are now invalid per the Block
+// contract, so its scratch goes back to the pool.
+func (s *Session) commit(blk *Block, attempts, failovers int) {
+	blk.Attempts, blk.Failovers, blk.Endpoint = attempts, failovers, s.ep.URL()
+	if s.scratch != nil {
+		scratchPool.Put(s.scratch)
+	}
+	s.scratch = blk.scratch
+	s.seq++
 	s.done = blk.Done
 	s.committed += len(blk.Rows)
+	s.ep.Success()
+	s.c.deadline.Observe(blk.Elapsed, len(blk.Rows))
 	// A transparent gateway reports its cumulative failover count on
 	// every block; surface each gateway failover as a disturbance
 	// EXACTLY once (on the delta) and never as a client failover —
@@ -401,172 +432,86 @@ func (s *Session) Next(ctx context.Context, size int) (*Block, error) {
 		}
 	}
 	s.c.metrics.recordBlock(blk)
-	return blk, nil
 }
+
+// errDeadline marks an attempt that died of its adaptive deadline, pull
+// or push: the replica is reachable but this block is overdue on it.
+var errDeadline = errors.New("adaptive block deadline expired")
 
 // failAway is the reroute step of both block transports: the current
-// endpoint's breaker refuses traffic and an alternative exists, so
-// re-open the session there and retry at once. Bounded by the pool size
-// so a pathological pool cannot extend the retry budget indefinitely. A
-// transparent gateway owns failover for its sessions (the backend death
-// is handled behind this endpoint), so the client never performs its
-// own — that would re-open elsewhere and count the same disturbance
-// twice.
-func (s *Session) failAway(ctx context.Context, failovers *int) bool {
+// endpoint's breaker refuses traffic, or the attempt outlived its
+// adaptive deadline there (a stalled-but-alive replica is left after one
+// deadline, not after a breaker's worth of doubled ones), and another
+// healthy endpoint exists — so re-open the session there and retry at
+// once. Bounded by the pool size per block, so a pathological pool
+// cannot extend the retry budget indefinitely; with nowhere to go the
+// block is retried in place under a doubled deadline. A transparent
+// gateway owns failover for its sessions (the backend death is handled
+// behind this endpoint), so the client never performs its own — that
+// would re-open elsewhere and count the same disturbance twice.
+func (s *Session) failAway(ctx context.Context, cause error, failovers *int) bool {
 	c := s.c
-	if c.rcfg.DisableFailover || s.transparent || c.pool.Len() < 2 || *failovers >= c.pool.Len() || s.ep.Allow() {
+	if s.transparent || c.pool.Len() < 2 || *failovers >= c.pool.Len() {
 		return false
 	}
-	if s.failover(ctx) != nil {
+	if !errors.Is(cause, errDeadline) && s.ep.Allow() {
 		return false
 	}
-	*failovers++
-	return true
-}
-
-// pullResult carries one primary pull attempt's outcome.
-type pullResult struct {
-	blk *Block
-	err error
-}
-
-// pullAttempt performs one logical pull: the primary request against the
-// session's current endpoint under the adaptive deadline, hedged to a
-// second healthy replica once the hedge fraction of the deadline has
-// elapsed. It returns the winning block and the seq the session is at
-// after it (the requested seq when the primary won; 1 when a hedge won,
-// because the hedge runs on a fresh server-side session).
-func (s *Session) pullAttempt(ctx context.Context, size int, seq uint64, attempt int) (*Block, uint64, error) {
-	c := s.c
-	// The breaker only gates pulls when an alternative endpoint exists:
-	// on a single-endpoint pool refusing traffic would just burn the
-	// retry budget without anywhere to send it.
-	if c.pool.Len() > 1 && !s.ep.Allow() {
-		return nil, 0, markTransient(fmt.Errorf("client: endpoint %s: circuit breaker open", s.ep.URL()))
-	}
-	u, err := joinURL(s.ep.URL(), "sessions", s.id, "next")
-	if err != nil {
-		return nil, 0, err
-	}
-	u += "?size=" + strconv.Itoa(size) + "&seq=" + strconv.FormatUint(seq, 10)
-
-	d := c.attemptDeadline(size, attempt)
-	cctx, cancel := context.WithTimeout(ctx, d)
-	defer cancel()
-
-	prim := make(chan pullResult, 1)
-	go func() {
-		blk, err := c.pullOnce(cctx, ctx, u)
-		prim <- pullResult{blk, err}
-	}()
-
-	var hedgeFired <-chan time.Time
-	if hd, ok := c.hedgeDelay(d); ok {
-		timer := time.NewTimer(hd)
-		defer timer.Stop()
-		hedgeFired = timer.C
-	}
-
-	var hedgeCh chan hedgeOutcome
-	var primErr error
-	primDone := false
-	for {
-		select {
-		case r := <-prim:
-			primDone = true
-			if r.err == nil {
-				s.ep.Success()
-				c.deadline.Observe(r.blk.Elapsed, len(r.blk.Rows))
-				if hedgeCh != nil {
-					// The straggler came through first after all: the
-					// hedge lost the race; reap its mirror session.
-					c.metrics.hedgeLosses.Inc()
-					c.reapHedge(hedgeCh)
-				}
-				r.blk.Endpoint = s.ep.URL()
-				return r.blk, seq, nil
-			}
-			if isTransient(r.err) {
-				s.ep.Failure()
-			}
-			primErr = r.err
-			if hedgeCh == nil {
-				return nil, 0, r.err
-			}
-			prim = nil // primary settled; wait for the hedge to decide
-		case <-hedgeFired:
-			hedgeFired = nil
-			hedgeCh = make(chan hedgeOutcome, 1)
-			c.metrics.hedges.Inc()
-			// Session state is captured by value: the goroutine may
-			// outlive this attempt and must not read s afterwards.
-			go c.runHedge(ctx, s.ep, s.q, s.committed, size, hedgeCh)
-		case ho := <-hedgeCh:
-			if ho.err != nil {
-				c.metrics.hedgeLosses.Inc()
-				hedgeCh = nil
-				if primDone {
-					return nil, 0, primErr
-				}
-				continue // primary is still running; let it finish
-			}
-			// The hedge won: adopt its mirror session as the new primary
-			// cursor. The primary pull is cancelled; even if its response
-			// was in flight, the abandoned server session is deleted and
-			// the committed cursor was never advanced for it, so no tuple
-			// is skipped or duplicated.
-			cancel()
-			old, oldID := s.ep, s.id
-			s.ep, s.id = ho.ep, ho.id
-			c.pool.Promote(ho.ep)
-			c.metrics.hedgeWins.Inc()
-			s.hedgeWins++
-			c.deadline.Observe(ho.blk.Elapsed, len(ho.blk.Rows))
-			c.closeAsync(old, oldID)
-			if s.OnDisturbance != nil {
-				s.OnDisturbance("hedged block adopted; session moved to " + ho.ep.URL())
-			}
-			ho.blk.Endpoint = ho.ep.URL()
-			ho.blk.Hedged = true
-			return ho.blk, 1, nil
-		}
-	}
-}
-
-// failover re-opens the session on a healthy replica other than the
-// current endpoint, resuming at the committed tuple cursor.
-func (s *Session) failover(ctx context.Context) error {
-	c := s.c
 	other, ok := c.pool.Other(s.ep)
 	if !ok {
-		return fmt.Errorf("client: no healthy endpoint to fail over to")
+		return false
 	}
-	id, _, _, err := c.openSessionOn(ctx, other, s.q, s.committed)
+	o, err := c.openSessionOn(ctx, other, s.q, s.committed)
 	if err != nil {
 		if isTransient(err) {
 			other.Failure()
 		}
-		return err
+		return false
 	}
 	other.Success()
-	old, oldID := s.ep, s.id
-	s.ep, s.id = other, id
+	s.rebind(other, o, "session failover to ")
+	*failovers++
+	return true
+}
+
+// rebind is the one place a session moves: onto the fresh server-side
+// session o on ep, whose blocks number from 1. Leaving an endpoint is a
+// failover: the new one becomes the pool's preference and the half left
+// behind is deleted in the background.
+func (s *Session) rebind(ep *resilience.Endpoint, o opened, reason string) {
+	old, oldURL := s.ep, s.url
+	s.ep, s.id, s.url = ep, o.id, o.url
 	s.seq = 0
-	c.pool.Promote(other)
-	c.metrics.failovers.Inc()
-	s.failovers++
-	c.closeAsync(old, oldID)
-	if s.OnDisturbance != nil {
-		s.OnDisturbance("session failover to " + other.URL())
+	if ep != old {
+		s.c.pool.Promote(ep)
+		s.c.metrics.failovers.Inc()
+		s.failovers++
+		go s.c.bestEffort(context.Background(), 5*time.Second, http.MethodDelete, oldURL)
 	}
-	return nil
+	if s.OnDisturbance != nil {
+		s.OnDisturbance(reason + ep.URL())
+	}
+}
+
+// pullAttempt makes one attempt at block seq+1 over /next, under the
+// adaptive deadline — a straight line on the caller's goroutine.
+func (s *Session) pullAttempt(ctx context.Context, size, attempt int) (*Block, error) {
+	u := s.url + "/next?" + service.Query{Size: size, Seq: s.seq + 1}.Encode()
+	cctx, cancel := context.WithTimeout(ctx, s.c.attemptDeadline(size, attempt))
+	defer cancel()
+	blk, err := s.pullOnce(cctx, ctx, u)
+	if isTransient(err) {
+		s.ep.Failure()
+	}
+	return blk, err
 }
 
 // pullOnce performs one pull attempt over the wire. cctx bounds the
 // attempt (the adaptive per-block deadline); parent is the caller's
 // context. An expiry of cctx alone means the pull stalled — a transient,
 // retryable condition — while a dead parent means the caller gave up.
-func (c *Client) pullOnce(cctx, parent context.Context, u string) (*Block, error) {
+func (s *Session) pullOnce(cctx, parent context.Context, u string) (*Block, error) {
+	c := s.c
 	req, err := http.NewRequestWithContext(cctx, http.MethodPost, u, nil)
 	if err != nil {
 		return nil, err
@@ -584,57 +529,65 @@ func (c *Client) pullOnce(cctx, parent context.Context, u string) (*Block, error
 		}
 		return nil, err
 	}
-	body := &countingReader{r: resp.Body}
-	sc := scratchPool.Get().(*wire.Scratch)
-	schema, rows, err := wire.DecodeBlock(c.codec, body, sc)
+	meta, announced := service.ParseBlockMeta(resp.Header)
+	blk, err := s.readBlock(resp.Body, t1, meta, announced)
 	if err != nil {
 		// Usually a body truncated by a dying connection or a deadline
-		// expiry mid-body: retry and let the server replay the block. The
-		// failed decode's rows never escape, so the scratch can be pooled
-		// right away.
-		scratchPool.Put(sc)
-		return nil, c.classifyPullErr(cctx, parent, fmt.Errorf("client: decode block: %w", err))
+		// expiry mid-body: retry and let the server replay the block.
+		return nil, c.classifyPullErr(cctx, parent, fmt.Errorf("client: pull block: %w", err))
 	}
-	elapsed := time.Since(t1)
-
-	meta, announced := service.ParseBlockMeta(resp.Header)
-	if announced && meta.Tuples != len(rows) {
-		scratchPool.Put(sc)
-		return nil, markTransient(fmt.Errorf("client: server announced %d tuples but block decoded %d", meta.Tuples, len(rows)))
-	}
-	blk := &Block{Rows: rows, Schema: schema, Elapsed: elapsed, Bytes: body.n, scratch: sc}
-	blk.setMeta(meta)
 	return blk, nil
 }
 
-// setMeta copies what the server said about the block, whichever framing
-// carried it.
-func (b *Block) setMeta(m service.BlockMeta) {
-	b.Done, b.InjectedMS, b.Replayed, b.GatewayFailovers = m.Done, m.DelayMS, m.Replayed, m.Failovers
+// readBlock decodes one block off either framing — a /next body or a
+// /stream frame's payload — into a pooled scratch, checks it against the
+// tuple count the server announced for it, and stamps it with what the
+// server said about it. t1 is when the wait for the block began. A
+// failed block's rows never escape, so its scratch is pooled right away.
+func (s *Session) readBlock(payload io.Reader, t1 time.Time, meta service.BlockMeta, announced bool) (*Block, error) {
+	s.body = countingReader{r: payload}
+	sc := scratchPool.Get().(*wire.Scratch)
+	schema, rows, err := wire.DecodeBlock(s.c.codec, &s.body, sc)
+	elapsed := time.Since(t1)
+	if err != nil {
+		err = fmt.Errorf("decode block: %w", err)
+	} else if announced && meta.Tuples != len(rows) {
+		err = fmt.Errorf("server announced %d tuples but block decoded %d", meta.Tuples, len(rows))
+	}
+	if err != nil {
+		scratchPool.Put(sc)
+		return nil, err
+	}
+	blk := &Block{Rows: rows, Schema: schema, Elapsed: elapsed, Bytes: s.body.n, scratch: sc}
+	blk.Done, blk.InjectedMS, blk.Replayed, blk.GatewayFailovers = meta.Done, meta.DelayMS, meta.Replayed, meta.Failovers
+	return blk, nil
 }
 
 // classifyPullErr decides whether a failed pull is worth retrying: the
 // caller's cancellation never is; an adaptive-deadline expiry always is
-// (and is counted); anything else — refused, reset, severed mid-body —
-// is transient.
+// (it is counted, and marked for failAway); anything else — refused,
+// reset, severed mid-body — is transient.
 func (c *Client) classifyPullErr(cctx, parent context.Context, wrapped error) error {
 	if parent.Err() != nil {
 		return wrapped
 	}
 	if cctx.Err() != nil {
-		c.metrics.deadlineTimeouts.Inc()
+		wrapped = c.deadlineExpired(wrapped)
 	}
 	return markTransient(wrapped)
+}
+
+// deadlineExpired counts an attempt that died of its adaptive deadline
+// and marks its error so.
+func (c *Client) deadlineExpired(err error) error {
+	c.metrics.deadlineTimeouts.Inc()
+	return fmt.Errorf("%w (%w)", err, errDeadline)
 }
 
 // Close deletes the server-side session. Closing an already-expired
 // session is not an error.
 func (s *Session) Close(ctx context.Context) error {
-	u, err := joinURL(s.ep.URL(), "sessions", s.id)
-	if err != nil {
-		return err
-	}
-	resp, err := s.c.doManagement(ctx, http.MethodDelete, u, nil, "",
+	resp, err := s.c.doManagement(ctx, http.MethodDelete, s.url, nil, "",
 		http.StatusNoContent, http.StatusNotFound)
 	if err != nil {
 		return fmt.Errorf("client: close session: %w", err)
@@ -685,18 +638,16 @@ type RunResult struct {
 	// buffer, or an upload it deduplicated) — both 0 on a fault-free run.
 	Retries int
 	Replays int
-	// Failovers counts session moves to another replica; HedgeWins counts
-	// blocks won by a hedged pull — both 0 on a healthy single-endpoint
-	// run.
+	// Failovers counts session moves to another replica — 0 on a healthy
+	// or single-endpoint run.
 	Failovers int
-	HedgeWins int
 }
 
 // Run executes Algorithm 1: it pulls the whole result set, feeding each
 // block's timing to the controller. The controller observes wall time by
 // default; when the server injects simulated delays with a small
 // SleepScale, prefer observing the scale-free injected delay by setting
-// useInjected. Failovers and hedge adoptions are surfaced to the
+// useInjected. Session moves and gateway failovers are surfaced to the
 // controller as disturbances (core.NotifyDisturbance), so adaptive
 // controllers re-enter their search instead of trusting a baseline
 // measured against a replica that no longer serves the session.

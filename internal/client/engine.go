@@ -148,7 +148,6 @@ func (r *run) handOff(f *fetched) error {
 			Done:       blk.Done,
 			Controller: r.ctl.Name(),
 			Endpoint:   blk.Endpoint,
-			Hedged:     blk.Hedged,
 			Failovers:  blk.Failovers,
 		}
 	}
@@ -161,8 +160,8 @@ func (r *run) handOff(f *fetched) error {
 
 // transfer is the block loop: it moves the open session's whole result
 // over the configured transport, closes the session, and returns how many
-// tuples it handed off. Failovers, hedge adoptions and gateway failovers
-// reach the controller as disturbances.
+// tuples it handed off. Session moves and gateway failovers reach the
+// controller as disturbances.
 //
 // ahead == 0 runs lock-step on the caller's goroutine: every size
 // decision sees the previous block's observation. ahead >= 1 starts a
@@ -182,7 +181,6 @@ func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle Blo
 	defer func() {
 		r.mu.Lock()
 		r.res.Failovers += sess.failovers
-		r.res.HedgeWins += sess.hedgeWins
 		r.mu.Unlock()
 		// Best-effort cleanup; the session may already be gone.
 		_ = tr.Close(context.WithoutCancel(ctx))

@@ -20,8 +20,8 @@ import (
 type BlockEvent struct {
 	// Session is the id of the server-side session that served the block.
 	// With Seq it attributes the event: concurrent vector streams
-	// interleave in one trace, and a failover or hedge adoption moves a
-	// run to a fresh session whose Seq restarts at 1.
+	// interleave in one trace, and a failover or re-open moves a run to a
+	// fresh session whose Seq restarts at 1.
 	Session string `json:"session"`
 	// Seq is the block's sequence number within the session (1-based).
 	Seq uint64 `json:"seq"`
@@ -55,9 +55,6 @@ type BlockEvent struct {
 	// Endpoint is the replica base URL that served the block (empty in
 	// single-endpoint traces written before resilience support).
 	Endpoint string `json:"endpoint,omitempty"`
-	// Hedged is true when the block was won by a hedged pull against a
-	// second replica.
-	Hedged bool `json:"hedged,omitempty"`
 	// Failovers counts session failovers that happened during this pull.
 	Failovers int `json:"failovers,omitempty"`
 }

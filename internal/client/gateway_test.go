@@ -71,14 +71,32 @@ func startGatewayFleet(t *testing.T, n, rows int) (*gateway.Gateway, string, map
 // must surface as EXACTLY one disturbance — not one per subsequent
 // block, and not double-counted as a client-side session failover, even
 // with a multi-endpoint pool where the client could fail over itself.
+// Nor may a block that outlives its deadline behind the gateway move the
+// session: it is retried in place.
 func TestTransparentGatewayFailoverSurfacedOnce(t *testing.T) {
 	const rows = 80
-	gw, gwURL, servers := startGatewayFleet(t, 2, rows)
+	gw, _, servers := startGatewayFleet(t, 2, rows)
+	front := &gate{h: gw.Handler()}
+	gwts := httptest.NewServer(front)
+	t.Cleanup(gwts.Close)
+	gwURL := gwts.URL
 
-	// A second (bogus) endpoint gives the client's own failover machinery
-	// somewhere to go — the capability must keep it parked.
-	c, err := NewMulti([]string{gwURL, "http://127.0.0.1:9"}, wire.XML{}, &http.Client{Timeout: 30 * time.Second})
+	// The other endpoints give the client's own failover machinery
+	// somewhere to go — both backends, which serve the same relation, so
+	// that a failover would succeed and show — and the capability must
+	// keep it parked.
+	urls := []string{gwURL}
+	for u := range servers {
+		urls = append(urls, u)
+	}
+	c, err := NewMulti(urls, wire.XML{}, &http.Client{Timeout: 30 * time.Second})
 	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetRetry(RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
+	if err := c.SetResilience(ResilienceConfig{
+		Deadline: resilience.DeadlineConfig{Min: 150 * time.Millisecond, MinSamples: 1, Multiplier: 1},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
@@ -100,6 +118,21 @@ func TestTransparentGatewayFailoverSurfacedOnce(t *testing.T) {
 	}
 	for _, r := range blk.Rows {
 		ids = append(ids, r[0].I)
+	}
+
+	// Stall the gateway for one pull, well past the deadline: with every
+	// backend alive a client-side failover would find a home, but the
+	// session is the gateway's to move.
+	front.stallNext(1, 400*time.Millisecond)
+	blk, err = sess.Next(ctx, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range blk.Rows {
+		ids = append(ids, r[0].I)
+	}
+	if blk.Attempts < 2 || blk.Failovers != 0 || sess.Failovers() != 0 || sess.Endpoint() != gwURL {
+		t.Fatalf("stalled pull behind the gateway: %d attempts, %d failovers, endpoint %s; want a retry in place", blk.Attempts, sess.Failovers(), sess.Endpoint())
 	}
 
 	// SIGKILL-equivalent: sever the serving backend under the session.

@@ -8,7 +8,7 @@ import (
 // clientMetrics holds the consumer-side series: what Algorithm 1
 // observes (per-block RTT) plus transfer accounting the controllers
 // never see (bytes moved, retries, replays) and the resilience layer's
-// bookkeeping (breaker transitions, hedges, failovers, sheds absorbed).
+// bookkeeping (breaker transitions, failovers, deadline expiries).
 type clientMetrics struct {
 	blocks  *metrics.Counter
 	tuples  *metrics.Counter
@@ -17,9 +17,6 @@ type clientMetrics struct {
 	replays *metrics.Counter
 
 	failovers        *metrics.Counter
-	hedges           *metrics.Counter
-	hedgeWins        *metrics.Counter
-	hedgeLosses      *metrics.Counter
 	deadlineTimeouts *metrics.Counter
 
 	pushFrames     *metrics.Counter
@@ -46,11 +43,8 @@ func newClientMetrics(reg *metrics.Registry, c *Client) *clientMetrics {
 		retries: reg.Counter("wsopt_client_retries_total", "Extra pull attempts beyond the first."),
 		replays: reg.Counter("wsopt_client_replays_total", "Blocks the server served from its replay buffer."),
 
-		failovers:        reg.Counter("wsopt_client_failovers_total", "Sessions re-opened on another replica after the current endpoint's breaker opened."),
-		hedges:           reg.Counter("wsopt_client_hedges_total", "Hedged pulls issued against a second replica."),
-		hedgeWins:        reg.Counter("wsopt_client_hedge_wins_total", "Blocks won by the hedged pull (session adopted the mirror)."),
-		hedgeLosses:      reg.Counter("wsopt_client_hedge_losses_total", "Hedged pulls that lost the race or failed."),
-		deadlineTimeouts: reg.Counter("wsopt_client_deadline_timeouts_total", "Pulls cancelled by the adaptive per-block deadline."),
+		failovers:        reg.Counter("wsopt_client_failovers_total", "Sessions re-opened on another replica after the current endpoint's breaker opened or a block outlived its deadline there."),
+		deadlineTimeouts: reg.Counter("wsopt_client_deadline_timeouts_total", "Block attempts, pull or push, cancelled by the adaptive per-block deadline."),
 
 		pushFrames:     reg.Counter("wsopt_client_push_frames_total", "Blocks delivered over the push stream transport."),
 		pushGrants:     reg.Counter("wsopt_client_push_grants_total", "Credit grants posted on the push side channel."),

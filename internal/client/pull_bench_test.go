@@ -1,0 +1,127 @@
+package client
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+
+	"wsopt/internal/minidb"
+	"wsopt/internal/service"
+	"wsopt/internal/wire"
+)
+
+// cannedTransport answers the pull protocol from memory: a session open,
+// then the same encoded block for every /next. No socket, no server, and
+// nothing of its own allocated per pull — the response, its header and
+// its body reader are reused — so a pull through it costs what the
+// client's own code (and the net/http client above the transport) costs.
+type cannedTransport struct {
+	block  []byte
+	header http.Header
+	resp   http.Response
+	body   bytes.Reader
+}
+
+func newCannedTransport(tb testing.TB, codec wire.Codec, rows int) *cannedTransport {
+	tb.Helper()
+	schema := minidb.Schema{{Name: "k", Type: minidb.Int64}, {Name: "v", Type: minidb.String}}
+	batch := make([]minidb.Row, rows)
+	for i := range batch {
+		batch[i] = minidb.Row{minidb.NewInt(int64(i)), minidb.NewString(fmt.Sprintf("value-%04d", i))}
+	}
+	var buf bytes.Buffer
+	if err := codec.Encode(&buf, schema, batch); err != nil {
+		tb.Fatal(err)
+	}
+	rt := &cannedTransport{block: buf.Bytes(), header: http.Header{}}
+	service.BlockMeta{Tuples: rows}.WriteHeader(rt.header)
+	return rt
+}
+
+func (rt *cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !strings.HasSuffix(req.URL.Path, "/next") {
+		return &http.Response{
+			StatusCode: http.StatusCreated,
+			Header:     http.Header{},
+			Body:       io.NopCloser(strings.NewReader(`{"session":"s0000002a","columns":["k","v"]}`)),
+			Request:    req,
+		}, nil
+	}
+	rt.body.Reset(rt.block)
+	rt.resp = http.Response{
+		StatusCode:    http.StatusOK,
+		Header:        rt.header,
+		Body:          io.NopCloser(&rt.body),
+		ContentLength: int64(len(rt.block)),
+		Request:       req,
+	}
+	return &rt.resp, nil
+}
+
+// cannedSession opens a session whose every pull is a 64-row binary
+// block off a cannedTransport, and pulls a few blocks to warm the decode
+// scratch, the deadline window and the schema cache. Its http.Client has
+// no Timeout: net/http spends 18 allocations and a goroutine of its own
+// per request on one (client.New's default has one), which are not the
+// client's to gate.
+func cannedSession(tb testing.TB) *Session {
+	tb.Helper()
+	c, err := New("http://canned.invalid", wire.Binary{}, &http.Client{Transport: newCannedTransport(tb, wire.Binary{}, 64)})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 80; i++ {
+		if _, err := sess.Next(context.Background(), 64); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sess
+}
+
+// pullAllocBudget is what one steady-state pull of a 64-row binary block
+// may allocate on the client: 21 measured (PR 20, which started a
+// goroutine with a channel per pull, copied the deadline window and
+// parsed the base URL twice, measured 35 on the same transport), plus 2
+// of slack for a Go release that moves net/http's share.
+const pullAllocBudget = 23
+
+// TestPullAllocGate gates the client's own per-block allocations (run
+// without the race detector: `scripts/verify.sh allocgate`).
+func TestPullAllocGate(t *testing.T) {
+	sess := cannedSession(t)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(200, func() {
+		blk, err := sess.Next(ctx, 64)
+		if err != nil || len(blk.Rows) != 64 {
+			t.Fatalf("pull: %d rows, %v", len(blk.Rows), err)
+		}
+	})
+	t.Logf("%.0f allocs per pull (budget %d)", allocs, pullAllocBudget)
+	if allocs > pullAllocBudget {
+		t.Fatalf("a steady-state pull allocates %.0f times, budget %d", allocs, pullAllocBudget)
+	}
+}
+
+// BenchmarkPull is the client's own cost of one block: Session.Next of a
+// 64-row binary block through a cannedTransport. Run it with -cpu 1,2 —
+// whatever a pull hands to another goroutine costs most when there is a
+// second processor to take it (DESIGN.md §8 has the table).
+func BenchmarkPull(b *testing.B) {
+	sess := cannedSession(b)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Next(ctx, 64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"wsopt/internal/core"
@@ -18,8 +17,11 @@ import (
 // PushSession is an open upload cursor: the client ships blocks of tuples
 // to the service, choosing each block's size. Not safe for concurrent use.
 type PushSession struct {
-	c  *Client
-	id string
+	c *Client
+	// url is the ingest session's own URL on the endpoint that opened it;
+	// every block and the close go there, wherever the pool's preference
+	// moves meanwhile.
+	url string
 	// seq numbers the blocks uploaded so far; a retried Send re-sends
 	// the same number so the server can deduplicate a block whose
 	// acknowledgement was lost.
@@ -53,7 +55,10 @@ func (c *Client) OpenPush(ctx context.Context, table string) (*PushSession, erro
 	if cr.Session == "" {
 		return nil, fmt.Errorf("client: server returned empty ingest session id")
 	}
-	return &PushSession{c: c, id: cr.Session}, nil
+	if u, err = joinURL(u, cr.Session); err != nil {
+		return nil, err
+	}
+	return &PushSession{c: c, url: u}, nil
 }
 
 // PushBlock is the timing record of one uploaded block.
@@ -83,12 +88,8 @@ func (p *PushSession) Send(ctx context.Context, schema minidb.Schema, rows []min
 	if err := p.c.codec.Encode(&buf, schema, rows); err != nil {
 		return nil, fmt.Errorf("client: encode block: %w", err)
 	}
-	base, err := p.c.endpoint("ingest", p.id, "block")
-	if err != nil {
-		return nil, err
-	}
 	seq := p.seq + 1
-	u := base + "?seq=" + strconv.FormatUint(seq, 10)
+	u := p.url + "/block?" + service.Query{Seq: seq}.Encode()
 
 	var blk *PushBlock
 	attempts, err := p.c.retryBlock(ctx, "push", &p.seq, func(int) (err error) {
@@ -130,11 +131,7 @@ func (p *PushSession) sendOnce(ctx context.Context, u string, payload []byte, tu
 
 // Close finishes the upload and returns the server-confirmed tuple count.
 func (p *PushSession) Close(ctx context.Context) (int, error) {
-	u, err := p.c.endpoint("ingest", p.id)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := p.c.doManagement(ctx, http.MethodDelete, u, nil, "", http.StatusOK)
+	resp, err := p.c.doManagement(ctx, http.MethodDelete, p.url, nil, "", http.StatusOK)
 	if err != nil {
 		return 0, fmt.Errorf("client: close push: %w", err)
 	}
@@ -153,7 +150,7 @@ func (p *PushSession) Close(ctx context.Context) (int, error) {
 
 // PushResult summarizes one adaptive upload: a RunResult whose Replays
 // counts duplicate blocks the server deduplicated and whose Failovers
-// and HedgeWins stay 0.
+// stays 0.
 type PushResult = RunResult
 
 // Push ships every row of the iterator to the named server table,

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -10,40 +9,23 @@ import (
 )
 
 // ResilienceConfig tunes the client's multi-endpoint behaviour: the
-// per-endpoint circuit breakers, the adaptive per-block deadlines, and
-// hedging/failover. The zero value yields sensible defaults; single-
-// endpoint clients behave exactly like the pre-resilience client (no
-// hedging, no failover, breaker state tracked but never refusing).
+// per-endpoint circuit breakers and the adaptive per-block deadlines,
+// the two signals a session fails over on. The zero value yields
+// sensible defaults; a single-endpoint client never fails over (breaker
+// state is tracked but never refuses, an expired deadline retries in
+// place).
 type ResilienceConfig struct {
 	// Breaker parameterizes every endpoint's circuit breaker.
 	Breaker resilience.BreakerConfig
 	// Deadline parameterizes the adaptive per-block deadline tracker.
 	Deadline resilience.DeadlineConfig
-	// HedgeFraction is the fraction of the adaptive deadline after which
-	// a straggler pull is hedged to a second healthy endpoint
-	// (default 0.9; clamped to (0, 1]).
-	HedgeFraction float64
-	// DisableHedging turns hedged pulls off even with multiple endpoints.
-	DisableHedging bool
-	// DisableFailover turns mid-query session failover off.
-	DisableFailover bool
 }
 
-func (rc ResilienceConfig) normalized() ResilienceConfig {
-	if rc.HedgeFraction <= 0 {
-		rc.HedgeFraction = 0.9
-	}
-	if rc.HedgeFraction > 1 {
-		rc.HedgeFraction = 1
-	}
-	return rc
-}
-
-// SetResilience reconfigures breakers, deadlines, and hedging. Call
-// before opening sessions: it rebuilds the endpoint pool, so breaker
-// state accumulated on the old pool is discarded.
+// SetResilience reconfigures breakers and deadlines. Call before opening
+// sessions: it rebuilds the endpoint pool, so breaker state accumulated
+// on the old pool is discarded.
 func (c *Client) SetResilience(rc ResilienceConfig) error {
-	c.rcfg = rc.normalized()
+	c.rcfg = rc
 	return c.rebuildPool()
 }
 
@@ -95,94 +77,22 @@ func (c *Client) attemptDeadline(size, attempt int) time.Duration {
 	return d
 }
 
-// hedgeDelay reports when (after the pull started) to hedge a pull whose
-// deadline is d, and whether hedging applies at all.
-func (c *Client) hedgeDelay(d time.Duration) (time.Duration, bool) {
-	if c.rcfg.DisableHedging || c.pool.Len() < 2 {
-		return 0, false
-	}
-	f := c.rcfg.HedgeFraction
-	if f <= 0 {
-		f = 0.9
-	}
-	return time.Duration(f * float64(d)), true
-}
-
-// closeAsync deletes a server-side session in the background, bounded by
-// its own timeout — used for hedge losers and failed-over sessions whose
-// endpoint may be dead or slow. Purely best-effort: an unreachable
-// endpoint lets its session TTL-expire server-side.
-func (c *Client) closeAsync(ep *resilience.Endpoint, id string) {
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		u, err := joinURL(ep.URL(), "sessions", id)
-		if err != nil {
-			return
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodDelete, u, nil)
-		if err != nil {
-			return
-		}
-		if resp, err := c.hc.Do(req); err == nil {
-			drain(resp)
-		}
-	}()
-}
-
-// reapHedge waits (in the background) for an abandoned hedge to land and
-// closes its mirror session if it succeeded after losing the race.
-func (c *Client) reapHedge(ch <-chan hedgeOutcome) {
-	go func() {
-		if ho := <-ch; ho.err == nil {
-			c.closeAsync(ho.ep, ho.id)
-		}
-	}()
-}
-
-// hedgeOutcome is the result of a hedged pull: either an error, or the
-// winning block together with the mirror session that produced it.
-type hedgeOutcome struct {
-	blk *Block
-	err error
-	ep  *resilience.Endpoint
-	id  string
-}
-
-// runHedge opens a mirror session at the committed tuple offset on a
-// healthy endpoint other than exclude and pulls its first block at the
-// same size the straggling pull asked for. Safe because the replicas
-// serve identical deterministic data and the offset resumes exactly at
-// the committed cursor — whichever pull wins, the tuple stream is the
-// same. All session state is passed by value: the goroutine may outlive
-// the attempt that launched it.
-func (c *Client) runHedge(ctx context.Context, exclude *resilience.Endpoint, q Query, committed, size int, out chan<- hedgeOutcome) {
-	other, ok := c.pool.Other(exclude)
-	if !ok {
-		out <- hedgeOutcome{err: fmt.Errorf("client: no healthy endpoint to hedge to")}
-		return
-	}
-	id, _, _, err := c.openSessionOn(ctx, other, q, committed)
+// bestEffort sends one bodiless request nobody waits on the outcome of,
+// bounded by its own timeout under parent, and reports whether the
+// endpoint answered: a credit grant, or the DELETE of the half a session
+// move left behind — whose endpoint may be dead or slow, and whose
+// session TTL-expires server-side if the DELETE never lands.
+func (c *Client) bestEffort(parent context.Context, timeout time.Duration, method, url string) bool {
+	ctx, cancel := context.WithTimeout(parent, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
-		out <- hedgeOutcome{err: err}
-		return
+		return false
 	}
-	u, err := joinURL(other.URL(), "sessions", id, "next")
+	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.closeAsync(other, id)
-		out <- hedgeOutcome{err: err}
-		return
+		return false
 	}
-	u += fmt.Sprintf("?size=%d&seq=1", size)
-	blk, err := c.pullOnce(ctx, ctx, u)
-	if err != nil {
-		if isTransient(err) {
-			other.Failure()
-		}
-		c.closeAsync(other, id)
-		out <- hedgeOutcome{err: err}
-		return
-	}
-	other.Success()
-	out <- hedgeOutcome{blk: blk, ep: other, id: id}
+	drain(resp)
+	return true
 }

@@ -23,14 +23,22 @@ import (
 type gate struct {
 	h http.Handler
 
-	mu    sync.Mutex
-	fail  bool
-	stall time.Duration
+	mu     sync.Mutex
+	fail   bool
+	stall  time.Duration
+	stalls int // requests left to stall; negative = every one
 }
 
 func (g *gate) set(fail bool, stall time.Duration) {
 	g.mu.Lock()
-	g.fail, g.stall = fail, stall
+	g.fail, g.stall, g.stalls = fail, stall, -1
+	g.mu.Unlock()
+}
+
+// stallNext stalls the next n block requests only.
+func (g *gate) stallNext(n int, stall time.Duration) {
+	g.mu.Lock()
+	g.stall, g.stalls = stall, n
 	g.mu.Unlock()
 }
 
@@ -40,6 +48,11 @@ func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		strings.HasSuffix(r.URL.Path, "/credit") {
 		g.mu.Lock()
 		fail, stall := g.fail, g.stall
+		if g.stalls == 0 {
+			stall = 0
+		} else if g.stalls > 0 && stall > 0 {
+			g.stalls--
+		}
 		g.mu.Unlock()
 		if fail {
 			http.Error(w, "replica down", http.StatusServiceUnavailable)
@@ -97,8 +110,7 @@ func TestFailoverResumesOnSecondReplica(t *testing.T) {
 	}
 	c.SetRetry(RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
 	if err := c.SetResilience(ResilienceConfig{
-		Breaker:        resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
-		DisableHedging: true,
+		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,88 +157,123 @@ func TestFailoverResumesOnSecondReplica(t *testing.T) {
 	}
 }
 
-// TestHedgeWinsOnStall: replica A stalls its block endpoint well past the
-// adaptive deadline's hedge point; the hedged pull against replica B wins
-// the race and the session adopts B, without duplicating or dropping a
-// tuple.
-func TestHedgeWinsOnStall(t *testing.T) {
-	const rows = 600
-	gateA, urlA := replica(t, rows)
-	_, urlB := replica(t, rows)
+// TestStalledReplicaFailsOverAfterOneDeadline: replica A stalls its block
+// endpoint well past the adaptive deadline but stays alive — no error, so
+// its breaker (threshold 1000) never opens. The expired deadline alone
+// must move the session to replica B, at once and at the committed
+// cursor: one failover, one disturbance, no tuple duplicated or dropped,
+// and the stalled block delivered after about one deadline — not after
+// the doubled ones that retrying in place would serve.
+func TestStalledReplicaFailsOverAfterOneDeadline(t *testing.T) {
+	const (
+		rows     = 600
+		deadline = 40 * time.Millisecond
+	)
+	c, reg, gateA, urlB := stallPair(t, rows, deadline)
 
-	reg := metrics.NewRegistry()
+	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reasons []string
+	sess.OnDisturbance = func(reason string) { reasons = append(reasons, reason) }
+
+	seen := make(map[int64]int, rows)
+	var slowest time.Duration
+	for blocks := 0; !sess.Done(); blocks++ {
+		start := time.Now()
+		blk, err := sess.Next(context.Background(), 100)
+		if err != nil {
+			t.Fatalf("pull failed: %v", err)
+		}
+		slowest = max(slowest, time.Since(start))
+		for _, r := range blk.Rows {
+			seen[r[0].I]++
+		}
+		// After the first committed block (which also seeds the deadline
+		// tracker), stall A for far longer than the 40ms deadline.
+		if blocks == 0 {
+			gateA.set(false, 300*time.Millisecond)
+		} else if blk.Endpoint != urlB {
+			t.Fatalf("block %d served by %s, want %s: A stalls every pull", blocks, blk.Endpoint, urlB)
+		}
+	}
+	assertExactSet(t, seen, rows)
+	assertLeftStalledReplica(t, sess, reg, urlB, reasons, slowest, deadline)
+}
+
+// stallPair builds the scenario of the two stalled-replica tests: a
+// client over replicas A and B whose adaptive deadline is live after one
+// observation and floored at deadline (a healthy replica answers in
+// microseconds), and whose breakers (threshold 1000) never open, so that
+// only an expired deadline can move a session.
+func stallPair(t *testing.T, rows int, deadline time.Duration) (c *Client, reg *metrics.Registry, gateA *gate, urlB string) {
+	t.Helper()
+	gateA, urlA := replica(t, rows)
+	_, urlB = replica(t, rows)
 	c, err := NewMulti([]string{urlA, urlB}, wire.XML{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetRetry(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
 	if err := c.SetResilience(ResilienceConfig{
-		// One observation is enough to activate the adaptive deadline;
-		// Min floors it at 40ms, so the hedge fires ~20ms into a stalled
-		// pull while the healthy replica answers in microseconds.
-		Deadline:        resilience.DeadlineConfig{Min: 40 * time.Millisecond, MinSamples: 1, Multiplier: 1},
-		HedgeFraction:   0.5,
-		DisableFailover: true,
-		Breaker:         resilience.BreakerConfig{FailureThreshold: 1000},
+		Deadline: resilience.DeadlineConfig{Min: deadline, MinSamples: 1, Multiplier: 1},
+		Breaker:  resilience.BreakerConfig{FailureThreshold: 1000},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	reg = metrics.NewRegistry()
 	c.SetMetrics(reg)
+	return c, reg, gateA, urlB
+}
 
-	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int64]int, rows)
-	stalled := false
-	for !sess.Done() {
-		blk, err := sess.Next(context.Background(), 100)
-		if err != nil {
-			t.Fatalf("pull failed: %v", err)
-		}
-		for _, r := range blk.Rows {
-			seen[r[0].I]++
-		}
-		// After the first committed block (which also seeds the deadline
-		// tracker), stall A for far longer than the 40ms deadline.
-		if !stalled {
-			stalled = true
-			gateA.set(false, 300*time.Millisecond)
-		}
-	}
-	assertExactSet(t, seen, rows)
-
-	if got := sess.HedgeWins(); got < 1 {
-		t.Fatalf("session hedge wins = %d, want >= 1", got)
+// assertLeftStalledReplica fails unless the session left stalled replica
+// A for B by the deadline rule alone: one failover, one disturbance, the
+// slowest block delivered after about one deadline, an expiry counted and
+// no breaker opened.
+func assertLeftStalledReplica(t *testing.T, sess *Session, reg *metrics.Registry, urlB string, reasons []string, slowest, deadline time.Duration) {
+	t.Helper()
+	if got := sess.Failovers(); got != 1 {
+		t.Fatalf("session failovers = %d, want 1", got)
 	}
 	if sess.Endpoint() != urlB {
-		t.Fatalf("session endpoint = %s, want %s after hedge adoption", sess.Endpoint(), urlB)
+		t.Fatalf("session endpoint = %s, want %s after leaving the stalled replica", sess.Endpoint(), urlB)
+	}
+	if len(reasons) != 1 || !strings.Contains(reasons[0], "failover") {
+		t.Fatalf("disturbance reasons = %q, want one failover notice", reasons)
+	}
+	if slowest >= 2*deadline+100*time.Millisecond {
+		t.Fatalf("the stalled block took %v, want about one %v deadline", slowest, deadline)
 	}
 	snap := reg.Snapshot()
-	if got := snap.Counter("wsopt_client_hedge_wins_total"); got < 1 {
-		t.Fatalf("hedge_wins_total = %d, want >= 1", got)
+	if got := snap.Counter("wsopt_client_deadline_timeouts_total"); got < 1 {
+		t.Fatalf("deadline_timeouts_total = %d, want >= 1", got)
 	}
-	if got := snap.Counter("wsopt_client_hedges_total"); got < snap.Counter("wsopt_client_hedge_wins_total") {
-		t.Fatalf("hedges_total = %d < hedge_wins_total", got)
+	if got := snap.Counter("wsopt_client_breaker_transitions_total", metrics.L("to", "open")); got != 0 {
+		t.Fatalf("breaker opened %d times; only the deadline rule may move this session", got)
 	}
 }
 
 // TestSingleEndpointBreakerNeverRefuses: with one endpoint the breaker
 // records state but must not gate pulls — refusing with nowhere else to
-// go would only burn the retry budget.
+// go would only burn the retry budget — and a block that outlives its
+// deadline is retried in place, under a doubled one.
 func TestSingleEndpointBreakerNeverRefuses(t *testing.T) {
 	const rows = 200
 	gateA, urlA := replica(t, rows)
+	reg := metrics.NewRegistry()
 	c, err := NewMulti([]string{urlA}, wire.XML{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetRetry(RetryPolicy{MaxAttempts: 20, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
 	if err := c.SetResilience(ResilienceConfig{
-		Breaker: resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour},
+		Breaker:  resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour},
+		Deadline: resilience.DeadlineConfig{Min: 40 * time.Millisecond, MinSamples: 1, Multiplier: 1},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	c.SetMetrics(reg)
 	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +286,8 @@ func TestSingleEndpointBreakerNeverRefuses(t *testing.T) {
 		gateA.set(false, 0)
 	}()
 	seen := make(map[int64]int, rows)
-	for !sess.Done() {
+	stalledAttempts := 0
+	for blocks := 0; !sess.Done(); blocks++ {
 		blk, err := sess.Next(context.Background(), 50)
 		if err != nil {
 			t.Fatalf("pull failed: %v", err)
@@ -247,8 +295,24 @@ func TestSingleEndpointBreakerNeverRefuses(t *testing.T) {
 		for _, r := range blk.Rows {
 			seen[r[0].I]++
 		}
+		// Stall the one pull after the first block for four deadlines.
+		switch blocks {
+		case 0:
+			gateA.stallNext(1, 160*time.Millisecond)
+		case 1:
+			stalledAttempts = blk.Attempts
+		}
 	}
 	assertExactSet(t, seen, rows)
+	if stalledAttempts < 2 {
+		t.Fatalf("the stalled block took %d attempts, want a retry after its deadline", stalledAttempts)
+	}
+	if sess.Failovers() != 0 || sess.Endpoint() != urlA {
+		t.Fatalf("single-endpoint session moved: %d failovers, endpoint %s", sess.Failovers(), sess.Endpoint())
+	}
+	if got := reg.Snapshot().Counter("wsopt_client_deadline_timeouts_total"); got < 1 {
+		t.Fatalf("deadline_timeouts_total = %d, want >= 1", got)
+	}
 }
 
 func TestBackoffFullJitterBoundedByDelay(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wsopt/internal/service"
@@ -16,38 +17,38 @@ import (
 
 // streamSession is the push Transport: one long-lived chunked response
 // the server frames blocks onto, flow-controlled by credit grants the
-// client posts on a side channel. It wraps the pull Session and shares
-// its cursor state (seq, committed, endpoint), so the resume and
-// failover machinery — re-open at the committed tuple offset — is the
-// same code path the pull transport uses.
+// client posts on a side channel. It is a second framing of the pull
+// Session it wraps: the block step (nextBlock), the cursor (commit), the
+// block reader (readBlock) and the ways a session moves (failAway,
+// rebind) are the Session's own, so resume and failover — re-open at the
+// committed tuple offset — are the code path the pull transport uses.
 //
 // Not safe for concurrent use, like Session. The only concurrency is
 // the grant loop goroutine, which owns nothing but the latest grant
 // snapshot it is told to post.
 type streamSession struct {
 	s   *Session
-	c   *Client
 	win func() int // live window target; nil = fixed config default
 
-	// Stream connection state. body is nil between streams; buf is the
-	// frame payload buffer reused across reads.
+	// Stream connection state. body is nil between streams; ctx is the
+	// stream's lifetime, which its credit grants share; buf is the frame
+	// payload buffer reused across reads.
 	body   io.ReadCloser
+	ctx    context.Context
 	cancel context.CancelFunc
 	buf    []byte
 
-	// Last grant the server has (or will momentarily have): acks are
-	// posted when enough frames are pending or a knob changed, so a
-	// grant round-trip is amortized over ~half a window of frames and
-	// stays entirely off the frame-delivery critical path.
-	ackQueued   uint64
-	grantSize   int
-	grantWindow int
+	// granted is the last grant the server has (or will momentarily
+	// have): acks are posted when enough frames are pending or a knob
+	// changed, so a grant round-trip is amortized over ~half a window of
+	// frames and stays entirely off the frame-delivery critical path.
+	granted service.Query
 
 	g grantLoop
 }
 
 func newStreamSession(s *Session, win func() int) *streamSession {
-	t := &streamSession{s: s, c: s.c, win: win}
+	t := &streamSession{s: s, win: win}
 	t.g.c = s.c
 	t.g.cond = sync.NewCond(&t.g.mu)
 	return t
@@ -63,18 +64,15 @@ func (t *streamSession) Close(ctx context.Context) error {
 	return t.s.Close(ctx)
 }
 
-// windowTarget is the credit window to grant right now.
+// windowTarget is the credit window to grant right now: the live target
+// when there is one, else the configured default (at least 1).
 func (t *streamSession) windowTarget() int {
-	w := t.c.push.Window
 	if t.win != nil {
 		if v := t.win(); v > 0 {
-			w = v
+			return v
 		}
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return t.s.c.push.Window
 }
 
 // errSessionLost marks a stream failure whose cause is the server no
@@ -88,69 +86,42 @@ var errSessionLost = errors.New("client: push session lost")
 // a reconnect resumes at from=seq+1 and the server replays the unacked
 // tail, so no tuple is skipped or duplicated. A lost session is
 // re-opened at the committed tuple cursor; when the current endpoint's
-// breaker refuses traffic and another replica exists, the session fails
-// over exactly as a pull would.
+// breaker refuses traffic or a frame is overdue past its deadline, and
+// another replica exists, the session fails over exactly as a pull would.
 func (t *streamSession) Next(ctx context.Context, size int) (*Block, error) {
-	s := t.s
-	if s.done {
-		return nil, fmt.Errorf("client: session %s already exhausted", s.id)
-	}
-	if size < 1 {
-		return nil, fmt.Errorf("client: block size %d must be positive", size)
-	}
-	c := t.c
-	var (
-		blk       *Block
-		failovers int
-	)
-	attempts, err := c.retryBlock(ctx, "push", &s.seq, func(attempt int) (err error) {
-		blk, err = t.nextAttempt(ctx, size, attempt)
-		return err
+	blk, err := t.s.nextBlock(ctx, "push", size, func(attempt int) (*Block, error) {
+		return t.nextAttempt(ctx, size, attempt)
 	}, func(err error) bool {
 		if t.body != nil {
 			t.teardown()
-			c.metrics.pushReconnects.Inc()
+			t.s.c.metrics.pushReconnects.Inc()
 		}
 		// The endpoint is up but forgot the session: open a fresh one at
 		// the committed cursor on the same endpoint — the server already
 		// answered, so there is nothing to wait for.
-		if errors.Is(err, errSessionLost) && t.reopenSession(ctx) == nil {
-			return true
-		}
-		return s.failAway(ctx, &failovers)
+		return errors.Is(err, errSessionLost) && t.reopenSession(ctx) == nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	blk.Attempts = attempts
-	blk.Failovers = failovers
-	s.ep.Success()
-	c.deadline.Observe(blk.Elapsed, len(blk.Rows))
-	s.adopt(blk)
-	s.seq++
-	s.done = blk.Done
-	s.committed += len(blk.Rows)
 	if blk.Done {
 		t.finishStream()
 	} else {
 		t.queueGrant(size)
 	}
-	c.metrics.pushFrames.Inc()
-	c.metrics.recordBlock(blk)
+	t.s.c.metrics.pushFrames.Inc()
 	return blk, nil
 }
 
 // nextAttempt reads one fresh frame off the stream (opening it first if
 // needed) under the adaptive per-block deadline. The watchdog cancels
 // the whole stream on expiry: a frame overdue past the deadline means
-// the stream is wedged (dead connection, lost credits), and a reconnect
-// re-grants and replays — cheaper than diagnosing.
+// the stream is wedged (dead connection, lost credits, a stalled
+// replica), and a reconnect — here or, when failAway finds one, on
+// another replica — re-grants and replays: cheaper than diagnosing.
 func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Block, error) {
-	c := t.c
 	s := t.s
-	if c.pool.Len() > 1 && !s.ep.Allow() {
-		return nil, markTransient(fmt.Errorf("client: endpoint %s: circuit breaker open", s.ep.URL()))
-	}
+	c := s.c
 	if t.body == nil {
 		if err := t.openStream(ctx, size); err != nil {
 			// A lost session is not the endpoint's failure — it answered.
@@ -163,12 +134,13 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 		t.queueGrant(size)
 	}
 
-	stopCancel := context.AfterFunc(ctx, t.cancel)
+	cancel := t.cancel
+	stopCancel := context.AfterFunc(ctx, cancel)
 	defer stopCancel()
-	expired := make(chan struct{})
+	var expired atomic.Bool
 	watchdog := time.AfterFunc(c.attemptDeadline(size, attempt), func() {
-		close(expired)
-		t.cancel()
+		expired.Store(true)
+		cancel()
 	})
 	defer watchdog.Stop()
 
@@ -176,48 +148,34 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 	for {
 		f, buf, err := wire.ReadFrame(t.body, wire.MaxFramePayload, t.buf)
 		t.buf = buf
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("client: read push frame: %w", err)
-			}
-			select {
-			case <-expired:
-				c.metrics.deadlineTimeouts.Inc()
-			default:
-			}
+		var blk *Block
+		switch {
+		case err != nil:
 			// io.EOF here is the server ending the stream early (takeover,
 			// shutdown) — still just a reconnect for us.
-			s.ep.Failure()
-			return nil, markTransient(fmt.Errorf("client: read push frame: %w", err))
-		}
-		if f.Type == wire.FrameError {
+		case f.Type == wire.FrameError:
 			return nil, fmt.Errorf("client: push stream error from server: %s", f.Payload)
-		}
-		if f.Seq <= s.seq {
+		case f.Seq <= s.seq:
 			// Replay overlap after a reconnect raced a credit: already
 			// delivered, skip.
 			continue
+		case f.Seq != s.seq+1:
+			err = fmt.Errorf("frame gap: got seq %d, want %d", f.Seq, s.seq+1)
+		default:
+			blk, err = s.readBlock(bytes.NewReader(f.Payload), t1, service.FrameMeta(f), true)
 		}
-		if f.Seq != s.seq+1 {
-			s.ep.Failure()
-			return nil, markTransient(fmt.Errorf("client: push frame gap: got seq %d, want %d", f.Seq, s.seq+1))
+		if err == nil {
+			return blk, nil
 		}
-		sc := scratchPool.Get().(*wire.Scratch)
-		schema, rows, err := wire.DecodeBlock(c.codec, bytes.NewReader(f.Payload), sc)
-		if err != nil {
-			scratchPool.Put(sc)
-			s.ep.Failure()
-			return nil, markTransient(fmt.Errorf("client: decode push frame: %w", err))
+		err = fmt.Errorf("client: read push frame: %w", err)
+		if ctx.Err() != nil {
+			return nil, err
 		}
-		meta := service.FrameMeta(f)
-		if meta.Tuples != len(rows) {
-			scratchPool.Put(sc)
-			s.ep.Failure()
-			return nil, markTransient(fmt.Errorf("client: frame announced %d tuples but decoded %d", meta.Tuples, len(rows)))
+		if expired.Load() {
+			err = c.deadlineExpired(err)
 		}
-		blk := &Block{Rows: rows, Schema: schema, Elapsed: time.Since(t1), Bytes: int64(len(f.Payload)), Endpoint: s.ep.URL(), scratch: sc}
-		blk.setMeta(meta)
-		return blk, nil
+		s.ep.Failure()
+		return nil, markTransient(err)
 	}
 }
 
@@ -226,12 +184,8 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 // everything before from.
 func (t *streamSession) openStream(ctx context.Context, size int) error {
 	s := t.s
-	u, err := joinURL(s.ep.URL(), "sessions", s.id, "stream")
-	if err != nil {
-		return err
-	}
 	win := t.windowTarget()
-	u += fmt.Sprintf("?size=%d&window=%d&from=%d", size, win, s.seq+1)
+	u := s.url + "/stream?" + service.Query{Size: size, Window: win, From: s.seq + 1}.Encode()
 	// The stream outlives any single Next call, so it hangs off its own
 	// cancel — the watchdog and Next's ctx hook into it per read.
 	sctx, cancel := context.WithCancel(context.Background())
@@ -240,7 +194,7 @@ func (t *streamSession) openStream(ctx context.Context, size int) error {
 		cancel()
 		return err
 	}
-	resp, err := t.c.shc.Do(req)
+	resp, err := s.c.shc.Do(req)
 	if err != nil {
 		cancel()
 		return transportErr(ctx, "open push stream", err)
@@ -258,10 +212,8 @@ func (t *streamSession) openStream(ctx context.Context, size int) error {
 		return err
 	}
 	t.body = resp.Body
-	t.cancel = cancel
-	t.ackQueued = s.seq
-	t.grantSize = size
-	t.grantWindow = win
+	t.ctx, t.cancel = sctx, cancel
+	t.granted = service.Query{Acked: s.seq, Window: win, Size: size}
 	return nil
 }
 
@@ -271,25 +223,20 @@ func (t *streamSession) openStream(ctx context.Context, size int) error {
 // frame-read path; coalescing there means a slow control channel
 // degrades to fewer, fresher grants rather than a backlog.
 func (t *streamSession) queueGrant(size int) {
-	s := t.s
-	win := t.windowTarget()
-	cadence := uint64(win / 2)
-	if cadence < 1 {
-		cadence = 1
-	}
-	if size == t.grantSize && win == t.grantWindow && s.seq-t.ackQueued < cadence {
+	s, win, last := t.s, t.windowTarget(), t.granted
+	if size == last.Size && win == last.Window && s.seq-last.Acked < uint64(max(win/2, 1)) {
 		return
 	}
-	t.g.post(s.ep.URL(), s.id, s.seq, win, size)
-	t.ackQueued = s.seq
-	t.grantSize = size
-	t.grantWindow = win
+	t.granted = service.Query{Acked: s.seq, Window: win, Size: size}
+	t.g.post(t.ctx, s.url, t.granted)
 }
 
 // finishStream drains the chunked EOF after the done frame and closes
 // the body, so the connection goes back to the keep-alive pool — the
 // same drain-to-EOF discipline the pull path applies to every response.
-// Cancelling before EOF would kill the connection instead.
+// Cancelling before EOF would kill the connection instead, and
+// cancelling at all would kill that of a last grant still in flight: the
+// stream's context is left to Close, which waits for the grant first.
 func (t *streamSession) finishStream() {
 	if t.body == nil {
 		return
@@ -297,13 +244,13 @@ func (t *streamSession) finishStream() {
 	_, _ = io.Copy(io.Discard, io.LimitReader(t.body, drainLimit))
 	t.body.Close()
 	t.body = nil
-	t.cancel()
-	t.cancel = nil
 }
 
 // teardown abandons the stream mid-body: cancel first so the blocked
 // read unsticks, then close. The connection is lost by design — there
-// are unread frames on it.
+// are unread frames on it — and so is a grant in flight for the stream:
+// the reconnect's from carries its ack, and the grant loop is free for
+// the new stream's first grant at once, wherever that stream is.
 func (t *streamSession) teardown() {
 	if t.cancel != nil {
 		t.cancel()
@@ -321,16 +268,12 @@ func (t *streamSession) teardown() {
 // session).
 func (t *streamSession) reopenSession(ctx context.Context) error {
 	s := t.s
-	id, _, _, err := t.c.openSessionOn(ctx, s.ep, s.q, s.committed)
+	o, err := s.c.openSessionOn(ctx, s.ep, s.q, s.committed)
 	if err != nil {
 		return err
 	}
 	s.ep.Success()
-	s.id = id
-	s.seq = 0
-	if s.OnDisturbance != nil {
-		s.OnDisturbance("push session re-opened on " + s.ep.URL())
-	}
+	s.rebind(s.ep, o, "push session re-opened on ")
 	return nil
 }
 
@@ -344,9 +287,11 @@ type grantLoop struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	ep, id       string
-	acked        uint64
-	window, size int
+	// The newest grant: the stream it acks, that stream's session URL and
+	// the ack itself.
+	stream context.Context
+	url    string
+	q      service.Query
 
 	dirty, closed bool
 	// exited is non-nil once the loop has started and is closed when it
@@ -355,13 +300,13 @@ type grantLoop struct {
 }
 
 // post queues the newest grant snapshot for sending.
-func (g *grantLoop) post(ep, id string, acked uint64, window, size int) {
+func (g *grantLoop) post(stream context.Context, url string, q service.Query) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
 		return
 	}
-	g.ep, g.id, g.acked, g.window, g.size = ep, id, acked, window, size
+	g.stream, g.url, g.q = stream, url, q
 	g.dirty = true
 	if g.exited == nil {
 		g.exited = make(chan struct{})
@@ -396,32 +341,14 @@ func (g *grantLoop) run() {
 			g.mu.Unlock()
 			return
 		}
-		ep, id, acked, window, size := g.ep, g.id, g.acked, g.window, g.size
+		stream, url, q := g.stream, g.url, g.q
 		g.dirty = false
 		g.mu.Unlock()
-		g.send(ep, id, acked, window, size)
+		// Best-effort: a lost grant only stalls the producer until the read
+		// watchdog reconnects, and the reconnect's from carries the ack the
+		// grant would have. A grant lives no longer than the stream it acks.
+		if g.c.bestEffort(stream, 10*time.Second, http.MethodPost, url+"/credit?"+q.Encode()) {
+			g.c.metrics.pushGrants.Inc()
+		}
 	}
-}
-
-// send posts one credit grant, best-effort: a lost grant only stalls
-// the producer until the read watchdog reconnects, and the reconnect's
-// from carries the ack the grant would have.
-func (g *grantLoop) send(ep, id string, acked uint64, window, size int) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	u, err := joinURL(ep, "sessions", id, "credit")
-	if err != nil {
-		return
-	}
-	u += fmt.Sprintf("?acked=%d&window=%d&size=%d", acked, window, size)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
-	if err != nil {
-		return
-	}
-	resp, err := g.c.hc.Do(req)
-	if err != nil {
-		return
-	}
-	drain(resp)
-	g.c.metrics.pushGrants.Inc()
 }

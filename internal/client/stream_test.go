@@ -214,9 +214,8 @@ func TestPushFailoverResumesOnSecondReplica(t *testing.T) {
 	}
 	c.SetRetry(RetryPolicy{MaxAttempts: 10, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond})
 	if err := c.SetResilience(ResilienceConfig{
-		Breaker:        resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
-		Deadline:       resilience.DeadlineConfig{Min: 50 * time.Millisecond, Max: 250 * time.Millisecond},
-		DisableHedging: true,
+		Breaker:  resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
+		Deadline: resilience.DeadlineConfig{Min: 50 * time.Millisecond, Max: 250 * time.Millisecond},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +250,55 @@ func TestPushFailoverResumesOnSecondReplica(t *testing.T) {
 	if sess.Endpoint() != urlB {
 		t.Fatalf("session endpoint = %s, want %s after failover", sess.Endpoint(), urlB)
 	}
+}
+
+// TestPushStalledReplicaFailsOver is the push twin of
+// TestStalledReplicaFailsOverAfterOneDeadline: replica A starts stalling
+// its push endpoints while the stream is open, so the credit grants hang,
+// the window runs dry with unacked frames in flight and the next frame
+// outlives its deadline — without a single error, so A's breaker
+// (threshold 1000) never opens. The watchdog's expiry alone must move the
+// session to replica B at the committed cursor, every tuple exactly once.
+func TestPushStalledReplicaFailsOver(t *testing.T) {
+	const (
+		rows     = 1200
+		deadline = 40 * time.Millisecond
+	)
+	c, reg, gateA, urlB := stallPair(t, rows, deadline)
+	c.SetPush(PushConfig{Enabled: true, Window: 4})
+
+	ctx := context.Background()
+	sess, err := c.OpenSession(ctx, Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reasons []string
+	sess.OnDisturbance = func(reason string) { reasons = append(reasons, reason) }
+	tr := c.transportFor(sess, nil)
+
+	seen := make(map[int64]int, rows)
+	var slowest time.Duration
+	for blocks := 0; !tr.Done(); blocks++ {
+		start := time.Now()
+		blk, err := tr.Next(ctx, 100)
+		if err != nil {
+			t.Fatalf("push pull failed: %v", err)
+		}
+		slowest = max(slowest, time.Since(start))
+		for _, r := range blk.Rows {
+			seen[r[0].I]++
+		}
+		// The open granted a window of 4: stalling A from here on leaves
+		// frames 2-4 deliverable and every ack for them hanging.
+		if blocks == 0 {
+			gateA.set(false, 300*time.Millisecond)
+		}
+	}
+	if err := tr.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	assertExactSet(t, seen, rows)
+	assertLeftStalledReplica(t, sess, reg, urlB, reasons, slowest, deadline)
 }
 
 // TestPushWindowFollowsController: a vector controller with a live

@@ -47,9 +47,6 @@ func (pc PushConfig) normalized() PushConfig {
 // SetPush configures the push transport. Call before opening sessions.
 func (c *Client) SetPush(pc PushConfig) { c.push = pc.normalized() }
 
-// PushEnabled reports whether the push transport is enabled.
-func (c *Client) PushEnabled() bool { return c.push.Enabled }
-
 // transportFor wraps an open session in the configured transport. win
 // supplies the live credit-window target (the controller's window knob);
 // while it is nil or reports 0 the configured default applies.

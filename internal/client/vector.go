@@ -168,9 +168,8 @@ func (r *vectorRun) depth() int {
 // driven by ctl — the vector controller, or any other controller at the
 // operating point core.VectorOf reads off it. It returns when the whole
 // result set has been delivered (exactly once, across all streams) or on
-// the first stream error, whichever comes first. Failovers and hedge
-// adoptions on any stream are surfaced to the shared controller as
-// disturbances.
+// the first stream error, whichever comes first. Session moves on any
+// stream are surfaced to the shared controller as disturbances.
 func (c *Client) RunVector(ctx context.Context, q Query, ctl core.Controller, cfg VectorRunConfig) (*VectorRunResult, error) {
 	if ctl == nil {
 		return nil, fmt.Errorf("client: RunVector needs a controller")

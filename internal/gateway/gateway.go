@@ -585,7 +585,7 @@ func (g *Gateway) standbyBlock(ss *replica.SessionState) *proxiedBlock {
 // warrant failover (transport errors, 5xx, and 404 — the backend lost
 // the session, e.g. it restarted).
 func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, size int, backendSeq uint64) (*proxiedBlock, int, error) {
-	u := fmt.Sprintf("%s/sessions/%s/next?size=%d&seq=%d", b.url, url.PathEscape(backendID), size, backendSeq)
+	u := b.url + "/sessions/" + url.PathEscape(backendID) + "/next?" + service.Query{Size: size, Seq: backendSeq}.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
 		return nil, 0, err

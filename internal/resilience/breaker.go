@@ -3,9 +3,9 @@
 // and adaptive per-block deadlines derived from observed round-trip
 // times. Together with the seq/replay transfer protocol (which makes
 // block pulls idempotent) they let a query survive degraded or dead
-// replicas: stalled blocks are detected in RTT-scale time, straggler
-// pulls are hedged to a second replica, and a session whose endpoint
-// goes dark fails over and resumes from its committed cursor.
+// replicas: stalled blocks are detected in RTT-scale time, and a session
+// whose endpoint goes dark, or lets a block outlive its deadline, fails
+// over and resumes from its committed cursor.
 //
 // The package is deliberately free of HTTP concerns: it tracks health,
 // times, and decisions; the client wires it to actual requests.
@@ -148,8 +148,8 @@ func (b *Breaker) Failure() {
 			b.failures = 0
 		}
 	case Open:
-		// A straggler failing after the breaker already opened (e.g. a
-		// hedge loser) changes nothing.
+		// A straggler failing after the breaker already opened (e.g. another
+		// session's pull on the same endpoint) changes nothing.
 	}
 	to := b.state
 	b.mu.Unlock()

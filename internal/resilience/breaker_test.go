@@ -167,9 +167,9 @@ func TestBreakerTransitionCallback(t *testing.T) {
 	}
 }
 
-// TestBreakerOpenIsSticky: failures reported while already open (hedge
-// losers, in-flight stragglers) neither re-trigger callbacks nor reset
-// the cooldown window.
+// TestBreakerOpenIsSticky: failures reported while already open
+// (in-flight stragglers) neither re-trigger callbacks nor reset the
+// cooldown window.
 func TestBreakerOpenIsSticky(t *testing.T) {
 	clk := newFakeClock()
 	transitions := 0

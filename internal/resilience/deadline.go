@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -64,19 +65,24 @@ func (c DeadlineConfig) normalized() DeadlineConfig {
 
 // DeadlineTracker maintains a sliding window of per-tuple RTT samples
 // and derives per-block deadlines from it. Safe for concurrent use.
+//
+// The window is kept twice: in arrival order, to know which sample the
+// next one evicts, and sorted, so that a deadline — asked for on every
+// pull and every push frame — is a quantile lookup, not a copy and a
+// sort.
 type DeadlineTracker struct {
 	cfg DeadlineConfig
 
 	mu      sync.Mutex
 	samples []float64 // per-tuple RTT in milliseconds, ring buffer
+	sorted  []float64 // the same samples, ascending
 	next    int
-	full    bool
 }
 
 // NewDeadlineTracker builds a tracker with the given configuration.
 func NewDeadlineTracker(cfg DeadlineConfig) *DeadlineTracker {
 	cfg = cfg.normalized()
-	return &DeadlineTracker{cfg: cfg, samples: make([]float64, 0, cfg.Window)}
+	return &DeadlineTracker{cfg: cfg, samples: make([]float64, 0, cfg.Window), sorted: make([]float64, 0, cfg.Window)}
 }
 
 // Observe records the RTT of one successful block of the given tuple
@@ -92,13 +98,26 @@ func (d *DeadlineTracker) Observe(rtt time.Duration, tuples int) {
 	perTuple := float64(rtt) / float64(time.Millisecond) / float64(tuples)
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	s := d.sorted
+	at := sort.SearchFloat64s(s, perTuple) // where the new sample goes
 	if len(d.samples) < d.cfg.Window {
 		d.samples = append(d.samples, perTuple)
-	} else {
-		d.samples[d.next] = perTuple
-		d.next = (d.next + 1) % d.cfg.Window
-		d.full = true
+		d.sorted = slices.Insert(s, at, perTuple)
+		return
 	}
+	// The window is full: the new sample takes the evicted one's place in
+	// arrival order, and in sorted order the samples between the two
+	// shift by one to close the gap it leaves.
+	gap := sort.SearchFloat64s(s, d.samples[d.next])
+	d.samples[d.next] = perTuple
+	d.next = (d.next + 1) % d.cfg.Window
+	if at > gap {
+		at--
+		copy(s[gap:at], s[gap+1:at+1])
+	} else {
+		copy(s[at+1:gap+1], s[at:gap])
+	}
+	s[at] = perTuple
 }
 
 // Max returns the configured static ceiling — the fallback deadline and
@@ -121,17 +140,12 @@ func (d *DeadlineTracker) DeadlineFor(size int) time.Duration {
 		size = 1
 	}
 	d.mu.Lock()
-	n := len(d.samples)
-	if n < d.cfg.MinSamples {
+	if len(d.sorted) < d.cfg.MinSamples {
 		d.mu.Unlock()
 		return d.cfg.Max
 	}
-	sorted := make([]float64, n)
-	copy(sorted, d.samples)
+	q := quantileSorted(d.sorted, d.cfg.Quantile)
 	d.mu.Unlock()
-
-	sort.Float64s(sorted)
-	q := quantileSorted(sorted, d.cfg.Quantile)
 	ms := d.cfg.Multiplier * q * float64(size)
 	dl := time.Duration(ms * float64(time.Millisecond))
 	if dl < d.cfg.Min {

@@ -1,7 +1,9 @@
 package resilience
 
 import (
+	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -108,4 +110,105 @@ func TestQuantileSorted(t *testing.T) {
 			t.Errorf("quantileSorted(%v, %v) = %v, want %v", tc.sorted, tc.q, got, tc.want)
 		}
 	}
+}
+
+// referenceDeadline is the computation the sorted window replaced: keep
+// the samples in arrival order, and for every deadline copy them, sort
+// the copy and read the quantile off it.
+type referenceDeadline struct {
+	cfg     DeadlineConfig
+	samples []float64
+	next    int
+}
+
+func (d *referenceDeadline) observe(rtt time.Duration, tuples int) {
+	if rtt <= 0 {
+		return
+	}
+	if tuples < 1 {
+		tuples = 1
+	}
+	perTuple := float64(rtt) / float64(time.Millisecond) / float64(tuples)
+	if len(d.samples) < d.cfg.Window {
+		d.samples = append(d.samples, perTuple)
+		return
+	}
+	d.samples[d.next] = perTuple
+	d.next = (d.next + 1) % d.cfg.Window
+}
+
+func (d *referenceDeadline) deadlineFor(size int) time.Duration {
+	if size < 1 {
+		size = 1
+	}
+	if len(d.samples) < d.cfg.MinSamples {
+		return d.cfg.Max
+	}
+	sorted := append([]float64(nil), d.samples...)
+	sort.Float64s(sorted)
+	ms := d.cfg.Multiplier * quantileSorted(sorted, d.cfg.Quantile) * float64(size)
+	dl := time.Duration(ms * float64(time.Millisecond))
+	return min(max(dl, d.cfg.Min), d.cfg.Max)
+}
+
+// TestDeadlineMatchesCopyAndSort: the sorted window must answer every
+// deadline with the bits the copy-and-sort computation gives, over
+// random observe sequences — windows that wrap many times, duplicate
+// samples, ignored observations (rtt <= 0), the tuples <= 0 rule, and
+// questions asked before and after MinSamples.
+func TestDeadlineMatchesCopyAndSort(t *testing.T) {
+	type obs struct {
+		RTT    int8 // x100 microseconds; half are <= 0
+		Tuples int8
+	}
+	check := func(window, minSamples uint8, quantile uint8, seq []obs, sizes []int16) bool {
+		cfg := DeadlineConfig{
+			Window:     int(window%9) + 1, // small, so it wraps and duplicates collide
+			MinSamples: int(minSamples%4) + 1,
+			Quantile:   float64(quantile%101) / 100,
+			Min:        time.Microsecond,
+			Max:        time.Hour,
+		}
+		d := NewDeadlineTracker(cfg)
+		ref := &referenceDeadline{cfg: d.cfg}
+		for i, o := range seq {
+			// Few distinct values, so equal samples meet in one window.
+			rtt, tuples := time.Duration(o.RTT%24)*100*time.Microsecond, int(o.Tuples%3)
+			d.Observe(rtt, tuples)
+			ref.observe(rtt, tuples)
+			size := 1
+			if len(sizes) > 0 {
+				size = int(sizes[i%len(sizes)])
+			}
+			if got, want := d.DeadlineFor(size), ref.deadlineFor(size); got != want {
+				t.Logf("after %d observations (window %d): DeadlineFor(%d) = %v, copy-and-sort gives %v", i+1, d.cfg.Window, size, got, want)
+				return false
+			}
+			if d.Samples() != len(ref.samples) {
+				t.Logf("after %d observations: %d samples retained, want %d", i+1, d.Samples(), len(ref.samples))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeadlineForDoesNotAllocate gates the per-pull cost: a deadline is
+// a quantile read under the lock, with no copy of the window.
+func TestDeadlineForDoesNotAllocate(t *testing.T) {
+	d := NewDeadlineTracker(DeadlineConfig{})
+	for i := 1; i <= 200; i++ {
+		d.Observe(time.Duration(i%17+1)*time.Millisecond, 64)
+	}
+	var sink time.Duration
+	if allocs := testing.AllocsPerRun(100, func() {
+		d.Observe(3*time.Millisecond, 64)
+		sink += d.DeadlineFor(64)
+	}); allocs != 0 {
+		t.Fatalf("Observe + DeadlineFor allocate %v times per block, want 0", allocs)
+	}
+	_ = sink
 }

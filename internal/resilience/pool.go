@@ -77,21 +77,14 @@ func (p *Pool) Endpoints() []*Endpoint { return p.endpoints }
 // lets probe traffic through, and refusing everything forever would
 // deadlock recovery.
 func (p *Pool) Pick() *Endpoint {
-	p.mu.Lock()
-	start := p.primary
-	p.mu.Unlock()
-	n := len(p.endpoints)
-	for i := 0; i < n; i++ {
-		ep := p.endpoints[(start+i)%n]
-		if ep.Allow() {
-			return ep
-		}
+	if ep, ok := p.Other(nil); ok {
+		return ep
 	}
-	return p.endpoints[start]
+	return p.Primary()
 }
 
-// Other returns a healthy endpoint different from exclude (for hedged
-// requests and failover), or false when none exists.
+// Other returns a healthy endpoint different from exclude (the target of
+// a failover), or false when none exists. The scan starts at the primary.
 func (p *Pool) Other(exclude *Endpoint) (*Endpoint, bool) {
 	p.mu.Lock()
 	start := p.primary
@@ -107,8 +100,8 @@ func (p *Pool) Other(exclude *Endpoint) (*Endpoint, bool) {
 }
 
 // Promote makes ep the preferred primary for future picks (called after
-// a failover or a hedge win, so new sessions land on the replica that
-// just proved healthy).
+// a failover, so new sessions land on the replica that just proved
+// healthy).
 func (p *Pool) Promote(ep *Endpoint) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -60,7 +60,7 @@ func TestPoolOther(t *testing.T) {
 	if _, ok := p.Other(a); ok {
 		t.Fatal("Other(a) should find nothing when b's breaker is open")
 	}
-	// Single-endpoint pool: never hedges to itself.
+	// Single-endpoint pool: never fails over to itself.
 	single := testPool(t, "http://only")
 	if _, ok := single.Other(single.Endpoints()[0]); ok {
 		t.Fatal("Other on single-endpoint pool should report none")

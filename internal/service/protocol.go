@@ -84,6 +84,30 @@ func ParseQuery(v url.Values, lim Limits, needSize bool) (q Query, err error) {
 	return q, nil
 }
 
+// Encode is the one writer of the protocol's query grammar and the exact
+// inverse of ParseQuery: a zero field is an absent key, and the keys
+// come in ParseQuery's order whatever the request. Every tier that sends
+// a session-protocol request builds its query string here, so a field
+// added to Query exists on every path or fails the round-trip test.
+func (q Query) Encode() string {
+	b := make([]byte, 0, 64)
+	key := func(name string, n uint64) {
+		if n == 0 {
+			return
+		}
+		if len(b) > 0 {
+			b = append(b, '&')
+		}
+		b = strconv.AppendUint(append(append(b, name...), '='), n, 10)
+	}
+	key("size", uint64(max(q.Size, 0)))
+	key("window", uint64(max(q.Window, 0)))
+	key("seq", q.Seq)
+	key("from", q.From)
+	key("acked", q.Acked)
+	return string(b)
+}
+
 // SeqClass is where a requested block number falls against a session's
 // window.
 type SeqClass int

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"wsopt/internal/minidb"
@@ -58,6 +61,63 @@ func TestParseQuery(t *testing.T) {
 	v, _ := url.ParseQuery("size=5000000&window=100000")
 	if got, err := ParseQuery(v, Limits{}, true); err != nil || got.Size != 5000000 || got.Window != 100000 {
 		t.Errorf("unlimited parse = %+v, %v", got, err)
+	}
+}
+
+// TestQueryEncodeRoundTrip: Encode is ParseQuery's inverse. The property
+// walks Query's fields by reflection, so a key added to ParseQuery (and
+// Query) without Encode loses its value on the way round and fails here.
+func TestQueryEncodeRoundTrip(t *testing.T) {
+	roundTrip := func(q Query, zero uint8) bool {
+		// The grammar has no negative number, and every subset of absent
+		// keys is a request some tier sends.
+		q.Size, q.Window = q.Size&math.MaxInt, q.Window&math.MaxInt
+		for i, f := range []func(){func() { q.Size = 0 }, func() { q.Window = 0 }, func() { q.Seq = 0 }, func() { q.From = 0 }, func() { q.Acked = 0 }} {
+			if zero&(1<<i) != 0 {
+				f()
+			}
+		}
+		v, err := url.ParseQuery(q.Encode())
+		if err != nil {
+			t.Logf("%+v encodes to %q: %v", q, q.Encode(), err)
+			return false
+		}
+		present := 0
+		for rv, i := reflect.ValueOf(q), 0; i < rv.NumField(); i++ {
+			if !rv.Field(i).IsZero() {
+				present++
+			}
+		}
+		got, err := ParseQuery(v, Limits{}, false)
+		if err != nil || got != q || len(v) != present {
+			t.Logf("%+v -> %q (%d keys for %d non-zero fields) -> %+v, %v", q, q.Encode(), len(v), present, got, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(roundTrip, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The requests the tiers send, byte for byte as before Encode wrote
+	// them — but for the credit grant, whose keys came in the reverse of
+	// the stream open's order and now come, like every request's, in
+	// ParseQuery's.
+	for _, tc := range []struct {
+		request string
+		q       Query
+		want    string
+	}{
+		{"pull", Query{Size: 64, Seq: 7}, "size=64&seq=7"},
+		{"stream open", Query{Size: 64, Window: 4, From: 8}, "size=64&window=4&from=8"},
+		{"credit grant", Query{Acked: 7, Window: 4, Size: 64}, "size=64&window=4&acked=7"},
+		{"ingest block", Query{Seq: 3}, "seq=3"},
+		{"gateway upstream pull", Query{Size: 20000, Seq: 18446744073709551615}, "size=20000&seq=18446744073709551615"},
+		{"nothing", Query{}, ""},
+	} {
+		if got := tc.q.Encode(); got != tc.want {
+			t.Errorf("%s: %+v encodes to %q, want %q", tc.request, tc.q, got, tc.want)
+		}
 	}
 }
 

@@ -66,6 +66,8 @@ fuzzseeds   -race    ^Fuzz                        ./internal/wire ./internal/min
 stress      -race    ^TestStress                  ./internal/service ./internal/e2e
 allocgate   -norace  ^(TestBinaryRoundTripAllocGate|TestXMLDecodeAllocGate|TestGzipEncodeAllocGate)$ ./internal/wire
 allocgate   -norace  ^TestGatewayHopAllocGate$    ./internal/gateway
+allocgate   -norace  ^TestPullAllocGate$          ./internal/client
+allocgate   -norace  ^TestDeadlineForDoesNotAllocate$ ./internal/resilience
 slo-sim     -race    ^Test                        ./internal/regulator
 slo-sim     -race    ^TestCoupledLoop             ./internal/sim
 chaos-gate  -race    ^TestFailover                ./internal/sim
@@ -145,8 +147,9 @@ gate_stress() { run_owned stress; }
 
 # Allocation gates, WITHOUT the race detector (instrumentation would
 # inflate the counts): a binary-codec block round-trip, an XML block
-# decode, an xml+gzip block encode and one block proxied through the
-# gateway hop must each stay within their per-block allocation budget.
+# decode, an xml+gzip block encode, one block proxied through the
+# gateway hop, one block pulled by the client and the deadline it is
+# pulled under must each stay within their per-block allocation budget.
 gate_allocgate() { run_owned allocgate; }
 
 # Coupled-loop control gate: regulator unit behaviour (tracking,
