@@ -76,7 +76,7 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.DurationVar(&o.retry.BaseDelay, "retry-base", 50*time.Millisecond, "first retry backoff (doubles per attempt, full jitter)")
 
 	fs.BoolVar(&o.push, "push", false, "use the server-push streaming transport: one long-lived stream per session, flow-controlled by credit grants")
-	fs.IntVar(&o.pushWindow, "push-window", 0, "push: credit window in blocks granted to the server (0 = default 4; vector runs let the controller drive it)")
+	fs.IntVar(&o.pushWindow, "push-window", 0, "push: pin the credit window, in blocks (0 = the largest the server announces it applies, which also bounds a pinned one; vector runs let the controller drive it)")
 
 	fs.IntVar(&o.streams, "streams", 1, "max parallel streams; >1 (or -controller vector) runs the multi-dimensional vector controller")
 	fs.IntVar(&o.pipeDepth, "pipeline-depth", 1, "max per-stream pipeline depth (blocks in flight ahead of processing; vector runs only)")

@@ -58,9 +58,13 @@ type Client struct {
 	deadline *resilience.DeadlineTracker
 	rcfg     ResilienceConfig
 	hc       *http.Client
-	// shc is the streaming variant of hc: same transport (and so the
-	// same keep-alive pool), but no overall timeout — a push stream
-	// legitimately lives as long as the query does.
+	// shc is hc without its overall Timeout: the caller's client in every
+	// other respect, the same transport and so the same keep-alive pool.
+	// Everything that carries a deadline of its own goes through it — a
+	// push stream, which legitimately lives as long as the query does, and
+	// every block pull and best-effort request, whose context already
+	// expires (bounded by hc.Timeout, see bound): net/http honours a
+	// Timeout with a goroutine, a timer and 18 allocations per request.
 	shc     *http.Client
 	codec   wire.Codec
 	retry   RetryPolicy
@@ -98,12 +102,13 @@ func NewMulti(urls []string, codec wire.Codec, hc *http.Client) (*Client, error)
 	if hc == nil {
 		hc = &http.Client{Timeout: 5 * time.Minute}
 	}
+	shc := *hc
+	shc.Timeout = 0
 	c := &Client{
 		urls:  append([]string(nil), urls...),
 		hc:    hc,
-		shc:   &http.Client{Transport: hc.Transport},
+		shc:   &shc,
 		codec: codec,
-		push:  PushConfig{}.normalized(),
 	}
 	// A private registry keeps recording unconditional; SetMetrics
 	// rebinds the series to a shared registry when one exists.
@@ -517,7 +522,7 @@ func (s *Session) pullOnce(cctx, parent context.Context, u string) (*Block, erro
 		return nil, err
 	}
 	t1 := time.Now()
-	resp, err := c.hc.Do(req)
+	resp, err := c.shc.Do(req)
 	if err != nil {
 		return nil, c.classifyPullErr(cctx, parent, fmt.Errorf("client: pull block: %w", err))
 	}
@@ -577,8 +582,11 @@ func (c *Client) classifyPullErr(cctx, parent context.Context, wrapped error) er
 	return markTransient(wrapped)
 }
 
-// deadlineExpired counts an attempt that died of its adaptive deadline
-// and marks its error so.
+// deadlineExpired counts an attempt that died of its deadline — the
+// adaptive estimate or, when that is shorter, the caller's own
+// http.Client.Timeout (attemptDeadline folds the two into one) — and
+// marks its error so: either way the replica took longer than the attempt
+// was given, which is what moves a session to another one (failAway).
 func (c *Client) deadlineExpired(err error) error {
 	c.metrics.deadlineTimeouts.Inc()
 	return fmt.Errorf("%w (%w)", err, errDeadline)

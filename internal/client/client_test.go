@@ -23,27 +23,33 @@ func testStack(t *testing.T, rows int, codec wire.Codec) (*Client, *service.Serv
 	return testStackHC(t, rows, codec, nil)
 }
 
-// testStackHC is testStack with a caller-supplied http.Client (e.g. a
-// dial-counting one).
-func testStackHC(t *testing.T, rows int, codec wire.Codec, hc *http.Client) (*Client, *service.Server) {
-	t.Helper()
+// dataCatalog is a catalog of one table "data" of rows tuples (k, "v<k>").
+func dataCatalog(tb testing.TB, rows int) *minidb.Catalog {
+	tb.Helper()
 	cat := minidb.NewCatalog()
 	tbl, err := cat.CreateTable("data", minidb.Schema{
 		{Name: "k", Type: minidb.Int64},
 		{Name: "v", Type: minidb.String},
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	batch := make([]minidb.Row, 0, rows)
 	for i := 0; i < rows; i++ {
 		batch = append(batch, minidb.Row{minidb.NewInt(int64(i)), minidb.NewString(fmt.Sprintf("v%d", i))})
 	}
 	if err := tbl.BulkLoad(batch); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return cat
+}
+
+// testStackHC is testStack with a caller-supplied http.Client (e.g. a
+// dial-counting one).
+func testStackHC(t *testing.T, rows int, codec wire.Codec, hc *http.Client) (*Client, *service.Server) {
+	t.Helper()
 	srv, err := service.New(service.Config{
-		Catalog:   cat,
+		Catalog:   dataCatalog(t, rows),
 		Codec:     codec,
 		CostModel: netsim.CostModel{LatencyMS: 5, PerTupleMS: 0.01},
 		// SleepScale 0: price blocks without real sleeping.

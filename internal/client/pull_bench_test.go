@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"wsopt/internal/minidb"
 	"wsopt/internal/service"
@@ -64,13 +65,13 @@ func (rt *cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 
 // cannedSession opens a session whose every pull is a 64-row binary
 // block off a cannedTransport, and pulls a few blocks to warm the decode
-// scratch, the deadline window and the schema cache. Its http.Client has
-// no Timeout: net/http spends 18 allocations and a goroutine of its own
-// per request on one (client.New's default has one), which are not the
-// client's to gate.
-func cannedSession(tb testing.TB) *Session {
+// scratch, the deadline window and the schema cache. timeout is the
+// http.Client's own: net/http spends a goroutine, a timer and 18
+// allocations per request to honour one, which is why a pull is not sent
+// through a client that has one (client.New's default does).
+func cannedSession(tb testing.TB, timeout time.Duration) *Session {
 	tb.Helper()
-	c, err := New("http://canned.invalid", wire.Binary{}, &http.Client{Transport: newCannedTransport(tb, wire.Binary{}, 64)})
+	c, err := New("http://canned.invalid", wire.Binary{}, &http.Client{Transport: newCannedTransport(tb, wire.Binary{}, 64), Timeout: timeout})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -94,19 +95,24 @@ func cannedSession(tb testing.TB) *Session {
 const pullAllocBudget = 23
 
 // TestPullAllocGate gates the client's own per-block allocations (run
-// without the race detector: `scripts/verify.sh allocgate`).
+// without the race detector: `scripts/verify.sh allocgate`) — under the
+// same budget whether or not the caller's http.Client carries a Timeout:
+// a pull has one deadline, its context's, and the Timeout is folded into
+// that instead of being honoured a second time by net/http.
 func TestPullAllocGate(t *testing.T) {
-	sess := cannedSession(t)
-	ctx := context.Background()
-	allocs := testing.AllocsPerRun(200, func() {
-		blk, err := sess.Next(ctx, 64)
-		if err != nil || len(blk.Rows) != 64 {
-			t.Fatalf("pull: %d rows, %v", len(blk.Rows), err)
+	for _, timeout := range []time.Duration{0, 5 * time.Minute} {
+		sess := cannedSession(t, timeout)
+		ctx := context.Background()
+		allocs := testing.AllocsPerRun(200, func() {
+			blk, err := sess.Next(ctx, 64)
+			if err != nil || len(blk.Rows) != 64 {
+				t.Fatalf("pull: %d rows, %v", len(blk.Rows), err)
+			}
+		})
+		t.Logf("http.Client.Timeout %v: %.0f allocs per pull (budget %d)", timeout, allocs, pullAllocBudget)
+		if allocs > pullAllocBudget {
+			t.Fatalf("http.Client.Timeout %v: a steady-state pull allocates %.0f times, budget %d", timeout, allocs, pullAllocBudget)
 		}
-	})
-	t.Logf("%.0f allocs per pull (budget %d)", allocs, pullAllocBudget)
-	if allocs > pullAllocBudget {
-		t.Fatalf("a steady-state pull allocates %.0f times, budget %d", allocs, pullAllocBudget)
 	}
 }
 
@@ -115,7 +121,7 @@ func TestPullAllocGate(t *testing.T) {
 // whatever a pull hands to another goroutine costs most when there is a
 // second processor to take it (DESIGN.md §8 has the table).
 func BenchmarkPull(b *testing.B) {
-	sess := cannedSession(b)
+	sess := cannedSession(b, 0)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

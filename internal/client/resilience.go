@@ -64,7 +64,7 @@ func (c *Client) endpointState(u string) resilience.BreakerState {
 // attemptDeadline is the per-block pull deadline: the tracker's adaptive
 // estimate for this size, doubled per retry attempt (a block that
 // deadlined once gets more room, in case the estimate is simply stale),
-// capped at the tracker's static maximum.
+// capped at the tracker's static maximum and at the caller's own Timeout.
 func (c *Client) attemptDeadline(size, attempt int) time.Duration {
 	d := c.deadline.DeadlineFor(size)
 	max := c.deadline.Max()
@@ -73,6 +73,16 @@ func (c *Client) attemptDeadline(size, attempt int) time.Duration {
 	}
 	if d > max {
 		d = max
+	}
+	return c.bound(d)
+}
+
+// bound caps a request's own deadline at the Timeout of the http.Client
+// the caller handed in, so that a request sent through shc still honours
+// it — once, as part of the one deadline its context carries.
+func (c *Client) bound(d time.Duration) time.Duration {
+	if t := c.hc.Timeout; t > 0 && t < d {
+		return t
 	}
 	return d
 }
@@ -83,13 +93,13 @@ func (c *Client) attemptDeadline(size, attempt int) time.Duration {
 // move left behind — whose endpoint may be dead or slow, and whose
 // session TTL-expires server-side if the DELETE never lands.
 func (c *Client) bestEffort(parent context.Context, timeout time.Duration, method, url string) bool {
-	ctx, cancel := context.WithTimeout(parent, timeout)
+	ctx, cancel := context.WithTimeout(parent, c.bound(timeout))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
 		return false
 	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.shc.Do(req)
 	if err != nil {
 		return false
 	}

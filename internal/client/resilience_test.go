@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -312,6 +313,74 @@ func TestSingleEndpointBreakerNeverRefuses(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counter("wsopt_client_deadline_timeouts_total"); got < 1 {
 		t.Fatalf("deadline_timeouts_total = %d, want >= 1", got)
+	}
+}
+
+// TestCallerHTTPClientHonouredOnBlockPath: blocks travel through a copy
+// of the caller's http.Client without its Timeout — net/http honours one
+// with a goroutine and a timer per request, and a pull carries a deadline
+// already. The copy keeps everything else the caller configured, and the
+// Timeout still bounds a pull: folded into the attempt's deadline, it
+// cuts a stalled pull short long before the adaptive fallback (2 min
+// with no samples) would — retried in place on one endpoint, failed over
+// with two, like any other expired deadline.
+func TestCallerHTTPClientHonouredOnBlockPath(t *testing.T) {
+	gateA, urlA := replica(t, 100)
+	jar, err := cookiejar.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := &http.Client{
+		Timeout:       60 * time.Millisecond,
+		Jar:           jar,
+		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
+	}
+	c, err := New(urlA, wire.XML{}, hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.shc.Timeout != 0 || c.shc.Jar != hc.Jar || c.shc.CheckRedirect == nil || c.shc.Transport != hc.Transport {
+		t.Fatalf("the block-path client %+v is not the caller's %+v minus its Timeout", c.shc, hc)
+	}
+	c.SetRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateA.stallNext(1, 300*time.Millisecond)
+	start := time.Now()
+	blk, err := sess.Next(context.Background(), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); blk.Attempts != 2 || took > 250*time.Millisecond {
+		t.Fatalf("a pull stalled for 300 ms took %d attempts and %v under a 60 ms http.Client.Timeout, want a retry after one Timeout", blk.Attempts, took)
+	}
+
+	// The Timeout is the attempt's deadline, so its expiry is classified as
+	// one: counted, and with a second replica it moves the session there
+	// instead of retrying the slow one in place.
+	gateA, urlA = replica(t, 100)
+	_, urlB := replica(t, 100)
+	c, err = NewMulti([]string{urlA, urlB}, wire.XML{}, hc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	reg := metrics.NewRegistry()
+	c.SetMetrics(reg)
+	sess, err = c.OpenSession(context.Background(), Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateA.stallNext(1, 300*time.Millisecond)
+	blk, err = sess.Next(context.Background(), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blk.Endpoint != urlB || sess.Failovers() != 1 || reg.Snapshot().Counter("wsopt_client_deadline_timeouts_total") != 1 {
+		t.Fatalf("with two replicas the block came from %s after %d failovers and %d deadline expiries, want %s, 1, 1",
+			blk.Endpoint, sess.Failovers(), reg.Snapshot().Counter("wsopt_client_deadline_timeouts_total"), urlB)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,11 @@ import (
 // snapshot it is told to post.
 type streamSession struct {
 	s   *Session
-	win func() int // live window target; nil = fixed config default
+	win func() int // the controller's window knob; nil or 0 = it has none
+	// cap is the largest window the server said it applies
+	// (HeaderPushWindow) — the default cap until a stream open has said
+	// otherwise.
+	cap int
 
 	// Stream connection state. body is nil between streams; ctx is the
 	// stream's lifetime, which its credit grants share; buf is the frame
@@ -40,15 +45,15 @@ type streamSession struct {
 
 	// granted is the last grant the server has (or will momentarily
 	// have): acks are posted when enough frames are pending or a knob
-	// changed, so a grant round-trip is amortized over ~half a window of
-	// frames and stays entirely off the frame-delivery critical path.
+	// changed, so a grant round-trip is amortized over a batch of frames
+	// (queueGrant) and stays entirely off the frame-delivery critical path.
 	granted service.Query
 
 	g grantLoop
 }
 
 func newStreamSession(s *Session, win func() int) *streamSession {
-	t := &streamSession{s: s, win: win}
+	t := &streamSession{s: s, win: win, cap: service.DefaultPushMaxWindow}
 	t.g.c = s.c
 	t.g.cond = sync.NewCond(&t.g.mu)
 	return t
@@ -64,15 +69,21 @@ func (t *streamSession) Close(ctx context.Context) error {
 	return t.s.Close(ctx)
 }
 
-// windowTarget is the credit window to grant right now: the live target
-// when there is one, else the configured default (at least 1).
+// windowTarget is the credit window to ask for right now: the window of a
+// controller that owns the knob, then an explicit PushConfig.Window, each
+// bounded by the cap the server announced; with neither, that cap — the
+// producer is never held for credit the server was willing to extend.
 func (t *streamSession) windowTarget() int {
+	win := t.s.c.push.Window
 	if t.win != nil {
 		if v := t.win(); v > 0 {
-			return v
+			win = v
 		}
 	}
-	return t.s.c.push.Window
+	if win <= 0 || win > t.cap {
+		return t.cap
+	}
+	return win
 }
 
 // errSessionLost marks a stream failure whose cause is the server no
@@ -122,18 +133,14 @@ func (t *streamSession) Next(ctx context.Context, size int) (*Block, error) {
 func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Block, error) {
 	s := t.s
 	c := s.c
-	if t.body == nil {
-		if err := t.openStream(ctx, size); err != nil {
-			// A lost session is not the endpoint's failure — it answered.
-			if isTransient(err) && !errors.Is(err, errSessionLost) {
-				s.ep.Failure()
-			}
-			return nil, err
-		}
-	} else {
-		t.queueGrant(size)
+	// The stream outlives any single Next call, so it hangs off its own
+	// cancel; the caller's context and the watchdog hook into that per
+	// attempt — before the open, so that a replica which accepts a stream
+	// and never answers is left like one that stalls a frame.
+	opening := t.body == nil
+	if opening {
+		t.ctx, t.cancel = context.WithCancel(context.Background())
 	}
-
 	cancel := t.cancel
 	stopCancel := context.AfterFunc(ctx, cancel)
 	defer stopCancel()
@@ -143,6 +150,20 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 		cancel()
 	})
 	defer watchdog.Stop()
+
+	if !opening {
+		t.queueGrant(size)
+	} else if err := t.openStream(ctx, size); err != nil {
+		t.teardown()
+		if expired.Load() && ctx.Err() == nil {
+			err = c.deadlineExpired(err)
+		}
+		// A lost session is not the endpoint's failure — it answered.
+		if isTransient(err) && !errors.Is(err, errSessionLost) {
+			s.ep.Failure()
+		}
+		return nil, err
+	}
 
 	t1 := time.Now()
 	for {
@@ -179,30 +200,30 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 	}
 }
 
-// openStream opens the long-lived stream at from=seq+1. The open itself
-// carries the initial size/window grant and implies a cumulative ack of
-// everything before from.
+// openStream opens the long-lived stream at from=seq+1 on the stream
+// context the attempt prepared. The open itself carries the initial
+// size/window grant and implies a cumulative ack of everything before
+// from; its 200 announces the largest window the server applies.
 func (t *streamSession) openStream(ctx context.Context, size int) error {
 	s := t.s
 	win := t.windowTarget()
 	u := s.url + "/stream?" + service.Query{Size: size, Window: win, From: s.seq + 1}.Encode()
-	// The stream outlives any single Next call, so it hangs off its own
-	// cancel — the watchdog and Next's ctx hook into it per read.
-	sctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(sctx, http.MethodPost, u, nil)
+	req, err := http.NewRequestWithContext(t.ctx, http.MethodPost, u, nil)
 	if err != nil {
-		cancel()
 		return err
 	}
 	resp, err := s.c.shc.Do(req)
 	if err != nil {
-		cancel()
+		if cerr := ctx.Err(); cerr != nil {
+			// Cancelled through the stream's context on the caller's behalf:
+			// the error names the caller's reason.
+			err = cerr
+		}
 		return transportErr(ctx, "open push stream", err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		err := httpFailure("open push stream", resp)
 		resp.Body.Close()
-		cancel()
 		switch {
 		case resp.StatusCode == http.StatusNotFound:
 			return markTransient(fmt.Errorf("%w: %v", errSessionLost, err))
@@ -212,19 +233,33 @@ func (t *streamSession) openStream(ctx context.Context, size int) error {
 		return err
 	}
 	t.body = resp.Body
-	t.ctx, t.cancel = sctx, cancel
-	t.granted = service.Query{Acked: s.seq, Window: win, Size: size}
+	// A server that announces no cap predates the header: assume the
+	// default one.
+	t.cap = service.DefaultPushMaxWindow
+	if n, err := strconv.Atoi(resp.Header.Get(service.HeaderPushWindow)); err == nil && n > 0 {
+		t.cap = n
+	}
+	t.granted = service.Query{Acked: s.seq, Window: min(win, t.cap), Size: size}
 	return nil
 }
 
+// maxAckBatch bounds the frames left pending ack however large the
+// window: half of a 64-frame window would leave a query of a few dozen
+// blocks unacknowledged until its session is deleted, and every ack the
+// producer holds half a window stale.
+const maxAckBatch = 8
+
 // queueGrant posts a credit update when it is due: the block size or
-// window target changed, or at least half the window is pending ack.
+// window target changed, or half the window — at most maxAckBatch frames
+// — is pending ack. The target never exceeds the server's cap, so that
+// is half of a window the server applies: a threshold above it would
+// never be reached.
 // The post itself happens on the grant loop goroutine, off the
 // frame-read path; coalescing there means a slow control channel
 // degrades to fewer, fresher grants rather than a backlog.
 func (t *streamSession) queueGrant(size int) {
 	s, win, last := t.s, t.windowTarget(), t.granted
-	if size == last.Size && win == last.Window && s.seq-last.Acked < uint64(max(win/2, 1)) {
+	if size == last.Size && win == last.Window && s.seq-last.Acked < uint64(max(min(win/2, maxAckBatch), 1)) {
 		return
 	}
 	t.granted = service.Query{Acked: s.seq, Window: win, Size: size}

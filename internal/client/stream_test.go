@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -305,15 +306,23 @@ func TestPushStalledReplicaFailsOver(t *testing.T) {
 // window dimension drives the credit window; the transport must pass
 // its target through to the server (visible as credit grants with the
 // controller's window).
+//
+// The controller's window dimension is kept to [1, 3], under the explicit
+// window configured beside it and far under the server's cap: every
+// window on the wire must be the controller's, so neither the
+// configuration nor the default ever overrides a controller that owns the
+// knob.
 func TestPushWindowFollowsController(t *testing.T) {
 	const rows = 2500
-	c, srv := testStack(t, rows, wire.Binary{})
-	c.SetPush(PushConfig{Enabled: true})
+	asked := new(windowsAsked)
+	c, srv := testStackHC(t, rows, wire.Binary{}, &http.Client{Transport: asked})
+	c.SetPush(PushConfig{Enabled: true, Window: 9})
 
 	vcfg := core.DefaultPushVectorConfig()
 	vcfg.Dims[core.DimSize] = core.DimConfig{
 		Initial: 100, Limits: core.Limits{Min: 50, Max: 400}, B1: 50, B2: 50,
 	}
+	vcfg.Dims[core.DimWindow] = core.DimConfig{Initial: 2, Limits: core.Limits{Min: 1, Max: 3}, B1: 1, B2: 1}
 	ctl, err := core.NewVector(vcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -336,4 +345,108 @@ func TestPushWindowFollowsController(t *testing.T) {
 	if got := ctl.Vector().Window; got < 1 {
 		t.Fatalf("controller window = %d, want >= 1", got)
 	}
+	windows := asked.all()
+	if len(windows) == 0 {
+		t.Fatal("no stream open or credit grant carried a window")
+	}
+	for _, w := range windows {
+		if w < 1 || w > 3 {
+			t.Fatalf("windows asked for: %v; the controller's dimension is [1, 3]", windows)
+		}
+	}
+}
+
+// TestPushStreamOpenHonoursContext: a replica that accepts the stream
+// open and never answers used to hold Next for ever — the open ran under
+// neither the caller's context nor the watchdog. It returns by the
+// caller's deadline, and says so.
+func TestPushStreamOpenHonoursContext(t *testing.T) {
+	g, url := replica(t, 100)
+	inner := g.h
+	g.h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			<-r.Context().Done()
+			return
+		}
+		inner.ServeHTTP(w, r)
+	})
+	c, err := New(url, wire.XML{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetPush(PushConfig{Enabled: true})
+	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := c.transportFor(sess, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = tr.Next(ctx, 10)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("Next returned after %v under a 200 ms context", took)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("Next = %v, want an error wrapping context.DeadlineExceeded", err)
+	}
+	if err := tr.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPushStreamOpenStallFailsOver: replica A stalls the stream open
+// itself. The open runs under the block's adaptive deadline like every
+// read after it, so its expiry moves the session to replica B: every key
+// exactly once, all of them from B, one failover.
+func TestPushStreamOpenStallFailsOver(t *testing.T) {
+	const (
+		rows     = 600
+		deadline = 40 * time.Millisecond
+	)
+	c, reg, gateA, urlB := stallPair(t, rows, deadline)
+	c.SetPush(PushConfig{Enabled: true})
+	ctx := context.Background()
+	// One block over pull arms the adaptive deadline; then A stalls every
+	// block endpoint, the stream open first among them.
+	warm, err := c.OpenSession(ctx, Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Next(ctx, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	gateA.set(false, 300*time.Millisecond)
+
+	sess, err := c.OpenSession(ctx, Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reasons []string
+	sess.OnDisturbance = func(reason string) { reasons = append(reasons, reason) }
+	tr := c.transportFor(sess, nil)
+	seen := make(map[int64]int, rows)
+	var slowest time.Duration
+	for !tr.Done() {
+		start := time.Now()
+		blk, err := tr.Next(ctx, 100)
+		if err != nil {
+			t.Fatalf("push pull failed: %v", err)
+		}
+		slowest = max(slowest, time.Since(start))
+		if blk.Endpoint != urlB {
+			t.Fatalf("a block came from %s, want %s: A never opens a stream", blk.Endpoint, urlB)
+		}
+		for _, r := range blk.Rows {
+			seen[r[0].I]++
+		}
+	}
+	if err := tr.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	assertExactSet(t, seen, rows)
+	assertLeftStalledReplica(t, sess, reg, urlB, reasons, slowest, deadline)
 }

@@ -22,34 +22,26 @@ type Transport interface {
 // The pull path is the Transport default.
 var _ Transport = (*Session)(nil)
 
-// DefaultPushWindow is the credit window used when no controller drives
-// the window dimension: enough to keep the server producing ahead of
-// the client without retaining much unacked state.
-const DefaultPushWindow = 4
-
 // PushConfig enables and tunes the client side of the server-push
 // streaming transport (DESIGN.md §19).
 type PushConfig struct {
 	// Enabled switches every run mode's sessions from pull to push.
 	Enabled bool
-	// Window is the credit window granted when the controller has no
-	// window knob (core.VectorOf reports 0); default DefaultPushWindow.
+	// Window pins the credit window when the controller has no window
+	// knob (core.VectorOf reports 0). Zero or less, the default, asks for
+	// the largest window the server announces it applies (64 unless
+	// `wsblockd -push-window` says otherwise), which also bounds a pinned
+	// one: over a link with real delay a small window is stop-and-wait.
 	Window int
 }
 
-func (pc PushConfig) normalized() PushConfig {
-	if pc.Window < 1 {
-		pc.Window = DefaultPushWindow
-	}
-	return pc
-}
-
 // SetPush configures the push transport. Call before opening sessions.
-func (c *Client) SetPush(pc PushConfig) { c.push = pc.normalized() }
+func (c *Client) SetPush(pc PushConfig) { c.push = pc }
 
 // transportFor wraps an open session in the configured transport. win
 // supplies the live credit-window target (the controller's window knob);
-// while it is nil or reports 0 the configured default applies.
+// while it is nil or reports 0 the configured window applies, or the
+// server's cap.
 // Transparent-gateway sessions always pull: the gateway tier owns
 // failover per pull request and does not proxy the stream endpoints.
 func (c *Client) transportFor(sess *Session, win func() int) Transport {

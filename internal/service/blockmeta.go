@@ -22,6 +22,13 @@ const (
 	// HeaderBlockReplay is "true" when the block was served from the
 	// replay buffer rather than by advancing the iterator.
 	HeaderBlockReplay = "X-Block-Replay"
+	// HeaderPushWindow, on a stream open's 200, is the largest credit
+	// window the server applies on this stream: a larger `window`, on the
+	// open or on a credit, is cut to it, so a client bounds what it asks
+	// for and what it acks against by this number. A server that sends
+	// none predates the header; its cap is DefaultPushMaxWindow unless
+	// configured otherwise.
+	HeaderPushWindow = "X-Push-Window"
 )
 
 // Gateway-tier headers, spoken by cmd/wsgate and understood by the

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"net/http"
+	"strconv"
 
 	"wsopt/internal/wire"
 )
@@ -41,12 +42,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	q, err := ParseQuery(r.URL.Query(), s.limits, true)
+	// The open's window is parsed unbounded (but for the int range) and
+	// cut here, so that a cut is counted; the cap goes out on the 200.
+	q, err := ParseQuery(r.URL.Query(), Limits{MaxSize: s.limits.MaxSize}, true)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	q.Window = max(q.Window, 1)
+	clamped := q.Window > s.limits.MaxWindow
+	q.Window = max(min(q.Window, s.limits.MaxWindow), 1)
 	if _, ok := w.(http.Flusher); !ok {
 		httpError(w, http.StatusNotImplemented, "streaming unsupported by this connection")
 		return
@@ -75,6 +79,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	s.stats.pushStreamsOpened.Add(1)
+	if clamped {
+		s.stats.pushWindowClamped.Add(1)
+	}
 	s.logf("session %s: push stream opened (gen %d, from %d, size %d, window %d)", sess.id, gen, from, q.Size, q.Window)
 
 	// Cancellation must wake a producer parked on t.cond: the connection
@@ -87,6 +94,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer stopWake()
 
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set(HeaderPushWindow, strconv.Itoa(s.limits.MaxWindow))
 	w.WriteHeader(http.StatusOK)
 
 	// Replay the retained tail past the client's ack first; a reconnect

@@ -217,6 +217,34 @@ func TestPushWindowBackpressure(t *testing.T) {
 	}
 }
 
+// TestPushWindowCapIsAnnounced: every stream open's 200 carries the cap
+// the server applies, whether or not it had to apply it, and an open
+// that asked for more is counted.
+func TestPushWindowCapIsAnnounced(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 500), Codec: wire.Binary{}, PushMaxWindow: 3})
+	for _, tc := range []struct{ window, clamped int }{{2, 0}, {3, 0}, {9, 1}} {
+		id, _ := openSession(t, ts, `{"table":"items"}`)
+		pc, resp := openStream(t, ts, id, 10, tc.window, 0)
+		if pc == nil {
+			t.Fatalf("stream open: %s", resp.Status)
+		}
+		pc.close()
+		if got := resp.Header.Get(HeaderPushWindow); got != "3" {
+			t.Errorf("window=%d: %s = %q, want the cap 3", tc.window, HeaderPushWindow, got)
+		}
+		if got := srv.Stats().PushWindowClamped; got != int64(tc.clamped) {
+			t.Errorf("window=%d: %d opens counted as clamped, want %d", tc.window, got, tc.clamped)
+		}
+		sess, _ := srv.sessions.get(id)
+		sess.tail.mu.Lock()
+		applied := sess.tail.window
+		sess.tail.mu.Unlock()
+		if applied != min(tc.window, 3) {
+			t.Errorf("window=%d: the tail applies %d", tc.window, applied)
+		}
+	}
+}
+
 // TestPushReconnectReplaysUnacked: kill the stream mid-transfer, reopen
 // past the last ack, and the retained tail replays with no gap and no
 // duplicate; the full relation arrives exactly once.

@@ -273,6 +273,9 @@ type Stats struct {
 	// PushCreditStalls counts producer waits that actually blocked on an
 	// exhausted credit window — the server-side backpressure signal.
 	PushCreditStalls int64 `json:"push_credit_stalls"`
+	// PushWindowClamped counts stream opens that asked for a window above
+	// PushMaxWindow and were cut to it (the open announces the cap).
+	PushWindowClamped int64 `json:"push_window_clamped"`
 	// StreamSessionsOpened counts sessions created with a stream-group
 	// tag — cursors that were one parallel stream of a larger query.
 	StreamSessionsOpened int64 `json:"stream_sessions_opened"`

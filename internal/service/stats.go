@@ -29,6 +29,7 @@ type serverStats struct {
 	pushFramesReplayed   atomic.Int64
 	pushCreditGrants     atomic.Int64
 	pushCreditStalls     atomic.Int64
+	pushWindowClamped    atomic.Int64
 	faultsDropped        atomic.Int64
 	faultsTruncated      atomic.Int64
 	faultsRefused        atomic.Int64
@@ -66,6 +67,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("wsopt_service_push_frames_replayed_total", "Push frames re-sent from the retained unacked tail.", st.pushFramesReplayed.Load)
 	reg.CounterFunc("wsopt_service_push_credit_grants_total", "Credit updates accepted on the push side channel.", st.pushCreditGrants.Load)
 	reg.CounterFunc("wsopt_service_push_credit_stalls_total", "Push producer waits that blocked on an exhausted credit window.", st.pushCreditStalls.Load)
+	reg.CounterFunc("wsopt_service_push_window_clamped_total", "Push stream opens that asked for a window above the server's cap and were cut to it.", st.pushWindowClamped.Load)
 	const faultsHelp = "Transport faults fired by the chaos layer, by kind."
 	reg.CounterFunc("wsopt_service_faults_injected_total", faultsHelp, st.faultsDropped.Load, metrics.L("kind", "dropped"))
 	reg.CounterFunc("wsopt_service_faults_injected_total", faultsHelp, st.faultsTruncated.Load, metrics.L("kind", "truncated"))
@@ -148,6 +150,7 @@ func (s *Server) Stats() Stats {
 		PushFramesReplayed:   st.pushFramesReplayed.Load(),
 		PushCreditGrants:     st.pushCreditGrants.Load(),
 		PushCreditStalls:     st.pushCreditStalls.Load(),
+		PushWindowClamped:    st.pushWindowClamped.Load(),
 		FaultsInjected: FaultStats{
 			Dropped:   st.faultsDropped.Load(),
 			Truncated: st.faultsTruncated.Load(),

@@ -34,6 +34,7 @@ func statsSeries(st Stats) map[string]int64 {
 		"wsopt_service_push_frames_replayed_total":              st.PushFramesReplayed,
 		"wsopt_service_push_credit_grants_total":                st.PushCreditGrants,
 		"wsopt_service_push_credit_stalls_total":                st.PushCreditStalls,
+		"wsopt_service_push_window_clamped_total":               st.PushWindowClamped,
 		`wsopt_service_faults_injected_total{kind="dropped"}`:   st.FaultsInjected.Dropped,
 		`wsopt_service_faults_injected_total{kind="truncated"}`: st.FaultsInjected.Truncated,
 		`wsopt_service_faults_injected_total{kind="refused"}`:   st.FaultsInjected.Refused,
