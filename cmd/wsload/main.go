@@ -93,6 +93,9 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	// Finished queries leave their sessions' DELETEs behind them; do not
+	// exit before they have landed (no error without a deadline).
+	_ = c.Wait(context.Background())
 
 	total := streamStats{}
 	for i, s := range stats {

@@ -107,6 +107,9 @@ func main() {
 	if err := runQuery(context.Background(), logger, c, q, ctl, opts); err != nil {
 		logger.Fatal(err)
 	}
+	// A finished run leaves its sessions' DELETEs behind it; do not exit
+	// before they have landed (no error without a deadline).
+	_ = c.Wait(context.Background())
 
 	if events != nil {
 		if err := events.Flush(); err != nil {

@@ -69,6 +69,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The run left its session's DELETE behind it; a process that exits
+	// (or, here, stops its server) lets it land first. Without a deadline
+	// Wait has no error to return.
+	_ = c.Wait(context.Background())
 
 	fmt.Printf("pulled %d tuples in %d blocks over live HTTP (%v wall, %.1f s simulated)\n",
 		res.Tuples, res.Blocks, time.Since(start).Round(time.Millisecond), res.SimulatedMS/1000)

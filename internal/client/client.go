@@ -21,6 +21,8 @@ package client
 import (
 	"bytes"
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,6 +73,14 @@ type Client struct {
 	push    PushConfig
 	metrics *clientMetrics
 	events  EventSink
+	// pullOnly holds the endpoints (*resilience.Endpoint) that answered a
+	// creating stream open "no such route": a tier without push (a gateway,
+	// `wsblockd -push=false`). Sessions there are opened by POST /sessions
+	// and pulled, without asking again.
+	pullOnly sync.Map
+	// bg counts the cleanup running behind the caller (background); Wait
+	// joins it.
+	bg sync.WaitGroup
 }
 
 // New builds a client for the service at baseURL using codec to decode
@@ -153,6 +163,10 @@ type Session struct {
 	url     string
 	columns []string
 	done    bool
+	// pending marks a session under a name the client picked (name) that
+	// no answer has confirmed yet: the next stream open carries the query
+	// and creates it if the server does not know the name.
+	pending bool
 	// seq numbers the blocks committed so far on the *current* server-side
 	// session; the next block is seq+1, and a retry re-requests the same
 	// number so the server can replay a block whose response was lost. A
@@ -203,7 +217,9 @@ func (c *Client) OpenSession(ctx context.Context, q Query) (*Session, error) {
 		if err == nil {
 			ep.Success()
 			c.pool.Promote(ep)
-			return &Session{c: c, q: q, ep: ep, id: o.id, url: o.url, columns: o.columns, committed: q.Offset, transparent: o.transparent}, nil
+			s := &Session{c: c, q: q, committed: q.Offset}
+			s.bind(ep, o)
+			return s, nil
 		}
 		if isTransient(err) {
 			ep.Failure()
@@ -216,12 +232,52 @@ func (c *Client) OpenSession(ctx context.Context, q Query) (*Session, error) {
 	return nil, lastErr
 }
 
-// opened is a freshly created server-side session. transparent reports
-// whether the endpoint announced gateway-side transparent failover.
+// opened is a freshly created server-side session — or, pending, only
+// the name of one (name). transparent reports whether the endpoint
+// announced gateway-side transparent failover.
 type opened struct {
 	id, url     string
 	columns     []string
 	transparent bool
+	pending     bool
+}
+
+// session hands a run its session. Under push that is one the client
+// names and no request yet: the stream open that fetches the first block
+// creates it, so a push query pays one round trip before its first block,
+// not two. Otherwise, and on an endpoint known not to stream, it is
+// OpenSession.
+func (c *Client) session(ctx context.Context, q Query) (*Session, error) {
+	ep := c.pool.Pick()
+	if !c.push.Enabled || c.pullsOnly(ep) {
+		return c.OpenSession(ctx, q)
+	}
+	o, err := c.name(ep)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{c: c, q: q, committed: q.Offset}
+	s.bind(ep, o)
+	return s, nil
+}
+
+// name picks a session name for ep: "c" and 128 random bits in hex, a
+// namespace no server-assigned id enters (service.handleStream has the
+// rule). Because the name is the client's, the creating open is
+// idempotent, and the session's id and URL are valid before any I/O.
+func (c *Client) name(ep *resilience.Endpoint) (opened, error) {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return opened{}, fmt.Errorf("client: name session: %w", err)
+	}
+	id := "c" + hex.EncodeToString(b[:])
+	u, err := joinURL(ep.URL(), "sessions", id)
+	return opened{id: id, url: u, pending: true}, err
+}
+
+func (c *Client) pullsOnly(ep *resilience.Endpoint) bool {
+	_, ok := c.pullOnly.Load(ep)
+	return ok
 }
 
 // openSessionOn creates a server-side session on one specific endpoint,
@@ -260,12 +316,14 @@ func (c *Client) openSessionOn(ctx context.Context, ep *resilience.Endpoint, q Q
 	return o, err
 }
 
-// ID returns the server-assigned session identifier (a gateway id when
-// the session is transparent), useful for correlating with server-side
+// ID returns the session identifier — server-assigned (a gateway id when
+// the session is transparent) or, when a stream open created the session,
+// the name the client picked — useful for correlating with server-side
 // session listings.
 func (s *Session) ID() string { return s.id }
 
-// Columns returns the projected column names of the session's result.
+// Columns returns the projected column names of the session's result
+// (nil until the first block, on a session its stream open creates).
 func (s *Session) Columns() []string { return s.columns }
 
 // Done reports whether the result set has been exhausted.
@@ -485,16 +543,59 @@ func (s *Session) failAway(ctx context.Context, cause error, failovers *int) boo
 // behind is deleted in the background.
 func (s *Session) rebind(ep *resilience.Endpoint, o opened, reason string) {
 	old, oldURL := s.ep, s.url
-	s.ep, s.id, s.url = ep, o.id, o.url
-	s.seq = 0
+	s.bind(ep, o)
 	if ep != old {
 		s.c.pool.Promote(ep)
 		s.c.metrics.failovers.Inc()
 		s.failovers++
-		go s.c.bestEffort(context.Background(), 5*time.Second, http.MethodDelete, oldURL)
+		s.c.background(5*time.Second, func(ctx context.Context) {
+			s.c.bestEffort(ctx, 5*time.Second, http.MethodDelete, oldURL)
+		})
 	}
 	if s.OnDisturbance != nil {
 		s.OnDisturbance(reason + ep.URL())
+	}
+}
+
+// bind points the session at o on ep, whose blocks number from 1 (and
+// whose columns, if o is only a name, its first stream open will say).
+func (s *Session) bind(ep *resilience.Endpoint, o opened) {
+	s.ep, s.id, s.url, s.columns, s.pending, s.transparent = ep, o.id, o.url, o.columns, o.pending, o.transparent
+	s.seq = 0
+}
+
+// background runs cleanup the caller does not wait for — the close of a
+// finished session, the DELETE of the half a session move left behind —
+// under a timeout of its own, and counts it for Wait.
+func (c *Client) background(timeout time.Duration, f func(ctx context.Context)) {
+	c.bg.Add(1)
+	go func() {
+		defer c.bg.Done()
+		ctx, cancel := context.WithTimeout(context.Background(), c.bound(timeout))
+		defer cancel()
+		f(ctx)
+	}()
+}
+
+// Wait blocks until the cleanup the client's finished runs left running
+// behind them has ended — above all their sessions' DELETEs, which a run
+// does not wait for — or ctx is done. A process about to exit calls it
+// once, after its last run has returned, so that no session is left for
+// the server to expire (by default five minutes of an admission slot);
+// so does a caller about to read the server's own session count. It says
+// nothing of a run still in progress. (A Wait that gives up with ctx
+// leaves its helper goroutine to the cleanup's own timeouts, 30 s at most.)
+func (c *Client) Wait(ctx context.Context) error {
+	idle := make(chan struct{})
+	go func() {
+		c.bg.Wait()
+		close(idle)
+	}()
+	select {
+	case <-idle:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
@@ -658,9 +759,10 @@ type RunResult struct {
 // useInjected. Session moves and gateway failovers are surfaced to the
 // controller as disturbances (core.NotifyDisturbance), so adaptive
 // controllers re-enter their search instead of trusting a baseline
-// measured against a replica that no longer serves the session.
+// measured against a replica that no longer serves the session. Run
+// returns with the whole result; the session's close runs behind it (Wait).
 func (c *Client) Run(ctx context.Context, q Query, ctl core.Controller, metric Metric, useInjected bool) (*RunResult, error) {
-	sess, err := c.OpenSession(ctx, q)
+	sess, err := c.session(ctx, q)
 	if err != nil {
 		return nil, err
 	}

@@ -158,8 +158,9 @@ func (r *run) handOff(f *fetched) error {
 	return sink.Write(ev)
 }
 
-// transfer is the block loop: it moves the open session's whole result
-// over the configured transport, closes the session, and returns how many
+// transfer is the block loop: it moves the session's whole result over
+// the configured transport, closes the session — behind the caller once
+// the result is whole (Client.Wait joins that) — and returns how many
 // tuples it handed off. Session moves and gateway failovers reach the
 // controller as disturbances.
 //
@@ -182,8 +183,15 @@ func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle Blo
 		r.mu.Lock()
 		r.res.Failovers += sess.failovers
 		r.mu.Unlock()
-		// Best-effort cleanup; the session may already be gone.
-		_ = tr.Close(context.WithoutCancel(ctx))
+		// Best-effort cleanup; the session may already be gone. A finished
+		// transfer does not wait for it: the result is whole, and the
+		// close — a last credit POST to join, a DELETE round trip — carries
+		// no block. An unfinished one closes before its error returns.
+		if tr.Done() {
+			r.c.background(30*time.Second, func(ctx context.Context) { _ = tr.Close(ctx) })
+		} else {
+			_ = tr.Close(context.WithoutCancel(ctx))
+		}
 	}()
 
 	var sizes chan int // the prefetcher's pull permits; nil in lock-step

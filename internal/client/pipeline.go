@@ -38,7 +38,7 @@ type PipelinedResult struct {
 // latency — the price of the overlap). The handler's rows are its own
 // copy and may be retained.
 func (c *Client) RunPipelined(ctx context.Context, q Query, ctl core.Controller, metric Metric, useInjected bool, handle BlockHandler) (*PipelinedResult, error) {
-	sess, err := c.OpenSession(ctx, q)
+	sess, err := c.session(ctx, q)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -249,24 +248,35 @@ func TestPushShortQueryStillAcks(t *testing.T) {
 // BenchmarkPushOverDelay is whole push queries over a 10 ms round trip
 // at pinned windows and at the default, the server's cap (DESIGN.md §19
 // has the table): what the window is worth when the link, not the CPU, is
-// the limit.
+// the limit — and, in the short row, what a query's fixed round trips are
+// worth when its 20 blocks stream in about one.
 func BenchmarkPushOverDelay(b *testing.B) {
-	const rows, size = 20000, 100
-	for _, window := range []int{4, 16, 64, 0} {
-		name := fmt.Sprintf("window=%d", window)
-		if window == 0 {
-			name = "window=default"
-		}
-		b.Run(name, func(b *testing.B) {
-			c, _ := delayStack(b, rows, window)
+	const size = 100
+	for _, tc := range []struct {
+		name         string
+		rows, window int
+	}{
+		{"window=4", 20000, 4},
+		{"window=16", 20000, 16},
+		{"window=64", 20000, 64},
+		{"window=default", 20000, 0},
+		{"short/window=default", 2000, 0},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c, _ := delayStack(b, tc.rows, tc.window)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := c.Run(context.Background(), Query{Table: "data"}, core.NewStatic(size), MetricPerBlock, false)
-				if err != nil || res.Tuples != rows {
+				if err != nil || res.Tuples != tc.rows {
 					b.Fatalf("push run: %+v, %v", res, err)
 				}
 			}
-			b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+			b.StopTimer()
+			b.ReportMetric(float64(tc.rows)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+			if err := c.Wait(context.Background()); err != nil {
+				b.Fatal(err)
+			}
 		})
 	}
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -91,29 +92,44 @@ func (t *streamSession) windowTarget() int {
 // session at the committed cursor, not a plain stream reconnect.
 var errSessionLost = errors.New("client: push session lost")
 
+// errNoStream marks a creating open answered "no such route": the client
+// named the session a moment ago, so it is not lost — the tier does not
+// stream.
+var errNoStream = errors.New("client: endpoint does not stream")
+
 // Next delivers the next block off the stream, opening or re-opening
 // the stream as needed. Transient failures — severed streams, frame
 // gaps, watchdog expiries — are retried under the client's RetryPolicy;
 // a reconnect resumes at from=seq+1 and the server replays the unacked
 // tail, so no tuple is skipped or duplicated. A lost session is
-// re-opened at the committed tuple cursor; when the current endpoint's
-// breaker refuses traffic or a frame is overdue past its deadline, and
-// another replica exists, the session fails over exactly as a pull would.
+// replaced by a fresh name at the committed tuple cursor, which the next
+// open creates; when the current endpoint's breaker refuses traffic or a
+// frame is overdue past its deadline, and another replica exists, the
+// session fails over exactly as a pull would.
 func (t *streamSession) Next(ctx context.Context, size int) (*Block, error) {
+	lost := 0
 	blk, err := t.s.nextBlock(ctx, "push", size, func(attempt int) (*Block, error) {
+		// An endpoint that turned out not to stream (fallBack) is pulled.
+		if t.s.c.pullsOnly(t.s.ep) {
+			return t.s.pullAttempt(ctx, size, attempt)
+		}
 		return t.nextAttempt(ctx, size, attempt)
 	}, func(err error) bool {
 		if t.body != nil {
 			t.teardown()
 			t.s.c.metrics.pushReconnects.Inc()
 		}
-		// The endpoint is up but forgot the session: open a fresh one at
-		// the committed cursor on the same endpoint — the server already
-		// answered, so there is nothing to wait for.
-		return errors.Is(err, errSessionLost) && t.reopenSession(ctx) == nil
+		// The endpoint is up but forgot the session: a fresh name, locally —
+		// the server already answered, so the first time in a block there is
+		// nothing to wait for; a session lost again costs an attempt.
+		if !errors.Is(err, errSessionLost) || !t.reopenSession() {
+			return false
+		}
+		lost++
+		return lost == 1
 	})
-	if err != nil {
-		return nil, err
+	if err != nil || t.s.c.pullsOnly(t.s.ep) {
+		return blk, err
 	}
 	if blk.Done {
 		t.finishStream()
@@ -155,7 +171,11 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 		t.queueGrant(size)
 	} else if err := t.openStream(ctx, size); err != nil {
 		t.teardown()
-		if expired.Load() && ctx.Err() == nil {
+		if errors.Is(err, errNoStream) {
+			if err = t.fallBack(ctx, err); err == nil {
+				return s.pullAttempt(ctx, size, attempt)
+			}
+		} else if expired.Load() && ctx.Err() == nil {
 			err = c.deadlineExpired(err)
 		}
 		// A lost session is not the endpoint's failure — it answered.
@@ -200,15 +220,43 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 	}
 }
 
+// fallBack opens the session the way a tier without push takes it — POST
+// /sessions on the same endpoint, remembered for the client's later
+// sessions — so that every block there is a pull from here on (Next). A
+// refusal of that request is the answer to the open: an unknown table's
+// 404 reads the same on both ways in.
+func (t *streamSession) fallBack(ctx context.Context, cause error) error {
+	s := t.s
+	o, err := s.c.openSessionOn(ctx, s.ep, s.q, s.committed)
+	if err != nil {
+		return fmt.Errorf("%w (after %v)", err, cause)
+	}
+	s.c.pullOnly.Store(s.ep, true)
+	s.bind(s.ep, o)
+	return nil
+}
+
 // openStream opens the long-lived stream at from=seq+1 on the stream
 // context the attempt prepared. The open itself carries the initial
 // size/window grant and implies a cumulative ack of everything before
-// from; its 200 announces the largest window the server applies.
+// from; on a pending session it also carries the query, at the committed
+// cursor, and creates the session. Its 200 announces the largest window
+// the server applies and the result's columns.
 func (t *streamSession) openStream(ctx context.Context, size int) error {
 	s := t.s
 	win := t.windowTarget()
 	u := s.url + "/stream?" + service.Query{Size: size, Window: win, From: s.seq + 1}.Encode()
-	req, err := http.NewRequestWithContext(t.ctx, http.MethodPost, u, nil)
+	var query io.Reader
+	if s.pending {
+		q := s.q
+		q.Offset = s.committed
+		b, err := json.Marshal(q)
+		if err != nil {
+			return fmt.Errorf("client: marshal query: %w", err)
+		}
+		query = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(t.ctx, http.MethodPost, u, query)
 	if err != nil {
 		return err
 	}
@@ -224,15 +272,21 @@ func (t *streamSession) openStream(ctx context.Context, size int) error {
 	if resp.StatusCode != http.StatusOK {
 		err := httpFailure("open push stream", resp)
 		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusNotFound:
+		switch code := resp.StatusCode; {
+		case s.pending && (code == http.StatusNotFound || code == http.StatusMethodNotAllowed || code == http.StatusNotImplemented):
+			return fmt.Errorf("%w: %v", errNoStream, err)
+		case code == http.StatusNotFound:
 			return markTransient(fmt.Errorf("%w: %v", errSessionLost, err))
-		case retryable(resp.StatusCode):
-			return markTransient(err)
+		case retryable(code):
+			return markTransientRetryAfter(err, parseRetryAfter(resp.Header))
 		}
 		return err
 	}
 	t.body = resp.Body
+	s.pending = false
+	// A server that sends no columns predates the header: an error here,
+	// and none known.
+	_ = json.Unmarshal([]byte(resp.Header.Get(service.HeaderSessionColumns)), &s.columns)
 	// A server that announces no cap predates the header: assume the
 	// default one.
 	t.cap = service.DefaultPushMaxWindow
@@ -297,19 +351,17 @@ func (t *streamSession) teardown() {
 	}
 }
 
-// reopenSession replaces a lost server-side session with a fresh one on
-// the same endpoint, resuming at the committed tuple cursor. The stream
-// itself re-opens lazily on the next attempt (from=1 on the new
-// session).
-func (t *streamSession) reopenSession(ctx context.Context) error {
+// reopenSession replaces a lost server-side session with a fresh name on
+// the same endpoint, locally: the next attempt's open (from=1, the query
+// at the committed tuple cursor) creates it.
+func (t *streamSession) reopenSession() bool {
 	s := t.s
-	o, err := s.c.openSessionOn(ctx, s.ep, s.q, s.committed)
+	o, err := s.c.name(s.ep)
 	if err != nil {
-		return err
+		return false
 	}
-	s.ep.Success()
 	s.rebind(s.ep, o, "push session re-opened on ")
-	return nil
+	return true
 }
 
 // grantLoop is the credit side channel: one goroutine posting the

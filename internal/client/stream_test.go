@@ -57,12 +57,15 @@ func TestRunPushDeliversAll(t *testing.T) {
 }
 
 // TestPushKeepAliveReuse is the stream-path extension of the PR 5
-// dial-counting regression gate: two whole push queries — session
-// opens, streams, credit grants, deletes — must ride at most two dialed
+// dial-counting regression gate: two whole push queries — creating
+// stream opens, credit grants, deletes — must ride at most two dialed
 // connections (the stream occupies one while grants and management
 // traffic share another), with both reused across queries. A stream
 // body abandoned short of EOF after the done frame would force a
-// re-dial per query.
+// re-dial per query. Wait sits between the two queries because a finished
+// run leaves its close behind it: the first query's DELETE would otherwise
+// race the second query's first credit for the idle connection, and the
+// loser dials a third.
 func TestPushKeepAliveReuse(t *testing.T) {
 	var dials atomic.Int64
 	const rows = 400
@@ -76,6 +79,9 @@ func TestPushKeepAliveReuse(t *testing.T) {
 		}
 		if res.Tuples != rows {
 			t.Fatalf("push run %d delivered %d tuples, want %d", q, res.Tuples, rows)
+		}
+		if err := c.Wait(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if got := dials.Load(); got > 2 {

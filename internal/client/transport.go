@@ -38,14 +38,15 @@ type PushConfig struct {
 // SetPush configures the push transport. Call before opening sessions.
 func (c *Client) SetPush(pc PushConfig) { c.push = pc }
 
-// transportFor wraps an open session in the configured transport. win
+// transportFor wraps a session in the configured transport. win
 // supplies the live credit-window target (the controller's window knob);
 // while it is nil or reports 0 the configured window applies, or the
 // server's cap.
-// Transparent-gateway sessions always pull: the gateway tier owns
-// failover per pull request and does not proxy the stream endpoints.
+// Transparent-gateway sessions always pull — the gateway tier owns
+// failover per pull request and does not proxy the stream endpoints — and
+// so do sessions on an endpoint that has declined a stream before.
 func (c *Client) transportFor(sess *Session, win func() int) Transport {
-	if !c.push.Enabled || sess.transparent {
+	if !c.push.Enabled || sess.transparent || c.pullsOnly(sess.ep) {
 		return sess
 	}
 	return newStreamSession(sess, win)

@@ -296,7 +296,7 @@ func (r *vectorRun) chunk(ctx context.Context, start int) error {
 	q := r.q
 	q.Offset = r.q.Offset + start
 	q.Limit = r.q.Offset + end
-	sess, err := r.run.c.OpenSession(ctx, q)
+	sess, err := r.run.c.session(ctx, q)
 	if err != nil {
 		return err
 	}

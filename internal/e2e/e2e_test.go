@@ -322,6 +322,24 @@ func TestDaemonQueryMetricsEndToEnd(t *testing.T) {
 		t.Errorf("block_size histogram count = %g, want >= %d", got, blocks+blocks2)
 	}
 
+	// A finished query's DELETE runs behind the run; wsquery waits for it
+	// before it exits (client.Wait), so neither transport leaves a session
+	// for the server to expire. (The gauge is sessions_live; ISSUE 25 calls
+	// it sessions_active.)
+	if got, ok := hot["wsopt_service_sessions_live"]; !ok || got != 0 {
+		t.Errorf("sessions_live = %g (present=%v) after two pull queries exited, want 0", got, ok)
+	}
+	tuplesPush, _ := runQuery(t, wsquery,
+		"-url", d.baseURL, "-table", "customer", "-controller", "static", "-size", "500", "-push")
+	if tuplesPush != wantTuples {
+		t.Fatalf("push query delivered %d tuples, want %d", tuplesPush, wantTuples)
+	}
+	_, body = httpGet(t, d.metricsURL+"/metrics")
+	afterPush := parseMetrics(body)
+	if live, opened, streams := afterPush["wsopt_service_sessions_live"], afterPush["wsopt_service_sessions_opened_total"], afterPush["wsopt_service_push_streams_opened_total"]; live != 0 || opened != 3 || streams != 1 {
+		t.Errorf("after wsquery -push exited: sessions_live = %g, sessions_opened_total = %g, push_streams_opened_total = %g; want 0, 3, 1", live, opened, streams)
+	}
+
 	// A vector run — parallel streams, prefetch — is the same engine and
 	// ends on the same finish path: its -events file must be flushed and
 	// account for the whole relation, and -metrics-out must be written.

@@ -70,6 +70,10 @@ func TestStressParallelStreamClient(t *testing.T) {
 				Metric:      client.MetricPerTuple,
 				ChunkTuples: 700,
 			})
+			if err == nil {
+				// A finished chunk's session closes behind the run.
+				err = c.Wait(context.Background())
+			}
 			if err != nil {
 				errs <- err
 				return

@@ -246,6 +246,13 @@ func New(cfg Config) (*Gateway, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", g.handleCreate)
 	mux.HandleFunc("POST /sessions/{id}/next", g.handleNext)
+	// This tier owns failover per pull and proxies no stream: say so, so a
+	// push client opens by POST /sessions and pulls, rather than read a
+	// mux 404 as a session the tier forgot.
+	mux.HandleFunc("POST /sessions/{id}/stream", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set(service.HeaderGatewayTransparentFailover, "true")
+		httpError(w, http.StatusNotImplemented, "the gateway does not proxy push streams; open by POST /sessions and pull")
+	})
 	mux.HandleFunc("DELETE /sessions/{id}", g.handleDelete)
 	mux.HandleFunc("GET /healthz", g.handleHealth)
 	mux.HandleFunc("GET /stats", g.handleStats)

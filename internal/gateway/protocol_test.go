@@ -17,7 +17,8 @@ import (
 
 // TestSessionProtocolTable drives one script of block numbers through
 // every place the session protocol is spoken — /next on a backend, /next
-// through the gateway, the stream's from, and ingest — and requires the
+// through the gateway, the stream's from (on a session opened by POST
+// /sessions and on one its first open creates), and ingest — and requires the
 // same answer everywhere: service.ParseQuery and service.ClassifySeq are
 // the only grammar and the only seq-window rule, and this pins that.
 func TestSessionProtocolTable(t *testing.T) {
@@ -79,18 +80,24 @@ func TestSessionProtocolTable(t *testing.T) {
 		}
 	}
 	// stream opens a window-1 stream per step and classifies its first
-	// frame; the next open takes the session over from it.
-	stream := func(base string) func(*testing.T, string) answer {
-		var id string
+	// frame; the next open takes the session over from it. With a name the
+	// session is the client's to name and every open carries the query:
+	// the first open that gets as far creates it (a refused number does
+	// not stop that), and on the live name the body is not read.
+	stream := func(base, name string) func(*testing.T, string) answer {
+		id := name
 		return func(t *testing.T, from string) answer {
-			if id == "" {
+			var query io.Reader
+			if name != "" {
+				query = strings.NewReader(`{"table":"items"}`)
+			} else if id == "" {
 				id, _ = openSession(t, base, `{"table":"items"}`)
 			}
 			u := fmt.Sprintf("%s/sessions/%s/stream?size=%d&window=1", base, id, size)
 			if from != "" {
 				u += "&from=" + from
 			}
-			resp := post(t, u, nil)
+			resp := post(t, u, query)
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				return answer{status: resp.StatusCode}
@@ -138,7 +145,7 @@ func TestSessionProtocolTable(t *testing.T) {
 		}
 	}
 
-	fleet := newFleet(t, 4, rows, false)
+	fleet := newFleet(t, 5, rows, false)
 	_, gts := newTestGateway(t, fleet[1:2], nil)
 	for _, tier := range []struct {
 		name     string
@@ -147,7 +154,8 @@ func TestSessionProtocolTable(t *testing.T) {
 	}{
 		{"next direct", next(fleet[0].ts.URL), true},
 		{"next via gateway", next(gts.URL), true},
-		{"stream from", stream(fleet[2].ts.URL), true},
+		{"stream from", stream(fleet[2].ts.URL, ""), true},
+		{"stream from, created by its open", stream(fleet[4].ts.URL, "c"+strings.Repeat("5a", 16)), true},
 		{"ingest", ingest(fleet[3].ts.URL), false},
 	} {
 		t.Run(tier.name, func(t *testing.T) {
@@ -165,5 +173,25 @@ func TestSessionProtocolTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGatewayDeclinesStreams: the gateway proxies no push stream and says
+// so — a 501 under its transparent-failover header, not the mux's 404,
+// which a push client would have to guess about — and a declined open
+// leaves no session behind.
+func TestGatewayDeclinesStreams(t *testing.T) {
+	fleet := newFleet(t, 1, 10, false)
+	gw, gts := newTestGateway(t, fleet, nil)
+	resp, err := http.Post(gts.URL+"/sessions/c"+strings.Repeat("5a", 16)+"/stream?size=5&window=2&from=1", "application/json", strings.NewReader(`{"table":"items"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusNotImplemented || resp.Header.Get(service.HeaderGatewayTransparentFailover) != "true" {
+		t.Fatalf("stream open on the gateway: %s, %s=%q; want 501 and true", resp.Status, service.HeaderGatewayTransparentFailover, resp.Header.Get(service.HeaderGatewayTransparentFailover))
+	}
+	if gw.SessionCount() != 0 {
+		t.Fatalf("%d gateway sessions after a declined open", gw.SessionCount())
 	}
 }

@@ -29,6 +29,10 @@ const (
 	// none predates the header; its cap is DefaultPushMaxWindow unless
 	// configured otherwise.
 	HeaderPushWindow = "X-Push-Window"
+	// HeaderSessionColumns, beside it, is the result's column names as a
+	// JSON array: what POST /sessions answers in its 201 body, for a client
+	// whose stream open was what created the session.
+	HeaderSessionColumns = "X-Session-Columns"
 )
 
 // Gateway-tier headers, spoken by cmd/wsgate and understood by the

@@ -29,7 +29,12 @@ func TestShardedStore(t *testing.T) {
 	st := newShardedStore[int]()
 	const n = 500 // ids spread over every shard
 	for i := 0; i < n; i++ {
-		st.put(fmt.Sprintf("s%08x", i), i)
+		if _, taken := st.putIfAbsent(fmt.Sprintf("s%08x", i), i); taken {
+			t.Fatalf("putIfAbsent reports the fresh id %d taken", i)
+		}
+	}
+	if cur, taken := st.putIfAbsent("s00000007", -1); !taken || cur != 7 {
+		t.Fatalf("putIfAbsent on a taken id = %d, %v; want the 7 already there", cur, taken)
 	}
 	if got := st.size(); got != n {
 		t.Fatalf("size = %d, want %d", got, n)

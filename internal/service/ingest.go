@@ -93,7 +93,7 @@ func (s *Server) handleIngestCreate(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("i%08x", n)
 	ing := &ingestSession{id: id, table: tbl, rng: rand.New(rand.NewSource(s.sessionSeed(n)))}
 	ing.touch()
-	s.ingests.put(id, ing)
+	s.ingests.putIfAbsent(id, ing)
 	committed = true
 	s.stats.ingestsOpened.Add(1)
 	s.logf("ingest %s opened: table=%s", id, req.Table)

@@ -290,13 +290,15 @@ func (t *tail) grant(q Query) error {
 // close ends the protocol: every retained frame is released and a parked
 // producer wakes. Called from the delete and expiry paths without
 // sess.mu. The caller ships OpClose after it returns; commits take the
-// same mutex, so no commit record can follow the close record.
-func (t *tail) close() {
+// same mutex, so no commit record can follow the close record. It
+// reports whether the result set was complete by then.
+func (t *tail) close() (done bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
 	t.ackLocked(t.produced)
 	t.cond.Broadcast()
+	return t.done
 }
 
 // live reports whether gen is still the stream that drives the session.

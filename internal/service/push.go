@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"strconv"
+	"strings"
 
 	"wsopt/internal/wire"
 )
@@ -13,6 +15,8 @@ import (
 //
 //	POST /sessions/{id}/stream?size=N&window=W&from=S
 //
+// (with the JSON query of POST /sessions as its body when the session is
+// one the client named and the server has yet to create — handleStream)
 // and the server frames encoded blocks onto the chunked response
 // continuously, keeping up to `window` committed-but-unacked blocks in
 // flight. The client grants credits on a side channel
@@ -34,12 +38,30 @@ const (
 	DefaultPushMaxFrameBytes = 8 << 20
 )
 
+// validSessionName is the rule for a name a client picks: "c" and 32
+// lower-case hex digits — 128 random bits, and a namespace the server's
+// own s%08x ids (and the gateway's g%08x) never enter.
+func validSessionName(id string) bool {
+	return len(id) == 33 && id[0] == 'c' && strings.Trim(id[1:], "0123456789abcdef") == ""
+}
+
 // handleStream serves POST /sessions/{id}/stream: the long-lived
 // chunked response framing blocks continuously under credit control.
+// An open that names a session the server does not know and carries the
+// JSON query POST /sessions takes creates that session first, under the
+// client's name: a retried open whose 200 was lost finds the session (its
+// body is not read) and is replayed the retained frames, so the open is
+// idempotent and costs a push query no round trip of its own.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.sessions.get(r.PathValue("id"))
-	if !ok {
+	id := r.PathValue("id")
+	sess, ok := s.sessions.get(id)
+	switch {
+	case ok:
+	case r.ContentLength == 0:
 		httpError(w, http.StatusNotFound, "no such session")
+		return
+	case !validSessionName(id):
+		httpError(w, http.StatusBadRequest, "a session named by its client is c and 32 lower-case hex digits")
 		return
 	}
 	// The open's window is parsed unbounded (but for the int range) and
@@ -55,11 +77,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotImplemented, "streaming unsupported by this connection")
 		return
 	}
-	if fault := s.faults.decide(sess.id); fault == fault503 {
-		// Refused before touching any session state: a clean retry.
+	if fault := s.faults.decide(id); fault == fault503 {
+		// Refused before any session state is touched or, on a creating
+		// open, exists: a clean retry. (The name's fault stream is kept for
+		// that retry; forgetting it would draw the same refusal again.)
 		s.countFault(fault)
 		httpError(w, http.StatusServiceUnavailable, "injected fault: service unavailable")
 		return
+	}
+	if !ok {
+		if sess, ok = s.createSession(w, r, id); !ok {
+			return
+		}
 	}
 
 	sess.touch()
@@ -95,6 +124,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderPushWindow, strconv.Itoa(s.limits.MaxWindow))
+	cols, _ := json.Marshal(sess.columns) // a []string always marshals
+	w.Header().Set(HeaderSessionColumns, string(cols))
 	w.WriteHeader(http.StatusOK)
 
 	// Replay the retained tail past the client's ack first; a reconnect

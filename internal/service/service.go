@@ -7,6 +7,8 @@
 //	POST   /sessions                 {"table": "...", "columns": [...]}
 //	POST   /sessions/{id}/next?size=N&seq=S   -> one encoded block
 //	POST   /sessions/{id}/stream?size=N&window=W&from=S   -> framed blocks, pushed
+//	       (with the POST /sessions body, on a name the client picked — "c" and
+//	       32 hex digits — that the server does not know: creates the session)
 //	POST   /sessions/{id}/credit?acked=A&window=W&size=N  -> 204 (the stream's acks)
 //	DELETE /sessions/{id}
 //	POST   /ingest, POST /ingest/{id}/block?seq=S, DELETE /ingest/{id}   (uploads)
@@ -363,6 +365,9 @@ type session struct {
 	mu   sync.Mutex
 	id   string
 	iter minidb.Iterator
+	// columns are the result's column names, immutable: what a create
+	// answers with, on either way in.
+	columns []string
 	// group is the stream-group ID this cursor was tagged with at
 	// creation ("" for standalone sessions); immutable, so the close and
 	// expiry paths read it without the session lock.
@@ -494,9 +499,10 @@ func releaseReplay(rb *replayBlock) {
 // the close replicated, so followers drop their standby state after the
 // session's last commit record, never before it.
 func (s *Server) closeSession(sess *session) {
-	sess.tail.close()
+	if done := sess.tail.close(); !done {
+		s.groups.leave(sess.group) // a finished cursor left at its done block (commitLocked)
+	}
 	s.shipClose(sess.id)
-	s.groups.leave(sess.group)
 	s.faults.forget(sess.id)
 	s.Release()
 }
@@ -595,9 +601,17 @@ type createResponse struct {
 	Offset int `json:"offset,omitempty"`
 }
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+// createSession is the one way a download session comes to exist, for
+// POST /sessions (id == "": the server names it s%08x) and for a
+// stream open that names a session the server does not know: admission,
+// the plan, the offset skip, the cache fingerprint, the delay-noise seed
+// and the replicated create record. On a refusal it has answered and
+// returns false. Only a client-named session can find its name taken — by
+// a retry of the same open that overtook it — and then that session is
+// the one and this one's slot goes back.
+func (s *Server) createSession(w http.ResponseWriter, r *http.Request, id string) (*session, bool) {
 	if !s.admitCursor(w) {
-		return
+		return nil, false
 	}
 	committed := false
 	defer func() {
@@ -610,58 +624,70 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read request body: %v", err)
-		return
+		return nil, false
 	}
 	var req createRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
+		return nil, false
 	}
 	if req.Table == "" {
 		httpError(w, http.StatusBadRequest, "missing table")
-		return
+		return nil, false
 	}
 	if req.Offset < 0 {
 		httpError(w, http.StatusBadRequest, "offset must be non-negative")
-		return
+		return nil, false
 	}
 	q := minidb.Query{Table: req.Table, Columns: req.Columns, Distinct: req.Distinct, Limit: req.Limit}
 	if req.Where != "" {
 		where, err := minidb.ParseExpr(req.Where)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad where clause: %v", err)
-			return
+			return nil, false
 		}
 		q.Where = where
 	}
 	it, err := s.cfg.Catalog.Execute(q)
 	if err != nil {
 		httpError(w, http.StatusNotFound, "%v", err)
-		return
+		return nil, false
 	}
 	if err := skipRows(it, req.Offset); err != nil {
 		httpError(w, http.StatusInternalServerError, "skip to offset %d: %v", req.Offset, err)
-		return
+		return nil, false
 	}
 	n := s.nextID.Add(1)
-	id := fmt.Sprintf("s%08x", n)
-	sess := &session{id: id, iter: it, group: req.StreamGroup, cursor: int64(req.Offset), iterPos: int64(req.Offset), rng: rand.New(rand.NewSource(s.sessionSeed(n)))}
+	if id == "" {
+		id = fmt.Sprintf("s%08x", n)
+	}
+	sess := &session{id: id, iter: it, columns: it.Schema().Names(), group: req.StreamGroup, cursor: int64(req.Offset), iterPos: int64(req.Offset), rng: rand.New(rand.NewSource(s.sessionSeed(n)))}
 	sess.tail.cond.L = &sess.tail.mu
 	if s.cfg.Cache != nil {
 		sess.cacheFP = s.planFingerprint(&req)
 	}
 	sess.touch()
-	s.sessions.put(id, sess)
+	if first, taken := s.sessions.putIfAbsent(id, sess); taken {
+		return first, true
+	}
 	committed = true
 	s.groups.join(sess.group)
 	s.shipCreate(sess, body)
 	s.stats.sessionsOpened.Add(1)
 	s.logf("session %s opened: table=%s cols=%v offset=%d group=%s", id, req.Table, req.Columns, req.Offset, req.StreamGroup)
+	return sess, true
+}
 
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	sess, ok := s.createSession(w, r, "")
+	if !ok {
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
-	if err := json.NewEncoder(w).Encode(createResponse{Session: id, Columns: it.Schema().Names(), Offset: req.Offset}); err != nil {
-		s.logf("session %s: encode response: %v", id, err)
+	// Nobody else knows the id yet: the cursor is still the create offset.
+	if err := json.NewEncoder(w).Encode(createResponse{Session: sess.id, Columns: sess.columns, Offset: int(sess.cursor)}); err != nil {
+		s.logf("session %s: encode response: %v", sess.id, err)
 	}
 }
 
@@ -792,6 +818,11 @@ func (s *Server) commitLocked(sess *session, rb *replayBlock) uint64 {
 		rb.retain()
 		t.frames = append(t.frames, tailFrame{seq: t.produced, rb: rb})
 		s.shipCommit(sess, t.produced, rb)
+		if rb.done {
+			// The cursor has left its group's fan-out: a client does not
+			// wait for a finished session's DELETE before its next one.
+			s.groups.leave(sess.group)
+		}
 	}
 	return t.produced
 }

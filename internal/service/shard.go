@@ -56,12 +56,16 @@ func (st *shardedStore[V]) get(id string) (V, bool) {
 	return v, ok
 }
 
-// put inserts or replaces the value for id.
-func (st *shardedStore[V]) put(id string, v V) {
+// putIfAbsent inserts v unless id is taken, in which case it returns the
+// value already there (never, for an id the server assigned itself).
+func (st *shardedStore[V]) putIfAbsent(id string, v V) (cur V, taken bool) {
 	sh := &st.shards[shardIndex(id)]
 	sh.mu.Lock()
-	sh.m[id] = v
-	sh.mu.Unlock()
+	defer sh.mu.Unlock()
+	if cur, taken = sh.m[id]; !taken {
+		sh.m[id] = v
+	}
+	return cur, taken
 }
 
 // remove deletes id and reports whether it was present.

@@ -5,14 +5,16 @@ import "sync"
 // streamGroups accounts for parallel-stream clients: a client that splits
 // one logical query's cursor range across N concurrent sessions tags each
 // of them with a shared stream-group ID, and the service tracks how many
-// cursors each group has open. The counters feed Stats (peak concurrency
-// within any single group, stream-tagged sessions ever opened) and the
-// stream-groups-active gauge — the server-side ground truth the vector
-// controller's stream dimension is validated against.
+// cursors each group has open and unfinished (a cursor leaves at its done
+// block, or at its delete or expiry if that comes first). The counters
+// feed Stats (peak concurrency within any single group, stream-tagged
+// sessions ever opened) and the stream-groups-active gauge — the
+// server-side ground truth the vector controller's stream dimension is
+// validated against.
 //
 // The tracker is a single small mutex-guarded map rather than a sharded
-// structure: it is touched only on session create/close, never on the
-// per-block hot path.
+// structure: it is touched only on a tagged session's create, done block
+// and close, never on the per-block hot path.
 type streamGroups struct {
 	mu     sync.Mutex
 	active map[string]int
@@ -38,7 +40,7 @@ func (g *streamGroups) join(group string) {
 	}
 }
 
-// leave records a cursor leaving the group (delete or expiry).
+// leave records a cursor leaving the group (done, delete or expiry).
 func (g *streamGroups) leave(group string) {
 	if group == "" {
 		return

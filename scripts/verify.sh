@@ -76,7 +76,7 @@ cache-gate  -race    ^Test                        ./internal/blockcache
 cache-gate  -race    TestCache|TestCloseRace      ./internal/service
 cache-gate  -race    ^TestStandby                 ./internal/replica
 cache-gate  -norace  ^TestChaosGateCache$         ./internal/e2e
-push-chaos  -race    TestPush|TestStream|TestRunPush ./internal/service ./internal/client
+push-chaos  -race    TestPush|TestStream|TestRunPush|TestCreatingOpen|TestVectorChunkSessions ./internal/service ./internal/client
 push-chaos  -norace  ^TestChaosPush$              ./internal/e2e
 '
 

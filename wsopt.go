@@ -40,6 +40,7 @@
 //	c, _ := wsopt.NewClient("http://localhost:8080", nil, nil)
 //	ctl, _ := wsopt.NewHybridController(wsopt.DefaultControllerConfig())
 //	res, _ := c.Run(ctx, wsopt.Query{Table: "customer"}, ctl, wsopt.MetricPerTuple, false)
+//	_ = c.Wait(ctx) // before exiting: the run's session closes behind it
 package wsopt
 
 import (
