@@ -352,7 +352,9 @@ func (s *Session) GatewayFailovers() int { return s.gwFailovers }
 // Next call, and must not be retained past it. The string cells
 // themselves live in an immutable per-block arena, so copying the Values
 // (e.g. minidb.Row.Clone, or Block.Clone for the whole block) is all a
-// handler that retains rows needs to do — no deep string copy.
+// handler that retains rows needs to do — no deep string copy. A
+// retained cell keeps its block's arena alive: under the binary codec
+// that is the block's whole payload.
 type Block struct {
 	// Rows are the decoded tuples. Valid until the next pull on the same
 	// session; use Clone to retain them longer.
@@ -394,7 +396,8 @@ type Block struct {
 // Clone returns a copy of the block whose rows are independent of the
 // session's reusable decode scratch, so they stay valid across later
 // pulls. Values are copied shallowly; string cells share the immutable
-// per-block arena, which is never reused, so no byte copying is needed.
+// per-block arena, which is never reused, so no byte copying is needed —
+// and the clone keeps that arena (binary: the whole payload) alive.
 func (b *Block) Clone() *Block {
 	nb := *b
 	nb.scratch = nil

@@ -39,13 +39,25 @@ func benchBlock(n int) (minidb.Schema, []minidb.Row) {
 // gzip piece boundary at the block sizes the controller settles on.
 func customerBlock(tb testing.TB, n int) (minidb.Schema, []minidb.Row) {
 	tb.Helper()
-	table, err := tpch.GenCustomer(minidb.NewCatalog(), float64(n+1)/tpch.CustomersPerSF)
+	return tpchBlock(tb, tpch.GenCustomer, tpch.CustomersPerSF, n)
+}
+
+// ordersBlock returns the first n rows of the TPC-H ORDERS relation: the
+// rows bench/'s gate-hot-binary workload pulls, 2048 to a block.
+func ordersBlock(tb testing.TB, n int) (minidb.Schema, []minidb.Row) {
+	tb.Helper()
+	return tpchBlock(tb, tpch.GenOrders, tpch.OrdersPerSF, n)
+}
+
+func tpchBlock(tb testing.TB, gen func(*minidb.Catalog, float64) (*minidb.Table, error), perSF float64, n int) (minidb.Schema, []minidb.Row) {
+	tb.Helper()
+	table, err := gen(minidb.NewCatalog(), float64(n+1)/perSF)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	rows, _, err := minidb.NextBlock(table.Scan(), n)
 	if err != nil || len(rows) != n {
-		tb.Fatalf("customer block of %d rows: %d rows, err %v", n, len(rows), err)
+		tb.Fatalf("%s block of %d rows: %d rows, err %v", table.Name(), n, len(rows), err)
 	}
 	return table.Schema(), rows
 }
@@ -89,28 +101,43 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 // once (and usually serves the bytes from its cache), the client decodes
 // every block — this is the per-pull client cost, for the lean codec,
 // the paper's SOAP codec and the SOAP codec under transport compression.
+// Beside the synthetic sweep it decodes the blocks of two bench/
+// workloads: gate-hot-binary's 2048-row orders block and
+// hot-binary-small's 64-row customer block.
 func BenchmarkDecodeScratch(b *testing.B) {
 	for _, c := range []Codec{Binary{}, XML{}, Gzip(XML{})} {
 		for _, n := range benchBlockSizes {
 			b.Run(fmt.Sprintf("%s/rows=%d", c.Name(), n), func(b *testing.B) {
 				schema, rows := benchBlock(n)
-				var enc bytes.Buffer
-				if err := c.Encode(&enc, schema, rows); err != nil {
-					b.Fatal(err)
-				}
-				payload := enc.Bytes()
-				rd := bytes.NewReader(nil)
-				scratch := new(Scratch)
-				b.SetBytes(int64(len(payload)))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rd.Reset(payload)
-					if _, _, err := DecodeBlock(c, rd, scratch); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchDecode(b, c, schema, rows)
 			})
+		}
+	}
+	b.Run("binary/orders/rows=2048", func(b *testing.B) {
+		schema, rows := ordersBlock(b, 2048)
+		benchDecode(b, Binary{}, schema, rows)
+	})
+	b.Run("binary/customer/rows=64", func(b *testing.B) {
+		schema, rows := customerBlock(b, 64)
+		benchDecode(b, Binary{}, schema, rows)
+	})
+}
+
+func benchDecode(b *testing.B, c Codec, schema minidb.Schema, rows []minidb.Row) {
+	var enc bytes.Buffer
+	if err := c.Encode(&enc, schema, rows); err != nil {
+		b.Fatal(err)
+	}
+	payload := enc.Bytes()
+	rd := bytes.NewReader(nil)
+	scratch := new(Scratch)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(payload)
+		if _, got, err := DecodeBlock(c, rd, scratch); err != nil || len(got) != len(rows) {
+			b.Fatalf("decoded %d rows, want %d, err %v", len(got), len(rows), err)
 		}
 	}
 }
@@ -118,16 +145,23 @@ func BenchmarkDecodeScratch(b *testing.B) {
 // binaryRoundTripAllocLimit is the verify gate: one binary-codec block
 // round-trip (encode into a reused buffer + scratch decode) must stay
 // within this many allocations, steady state. The budget covers the one
-// string-arena conversion per block plus small strconv/interface spill;
+// arena copy per block plus small strconv/interface spill;
 // a regression here means the hot path started allocating per row or
 // per cell again.
 const binaryRoundTripAllocLimit = 8
+
+// binaryDecodeByteSlack is what a steady-state binary decode may allocate
+// beyond the length of the payload it decodes. The block's one arena is
+// the payload, rounded up to an allocator size class (under 1 KiB more at
+// the gate's block sizes); a second copy of the block's bytes overshoots.
+const binaryDecodeByteSlack = 1 << 10
 
 // TestBinaryRoundTripAllocGate is the allocation regression gate for
 // the binary codec (satellite of the allocation-lean hot path work).
 // It is asserted per *block*, not per row, at several block sizes: a
 // per-row allocation would scale the count with the block size and trip
-// the gate immediately.
+// the gate immediately. The decode half alone is also held in bytes, to
+// one copy of the payload.
 func TestBinaryRoundTripAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -173,6 +207,25 @@ func TestBinaryRoundTripAllocGate(t *testing.T) {
 					n, allocs, binaryRoundTripAllocLimit)
 			}
 			t.Logf("binary round-trip, %d rows: %.1f allocs/block (gate %d)", n, allocs, binaryRoundTripAllocLimit)
+
+			// Counted by hand: testing.AllocsPerRun reports no bytes.
+			payload := enc.Len()
+			const runs = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				rd.Reset(enc.Bytes())
+				if _, _, err := (Binary{}).DecodeScratch(rd, scratch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perBlock := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			if perBlock > float64(payload+binaryDecodeByteSlack) {
+				t.Fatalf("binary decode of a %d-row block (%d B) allocates %.0f B, gate is the payload + %d B — the decoder copies the block more than once",
+					n, payload, perBlock, binaryDecodeByteSlack)
+			}
+			t.Logf("binary decode, %d rows: %.0f B allocated per %d B block", n, perBlock, payload)
 		})
 	}
 }

@@ -26,7 +26,7 @@ import (
 // caller-supplied byte slice, and DecodeScratch decodes a whole block
 // with O(1) allocations — the raw payload, row headers and value cells
 // live in a reusable Scratch, and every string cell of a block is sliced
-// zero-copy out of one immutable per-block arena.
+// out of one immutable copy of its payload, the block's arena.
 type Binary struct{}
 
 // Name implements Codec.
@@ -156,10 +156,12 @@ func (p *byteParser) take(n int) ([]byte, bool) {
 // DecodeScratch implements ScratchDecoder: it reads the whole payload
 // into the scratch's raw buffer, parses it in place, and returns rows
 // backed by the scratch's reusable arrays. String cells are sliced out
-// of one immutable per-block arena string, so they (unlike the row and
-// value slices themselves) remain valid even after the scratch is
-// reused; a shallow Value copy retains a cell forever. Column names are
-// only materialized when the header differs from the previous block's —
+// of the block's arena — one immutable string copy of the payload, made
+// before the parse when the schema has a string column — so they (unlike
+// the row and value slices themselves) remain valid even after the
+// scratch is reused; a shallow Value copy retains a cell forever, and
+// with it the whole payload it was sliced from. Column names are only
+// materialized when the header differs from the previous block's —
 // the blocks of a session share their schema allocation.
 func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, error) {
 	if s == nil {
@@ -213,8 +215,17 @@ func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 		rows = make([]minidb.Row, nrows)
 	}
 	rows = rows[:nrows]
-	strbuf := s.strbuf[:0]
-	spans := s.spans[:0]
+	// One arena per block: one immutable copy of the whole payload, and
+	// every string cell the slice of it where its bytes lie in raw. The
+	// pooled raw is never aliased and nothing mutates the arena, so
+	// retained cells stay intact.
+	var arena string
+	for _, c := range schema {
+		if c.Type == minidb.String {
+			arena = string(raw)
+			break
+		}
+	}
 
 	for i := range rows {
 		rows[i] = minidb.Row(vals[uint64(i)*uint64(ncols) : uint64(i+1)*uint64(ncols) : uint64(i+1)*uint64(ncols)])
@@ -255,13 +266,11 @@ func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 				if !ok || sl > maxBlockStrings {
 					return nil, nil, fmt.Errorf("wire: binary decode string length at row %d: invalid", i)
 				}
-				b, ok := p.take(int(sl))
-				if !ok {
+				start := p.off
+				if _, ok := p.take(int(sl)); !ok {
 					return nil, nil, fmt.Errorf("wire: binary decode string at row %d: %w", i, io.ErrUnexpectedEOF)
 				}
-				spans = append(spans, len(strbuf), int(sl))
-				strbuf = append(strbuf, b...)
-				vals[k] = minidb.Value{Kind: minidb.String}
+				vals[k] = minidb.NewString(arena[start:p.off])
 			}
 		}
 	}
@@ -269,22 +278,7 @@ func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 	if p.off != len(raw) {
 		return nil, nil, fmt.Errorf("wire: binary decode: %d bytes of trailing data", len(raw)-p.off)
 	}
-
-	// One arena per block: a single immutable string holding every string
-	// cell's bytes. The fix-up pass slices the cells out of it; nothing
-	// ever mutates or reuses it, so retained cells stay intact.
-	arena := string(strbuf)
-	si := 0
-	for k := range vals {
-		v := &vals[k]
-		if v.Kind == minidb.String && !v.Null {
-			off, ln := spans[si], spans[si+1]
-			si += 2
-			v.S = arena[off : off+ln]
-		}
-	}
-
-	s.vals, s.rows, s.strbuf, s.spans = vals, rows, strbuf, spans
+	s.vals, s.rows = vals, rows
 	return schema, rows, nil
 }
 

@@ -15,7 +15,8 @@ import (
 // Fuzz targets hardening the decoders against corrupt or hostile
 // payloads: whatever the bytes, Decode must return an error or a valid
 // block, never panic or over-allocate. The scratch (arena) decode path
-// is fuzzed differentially against the plain path, and retained cells
+// is fuzzed differentially against the plain path, the binary and XML
+// decoders against independent references, and retained cells
 // are re-checked after the scratch is reused — a decoded value must
 // never alias memory a later decode recycles.
 
@@ -47,7 +48,7 @@ func fuzzSeed(f *testing.F) {
 	}
 
 	// Arena-path nasties: zero-length strings and NULL-heavy rows stress
-	// the span fix-up pass (spans of length 0, cells skipped entirely),
+	// the arena slicing (cells of length 0, cells skipped entirely),
 	// and corrupted length prefixes probe the decoder's plausibility
 	// bounds before it sizes any buffer.
 	nastySchema := minidb.Schema{
@@ -88,6 +89,14 @@ func fuzzSeed(f *testing.F) {
 			f.Add(midCorrupt)
 		}
 	}
+	// A binary block one byte short and one byte long, which the exact
+	// reference rejects too.
+	var whole bytes.Buffer
+	if err := (Binary{}).Encode(&whole, nastySchema, nastyRows); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole.Bytes()[:whole.Len()-1])
+	f.Add(append(whole.Bytes(), 0))
 }
 
 // retainRows makes the retention copy the Block contract promises is
@@ -174,20 +183,25 @@ func checkDecode(t *testing.T, codec Codec, data []byte) {
 	if (err == nil) != (sErr == nil) {
 		t.Fatalf("plain/scratch disagree on validity: plain=%v scratch=%v", err, sErr)
 	}
+
+	// Oracle: a decoder written apart from the one under test (see
+	// referenceDecoder) accepts whatever it accepts — for an exact one,
+	// only that — and never reads a block differently.
+	if ref, exact := referenceDecoder(codec); ref != nil {
+		rSchema, rRows, rErr := ref(bytes.NewReader(data))
+		switch {
+		case err == nil && rErr != nil:
+			t.Fatalf("accepted a block the reference rejects: %v\n%q", rErr, data)
+		case err != nil && rErr == nil && exact:
+			t.Fatalf("rejected a block the reference accepts: %v\n%q", err, data)
+		case err == nil:
+			sameBlock(t, "decoder vs reference", rSchema, rRows, schema, rows)
+		}
+	}
 	if err != nil {
 		return
 	}
 	sameBlock(t, "scratch vs plain", schema, rows, sSchema, sRows)
-
-	// Oracle: the hand-written XML parser accepts a subset of what
-	// encoding/xml accepts, and never reads a document differently.
-	if _, ok := codec.(XML); ok {
-		rSchema, rRows, rErr := decodeXMLReference(bytes.NewReader(data))
-		if rErr != nil {
-			t.Fatalf("accepted a document encoding/xml rejects: %v\n%q", rErr, data)
-		}
-		sameBlock(t, "arena parser vs encoding/xml", rSchema, rRows, schema, rows)
-	}
 
 	// A successful decode must be internally consistent and must
 	// re-encode cleanly.

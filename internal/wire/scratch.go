@@ -18,9 +18,10 @@ import (
 // rows returned by a scratch decode alias the scratch — they stay valid
 // until the next decode that reuses it. String
 // cell bytes are NOT part of the scratch: each block's strings live in
-// one immutable per-block arena, so a shallow copy of the Values (e.g.
+// one immutable per-block arena (binary: a copy of the whole payload;
+// XML: the unescaped cells), so a shallow copy of the Values (e.g.
 // minidb.Row.Clone) is always enough to retain cells beyond the next
-// decode.
+// decode — and keeps that block's arena alive.
 
 // Scratch is reusable decode state: the raw-payload buffer, the row and
 // value backing arrays, and a cache of the previous block's schema. The
@@ -40,9 +41,11 @@ type Scratch struct {
 	// vals, so one decode performs no per-row allocation.
 	rows []minidb.Row
 	vals []minidb.Value
-	// strbuf accumulates every string cell's bytes during the parse; the
-	// block's arena is one string conversion of it. spans records
-	// (offset, length) pairs, in cell order, for the fix-up pass.
+	// strbuf and spans are the XML decoder's: strbuf accumulates every
+	// string cell's unescaped bytes during the parse, and the block's
+	// arena is one string conversion of it; spans records (offset,
+	// length) pairs, in cell order, for the fix-up pass. (Binary cells
+	// need neither: they lie in raw as they are.)
 	strbuf []byte
 	spans  []int
 	// schema caches the previously decoded schema; schemaRaw is the raw

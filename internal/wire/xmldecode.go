@@ -78,7 +78,7 @@ func (XML) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, 
 }
 
 // xmlParser walks one in-memory document, accumulating the block's
-// cells the way the binary decoder does.
+// cells in vals and its string cells' unescaped bytes in strbuf.
 type xmlParser struct {
 	b   []byte
 	off int

@@ -150,7 +150,13 @@ gate_stress() { run_owned stress; }
 # decode, an xml+gzip block encode, one block proxied through the
 # gateway hop, one block pulled by the client and the deadline it is
 # pulled under must each stay within their per-block allocation budget.
-gate_allocgate() { run_owned allocgate; }
+# The wire kernel benchmarks then run one iteration each: no other gate
+# runs a benchmark body, so a failing setup or assertion in one would go
+# unseen.
+gate_allocgate() {
+	run_owned allocgate
+	$GO test -run '^$' -bench . -benchtime 1x ./internal/wire
+}
 
 # Coupled-loop control gate: regulator unit behaviour (tracking,
 # clamping, anti-windup, seeded determinism) plus the deterministic
