@@ -131,7 +131,7 @@ func TestChaosPullExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pull under chaos failed: %v", err)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 		retries += blk.Attempts - 1
@@ -230,7 +230,7 @@ func TestChaosMetricsAccounting(t *testing.T) {
 			t.Fatalf("pull under chaos failed: %v", err)
 		}
 		blocks++
-		tuples += len(blk.Rows)
+		tuples += len(blk.Rows())
 		bytes += blk.Bytes
 		retries += blk.Attempts - 1
 		if blk.Replayed {

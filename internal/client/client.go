@@ -190,9 +190,11 @@ type Session struct {
 	// block's rows. It is recycled into scratchPool when the next block is
 	// committed — the moment the previous block's rows become invalid.
 	scratch *wire.Scratch
-	// body counts the payload bytes of the block being read; it lives here
-	// so that a block costs no reader of its own.
-	body countingReader
+	// body counts the payload bytes of the block being read, out of capped,
+	// which stops one byte past wire.MaxFramePayload; they live here so
+	// that a block costs no reader of its own.
+	body   countingReader
+	capped io.LimitedReader
 
 	// OnDisturbance, when set, is invoked after the session moved (a
 	// failover, a re-open) or a gateway failed it over, with a
@@ -347,18 +349,18 @@ func (s *Session) GatewayFailovers() int { return s.gwFailovers }
 
 // Block is one pulled block with its client-side timing.
 //
-// Rows (and Schema) may be backed by a per-session decode scratch that
-// is reused on the next pull: they are valid until the session's next
-// Next call, and must not be retained past it. The string cells
-// themselves live in an immutable per-block arena, so copying the Values
-// (e.g. minidb.Row.Clone, or Block.Clone for the whole block) is all a
-// handler that retains rows needs to do — no deep string copy. A
+// Its rows are a view on a per-session decode scratch that is reused on
+// the next pull: Rows builds them on its first call (a binary block is
+// only checked and indexed until then), and they are valid until the
+// session's next Next call — Rows or Clone after it panics. The string
+// cells themselves live in an immutable per-block arena, so copying the
+// Values (e.g. minidb.Row.Clone, or Block.Clone for the whole block) is
+// all a handler that retains rows needs to do — no deep string copy. A
 // retained cell keeps its block's arena alive: under the binary codec
 // that is the block's whole payload.
 type Block struct {
-	// Rows are the decoded tuples. Valid until the next pull on the same
-	// session; use Clone to retain them longer.
-	Rows []minidb.Row
+	// Tuples is the block's row count, known without building a row.
+	Tuples int
 	// Schema describes the rows.
 	Schema minidb.Schema
 	// Elapsed is the client-observed wall time of the request (t2-t1 of
@@ -386,32 +388,38 @@ type Block struct {
 	// backend).
 	GatewayFailovers int
 
-	// scratch is the decode scratch backing Rows (nil when the codec has
-	// no scratch path). The session recycles it when the next block is
-	// committed — a scratch is never pooled while its rows may still be
-	// read.
+	// view holds the rows, built or not; scratch is the decode scratch
+	// behind it. The session retires and recycles the scratch when the
+	// next block is committed — a scratch is never pooled while its rows
+	// may still be read.
+	view    wire.View
 	scratch *wire.Scratch
 }
 
-// Clone returns a copy of the block whose rows are independent of the
-// session's reusable decode scratch, so they stay valid across later
-// pulls. Values are copied shallowly; string cells share the immutable
-// per-block arena, which is never reused, so no byte copying is needed —
-// and the clone keeps that arena (binary: the whole payload) alive.
+// Rows returns the block's tuples, building them on the first call.
+// Valid until the next pull on the same session; use Clone to retain
+// them longer.
+func (b *Block) Rows() []minidb.Row { return b.view.Rows() }
+
+// Clone returns a copy of the block whose rows are built and independent
+// of the session's reusable decode scratch, so they stay valid across
+// later pulls. Values are copied shallowly; string cells share the
+// immutable per-block arena, which is never reused, so no byte copying is
+// needed — and the clone keeps that arena (binary: the whole payload)
+// alive. Like Rows, it must be called before the session's next pull.
 func (b *Block) Clone() *Block {
+	src := b.Rows()
 	nb := *b
 	nb.scratch = nil
 	nb.Schema = append(minidb.Schema(nil), b.Schema...)
-	if b.Rows != nil {
-		vals := make([]minidb.Value, 0, len(b.Rows)*len(b.Schema))
-		rows := make([]minidb.Row, len(b.Rows))
-		for i, r := range b.Rows {
-			start := len(vals)
-			vals = append(vals, r...)
-			rows[i] = minidb.Row(vals[start:len(vals):len(vals)])
-		}
-		nb.Rows = rows
+	vals := make([]minidb.Value, 0, len(src)*len(b.Schema))
+	rows := make([]minidb.Row, len(src))
+	for i, r := range src {
+		start := len(vals)
+		vals = append(vals, r...)
+		rows[i] = minidb.Row(vals[start:len(vals):len(vals)])
 	}
+	nb.view = wire.RowsView(nb.Schema, rows)
 	return &nb
 }
 
@@ -475,18 +483,19 @@ func (s *Session) nextBlock(ctx context.Context, kind string, size int, try func
 
 // commit makes blk the session's newest block — the one writer of the
 // cursor. The previous block's rows are now invalid per the Block
-// contract, so its scratch goes back to the pool.
+// contract, so its scratch is retired and goes back to the pool.
 func (s *Session) commit(blk *Block, attempts, failovers int) {
 	blk.Attempts, blk.Failovers, blk.Endpoint = attempts, failovers, s.ep.URL()
 	if s.scratch != nil {
+		s.scratch.Retire()
 		scratchPool.Put(s.scratch)
 	}
 	s.scratch = blk.scratch
 	s.seq++
 	s.done = blk.Done
-	s.committed += len(blk.Rows)
+	s.committed += blk.Tuples
 	s.ep.Success()
-	s.c.deadline.Observe(blk.Elapsed, len(blk.Rows))
+	s.c.deadline.Observe(blk.Elapsed, blk.Tuples)
 	// A transparent gateway reports its cumulative failover count on
 	// every block; surface each gateway failover as a disturbance
 	// EXACTLY once (on the delta) and never as a client failover —
@@ -648,26 +657,32 @@ func (s *Session) pullOnce(cctx, parent context.Context, u string) (*Block, erro
 	return blk, nil
 }
 
-// readBlock decodes one block off either framing — a /next body or a
-// /stream frame's payload — into a pooled scratch, checks it against the
-// tuple count the server announced for it, and stamps it with what the
-// server said about it. t1 is when the wait for the block began. A
-// failed block's rows never escape, so its scratch is pooled right away.
+// readBlock reads one block off either framing — a /next body or a
+// /stream frame's payload — into a view on a pooled scratch, checks it
+// against the tuple count the server announced for it, and stamps it
+// with what the server said about it. A binary block is checked and
+// indexed here, its rows built only if someone reads them. t1 is when
+// the wait for the block began. A failed block's rows never escape, so
+// its scratch is pooled right away.
 func (s *Session) readBlock(payload io.Reader, t1 time.Time, meta service.BlockMeta, announced bool) (*Block, error) {
-	s.body = countingReader{r: payload}
+	s.capped = io.LimitedReader{R: payload, N: wire.MaxFramePayload + 1}
+	s.body = countingReader{r: &s.capped}
 	sc := scratchPool.Get().(*wire.Scratch)
-	schema, rows, err := wire.DecodeBlock(s.c.codec, &s.body, sc)
+	view, err := wire.ViewBlock(s.c.codec, &s.body, sc)
 	elapsed := time.Since(t1)
-	if err != nil {
+	switch {
+	case s.body.n > wire.MaxFramePayload:
+		err = errBodyTooLarge
+	case err != nil:
 		err = fmt.Errorf("decode block: %w", err)
-	} else if announced && meta.Tuples != len(rows) {
-		err = fmt.Errorf("server announced %d tuples but block decoded %d", meta.Tuples, len(rows))
+	case announced && meta.Tuples != view.Len():
+		err = fmt.Errorf("server announced %d tuples but block decoded %d", meta.Tuples, view.Len())
 	}
 	if err != nil {
 		scratchPool.Put(sc)
 		return nil, err
 	}
-	blk := &Block{Rows: rows, Schema: schema, Elapsed: elapsed, Bytes: s.body.n, scratch: sc}
+	blk := &Block{Tuples: view.Len(), Schema: view.Schema(), Elapsed: elapsed, Bytes: s.body.n, view: view, scratch: sc}
 	blk.Done, blk.InjectedMS, blk.Replayed, blk.GatewayFailovers = meta.Done, meta.DelayMS, meta.Replayed, meta.Failovers
 	return blk, nil
 }
@@ -818,6 +833,10 @@ func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
 	resp.Body.Close()
 }
+
+// errBodyTooLarge fails a block body longer than any block may be — the
+// push frame's cap. A broken or hostile tier gets no more of the heap.
+var errBodyTooLarge = fmt.Errorf("block body exceeds the %d-byte cap", wire.MaxFramePayload)
 
 // countingReader counts the payload bytes the codec actually consumed.
 type countingReader struct {

@@ -3,10 +3,12 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -94,7 +96,7 @@ func TestSessionPull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(blk.Rows)
+		total += len(blk.Rows())
 		if blk.Elapsed <= 0 {
 			t.Fatal("elapsed not measured")
 		}
@@ -125,8 +127,8 @@ func TestSessionPullBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(blk.Rows) != 33 || len(blk.Schema) != 1 {
-		t.Fatalf("block shape wrong: %d rows, %d cols", len(blk.Rows), len(blk.Schema))
+	if len(blk.Rows()) != 33 || len(blk.Schema) != 1 {
+		t.Fatalf("block shape wrong: %d rows, %d cols", len(blk.Rows()), len(blk.Schema))
 	}
 	if !blk.Done {
 		// An exact-multiple block cannot know it was final; the next pull
@@ -135,8 +137,8 @@ func TestSessionPullBinary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(blk2.Rows) != 0 || !blk2.Done {
-			t.Fatalf("trailing block = %d rows, done=%v; want empty done block", len(blk2.Rows), blk2.Done)
+		if len(blk2.Rows()) != 0 || !blk2.Done {
+			t.Fatalf("trailing block = %d rows, done=%v; want empty done block", len(blk2.Rows()), blk2.Done)
 		}
 	}
 }
@@ -267,6 +269,37 @@ func TestTruncatedBlockDetected(t *testing.T) {
 	}
 }
 
+// TestPullBodyIsCapped: a /next body longer than any block may be — the
+// push frame's cap — fails the pull once the client has read one byte
+// past the cap, as transient as an oversize push frame, with an error
+// naming the cap; the client's heap does not grow with the body.
+func TestPullBodyIsCapped(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/sessions" {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusCreated)
+			fmt.Fprint(w, `{"session":"s1","columns":["k"]}`)
+			return
+		}
+		chunk := make([]byte, 64<<10)
+		for left := wire.MaxFramePayload + 1; left > 0; left -= len(chunk) {
+			if _, err := w.Write(chunk[:min(left, len(chunk))]); err != nil {
+				return // the client hung up past the cap
+			}
+		}
+	}))
+	defer ts.Close()
+	c, _ := New(ts.URL, wire.Binary{}, nil)
+	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.Next(context.Background(), 10)
+	if !errors.Is(err, errBodyTooLarge) || !isTransient(err) || !strings.Contains(fmt.Sprint(err), strconv.Itoa(wire.MaxFramePayload)) {
+		t.Fatalf("pull of a %d-byte body: err = %v, want a transient error naming the %d-byte cap", wire.MaxFramePayload+1, err, wire.MaxFramePayload)
+	}
+}
+
 // TestRetryReplaysTruncatedResponse drives the exact failure the replay
 // buffer exists for: the first response is cut off mid-body, and the
 // client's same-seq retry receives the replayed block intact.
@@ -308,8 +341,8 @@ func TestRetryReplaysTruncatedResponse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("truncated response should be recovered by the retry: %v", err)
 	}
-	if len(blk.Rows) != 3 || !blk.Done {
-		t.Fatalf("recovered block = %d rows, done=%v", len(blk.Rows), blk.Done)
+	if len(blk.Rows()) != 3 || !blk.Done {
+		t.Fatalf("recovered block = %d rows, done=%v", len(blk.Rows()), blk.Done)
 	}
 	if blk.Attempts != 2 || !blk.Replayed {
 		t.Fatalf("attempts = %d, replayed = %v; want the second attempt to be a replay", blk.Attempts, blk.Replayed)

@@ -110,7 +110,7 @@ func fetch(ctx context.Context, sess *Session, tr Transport, size int, clone boo
 	switch {
 	case err != nil:
 		return fetched{err: err}
-	case len(blk.Rows) > 0:
+	case blk.Tuples > 0:
 		if clone {
 			blk = blk.Clone()
 		}
@@ -131,13 +131,13 @@ func (r *run) handOff(f *fetched) error {
 	blk, sink := f.blk, r.c.events
 	var ev BlockEvent
 	r.mu.Lock()
-	r.account(f.size, sample{len(blk.Rows), blk.Elapsed, blk.InjectedMS, blk.Attempts, blk.Replayed})
+	r.account(f.size, sample{blk.Tuples, blk.Elapsed, blk.InjectedMS, blk.Attempts, blk.Replayed})
 	if sink != nil {
 		ev = BlockEvent{
 			Session:    f.session,
 			Seq:        f.seq,
 			Size:       f.size,
-			Tuples:     len(blk.Rows),
+			Tuples:     blk.Tuples,
 			Bytes:      blk.Bytes,
 			RTTMS:      float64(blk.Elapsed.Microseconds()) / 1000,
 			InjectedMS: blk.InjectedMS,
@@ -202,12 +202,12 @@ func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle Blo
 		if err := r.handOff(&f); err != nil {
 			return err
 		}
-		tuples += len(f.blk.Rows)
+		tuples += f.blk.Tuples
 		if sizes != nil {
 			sizes <- r.size()
 		}
 		if handle != nil {
-			return handle(f.blk.Schema, f.blk.Rows)
+			return handle(f.blk.Schema, f.blk.Rows())
 		}
 		return nil
 	}

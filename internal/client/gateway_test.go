@@ -116,7 +116,7 @@ func TestTransparentGatewayFailoverSurfacedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range blk.Rows {
+	for _, r := range blk.Rows() {
 		ids = append(ids, r[0].I)
 	}
 
@@ -128,7 +128,7 @@ func TestTransparentGatewayFailoverSurfacedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range blk.Rows {
+	for _, r := range blk.Rows() {
 		ids = append(ids, r[0].I)
 	}
 	if blk.Attempts < 2 || blk.Failovers != 0 || sess.Failovers() != 0 || sess.Endpoint() != gwURL {
@@ -152,7 +152,7 @@ func TestTransparentGatewayFailoverSurfacedOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			ids = append(ids, r[0].I)
 		}
 		if blk.GatewayFailovers != 1 {

@@ -80,7 +80,7 @@ func TestPullsReuseKeepAliveConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(blk.Rows)
+		total += len(blk.Rows())
 	}
 	if total != 400 {
 		t.Fatalf("pulled %d tuples, want 400", total)

@@ -93,12 +93,12 @@ func (c *Client) SetMetrics(reg *metrics.Registry) {
 // recordBlock accounts one successfully pulled block.
 func (m *clientMetrics) recordBlock(blk *Block) {
 	m.blocks.Inc()
-	m.tuples.Add(int64(len(blk.Rows)))
+	m.tuples.Add(int64(blk.Tuples))
 	m.bytes.Add(blk.Bytes)
 	m.retries.Add(int64(blk.Attempts - 1))
 	if blk.Replayed {
 		m.replays.Inc()
 	}
 	m.rtt.Observe(float64(blk.Elapsed.Microseconds()) / 1000)
-	m.blockSize.Observe(float64(len(blk.Rows)))
+	m.blockSize.Observe(float64(blk.Tuples))
 }

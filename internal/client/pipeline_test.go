@@ -102,8 +102,8 @@ func TestRunPipelinedOverlapsWork(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(blk.Rows) > 0 {
-					if err := handler(blk.Schema, blk.Rows); err != nil {
+				if len(blk.Rows()) > 0 {
+					if err := handler(blk.Schema, blk.Rows()); err != nil {
 						t.Fatal(err)
 					}
 				}

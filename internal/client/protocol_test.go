@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"wsopt/internal/minidb"
 	"wsopt/internal/resilience"
 	"wsopt/internal/wire"
 )
@@ -139,8 +138,8 @@ func TestCommitIsTheOnlyCursorWriter(t *testing.T) {
 				// re-opens on B, whose blocks number from 1.
 				{"failed over", next(2), state{1, 300, false, 3, 1, 1}},
 				{"fresh on the new session", next(0), state{2, 400, false, 1, 0, 1}},
-				{"gateway failover delta", behindGateway(&Block{Rows: make([]minidb.Row, 7), GatewayFailovers: 2}), state{3, 407, false, 1, 0, 2}},
-				{"same gateway count again", behindGateway(&Block{Rows: make([]minidb.Row, 7), GatewayFailovers: 2}), state{4, 414, false, 1, 0, 2}},
+				{"gateway failover delta", behindGateway(&Block{Tuples: 7, GatewayFailovers: 2}), state{3, 407, false, 1, 0, 2}},
+				{"same gateway count again", behindGateway(&Block{Tuples: 7, GatewayFailovers: 2}), state{4, 414, false, 1, 0, 2}},
 				{"done", behindGateway(&Block{Done: true, GatewayFailovers: 3}), state{5, 414, true, 1, 0, 3}},
 			} {
 				blk := step.do()

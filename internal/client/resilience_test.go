@@ -130,7 +130,7 @@ func TestFailoverResumesOnSecondReplica(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pull failed: %v", err)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 		// Kill replica A once a third of the result set is committed.
@@ -188,7 +188,7 @@ func TestStalledReplicaFailsOverAfterOneDeadline(t *testing.T) {
 			t.Fatalf("pull failed: %v", err)
 		}
 		slowest = max(slowest, time.Since(start))
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 		// After the first committed block (which also seeds the deadline
@@ -293,7 +293,7 @@ func TestSingleEndpointBreakerNeverRefuses(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pull failed: %v", err)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 		// Stall the one pull after the first block for four deadlines.

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"wsopt/internal/core"
@@ -27,8 +28,8 @@ func TestBlockCloneSurvivesLaterPulls(t *testing.T) {
 				t.Fatal(err)
 			}
 			clone := first.Clone()
-			if len(clone.Rows) != 30 {
-				t.Fatalf("clone has %d rows, want 30", len(clone.Rows))
+			if len(clone.Rows()) != 30 {
+				t.Fatalf("clone has %d rows, want 30", len(clone.Rows()))
 			}
 			// Exhaust the session: every later pull reuses the scratch that
 			// backed the first block.
@@ -37,7 +38,7 @@ func TestBlockCloneSurvivesLaterPulls(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for i, r := range clone.Rows {
+			for i, r := range clone.Rows() {
 				if r[0].I != int64(i) {
 					t.Fatalf("clone row %d: k = %d, want %d (clone aliased reused scratch)", i, r[0].I, i)
 				}
@@ -47,6 +48,46 @@ func TestBlockCloneSurvivesLaterPulls(t *testing.T) {
 			}
 			if len(clone.Schema) != 2 || clone.Schema[0].Name != "k" {
 				t.Fatalf("clone schema = %v", clone.Schema)
+			}
+		})
+	}
+}
+
+// TestStaleBlockPanics pins the other side of the contract: once the
+// session has pulled again, the block's scratch is back in the pool and
+// may hold another block's bytes, so Rows and Clone panic, naming the
+// rule, instead of building rows from them — whether or not the rows had
+// been built before the pull.
+func TestStaleBlockPanics(t *testing.T) {
+	for _, codec := range []wire.Codec{wire.Binary{}, wire.Gzip(wire.Binary{}), wire.XML{}} {
+		t.Run(codec.Name(), func(t *testing.T) {
+			c, _ := testStack(t, 120, codec)
+			ctx := context.Background()
+			sess, err := c.OpenSession(ctx, Query{Table: "data"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, readFirst := range []bool{false, true} {
+				blk, err := sess.Next(ctx, 30)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if readFirst && len(blk.Rows()) != 30 {
+					t.Fatalf("fresh block has %d rows, want 30", len(blk.Rows()))
+				}
+				if _, err := sess.Next(ctx, 30); err != nil {
+					t.Fatal(err)
+				}
+				for name, read := range map[string]func(){"Rows": func() { blk.Rows() }, "Clone": func() { blk.Clone() }} {
+					func() {
+						defer func() {
+							if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "scratch was reused or retired") {
+								t.Errorf("%s after the next pull (rows read before: %v): recovered %v, want the stale-view panic", name, readFirst, r)
+							}
+						}()
+						read()
+					}()
+				}
 			}
 		})
 	}

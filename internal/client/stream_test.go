@@ -111,7 +111,7 @@ func TestPushChaosExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("push pull under chaos failed: %v", err)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 		retries += blk.Attempts - 1
@@ -166,7 +166,7 @@ func TestPushSessionLostReopens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("push pull failed: %v", err)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 		if !killed && len(seen) >= rows/3 {
@@ -240,7 +240,7 @@ func TestPushFailoverResumesOnSecondReplica(t *testing.T) {
 		if err != nil {
 			t.Fatalf("push pull failed: %v", err)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 		if len(seen) >= rows/3 {
@@ -292,7 +292,7 @@ func TestPushStalledReplicaFailsOver(t *testing.T) {
 			t.Fatalf("push pull failed: %v", err)
 		}
 		slowest = max(slowest, time.Since(start))
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 		// The open granted a window of 4: stalling A from here on leaves
@@ -446,7 +446,7 @@ func TestPushStreamOpenStallFailsOver(t *testing.T) {
 		if blk.Endpoint != urlB {
 			t.Fatalf("a block came from %s, want %s: A never opens a stream", blk.Endpoint, urlB)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			seen[r[0].I]++
 		}
 	}

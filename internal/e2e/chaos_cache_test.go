@@ -112,7 +112,7 @@ func TestChaosGateCache(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pull after %d tuples: %v", total, err)
 		}
-		for _, r := range blk.Rows {
+		for _, r := range blk.Rows() {
 			ids[r[0].I]++
 			total++
 		}

@@ -123,6 +123,38 @@ func BenchmarkDecodeScratch(b *testing.B) {
 	})
 }
 
+// BenchmarkViewBlock is the decode a client that reads no cell pays: the
+// same two workload blocks as BenchmarkDecodeScratch's, checked and
+// indexed by ViewBlock, their rows never built.
+func BenchmarkViewBlock(b *testing.B) {
+	b.Run("binary/orders/rows=2048", func(b *testing.B) {
+		schema, rows := ordersBlock(b, 2048)
+		benchView(b, schema, rows)
+	})
+	b.Run("binary/customer/rows=64", func(b *testing.B) {
+		schema, rows := customerBlock(b, 64)
+		benchView(b, schema, rows)
+	})
+}
+
+func benchView(b *testing.B, schema minidb.Schema, rows []minidb.Row) {
+	payload, err := (Binary{}).AppendBlock(nil, schema, rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	scratch := new(Scratch)
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(payload)
+		if v, err := ViewBlock(Binary{}, rd, scratch); err != nil || v.Len() != len(rows) {
+			b.Fatalf("viewed %d rows, want %d, err %v", v.Len(), len(rows), err)
+		}
+	}
+}
+
 func benchDecode(b *testing.B, c Codec, schema minidb.Schema, rows []minidb.Row) {
 	var enc bytes.Buffer
 	if err := c.Encode(&enc, schema, rows); err != nil {
@@ -226,6 +258,58 @@ func TestBinaryRoundTripAllocGate(t *testing.T) {
 					n, payload, perBlock, binaryDecodeByteSlack)
 			}
 			t.Logf("binary decode, %d rows: %.0f B allocated per %d B block", n, perBlock, payload)
+		})
+	}
+}
+
+// binaryViewByteLimit is what a steady-state ViewBlock of a binary block
+// may allocate: nothing of its own — the payload, its index and the
+// cached schema live in the scratch — so only the runtime's incidental
+// bytes, where one arena (a copy of the payload) would overshoot.
+const binaryViewByteLimit = 1 << 10
+
+// TestBinaryViewAllocGate holds the index pass a client pays for a block
+// whose rows it never reads to 0 allocations and at most 1 KiB, steady
+// state, at every gate block size.
+func TestBinaryViewAllocGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	if testing.Short() {
+		t.Skip("alloc gate needs steady-state timing")
+	}
+	for _, n := range benchBlockSizes {
+		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
+			payload, err := (Binary{}).AppendBlock(nil, sampleSchema(), sampleRows(n, rand.New(rand.NewSource(42))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd := bytes.NewReader(nil)
+			scratch := new(Scratch)
+			view := func() {
+				rd.Reset(payload)
+				if v, err := ViewBlock(Binary{}, rd, scratch); err != nil || v.Len() != n {
+					t.Fatalf("viewed %d rows, want %d, err %v", v.Len(), n, err)
+				}
+			}
+			for i := 0; i < 3; i++ { // size the scratch, cache the schema
+				view()
+			}
+			if allocs := testing.AllocsPerRun(50, view); allocs > 0 {
+				t.Fatalf("viewing a %d-row binary block costs %.1f allocs, gate is 0", n, allocs)
+			}
+			const runs = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				view()
+			}
+			runtime.ReadMemStats(&after)
+			perBlock := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			if perBlock > binaryViewByteLimit {
+				t.Fatalf("viewing a %d-row binary block (%d B) allocates %.0f B, gate is %d B — the index pass copies the block", n, len(payload), perBlock, binaryViewByteLimit)
+			}
+			t.Logf("binary view, %d rows: %.0f B allocated per %d B block", n, perBlock, len(payload))
 		})
 	}
 }

@@ -23,10 +23,12 @@ import (
 // services; the service can be switched to it at construction time.
 //
 // It is also the allocation-lean codec: AppendBlock encodes into a
-// caller-supplied byte slice, and DecodeScratch decodes a whole block
-// with O(1) allocations — the raw payload, row headers and value cells
-// live in a reusable Scratch, and every string cell of a block is sliced
-// out of one immutable copy of its payload, the block's arena.
+// caller-supplied byte slice, ViewBlock checks and indexes a block with
+// no allocation at all, and DecodeScratch — the index and its rows —
+// decodes a whole block with O(1) allocations: the raw payload, row
+// headers and value cells live in a reusable Scratch, and every string
+// cell of a block is sliced out of one immutable copy of its payload,
+// the block's arena.
 type Binary struct{}
 
 // Name implements Codec.
@@ -107,8 +109,7 @@ const maxBlockStrings = 1 << 26
 // Decode implements Codec. It is DecodeScratch with a throwaway scratch,
 // so the returned rows own fresh memory.
 func (bc Binary) Decode(r io.Reader) (minidb.Schema, []minidb.Row, error) {
-	var s Scratch
-	return bc.DecodeScratch(r, &s)
+	return bc.DecodeScratch(r, nil)
 }
 
 // byteParser walks an in-memory payload.
@@ -119,15 +120,6 @@ type byteParser struct {
 
 func (p *byteParser) uvarint() (uint64, bool) {
 	v, n := binary.Uvarint(p.b[p.off:])
-	if n <= 0 {
-		return 0, false
-	}
-	p.off += n
-	return v, true
-}
-
-func (p *byteParser) varint() (int64, bool) {
-	v, n := binary.Varint(p.b[p.off:])
 	if n <= 0 {
 		return 0, false
 	}
@@ -153,72 +145,159 @@ func (p *byteParser) take(n int) ([]byte, bool) {
 	return b, true
 }
 
-// DecodeScratch implements ScratchDecoder: it reads the whole payload
-// into the scratch's raw buffer, parses it in place, and returns rows
-// backed by the scratch's reusable arrays. String cells are sliced out
-// of the block's arena — one immutable string copy of the payload, made
-// before the parse when the schema has a string column — so they (unlike
-// the row and value slices themselves) remain valid even after the
-// scratch is reused; a shallow Value copy retains a cell forever, and
-// with it the whole payload it was sliced from. Column names are only
-// materialized when the header differs from the previous block's —
-// the blocks of a session share their schema allocation.
+// DecodeScratch implements ScratchDecoder: it indexes the block (index)
+// and builds every row from the index at once (View.Rows), into the
+// scratch's reusable arrays. String cells are sliced out of the block's
+// arena — one immutable string copy of the payload, taken when the rows
+// are built and the schema has a string column — so they (unlike the row
+// and value slices themselves) remain valid even after the scratch is
+// reused; a shallow Value copy retains a cell forever, and with it the
+// whole payload it was sliced from. Column names are only materialized
+// when the header differs from the previous block's — the blocks of a
+// session share their schema allocation.
 func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, error) {
+	return eager(bc.index(r, s))
+}
+
+// index is the one code that checks a binary block. It reads the whole
+// payload into the scratch's raw buffer and runs every check of the
+// layout in order — magic and header, the row count against the payload
+// and MaxCells before anything is sized by it, each cell's flag byte,
+// varint and string length, trailing bytes — writing nothing per cell
+// and one start offset per row (s.starts). The view it returns builds
+// rows from that index and checks nothing again. A nil s is a fresh one.
+func (bc Binary) index(r io.Reader, s *Scratch) (View, error) {
 	if s == nil {
-		s = &Scratch{}
+		s = new(Scratch)
 	}
+	s.gen++
 	raw, err := readAllReuse(r, s.raw[:0])
 	s.raw = raw
 	if err != nil {
-		return nil, nil, fmt.Errorf("wire: binary decode: %w", err)
+		return View{}, fmt.Errorf("wire: binary decode: %w", err)
+	}
+	if uint64(len(raw)) > math.MaxUint32 {
+		return View{}, fmt.Errorf("wire: binary decode: %d bytes is past the 4 GiB a block index spans", len(raw))
 	}
 	p := &byteParser{b: raw}
 	magic, ok := p.take(4)
 	if !ok {
-		return nil, nil, fmt.Errorf("wire: binary decode: %w", io.ErrUnexpectedEOF)
+		return View{}, fmt.Errorf("wire: binary decode: %w", io.ErrUnexpectedEOF)
 	}
 	if !bytes.Equal(magic, binaryMagic[:]) {
-		return nil, nil, fmt.Errorf("wire: bad magic %q", magic)
+		return View{}, fmt.Errorf("wire: bad magic %q", magic)
 	}
 
 	schema, err := bc.decodeSchema(p, s)
 	if err != nil {
-		return nil, nil, err
+		return View{}, err
 	}
 	ncols := len(schema)
 
 	nrows, ok := p.uvarint()
 	if !ok {
-		return nil, nil, fmt.Errorf("wire: binary decode row count: %w", io.ErrUnexpectedEOF)
+		return View{}, fmt.Errorf("wire: binary decode row count: %w", io.ErrUnexpectedEOF)
 	}
 	if nrows > maxBlockStrings {
-		return nil, nil, fmt.Errorf("wire: implausible row count %d", nrows)
+		return View{}, fmt.Errorf("wire: implausible row count %d", nrows)
 	}
 	// Every cell costs at least its flag byte, so a payload shorter than
 	// nrows*ncols cannot be valid — reject before sizing any array by
 	// attacker-controlled counts.
 	ncells := nrows * uint64(ncols)
 	if ncells > uint64(len(raw)-p.off) {
-		return nil, nil, fmt.Errorf("wire: row count %d exceeds payload", nrows)
+		return View{}, fmt.Errorf("wire: row count %d exceeds payload", nrows)
 	}
 	if s.MaxCells > 0 && ncells > uint64(s.MaxCells) {
-		return nil, nil, fmt.Errorf("wire: binary decode: %d rows of %d columns: %w", nrows, ncols, ErrTooManyCells)
+		return View{}, fmt.Errorf("wire: binary decode: %d rows of %d columns: %w", nrows, ncols, ErrTooManyCells)
 	}
 
-	vals := s.vals
-	if uint64(cap(vals)) < ncells {
-		vals = make([]minidb.Value, ncells)
+	if uint64(cap(s.starts)) < nrows {
+		s.starts = make([]uint32, nrows)
 	}
-	vals = vals[:ncells]
-	rows := s.rows
-	if uint64(cap(rows)) < nrows {
-		rows = make([]minidb.Row, nrows)
+	starts := s.starts[:nrows]
+	off := p.off
+	for i := range starts {
+		starts[i] = uint32(off)
+		for _, c := range schema {
+			if off == len(raw) {
+				return View{}, fmt.Errorf("wire: binary decode row %d: %w", i, io.ErrUnexpectedEOF)
+			}
+			flag := raw[off]
+			off++
+			if flag == flagNull {
+				continue
+			}
+			if flag != flagValue {
+				return View{}, fmt.Errorf("wire: bad value flag %d at row %d", flag, i)
+			}
+			switch c.Type {
+			case minidb.Int64:
+				if _, off = uvarintAt(raw, off); off < 0 {
+					return View{}, fmt.Errorf("wire: binary decode int at row %d: %w", i, io.ErrUnexpectedEOF)
+				}
+			case minidb.Date:
+				if _, off = uvarintAt(raw, off); off < 0 {
+					return View{}, fmt.Errorf("wire: binary decode date at row %d: %w", i, io.ErrUnexpectedEOF)
+				}
+			case minidb.Float64:
+				if len(raw)-off < 8 {
+					return View{}, fmt.Errorf("wire: binary decode float at row %d: %w", i, io.ErrUnexpectedEOF)
+				}
+				off += 8
+			case minidb.String:
+				sl, next := uvarintAt(raw, off)
+				if next < 0 || sl > maxBlockStrings {
+					return View{}, fmt.Errorf("wire: binary decode string length at row %d: invalid", i)
+				}
+				if sl > uint64(len(raw)-next) {
+					return View{}, fmt.Errorf("wire: binary decode string at row %d: %w", i, io.ErrUnexpectedEOF)
+				}
+				off = next + int(sl)
+			}
+		}
 	}
-	rows = rows[:nrows]
-	// One arena per block: one immutable copy of the whole payload, and
-	// every string cell the slice of it where its bytes lie in raw. The
-	// pooled raw is never aliased and nothing mutates the arena, so
-	// retained cells stay intact.
+
+	if off != len(raw) {
+		return View{}, fmt.Errorf("wire: binary decode: %d bytes of trailing data", len(raw)-off)
+	}
+	return View{schema: schema, n: int(nrows), s: s, gen: s.gen}, nil
+}
+
+// uvarintAt decodes the uvarint at b[off:] as binary.Uvarint does and
+// returns it with the offset past it, or with -1 where binary.Uvarint
+// rejects it: truncated, or past 64 bits (more than ten bytes, or a tenth
+// above 1). A signed varint is valid exactly when its unsigned reading
+// is. Unlike binary.Uvarint, it inlines.
+func uvarintAt(b []byte, off int) (uint64, int) {
+	var u uint64
+	for i := off; i < len(b) && i-off < binary.MaxVarintLen64; i++ {
+		u |= uint64(b[i]&0x7f) << (7 * (i - off))
+		if b[i] < 0x80 {
+			if i-off == binary.MaxVarintLen64-1 && b[i] > 1 {
+				return 0, -1
+			}
+			return u, i + 1
+		}
+	}
+	return 0, -1
+}
+
+// binaryRows builds the n rows of the block index left in s, trusting
+// the index: every byte it reads was checked by the pass that wrote it.
+// One arena per block: one immutable copy of the whole payload, and every
+// string cell the slice of it where its bytes lie in raw. The pooled raw
+// is never aliased and nothing mutates the arena, so retained cells stay
+// intact.
+func (s *Scratch) binaryRows(schema minidb.Schema, n int) []minidb.Row {
+	ncols := len(schema)
+	if cap(s.vals) < n*ncols {
+		s.vals = make([]minidb.Value, n*ncols)
+	}
+	if cap(s.rows) < n {
+		s.rows = make([]minidb.Row, n)
+	}
+	vals, rows, raw := s.vals[:n*ncols], s.rows[:n], s.raw
 	var arena string
 	for _, c := range schema {
 		if c.Type == minidb.String {
@@ -226,60 +305,41 @@ func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 			break
 		}
 	}
-
-	for i := range rows {
-		rows[i] = minidb.Row(vals[uint64(i)*uint64(ncols) : uint64(i+1)*uint64(ncols) : uint64(i+1)*uint64(ncols)])
-		for j := 0; j < ncols; j++ {
-			k := uint64(i)*uint64(ncols) + uint64(j)
-			flag, ok := p.byte()
-			if !ok {
-				return nil, nil, fmt.Errorf("wire: binary decode row %d: %w", i, io.ErrUnexpectedEOF)
-			}
+	for i, start := range s.starts[:n] {
+		off := int(start)
+		row := minidb.Row(vals[i*ncols : (i+1)*ncols : (i+1)*ncols])
+		for j, c := range schema {
+			flag := raw[off]
+			off++
 			if flag == flagNull {
-				vals[k] = minidb.Null(schema[j].Type)
+				setCell(&row[j], c.Type, true, 0, 0, "")
 				continue
 			}
-			if flag != flagValue {
-				return nil, nil, fmt.Errorf("wire: bad value flag %d at row %d", flag, i)
-			}
-			switch schema[j].Type {
-			case minidb.Int64:
-				v, ok := p.varint()
-				if !ok {
-					return nil, nil, fmt.Errorf("wire: binary decode int at row %d: %w", i, io.ErrUnexpectedEOF)
-				}
-				vals[k] = minidb.NewInt(v)
-			case minidb.Date:
-				v, ok := p.varint()
-				if !ok {
-					return nil, nil, fmt.Errorf("wire: binary decode date at row %d: %w", i, io.ErrUnexpectedEOF)
-				}
-				vals[k] = minidb.NewDate(v)
+			switch c.Type {
+			case minidb.Int64, minidb.Date:
+				u, next := uvarintAt(raw, off)
+				off = next
+				setCell(&row[j], c.Type, false, int64(u>>1)^-int64(u&1), 0, "") // zig-zag, as binary.Varint
 			case minidb.Float64:
-				b, ok := p.take(8)
-				if !ok {
-					return nil, nil, fmt.Errorf("wire: binary decode float at row %d: %w", i, io.ErrUnexpectedEOF)
-				}
-				vals[k] = minidb.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+				setCell(&row[j], c.Type, false, 0, math.Float64frombits(binary.LittleEndian.Uint64(raw[off:])), "")
+				off += 8
 			case minidb.String:
-				sl, ok := p.uvarint()
-				if !ok || sl > maxBlockStrings {
-					return nil, nil, fmt.Errorf("wire: binary decode string length at row %d: invalid", i)
-				}
-				start := p.off
-				if _, ok := p.take(int(sl)); !ok {
-					return nil, nil, fmt.Errorf("wire: binary decode string at row %d: %w", i, io.ErrUnexpectedEOF)
-				}
-				vals[k] = minidb.NewString(arena[start:p.off])
+				sl, next := uvarintAt(raw, off)
+				off = next + int(sl)
+				setCell(&row[j], c.Type, false, 0, 0, arena[next:off])
 			}
 		}
+		rows[i] = row
 	}
+	return rows
+}
 
-	if p.off != len(raw) {
-		return nil, nil, fmt.Errorf("wire: binary decode: %d bytes of trailing data", len(raw)-p.off)
-	}
-	s.vals, s.rows = vals, rows
-	return schema, rows, nil
+// setCell stores a cell field by field. A Value has five fields, one too
+// many for the compiler to assign it whole in registers: `row[j] = v`
+// zeroes the cell first, through the GC's bulk write barrier whenever a
+// collection is marking — about a fifth of building a block's rows.
+func setCell(v *minidb.Value, kind minidb.Type, null bool, i int64, f float64, s string) {
+	v.Kind, v.Null, v.I, v.F, v.S = kind, null, i, f, s
 }
 
 // decodeSchema parses the column header, reusing the cached schema when

@@ -15,10 +15,10 @@ import (
 // Fuzz targets hardening the decoders against corrupt or hostile
 // payloads: whatever the bytes, Decode must return an error or a valid
 // block, never panic or over-allocate. The scratch (arena) decode path
-// is fuzzed differentially against the plain path, the binary and XML
-// decoders against independent references, and retained cells
-// are re-checked after the scratch is reused — a decoded value must
-// never alias memory a later decode recycles.
+// and the view (ViewBlock) are fuzzed differentially against the plain
+// path, the binary and XML decoders against independent references, and
+// retained cells are re-checked after the scratch is reused — a decoded
+// value must never alias memory a later decode recycles.
 
 func fuzzSeed(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
@@ -97,6 +97,16 @@ func fuzzSeed(f *testing.F) {
 	}
 	f.Add(whole.Bytes()[:whole.Len()-1])
 	f.Add(append(whole.Bytes(), 0))
+
+	// A value cell whose flag byte is neither 0 nor 1: a decoder that
+	// dropped the flag check would read the int behind it and accept the
+	// block, which the reference rejects.
+	flagged, err := (Binary{}).AppendBlock(nil, minidb.Schema{{Name: "n", Type: minidb.Int64}}, []minidb.Row{{minidb.NewInt(7)}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	flagged[len(flagged)-2] = 2
+	f.Add(flagged)
 }
 
 // retainRows makes the retention copy the Block contract promises is
@@ -184,6 +194,14 @@ func checkDecode(t *testing.T, codec Codec, data []byte) {
 		t.Fatalf("plain/scratch disagree on validity: plain=%v scratch=%v", err, sErr)
 	}
 
+	// The view: ViewBlock (an index pass, rows built on demand, where the
+	// codec has one) accepts exactly what the plain path accepts, and its
+	// rows are the same block.
+	view, vErr := ViewBlock(codec, bytes.NewReader(data), new(Scratch))
+	if (err == nil) != (vErr == nil) {
+		t.Fatalf("plain/view disagree on validity: plain=%v view=%v", err, vErr)
+	}
+
 	// Oracle: a decoder written apart from the one under test (see
 	// referenceDecoder) accepts whatever it accepts — for an exact one,
 	// only that — and never reads a block differently.
@@ -202,6 +220,10 @@ func checkDecode(t *testing.T, codec Codec, data []byte) {
 		return
 	}
 	sameBlock(t, "scratch vs plain", schema, rows, sSchema, sRows)
+	if view.Len() != len(rows) {
+		t.Fatalf("view of %d rows, plain decoded %d", view.Len(), len(rows))
+	}
+	sameBlock(t, "view vs plain", schema, rows, view.Schema(), view.Rows())
 
 	// A successful decode must be internally consistent and must
 	// re-encode cleanly.

@@ -321,13 +321,13 @@ func (e *gzipEncoder) release() {
 
 // Decode implements Codec.
 func (g Gzipped) Decode(r io.Reader) (minidb.Schema, []minidb.Row, error) {
-	return g.decode(r, nil)
+	return g.DecodeScratch(r, nil)
 }
 
 // DecodeScratch implements ScratchDecoder by inflating into the inner
-// codec's scratch path (when it has one).
+// codec's scratch path (when it has one), through view.
 func (g Gzipped) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, error) {
-	return g.decode(r, s)
+	return eager(g.view(r, s))
 }
 
 // ErrInflatedTooLarge is returned when a gzipped block inflates past
@@ -336,29 +336,31 @@ func (g Gzipped) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 // not bound memory by itself.
 var ErrInflatedTooLarge = fmt.Errorf("wire: block inflates past %d bytes", MaxFramePayload)
 
-func (g Gzipped) decode(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, error) {
+// view inflates into the inner codec's ViewBlock: an index when the inner
+// codec has one, an eager decode otherwise.
+func (g Gzipped) view(r io.Reader, s *Scratch) (View, error) {
 	zr := gzipReaderPool.Get().(*gzipReader)
 	defer gzipReaderPool.Put(zr)
 	if err := zr.inflate.Reset(r); err != nil {
-		return nil, nil, fmt.Errorf("wire: gzip reader: %w", err)
+		return View{}, fmt.Errorf("wire: gzip reader: %w", err)
 	}
 	// One byte past the cap is readable so that reaching it is told
 	// apart from a payload of exactly the cap.
 	zr.capped = io.LimitedReader{R: &zr.inflate, N: MaxFramePayload + 1}
-	schema, rows, err := DecodeBlock(g.Inner, &zr.capped, s)
+	v, err := ViewBlock(g.Inner, &zr.capped, s)
 	if zr.capped.N == 0 {
-		return nil, nil, ErrInflatedTooLarge
+		return View{}, ErrInflatedTooLarge
 	}
 	if err != nil {
-		return nil, nil, err
+		return View{}, err
 	}
 	// The inner codec may stop at the end of its document; the gzip
 	// CRC-32/ISIZE trailer is only checked on reading the stream to EOF.
 	switch n, err := io.ReadFull(&zr.capped, zr.probe[:]); {
 	case n > 0:
-		return nil, nil, fmt.Errorf("wire: gzip: trailing data after the %s block", g.Inner.Name())
+		return View{}, fmt.Errorf("wire: gzip: trailing data after the %s block", g.Inner.Name())
 	case err != io.EOF:
-		return nil, nil, fmt.Errorf("wire: gzip: %w", err)
+		return View{}, fmt.Errorf("wire: gzip: %w", err)
 	}
-	return schema, rows, nil
+	return v, nil
 }

@@ -10,13 +10,14 @@ import (
 
 // This file holds the allocation-lean plumbing shared by the codecs: the
 // reusable decode Scratch, the pooled append buffers the streaming
-// encoders write through, and the DecodeBlock entry point that picks the
-// scratch path when the codec supports it.
+// encoders write through, and the two entry points — DecodeBlock, which
+// picks the scratch path when the codec supports it, and ViewBlock, which
+// indexes a block whose codec can be indexed and decodes any other.
 //
 // Ownership rules (see DESIGN.md §14), the same for the binary and the
 // XML codec: a Scratch may only be used by one decode at a time, and the
-// rows returned by a scratch decode alias the scratch — they stay valid
-// until the next decode that reuses it. String
+// rows returned by a scratch decode or a view alias the scratch — they
+// stay valid until the next decode that reuses it. String
 // cell bytes are NOT part of the scratch: each block's strings live in
 // one immutable per-block arena (binary: a copy of the whole payload;
 // XML: the unescaped cells), so a shallow copy of the Values (e.g.
@@ -37,6 +38,13 @@ type Scratch struct {
 
 	// raw is the whole encoded (or inflated) payload of the last block.
 	raw []byte
+	// starts is the binary index of raw: where each row's first cell
+	// begins. Offsets fit: every payload a transport hands over is capped
+	// at MaxFramePayload, and index refuses one past 4 GiB.
+	starts []uint32
+	// gen counts the blocks decoded into the scratch, and its retirements:
+	// a View is of the generation it was made in, and reads no rows after.
+	gen uint64
 	// rows and vals back the returned block: rows[i] is a sub-slice of
 	// vals, so one decode performs no per-row allocation.
 	rows []minidb.Row
@@ -86,6 +94,76 @@ func DecodeBlock(c Codec, r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row,
 		return sd.DecodeScratch(r, s)
 	}
 	return c.Decode(r)
+}
+
+// View is one block whose rows are built when someone first asks for
+// them. A view of an indexed block holds no rows: its scratch holds the
+// payload and one start offset per row, written by the pass that checked
+// every byte, and Rows builds the rows from them once. Any other view
+// holds rows decoded eagerly. A view of a scratch is valid until the next
+// decode into it or its Retire; Rows panics after that rather than read
+// another block's bytes.
+type View struct {
+	schema minidb.Schema
+	n      int
+	rows   []minidb.Row
+	s      *Scratch // nil: rows alias no scratch
+	gen    uint64   // s.gen when the view was made
+}
+
+// Len returns the block's row count; it reads no cell.
+func (v *View) Len() int { return v.n }
+
+// Schema returns the block's schema.
+func (v *View) Schema() minidb.Schema { return v.schema }
+
+// Rows returns the block's rows, building them on the first call. They
+// alias the view's scratch, under the same rule as a scratch decode's.
+func (v *View) Rows() []minidb.Row {
+	if v.s != nil && v.s.gen != v.gen {
+		panic("wire: rows of a view read after its scratch was reused or retired (copy the rows before the next decode to keep them)")
+	}
+	if v.rows == nil && v.n > 0 {
+		v.rows = v.s.binaryRows(v.schema, v.n)
+	}
+	return v.rows
+}
+
+// eager is a scratch decode built from a view: its rows, built at once.
+func eager(v View, err error) (minidb.Schema, []minidb.Row, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.schema, v.Rows(), nil
+}
+
+// RowsView wraps rows that alias no scratch, such as a retained copy.
+func RowsView(schema minidb.Schema, rows []minidb.Row) View {
+	return View{schema: schema, n: len(rows), rows: rows}
+}
+
+// Retire ends the views of the scratch's last block: their Rows panics
+// from now on. A pool retires a scratch as it takes it back.
+func (s *Scratch) Retire() { s.gen++ }
+
+// ViewBlock reads one block with the codec into a view. A codec with an
+// index pass — Binary, and Gzipped over it — is checked and indexed, and
+// no cell is built until Rows; any other is decoded eagerly through
+// DecodeBlock. With a nil s the view's rows alias no one else's memory.
+func ViewBlock(c Codec, r io.Reader, s *Scratch) (View, error) {
+	switch c := c.(type) {
+	case Binary:
+		return c.index(r, s)
+	case Gzipped:
+		return c.view(r, s)
+	}
+	schema, rows, err := DecodeBlock(c, r, s)
+	v := RowsView(schema, rows)
+	if s != nil { // the decode ends the views of the scratch's last block
+		s.gen++
+		v.s, v.gen = s, s.gen
+	}
+	return v, err
 }
 
 // readAllReuse reads r to EOF into buf's backing array (grown as

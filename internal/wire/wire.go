@@ -17,7 +17,8 @@
 //     inflate to.
 //
 // All codecs round-trip schema and rows exactly, including NULLs. XML
-// and binary decode into a reusable Scratch (scratch.go).
+// and binary decode into a reusable Scratch (scratch.go); ViewBlock
+// checks and indexes a binary block, building its rows only on demand.
 package wire
 
 import (

@@ -64,7 +64,7 @@ gate_results() {
 owned='
 fuzzseeds   -race    ^Fuzz                        ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
 stress      -race    ^TestStress                  ./internal/service ./internal/e2e
-allocgate   -norace  ^(TestBinaryRoundTripAllocGate|TestXMLDecodeAllocGate|TestGzipEncodeAllocGate)$ ./internal/wire
+allocgate   -norace  ^(TestBinaryRoundTripAllocGate|TestBinaryViewAllocGate|TestXMLDecodeAllocGate|TestGzipEncodeAllocGate)$ ./internal/wire
 allocgate   -norace  ^TestGatewayHopAllocGate$    ./internal/gateway
 allocgate   -norace  ^TestPullAllocGate$          ./internal/client
 allocgate   -norace  ^TestDeadlineForDoesNotAllocate$ ./internal/resilience
@@ -146,10 +146,11 @@ gate_fuzzseeds() { run_owned fuzzseeds; }
 gate_stress() { run_owned stress; }
 
 # Allocation gates, WITHOUT the race detector (instrumentation would
-# inflate the counts): a binary-codec block round-trip, an XML block
-# decode, an xml+gzip block encode, one block proxied through the
-# gateway hop, one block pulled by the client and the deadline it is
-# pulled under must each stay within their per-block allocation budget.
+# inflate the counts): a binary-codec block round-trip, a binary block's
+# index pass, an XML block decode, an xml+gzip block encode, one block
+# proxied through the gateway hop, one block pulled by the client and
+# the deadline it is pulled under must each stay within their per-block
+# allocation budget.
 # The wire kernel benchmarks then run one iteration each: no other gate
 # runs a benchmark body, so a failing setup or assertion in one would go
 # unseen.
