@@ -23,8 +23,7 @@ func parseArgs(args []string) (*options, error) {
 // exits the process); every valid one parses.
 func TestOptionsValidate(t *testing.T) {
 	valid := map[string]string{
-		"session-ttl": "5m", "replicate": "8192",
-		"cache-mem-bytes": "67108864", "cache-dir": "/tmp/c", "cache-disk-bytes": "268435456",
+		"session-ttl": "5m", "replicate": "8192", "cache-mem-bytes": "67108864",
 		"push": "true", "push-window": "32", "push-max-frame": "4194304",
 	}
 	set := func(kv ...string) func(map[string]string) {
@@ -44,17 +43,14 @@ func TestOptionsValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"valid full", set(), ""},
-		{"valid no cache", set("cache-mem-bytes", "", "cache-dir", "", "cache-disk-bytes", ""), ""},
-		{"valid mem-only cache", set("cache-dir", "", "cache-disk-bytes", ""), ""},
+		{"valid no cache", set("cache-mem-bytes", ""), ""},
+		{"valid mem-only cache", set(), ""},
 		{"valid no replication", set("replicate", "0"), ""},
 		{"zero session ttl", set("session-ttl", "0"), "-session-ttl"},
 		{"negative session ttl", set("session-ttl", "-1s"), "-session-ttl"},
 		{"negative replicate", set("replicate", "-1"), "-replicate"},
 		{"negative cache mem", set("cache-mem-bytes", "-1"), "-cache-mem-bytes"},
-		{"negative cache disk", set("cache-disk-bytes", "-1"), "-cache-disk-bytes"},
-		{"disk dir without mem tier", set("cache-mem-bytes", "0"), "-cache-dir requires -cache-mem-bytes"},
-		{"disk budget without dir", set("cache-dir", ""), "-cache-disk-bytes requires -cache-dir"},
-		{"dir without disk budget", set("cache-disk-bytes", "0"), "-cache-dir requires -cache-disk-bytes"},
+		{"cache disk tier is gone", set("cache-dir", "/tmp/c"), "-cache-dir"},
 		{"valid push defaults", set("push-window", "0", "push-max-frame", "0"), ""},
 		{"valid push off", set("push", "false", "push-window", "", "push-max-frame", ""), ""},
 		{"negative push window", set("push-window", "-1"), "-push-window"},
@@ -65,7 +61,8 @@ func TestOptionsValidate(t *testing.T) {
 
 		{"unknown codec", set("codec", "yaml"), "-codec"},
 		{"codec compressed twice", set("codec", "binary+gzip+gzip"), `-codec: wire: codec "binary+gzip+gzip"`},
-		{"valid compressed codec", set("codec", "json+gzip"), ""},
+		{"valid compressed codec", set("codec", "xml+gzip"), ""},
+		{"json codec is gone", set("codec", "json+gzip"), `-codec: wire: unknown codec "json+gzip"`},
 		{"unknown conf", set("conf", "conf9.9"), "-conf"},
 		{"valid conf", set("conf", "conf2.2"), ""},
 		{"negative timescale", set("timescale", "-1"), "-timescale"},

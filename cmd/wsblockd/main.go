@@ -7,8 +7,8 @@
 //	wsblockd -addr :8080 -sf 0.1
 //	wsblockd -addr :8080 -sf 1 -codec binary -conf conf2.2 -timescale 0.001
 //	wsblockd -addr :8080 -metrics-addr :9090   # Prometheus /metrics + pprof
-//	wsblockd -addr :8080 -cache-mem-bytes 67108864 \
-//	    -cache-dir /var/cache/wsblockd -cache-disk-bytes 268435456
+//	wsblockd -addr :8080 -cache-mem-bytes 67108864
+//	wsblockd -addr :8080 -sf 1 -data /var/lib/wsblockd   # tables kept under sf-1/
 //
 // With -conf, per-block delays are drawn from the named calibrated cost
 // profile and injected (scaled by -timescale) so a laptop reproduces the
@@ -31,6 +31,8 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -100,7 +102,7 @@ func buildServer(o *options, reg *metrics.Registry, logger *log.Logger) (*servic
 	}
 	var cache *blockcache.Cache
 	if o.cacheMemBytes > 0 {
-		cache, err = blockcache.New(blockcache.Config{MemBytes: o.cacheMemBytes, Dir: o.cacheDir, DiskBytes: o.cacheDiskBytes, Metrics: reg})
+		cache, err = blockcache.New(blockcache.Config{MemBytes: o.cacheMemBytes, Metrics: reg})
 		if err != nil {
 			return nil, err
 		}
@@ -136,21 +138,22 @@ func buildServer(o *options, reg *metrics.Registry, logger *log.Logger) (*servic
 	if replog != nil {
 		logger.Printf("replication: shipping session mutations via /replication/feed (retaining %d records)", o.replicate)
 	}
-	switch {
-	case cache != nil && o.cacheDir != "":
-		logger.Printf("block cache: %d MiB memory + %d MiB disk at %s", o.cacheMemBytes>>20, o.cacheDiskBytes>>20, o.cacheDir)
-	case cache != nil:
+	if cache != nil {
 		logger.Printf("block cache: %d MiB memory", o.cacheMemBytes>>20)
 	}
 	return srv, nil
 }
 
-// loadCatalog returns the tables cached under -data, or generates them
-// at -sf (and caches them there for the next start).
+// loadCatalog returns the tables cached for -sf under -data, or
+// generates them at -sf (and caches them there for the next start). Each
+// scale has its own subdirectory, so a restart at another -sf never
+// serves the tables of the last one.
 func loadCatalog(o *options, logger *log.Logger) (*minidb.Catalog, error) {
+	dir := ""
 	if o.dataDir != "" {
-		if cat, err := minidb.LoadCatalog(o.dataDir); err == nil {
-			logger.Printf("loaded cached tables %v from %s", cat.Names(), o.dataDir)
+		dir = filepath.Join(o.dataDir, "sf-"+strconv.FormatFloat(o.sf, 'g', -1, 64))
+		if cat, err := minidb.LoadCatalog(dir); err == nil {
+			logger.Printf("loaded cached tables %v from %s", cat.Names(), dir)
 			return cat, nil
 		}
 	}
@@ -161,11 +164,11 @@ func loadCatalog(o *options, logger *log.Logger) (*minidb.Catalog, error) {
 		return nil, err
 	}
 	logger.Printf("generated %v in %v", cat.Names(), time.Since(start).Round(time.Millisecond))
-	if o.dataDir != "" {
-		if err := minidb.SaveCatalog(o.dataDir, cat); err != nil {
+	if dir != "" {
+		if err := minidb.SaveCatalog(dir, cat); err != nil {
 			logger.Printf("warning: could not cache tables: %v", err)
 		} else {
-			logger.Printf("cached tables to %s", o.dataDir)
+			logger.Printf("cached tables to %s", dir)
 		}
 	}
 	return cat, nil

@@ -48,9 +48,7 @@ type options struct {
 	pushWindow   int
 	pushMaxFrame int
 
-	cacheMemBytes  int64
-	cacheDir       string
-	cacheDiskBytes int64
+	cacheMemBytes int64
 }
 
 // parseOptions defines the flags on fs, parses args and validates the
@@ -59,10 +57,10 @@ type options struct {
 func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{Flags: daemon.Register(fs, words)}
 	fs.Float64Var(&o.sf, "sf", 0.1, "TPC-H scale factor (1 = 150K customers, 450K orders)")
-	codec := fs.String("codec", "xml", "block codec: xml, json or binary, each optionally +gzip (e.g. xml+gzip)")
+	codec := fs.String("codec", "xml", "block codec: xml or binary, each optionally +gzip (e.g. xml+gzip)")
 	fs.StringVar(&o.conf, "conf", "", "inject delays from a calibrated profile (conf1.1 .. conf2.2)")
 	fs.Float64Var(&o.timescale, "timescale", 0.001, "real milliseconds slept per simulated millisecond")
-	fs.StringVar(&o.dataDir, "data", "", "cache generated tables in this directory across restarts")
+	fs.StringVar(&o.dataDir, "data", "", "cache generated tables in this directory across restarts, one subdirectory per -sf")
 	fs.BoolVar(&o.loadLive, "load-live", false, "couple the injected-delay model to the live session count (each extra open session adds one concurrent query to the simulated load)")
 
 	fs.Float64Var(&o.faults.DropProb, "fault-drop", 0, "chaos: probability of severing the connection after a block is processed")
@@ -77,8 +75,6 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.pushMaxFrame, "push-max-frame", 0, "push: cap one frame's encoded payload in bytes (0 = default 8 MiB)")
 
 	fs.Int64Var(&o.cacheMemBytes, "cache-mem-bytes", 0, "cache: hold up to this many bytes of encoded blocks in memory, content-addressed by plan+cursor+codec+dataset version (0 = disabled)")
-	fs.StringVar(&o.cacheDir, "cache-dir", "", "cache: spill evicted entries to files in this directory (requires -cache-mem-bytes and -cache-disk-bytes)")
-	fs.Int64Var(&o.cacheDiskBytes, "cache-disk-bytes", 0, "cache: byte budget for the -cache-dir disk tier")
 
 	err := fs.Parse(args)
 	if err != nil {
@@ -114,18 +110,6 @@ func (o *options) validate() error {
 	}
 	if o.cacheMemBytes < 0 {
 		return fmt.Errorf("-cache-mem-bytes must be >= 0, got %d", o.cacheMemBytes)
-	}
-	if o.cacheDiskBytes < 0 {
-		return fmt.Errorf("-cache-disk-bytes must be >= 0, got %d", o.cacheDiskBytes)
-	}
-	if o.cacheDir != "" && o.cacheMemBytes == 0 {
-		return fmt.Errorf("-cache-dir requires -cache-mem-bytes > 0: the disk tier only holds spill from the memory tier")
-	}
-	if o.cacheDiskBytes > 0 && o.cacheDir == "" {
-		return fmt.Errorf("-cache-disk-bytes requires -cache-dir")
-	}
-	if o.cacheDir != "" && o.cacheDiskBytes == 0 {
-		return fmt.Errorf("-cache-dir requires -cache-disk-bytes > 0 (the disk tier needs a byte budget)")
 	}
 	if o.pushWindow < 0 {
 		return fmt.Errorf("-push-window must be >= 0, got %d", o.pushWindow)

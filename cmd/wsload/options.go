@@ -37,7 +37,7 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.size, "size", 2000, "fixed block size of the load streams")
 	fs.IntVar(&o.streams, "streams", 3, "concurrent query streams")
 	fs.DurationVar(&o.duration, "duration", 30*time.Second, "how long to run")
-	fs.StringVar(&o.codecName, "codec", "xml", "block codec: xml, json or binary, each optionally +gzip (must match the server: nothing is negotiated)")
+	fs.StringVar(&o.codecName, "codec", "xml", "block codec: xml or binary, each optionally +gzip (must match the server: nothing is negotiated)")
 	fs.StringVar(&o.setLoad, "set-load", "", "set the simulated load knob as jobs:queries:memory and exit")
 	fs.IntVar(&o.maxQueries, "max-queries", 0, "queries per stream before it stops early (0 = run until -duration)")
 	fs.IntVar(&o.retries, "retries", 3, "pull attempts per block before a stream gives up")

@@ -63,7 +63,7 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.table, "table", "customer", "relation to scan")
 	fs.StringVar(&o.columns, "columns", "", "comma-separated projection (default: all)")
 	fs.StringVar(&o.where, "where", "", "SQL-flavoured filter, e.g. \"c_acctbal > 1000 AND c_mktsegment = 'BUILDING'\"")
-	fs.StringVar(&o.codecName, "codec", "xml", "block codec: xml, json or binary, each optionally +gzip (must match the server: nothing is negotiated)")
+	fs.StringVar(&o.codecName, "codec", "xml", "block codec: xml or binary, each optionally +gzip (must match the server: nothing is negotiated)")
 	fs.StringVar(&o.controller, "controller", "hybrid", "static | constant | adaptive | hybrid | hybrid-s | aimd | mimd | model-quadratic | model-parabolic | self-tuning | setpoint | supervisor | vector")
 	fs.IntVar(&o.size, "size", 1000, "initial (or static) block size")
 	fs.Float64Var(&o.b1, "b1", 2000, "constant gain")

@@ -4,14 +4,15 @@
 // the same cursor. At fleet scale most traffic is repeated queries, so
 // a hit turns the dominant per-block cost into ~one memcpy.
 //
-// The layering follows content-addressed chunk stores (dolt's nbs): a
-// byte-bounded in-memory LRU tier over an optional bounded disk tier,
-// with keys derived purely from content-determining inputs — the
-// query-plan fingerprint, the absolute tuple cursor, the block size,
-// the codec and compression level, and the dataset version. Because a
-// key commits to everything that influences the bytes, an entry never
-// needs invalidation: a write bumps the dataset version and every
-// subsequent session simply derives keys no old entry can match.
+// The cache is one byte-bounded in-memory LRU, with keys derived purely
+// from content-determining inputs — the query-plan fingerprint, the
+// absolute tuple cursor, the block size, the codec and compression
+// level, and the dataset version. Because a key commits to everything
+// that influences the bytes within one process, an entry never needs
+// invalidation: a write bumps the dataset version and every subsequent
+// session simply derives keys no old entry can match. The version counts
+// mutations since the process started, so a key means nothing to another
+// process: the cache lives and dies with the daemon.
 //
 // Ownership rules are strict because the service's encode path uses
 // pooled buffers: an Entry's payload is always a private immutable
@@ -39,8 +40,7 @@ import (
 // plan fingerprint, cursor, and block size.
 type Key [sha256.Size]byte
 
-// String renders the key as lowercase hex (also the disk tier's file
-// name for the entry).
+// String renders the key as lowercase hex.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // Fingerprint hashes an ordered list of content-determining fields
@@ -85,9 +85,9 @@ var testEntryRelease atomic.Value // func(*Entry)
 
 // Entry is one immutable cached block. The payload is private to the
 // entry (never a pooled buffer) and entries are refcounted: the cache
-// holds one reference while the entry is resident in the memory tier,
-// and every hit retains one more for the caller, who must Release it
-// when the bytes have been written out.
+// holds one reference while the entry is resident, and every hit retains
+// one more for the caller, who must Release it when the bytes have been
+// written out.
 type Entry struct {
 	payload []byte
 	tuples  int
@@ -100,13 +100,7 @@ type Entry struct {
 // boundary: the source buffer (typically pooled) may be recycled the
 // moment NewEntry returns.
 func NewEntry(payload []byte, tuples int, done bool) *Entry {
-	return newEntryOwned(append([]byte(nil), payload...), tuples, done)
-}
-
-// newEntryOwned adopts payload without copying; the caller must hand
-// over exclusive ownership of the slice.
-func newEntryOwned(payload []byte, tuples int, done bool) *Entry {
-	e := &Entry{payload: payload, tuples: tuples, done: done}
+	e := &Entry{payload: append([]byte(nil), payload...), tuples: tuples, done: done}
 	e.refs.Store(1)
 	return e
 }
@@ -145,16 +139,10 @@ func (e *Entry) Release() {
 	}
 }
 
-// Config sizes the cache tiers.
+// Config sizes the cache.
 type Config struct {
-	// MemBytes bounds the in-memory tier's total payload bytes. Must be
-	// positive: a cache with no memory tier is no cache.
+	// MemBytes bounds the cache's total payload bytes. Must be positive.
 	MemBytes int64
-	// Dir, when non-empty, enables the disk tier rooted there.
-	Dir string
-	// DiskBytes bounds the disk tier's total payload bytes. Requires
-	// Dir; <= 0 with a Dir set means unbounded.
-	DiskBytes int64
 	// Metrics, when non-nil, registers the wsopt_cache_* series.
 	Metrics *metrics.Registry
 }
@@ -162,28 +150,18 @@ type Config struct {
 // Stats is a point-in-time snapshot of cache effectiveness, exposed on
 // /stats; the wsopt_cache_* series read the same counters.
 type Stats struct {
-	MemHits            int64 `json:"mem_hits"`
-	DiskHits           int64 `json:"disk_hits"`
+	MemHits int64 `json:"mem_hits"`
+	// DiskHits is always 0; it stays only because bench/stack.go and
+	// bench/run.go read it.
+	DiskHits           int64 `json:"-"`
 	Misses             int64 `json:"misses"`
 	MemEvictions       int64 `json:"mem_evictions"`
-	DiskEvictions      int64 `json:"disk_evictions"`
 	SingleflightShared int64 `json:"singleflight_shared"`
 	MemBytes           int64 `json:"mem_bytes"`
 	MemEntries         int64 `json:"mem_entries"`
-	DiskBytes          int64 `json:"disk_bytes"`
-	DiskEntries        int64 `json:"disk_entries"`
 }
 
-// HitRate returns hits/(hits+misses) across both tiers, 0 when idle.
-func (s Stats) HitRate() float64 {
-	hits := s.MemHits + s.DiskHits
-	if hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+s.Misses)
-}
-
-// lruItem is one memory-tier resident.
+// lruItem is one resident.
 type lruItem struct {
 	key Key
 	ent *Entry
@@ -197,11 +175,9 @@ type flight struct {
 	waiters int    // guarded by Cache.mu until the flight resolves
 }
 
-// Cache is the two-tier content-addressed block cache. Safe for
-// concurrent use.
+// Cache is the content-addressed block cache. Safe for concurrent use.
 type Cache struct {
 	memLimit int64
-	disk     *diskTier
 
 	mu      sync.Mutex
 	entries map[Key]*list.Element
@@ -211,9 +187,7 @@ type Cache struct {
 
 	// One atomic per counted fact; Stats() and the wsopt_cache_* series
 	// (metrics.go) both read these.
-	memHits, diskHits, misses atomic.Int64
-	memEvict, diskEvict       atomic.Int64
-	shared                    atomic.Int64
+	memHits, misses, memEvict, shared atomic.Int64
 }
 
 // New builds a cache from cfg.
@@ -221,21 +195,11 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.MemBytes <= 0 {
 		return nil, fmt.Errorf("blockcache: memory budget must be positive, got %d", cfg.MemBytes)
 	}
-	if cfg.Dir == "" && cfg.DiskBytes > 0 {
-		return nil, errors.New("blockcache: disk budget set without a cache directory")
-	}
 	c := &Cache{
 		memLimit: cfg.MemBytes,
 		entries:  make(map[Key]*list.Element),
 		lru:      list.New(),
 		flights:  make(map[Key]*flight),
-	}
-	if cfg.Dir != "" {
-		d, err := newDiskTier(cfg.Dir, cfg.DiskBytes, func(n int64) { c.diskEvict.Add(n) })
-		if err != nil {
-			return nil, err
-		}
-		c.disk = d
 	}
 	if cfg.Metrics != nil {
 		c.registerMetrics(cfg.Metrics)
@@ -243,10 +207,9 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// getMem returns the resident entry retained for the caller, or nil.
-func (c *Cache) getMem(key Key) *Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// residentLocked returns key's resident entry retained for the caller,
+// or nil. Caller holds c.mu.
+func (c *Cache) residentLocked(key Key) *Entry {
 	el, ok := c.entries[key]
 	if !ok {
 		return nil
@@ -257,42 +220,25 @@ func (c *Cache) getMem(key Key) *Entry {
 	return ent
 }
 
-// getDisk reads key from the disk tier, promotes it into the memory
-// tier, and returns it retained for the caller, or nil.
-func (c *Cache) getDisk(key Key) *Entry {
-	if c.disk == nil {
-		return nil
-	}
-	payload, tuples, done, ok := c.disk.get(key)
-	if !ok {
-		return nil
-	}
-	ent := newEntryOwned(payload, tuples, done)
-	c.put(key, ent)
-	return ent
-}
-
 // Get returns the cached entry for key with a reference retained for
 // the caller, or nil on a miss.
 func (c *Cache) Get(key Key) *Entry {
-	if e := c.getMem(key); e != nil {
-		c.memHits.Add(1)
-		return e
+	c.mu.Lock()
+	ent := c.residentLocked(key)
+	c.mu.Unlock()
+	if ent == nil {
+		c.misses.Add(1)
+		return nil
 	}
-	if e := c.getDisk(key); e != nil {
-		c.diskHits.Add(1)
-		return e
-	}
-	c.misses.Add(1)
-	return nil
+	c.memHits.Add(1)
+	return ent
 }
 
-// put inserts ent into the memory tier under key, retaining a
-// cache-owned reference, and evicts least-recently-used residents past
-// the byte budget (spilling them to the disk tier when one exists).
-// No-op when the key is already resident.
+// put inserts ent under key, retaining a cache-owned reference, and
+// evicts least-recently-used residents past the byte budget. No-op when
+// the key is already resident.
 func (c *Cache) put(key Key, ent *Entry) {
-	var spill []*lruItem
+	var evicted []*lruItem
 	c.mu.Lock()
 	if _, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -307,17 +253,11 @@ func (c *Cache) put(key Key, ent *Entry) {
 		c.lru.Remove(back)
 		delete(c.entries, it.key)
 		c.bytes -= it.ent.size()
-		spill = append(spill, it)
+		evicted = append(evicted, it)
 	}
 	c.mu.Unlock()
-	// Spill outside the lock: the disk write is slow and the evicted
-	// entries are still retained by the spill slice, so readers that
-	// raced the eviction keep valid references.
-	for _, it := range spill {
+	for _, it := range evicted {
 		c.memEvict.Add(1)
-		if c.disk != nil {
-			c.disk.put(it.key, it.ent.payload, it.ent.tuples, it.ent.done)
-		}
 		it.ent.Release()
 	}
 }
@@ -330,10 +270,7 @@ func (c *Cache) put(key Key, ent *Entry) {
 // who should fall back to their own uncached encode.
 func (c *Cache) GetOrFill(key Key, fill func() (*Entry, error)) (ent *Entry, shared bool, err error) {
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*lruItem).ent
-		e.Retain()
+	if e := c.residentLocked(key); e != nil {
 		c.mu.Unlock()
 		c.memHits.Add(1)
 		return e, false, nil
@@ -352,13 +289,8 @@ func (c *Cache) GetOrFill(key Key, fill func() (*Entry, error)) (ent *Entry, sha
 	c.flights[key] = f
 	c.mu.Unlock()
 
-	// Leader path. The disk probe and the fill both run outside the
-	// cache lock; waiters queue on the flight meanwhile.
-	if e := c.getDisk(key); e != nil {
-		c.diskHits.Add(1)
-		c.resolve(key, f, e)
-		return e, false, nil
-	}
+	// Leader path. The fill runs outside the cache lock; waiters queue on
+	// the flight meanwhile.
 	c.misses.Add(1)
 	e, err := fill()
 	if err != nil {
@@ -387,23 +319,17 @@ func (c *Cache) resolve(key Key, f *flight, ent *Entry) {
 	close(f.done)
 }
 
-// Stats snapshots the cache counters and tier occupancy.
+// Stats snapshots the cache counters and occupancy.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	memBytes, memEntries := c.bytes, int64(c.lru.Len())
 	c.mu.Unlock()
-	st := Stats{
+	return Stats{
 		MemHits:            c.memHits.Load(),
-		DiskHits:           c.diskHits.Load(),
 		Misses:             c.misses.Load(),
 		MemEvictions:       c.memEvict.Load(),
-		DiskEvictions:      c.diskEvict.Load(),
 		SingleflightShared: c.shared.Load(),
 		MemBytes:           memBytes,
 		MemEntries:         memEntries,
 	}
-	if c.disk != nil {
-		st.DiskBytes, st.DiskEntries = c.disk.occupancy()
-	}
-	return st
 }

@@ -3,8 +3,6 @@ package blockcache
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -135,120 +133,6 @@ func TestLRUEvictsByBytesOldestFirst(t *testing.T) {
 		if !released[ent] {
 			t.Fatalf("evicted entry %d not released after the last reference dropped", i)
 		}
-	}
-}
-
-func TestDiskSpillAndPromote(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{MemBytes: 50, Dir: dir, DiskBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := testKey(1), testKey(2)
-	for i, k := range []Key{a, b} {
-		ent, _, err := c.GetOrFill(k, func() (*Entry, error) {
-			return NewEntry(payload(40, byte(i+1)), 7, i == 1), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ent.Release()
-	}
-	// a was spilled to disk; a Get must read it back and promote it.
-	st := c.Stats()
-	if st.DiskEntries != 1 || st.DiskBytes != 40 {
-		t.Fatalf("stats = %+v, want 1 disk entry of 40 bytes", st)
-	}
-	hit := c.Get(a)
-	if hit == nil {
-		t.Fatal("disk entry lost")
-	}
-	if !bytes.Equal(hit.Bytes(), payload(40, 1)) || hit.Tuples() != 7 || hit.Done() {
-		t.Fatalf("disk round-trip corrupted the entry: %d bytes, tuples=%d done=%v",
-			len(hit.Bytes()), hit.Tuples(), hit.Done())
-	}
-	hit.Release()
-	if st := c.Stats(); st.DiskHits != 1 {
-		t.Fatalf("disk hits = %d, want 1", st.DiskHits)
-	}
-}
-
-func TestDiskTierRebuildsAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-	c1, err := New(Config{MemBytes: 30, Dir: dir, DiskBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := testKey(9)
-	ent, _, err := c1.GetOrFill(k, func() (*Entry, error) {
-		return NewEntry(payload(20, 0x5A), 3, true), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ent.Release()
-	// Push it out of memory so the only copy is on disk.
-	ent2, _, err := c1.GetOrFill(testKey(10), func() (*Entry, error) {
-		return NewEntry(payload(25, 0x66), 1, false), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ent2.Release()
-	// Drop a foreign file and a stale temp in the dir; the scan must
-	// ignore the former and clean up the latter.
-	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-99"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := New(Config{MemBytes: 1 << 20, Dir: dir, DiskBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := c2.Get(k)
-	if hit == nil {
-		t.Fatal("restart lost the disk entry")
-	}
-	if !bytes.Equal(hit.Bytes(), payload(20, 0x5A)) || hit.Tuples() != 3 || !hit.Done() {
-		t.Fatal("restart corrupted the disk entry")
-	}
-	hit.Release()
-	if _, err := os.Stat(filepath.Join(dir, ".tmp-99")); !os.IsNotExist(err) {
-		t.Error("stale temp file survived the restart scan")
-	}
-}
-
-func TestDiskTierBudgetEvicts(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{MemBytes: 30, Dir: dir, DiskBytes: 90})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		ent, _, err := c.GetOrFill(testKey(byte(i)), func() (*Entry, error) {
-			return NewEntry(payload(40, byte(i)), 1, false), nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ent.Release()
-	}
-	st := c.Stats()
-	if st.DiskBytes > 90 {
-		t.Fatalf("disk tier over budget: %d bytes", st.DiskBytes)
-	}
-	if st.DiskEvictions == 0 {
-		t.Fatal("disk tier never evicted despite exceeding its budget")
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(files); int64(got) != st.DiskEntries {
-		t.Fatalf("%d files on disk, index says %d", got, st.DiskEntries)
 	}
 }
 
@@ -408,8 +292,5 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{MemBytes: -1}); err == nil {
 		t.Error("negative memory budget accepted")
-	}
-	if _, err := New(Config{MemBytes: 1024, DiskBytes: 1024}); err == nil {
-		t.Error("disk budget without a directory accepted")
 	}
 }

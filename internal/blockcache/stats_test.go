@@ -12,12 +12,10 @@ import (
 // that must be a view of the same atomic.
 func statsSeries(st Stats) map[string]int64 {
 	return map[string]int64{
-		`wsopt_cache_hits_total{tier="mem"}`:       st.MemHits,
-		`wsopt_cache_hits_total{tier="disk"}`:      st.DiskHits,
-		"wsopt_cache_misses_total":                 st.Misses,
-		`wsopt_cache_evictions_total{tier="mem"}`:  st.MemEvictions,
-		`wsopt_cache_evictions_total{tier="disk"}`: st.DiskEvictions,
-		"wsopt_cache_singleflight_shared_total":    st.SingleflightShared,
+		`wsopt_cache_hits_total{tier="mem"}`:      st.MemHits,
+		"wsopt_cache_misses_total":                st.Misses,
+		`wsopt_cache_evictions_total{tier="mem"}`: st.MemEvictions,
+		"wsopt_cache_singleflight_shared_total":   st.SingleflightShared,
 	}
 }
 
@@ -37,8 +35,8 @@ func assertViewsAgree(t *testing.T, at string, c *Cache, reg *metrics.Registry) 
 		}
 	}
 	for gauge, want := range map[string]int64{
-		`wsopt_cache_bytes{tier="mem"}`: st.MemBytes, `wsopt_cache_bytes{tier="disk"}`: st.DiskBytes,
-		`wsopt_cache_entries{tier="mem"}`: st.MemEntries, `wsopt_cache_entries{tier="disk"}`: st.DiskEntries,
+		`wsopt_cache_bytes{tier="mem"}`:   st.MemBytes,
+		`wsopt_cache_entries{tier="mem"}`: st.MemEntries,
 	} {
 		if got := snap.Gauges[gauge]; int64(got) != want {
 			t.Errorf("%s: /metrics %s = %g, Stats() = %d", at, gauge, got, want)
@@ -47,14 +45,14 @@ func assertViewsAgree(t *testing.T, at string, c *Cache, reg *metrics.Registry) 
 	return st
 }
 
-// TestStatsAndMetricsAreTwoViewsOfOneCounter walks a two-tier cache through
+// TestStatsAndMetricsAreTwoViewsOfOneCounter walks a cache through
 // every counted event and compares Stats() with the registry after each
 // step. Each step also says what it should have moved, so that 0 == 0
 // proves nothing.
 func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 	reg := metrics.NewRegistry()
-	// 40-byte entries: one fits in memory, two on disk.
-	c, err := New(Config{MemBytes: 50, Dir: t.TempDir(), DiskBytes: 90, Metrics: reg})
+	// 40-byte entries: one fits.
+	c, err := New(Config{MemBytes: 50, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +76,13 @@ func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 				t.Fatal("hit on a key never filled")
 			}
 		}, func(st Stats) bool { return st.Misses == 2 }},
-		{"memory eviction spills to disk", func() { fill(2) },
-			func(st Stats) bool { return st.MemEvictions == 1 && st.DiskEntries == 1 && st.Misses == 3 }},
-		{"disk hit promotes", func() { c.Get(testKey(1)).Release() },
-			func(st Stats) bool { return st.DiskHits == 1 && st.MemEvictions == 2 }},
-		{"disk eviction", func() { fill(3); fill(4) }, func(st Stats) bool { return st.DiskEvictions >= 1 && st.DiskBytes <= 90 }},
+		{"memory eviction", func() { fill(2) },
+			func(st Stats) bool { return st.MemEvictions == 1 && st.MemEntries == 1 && st.Misses == 3 }},
+		{"evicted key misses", func() {
+			if c.Get(testKey(1)) != nil {
+				t.Fatal("hit on an evicted key")
+			}
+		}, func(st Stats) bool { return st.Misses == 4 }},
 		{"single flight shared", func() {
 			started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 			go func() {

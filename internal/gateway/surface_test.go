@@ -86,7 +86,7 @@ func statsKeys(t *testing.T, url string) []string {
 // TestOperationalSurfaceIsPinned -update`.
 func TestOperationalSurfaceIsPinned(t *testing.T) {
 	sreg, greg := metrics.NewRegistry(), metrics.NewRegistry()
-	cache, err := blockcache.New(blockcache.Config{MemBytes: 1 << 20, Dir: t.TempDir(), DiskBytes: 1 << 20, Metrics: sreg})
+	cache, err := blockcache.New(blockcache.Config{MemBytes: 1 << 20, Metrics: sreg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package minidb
 
-import (
-	"io"
-	"math"
-	"testing"
-)
+import "testing"
 
 func scanOf(t *testing.T, rows []Row, schema Schema) Iterator {
 	t.Helper()
@@ -36,260 +32,23 @@ func salesRows() []Row {
 	}
 }
 
-func TestSortAscendingDescending(t *testing.T) {
-	it, err := Sort(scanOf(t, salesRows(), salesSchema()), []SortKey{{Column: "amount"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Collect(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// NULL sorts first, then 10, 20, 30, 40.
-	if !rows[0][1].Null {
-		t.Fatalf("NULL should sort first, got %v", rows[0][1])
-	}
-	for i := 1; i < len(rows)-1; i++ {
-		if rows[i][1].F > rows[i+1][1].F {
-			t.Fatalf("not ascending at %d: %v", i, rows)
-		}
-	}
-	itD, _ := Sort(scanOf(t, salesRows(), salesSchema()), []SortKey{{Column: "amount", Desc: true}})
-	rowsD, _ := Collect(itD)
-	if rowsD[0][1].F != 40 {
-		t.Fatalf("descending sort head = %v, want 40", rowsD[0][1])
-	}
-}
-
-func TestSortMultiKeyStable(t *testing.T) {
-	it, err := Sort(scanOf(t, salesRows(), salesSchema()),
-		[]SortKey{{Column: "region"}, {Column: "units", Desc: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := Collect(it)
-	// east group first (units 5, 2, 1 descending), then west (4, 3).
-	wantUnits := []int64{5, 2, 1, 4, 3}
-	for i, w := range wantUnits {
-		if rows[i][2].I != w {
-			t.Fatalf("row %d units = %d, want %d (%v)", i, rows[i][2].I, w, rows)
-		}
-	}
-}
-
-func TestSortErrors(t *testing.T) {
-	if _, err := Sort(scanOf(t, salesRows(), salesSchema()), nil); err == nil {
-		t.Error("empty key list should be rejected")
-	}
-	if _, err := Sort(scanOf(t, salesRows(), salesSchema()), []SortKey{{Column: "ghost"}}); err == nil {
-		t.Error("unknown key should be rejected")
-	}
-}
-
-func TestGroupByGlobalAggregates(t *testing.T) {
-	it, err := GroupBy(scanOf(t, salesRows(), salesSchema()), nil, []Aggregate{
-		{Func: Count},
-		{Func: Sum, Column: "amount"},
-		{Func: Avg, Column: "amount"},
-		{Func: MinOf, Column: "units"},
-		{Func: MaxOf, Column: "units"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Collect(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("global aggregate returned %d rows", len(rows))
-	}
-	r := rows[0]
-	if r[0].I != 5 {
-		t.Errorf("count = %d, want 5", r[0].I)
-	}
-	if r[1].F != 100 {
-		t.Errorf("sum = %v, want 100 (NULL skipped)", r[1])
-	}
-	if math.Abs(r[2].F-25) > 1e-9 {
-		t.Errorf("avg = %v, want 25 (NULL skipped)", r[2])
-	}
-	if r[3].I != 1 || r[4].I != 5 {
-		t.Errorf("min/max = %v/%v, want 1/5", r[3], r[4])
-	}
-}
-
-func TestGroupByGrouped(t *testing.T) {
-	it, err := GroupBy(scanOf(t, salesRows(), salesSchema()), []string{"region"}, []Aggregate{
-		{Func: Count, As: "n"},
-		{Func: Sum, Column: "amount", As: "total"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := it.Schema().Names(); names[0] != "region" || names[1] != "n" || names[2] != "total" {
-		t.Fatalf("output schema = %v", names)
-	}
-	rows, _ := Collect(it)
-	if len(rows) != 2 {
-		t.Fatalf("groups = %d, want 2", len(rows))
-	}
-	byRegion := map[string]Row{}
-	for _, r := range rows {
-		byRegion[r[0].S] = r
-	}
-	if e := byRegion["east"]; e[1].I != 3 || e[2].F != 30 {
-		t.Errorf("east = %v, want count 3, total 30", e)
-	}
-	if w := byRegion["west"]; w[1].I != 2 || w[2].F != 70 {
-		t.Errorf("west = %v, want count 2, total 70", w)
-	}
-}
-
-func TestGroupBySumIntStaysInt(t *testing.T) {
-	it, err := GroupBy(scanOf(t, salesRows(), salesSchema()), nil, []Aggregate{
-		{Func: Sum, Column: "units"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, _ := Collect(it)
-	if rows[0][0].Kind != Int64 || rows[0][0].I != 15 {
-		t.Fatalf("sum of ints = %v, want Int64 15", rows[0][0])
-	}
-}
-
-func TestGroupByErrors(t *testing.T) {
-	if _, err := GroupBy(scanOf(t, salesRows(), salesSchema()), nil, nil); err == nil {
-		t.Error("no aggregates should be rejected")
-	}
-	if _, err := GroupBy(scanOf(t, salesRows(), salesSchema()), []string{"ghost"}, []Aggregate{{Func: Count}}); err == nil {
-		t.Error("unknown group column should be rejected")
-	}
-	if _, err := GroupBy(scanOf(t, salesRows(), salesSchema()), nil, []Aggregate{{Func: Sum, Column: "region"}}); err == nil {
-		t.Error("SUM over a string column should be rejected")
-	}
-	if _, err := GroupBy(scanOf(t, salesRows(), salesSchema()), nil, []Aggregate{{Func: Sum, Column: "ghost"}}); err == nil {
-		t.Error("unknown aggregate column should be rejected")
-	}
-	if _, err := GroupBy(scanOf(t, salesRows(), salesSchema()), []string{"region"}, []Aggregate{
-		{Func: Count, As: "region"},
-	}); err == nil {
-		t.Error("duplicate output name should be rejected")
-	}
-}
-
-func TestGroupByNullKeysAreDistinctGroups(t *testing.T) {
-	schema := Schema{{Name: "k", Type: String}, {Name: "v", Type: Int64}}
-	rows := []Row{
-		{Null(String), NewInt(1)},
-		{NewString(""), NewInt(2)},
-		{Null(String), NewInt(3)},
-	}
-	it, err := GroupBy(scanOf(t, rows, schema), []string{"k"}, []Aggregate{{Func: Count}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := Collect(it)
-	if len(out) != 2 {
-		t.Fatalf("NULL and empty string should form distinct groups, got %d", len(out))
-	}
-}
-
-func TestHashJoin(t *testing.T) {
-	custSchema := Schema{{Name: "ckey", Type: Int64}, {Name: "name", Type: String}}
-	custRows := []Row{
-		{NewInt(1), NewString("ada")},
-		{NewInt(2), NewString("bob")},
-		{NewInt(3), NewString("cyd")},
-	}
-	orderSchema := Schema{{Name: "okey", Type: Int64}, {Name: "ckey", Type: Int64}}
-	orderRows := []Row{
-		{NewInt(100), NewInt(2)},
-		{NewInt(101), NewInt(1)},
-		{NewInt(102), NewInt(2)},
-		{NewInt(103), NewInt(9)},   // dangling key: no match
-		{NewInt(104), Null(Int64)}, // NULL never matches
-	}
-	it, err := HashJoin(
-		scanOf(t, custRows, custSchema),
-		scanOf(t, orderRows, orderSchema),
-		"ckey", "ckey")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Colliding right-side name gets prefixed.
-	names := it.Schema().Names()
-	if names[0] != "ckey" || names[2] != "okey" || names[3] != "right_ckey" {
-		t.Fatalf("join schema = %v", names)
-	}
-	rows, err := Collect(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("join produced %d rows, want 3", len(rows))
-	}
-	// Multi-match: customer 2 appears twice.
-	count2 := 0
-	for _, r := range rows {
-		if r[0].I == 2 {
-			count2++
-			if r[1].S != "bob" {
-				t.Fatalf("join mixed rows: %v", r)
-			}
-		}
-	}
-	if count2 != 2 {
-		t.Fatalf("customer 2 matched %d times, want 2", count2)
-	}
-}
-
-func TestHashJoinErrors(t *testing.T) {
-	a := scanOf(t, []Row{{NewInt(1)}}, Schema{{Name: "x", Type: Int64}})
-	b := scanOf(t, []Row{{NewString("s")}}, Schema{{Name: "y", Type: String}})
-	if _, err := HashJoin(a, b, "ghost", "y"); err == nil {
-		t.Error("unknown left column should be rejected")
-	}
-	a2 := scanOf(t, []Row{{NewInt(1)}}, Schema{{Name: "x", Type: Int64}})
-	if _, err := HashJoin(a2, b, "x", "ghost"); err == nil {
-		t.Error("unknown right column should be rejected")
-	}
-	a3 := scanOf(t, []Row{{NewInt(1)}}, Schema{{Name: "x", Type: Int64}})
-	b3 := scanOf(t, []Row{{NewString("s")}}, Schema{{Name: "y", Type: String}})
-	if _, err := HashJoin(a3, b3, "x", "y"); err == nil {
-		t.Error("mismatched key types should be rejected")
-	}
-}
-
+// TestOperatorsCompose runs the service's one query shape through the
+// operators it is built from:
+// SELECT DISTINCT region FROM sales WHERE amount > 15 LIMIT 1.
 func TestOperatorsCompose(t *testing.T) {
-	// SELECT region, SUM(amount) ... GROUP BY region ORDER BY total DESC LIMIT 1
-	agg, err := GroupBy(scanOf(t, salesRows(), salesSchema()), []string{"region"}, []Aggregate{
-		{Func: Sum, Column: "amount", As: "total"},
-	})
+	pred, err := ParseExpr("amount > 15")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := Sort(agg, []SortKey{{Column: "total", Desc: true}})
+	proj, err := Project(Filter(scanOf(t, salesRows(), salesSchema()), pred), []string{"region"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top := Limit(sorted, 1)
-	rows, err := Collect(top)
+	rows, err := Collect(Limit(Distinct(proj), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0][0].S != "west" || rows[0][1].F != 70 {
-		t.Fatalf("composed pipeline = %v, want [west 70]", rows)
-	}
-}
-
-func TestSortEmptyInput(t *testing.T) {
-	it, err := Sort(scanOf(t, nil, salesSchema()), []SortKey{{Column: "units"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := it.Next(); err != io.EOF {
-		t.Fatalf("empty sort should EOF immediately, got %v", err)
+	if len(rows) != 1 || len(rows[0]) != 1 || rows[0][0].S != "west" {
+		t.Fatalf("composed pipeline = %v, want [west]", rows)
 	}
 }

@@ -116,8 +116,11 @@ func LoadTable(r io.Reader) (*Table, error) {
 	}
 	getString := func(what string, max uint64) (string, error) {
 		n, err := binary.ReadUvarint(br)
-		if err != nil || n > max {
-			return "", fmt.Errorf("minidb: load %s length: %v", what, err)
+		if err != nil {
+			return "", fmt.Errorf("minidb: load %s length: %w", what, err)
+		}
+		if n > max {
+			return "", fmt.Errorf("minidb: load %s: length %d over its bound %d", what, n, max)
 		}
 		b := make([]byte, n)
 		if _, err := io.ReadFull(br, b); err != nil {
@@ -130,8 +133,11 @@ func LoadTable(r io.Reader) (*Table, error) {
 		return nil, err
 	}
 	ncols, err := binary.ReadUvarint(br)
-	if err != nil || ncols == 0 || ncols > 4096 {
-		return nil, fmt.Errorf("minidb: load column count: %v", err)
+	if err != nil {
+		return nil, fmt.Errorf("minidb: load column count: %w", err)
+	}
+	if ncols == 0 || ncols > 4096 {
+		return nil, fmt.Errorf("minidb: load column count: %d, want 1 to 4096", ncols)
 	}
 	schema := make(Schema, ncols)
 	for i := range schema {

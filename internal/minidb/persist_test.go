@@ -2,6 +2,7 @@ package minidb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,6 +66,27 @@ func TestLoadTableRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := LoadTable(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated table accepted")
+	}
+	// A length or count out of bounds names the field and its value.
+	header := func(fields ...uint64) []byte {
+		b := append([]byte(nil), persistMagic[:]...)
+		for _, f := range fields {
+			b = binary.AppendUvarint(b, f)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name, want string
+		file       []byte
+	}{
+		{"oversize name", "table name: length 4097", header(4097)},
+		{"zero columns", "column count: 0", append(header(1), 't', 0)},
+		{"too many columns", "column count: 4097", append(append(header(1), 't'), binary.AppendUvarint(nil, 4097)...)},
+	} {
+		_, err := LoadTable(bytes.NewReader(tc.file))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -273,15 +273,15 @@ func TestIngestRefusesCellBombBeforeAllocating(t *testing.T) {
 // within the size limit that the table then holds, or a refusal that
 // leaves the table alone — never a panic, never another status.
 func FuzzIngestBlock(f *testing.F) {
-	codecs := []wire.Codec{wire.XML{}, wire.JSON{}, wire.Binary{}, wire.Gzip(wire.XML{}), wire.Gzip(wire.JSON{}), wire.Gzip(wire.Binary{})}
+	codecs := []wire.Codec{wire.XML{}, wire.Binary{}, wire.Gzip(wire.XML{}), wire.Gzip(wire.Binary{})}
 	good := []minidb.Row{{minidb.NewInt(1), minidb.NewString("a")}, {minidb.NewInt(2), minidb.Null(minidb.String)}}
-	wide := make([]minidb.Row, 9) // one past the limit below
-	for i := range wide {
-		wide[i] = minidb.Row{minidb.NewInt(int64(i)), minidb.NewString("w")}
+	full := make([]minidb.Row, 9) // 8 rows fill the limit below, 9 are one past it
+	for i := range full {
+		full[i] = minidb.Row{minidb.NewInt(int64(i)), minidb.NewString("w")}
 	}
 	schema := minidb.Schema{{Name: "id", Type: minidb.Int64}, {Name: "label", Type: minidb.String}}
 	for i, c := range codecs {
-		for _, rows := range [][]minidb.Row{good, wide, nil} {
+		for _, rows := range [][]minidb.Row{good, full[:8], full, nil} {
 			var buf bytes.Buffer
 			if err := c.Encode(&buf, schema, rows); err != nil {
 				f.Fatal(err)
@@ -289,13 +289,25 @@ func FuzzIngestBlock(f *testing.F) {
 			f.Add(uint8(i), buf.Bytes())
 		}
 	}
-	// The hole this target was added for: few bytes per cell.
-	f.Add(uint8(0), []byte(`<Envelope><Body><rowset><metadata><column name="id" type="INT64"/><column name="label" type="STRING"/></metadata><rows>`+
-		strings.Repeat(`<row><v/><v/></row>`, 500)+`</rows></rowset></Body></Envelope>`))
-	f.Add(uint8(0), []byte(`<Envelope><Body><rowset><metadata/><rows>`+strings.Repeat(`<row/>`, 500)+`</rows></rowset></Body></Envelope>`))
-	f.Add(uint8(1), []byte(`{"columns":[{"name":"id","type":"INT64"},{"name":"label","type":"STRING"}],"rows":[`+strings.Repeat(`[null,null],`, 500)+`[null,null]]}`))
-	f.Add(uint8(1), []byte(`{"columns":[`+strings.Repeat(`{},`, 500)+`{}],"rows":[`+strings.Repeat(`[],`, 500)+`[]]}`))
-	f.Add(uint8(2), append([]byte("WSB1\x01\x01c\x00\xf4\x03"), bytes.Repeat([]byte{1}, 500)...))
+	f.Add(uint8(0), []byte{})
+	// The hole this target was added for: few bytes per cell, bare and
+	// packed under the same codec's +gzip (two places further on).
+	for _, bomb := range []struct {
+		codec uint8
+		body  []byte
+	}{
+		{0, []byte(`<Envelope><Body><rowset><metadata><column name="id" type="INT64"/><column name="label" type="STRING"/></metadata><rows>` +
+			strings.Repeat(`<row><v/><v/></row>`, 500) + `</rows></rowset></Body></Envelope>`)},
+		{0, []byte(`<Envelope><Body><rowset><metadata/><rows>` + strings.Repeat(`<row/>`, 500) + `</rows></rowset></Body></Envelope>`)},
+		{1, append([]byte("WSB1\x01\x01c\x00\xf4\x03"), bytes.Repeat([]byte{1}, 500)...)},
+	} {
+		var packed bytes.Buffer
+		zw := gzip.NewWriter(&packed)
+		zw.Write(bomb.body)
+		zw.Close()
+		f.Add(bomb.codec, bomb.body)
+		f.Add(bomb.codec+2, packed.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, codec uint8, body []byte) {
 		const maxBlock = 8

@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"wsopt/internal/core"
-	"wsopt/internal/linalg"
 )
 
 // ErrInsufficientData is returned by the fitting functions when fewer
@@ -140,13 +139,7 @@ func FitQuadratic(xs, ys []float64) (*Quadratic, error) {
 	if err := checkSamples(xs, ys, 3); err != nil {
 		return nil, err
 	}
-	design := linalg.NewMatrix(len(xs), 3)
-	for i, x := range xs {
-		design.Set(i, 0, x*x)
-		design.Set(i, 1, x)
-		design.Set(i, 2, 1)
-	}
-	coef, err := linalg.LeastSquares(design, ys)
+	coef, err := fit3(xs, ys, func(x float64) [3]float64 { return [3]float64{x * x, x, 1} })
 	if err != nil {
 		return nil, fmt.Errorf("sysid: quadratic fit: %w", err)
 	}
@@ -159,20 +152,70 @@ func FitParabolic(xs, ys []float64) (*Parabolic, error) {
 	if err := checkSamples(xs, ys, 3); err != nil {
 		return nil, err
 	}
-	design := linalg.NewMatrix(len(xs), 3)
-	for i, x := range xs {
+	for _, x := range xs {
 		if x <= 0 {
 			return nil, fmt.Errorf("sysid: parabolic fit requires positive block sizes, got %g", x)
 		}
-		design.Set(i, 0, 1/x)
-		design.Set(i, 1, x)
-		design.Set(i, 2, 1)
 	}
-	coef, err := linalg.LeastSquares(design, ys)
+	coef, err := fit3(xs, ys, func(x float64) [3]float64 { return [3]float64{1 / x, x, 1} })
 	if err != nil {
 		return nil, fmt.Errorf("sysid: parabolic fit: %w", err)
 	}
 	return &Parabolic{A: coef[0], B: coef[1], C: coef[2]}, nil
+}
+
+// fit3 least-squares fits ys ≈ coef·basis(x) through the normal
+// equations (AᵀA)·coef = Aᵀy, A's rows being basis(xs[k]), solved by
+// Gaussian elimination with partial pivoting. Every sum runs over the
+// samples in order, so the coefficients do not depend on how the loops
+// nest. A rank-deficient design (e.g. duplicated sample points) leaves a
+// pivot under 1e-12 and is refused.
+func fit3(xs, ys []float64, basis func(x float64) [3]float64) ([3]float64, error) {
+	var ata [3][3]float64
+	var atb [3]float64
+	for k, x := range xs {
+		row := basis(x)
+		for i, ri := range row {
+			if ri != 0 {
+				for j, rj := range row {
+					ata[i][j] += ri * rj
+				}
+			}
+			atb[i] += ri * ys[k]
+		}
+	}
+	for col := 0; col < 3; col++ {
+		pivot := col
+		for r := col + 1; r < 3; r++ {
+			if math.Abs(ata[r][col]) > math.Abs(ata[pivot][col]) {
+				pivot = r
+			}
+		}
+		if math.Abs(ata[pivot][col]) < 1e-12 {
+			return [3]float64{}, errors.New("singular normal equations")
+		}
+		ata[pivot], ata[col] = ata[col], ata[pivot]
+		atb[pivot], atb[col] = atb[col], atb[pivot]
+		for r := col + 1; r < 3; r++ {
+			f := ata[r][col] / ata[col][col]
+			if f == 0 {
+				continue
+			}
+			for c := col; c < 3; c++ {
+				ata[r][c] -= f * ata[col][c]
+			}
+			atb[r] -= f * atb[col]
+		}
+	}
+	var coef [3]float64
+	for i := 2; i >= 0; i-- {
+		sum := atb[i]
+		for j := i + 1; j < 3; j++ {
+			sum -= ata[i][j] * coef[j]
+		}
+		coef[i] = sum / ata[i][i]
+	}
+	return coef, nil
 }
 
 // SSE returns the sum of squared residuals of the model over the samples,

@@ -40,34 +40,46 @@ func TestLoadFullIsJoinable(t *testing.T) {
 	if len(names) != 4 {
 		t.Fatalf("catalog = %v, want 4 tables", names)
 	}
-	// customer ⋈ nation ⋈ region, counting customers per region.
-	customers, _ := cat.Execute(minidb.Query{Table: "customer", Columns: []string{"c_custkey", "c_nationkey"}})
-	nations, _ := cat.Execute(minidb.Query{Table: "nation", Columns: []string{"n_nationkey", "n_regionkey"}})
-	j1, err := minidb.HashJoin(nations, customers, "n_nationkey", "c_nationkey")
-	if err != nil {
-		t.Fatal(err)
+	// customer → nation → region by key lookups, counting customers per
+	// region: every foreign key must name a row.
+	collect := func(table string, cols ...string) []minidb.Row {
+		it, err := cat.Execute(minidb.Query{Table: table, Columns: cols})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := minidb.Collect(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
 	}
-	regions, _ := cat.Execute(minidb.Query{Table: "region", Columns: []string{"r_regionkey", "r_name"}})
-	j2, err := minidb.HashJoin(regions, j1, "r_regionkey", "n_regionkey")
-	if err != nil {
-		t.Fatal(err)
+	regionName := map[int64]string{}
+	for _, r := range collect("region", "r_regionkey", "r_name") {
+		regionName[r[0].I] = r[1].S
 	}
-	agg, err := minidb.GroupBy(j2, []string{"r_name"}, []minidb.Aggregate{{Func: minidb.Count, As: "customers"}})
-	if err != nil {
-		t.Fatal(err)
+	nationRegion := map[int64]int64{}
+	for _, r := range collect("nation", "n_nationkey", "n_regionkey") {
+		if _, ok := regionName[r[1].I]; !ok {
+			t.Fatalf("nation %d names region %d, which does not exist", r[0].I, r[1].I)
+		}
+		nationRegion[r[0].I] = r[1].I
 	}
-	rows, err := minidb.Collect(agg)
-	if err != nil {
-		t.Fatal(err)
+	perRegion := map[string]int{}
+	for _, r := range collect("customer", "c_custkey", "c_nationkey") {
+		rk, ok := nationRegion[r[1].I]
+		if !ok {
+			t.Fatalf("customer %d names nation %d, which does not exist", r[0].I, r[1].I)
+		}
+		perRegion[regionName[rk]]++
 	}
-	if len(rows) != 5 {
-		t.Fatalf("regions in result = %d, want 5", len(rows))
+	if len(perRegion) != 5 {
+		t.Fatalf("regions with customers = %d, want 5", len(perRegion))
 	}
-	total := int64(0)
-	for _, r := range rows {
-		total += r[1].I
+	total := 0
+	for _, n := range perRegion {
+		total += n
 	}
-	if total != int64(CustomerCount(0.005)) {
+	if total != CustomerCount(0.005) {
 		t.Fatalf("joined customer count = %d, want %d", total, CustomerCount(0.005))
 	}
 }

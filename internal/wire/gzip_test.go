@@ -19,7 +19,7 @@ import (
 	"wsopt/internal/minidb"
 )
 
-func gzipCodecs() []Codec { return []Codec{Gzip(XML{}), Gzip(JSON{}), Gzip(Binary{})} }
+func gzipCodecs() []Codec { return []Codec{Gzip(XML{}), Gzip(Binary{})} }
 
 // TestGzipDecodeVerifiesTrailer: a +gzip block is only good if the whole
 // gzip stream is — the CRC-32 and ISIZE that follow the deflate data,
@@ -121,20 +121,6 @@ func TestGzipDecodeCapsInflatedSize(t *testing.T) {
 	atCap := gzipOf(t, ' ', MaxFramePayload)
 	if _, _, err := Gzip(XML{}).Decode(bytes.NewReader(atCap)); err == nil || errors.Is(err, ErrInflatedTooLarge) {
 		t.Errorf("payload of exactly the cap: err = %v, want a syntax error", err)
-	}
-
-	// Zeros are refused by the streaming JSON decoder at the first byte,
-	// without inflating, let alone buffering, anything like the cap.
-	zeros := gzipOf(t, 0, MaxFramePayload+1)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, _, err := Gzip(JSON{}).Decode(bytes.NewReader(zeros))
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Error("json+gzip: zeros accepted")
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > MaxFramePayload/8 {
-		t.Errorf("json+gzip: refusing %d compressed bytes of zeros allocated %d bytes", len(zeros), got)
 	}
 }
 
@@ -255,7 +241,7 @@ func TestGzipEncodeIsOneStandardMember(t *testing.T) {
 		rows   []minidb.Row
 	}
 	blocks := []block{{inner: rawCodec{}}, {inner: rawCodec{data: []byte{'x'}}}}
-	for _, c := range []Codec{XML{}, JSON{}, Binary{}} {
+	for _, c := range []Codec{XML{}, Binary{}} {
 		blocks = append(blocks, block{c, sampleSchema(), nil}) // the smallest real block
 		for _, n := range sizes {
 			schema, rows := blockOfInnerSize(t, c, n)

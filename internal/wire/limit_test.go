@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -35,16 +33,12 @@ func cellBombs(n int) []cellBomb {
 	bin = append(bin, 'c', byte(minidb.Int64))
 	bin = binary.AppendUvarint(bin, uint64(n))
 	bin = append(bin, bytes.Repeat([]byte{flagNull}, n)...)
-	const jsonCols = `{"columns":[{"name":"c","type":"INT64"}],"rows":[`
 	return []cellBomb{
 		{"xml <v/>", XML{}, []byte(`<Envelope><Body><rowset><metadata><column name="a" type="INT64"/><column name="b" type="STRING"/></metadata><rows>` +
 			strings.Repeat(`<row><v/><v/></row>`, n/2) + `</rows></rowset></Body></Envelope>`), n},
 		{"xml <row/> of no columns", XML{}, []byte(`<Envelope><Body><rowset><metadata/><rows>` +
 			strings.Repeat(`<row/>`, n) + `</rows></rowset></Body></Envelope>`), n},
 		{"binary nulls", Binary{}, bin, n},
-		{"json nulls", JSON{}, []byte(jsonCols + strings.Repeat(`[null],`, n-1) + `[null]]}`), n},
-		{"json empty rows", JSON{}, []byte(jsonCols + strings.Repeat(`[],`, n-1) + `[]]}`), n},
-		{"json empty columns", JSON{}, []byte(`{"columns":[` + strings.Repeat(`{},`, n-1) + `{}],"rows":[]}`), n},
 	}
 }
 
@@ -56,7 +50,7 @@ func TestDecodeCellLimit(t *testing.T) {
 	schema := sampleSchema()
 	rows := sampleRows(50, rng)
 	cells := len(rows) * len(schema)
-	for _, c := range []Codec{XML{}, JSON{}, Binary{}, Gzip(XML{}), Gzip(JSON{}), Gzip(Binary{})} {
+	for _, c := range []Codec{XML{}, Binary{}, Gzip(XML{}), Gzip(Binary{})} {
 		var buf bytes.Buffer
 		if err := c.Encode(&buf, schema, rows); err != nil {
 			t.Fatal(err)
@@ -124,50 +118,5 @@ func TestDecodeCellLimitRefusesBeforeAllocating(t *testing.T) {
 	s := &Scratch{raw: make([]byte, 0, len(bomb.body)+1)}
 	if got := allocated(func() { DecodeBlock(bomb.codec, bytes.NewReader(bomb.body), s) }); got < cells*40 {
 		t.Errorf("unbounded decode of %s allocated only %d bytes: the bomb is not one", bomb.name, got)
-	}
-}
-
-// TestJSONArrayElemsExact: on documents the JSON decoder accepts, the
-// byte-level count the limit is checked on equals what was decoded; on
-// hostile nesting it gives up instead of miscounting.
-func TestJSONArrayElemsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 200; i++ {
-		ncols, nrows := 1+rng.Intn(5), rng.Intn(20)
-		schema := make(minidb.Schema, ncols)
-		for j := range schema {
-			schema[j] = minidb.Column{Name: fmt.Sprintf(`c"%d,[`, j), Type: minidb.String}
-		}
-		rows := make([]minidb.Row, nrows)
-		for r := range rows {
-			rows[r] = make(minidb.Row, ncols)
-			for j := range rows[r] {
-				rows[r][j] = minidb.NewString([]string{"", `a,b`, `]["\`, "x\\", "[[,,]]"}[rng.Intn(5)])
-				if rng.Intn(4) == 0 {
-					rows[r][j] = minidb.Null(minidb.String)
-				}
-			}
-		}
-		var buf bytes.Buffer
-		if err := (JSON{}).Encode(&buf, schema, rows); err != nil {
-			t.Fatal(err)
-		}
-		// Respell with whitespace the way a foreign encoder might.
-		var spaced bytes.Buffer
-		if err := json.Indent(&spaced, buf.Bytes(), "", "\t"); err != nil {
-			t.Fatal(err)
-		}
-		for _, doc := range [][]byte{buf.Bytes(), spaced.Bytes()} {
-			outer, inner, ok := jsonArrayElems(doc)
-			if !ok || outer != ncols+nrows || inner != ncols*nrows {
-				t.Fatalf("jsonArrayElems = %d outer, %d inner, ok %v; want %d, %d on\n%s", outer, inner, ok, ncols+nrows, ncols*nrows, doc)
-			}
-		}
-	}
-	if _, _, ok := jsonArrayElems([]byte(strings.Repeat("[", 9))); ok {
-		t.Error("nine containers deep counted as a rowset")
-	}
-	if _, _, ok := jsonArrayElems([]byte("]")); ok {
-		t.Error("a closer without an opener counted")
 	}
 }

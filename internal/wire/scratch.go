@@ -79,8 +79,8 @@ func (s *Scratch) cacheSchema(codec string, schema minidb.Schema, raw []byte) {
 
 // ScratchDecoder is implemented by codecs that can decode into a
 // caller-supplied Scratch, honouring its MaxCells (every codec of this
-// package; JSON reuses nothing else of it). Codecs without it fall back
-// to their plain Decode path under DecodeBlock.
+// package). Codecs without it fall back to their plain Decode path under
+// DecodeBlock.
 type ScratchDecoder interface {
 	DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb.Row, error)
 }

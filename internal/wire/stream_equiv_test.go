@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -13,37 +12,10 @@ import (
 	"wsopt/internal/minidb"
 )
 
-// The streaming encoders promise byte-identical output to the
-// doc-struct-plus-stdlib-marshal implementations they replaced. These
-// tests keep that promise honest by re-implementing the old encoders and
+// The streaming XML encoder promises byte-identical output to the
+// doc-struct-plus-encoding/xml implementation it replaced. These tests
+// keep that promise honest by re-implementing the old encoder and
 // diffing the bytes across adversarial and randomized blocks.
-
-// marshalJSONReference is the pre-streaming JSON encoder: build the
-// document, hand it to encoding/json.
-func marshalJSONReference(w io.Writer, schema minidb.Schema, rows []minidb.Row) error {
-	doc := jsonRowset{
-		Columns: make([]jsonColumn, len(schema)),
-		Rows:    make([][]*string, len(rows)),
-	}
-	for i, c := range schema {
-		doc.Columns[i] = jsonColumn{Name: c.Name, Type: typeName(c.Type)}
-	}
-	for i, r := range rows {
-		if len(r) != len(schema) {
-			return fmt.Errorf("wire: row %d has %d values, schema has %d columns", i, len(r), len(schema))
-		}
-		cells := make([]*string, len(r))
-		for j, v := range r {
-			if v.Null {
-				continue
-			}
-			s := v.String()
-			cells[j] = &s
-		}
-		doc.Rows[i] = cells
-	}
-	return json.NewEncoder(w).Encode(doc)
-}
 
 // marshalXMLReference is the pre-streaming XML encoder: build the
 // envelope, hand it to encoding/xml.
@@ -71,7 +43,7 @@ func marshalXMLReference(w io.Writer, schema minidb.Schema, rows []minidb.Row) e
 }
 
 // equivalenceBlocks are hand-picked blocks exercising every escaping
-// corner: JSON HTML escapes, XML character references, control bytes,
+// corner: XML character references, control bytes,
 // invalid UTF-8, U+2028/U+2029, empty strings vs NULLs, special floats,
 // empty schemas and empty rowsets.
 func equivalenceBlocks() []struct {
@@ -132,23 +104,6 @@ func equivalenceBlocks() []struct {
 	}
 }
 
-func TestJSONStreamMatchesMarshal(t *testing.T) {
-	for _, tc := range equivalenceBlocks() {
-		t.Run(tc.name, func(t *testing.T) {
-			var want, got bytes.Buffer
-			if err := marshalJSONReference(&want, tc.schema, tc.rows); err != nil {
-				t.Fatalf("reference encode: %v", err)
-			}
-			if err := (JSON{}).Encode(&got, tc.schema, tc.rows); err != nil {
-				t.Fatalf("streaming encode: %v", err)
-			}
-			if !bytes.Equal(want.Bytes(), got.Bytes()) {
-				t.Fatalf("streaming JSON differs from encoding/json\nwant: %q\ngot:  %q", want.Bytes(), got.Bytes())
-			}
-		})
-	}
-}
-
 func TestXMLStreamMatchesMarshal(t *testing.T) {
 	for _, tc := range equivalenceBlocks() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,16 +127,7 @@ func TestStreamMatchesMarshalRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 300; iter++ {
 		schema, rows := randEquivBlock(rng)
-		var wantJ, gotJ, wantX, gotX bytes.Buffer
-		if err := marshalJSONReference(&wantJ, schema, rows); err != nil {
-			t.Fatalf("iter %d: json reference: %v", iter, err)
-		}
-		if err := (JSON{}).Encode(&gotJ, schema, rows); err != nil {
-			t.Fatalf("iter %d: json streaming: %v", iter, err)
-		}
-		if !bytes.Equal(wantJ.Bytes(), gotJ.Bytes()) {
-			t.Fatalf("iter %d: JSON mismatch\nwant: %q\ngot:  %q", iter, wantJ.Bytes(), gotJ.Bytes())
-		}
+		var wantX, gotX bytes.Buffer
 		if err := marshalXMLReference(&wantX, schema, rows); err != nil {
 			t.Fatalf("iter %d: xml reference: %v", iter, err)
 		}

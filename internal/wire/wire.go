@@ -8,7 +8,6 @@
 //     xml+gzip) the deflate that buys the bytes back. It no longer
 //     carries a reflective parse: both directions are hand-written for
 //     the one rowset grammar (xml.go, xmldecode.go);
-//   - a JSON codec of the same shape;
 //   - a compact length-prefixed binary codec, the ablation baseline for
 //     quantifying that overhead (BenchmarkCodecRoundTrip);
 //   - any of them under gzip ("+gzip"): encoded as one standard gzip
@@ -42,17 +41,15 @@ type Codec interface {
 }
 
 // ByName returns the codec registered under name: "xml" (default),
-// "json", "binary", or any of them with one "+gzip" suffix. A second
-// suffix is refused: it would deflate every block twice, and the block
-// cache's fingerprint reads only the outer level.
+// "binary", or either with one "+gzip" suffix. A second suffix is
+// refused: it would deflate every block twice, and the block cache's
+// fingerprint reads only the outer level.
 func ByName(name string) (Codec, error) {
 	base, gzipped := strings.CutSuffix(name, "+gzip")
 	var c Codec
 	switch {
 	case base == "xml", name == "":
 		c = XML{}
-	case base == "json":
-		c = JSON{}
 	case base == "binary":
 		c = Binary{}
 	case strings.HasSuffix(base, "+gzip"):

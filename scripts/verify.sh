@@ -21,6 +21,19 @@ gate_vet() {
 	}
 	check_owned
 	check_capabilities
+	check_docs
+}
+
+# check_docs holds DESIGN.md to a byte ceiling: a change that does not add
+# a tier leaves it no larger than it found it, and one that adds a tier
+# raises the number here in the same diff.
+design_ceiling=146318
+check_docs() {
+	size=$(wc -c <DESIGN.md)
+	[ "$size" -le "$design_ceiling" ] || {
+		echo "verify.sh: DESIGN.md is $size bytes, over its ceiling of $design_ceiling (scripts/verify.sh)" >&2
+		return 1
+	}
 }
 
 # check_capabilities fails when a non-test file outside internal/core

@@ -212,10 +212,7 @@ func CodecXML() Codec { return wire.XML{} }
 // quantifying the XML overhead.
 func CodecBinary() Codec { return wire.Binary{} }
 
-// CodecJSON returns the JSON rowset codec.
-func CodecJSON() Codec { return wire.JSON{} }
-
-// CodecByName resolves "xml", "json", "binary", optionally with a
+// CodecByName resolves "xml" or "binary", optionally with a
 // "+gzip" suffix for transport compression.
 func CodecByName(name string) (Codec, error) { return wire.ByName(name) }
 

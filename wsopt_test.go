@@ -211,7 +211,7 @@ func TestFacadeConfigurations(t *testing.T) {
 	if _, err := wsopt.ConfigurationByName("nope"); err == nil {
 		t.Fatal("unknown configuration should error")
 	}
-	if _, err := wsopt.CodecByName("json+gzip"); err != nil {
+	if _, err := wsopt.CodecByName("binary+gzip"); err != nil {
 		t.Fatal(err)
 	}
 }
