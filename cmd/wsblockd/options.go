@@ -71,8 +71,8 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.replicate, "replicate", 0, "replication: retain this many session-mutation records in the log served at GET /replication/feed for follower shipping (0 = disabled)")
 
 	fs.BoolVar(&o.push, "push", true, "serve the push streaming transport (POST /sessions/{id}/stream + credit side channel) alongside pull")
-	fs.IntVar(&o.pushWindow, "push-window", 0, "push: cap the credit window a client may grant, announced on every stream open (0 = default 64)")
-	fs.IntVar(&o.pushMaxFrame, "push-max-frame", 0, "push: cap one frame's encoded payload in bytes (0 = default 8 MiB)")
+	fs.IntVar(&o.pushWindow, "push-window", 0, "push: cap the credit window a client may grant, in frames, announced on every stream open (0 = default 1024; memory is bounded by -push-max-frame)")
+	fs.IntVar(&o.pushMaxFrame, "push-max-frame", 0, "push: cap one frame's encoded payload in bytes; twice it is each stream's budget of unacked bytes (0 = default 8 MiB)")
 
 	fs.Int64Var(&o.cacheMemBytes, "cache-mem-bytes", 0, "cache: hold up to this many bytes of encoded blocks in memory, content-addressed by plan+cursor+codec+dataset version (0 = disabled)")
 

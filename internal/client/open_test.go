@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -311,5 +312,90 @@ func TestCreatingOpenRefusalsSurface(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPushPendingSessionIsNeverPulled: sessions named before a tier that
+// does not stream has said so are still pending — no request created
+// them — when the first session's open meets the tier's 501 and falls
+// back. Each must take its own open and fall back by itself, never pull
+// a session the tier does not know (404). One is wrapped in its transport
+// before that fall-back, one after it.
+func TestPushPendingSessionIsNeverPulled(t *testing.T) {
+	const rows, size = 100, 10
+	srv, err := service.New(service.Config{Catalog: dataCatalog(t, rows), Codec: wire.Binary{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tier answers every stream open 501, as the gateway does; the
+	// first one's answer waits until a second session has been named.
+	named := make(chan struct{})
+	var held sync.Once
+	tier := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			held.Do(func() { <-named })
+			http.Error(w, "this tier does not stream", http.StatusNotImplemented)
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
+	defer tier.Close()
+	c, err := New(tier.URL, wire.Binary{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetPush(PushConfig{Enabled: true})
+	ctx := context.Background()
+	name := func() *Session {
+		t.Helper()
+		sess, err := c.session(ctx, Query{Table: "data"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	drain := func(tr Transport) (tuples int, err error) {
+		defer tr.Close(ctx)
+		for !tr.Done() {
+			blk, err := tr.Next(ctx, size)
+			if err != nil {
+				return tuples, err
+			}
+			tuples += blk.Tuples
+		}
+		return tuples, nil
+	}
+
+	first := c.transportFor(name(), nil)
+	wrappedEarly := c.transportFor(name(), nil)
+	fell := make(chan error, 1)
+	go func() {
+		_, err := first.Next(ctx, size)
+		fell <- err
+	}()
+	namedLate := name()
+	close(named)
+	if err := <-fell; err != nil {
+		t.Fatalf("first session: %v", err)
+	}
+	if tuples, err := drain(first); err != nil || tuples != rows-size {
+		t.Errorf("first session: %d of %d tuples after its first block, %v", tuples, rows-size, err)
+	}
+	for _, tc := range []struct {
+		name string
+		tr   Transport
+	}{
+		{"wrapped before the fall-back", wrappedEarly},
+		{"wrapped after the fall-back", c.transportFor(namedLate, nil)},
+	} {
+		if tuples, err := drain(tc.tr); err != nil || tuples != rows {
+			t.Errorf("%s: %d of %d tuples, %v", tc.name, tuples, rows, err)
+		}
+	}
+	if err := c.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.SessionsOpened != 3 || st.PushFramesSent != 0 {
+		t.Errorf("%d sessions opened, %d push frames; want 3 by POST /sessions and none pushed", st.SessionsOpened, st.PushFramesSent)
 	}
 }

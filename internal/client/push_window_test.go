@@ -2,15 +2,18 @@ package client
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"wsopt/internal/core"
+	"wsopt/internal/minidb"
 	"wsopt/internal/service"
 	"wsopt/internal/wire"
 )
@@ -76,11 +79,14 @@ func delayRelay(tb testing.TB, target string, oneWay time.Duration) string {
 	return ln.Addr().String()
 }
 
-// dataServer starts a service over dataCatalog's table, under cfg but for
-// its catalog and codec.
+// dataServer starts a service over cfg.Catalog, or dataCatalog's table
+// when cfg has none, under cfg but for its codec.
 func dataServer(tb testing.TB, rows int, cfg service.Config) (*service.Server, *httptest.Server) {
 	tb.Helper()
-	cfg.Catalog, cfg.Codec = dataCatalog(tb, rows), wire.Binary{}
+	if cfg.Catalog == nil {
+		cfg.Catalog = dataCatalog(tb, rows)
+	}
+	cfg.Codec = wire.Binary{}
 	srv, err := service.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -90,11 +96,32 @@ func dataServer(tb testing.TB, rows int, cfg service.Config) (*service.Server, *
 	return srv, ts
 }
 
-// delayStack is a service with a free handler behind a relay of 5 ms each
-// way, and a push client whose window is pinned (0 = the server's cap).
-func delayStack(tb testing.TB, rows, pinned int) (*Client, *service.Server) {
+// wideCatalog is dataCatalog's table with every v padded to width bytes:
+// frames of a megabyte without a million rows.
+func wideCatalog(tb testing.TB, rows, width int) *minidb.Catalog {
 	tb.Helper()
-	srv, ts := dataServer(tb, rows, service.Config{})
+	cat := dataCatalog(tb, 0)
+	tbl, err := cat.Table("data")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batch := make([]minidb.Row, 0, rows)
+	for i := 0; i < rows; i++ {
+		v := fmt.Sprintf("v%d", i)
+		batch = append(batch, minidb.Row{minidb.NewInt(int64(i)), minidb.NewString(v + strings.Repeat(".", width-len(v)))})
+	}
+	if err := tbl.BulkLoad(batch); err != nil {
+		tb.Fatal(err)
+	}
+	return cat
+}
+
+// delayStack is a service over cat with a free handler behind a relay of
+// 5 ms each way, and a push client whose window is pinned (0 = the
+// server's cap).
+func delayStack(tb testing.TB, cat *minidb.Catalog, pinned int) (*Client, *service.Server) {
+	tb.Helper()
+	srv, ts := dataServer(tb, 0, service.Config{Catalog: cat})
 	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
 	tb.Cleanup(hc.CloseIdleConnections)
 	c, err := New("http://"+delayRelay(tb, ts.Listener.Addr().String(), 5*time.Millisecond), wire.Binary{}, hc)
@@ -114,7 +141,7 @@ func TestPushDefaultWindowCoversDelay(t *testing.T) {
 	const rows, size = 10000, 50
 	stallsPerFrame := func(pinned int) float64 {
 		t.Helper()
-		c, srv := delayStack(t, rows, pinned)
+		c, srv := delayStack(t, dataCatalog(t, rows), pinned)
 		res, err := c.Run(context.Background(), Query{Table: "data"}, core.NewStatic(size), MetricPerBlock, false)
 		if err != nil || res.Tuples != rows || res.Retries != 0 {
 			t.Fatalf("push run: %+v, %v", res, err)
@@ -173,7 +200,7 @@ func TestPushWindowAboveServerCapStillFlows(t *testing.T) {
 		{"pinned above the cap", 16, 2, 50, 16, 2, 1},
 		{"pinned under the cap", 3, 0, 50, 3, 3, 0},
 		{"default, smaller cap", 0, 2, 50, service.DefaultPushMaxWindow, 2, 1},
-		{"default, larger cap", 0, 128, 10, service.DefaultPushMaxWindow, 128, 0},
+		{"default, larger cap", 0, 2 * service.DefaultPushMaxWindow, 1, service.DefaultPushMaxWindow, 2 * service.DefaultPushMaxWindow, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, ts := dataServer(t, rows, service.Config{PushMaxWindow: tc.cap})
@@ -211,12 +238,42 @@ func TestPushWindowAboveServerCapStillFlows(t *testing.T) {
 	}
 }
 
+// TestPushWindowBytesStillFlows is the same wedge in bytes: frames of
+// about a third of the stream's byte budget fill it in two or three, far
+// below the frame count that acks (maxAckBatch), so a client that acked
+// by frames alone would leave the producer parked until the watchdog and
+// a reconnect. The open's 200 announces the budget, and the client acks
+// once half of it is pending.
+func TestPushWindowBytesStillFlows(t *testing.T) {
+	// Frames of 18.8 kB against a budget of twice 28 KiB.
+	const rows, size = 20000, 2000
+	srv, ts := dataServer(t, rows, service.Config{PushMaxFrameBytes: 28 << 10})
+	c, err := New(ts.URL, wire.Binary{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
+	c.SetPush(PushConfig{Enabled: true})
+	start := time.Now()
+	res, err := c.Run(context.Background(), Query{Table: "data"}, core.NewStatic(size), MetricPerBlock, false)
+	if err != nil || res.Tuples != rows || res.Retries != 0 {
+		t.Fatalf("push run: %+v, %v", res, err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the query took %v: the stream waited for an ack the client held", took)
+	}
+	st := srv.Stats()
+	if st.PushStreamsOpened != 1 || st.PushFramesReplayed != 0 || st.PushCreditStalls == 0 {
+		t.Errorf("%d streams opened, %d frames replayed, %d credit stalls; want 1, 0 and the budget reached", st.PushStreamsOpened, st.PushFramesReplayed, st.PushCreditStalls)
+	}
+}
+
 // TestPushShortQueryStillAcks: a query of fewer blocks than half the
 // window is acknowledged all the same — the ack batch is bounded by
 // maxAckBatch, not only by the window — so its retained tail is released
 // while it runs and not by its DELETE.
 func TestPushShortQueryStillAcks(t *testing.T) {
-	const rows, size = 2000, 67 // 30 blocks against a window of 64
+	const rows, size = 2000, 67 // 30 blocks against a window of 1024
 	srv, ts := dataServer(t, rows, service.Config{})
 	c, err := New(ts.URL, wire.Binary{}, nil)
 	if err != nil {
@@ -248,25 +305,34 @@ func TestPushShortQueryStillAcks(t *testing.T) {
 // BenchmarkPushOverDelay is whole push queries over a 10 ms round trip
 // at pinned windows and at the default, the server's cap (DESIGN.md §19
 // has the table): what the window is worth when the link, not the CPU, is
-// the limit — and, in the short row, what a query's fixed round trips are
-// worth when its 20 blocks stream in about one.
+// the limit — in the short row, what a query's fixed round trips are
+// worth when its 20 blocks stream in about one, and in the frame=1MiB
+// row, whether frames of a megabyte still stream under the byte budget
+// or fall to stop-and-wait.
 func BenchmarkPushOverDelay(b *testing.B) {
-	const size = 100
 	for _, tc := range []struct {
-		name         string
-		rows, window int
+		name               string
+		rows, window, size int
+		width              int // pad every row to this many bytes (0 = dataCatalog's)
 	}{
-		{"window=4", 20000, 4},
-		{"window=16", 20000, 16},
-		{"window=64", 20000, 64},
-		{"window=default", 20000, 0},
-		{"short/window=default", 2000, 0},
+		{"window=4", 20000, 4, 100, 0},
+		{"window=16", 20000, 16, 100, 0},
+		{"window=64", 20000, 64, 100, 0},
+		{"window=default", 20000, 0, 100, 0},
+		{"short/window=default", 2000, 0, 100, 0},
+		{"frame=1MiB/window=default", 16000, 0, 1000, 1000},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			c, _ := delayStack(b, tc.rows, tc.window)
+			var cat *minidb.Catalog
+			if tc.width > 0 {
+				cat = wideCatalog(b, tc.rows, tc.width)
+			} else {
+				cat = dataCatalog(b, tc.rows)
+			}
+			c, _ := delayStack(b, cat, tc.window)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := c.Run(context.Background(), Query{Table: "data"}, core.NewStatic(size), MetricPerBlock, false)
+				res, err := c.Run(context.Background(), Query{Table: "data"}, core.NewStatic(tc.size), MetricPerBlock, false)
 				if err != nil || res.Tuples != tc.rows {
 					b.Fatalf("push run: %+v, %v", res, err)
 				}

@@ -33,8 +33,16 @@ type streamSession struct {
 	win func() int // the controller's window knob; nil or 0 = it has none
 	// cap is the largest window the server said it applies
 	// (HeaderPushWindow) — the default cap until a stream open has said
-	// otherwise.
-	cap int
+	// otherwise. budget is the stream's byte budget
+	// (HeaderPushWindowBytes; 0 = none announced), unacked the payload
+	// bytes read since the last grant acked.
+	cap             int
+	budget, unacked int
+	// pulling is set when this session's own stream open found a tier
+	// that does not stream (fallBack): every block is a pull from then on.
+	// It is the session's, not the endpoint's, so a session still pending
+	// creation is never pulled.
+	pulling bool
 
 	// Stream connection state. body is nil between streams; ctx is the
 	// stream's lifetime, which its credit grants share; buf is the frame
@@ -109,8 +117,7 @@ var errNoStream = errors.New("client: endpoint does not stream")
 func (t *streamSession) Next(ctx context.Context, size int) (*Block, error) {
 	lost := 0
 	blk, err := t.s.nextBlock(ctx, "push", size, func(attempt int) (*Block, error) {
-		// An endpoint that turned out not to stream (fallBack) is pulled.
-		if t.s.c.pullsOnly(t.s.ep) {
+		if t.pulling {
 			return t.s.pullAttempt(ctx, size, attempt)
 		}
 		return t.nextAttempt(ctx, size, attempt)
@@ -128,7 +135,7 @@ func (t *streamSession) Next(ctx context.Context, size int) (*Block, error) {
 		lost++
 		return lost == 1
 	})
-	if err != nil || t.s.c.pullsOnly(t.s.ep) {
+	if err != nil || t.pulling {
 		return blk, err
 	}
 	if blk.Done {
@@ -206,6 +213,7 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 			blk, err = s.readBlock(bytes.NewReader(f.Payload), t1, service.FrameMeta(f), true)
 		}
 		if err == nil {
+			t.unacked += len(f.Payload)
 			return blk, nil
 		}
 		err = fmt.Errorf("client: read push frame: %w", err)
@@ -222,9 +230,9 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 
 // fallBack opens the session the way a tier without push takes it — POST
 // /sessions on the same endpoint, remembered for the client's later
-// sessions — so that every block there is a pull from here on (Next). A
-// refusal of that request is the answer to the open: an unknown table's
-// 404 reads the same on both ways in.
+// sessions — so that every block of this one is a pull from here on
+// (Next). A refusal of that request is the answer to the open: an unknown
+// table's 404 reads the same on both ways in.
 func (t *streamSession) fallBack(ctx context.Context, cause error) error {
 	s := t.s
 	o, err := s.c.openSessionOn(ctx, s.ep, s.q, s.committed)
@@ -233,6 +241,7 @@ func (t *streamSession) fallBack(ctx context.Context, cause error) error {
 	}
 	s.c.pullOnly.Store(s.ep, true)
 	s.bind(s.ep, o)
+	t.pulling = true
 	return nil
 }
 
@@ -241,7 +250,7 @@ func (t *streamSession) fallBack(ctx context.Context, cause error) error {
 // size/window grant and implies a cumulative ack of everything before
 // from; on a pending session it also carries the query, at the committed
 // cursor, and creates the session. Its 200 announces the largest window
-// the server applies and the result's columns.
+// the server applies, the stream's byte budget and the result's columns.
 func (t *streamSession) openStream(ctx context.Context, size int) error {
 	s := t.s
 	win := t.windowTarget()
@@ -289,34 +298,42 @@ func (t *streamSession) openStream(ctx context.Context, size int) error {
 	_ = json.Unmarshal([]byte(resp.Header.Get(service.HeaderSessionColumns)), &s.columns)
 	// A server that announces no cap predates the header: assume the
 	// default one.
-	t.cap = service.DefaultPushMaxWindow
-	if n, err := strconv.Atoi(resp.Header.Get(service.HeaderPushWindow)); err == nil && n > 0 {
-		t.cap = n
-	}
-	t.granted = service.Query{Acked: s.seq, Window: min(win, t.cap), Size: size}
+	t.cap, t.budget = announced(resp, service.HeaderPushWindow, service.DefaultPushMaxWindow), announced(resp, service.HeaderPushWindowBytes, 0)
+	t.granted, t.unacked = service.Query{Acked: s.seq, Window: min(win, t.cap), Size: size}, 0
 	return nil
 }
 
+// announced reads a positive number the server announced in header, or
+// def when it announced none.
+func announced(resp *http.Response, header string, def int) int {
+	if n, err := strconv.Atoi(resp.Header.Get(header)); err == nil && n > 0 {
+		return n
+	}
+	return def
+}
+
 // maxAckBatch bounds the frames left pending ack however large the
-// window: half of a 64-frame window would leave a query of a few dozen
-// blocks unacknowledged until its session is deleted, and every ack the
-// producer holds half a window stale.
+// window: half of a window of hundreds would leave a query of a few
+// dozen blocks unacknowledged until its session is deleted, and every
+// ack the producer holds half a window stale.
 const maxAckBatch = 8
 
 // queueGrant posts a credit update when it is due: the block size or
-// window target changed, or half the window — at most maxAckBatch frames
-// — is pending ack. The target never exceeds the server's cap, so that
-// is half of a window the server applies: a threshold above it would
-// never be reached.
+// window target changed, half the window — at most maxAckBatch frames —
+// is pending ack, or the frames pending ack weigh half the byte budget.
+// The target never exceeds the server's cap and the producer waits only
+// at the whole budget, so either threshold is reached before the server
+// stops: a threshold above what it grants would never be.
 // The post itself happens on the grant loop goroutine, off the
 // frame-read path; coalescing there means a slow control channel
 // degrades to fewer, fresher grants rather than a backlog.
 func (t *streamSession) queueGrant(size int) {
 	s, win, last := t.s, t.windowTarget(), t.granted
-	if size == last.Size && win == last.Window && s.seq-last.Acked < uint64(max(min(win/2, maxAckBatch), 1)) {
+	if size == last.Size && win == last.Window && s.seq-last.Acked < uint64(max(min(win/2, maxAckBatch), 1)) &&
+		(t.budget == 0 || t.unacked < t.budget/2) {
 		return
 	}
-	t.granted = service.Query{Acked: s.seq, Window: win, Size: size}
+	t.granted, t.unacked = service.Query{Acked: s.seq, Window: win, Size: size}, 0
 	t.g.post(t.ctx, s.url, t.granted)
 }
 

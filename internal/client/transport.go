@@ -29,9 +29,10 @@ type PushConfig struct {
 	Enabled bool
 	// Window pins the credit window when the controller has no window
 	// knob (core.VectorOf reports 0). Zero or less, the default, asks for
-	// the largest window the server announces it applies (64 unless
+	// the largest window the server announces it applies (1024 unless
 	// `wsblockd -push-window` says otherwise), which also bounds a pinned
 	// one: over a link with real delay a small window is stop-and-wait.
+	// Whatever the window, the server's byte budget bounds what it pins.
 	Window int
 }
 
@@ -44,9 +45,12 @@ func (c *Client) SetPush(pc PushConfig) { c.push = pc }
 // server's cap.
 // Transparent-gateway sessions always pull — the gateway tier owns
 // failover per pull request and does not proxy the stream endpoints — and
-// so do sessions on an endpoint that has declined a stream before.
+// so do sessions opened on an endpoint that has declined a stream before.
+// A session still pending creation streams whatever another session has
+// learned since it was named: only its stream open can create it, and
+// where the tier declines, that open falls back by itself.
 func (c *Client) transportFor(sess *Session, win func() int) Transport {
-	if !c.push.Enabled || sess.transparent || c.pullsOnly(sess.ep) {
+	if !c.push.Enabled || sess.transparent || !sess.pending && c.pullsOnly(sess.ep) {
 		return sess
 	}
 	return newStreamSession(sess, win)

@@ -26,9 +26,14 @@ const (
 	// window the server applies on this stream: a larger `window`, on the
 	// open or on a credit, is cut to it, so a client bounds what it asks
 	// for and what it acks against by this number. A server that sends
-	// none predates the header; its cap is DefaultPushMaxWindow unless
-	// configured otherwise.
+	// none predates the header; the client then assumes
+	// DefaultPushMaxWindow.
 	HeaderPushWindow = "X-Push-Window"
+	// HeaderPushWindowBytes, beside it, is the stream's byte budget: the
+	// producer waits while its unacked frames pin that much, so a client
+	// acks once the frames it has read and not acked reach half of it. A
+	// server that sends none bounds the window in frames only.
+	HeaderPushWindowBytes = "X-Push-Window-Bytes"
 	// HeaderSessionColumns, beside it, is the result's column names as a
 	// JSON array: what POST /sessions answers in its 201 body, for a client
 	// whose stream open was what created the session.

@@ -209,7 +209,7 @@ func TestCreatingOpenIsIdempotent(t *testing.T) {
 		t.Fatalf("%d sessions opened, %d live, %d frames replayed; want 1, 1, 3", st.SessionsOpened, srv.SessionCount(), st.PushFramesReplayed)
 	}
 	deleteSession(t, ts, testName)
-	assertNoLiveReplayRefs(t, live)
+	assertNoLiveReplayRefs(t, srv, live)
 }
 
 // TestCreatingOpenRefusedByFaultLeavesNoState: an injected 503 answers a

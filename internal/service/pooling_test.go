@@ -270,7 +270,7 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 			if n != 2 {
 				t.Fatalf("%d replay blocks released, want 2 (close-racing pull must release its own commit)", n)
 			}
-			assertNoLiveReplayRefs(t, live)
+			assertNoLiveReplayRefs(t, srv, live)
 		})
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // The session protocol, server side (DESIGN.md §8). A session is one
@@ -168,10 +169,12 @@ func (c SeqClass) Refuse(w http.ResponseWriter, seq uint64) bool {
 }
 
 // tailFrame is one committed-but-unacked block; the tail holds one
-// reference to rb for as long as the frame is retained.
+// reference to rb for as long as the frame is retained, and a stream's
+// tail charges its bytes what retaining rb pins (replayBlock.pinned).
 type tailFrame struct {
-	seq uint64
-	rb  *replayBlock
+	seq    uint64
+	rb     *replayBlock
+	charge int
 }
 
 // tail is a session's protocol state: the retained frames and the
@@ -207,6 +210,12 @@ type tail struct {
 	// window blocks are committed past acked.
 	gen          uint64
 	size, window int
+	// bytes is what the frames a stream committed pin, charged at commit
+	// and credited at ack or close; the producer waits while it is at
+	// budget. retained, the server's sum of every tail's bytes, moves with
+	// it (Stats.PushRetainedBytes).
+	bytes, budget int
+	retained      *atomic.Int64
 }
 
 // begin admits a request that names block seq (0 = the next one): a pull
@@ -250,14 +259,22 @@ func (t *tail) ackLocked(acked uint64) {
 		return
 	}
 	t.acked = acked
-	n := 0
+	n, credit := 0, 0
 	for n < len(t.frames) && t.frames[n].seq <= acked {
+		credit += t.frames[n].charge
 		releaseReplay(t.frames[n].rb)
 		n++
 	}
+	t.charge(-credit)
 	kept := copy(t.frames, t.frames[n:])
 	clear(t.frames[kept:])
 	t.frames = t.frames[:kept]
+}
+
+// charge moves the tail's retained bytes, and the server's sum with them.
+func (t *tail) charge(n int) {
+	t.bytes += n
+	t.retained.Add(int64(n))
 }
 
 var (
@@ -317,7 +334,10 @@ var (
 
 // waitCredit blocks until the window has room (returning the granted
 // block size), the result set is complete, the session closes, a newer
-// generation takes over, or the stream's context dies. onStall fires
+// generation takes over, or the stream's context dies. The window has
+// room while fewer than window frames are unacked and their bytes are
+// under budget; nothing retained is 0 bytes, so one frame always flows.
+// onStall fires
 // once, before the first actual block on an exhausted window, so the
 // backpressure signal is visible while the producer is still parked. The
 // caller must have arranged for ctx's cancellation to broadcast t.cond
@@ -338,7 +358,7 @@ func (t *tail) waitCredit(ctx context.Context, gen uint64, onStall func()) (int,
 			// a replay just covered. Checked before the window, which that
 			// unacked frame may be filling.
 			return 0, errTailDone
-		case t.produced < t.acked+uint64(t.window):
+		case t.produced < t.acked+uint64(t.window) && t.bytes < t.budget:
 			return t.size, nil
 		}
 		if !stalled {

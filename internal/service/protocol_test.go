@@ -419,13 +419,14 @@ func TestStressCloseRacesCommit(t *testing.T) {
 	}
 	t.Logf("%d commits of a possible %d made it in before their close", commits, 2*sessions)
 	rlog.Close()
-	assertNoLiveReplayRefs(t, live)
+	assertNoLiveReplayRefs(t, srv, live)
 }
 
 // assertNoLiveReplayRefs waits briefly — a writer gives its reference
 // back after the peer already holds the block — and then insists that
-// every reference to every replay block has been released.
-func assertNoLiveReplayRefs(t *testing.T, live func() int64) {
+// every reference to every replay block has been released, and every
+// byte a push tail charged credited back.
+func assertNoLiveReplayRefs(t *testing.T, srv *Server, live func() int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for live() != 0 && time.Now().Before(deadline) {
@@ -433,5 +434,8 @@ func assertNoLiveReplayRefs(t *testing.T, live func() int64) {
 	}
 	if n := live(); n != 0 {
 		t.Fatalf("%d replay-block references still live after every session closed and the log drained", n)
+	}
+	if n := srv.Stats().PushRetainedBytes; n != 0 {
+		t.Fatalf("%d bytes still charged to push tails after every session closed", n)
 	}
 }

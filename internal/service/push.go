@@ -33,10 +33,18 @@ import (
 // Push transport defaults, exported for flag tables and docs.
 const (
 	// DefaultPushMaxWindow caps the credit window absent configuration.
-	DefaultPushMaxWindow = 64
+	// It bounds bookkeeping only: what a window of frames may pin is
+	// bounded in bytes (pushBudget).
+	DefaultPushMaxWindow = 1024
 	// DefaultPushMaxFrameBytes caps one frame's encoded payload.
 	DefaultPushMaxFrameBytes = 8 << 20
 )
+
+// pushBudget is the bytes a stream's unacked frames may pin before its
+// producer waits for an ack: room for the largest frame being read and
+// the next one in flight. A frame that finds room is committed whole, so
+// a tail pins at most the budget plus one frame.
+func (s *Server) pushBudget() int { return 2 * s.cfg.PushMaxFrameBytes }
 
 // validSessionName is the rule for a name a client picks: "c" and 32
 // lower-case hex digits — 128 random bits, and a namespace the server's
@@ -124,6 +132,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(HeaderPushWindow, strconv.Itoa(s.limits.MaxWindow))
+	w.Header().Set(HeaderPushWindowBytes, strconv.Itoa(s.pushBudget()))
 	cols, _ := json.Marshal(sess.columns) // a []string always marshals
 	w.Header().Set(HeaderSessionColumns, string(cols))
 	w.WriteHeader(http.StatusOK)

@@ -6,10 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"wsopt/internal/blockcache"
+	"wsopt/internal/metrics"
 	"wsopt/internal/minidb"
 	"wsopt/internal/wire"
 )
@@ -338,7 +340,7 @@ func TestPushReconnectReplaysUnacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	dresp.Body.Close()
-	assertNoLiveReplayRefs(t, live)
+	assertNoLiveReplayRefs(t, srv, live)
 }
 
 // TestPushRejectsPullAndStaleFrom: a session in push mode refuses
@@ -512,4 +514,77 @@ func TestPushCacheServesWarmFrames(t *testing.T) {
 	if st.MemHits == 0 {
 		t.Fatal("warm push pass recorded no cache hits")
 	}
+}
+
+// TestPushRetainedBytesAreBounded: a stream whose reader reads every
+// frame and never acks pins at most its byte budget plus one frame,
+// however wide the window — with frames near PushMaxFrameBytes, a
+// window of 64 frames would let each session pin all 15 — and four such
+// sessions pin at most four times that, as Stats and /metrics both say.
+// Whether the sessions are deleted or expire, the charge returns to 0.
+func TestPushRetainedBytesAreBounded(t *testing.T) {
+	const rows, size, maxFrame, sessions = 60000, 4000, 64 << 10, 4
+	reg := metrics.NewRegistry()
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, rows), Codec: wire.Binary{}, PushMaxFrameBytes: maxFrame, Metrics: reg})
+	live := srv.TrackReplayRefs()
+	budget := srv.pushBudget()
+	ids := make([]string, sessions)
+	var small atomic.Int64 // the size of a frame too small for the test's premise
+	for i := range ids {
+		ids[i], _ = openSession(t, ts, `{"table":"items"}`)
+		pc, resp := openStream(t, ts, ids[i], size, DefaultPushMaxWindow, 0)
+		if pc == nil {
+			t.Fatalf("stream open: %s", resp.Status)
+		}
+		if got := resp.Header.Get(HeaderPushWindowBytes); got != fmt.Sprint(budget) {
+			t.Fatalf("%s = %q, want the budget %d", HeaderPushWindowBytes, got, budget)
+		}
+		defer pc.close()
+		go func() {
+			for {
+				f, err := pc.read()
+				if err != nil {
+					return
+				}
+				if len(f.Payload) <= maxFrame/2 && !f.Done {
+					small.Store(int64(len(f.Payload)))
+				}
+			}
+		}()
+	}
+	waitFor(t, func() bool { return srv.Stats().PushCreditStalls == sessions })
+	if n := small.Load(); n != 0 {
+		t.Fatalf("a frame of %d bytes: the test wants frames near the %d-byte cap", n, maxFrame)
+	}
+
+	total := 0
+	for _, id := range ids {
+		sess, _ := srv.sessions.get(id)
+		tl := &sess.tail
+		tl.mu.Lock()
+		pinned, frames, last := tl.bytes, len(tl.frames), tl.frames[len(tl.frames)-1].charge
+		tl.mu.Unlock()
+		if pinned-last >= budget || pinned > budget+2*maxFrame {
+			t.Errorf("session %s pins %d bytes in %d frames, the last %d: over the budget of %d plus one frame", id, pinned, frames, last, budget)
+		}
+		t.Logf("session %s pins %d bytes in %d frames (budget %d)", id, pinned, frames, budget)
+		total += pinned
+	}
+	st := srv.Stats()
+	gauge := reg.Snapshot().Gauges["wsopt_service_push_retained_bytes"]
+	if st.PushRetainedBytes != int64(total) || gauge != float64(total) {
+		t.Errorf("Stats says %d bytes retained and /metrics %v; the tails hold %d", st.PushRetainedBytes, gauge, total)
+	}
+	if total > sessions*(budget+2*maxFrame) {
+		t.Errorf("%d sessions pin %d bytes, over %d", sessions, total, sessions*(budget+2*maxFrame))
+	}
+
+	// Half the sessions are deleted, the rest expire.
+	for _, id := range ids[:sessions/2] {
+		deleteSession(t, ts, id)
+	}
+	if n := srv.ExpireIdle(time.Now().Add(time.Hour)); n != sessions/2 {
+		t.Fatalf("expired %d sessions, want %d", n, sessions/2)
+	}
+	assertNoLiveReplayRefs(t, srv, live)
 }

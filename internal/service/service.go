@@ -117,14 +117,15 @@ type Config struct {
 	// the default on the client side.
 	PushDisabled bool
 	// PushMaxWindow caps the credit window a client may grant (default
-	// 64 blocks in flight). A grant above the cap is clamped, not
-	// refused — the window is a hint, the cap is the server's memory
-	// protection.
+	// 1024 blocks in flight). A grant above the cap is clamped, not
+	// refused. The cap bounds bookkeeping, the frames a tail and a
+	// reconnect's replay list hold; memory is bounded in bytes.
 	PushMaxWindow int
 	// PushMaxFrameBytes caps a single push frame's encoded payload
 	// (default 8 MiB). A block that encodes past the cap terminates the
 	// stream with an error frame — it signals a block-size/codec
-	// configuration the operator must fix, not a transient.
+	// configuration the operator must fix, not a transient. Twice it is
+	// each stream's byte budget (pushBudget).
 	PushMaxFrameBytes int
 	// Cache, when non-nil, is the content-addressed encoded-block cache
 	// consulted before every scan + encode. Keys commit to the plan, the
@@ -278,6 +279,10 @@ type Stats struct {
 	// PushWindowClamped counts stream opens that asked for a window above
 	// PushMaxWindow and were cut to it (the open announces the cap).
 	PushWindowClamped int64 `json:"push_window_clamped"`
+	// PushRetainedBytes is what the push sessions' unacked frames pin
+	// now, summed over sessions: each is held to its byte budget plus
+	// one frame.
+	PushRetainedBytes int64 `json:"push_retained_bytes"`
 	// StreamSessionsOpened counts sessions created with a stream-group
 	// tag — cursors that were one parallel stream of a larger query.
 	StreamSessionsOpened int64 `json:"stream_sessions_opened"`
@@ -432,6 +437,20 @@ type replayBlock struct {
 	refs    atomic.Int32
 	// live is the owning server's replayRefs (nil outside tests).
 	live *atomic.Int64
+}
+
+// pinned is what retaining rb holds out of the heap, the charge a
+// stream's tail puts on it: its pooled buffer's capacity, or its cache
+// entry's length. It is at most twice the payload, because the client
+// acks by the payload bytes it reads, once they reach half the budget
+// (HeaderPushWindowBytes): a charge past twice them could hold the
+// producer on an ack the client has no reason to send. Capacity past
+// that is a pooled buffer grown by an earlier, larger block.
+func (rb *replayBlock) pinned() int {
+	if rb.buf == nil {
+		return len(rb.payload)
+	}
+	return min(rb.buf.Cap(), 2*len(rb.payload))
 }
 
 // retain adds a reference.
@@ -663,6 +682,7 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request, id string
 	}
 	sess := &session{id: id, iter: it, columns: it.Schema().Names(), group: req.StreamGroup, cursor: int64(req.Offset), iterPos: int64(req.Offset), rng: rand.New(rand.NewSource(s.sessionSeed(n)))}
 	sess.tail.cond.L = &sess.tail.mu
+	sess.tail.budget, sess.tail.retained = s.pushBudget(), &s.stats.pushRetainedBytes
 	if s.cfg.Cache != nil {
 		sess.cacheFP = s.planFingerprint(&req)
 	}
@@ -816,7 +836,12 @@ func (s *Server) commitLocked(sess *session, rb *replayBlock) uint64 {
 	t.done = rb.done
 	if !t.closed {
 		rb.retain()
-		t.frames = append(t.frames, tailFrame{seq: t.produced, rb: rb})
+		f := tailFrame{seq: t.produced, rb: rb}
+		if t.gen != 0 {
+			f.charge = rb.pinned()
+			t.charge(f.charge)
+		}
+		t.frames = append(t.frames, f)
 		s.shipCommit(sess, t.produced, rb)
 		if rb.done {
 			// The cursor has left its group's fan-out: a client does not

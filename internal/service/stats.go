@@ -30,6 +30,7 @@ type serverStats struct {
 	pushCreditGrants     atomic.Int64
 	pushCreditStalls     atomic.Int64
 	pushWindowClamped    atomic.Int64
+	pushRetainedBytes    atomic.Int64
 	faultsDropped        atomic.Int64
 	faultsTruncated      atomic.Int64
 	faultsRefused        atomic.Int64
@@ -80,6 +81,9 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	}
 	reg.GaugeFunc("wsopt_service_sessions_live", "Currently open sessions (downloads + uploads).", func() float64 {
 		return float64(s.sessions.size() + s.ingests.size())
+	})
+	reg.GaugeFunc("wsopt_service_push_retained_bytes", "Bytes the push sessions' unacked frames pin, summed over sessions.", func() float64 {
+		return float64(st.pushRetainedBytes.Load())
 	})
 	reg.GaugeFunc("wsopt_service_stream_groups_active", "Stream groups currently holding at least one open cursor.", func() float64 {
 		_, _, active := s.groups.snapshot()
@@ -151,6 +155,7 @@ func (s *Server) Stats() Stats {
 		PushCreditGrants:     st.pushCreditGrants.Load(),
 		PushCreditStalls:     st.pushCreditStalls.Load(),
 		PushWindowClamped:    st.pushWindowClamped.Load(),
+		PushRetainedBytes:    st.pushRetainedBytes.Load(),
 		FaultsInjected: FaultStats{
 			Dropped:   st.faultsDropped.Load(),
 			Truncated: st.faultsTruncated.Load(),
