@@ -14,8 +14,8 @@
 //
 // This file is the client half of the session protocol (DESIGN.md §8):
 // one cursor with one writer (commit), one place a session moves
-// (rebind), one block step (nextBlock) under both transports and one
-// block reader (readBlock) under both framings.
+// (rebind), one writer of how its blocks arrive (bind), one block step
+// (Session.Next) under both framings and one block reader (readBlock).
 package client
 
 import (
@@ -152,7 +152,7 @@ type Query struct {
 	StreamGroup string `json:"stream_group,omitempty"`
 }
 
-// Session is an open pull cursor. Not safe for concurrent use.
+// Session is an open result cursor. Not safe for concurrent use.
 type Session struct {
 	c  *Client
 	q  Query
@@ -163,10 +163,9 @@ type Session struct {
 	url     string
 	columns []string
 	done    bool
-	// pending marks a session under a name the client picked (name) that
-	// no answer has confirmed yet: the next stream open carries the query
-	// and creates it if the server does not know the name.
-	pending bool
+	// way is how the session's blocks arrive — pulled, streamed, or a name
+	// only its own stream open may create; bind is its one writer.
+	way way
 	// seq numbers the blocks committed so far on the *current* server-side
 	// session; the next block is seq+1, and a retry re-requests the same
 	// number so the server can replay a block whose response was lost. A
@@ -195,6 +194,8 @@ type Session struct {
 	// that a block costs no reader of its own.
 	body   countingReader
 	capped io.LimitedReader
+	// stream is the push framing's connection and credit state.
+	stream stream
 
 	// OnDisturbance, when set, is invoked after the session moved (a
 	// failover, a re-open) or a gateway failed it over, with a
@@ -204,7 +205,8 @@ type Session struct {
 }
 
 // OpenSession creates a server-side session for the query, trying the
-// preferred endpoint first and falling back to the other replicas.
+// preferred endpoint first and falling back to the other replicas. Under
+// push its blocks stream, where the endpoint streams (bind).
 func (c *Client) OpenSession(ctx context.Context, q Query) (*Session, error) {
 	first := c.pool.Pick()
 	order := []*resilience.Endpoint{first}
@@ -236,12 +238,12 @@ func (c *Client) OpenSession(ctx context.Context, q Query) (*Session, error) {
 
 // opened is a freshly created server-side session — or, pending, only
 // the name of one (name). transparent reports whether the endpoint
-// announced gateway-side transparent failover.
+// announced gateway-side transparent failover; streamed, that a stream
+// open created the session, so its endpoint streams.
 type opened struct {
-	id, url     string
-	columns     []string
-	transparent bool
-	pending     bool
+	id, url                        string
+	columns                        []string
+	transparent, pending, streamed bool
 }
 
 // session hands a run its session. Under push that is one the client
@@ -429,38 +431,33 @@ func (b *Block) Clone() *Block {
 // it backed has been superseded.
 var scratchPool = sync.Pool{New: func() any { return new(wire.Scratch) }}
 
-// Next pulls one block of up to size tuples and times it. Transient
-// failures — severed connections, truncated bodies, deadline expiries,
-// 5xx responses — are retried under the client's RetryPolicy,
-// re-requesting the same sequence number so the server can replay the
-// block without skipping or duplicating tuples. When the current
-// endpoint's breaker refuses traffic, or the block outlived its adaptive
-// deadline there, and another replica exists, the session fails over and
-// resumes from the committed cursor. Elapsed covers the successful
-// attempt only, so the controller's timing signal is not polluted by
-// failed tries.
+// Next delivers one block of up to size tuples and times it, pulled or
+// off the stream as the session's way says — per attempt, since a move
+// may change it. Transient failures — severed connections or streams,
+// truncated bodies, frame gaps, deadline expiries, 5xx responses — are
+// retried under the client's RetryPolicy, re-requesting the same
+// sequence number (a stream reconnects at from=seq+1) so the server can
+// replay without skipping or duplicating tuples. Two ways around a
+// failure need no waiting: reconnect, the stream's own, then failAway —
+// when the current endpoint's breaker refuses traffic, or the block
+// outlived its adaptive deadline there, and another replica exists, the
+// session fails over and resumes from the committed cursor. Elapsed
+// covers the successful attempt only, so the controller's timing signal
+// is not polluted by failed tries.
 func (s *Session) Next(ctx context.Context, size int) (*Block, error) {
-	return s.nextBlock(ctx, "pull", size, func(attempt int) (*Block, error) {
-		return s.pullAttempt(ctx, size, attempt)
-	}, nil)
-}
-
-// nextBlock is the block step of both transports: the done/size
-// preamble, the breaker gate before every attempt, the retry loop with
-// its two ways around a failure that need no waiting — detour, the
-// transport's own (nil when it has none), then failAway — and commit.
-// try makes attempt n at block seq+1 and reports the endpoint's failures
-// to its breaker; success is commit's to report.
-func (s *Session) nextBlock(ctx context.Context, kind string, size int, try func(attempt int) (*Block, error), detour func(err error) bool) (*Block, error) {
 	if s.done {
 		return nil, fmt.Errorf("client: session %s already exhausted", s.id)
 	}
 	if size < 1 {
 		return nil, fmt.Errorf("client: block size %d must be positive", size)
 	}
+	kind := "push"
+	if s.way == pulling {
+		kind = "pull"
+	}
 	var (
-		blk       *Block
-		failovers int
+		blk             *Block
+		failovers, lost int
 	)
 	attempts, err := s.c.retryBlock(ctx, kind, &s.seq, func(attempt int) (err error) {
 		// The breaker only gates a transfer when an alternative endpoint
@@ -469,15 +466,27 @@ func (s *Session) nextBlock(ctx context.Context, kind string, size int, try func
 		if s.c.pool.Len() > 1 && !s.ep.Allow() {
 			return markTransient(fmt.Errorf("client: endpoint %s: circuit breaker open", s.ep.URL()))
 		}
-		blk, err = try(attempt)
+		if s.way == pulling {
+			blk, err = s.pullAttempt(ctx, size, attempt)
+		} else {
+			blk, err = s.streamAttempt(ctx, size, attempt)
+		}
 		return err
 	}, func(err error) bool {
-		return detour != nil && detour(err) || s.failAway(ctx, err, &failovers)
+		return s.reconnect(err, &lost) || s.failAway(ctx, err, &failovers)
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.commit(blk, attempts, failovers)
+	if s.way != pulling {
+		if blk.Done {
+			s.stream.finish()
+		} else {
+			s.queueGrant(size)
+		}
+		s.c.metrics.pushFrames.Inc()
+	}
 	return blk, nil
 }
 
@@ -513,7 +522,7 @@ func (s *Session) commit(blk *Block, attempts, failovers int) {
 // or push: the replica is reachable but this block is overdue on it.
 var errDeadline = errors.New("adaptive block deadline expired")
 
-// failAway is the reroute step of both block transports: the current
+// failAway is the reroute step of both framings: the current
 // endpoint's breaker refuses traffic, or the attempt outlived its
 // adaptive deadline there (a stalled-but-alive replica is left after one
 // deadline, not after a breaker's worth of doubled ones), and another
@@ -550,9 +559,10 @@ func (s *Session) failAway(ctx context.Context, cause error, failovers *int) boo
 }
 
 // rebind is the one place a session moves: onto the fresh server-side
-// session o on ep, whose blocks number from 1. Leaving an endpoint is a
-// failover: the new one becomes the pool's preference and the half left
-// behind is deleted in the background.
+// session o on ep, whose blocks number from 1. The session left behind is
+// deleted in the background — if the server had already lost it, that
+// costs one 404 nobody waits for. Leaving an endpoint is a failover: the
+// new one becomes the pool's preference.
 func (s *Session) rebind(ep *resilience.Endpoint, o opened, reason string) {
 	old, oldURL := s.ep, s.url
 	s.bind(ep, o)
@@ -560,6 +570,8 @@ func (s *Session) rebind(ep *resilience.Endpoint, o opened, reason string) {
 		s.c.pool.Promote(ep)
 		s.c.metrics.failovers.Inc()
 		s.failovers++
+	}
+	if s.url != oldURL {
 		s.c.background(5*time.Second, func(ctx context.Context) {
 			s.c.bestEffort(ctx, 5*time.Second, http.MethodDelete, oldURL)
 		})
@@ -570,10 +582,23 @@ func (s *Session) rebind(ep *resilience.Endpoint, o opened, reason string) {
 }
 
 // bind points the session at o on ep, whose blocks number from 1 (and
-// whose columns, if o is only a name, its first stream open will say).
+// whose columns, if o is only a name, its first stream open will say),
+// and decides its way — the one place that does. A name is pending even
+// on an endpoint in pullOnly: it is never pulled before its own open has
+// fallen back.
 func (s *Session) bind(ep *resilience.Endpoint, o opened) {
-	s.ep, s.id, s.url, s.columns, s.pending, s.transparent = ep, o.id, o.url, o.columns, o.pending, o.transparent
+	s.ep, s.id, s.url, s.columns, s.transparent = ep, o.id, o.url, o.columns, o.transparent
 	s.seq = 0
+	switch c := s.c; {
+	case !c.push.Enabled || o.transparent:
+		s.way = pulling
+	case o.pending:
+		s.way = pending
+	case o.streamed || !c.pullsOnly(ep):
+		s.way = streaming
+	default:
+		s.way = pulling
+	}
 }
 
 // background runs cleanup the caller does not wait for — the close of a
@@ -711,9 +736,12 @@ func (c *Client) deadlineExpired(err error) error {
 	return fmt.Errorf("%w (%w)", err, errDeadline)
 }
 
-// Close deletes the server-side session. Closing an already-expired
-// session is not an error.
+// Close tears down the session's stream, if it has one, waits for its
+// grant loop and deletes the server-side session. Closing an
+// already-expired session is not an error.
 func (s *Session) Close(ctx context.Context) error {
+	s.stream.g.stop()
+	s.stream.teardown()
 	resp, err := s.c.doManagement(ctx, http.MethodDelete, s.url, nil, "",
 		http.StatusNoContent, http.StatusNotFound)
 	if err != nil {

@@ -25,7 +25,7 @@ type run struct {
 	useInjected bool
 	res         *RunResult
 	// mu guards ctl, win and res: RunVector shares them across its stream
-	// workers, and a push transport reads win from the prefetcher.
+	// workers, and a streaming session reads win from the prefetcher.
 	mu sync.Mutex
 	// win is the credit window of the latest size decision.
 	win int
@@ -34,7 +34,7 @@ type run struct {
 // size asks the controller for its operating point and returns the block
 // size of the next pull. It is the one read per pull, as Algorithm 1 has
 // one Size call per block: a wrapper that times a decision (bench/'s
-// timedCtl) opens its iteration there, so the push transport gets the
+// timedCtl) opens its iteration there, so a streaming session gets the
 // window that came with the size, not a read of its own.
 func (r *run) size() int {
 	r.mu.Lock()
@@ -105,8 +105,8 @@ type fetched struct {
 // fetch is the engine's one pull. clone detaches the rows from the
 // session's decode scratch, for a handler that reads them while or after
 // the next pull reuses it.
-func fetch(ctx context.Context, sess *Session, tr Transport, size int, clone bool) fetched {
-	blk, err := tr.Next(ctx, size)
+func fetch(ctx context.Context, sess *Session, size int, clone bool) fetched {
+	blk, err := sess.Next(ctx, size)
 	switch {
 	case err != nil:
 		return fetched{err: err}
@@ -158,11 +158,12 @@ func (r *run) handOff(f *fetched) error {
 	return sink.Write(ev)
 }
 
-// transfer is the block loop: it moves the session's whole result over
-// the configured transport, closes the session — behind the caller once
-// the result is whole (Client.Wait joins that) — and returns how many
-// tuples it handed off. Session moves and gateway failovers reach the
-// controller as disturbances.
+// transfer is the block loop: it moves the session's whole result,
+// pulled or streamed as the session's way says, closes the session —
+// behind the caller once the result is whole (Client.Wait joins that) —
+// and returns how many tuples it handed off. Session moves and gateway
+// failovers reach the controller as disturbances, and a streaming
+// session asks for the controller's credit window (run.window).
 //
 // ahead == 0 runs lock-step on the caller's goroutine: every size
 // decision sees the previous block's observation. ahead >= 1 starts a
@@ -173,7 +174,7 @@ func (r *run) handOff(f *fetched) error {
 // ahead observations stale and the controller is never touched from two
 // goroutines at once.
 func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle BlockHandler) (tuples int, err error) {
-	tr := r.c.transportFor(sess, r.window)
+	sess.stream.win = r.window
 	sess.OnDisturbance = func(reason string) {
 		r.mu.Lock()
 		core.NotifyDisturbance(r.ctl, reason)
@@ -187,10 +188,10 @@ func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle Blo
 		// transfer does not wait for it: the result is whole, and the
 		// close — a last credit POST to join, a DELETE round trip — carries
 		// no block. An unfinished one closes before its error returns.
-		if tr.Done() {
-			r.c.background(30*time.Second, func(ctx context.Context) { _ = tr.Close(ctx) })
+		if sess.Done() {
+			r.c.background(30*time.Second, func(ctx context.Context) { _ = sess.Close(ctx) })
 		} else {
-			_ = tr.Close(context.WithoutCancel(ctx))
+			_ = sess.Close(context.WithoutCancel(ctx))
 		}
 	}()
 
@@ -213,8 +214,8 @@ func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle Blo
 	}
 	clone := handle != nil
 	if ahead == 0 {
-		for !tr.Done() {
-			if err := consume(fetch(ctx, sess, tr, r.size(), clone)); err != nil {
+		for !sess.Done() {
+			if err := consume(fetch(ctx, sess, r.size(), clone)); err != nil {
 				return tuples, err
 			}
 		}
@@ -231,9 +232,9 @@ func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle Blo
 	go func() {
 		defer close(feed)
 		for size := range sizes {
-			f := fetch(cctx, sess, tr, size, clone)
+			f := fetch(cctx, sess, size, clone)
 			feed <- f
-			if f.err != nil || tr.Done() {
+			if f.err != nil || sess.Done() {
 				return
 			}
 		}

@@ -227,9 +227,9 @@ func TestTransferMatrix(t *testing.T) {
 					case push && !viaGateway && st.PushFramesSent == 0:
 						t.Error("push enabled against a backend, yet no push frame was sent")
 					case push && viaGateway && st.PushFramesSent != 0:
-						// transportFor: a transparent gateway does not proxy the
-						// stream endpoints, so push falls back to pull behind it.
-						t.Errorf("%d push frames behind the gateway; the documented pull fallback is gone — update transportFor's contract and this cell", st.PushFramesSent)
+						// bind: a transparent gateway does not proxy the stream
+						// endpoints, so push falls back to pull behind it.
+						t.Errorf("%d push frames behind the gateway; the documented pull fallback is gone — update bind's contract and this cell", st.PushFramesSent)
 					case !push && st.PushFramesSent != 0:
 						t.Errorf("%d push frames on a pull run", st.PushFramesSent)
 					}

@@ -230,7 +230,7 @@ func TestPushAgainstTierWithoutStreams(t *testing.T) {
 // bad where clause and a negative offset are permanent errors carrying
 // the server's message, sent once; a shed open is transient and its
 // Retry-After is honoured — through Run and through the engine's own
-// steps (Client.session, transportFor, Next).
+// steps (Client.session, Session.Next).
 func TestCreatingOpenRefusalsSurface(t *testing.T) {
 	const retryAfter = 60 * time.Millisecond
 	srv, ts := dataServer(t, 100, service.Config{MaxSessions: 1, RetryAfter: retryAfter})
@@ -280,9 +280,8 @@ func TestCreatingOpenRefusalsSurface(t *testing.T) {
 					if len(reqs.all()) != 0 || !strings.HasPrefix(sess.ID(), "c") || len(sess.ID()) != 33 {
 						t.Fatalf("a named session is no request and a valid name: %v, %q", reqs.all(), sess.ID())
 					}
-					tr := c.transportFor(sess, nil)
-					_, err = tr.Next(ctx, 10)
-					_ = tr.Close(ctx)
+					_, err = sess.Next(ctx, 10)
+					_ = sess.Close(ctx)
 				}
 				took := time.Since(start)
 				if err == nil || !strings.Contains(err.Error(), tc.message) {
@@ -319,8 +318,8 @@ func TestCreatingOpenRefusalsSurface(t *testing.T) {
 // does not stream has said so are still pending — no request created
 // them — when the first session's open meets the tier's 501 and falls
 // back. Each must take its own open and fall back by itself, never pull
-// a session the tier does not know (404). One is wrapped in its transport
-// before that fall-back, one after it.
+// a session the tier does not know (404). One is named before the first
+// session's open is sent, one while its answer is held.
 func TestPushPendingSessionIsNeverPulled(t *testing.T) {
 	const rows, size = 100, 10
 	srv, err := service.New(service.Config{Catalog: dataCatalog(t, rows), Codec: wire.Binary{}})
@@ -354,10 +353,10 @@ func TestPushPendingSessionIsNeverPulled(t *testing.T) {
 		}
 		return sess
 	}
-	drain := func(tr Transport) (tuples int, err error) {
-		defer tr.Close(ctx)
-		for !tr.Done() {
-			blk, err := tr.Next(ctx, size)
+	drain := func(sess *Session) (tuples int, err error) {
+		defer sess.Close(ctx)
+		for !sess.Done() {
+			blk, err := sess.Next(ctx, size)
 			if err != nil {
 				return tuples, err
 			}
@@ -366,8 +365,8 @@ func TestPushPendingSessionIsNeverPulled(t *testing.T) {
 		return tuples, nil
 	}
 
-	first := c.transportFor(name(), nil)
-	wrappedEarly := c.transportFor(name(), nil)
+	first := name()
+	namedEarly := name()
 	fell := make(chan error, 1)
 	go func() {
 		_, err := first.Next(ctx, size)
@@ -383,12 +382,12 @@ func TestPushPendingSessionIsNeverPulled(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		tr   Transport
+		sess *Session
 	}{
-		{"wrapped before the fall-back", wrappedEarly},
-		{"wrapped after the fall-back", c.transportFor(namedLate, nil)},
+		{"named before the first open", namedEarly},
+		{"named while its answer is held", namedLate},
 	} {
-		if tuples, err := drain(tc.tr); err != nil || tuples != rows {
+		if tuples, err := drain(tc.sess); err != nil || tuples != rows {
 			t.Errorf("%s: %d of %d tuples, %v", tc.name, tuples, rows, err)
 		}
 	}
@@ -397,5 +396,44 @@ func TestPushPendingSessionIsNeverPulled(t *testing.T) {
 	}
 	if st := srv.Stats(); st.SessionsOpened != 3 || st.PushFramesSent != 0 {
 		t.Errorf("%d sessions opened, %d push frames; want 3 by POST /sessions and none pushed", st.SessionsOpened, st.PushFramesSent)
+	}
+}
+
+// TestPushOpenedSessionStreams: a session opened by OpenSession under
+// push streams through Session.Next, as Run's sessions do — one POST
+// /sessions, one stream open, no /next.
+func TestPushOpenedSessionStreams(t *testing.T) {
+	const rows, size = 500, 100
+	srv, ts := dataServer(t, rows, service.Config{})
+	reqs := new(requestLog)
+	c, err := New(ts.URL, wire.Binary{}, &http.Client{Transport: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetPush(PushConfig{Enabled: true})
+	ctx := context.Background()
+	sess, err := c.OpenSession(ctx, Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := 0
+	for !sess.Done() {
+		blk, err := sess.Next(ctx, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples += blk.Tuples
+	}
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if tuples != rows {
+		t.Errorf("%d of %d tuples", tuples, rows)
+	}
+	if reqs.count("POST sessions") != 1 || reqs.count("POST stream") != 1 || reqs.count("POST next") != 0 {
+		t.Errorf("requests %v, want one POST /sessions, one stream open and no pull", reqs.all())
+	}
+	if st := srv.Stats(); st.PushFramesSent == 0 {
+		t.Error("the session pulled: no push frame was sent")
 	}
 }

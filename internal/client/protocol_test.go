@@ -99,10 +99,9 @@ func TestCommitIsTheOnlyCursorWriter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := c.transportFor(sess, nil)
-			defer tr.Close(ctx)
-			if _, streams := tr.(*streamSession); streams != push {
-				t.Fatalf("transport is %T with push = %v", tr, push)
+			defer sess.Close(ctx)
+			if streams := sess.way == streaming; streams != push {
+				t.Fatalf("session way is %d with push = %v", sess.way, push)
 			}
 			disturbances := 0
 			sess.OnDisturbance = func(string) { disturbances++ }
@@ -110,7 +109,7 @@ func TestCommitIsTheOnlyCursorWriter(t *testing.T) {
 			next := func(faultsArmed int32) func() *Block {
 				return func() *Block {
 					faults.left.Store(faultsArmed)
-					blk, err := tr.Next(ctx, size)
+					blk, err := sess.Next(ctx, size)
 					if err != nil {
 						t.Fatalf("next: %v", err)
 					}
@@ -147,13 +146,55 @@ func TestCommitIsTheOnlyCursorWriter(t *testing.T) {
 				if got != step.want {
 					t.Fatalf("after %q: %+v, want %+v", step.name, got, step.want)
 				}
-				if tr.Done() != step.want.done {
-					t.Fatalf("after %q: transport done = %v", step.name, tr.Done())
+				if sess.Done() != step.want.done {
+					t.Fatalf("after %q: session done = %v", step.name, sess.Done())
 				}
 			}
 			if sess.Failovers() != 1 || sess.Endpoint() != urlB || sess.GatewayFailovers() != 3 {
 				t.Fatalf("session ended with %d failovers on %s, %d gateway failovers", sess.Failovers(), sess.Endpoint(), sess.GatewayFailovers())
 			}
 		})
+	}
+}
+
+// TestPushBindDecidesTheWay walks every input of bind, the one writer of
+// a session's way — push off or on, an endpoint that has declined a
+// stream before (pullOnly) or not, and the session opened as a name the
+// client picked, by POST /sessions, by a POST a transparent gateway
+// answered, or by a stream open that created it — and checks the way
+// each pair gives. A name is never pulled while push is on; that was the
+// state product of a per-session flag and the client-wide pullOnly that
+// no test named.
+func TestPushBindDecidesTheWay(t *testing.T) {
+	c, err := New("http://bind.invalid", wire.Binary{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := c.pool.Pick()
+	names := [...]string{pulling: "pulling", pending: "pending", streaming: "streaming"}
+	arms := []struct{ push, pullOnly bool }{{false, false}, {false, true}, {true, false}, {true, true}}
+	for _, tc := range []struct {
+		opened string
+		o      opened
+		want   [4]way // per arm, in arms' order
+	}{
+		{"a name", opened{id: "c1", url: "http://bind.invalid/sessions/c1", pending: true}, [4]way{pulling, pulling, pending, pending}},
+		{"POST /sessions", opened{id: "s1", url: "http://bind.invalid/sessions/s1"}, [4]way{pulling, pulling, streaming, pulling}},
+		{"POST via a gateway", opened{id: "g1", url: "http://bind.invalid/sessions/g1", transparent: true}, [4]way{pulling, pulling, pulling, pulling}},
+		{"a creating stream open", opened{id: "c2", url: "http://bind.invalid/sessions/c2", streamed: true}, [4]way{pulling, pulling, streaming, streaming}},
+	} {
+		for i, arm := range arms {
+			c.SetPush(PushConfig{Enabled: arm.push})
+			if arm.pullOnly {
+				c.pullOnly.Store(ep, true)
+			} else {
+				c.pullOnly.Delete(ep)
+			}
+			s := &Session{c: c}
+			s.bind(ep, tc.o)
+			if s.way != tc.want[i] {
+				t.Errorf("%s with push %v, endpoint pull-only %v: %s, want %s", tc.opened, arm.push, arm.pullOnly, names[s.way], names[tc.want[i]])
+			}
+		}
 	}
 }

@@ -285,9 +285,8 @@ func TestPushShortQueryStillAcks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := c.transportFor(sess, nil)
 	for i := 0; i < maxAckBatch; i++ {
-		if _, err := tr.Next(ctx, size); err != nil {
+		if _, err := sess.Next(ctx, size); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,7 +296,7 @@ func TestPushShortQueryStillAcks(t *testing.T) {
 			t.Fatalf("no credit grant after %d of %d blocks at a window of %d", maxAckBatch, rows/size+1, service.DefaultPushMaxWindow)
 		}
 	}
-	if err := tr.Close(ctx); err != nil {
+	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 }

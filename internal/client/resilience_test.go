@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +29,8 @@ type gate struct {
 	fail   bool
 	stall  time.Duration
 	stalls int // requests left to stall; negative = every one
+
+	streamOpens atomic.Int64 // stream opens that reached the gate
 }
 
 func (g *gate) set(fail bool, stall time.Duration) {
@@ -44,6 +47,9 @@ func (g *gate) stallNext(n int, stall time.Duration) {
 }
 
 func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/stream") {
+		g.streamOpens.Add(1)
+	}
 	if strings.HasSuffix(r.URL.Path, "/next") ||
 		strings.HasSuffix(r.URL.Path, "/stream") ||
 		strings.HasSuffix(r.URL.Path, "/credit") {
@@ -70,6 +76,14 @@ func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // behind a gate.
 func replica(t *testing.T, rows int) (*gate, string) {
 	t.Helper()
+	_, g, url := replicaWith(t, rows, service.Config{})
+	return g, url
+}
+
+// replicaWith is replica under cfg, whose catalog it sets, and returns the
+// server too.
+func replicaWith(t *testing.T, rows int, cfg service.Config) (*service.Server, *gate, string) {
+	t.Helper()
 	cat := minidb.NewCatalog()
 	tbl, err := cat.CreateTable("data", minidb.Schema{
 		{Name: "k", Type: minidb.Int64},
@@ -85,14 +99,15 @@ func replica(t *testing.T, rows int) (*gate, string) {
 	if err := tbl.BulkLoad(batch); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := service.New(service.Config{Catalog: cat})
+	cfg.Catalog = cat
+	srv, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := &gate{h: srv.Handler()}
 	ts := httptest.NewServer(g)
 	t.Cleanup(ts.Close)
-	return g, ts.URL
+	return srv, g, ts.URL
 }
 
 // TestFailoverResumesOnSecondReplica: replica A starts refusing pulls

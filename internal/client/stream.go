@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,36 +18,68 @@ import (
 	"wsopt/internal/wire"
 )
 
-// streamSession is the push Transport: one long-lived chunked response
-// the server frames blocks onto, flow-controlled by credit grants the
-// client posts on a side channel. It is a second framing of the pull
-// Session it wraps: the block step (nextBlock), the cursor (commit), the
-// block reader (readBlock) and the ways a session moves (failAway,
-// rebind) are the Session's own, so resume and failover — re-open at the
-// committed tuple offset — are the code path the pull transport uses.
+// PushConfig enables and tunes the client side of the server-push
+// streaming transport (DESIGN.md §19).
+type PushConfig struct {
+	// Enabled switches every run mode's sessions from pull to push.
+	Enabled bool
+	// Window pins the credit window when the controller has no window
+	// knob (core.VectorOf reports 0). Zero or less, the default, asks for
+	// the largest window the server announces it applies (1024 unless
+	// `wsblockd -push-window` says otherwise), which also bounds a pinned
+	// one: over a link with real delay a small window is stop-and-wait.
+	// Whatever the window, the server's byte budget bounds what it pins.
+	Window int
+}
+
+// SetPush configures the push transport. Call before opening sessions.
+func (c *Client) SetPush(pc PushConfig) { c.push = pc }
+
+// way is how a session's blocks arrive. Session.bind is its one writer:
+// it decides from the opened value it binds and from what the client
+// knows, on every move, so a session that lands on another replica is
+// framed as that replica serves it.
+type way uint8
+
+const (
+	// pulling: one /next request per block. Push is off, the session is a
+	// transparent gateway's (the gateway tier does not proxy the stream
+	// endpoints), or its endpoint declined a stream before (pullOnly).
+	pulling way = iota
+	// pending: a name the client picked (Client.name) that no request has
+	// created. Only its own stream open creates it, and where the tier
+	// declines, that open falls back (fallBack); it is never pulled.
+	pending
+	// streaming: a created session whose blocks the server frames onto
+	// one long-lived /stream response.
+	streaming
+)
+
+// stream is a session's push framing: one long-lived chunked response
+// the server frames blocks onto, flow-controlled by credit grants posted
+// on a side channel. The block step (Session.Next), the cursor (commit),
+// the block reader (readBlock) and the ways a session moves (failAway,
+// rebind) are the session's own, so resume and failover — re-open at the
+// committed tuple offset — are the code path a pull takes. Only the
+// pending and streaming ways touch this state.
 //
-// Not safe for concurrent use, like Session. The only concurrency is
-// the grant loop goroutine, which owns nothing but the latest grant
-// snapshot it is told to post.
-type streamSession struct {
-	s   *Session
-	win func() int // the controller's window knob; nil or 0 = it has none
+// The only concurrency is the grant loop goroutine, which owns nothing
+// but the latest grant snapshot it is told to post.
+type stream struct {
+	// win is the controller's window knob, handed over by run.transfer;
+	// nil or 0 = it has none.
+	win func() int
 	// cap is the largest window the server said it applies
-	// (HeaderPushWindow) — the default cap until a stream open has said
-	// otherwise. budget is the stream's byte budget
-	// (HeaderPushWindowBytes; 0 = none announced), unacked the payload
-	// bytes read since the last grant acked.
+	// (HeaderPushWindow; 0 = no stream open has said yet, the default cap
+	// applies). budget is the stream's byte budget (HeaderPushWindowBytes;
+	// 0 = none announced), unacked the payload bytes read since the last
+	// grant acked.
 	cap             int
 	budget, unacked int
-	// pulling is set when this session's own stream open found a tier
-	// that does not stream (fallBack): every block is a pull from then on.
-	// It is the session's, not the endpoint's, so a session still pending
-	// creation is never pulled.
-	pulling bool
 
-	// Stream connection state. body is nil between streams; ctx is the
-	// stream's lifetime, which its credit grants share; buf is the frame
-	// payload buffer reused across reads.
+	// Connection state. body is nil between streams; ctx is the stream's
+	// lifetime, which its credit grants share; buf is the frame payload
+	// buffer reused across reads.
 	body   io.ReadCloser
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -61,36 +94,19 @@ type streamSession struct {
 	g grantLoop
 }
 
-func newStreamSession(s *Session, win func() int) *streamSession {
-	t := &streamSession{s: s, win: win, cap: service.DefaultPushMaxWindow}
-	t.g.c = s.c
-	t.g.cond = sync.NewCond(&t.g.mu)
-	return t
-}
-
-func (t *streamSession) Done() bool { return t.s.done }
-
-// Close tears the stream down, stops the grant loop and deletes the
-// server-side session.
-func (t *streamSession) Close(ctx context.Context) error {
-	t.g.stop()
-	t.teardown()
-	return t.s.Close(ctx)
-}
-
 // windowTarget is the credit window to ask for right now: the window of a
 // controller that owns the knob, then an explicit PushConfig.Window, each
 // bounded by the cap the server announced; with neither, that cap — the
 // producer is never held for credit the server was willing to extend.
-func (t *streamSession) windowTarget() int {
-	win := t.s.c.push.Window
-	if t.win != nil {
-		if v := t.win(); v > 0 {
+func (s *Session) windowTarget() int {
+	win, limit := s.c.push.Window, cmp.Or(s.stream.cap, service.DefaultPushMaxWindow)
+	if s.stream.win != nil {
+		if v := s.stream.win(); v > 0 {
 			win = v
 		}
 	}
-	if win <= 0 || win > t.cap {
-		return t.cap
+	if win <= 0 || win > limit {
+		return limit
 	}
 	return win
 }
@@ -105,57 +121,34 @@ var errSessionLost = errors.New("client: push session lost")
 // stream.
 var errNoStream = errors.New("client: endpoint does not stream")
 
-// Next delivers the next block off the stream, opening or re-opening
-// the stream as needed. Transient failures — severed streams, frame
-// gaps, watchdog expiries — are retried under the client's RetryPolicy;
-// a reconnect resumes at from=seq+1 and the server replays the unacked
-// tail, so no tuple is skipped or duplicated. A lost session is
-// replaced by a fresh name at the committed tuple cursor, which the next
-// open creates; when the current endpoint's breaker refuses traffic or a
-// frame is overdue past its deadline, and another replica exists, the
-// session fails over exactly as a pull would.
-func (t *streamSession) Next(ctx context.Context, size int) (*Block, error) {
-	lost := 0
-	blk, err := t.s.nextBlock(ctx, "push", size, func(attempt int) (*Block, error) {
-		if t.pulling {
-			return t.s.pullAttempt(ctx, size, attempt)
-		}
-		return t.nextAttempt(ctx, size, attempt)
-	}, func(err error) bool {
-		if t.body != nil {
-			t.teardown()
-			t.s.c.metrics.pushReconnects.Inc()
-		}
-		// The endpoint is up but forgot the session: a fresh name, locally —
-		// the server already answered, so the first time in a block there is
-		// nothing to wait for; a session lost again costs an attempt.
-		if !errors.Is(err, errSessionLost) || !t.reopenSession() {
-			return false
-		}
-		lost++
-		return lost == 1
-	})
-	if err != nil || t.pulling {
-		return blk, err
+// reconnect is the stream framing's way around a failed attempt that
+// needs no waiting: the broken stream is torn down (the next attempt
+// re-opens it at from=seq+1 and the server replays the unacked tail), and
+// a session the endpoint forgot is replaced by a fresh name, locally —
+// the server already answered, so the first time in a block there is
+// nothing to wait for; a session lost again costs an attempt. lost counts
+// the losses within one block. A pulled session has no stream and is
+// never lost, so it always returns false.
+func (s *Session) reconnect(err error, lost *int) bool {
+	if s.stream.body != nil {
+		s.stream.teardown()
+		s.c.metrics.pushReconnects.Inc()
 	}
-	if blk.Done {
-		t.finishStream()
-	} else {
-		t.queueGrant(size)
+	if !errors.Is(err, errSessionLost) || !s.reopenSession() {
+		return false
 	}
-	t.s.c.metrics.pushFrames.Inc()
-	return blk, nil
+	*lost++
+	return *lost == 1
 }
 
-// nextAttempt reads one fresh frame off the stream (opening it first if
+// streamAttempt reads one fresh frame off the stream (opening it first if
 // needed) under the adaptive per-block deadline. The watchdog cancels
 // the whole stream on expiry: a frame overdue past the deadline means
 // the stream is wedged (dead connection, lost credits, a stalled
 // replica), and a reconnect — here or, when failAway finds one, on
 // another replica — re-grants and replays: cheaper than diagnosing.
-func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Block, error) {
-	s := t.s
-	c := s.c
+func (s *Session) streamAttempt(ctx context.Context, size, attempt int) (*Block, error) {
+	t, c := &s.stream, s.c
 	// The stream outlives any single Next call, so it hangs off its own
 	// cancel; the caller's context and the watchdog hook into that per
 	// attempt — before the open, so that a replica which accepts a stream
@@ -175,11 +168,11 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 	defer watchdog.Stop()
 
 	if !opening {
-		t.queueGrant(size)
-	} else if err := t.openStream(ctx, size); err != nil {
+		s.queueGrant(size)
+	} else if err := s.openStream(ctx, size); err != nil {
 		t.teardown()
 		if errors.Is(err, errNoStream) {
-			if err = t.fallBack(ctx, err); err == nil {
+			if err = s.fallBack(ctx, err); err == nil {
 				return s.pullAttempt(ctx, size, attempt)
 			}
 		} else if expired.Load() && ctx.Err() == nil {
@@ -230,18 +223,16 @@ func (t *streamSession) nextAttempt(ctx context.Context, size, attempt int) (*Bl
 
 // fallBack opens the session the way a tier without push takes it — POST
 // /sessions on the same endpoint, remembered for the client's later
-// sessions — so that every block of this one is a pull from here on
-// (Next). A refusal of that request is the answer to the open: an unknown
+// sessions, so that bind makes every block of this one a pull from here
+// on. A refusal of that request is the answer to the open: an unknown
 // table's 404 reads the same on both ways in.
-func (t *streamSession) fallBack(ctx context.Context, cause error) error {
-	s := t.s
+func (s *Session) fallBack(ctx context.Context, cause error) error {
 	o, err := s.c.openSessionOn(ctx, s.ep, s.q, s.committed)
 	if err != nil {
 		return fmt.Errorf("%w (after %v)", err, cause)
 	}
 	s.c.pullOnly.Store(s.ep, true)
 	s.bind(s.ep, o)
-	t.pulling = true
 	return nil
 }
 
@@ -251,12 +242,12 @@ func (t *streamSession) fallBack(ctx context.Context, cause error) error {
 // from; on a pending session it also carries the query, at the committed
 // cursor, and creates the session. Its 200 announces the largest window
 // the server applies, the stream's byte budget and the result's columns.
-func (t *streamSession) openStream(ctx context.Context, size int) error {
-	s := t.s
-	win := t.windowTarget()
+func (s *Session) openStream(ctx context.Context, size int) error {
+	t := &s.stream
+	win := s.windowTarget()
 	u := s.url + "/stream?" + service.Query{Size: size, Window: win, From: s.seq + 1}.Encode()
 	var query io.Reader
-	if s.pending {
+	if s.way == pending {
 		q := s.q
 		q.Offset = s.committed
 		b, err := json.Marshal(q)
@@ -282,7 +273,7 @@ func (t *streamSession) openStream(ctx context.Context, size int) error {
 		err := httpFailure("open push stream", resp)
 		resp.Body.Close()
 		switch code := resp.StatusCode; {
-		case s.pending && (code == http.StatusNotFound || code == http.StatusMethodNotAllowed || code == http.StatusNotImplemented):
+		case s.way == pending && (code == http.StatusNotFound || code == http.StatusMethodNotAllowed || code == http.StatusNotImplemented):
 			return fmt.Errorf("%w: %v", errNoStream, err)
 		case code == http.StatusNotFound:
 			return markTransient(fmt.Errorf("%w: %v", errSessionLost, err))
@@ -292,7 +283,10 @@ func (t *streamSession) openStream(ctx context.Context, size int) error {
 		return err
 	}
 	t.body = resp.Body
-	s.pending = false
+	if s.way == pending {
+		// The open created the session, on an endpoint that streams it.
+		s.bind(s.ep, opened{id: s.id, url: s.url, streamed: true})
+	}
 	// A server that sends no columns predates the header: an error here,
 	// and none known.
 	_ = json.Unmarshal([]byte(resp.Header.Get(service.HeaderSessionColumns)), &s.columns)
@@ -327,23 +321,23 @@ const maxAckBatch = 8
 // The post itself happens on the grant loop goroutine, off the
 // frame-read path; coalescing there means a slow control channel
 // degrades to fewer, fresher grants rather than a backlog.
-func (t *streamSession) queueGrant(size int) {
-	s, win, last := t.s, t.windowTarget(), t.granted
-	if size == last.Size && win == last.Window && s.seq-last.Acked < uint64(max(min(win/2, maxAckBatch), 1)) &&
+func (s *Session) queueGrant(size int) {
+	t, win := &s.stream, s.windowTarget()
+	if last := t.granted; size == last.Size && win == last.Window && s.seq-last.Acked < uint64(max(min(win/2, maxAckBatch), 1)) &&
 		(t.budget == 0 || t.unacked < t.budget/2) {
 		return
 	}
 	t.granted, t.unacked = service.Query{Acked: s.seq, Window: win, Size: size}, 0
-	t.g.post(t.ctx, s.url, t.granted)
+	t.g.post(s.c, t.ctx, s.url, t.granted)
 }
 
-// finishStream drains the chunked EOF after the done frame and closes
-// the body, so the connection goes back to the keep-alive pool — the
-// same drain-to-EOF discipline the pull path applies to every response.
+// finish drains the chunked EOF after the done frame and closes the
+// body, so the connection goes back to the keep-alive pool — the same
+// drain-to-EOF discipline the pull path applies to every response.
 // Cancelling before EOF would kill the connection instead, and
 // cancelling at all would kill that of a last grant still in flight: the
 // stream's context is left to Close, which waits for the grant first.
-func (t *streamSession) finishStream() {
+func (t *stream) finish() {
 	if t.body == nil {
 		return
 	}
@@ -357,7 +351,7 @@ func (t *streamSession) finishStream() {
 // are unread frames on it — and so is a grant in flight for the stream:
 // the reconnect's from carries its ack, and the grant loop is free for
 // the new stream's first grant at once, wherever that stream is.
-func (t *streamSession) teardown() {
+func (t *stream) teardown() {
 	if t.cancel != nil {
 		t.cancel()
 		t.cancel = nil
@@ -371,8 +365,7 @@ func (t *streamSession) teardown() {
 // reopenSession replaces a lost server-side session with a fresh name on
 // the same endpoint, locally: the next attempt's open (from=1, the query
 // at the committed tuple cursor) creates it.
-func (t *streamSession) reopenSession() bool {
-	s := t.s
+func (s *Session) reopenSession() bool {
 	o, err := s.c.name(s.ep)
 	if err != nil {
 		return false
@@ -387,9 +380,8 @@ func (t *streamSession) reopenSession() bool {
 // survives, which is always safe because acks are cumulative and
 // size/window grants are last-writer-wins on the server too.
 type grantLoop struct {
-	c    *Client
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond // on mu, from the first post
 
 	// The newest grant: the stream it acks, that stream's session URL and
 	// the ack itself.
@@ -403,8 +395,8 @@ type grantLoop struct {
 	exited chan struct{}
 }
 
-// post queues the newest grant snapshot for sending.
-func (g *grantLoop) post(stream context.Context, url string, q service.Query) {
+// post queues the newest grant snapshot for c to send.
+func (g *grantLoop) post(c *Client, stream context.Context, url string, q service.Query) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
@@ -413,8 +405,9 @@ func (g *grantLoop) post(stream context.Context, url string, q service.Query) {
 	g.stream, g.url, g.q = stream, url, q
 	g.dirty = true
 	if g.exited == nil {
+		g.cond.L = &g.mu
 		g.exited = make(chan struct{})
-		go g.run()
+		go g.run(c)
 	}
 	g.cond.Signal()
 }
@@ -434,7 +427,7 @@ func (g *grantLoop) stop() {
 	}
 }
 
-func (g *grantLoop) run() {
+func (g *grantLoop) run(c *Client) {
 	defer close(g.exited)
 	for {
 		g.mu.Lock()
@@ -451,8 +444,8 @@ func (g *grantLoop) run() {
 		// Best-effort: a lost grant only stalls the producer until the read
 		// watchdog reconnects, and the reconnect's from carries the ack the
 		// grant would have. A grant lives no longer than the stream it acks.
-		if g.c.bestEffort(stream, 10*time.Second, http.MethodPost, url+"/credit?"+q.Encode()) {
-			g.c.metrics.pushGrants.Inc()
+		if c.bestEffort(stream, 10*time.Second, http.MethodPost, url+"/credit?"+q.Encode()) {
+			c.metrics.pushGrants.Inc()
 		}
 	}
 }

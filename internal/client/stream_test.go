@@ -12,6 +12,7 @@ import (
 	"wsopt/internal/core"
 	"wsopt/internal/metrics"
 	"wsopt/internal/resilience"
+	"wsopt/internal/service"
 	"wsopt/internal/wire"
 )
 
@@ -103,11 +104,10 @@ func TestPushChaosExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := c.transportFor(sess, nil)
 	seen := make(map[int64]int, rows)
 	retries := 0
-	for !tr.Done() {
-		blk, err := tr.Next(context.Background(), 100)
+	for !sess.Done() {
+		blk, err := sess.Next(context.Background(), 100)
 		if err != nil {
 			t.Fatalf("push pull under chaos failed: %v", err)
 		}
@@ -116,7 +116,7 @@ func TestPushChaosExactlyOnce(t *testing.T) {
 		}
 		retries += blk.Attempts - 1
 	}
-	if err := tr.Close(context.Background()); err != nil {
+	if err := sess.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	assertExactSet(t, seen, rows)
@@ -157,12 +157,11 @@ func TestPushSessionLostReopens(t *testing.T) {
 	}
 	var reasons []string
 	sess.OnDisturbance = func(reason string) { reasons = append(reasons, reason) }
-	tr := c.transportFor(sess, nil)
 
 	seen := make(map[int64]int, rows)
 	killed := false
-	for !tr.Done() {
-		blk, err := tr.Next(ctx, 50)
+	for !sess.Done() {
+		blk, err := sess.Next(ctx, 50)
 		if err != nil {
 			t.Fatalf("push pull failed: %v", err)
 		}
@@ -171,7 +170,7 @@ func TestPushSessionLostReopens(t *testing.T) {
 		}
 		if !killed && len(seen) >= rows/3 {
 			killed = true
-			// Delete the session behind the transport's back: the stream
+			// Delete the session behind the client's back: the stream
 			// ends without a done frame and the reconnect finds a 404.
 			u, err := joinURL(sess.Endpoint(), "sessions", sess.ID())
 			if err != nil {
@@ -188,7 +187,7 @@ func TestPushSessionLostReopens(t *testing.T) {
 			drain(resp)
 		}
 	}
-	if err := tr.Close(ctx); err != nil {
+	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 	assertExactSet(t, seen, rows)
@@ -206,15 +205,14 @@ func TestPushSessionLostReopens(t *testing.T) {
 	}
 }
 
-// TestPushFailoverResumesOnSecondReplica: replica A starts refusing the
-// push endpoints mid-stream (credits bounce, the stream stalls, the
-// watchdog reconnects into 503s); the breaker opens and the session
-// fails over to replica B, resuming at the committed cursor.
-func TestPushFailoverResumesOnSecondReplica(t *testing.T) {
-	const rows = 1200
-	gateA, urlA := replica(t, rows)
-	_, urlB := replica(t, rows)
-
+// pushFailoverPair is a two-replica push client: A built under cfgA, B
+// under cfgB, A's breaker opening after two failures, frame deadlines of
+// 50–250 ms and a window of 2, so that refusing A mid-query stalls its
+// stream and moves the session to B within a few retries.
+func pushFailoverPair(t *testing.T, rows int, cfgA, cfgB service.Config) (c *Client, srvA, srvB *service.Server, gateA *gate, urlB string) {
+	t.Helper()
+	srvA, gateA, urlA := replicaWith(t, rows, cfgA)
+	srvB, _, urlB = replicaWith(t, rows, cfgB)
 	c, err := NewMulti([]string{urlA, urlB}, wire.XML{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -227,16 +225,19 @@ func TestPushFailoverResumesOnSecondReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.SetPush(PushConfig{Enabled: true, Window: 2})
+	return c, srvA, srvB, gateA, urlB
+}
 
+// drainFailingA reads sess to the end, refusing A's block endpoints once
+// a third of the rows has arrived, then closes the session and waits for
+// the client's cleanup. Every key must arrive exactly once, the last of
+// them from urlB.
+func drainFailingA(t *testing.T, c *Client, sess *Session, rows int, gateA *gate, urlB string) {
+	t.Helper()
 	ctx := context.Background()
-	sess, err := c.OpenSession(ctx, Query{Table: "data"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := c.transportFor(sess, nil)
 	seen := make(map[int64]int, rows)
-	for !tr.Done() {
-		blk, err := tr.Next(ctx, 100)
+	for !sess.Done() {
+		blk, err := sess.Next(ctx, 100)
 		if err != nil {
 			t.Fatalf("push pull failed: %v", err)
 		}
@@ -247,16 +248,30 @@ func TestPushFailoverResumesOnSecondReplica(t *testing.T) {
 			gateA.set(true, 0)
 		}
 	}
-	if err := tr.Close(ctx); err != nil {
+	if err := sess.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	assertExactSet(t, seen, rows)
-	if got := sess.Failovers(); got < 1 {
-		t.Fatalf("session failovers = %d, want >= 1", got)
+	if sess.Failovers() < 1 || sess.Endpoint() != urlB {
+		t.Fatalf("session ended on %s after %d failovers, want %s after at least one", sess.Endpoint(), sess.Failovers(), urlB)
 	}
-	if sess.Endpoint() != urlB {
-		t.Fatalf("session endpoint = %s, want %s after failover", sess.Endpoint(), urlB)
+}
+
+// TestPushFailoverResumesOnSecondReplica: replica A starts refusing the
+// push endpoints mid-stream (credits bounce, the stream stalls, the
+// watchdog reconnects into 503s); the breaker opens and the session
+// fails over to replica B, resuming at the committed cursor.
+func TestPushFailoverResumesOnSecondReplica(t *testing.T) {
+	const rows = 1200
+	c, _, _, gateA, urlB := pushFailoverPair(t, rows, service.Config{}, service.Config{})
+	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	drainFailingA(t, c, sess, rows, gateA, urlB)
 }
 
 // TestPushStalledReplicaFailsOver is the push twin of
@@ -281,13 +296,12 @@ func TestPushStalledReplicaFailsOver(t *testing.T) {
 	}
 	var reasons []string
 	sess.OnDisturbance = func(reason string) { reasons = append(reasons, reason) }
-	tr := c.transportFor(sess, nil)
 
 	seen := make(map[int64]int, rows)
 	var slowest time.Duration
-	for blocks := 0; !tr.Done(); blocks++ {
+	for blocks := 0; !sess.Done(); blocks++ {
 		start := time.Now()
-		blk, err := tr.Next(ctx, 100)
+		blk, err := sess.Next(ctx, 100)
 		if err != nil {
 			t.Fatalf("push pull failed: %v", err)
 		}
@@ -301,7 +315,7 @@ func TestPushStalledReplicaFailsOver(t *testing.T) {
 			gateA.set(false, 300*time.Millisecond)
 		}
 	}
-	if err := tr.Close(ctx); err != nil {
+	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 	assertExactSet(t, seen, rows)
@@ -385,18 +399,17 @@ func TestPushStreamOpenHonoursContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := c.transportFor(sess, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = tr.Next(ctx, 10)
+	_, err = sess.Next(ctx, 10)
 	if took := time.Since(start); took > 2*time.Second {
 		t.Errorf("Next returned after %v under a 200 ms context", took)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Next = %v, want an error wrapping context.DeadlineExceeded", err)
 	}
-	if err := tr.Close(context.Background()); err != nil {
+	if err := sess.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -411,7 +424,6 @@ func TestPushStreamOpenStallFailsOver(t *testing.T) {
 		deadline = 40 * time.Millisecond
 	)
 	c, reg, gateA, urlB := stallPair(t, rows, deadline)
-	c.SetPush(PushConfig{Enabled: true})
 	ctx := context.Background()
 	// One block over pull arms the adaptive deadline; then A stalls every
 	// block endpoint, the stream open first among them.
@@ -425,6 +437,7 @@ func TestPushStreamOpenStallFailsOver(t *testing.T) {
 	if err := warm.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
+	c.SetPush(PushConfig{Enabled: true})
 	gateA.set(false, 300*time.Millisecond)
 
 	sess, err := c.OpenSession(ctx, Query{Table: "data"})
@@ -433,12 +446,11 @@ func TestPushStreamOpenStallFailsOver(t *testing.T) {
 	}
 	var reasons []string
 	sess.OnDisturbance = func(reason string) { reasons = append(reasons, reason) }
-	tr := c.transportFor(sess, nil)
 	seen := make(map[int64]int, rows)
 	var slowest time.Duration
-	for !tr.Done() {
+	for !sess.Done() {
 		start := time.Now()
-		blk, err := tr.Next(ctx, 100)
+		blk, err := sess.Next(ctx, 100)
 		if err != nil {
 			t.Fatalf("push pull failed: %v", err)
 		}
@@ -450,9 +462,53 @@ func TestPushStreamOpenStallFailsOver(t *testing.T) {
 			seen[r[0].I]++
 		}
 	}
-	if err := tr.Close(ctx); err != nil {
+	if err := sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
 	assertExactSet(t, seen, rows)
 	assertLeftStalledReplica(t, sess, reg, urlB, reasons, slowest, deadline)
+}
+
+// TestPushFailoverOntoReplicaWithoutStreams: a streaming session fails
+// over from A to B, which does not stream. failAway opens a session on B
+// by POST /sessions; its stream open meets the mux's 404, which reads as
+// a lost session, so the session is renamed on B, and that name's open
+// falls back to pull. The renaming stays on B, yet the session it leaves
+// is deleted like one a failover leaves: after Wait neither replica holds
+// a session (it used to hold an admission slot on B until the TTL).
+func TestPushFailoverOntoReplicaWithoutStreams(t *testing.T) {
+	const rows = 1200
+	c, srvA, srvB, gateA, urlB := pushFailoverPair(t, rows, service.Config{}, service.Config{PushDisabled: true})
+	sess, err := c.session(context.Background(), Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainFailingA(t, c, sess, rows, gateA, urlB)
+	if n := srvB.Stats().SessionsOpened; n != 2 {
+		t.Errorf("B opened %d sessions, want 2: the failover's and the fall-back's", n)
+	}
+	if a, b := srvA.SessionCount(), srvB.SessionCount(); a != 0 || b != 0 {
+		t.Errorf("after Close and Wait A holds %d sessions and B %d, want none", a, b)
+	}
+}
+
+// TestPushFallenBackSessionStreamsAfterFailover: a push session named on
+// A, which does not stream, falls back to pull there; when A starts
+// refusing blocks the session fails over to B, which streams — and it
+// streams there. bind decides the way on every move: a session that fell
+// back used to pull for ever, wherever it went.
+func TestPushFallenBackSessionStreamsAfterFailover(t *testing.T) {
+	const rows = 1200
+	c, _, srvB, gateA, urlB := pushFailoverPair(t, rows, service.Config{PushDisabled: true}, service.Config{})
+	sess, err := c.session(context.Background(), Query{Table: "data"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainFailingA(t, c, sess, rows, gateA, urlB)
+	if n := gateA.streamOpens.Load(); n != 1 {
+		t.Errorf("A saw %d stream opens, want the one that found it does not stream", n)
+	}
+	if st := srvB.Stats(); st.PushStreamsOpened < 1 || st.PushFramesSent == 0 {
+		t.Errorf("B opened %d streams and sent %d frames: the session kept pulling after its failover", st.PushStreamsOpened, st.PushFramesSent)
+	}
 }
