@@ -682,22 +682,29 @@ func (s *Session) pullOnce(cctx, parent context.Context, u string) (*Block, erro
 	return blk, nil
 }
 
-// readBlock reads one block off either framing — a /next body or a
-// /stream frame's payload — into a view on a pooled scratch, checks it
-// against the tuple count the server announced for it, and stamps it
-// with what the server said about it. A binary block is checked and
-// indexed here, its rows built only if someone reads them. t1 is when
-// the wait for the block began. A failed block's rows never escape, so
-// its scratch is pooled right away.
+// readBlock reads one /next body into a view on a pooled scratch (see
+// newBlock). t1 is when the wait for the block began.
 func (s *Session) readBlock(payload io.Reader, t1 time.Time, meta service.BlockMeta, announced bool) (*Block, error) {
 	s.capped = io.LimitedReader{R: payload, N: wire.MaxFramePayload + 1}
 	s.body = countingReader{r: &s.capped}
 	sc := scratchPool.Get().(*wire.Scratch)
 	view, err := wire.ViewBlock(s.c.codec, &s.body, sc)
-	elapsed := time.Since(t1)
+	if s.body.n > wire.MaxFramePayload {
+		scratchPool.Put(sc)
+		return nil, errBodyTooLarge
+	}
+	return s.newBlock(sc, view, err, s.body.n, time.Since(t1), meta, announced)
+}
+
+// newBlock makes the block of a view read off either framing — a /next
+// body or a /stream frame's payload — onto the pooled scratch sc: it
+// checks the view against the tuple count the server announced for it
+// and stamps it with what the server said about it. A binary block is
+// checked and indexed by then, its rows built only if someone reads
+// them. A failed block's rows never escape, so its scratch is pooled
+// right away.
+func (s *Session) newBlock(sc *wire.Scratch, view wire.View, err error, n int64, elapsed time.Duration, meta service.BlockMeta, announced bool) (*Block, error) {
 	switch {
-	case s.body.n > wire.MaxFramePayload:
-		err = errBodyTooLarge
 	case err != nil:
 		err = fmt.Errorf("decode block: %w", err)
 	case announced && meta.Tuples != view.Len():
@@ -707,7 +714,7 @@ func (s *Session) readBlock(payload io.Reader, t1 time.Time, meta service.BlockM
 		scratchPool.Put(sc)
 		return nil, err
 	}
-	blk := &Block{Tuples: view.Len(), Schema: view.Schema(), Elapsed: elapsed, Bytes: s.body.n, view: view, scratch: sc}
+	blk := &Block{Tuples: view.Len(), Schema: view.Schema(), Elapsed: elapsed, Bytes: n, view: view, scratch: sc}
 	blk.Done, blk.InjectedMS, blk.Replayed, blk.GatewayFailovers = meta.Done, meta.DelayMS, meta.Replayed, meta.Failovers
 	return blk, nil
 }

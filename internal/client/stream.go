@@ -203,7 +203,13 @@ func (s *Session) streamAttempt(ctx context.Context, size, attempt int) (*Block,
 		case f.Seq != s.seq+1:
 			err = fmt.Errorf("frame gap: got seq %d, want %d", f.Seq, s.seq+1)
 		default:
-			blk, err = s.readBlock(bytes.NewReader(f.Payload), t1, service.FrameMeta(f), true)
+			// The scratch adopts the frame's buffer, and the stream reads
+			// its next frame into the one the scratch held: one copy of a
+			// binary block, the socket read's.
+			sc := scratchPool.Get().(*wire.Scratch)
+			view, spare, verr := wire.ViewPayload(s.c.codec, f.Payload, sc)
+			t.buf = spare
+			blk, err = s.newBlock(sc, view, verr, int64(len(f.Payload)), time.Since(t1), service.FrameMeta(f), true)
 		}
 		if err == nil {
 			t.unacked += len(f.Payload)

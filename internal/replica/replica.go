@@ -56,11 +56,18 @@ func (o Op) String() string {
 	}
 }
 
+// Ref counts the references to a record's payload buffer: Retain adds
+// one, and Release drops one, recycling the buffer with the last.
+type Ref interface {
+	Retain()
+	Release()
+}
+
 // Record is one replication log entry. Payload may alias a pooled server
-// buffer: the log owns a reference to it (via Release) from Append until
-// the record is evicted, and Read takes a further reference (via Retain)
-// on each payload it hands out, so consumers never observe a reused
-// buffer and no payload byte is copied on the primary.
+// buffer: the log owns a reference to it (Ref) from Append until the
+// record is evicted, and Read takes a further reference (Ref.Retain) on
+// each payload it hands out, so consumers never observe a reused buffer
+// and no payload byte is copied on the primary.
 type Record struct {
 	// LSN is the log sequence number, assigned by Log.Append.
 	LSN uint64
@@ -92,14 +99,13 @@ type Record struct {
 	// follower's apply time minus this is the per-record replication lag.
 	ShippedUnixNano int64
 
-	// Release, when non-nil, is called exactly once when the log no
+	// Ref, when non-nil, holds the reference to Payload that Append
+	// hands the log: its Release is called exactly once when the log no
 	// longer references Payload (eviction or Close) — the hook the
-	// service uses to refcount its pooled replay buffers. Retain, when
-	// non-nil, adds a reference that one further Release call drops;
-	// Read uses the pair to hold a payload past its record's eviction.
-	// Neither is shipped.
-	Release func()
-	Retain  func()
+	// service uses to refcount its pooled replay buffers. Read takes one
+	// more (Retain) to hold a payload past its record's eviction. It is
+	// not shipped.
+	Ref Ref
 }
 
 // Log is the primary-side bounded replication log: an LSN-ordered ring
@@ -162,8 +168,8 @@ func (l *Log) Append(rec Record) uint64 {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
-		if rec.Release != nil {
-			rec.Release()
+		if rec.Ref != nil {
+			rec.Ref.Release()
 		}
 		return 0
 	}
@@ -173,10 +179,10 @@ func (l *Log) Append(rec Record) uint64 {
 	rec.LSN = l.next
 	l.next++
 	l.appended++
-	var evict func()
+	var evict Ref
 	if l.n == len(l.recs) {
 		old := &l.recs[l.head]
-		evict = old.Release
+		evict = old.Ref
 		*old = rec
 		l.head = (l.head + 1) % len(l.recs)
 		l.evicted++
@@ -188,7 +194,7 @@ func (l *Log) Append(rec Record) uint64 {
 	// The evicted record's buffer reference is dropped outside the lock:
 	// Release may return a pooled buffer and must not run under l.mu.
 	if evict != nil {
-		evict()
+		evict.Release()
 	}
 	return rec.LSN
 }
@@ -264,26 +270,26 @@ func (l *Log) Read(from uint64, max int) (recs []Record, first, next uint64, rel
 		}
 		if r.Op == OpCommit {
 			if coalesce {
-				recs[prev].Payload, recs[prev].Retain, recs[prev].Release = nil, nil, nil
+				recs[prev].Payload, recs[prev].Ref = nil, nil
 			}
 			carrier[r.Session] = len(recs)
 		}
 		size = grown
 		recs = append(recs, r)
 	}
-	var held []func()
+	var held []Ref
 	for i := range recs {
 		r := &recs[i]
-		if r.Retain != nil && r.Release != nil {
-			r.Retain()
-			held = append(held, r.Release)
+		if r.Ref != nil {
+			r.Ref.Retain()
+			held = append(held, r.Ref)
 		}
-		r.Retain, r.Release = nil, nil
+		r.Ref = nil
 	}
 	l.mu.Unlock()
 	return recs, first, next, func() {
-		for _, f := range held {
-			f()
+		for _, ref := range held {
+			ref.Release()
 		}
 	}
 }
@@ -304,18 +310,18 @@ func (l *Log) Close() {
 		return
 	}
 	l.closed = true
-	var rel []func()
+	var rel []Ref
 	for i := 0; i < l.n; i++ {
 		r := &l.recs[(l.head+i)%len(l.recs)]
-		if r.Release != nil {
-			rel = append(rel, r.Release)
-			r.Release = nil
+		if r.Ref != nil {
+			rel = append(rel, r.Ref)
+			r.Ref = nil
 		}
 		r.Payload = nil
 	}
 	l.n = 0
 	l.mu.Unlock()
-	for _, f := range rel {
-		f()
+	for _, ref := range rel {
+		ref.Release()
 	}
 }

@@ -12,6 +12,21 @@ import (
 	"time"
 )
 
+// funcRef is a Ref made of two functions, either of which may be nil.
+type funcRef struct{ retain, release func() }
+
+func (r funcRef) Retain() {
+	if r.retain != nil {
+		r.retain()
+	}
+}
+
+func (r funcRef) Release() {
+	if r.release != nil {
+		r.release()
+	}
+}
+
 func TestLogAppendAssignsSequentialLSNs(t *testing.T) {
 	l := NewLog(16)
 	for i := 1; i <= 5; i++ {
@@ -37,11 +52,11 @@ func TestLogEvictionReleasesOldestExactlyOnce(t *testing.T) {
 	var mu sync.Mutex
 	for i := 0; i < 40; i++ {
 		i := i
-		l.Append(Record{Op: OpCommit, Session: "s", Release: func() {
+		l.Append(Record{Op: OpCommit, Session: "s", Ref: funcRef{release: func() {
 			mu.Lock()
 			released[i]++
 			mu.Unlock()
-		}})
+		}}})
 	}
 	// Capacity 16, 40 appends: records 0..23 must have been evicted and
 	// released exactly once; 24..39 are still retained.
@@ -75,7 +90,7 @@ func TestLogAppendAfterCloseReleasesImmediately(t *testing.T) {
 	l := NewLog(16)
 	l.Close()
 	var released bool
-	if lsn := l.Append(Record{Release: func() { released = true }}); lsn != 0 {
+	if lsn := l.Append(Record{Ref: funcRef{release: func() { released = true }}}); lsn != 0 {
 		t.Fatalf("append after close returned lsn %d, want 0", lsn)
 	}
 	if !released {
@@ -104,7 +119,7 @@ func TestLogReadRetainsPayloads(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	l.Append(Record{Op: OpCommit, Session: "s", Seq: 1, Payload: buf, Retain: add(+1), Release: add(-1)})
+	l.Append(Record{Op: OpCommit, Session: "s", Seq: 1, Payload: buf, Ref: funcRef{add(+1), add(-1)}})
 	recs, first, next, release := l.Read(1, 10)
 	if len(recs) != 1 || first != 1 || next != 2 {
 		t.Fatalf("Read = %d recs, first %d, next %d", len(recs), first, next)
@@ -112,7 +127,7 @@ func TestLogReadRetainsPayloads(t *testing.T) {
 	if &recs[0].Payload[0] != &buf[0] {
 		t.Fatal("Read copied the payload")
 	}
-	if recs[0].Release != nil || recs[0].Retain != nil {
+	if recs[0].Ref != nil {
 		t.Fatal("Read leaked a refcount hook")
 	}
 	// Evict the record while the read is outstanding.
@@ -488,11 +503,13 @@ func TestLogConcurrentAppendRead(t *testing.T) {
 			var refs atomic.Int32
 			refs.Store(1)
 			l.Append(Record{Op: OpCommit, Session: "s", Seq: uint64(i), Payload: buf,
-				Retain: func() { refs.Add(1) },
-				Release: func() {
-					if refs.Add(-1) == 0 {
-						copy(buf, "RECYCLE") // a read without a reference races this
-					}
+				Ref: funcRef{
+					retain: func() { refs.Add(1) },
+					release: func() {
+						if refs.Add(-1) == 0 {
+							copy(buf, "RECYCLE") // a read without a reference races this
+						}
+					},
 				}})
 		}
 		close(stop)

@@ -247,7 +247,7 @@ func (t *tail) begin(seq uint64, open *Query) (uint64, SeqClass, []tailFrame, ui
 	}
 	replays := slices.Clone(t.frames)
 	for _, f := range replays {
-		f.rb.retain()
+		f.rb.Retain()
 	}
 	return seq, class, replays, t.gen
 }
@@ -262,7 +262,7 @@ func (t *tail) ackLocked(acked uint64) {
 	n, credit := 0, 0
 	for n < len(t.frames) && t.frames[n].seq <= acked {
 		credit += t.frames[n].charge
-		releaseReplay(t.frames[n].rb)
+		t.frames[n].rb.Release()
 		n++
 	}
 	t.charge(-credit)

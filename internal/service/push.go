@@ -111,7 +111,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// injected fault's panic) still gives its write reference back.
 	defer func() {
 		for _, f := range replays {
-			releaseReplay(f.rb)
+			f.rb.Release()
 		}
 	}()
 

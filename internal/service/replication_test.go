@@ -214,3 +214,29 @@ func TestShippedPayloadStableUnderPoolChurn(t *testing.T) {
 		t.Fatalf("appended %d records, want %d", appended, want)
 	}
 }
+
+// TestShipCommitAllocGate holds replicating a commit to no allocation of
+// its own, steady state (run without the race detector: `scripts/verify.sh
+// allocgate`): the record's reference hook is the replay block itself,
+// not a closure or method value per block.
+func TestShipCommitAllocGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc gate needs steady-state timing")
+	}
+	rlog := replica.NewLog(16)
+	srv, _ := newTestServer(t, Config{Catalog: testCatalog(t, 10), Replica: rlog})
+	sess := &session{id: "s"}
+	rb := &replayBlock{buf: new(bytes.Buffer), payload: []byte("block")}
+	rb.refs.Store(1) // the session's: the log's evictions never recycle it
+	// Fill the ring: from here on every append evicts.
+	for range 32 {
+		srv.shipCommit(sess, 1, rb)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { srv.shipCommit(sess, 1, rb) }); allocs > 0 {
+		t.Fatalf("shipping a commit allocates %.1f times, gate is 0", allocs)
+	}
+	rlog.Close()
+	if n := rb.refs.Load(); n != 1 {
+		t.Fatalf("%d references left on the block after the log closed, want the session's 1", n)
+	}
+}

@@ -453,8 +453,8 @@ func (rb *replayBlock) pinned() int {
 	return min(rb.buf.Cap(), 2*len(rb.payload))
 }
 
-// retain adds a reference.
-func (rb *replayBlock) retain() {
+// Retain adds a reference.
+func (rb *replayBlock) Retain() {
 	rb.refs.Add(1)
 	if rb.live != nil {
 		rb.live.Add(1)
@@ -463,7 +463,7 @@ func (rb *replayBlock) retain() {
 
 // blockBufPool pools the per-pull encode buffers. Ownership rule: a
 // buffer obtained for a pull either travels into a replayBlock (recycled
-// by its last releaseReplay) or is returned on the spot when the encode
+// by its last Release) or is returned on the spot when the encode
 // fails or its bytes were copied into a cache entry.
 var blockBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -487,11 +487,11 @@ func (s *Server) TrackReplayRefs() (live func() int64) {
 	return s.replayRefs.Load
 }
 
-// releaseReplay drops one reference to rb's backing and recycles it when
-// the last reference is gone: a pooled encode buffer goes back to the
-// pool, a cache entry gets its retained reference released. Holders
-// release in any order — only the final release recycles the backing.
-func releaseReplay(rb *replayBlock) {
+// Release drops one reference to rb's backing and recycles it when the
+// last reference is gone: a pooled encode buffer goes back to the pool, a
+// cache entry gets its retained reference released. Holders release in
+// any order — only the final release recycles the backing.
+func (rb *replayBlock) Release() {
 	if rb.live != nil {
 		rb.live.Add(-1)
 	}
@@ -543,15 +543,15 @@ func (s *Server) shipCreate(sess *session, body []byte) {
 // shipCommit replicates block seq's commit: the committed cursor and the
 // encoded payload a same-seq retry needs after this process dies. Called
 // at the commit point (commitLocked); the record holds its own reference
-// to the block until it falls out of the log, which releases it via
-// Record.Release. The feed ships the payload from that same buffer,
-// holding one more reference (Record.Retain) for as long as the socket
-// write takes.
+// to the block until it falls out of the log, which releases it through
+// Record.Ref. The feed ships the payload from that same buffer, holding
+// one more reference (Ref.Retain) for as long as the socket write takes.
+// rb is the Ref itself, so a shipped commit allocates no hook.
 func (s *Server) shipCommit(sess *session, seq uint64, rb *replayBlock) {
 	if s.cfg.Replica == nil {
 		return
 	}
-	rb.retain()
+	rb.Retain()
 	s.cfg.Replica.Append(replica.Record{
 		Op:        replica.OpCommit,
 		Session:   sess.id,
@@ -561,8 +561,7 @@ func (s *Server) shipCommit(sess *session, seq uint64, rb *replayBlock) {
 		Done:      rb.done,
 		Codec:     s.codec.Name(),
 		Payload:   rb.payload,
-		Retain:    rb.retain,
-		Release:   func() { releaseReplay(rb) },
+		Ref:       rb,
 	})
 }
 
@@ -835,7 +834,7 @@ func (s *Server) commitLocked(sess *session, rb *replayBlock) uint64 {
 	t.produced++
 	t.done = rb.done
 	if !t.closed {
-		rb.retain()
+		rb.Retain()
 		f := tailFrame{seq: t.produced, rb: rb}
 		if t.gen != 0 {
 			f.charge = rb.pinned()
@@ -900,7 +899,7 @@ func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int
 		rb = &replayBlock{buf: buf, payload: buf.Bytes(), tuples: len(rows), done: done}
 	}
 	rb.live = s.replayRefs
-	rb.retain() // the caller's write reference
+	rb.Retain() // the caller's write reference
 
 	var slept bool
 	if rb.delayMS, slept = s.pricedDelay(ctx, rb.tuples, sess.rng); !slept {
@@ -911,7 +910,7 @@ func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int
 		if rb.entry == nil {
 			sess.pendingRows, sess.pendingDone, sess.hasPending = rows, rb.done, true
 		}
-		releaseReplay(rb)
+		rb.Release()
 		s.logf("session %s: block cancelled mid-delay", sess.id)
 		return nil, 0, errProduceCancelled
 	}
@@ -1009,7 +1008,7 @@ type framing struct {
 // drops it when the write is over, however it ends (an injected fault
 // leaves by panic).
 func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, seq uint64, rb *replayBlock, replayed bool, fault faultKind) error {
-	defer releaseReplay(rb)
+	defer rb.Release()
 	if fault == faultDrop {
 		s.countFault(fault)
 		s.logf("session %s: injected fault: dropping connection", sess.id)

@@ -124,8 +124,9 @@ func BenchmarkDecodeScratch(b *testing.B) {
 }
 
 // BenchmarkViewBlock is the decode a client that reads no cell pays: the
-// same two workload blocks as BenchmarkDecodeScratch's, checked and
-// indexed by ViewBlock, their rows never built.
+// same two workload blocks as BenchmarkDecodeScratch's and push-rtt's
+// 256-row customer frame, checked and indexed by ViewBlock, their rows
+// never built.
 func BenchmarkViewBlock(b *testing.B) {
 	b.Run("binary/orders/rows=2048", func(b *testing.B) {
 		schema, rows := ordersBlock(b, 2048)
@@ -133,6 +134,10 @@ func BenchmarkViewBlock(b *testing.B) {
 	})
 	b.Run("binary/customer/rows=64", func(b *testing.B) {
 		schema, rows := customerBlock(b, 64)
+		benchView(b, schema, rows)
+	})
+	b.Run("binary/customer/rows=256", func(b *testing.B) {
+		schema, rows := customerBlock(b, 256)
 		benchView(b, schema, rows)
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 
 	"wsopt/internal/minidb"
@@ -43,6 +44,18 @@ const (
 	flagValue byte = 0
 	flagNull  byte = 1
 )
+
+// What a value cell holds after its flag byte, per column of a compiled
+// schema (Scratch.kinds): INT64 and DATE a varint, FLOAT64 8 bytes,
+// STRING a uvarint length and that many bytes.
+const (
+	kindVarint byte = iota
+	kindFloat
+	kindString
+)
+
+// kindOf compiles a column type the header check accepted.
+var kindOf = [...]byte{minidb.Int64: kindVarint, minidb.Float64: kindFloat, minidb.String: kindString, minidb.Date: kindVarint}
 
 // binEncBufs pools the append buffers behind Encode so steady-state
 // encoding does not allocate.
@@ -159,13 +172,8 @@ func (bc Binary) DecodeScratch(r io.Reader, s *Scratch) (minidb.Schema, []minidb
 	return eager(bc.index(r, s))
 }
 
-// index is the one code that checks a binary block. It reads the whole
-// payload into the scratch's raw buffer and runs every check of the
-// layout in order — magic and header, the row count against the payload
-// and MaxCells before anything is sized by it, each cell's flag byte,
-// varint and string length, trailing bytes — writing nothing per cell
-// and one start offset per row (s.starts). The view it returns builds
-// rows from that index and checks nothing again. A nil s is a fresh one.
+// index reads the whole payload into the scratch's raw buffer and
+// checks it (check). A nil s is a fresh one.
 func (bc Binary) index(r io.Reader, s *Scratch) (View, error) {
 	if s == nil {
 		s = new(Scratch)
@@ -176,6 +184,18 @@ func (bc Binary) index(r io.Reader, s *Scratch) (View, error) {
 	if err != nil {
 		return View{}, fmt.Errorf("wire: binary decode: %w", err)
 	}
+	return bc.check(s)
+}
+
+// check is the one code that checks a binary block, the payload in
+// s.raw. It runs every check of the layout in order — magic and header,
+// the row count against the payload and MaxCells before anything is
+// sized by it, each cell's flag byte, varint and string length, trailing
+// bytes — writing nothing per cell and one start offset per row
+// (s.starts). The view it returns builds rows from that index and checks
+// nothing again.
+func (bc Binary) check(s *Scratch) (View, error) {
+	raw := s.raw
 	if uint64(len(raw)) > math.MaxUint32 {
 		return View{}, fmt.Errorf("wire: binary decode: %d bytes is past the 4 GiB a block index spans", len(raw))
 	}
@@ -216,44 +236,50 @@ func (bc Binary) index(r io.Reader, s *Scratch) (View, error) {
 		s.starts = make([]uint32, nrows)
 	}
 	starts := s.starts[:nrows]
+	kinds := s.kinds
+	last := len(raw) - 8 // the last offset a word load may start at
 	off := p.off
 	for i := range starts {
 		starts[i] = uint32(off)
-		for _, c := range schema {
-			if off == len(raw) {
-				return View{}, fmt.Errorf("wire: binary decode row %d: %w", i, io.ErrUnexpectedEOF)
+		for j, k := range kinds {
+			// The common cell is checked from one word: its flag byte and
+			// the seven bytes behind it. The payload's last bytes, a long
+			// varint or string length and every failure take checkCell,
+			// the byte-wise check, which names what is wrong.
+			if off <= last {
+				// A constant capacity spares the slice the masking of
+				// its base that would lengthen the chain from one
+				// cell's offset to the next's.
+				w := binary.LittleEndian.Uint64(raw[off : off+8 : off+8])
+				if byte(w) == flagNull {
+					off++
+					continue
+				}
+				if byte(w) == flagValue {
+					switch k {
+					case kindVarint:
+						// A varint ends at its first byte below 0x80; one
+						// that ends inside the word is at most 7 bytes long,
+						// so binary.Uvarint accepts it.
+						if ends := ^w & 0x8080808080808000; ends != 0 {
+							off += bits.TrailingZeros64(ends)>>3 + 1
+							continue
+						}
+					case kindFloat:
+						if off < last { // the flag and 8 bytes remain
+							off += 9
+							continue
+						}
+					case kindString:
+						if sl := int(w>>8) & 0xff; sl < 0x80 && off+2+sl <= len(raw) {
+							off += 2 + sl
+							continue
+						}
+					}
+				}
 			}
-			flag := raw[off]
-			off++
-			if flag == flagNull {
-				continue
-			}
-			if flag != flagValue {
-				return View{}, fmt.Errorf("wire: bad value flag %d at row %d", flag, i)
-			}
-			switch c.Type {
-			case minidb.Int64:
-				if _, off = uvarintAt(raw, off); off < 0 {
-					return View{}, fmt.Errorf("wire: binary decode int at row %d: %w", i, io.ErrUnexpectedEOF)
-				}
-			case minidb.Date:
-				if _, off = uvarintAt(raw, off); off < 0 {
-					return View{}, fmt.Errorf("wire: binary decode date at row %d: %w", i, io.ErrUnexpectedEOF)
-				}
-			case minidb.Float64:
-				if len(raw)-off < 8 {
-					return View{}, fmt.Errorf("wire: binary decode float at row %d: %w", i, io.ErrUnexpectedEOF)
-				}
-				off += 8
-			case minidb.String:
-				sl, next := uvarintAt(raw, off)
-				if next < 0 || sl > maxBlockStrings {
-					return View{}, fmt.Errorf("wire: binary decode string length at row %d: invalid", i)
-				}
-				if sl > uint64(len(raw)-next) {
-					return View{}, fmt.Errorf("wire: binary decode string at row %d: %w", i, io.ErrUnexpectedEOF)
-				}
-				off = next + int(sl)
+			if off, err = checkCell(raw, off, schema[j].Type, i); err != nil {
+				return View{}, err
 			}
 		}
 	}
@@ -262,6 +288,48 @@ func (bc Binary) index(r io.Reader, s *Scratch) (View, error) {
 		return View{}, fmt.Errorf("wire: binary decode: %d bytes of trailing data", len(raw)-off)
 	}
 	return View{schema: schema, n: int(nrows), s: s, gen: s.gen}, nil
+}
+
+// checkCell checks the cell at raw[off:] byte by byte — flag, then the
+// value its column type t lays out — and returns the offset past it, or
+// the error that names row's failure.
+func checkCell(raw []byte, off int, t minidb.Type, row int) (int, error) {
+	if off == len(raw) {
+		return 0, fmt.Errorf("wire: binary decode row %d: %w", row, io.ErrUnexpectedEOF)
+	}
+	flag := raw[off]
+	off++
+	if flag == flagNull {
+		return off, nil
+	}
+	if flag != flagValue {
+		return 0, fmt.Errorf("wire: bad value flag %d at row %d", flag, row)
+	}
+	switch t {
+	case minidb.Int64:
+		if _, off = uvarintAt(raw, off); off < 0 {
+			return 0, fmt.Errorf("wire: binary decode int at row %d: %w", row, io.ErrUnexpectedEOF)
+		}
+	case minidb.Date:
+		if _, off = uvarintAt(raw, off); off < 0 {
+			return 0, fmt.Errorf("wire: binary decode date at row %d: %w", row, io.ErrUnexpectedEOF)
+		}
+	case minidb.Float64:
+		if len(raw)-off < 8 {
+			return 0, fmt.Errorf("wire: binary decode float at row %d: %w", row, io.ErrUnexpectedEOF)
+		}
+		off += 8
+	case minidb.String:
+		sl, next := uvarintAt(raw, off)
+		if next < 0 || sl > maxBlockStrings {
+			return 0, fmt.Errorf("wire: binary decode string length at row %d: invalid", row)
+		}
+		if sl > uint64(len(raw)-next) {
+			return 0, fmt.Errorf("wire: binary decode string at row %d: %w", row, io.ErrUnexpectedEOF)
+		}
+		off = next + int(sl)
+	}
+	return off, nil
 }
 
 // uvarintAt decodes the uvarint at b[off:] as binary.Uvarint does and
@@ -385,6 +453,10 @@ func (Binary) decodeSchema(p *byteParser, s *Scratch) (minidb.Schema, error) {
 		name, _ := q.take(int(nameLen))
 		tb, _ := q.byte()
 		schema[i] = minidb.Column{Name: string(name), Type: minidb.Type(tb)}
+	}
+	s.kinds = s.kinds[:0]
+	for _, c := range schema {
+		s.kinds = append(s.kinds, kindOf[c.Type])
 	}
 	s.cacheSchema("binary", schema, key)
 	return schema, nil

@@ -190,3 +190,127 @@ func TestBinaryDecodeMatchesReference(t *testing.T) {
 		checkDecode(t, c, buf.Bytes())
 	}
 }
+
+// boundaryCell is one cell the word-load boundary table places near the
+// end of a payload: its column type, its bytes (flag included), and
+// whether the block it ends is well formed.
+type boundaryCell struct {
+	name  string
+	typ   minidb.Type
+	bytes []byte
+	valid bool
+}
+
+// boundaryCells are the cells whose checks the index pass takes a word
+// load or its byte-wise fallback for: varints of every length class
+// around the 7 bytes a word holds behind a flag, the 10-byte ones
+// binary.Uvarint accepts and refuses, a float, strings with 1- and 2-byte
+// lengths, a null and bad flags.
+func boundaryCells() []boundaryCell {
+	varint := func(n int, tenth byte) []byte {
+		b := []byte{flagValue}
+		for i := 1; i < n; i++ {
+			b = append(b, 0x80|byte(i))
+		}
+		if n == binary.MaxVarintLen64 {
+			return append(b, tenth)
+		}
+		return append(b, 0x05)
+	}
+	str := func(n int) []byte {
+		return append(binary.AppendUvarint([]byte{flagValue}, uint64(n)), bytes.Repeat([]byte{'s'}, n)...)
+	}
+	var cells []boundaryCell
+	for _, typ := range []minidb.Type{minidb.Int64, minidb.Date} {
+		for _, n := range []int{1, 7, 8, 9, 10} {
+			cells = append(cells, boundaryCell{fmt.Sprintf("%v/varint=%dB", typ, n), typ, varint(n, 1), true})
+		}
+		cells = append(cells, boundaryCell{fmt.Sprintf("%v/varint=10B,tenth=2", typ), typ, varint(10, 2), false})
+	}
+	float := binary.LittleEndian.AppendUint64([]byte{flagValue}, math.Float64bits(-1.5))
+	return append(cells,
+		boundaryCell{"float", minidb.Float64, float, true},
+		boundaryCell{"string/len=0", minidb.String, str(0), true},
+		boundaryCell{"string/len=5", minidb.String, str(5), true},
+		boundaryCell{"string/len=127", minidb.String, str(127), true},
+		boundaryCell{"string/len=200", minidb.String, str(200), true},
+		boundaryCell{"null", minidb.Int64, []byte{flagNull}, true},
+		boundaryCell{"flag=2", minidb.Int64, []byte{2, 0x05}, false},
+		boundaryCell{"flag=0xff", minidb.String, []byte{0xff, 0x00}, false},
+	)
+}
+
+// boundaryBlock is a one-row block whose first cell is cell and whose
+// last `tail` bytes are the null cells of tail INT64 columns, so that the
+// cell ends exactly tail bytes before the end of the payload.
+func boundaryBlock(cell boundaryCell, tail int) []byte {
+	schema := minidb.Schema{{Name: "x", Type: cell.typ}}
+	for i := range tail {
+		schema = append(schema, minidb.Column{Name: fmt.Sprintf("t%d", i), Type: minidb.Int64})
+	}
+	b, err := (Binary{}).AppendBlock(nil, schema, nil)
+	if err != nil {
+		panic(err)
+	}
+	b = append(b[:len(b)-1], 1) // one row
+	b = append(b, cell.bytes...)
+	return append(b, bytes.Repeat([]byte{flagNull}, tail)...)
+}
+
+// wordBoundaryCase is one input of the boundary table.
+type wordBoundaryCase struct {
+	name  string
+	data  []byte
+	valid bool
+}
+
+// wordBoundaryCases places every boundary cell 0 to 10 bytes before the
+// end of its payload, whole, and cut short two ways: the payload ending
+// early, and the cell's last byte dropped with the bytes behind it kept,
+// so that the check reads them as the cell's. A string whose length is
+// exactly the bytes left, and one more than that, are among them.
+func wordBoundaryCases() []wordBoundaryCase {
+	var cases []wordBoundaryCase
+	for _, cell := range boundaryCells() {
+		for tail := 0; tail <= 10; tail++ {
+			whole := boundaryBlock(cell, tail)
+			name := fmt.Sprintf("%s/tail=%d", cell.name, tail)
+			cases = append(cases, wordBoundaryCase{name, whole, cell.valid})
+			for cut := 1; cut <= len(cell.bytes)+tail && cut <= 12; cut++ {
+				cases = append(cases, wordBoundaryCase{fmt.Sprintf("%s/payload-%d", name, cut), whole[:len(whole)-cut], false})
+			}
+			if len(cell.bytes) > 1 {
+				short := append([]byte(nil), whole[:len(whole)-tail-1]...)
+				cases = append(cases, wordBoundaryCase{name + "/cell-1", append(short, whole[len(whole)-tail:]...), false})
+			}
+		}
+	}
+	// A string length — one byte and two — equal to the bytes after it,
+	// and one past them.
+	for _, rest := range []int{0, 1, 2, 6, 7, 8, 9, 10, 128, 135, 136, 137} {
+		for _, extra := range []int{0, 1} {
+			length := binary.AppendUvarint([]byte{flagValue}, uint64(rest+extra))
+			data := boundaryBlock(boundaryCell{typ: minidb.String, bytes: length}, 0)
+			data = append(data, bytes.Repeat([]byte{'r'}, rest)...)
+			cases = append(cases, wordBoundaryCase{fmt.Sprintf("string/len=rest+%d/rest=%d", extra, rest), data, extra == 0})
+		}
+	}
+	return cases
+}
+
+// TestBinaryIndexWordBoundaries holds the index pass to the reference
+// wherever its one-word check of a cell meets the payload's end: the two
+// accept exactly the well-formed cases, and read an accepted one as the
+// same rows (checkDecode).
+func TestBinaryIndexWordBoundaries(t *testing.T) {
+	for _, c := range wordBoundaryCases() {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, rErr := decodeBinaryReference(bytes.NewReader(c.data))
+			_, vErr := ViewBlock(Binary{}, bytes.NewReader(c.data), new(Scratch))
+			if (rErr == nil) != c.valid || (vErr == nil) != c.valid {
+				t.Fatalf("well formed: %v; reference err %v, view err %v\n%q", c.valid, rErr, vErr, c.data)
+			}
+			checkDecode(t, Binary{}, c.data)
+		})
+	}
+}

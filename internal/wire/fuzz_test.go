@@ -208,6 +208,13 @@ func checkDecode(t *testing.T, codec Codec, data []byte) {
 		t.Fatalf("plain/view disagree on validity: plain=%v view=%v", err, vErr)
 	}
 
+	// The in-memory view: ViewPayload (which adopts a binary payload
+	// instead of copying it) reads the same bytes the same way.
+	pView, _, pErr := ViewPayload(codec, append([]byte(nil), data...), new(Scratch))
+	if (err == nil) != (pErr == nil) {
+		t.Fatalf("plain/payload view disagree on validity: plain=%v payload view=%v", err, pErr)
+	}
+
 	// Oracle: a decoder written apart from the one under test (see
 	// referenceDecoder) accepts whatever it accepts — for an exact one,
 	// only that — and never reads a block differently.
@@ -230,6 +237,7 @@ func checkDecode(t *testing.T, codec Codec, data []byte) {
 		t.Fatalf("view of %d rows, plain decoded %d", view.Len(), len(rows))
 	}
 	sameBlock(t, "view vs plain", schema, rows, view.Schema(), view.Rows())
+	sameBlock(t, "payload view vs plain", schema, rows, pView.Schema(), pView.Rows())
 
 	// A successful decode must be internally consistent and must
 	// re-encode cleanly.
@@ -279,7 +287,15 @@ func checkDecode(t *testing.T, codec Codec, data []byte) {
 	}
 }
 
-func FuzzBinaryDecode(f *testing.F) { fuzzDecode(f, Binary{}) }
+// FuzzBinaryDecode is also seeded with the word-load boundary table
+// (wordBoundaryCases), so that mutation starts at the cells where the
+// index pass trades its one-word check for the byte-wise one.
+func FuzzBinaryDecode(f *testing.F) {
+	for _, c := range wordBoundaryCases() {
+		f.Add(c.data)
+	}
+	fuzzDecode(f, Binary{})
+}
 
 func FuzzXMLDecode(f *testing.F) { fuzzDecode(f, XML{}) }
 

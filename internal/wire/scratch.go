@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"sync"
@@ -10,9 +11,10 @@ import (
 
 // This file holds the allocation-lean plumbing shared by the codecs: the
 // reusable decode Scratch, the pooled append buffers the streaming
-// encoders write through, and the two entry points — DecodeBlock, which
-// picks the scratch path when the codec supports it, and ViewBlock, which
-// indexes a block whose codec can be indexed and decodes any other.
+// encoders write through, and the entry points — DecodeBlock, which picks
+// the scratch path when the codec supports it, ViewBlock, which indexes a
+// block whose codec can be indexed and decodes any other, and
+// ViewPayload, ViewBlock of a payload already in memory.
 //
 // Ownership rules (see DESIGN.md §14), the same for the binary and the
 // XML codec: a Scratch may only be used by one decode at a time, and the
@@ -65,6 +67,10 @@ type Scratch struct {
 	schema      minidb.Schema
 	schemaRaw   []byte
 	schemaCodec string
+	// kinds is the cached binary schema compiled for the index pass: one
+	// cell kind per column (kindVarint, kindFloat, kindString). It is
+	// valid while schemaCodec is "binary".
+	kinds []byte
 }
 
 // ErrTooManyCells is returned by a decode into a Scratch whose MaxCells
@@ -164,6 +170,25 @@ func ViewBlock(c Codec, r io.Reader, s *Scratch) (View, error) {
 		v.s, v.gen = s, s.gen
 	}
 	return v, err
+}
+
+// ViewPayload is ViewBlock of a payload already in memory, without the
+// copy: under Binary the scratch adopts payload as its raw buffer and
+// returns the buffer it held, which no view aliases any more, for the
+// caller to read its next payload into. Under any other codec — Gzipped
+// inflates into the scratch's own buffer — payload is read as ViewBlock
+// reads a reader and handed back. Either way the caller owns the
+// returned buffer and gives up payload; with a nil s nothing is adopted.
+func ViewPayload(c Codec, payload []byte, s *Scratch) (View, []byte, error) {
+	if bc, ok := c.(Binary); ok && s != nil {
+		spare := s.raw[:0]
+		s.gen++
+		s.raw = payload
+		v, err := bc.check(s)
+		return v, spare, err
+	}
+	v, err := ViewBlock(c, bytes.NewReader(payload), s)
+	return v, payload, err
 }
 
 // readAllReuse reads r to EOF into buf's backing array (grown as

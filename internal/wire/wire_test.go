@@ -326,3 +326,43 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestViewPayloadAdoptsBinaryBuffers pins ViewPayload's buffer exchange:
+// a binary payload becomes the scratch's, uncopied, and the buffer the
+// scratch held comes back for the caller's next payload; under gzip the
+// payload inflates into the scratch and comes back itself. Either way the
+// view reads the block, and a failed check still hands a buffer back.
+func TestViewPayloadAdoptsBinaryBuffers(t *testing.T) {
+	payload, err := (Binary{}).AppendBlock(nil, sampleSchema(), sampleRows(40, rand.New(rand.NewSource(7))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, rows, err := (Binary{}).Decode(bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := new(Scratch)
+	held := make([]byte, 0, 64)
+	s.raw = held
+	v, spare, err := ViewPayload(Binary{}, payload, s)
+	if err != nil || v.Len() != len(rows) {
+		t.Fatalf("binary: %d rows, err %v", v.Len(), err)
+	}
+	if &s.raw[0] != &payload[0] || cap(spare) != cap(held) || len(spare) != 0 {
+		t.Fatal("binary: the scratch did not adopt the payload and hand back its own buffer")
+	}
+	sameBlock(t, "binary view of an adopted payload", schema, rows, v.Schema(), v.Rows())
+	if _, spare, err = ViewPayload(Binary{}, spare, s); err == nil || cap(spare) != cap(payload) {
+		t.Fatalf("an empty payload: err %v, spare of cap %d, want an error and the payload's buffer back", err, cap(spare))
+	}
+
+	var packed bytes.Buffer
+	if err := Gzip(Binary{}).Encode(&packed, schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	v, spare, err = ViewPayload(Gzip(Binary{}), packed.Bytes(), s)
+	if err != nil || &spare[0] != &packed.Bytes()[0] {
+		t.Fatalf("gzip: err %v, or the payload was not handed back", err)
+	}
+	sameBlock(t, "gzip view", schema, rows, v.Schema(), v.Rows())
+}
