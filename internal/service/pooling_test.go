@@ -85,18 +85,23 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 		}
 	}
 
-	// Closing the session releases the final live block's buffer.
+	// Closing the session releases the final live block's buffer, then
+	// the one block 8's read-ahead prepared (the pulls hold size 10), which
+	// no request took.
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sessions/%s", ts.URL, id), nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(released) != blocks {
-		t.Fatalf("after close: %d buffers released, want %d", len(released), blocks)
+	if len(released) != blocks+1 {
+		t.Fatalf("after close: %d buffers released, want %d (the blocks and one read-ahead)", len(released), blocks+1)
 	}
 	if seqOf[released[blocks-1]] != blocks {
 		t.Fatalf("close released block seq %d, want %d", seqOf[released[blocks-1]], blocks)
+	}
+	if seq, served := seqOf[released[blocks]]; served {
+		t.Fatalf("close's last release was served block %d, want the unserved read-ahead", seq)
 	}
 }
 
@@ -219,12 +224,16 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 				resp.Body.Close()
 				pulled <- body
 			}()
-			// Wait until the pull demonstrably holds the lock, then land
-			// the DELETE mid-pull.
-			for sess.mu.TryLock() {
-				sess.mu.Unlock()
-				time.Sleep(time.Millisecond)
-			}
+			// Wait until block 2's pull holds the lock, then land the DELETE
+			// mid-pull. A held lock alone does not say whose it is (block
+			// 1's handler keeps it past its flush); asking for block 2 acks
+			// block 1, and that happens under the lock block 2 then keeps
+			// through its 300 ms delay.
+			waitFor(t, func() bool {
+				sess.tail.mu.Lock()
+				defer sess.tail.mu.Unlock()
+				return sess.tail.acked == 1
+			})
 			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+id, nil)
 			dresp, err := http.DefaultClient.Do(req)
 			if err != nil {

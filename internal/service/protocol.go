@@ -216,6 +216,33 @@ type tail struct {
 	// it (Stats.PushRetainedBytes).
 	bytes, budget int
 	retained      *atomic.Int64
+
+	// ahead is a pull's read-ahead: the block after produced, prepared
+	// but not committed, so it has no number yet. The tail holds its one
+	// reference until a request takes it (takeAhead) or close releases it.
+	ahead *replayBlock
+}
+
+// putAhead hands the tail a prepared block and its reference; a tail
+// closed since is not going to serve it, so it is released at once.
+func (t *tail) putAhead(rb *replayBlock) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		rb.Release()
+		return
+	}
+	t.ahead = rb
+}
+
+// takeAhead hands the prepared block, if any, and its reference to the
+// caller, who holds sess.mu: no other block can be prepared meanwhile.
+func (t *tail) takeAhead() *replayBlock {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rb := t.ahead
+	t.ahead = nil
+	return rb
 }
 
 // begin admits a request that names block seq (0 = the next one): a pull
@@ -304,16 +331,21 @@ func (t *tail) grant(q Query) error {
 	return nil
 }
 
-// close ends the protocol: every retained frame is released and a parked
-// producer wakes. Called from the delete and expiry paths without
-// sess.mu. The caller ships OpClose after it returns; commits take the
-// same mutex, so no commit record can follow the close record. It
-// reports whether the result set was complete by then.
+// close ends the protocol: every retained frame and a prepared block are
+// released and a parked producer wakes. Called from the delete and
+// expiry paths without sess.mu. The caller ships OpClose after it
+// returns; commits take the same mutex, so no commit record can follow
+// the close record. It reports whether the result set was complete by
+// then.
 func (t *tail) close() (done bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
 	t.ackLocked(t.produced)
+	if t.ahead != nil {
+		t.ahead.Release()
+		t.ahead = nil
+	}
 	t.cond.Broadcast()
 	return t.done
 }

@@ -248,7 +248,7 @@ type Stats struct {
 	// session's replay buffer (client retried a seq).
 	BlocksReplayed int64 `json:"blocks_replayed"`
 	// EncodeFailures counts blocks whose codec encoding failed; the
-	// rows stay parked in the session so a same-seq retry can re-encode.
+	// rows stay carried in the session so a same-seq retry can re-encode.
 	EncodeFailures int64 `json:"encode_failures"`
 	// IngestsOpened counts upload sessions ever created.
 	IngestsOpened int64 `json:"ingests_opened"`
@@ -283,6 +283,11 @@ type Stats struct {
 	// now, summed over sessions: each is held to its byte budget plus
 	// one frame.
 	PushRetainedBytes int64 `json:"push_retained_bytes"`
+	// ReadAheadHits counts blocks a pull's read-ahead prepared that the
+	// next request took; ReadAheadMisses those it dropped because the
+	// request asked for another size (handleNext).
+	ReadAheadHits   int64 `json:"read_ahead_hits"`
+	ReadAheadMisses int64 `json:"read_ahead_misses"`
 	// StreamSessionsOpened counts sessions created with a stream-group
 	// tag — cursors that were one parallel stream of a larger query.
 	StreamSessionsOpened int64 `json:"stream_sessions_opened"`
@@ -392,26 +397,38 @@ type session struct {
 	// plus every tuple in committed blocks. Replication ships it so a
 	// follower can resume the query at exactly this row.
 	cursor int64
-	// batch is the reusable row slice NextBlockAppend fills each pull;
-	// safe to reuse because the previous block's rows are fully encoded
-	// before the next pull starts.
+	// batch is the reusable row slice the iterator's rows are pulled
+	// into; next.rows is a window on it (fillLocked).
 	batch []minidb.Row
 	// cacheFP is the session's plan fingerprint for the encoded-block
 	// cache (nil when the server runs without one); immutable after
 	// create. The per-pull cache key is cacheFP + cursor + size.
 	cacheFP []byte
 	// iterPos is the absolute tuple position of iter: the create offset
-	// plus every row ever pulled from it. Without a cache it always
-	// equals cursor plus any parked pending rows; with one, cache hits
-	// advance cursor without touching the iterator, and the next miss
-	// fast-forwards iter from iterPos to cursor before scanning.
+	// plus every row ever pulled from it. It equals cursor plus the rows
+	// next carries, but for cache hits, which advance cursor without
+	// touching the iterator; the next scan fast-forwards iter from iterPos
+	// to cursor first.
 	iterPos int64
-	// pendingRows parks rows already pulled from the iterator whose
-	// encoding failed (or whose pull was cancelled mid-delay), so a
-	// same-seq retry re-serves instead of losing them.
-	pendingRows []minidb.Row
-	pendingDone bool
-	hasPending  bool
+	// next is the block after the newest committed one, as far as it has
+	// been made (nextBlock).
+	next nextBlock
+	// pullSize is the size the previous fresh pull asked for: a pull that
+	// asks for it again is read ahead for (handleNext).
+	pullSize int
+}
+
+// nextBlock is the rows of a session's next block already pulled from
+// the iterator and not yet committed, from the cursor on. An encode
+// failure, a cancelled delay and a read-ahead leave them here, and a
+// commit consumes its tuples' worth, so every block is cut at the cursor
+// at the size its request asks for, whatever the block before it left
+// behind. The block's encoded bytes, when a read-ahead made them, are
+// the tail's (tail.ahead): close releases them without sess.mu.
+type nextBlock struct {
+	rows []minidb.Row
+	// end reports that the iterator is exhausted after rows.
+	end bool
 }
 
 // touch records activity for the expiry janitor.
@@ -770,43 +787,106 @@ func catchUpIterator(sess *session) error {
 // survive for a same-seq retry, and there is nothing to write.
 var errProduceCancelled = fmt.Errorf("service: block production cancelled mid-delay")
 
-// scanEncodeLocked produces the next block's encoded bytes: parked
-// pending rows first, otherwise a fresh scan of the iterator, encoded
-// into a pooled buffer. On success the pending park is cleared and the
-// caller owns the returned buffer (commit it or pool it). On an encode
-// failure the scanned rows are parked so a same-seq retry re-serves
-// them. Caller holds sess.mu.
-func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, rows []minidb.Row, done bool, err error) {
-	rows, done = sess.pendingRows, sess.pendingDone
-	if !sess.hasPending {
-		if err := catchUpIterator(sess); err != nil {
-			return nil, nil, false, err
-		}
-		rows, done, err = minidb.NextBlockAppend(sess.iter, size, sess.batch)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		// The batch is reusable next pull: by then these rows are either
-		// encoded into the committed replay buffer or parked as pending.
-		sess.batch = rows
-		sess.iterPos += int64(len(rows))
+// fillLocked pulls rows from the iterator until the session's next block
+// holds size of them or the result set ends. The carried rows are a
+// window on batch, so they move to its front first and the scan appends
+// after them. Caller holds sess.mu.
+func (sess *session) fillLocked(size int) error {
+	nb := &sess.next
+	have := len(nb.rows)
+	if have >= size || nb.end {
+		return nil
 	}
+	if err := catchUpIterator(sess); err != nil {
+		return err
+	}
+	copy(sess.batch, nb.rows)
+	more, end, err := minidb.NextBlockAppend(sess.iter, size-have, sess.batch[have:have])
+	if err != nil {
+		return err
+	}
+	sess.iterPos += int64(len(more))
+	sess.batch = append(sess.batch[:have], more...)
+	nb.rows, nb.end = sess.batch, end
+	return nil
+}
+
+// scanEncodeLocked encodes the block of size tuples at the cursor into a
+// pooled buffer, which the caller owns (commit it or pool it): the rows
+// next carries, topped up from the iterator. Its rows stay carried until
+// a commit consumes them, so an encode failure loses none: a retry of the
+// same seq re-encodes. done means the block is shorter than size — the
+// iterator ran out, as minidb.NextBlockAppend reports it. Caller holds
+// sess.mu.
+func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, tuples int, done bool, err error) {
+	if err := sess.fillLocked(size); err != nil {
+		return nil, 0, false, err
+	}
+	rows := sess.next.rows
+	done = len(rows) < size
+	rows = rows[:min(size, len(rows))]
 	buf = blockBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	began := time.Now()
 	err = s.codec.Encode(buf, sess.iter.Schema(), rows)
 	s.hist.blockEncode.Observe(float64(time.Since(began)) / float64(time.Millisecond))
 	if err != nil {
-		// Park the rows: the iterator has advanced, so losing them here
-		// would skip tuples. A retry of the same seq re-encodes.
 		putBlockBuf(buf)
-		sess.pendingRows, sess.pendingDone, sess.hasPending = rows, done, true
 		s.stats.encodeFailures.Add(1)
 		s.logf("session %s: encode block: %v", sess.id, err)
-		return nil, nil, false, fmt.Errorf("encode block: %w", err)
+		return nil, 0, false, fmt.Errorf("encode block: %w", err)
 	}
-	sess.pendingRows, sess.hasPending = nil, false
-	return buf, rows, done, nil
+	return buf, len(rows), done, nil
+}
+
+// prepareLocked makes the block of size tuples at the cursor without
+// committing it — the cache when it has the block or can be filled, scan
+// + encode otherwise — and returns it with one reference, its holder's.
+// A request and a read-ahead both make blocks here. Caller holds
+// sess.mu.
+func (s *Server) prepareLocked(sess *session, size int) (rb *replayBlock, err error) {
+	if s.cfg.Cache != nil {
+		key := blockcache.DeriveKey(sess.cacheFP, sess.cursor, size)
+		// The fill runs on the GetOrFill leader: this goroutine, holding
+		// sess.mu. NewEntry copies the bytes and the pooled buffer is back
+		// in the pool before the entry is published, so a cached payload
+		// can never alias a recycled buffer.
+		ent, _, cerr := s.cfg.Cache.GetOrFill(key, func() (*blockcache.Entry, error) {
+			buf, tuples, done, err := s.scanEncodeLocked(sess, size)
+			if err != nil {
+				return nil, err
+			}
+			ent := blockcache.NewEntry(buf.Bytes(), tuples, done)
+			putBlockBuf(buf)
+			return ent, nil
+		})
+		switch {
+		case cerr == nil:
+			// The reference GetOrFill retained for us becomes the block's.
+			rb = &replayBlock{entry: ent, payload: ent.Bytes(), tuples: ent.Tuples(), done: ent.Done()}
+		case cerr != blockcache.ErrFillFailed:
+			return nil, cerr // our own fill failed (scan or encode error)
+		}
+		// ErrFillFailed: another session's concurrent fill of this key
+		// failed; produce the block the uncached way.
+	}
+	if rb == nil {
+		buf, tuples, done, err := s.scanEncodeLocked(sess, size)
+		if err != nil {
+			return nil, err
+		}
+		rb = &replayBlock{buf: buf, payload: buf.Bytes(), tuples: tuples, done: done}
+	}
+	rb.live = s.replayRefs
+	rb.Retain()
+	return rb, nil
+}
+
+// fits reports whether rb is the block a request for size tuples at the
+// same cursor gets: as many tuples, or the result set's last block,
+// which a larger size cannot lengthen.
+func (rb *replayBlock) fits(size int) bool {
+	return rb.tuples == size || rb.done && rb.tuples < size
 }
 
 // pricedDelay prices a block of the given size under the current load
@@ -819,15 +899,17 @@ func (s *Server) pricedDelay(ctx context.Context, tuples int, rng *rand.Rand) (d
 }
 
 // commitLocked makes rb the session's newest block: the cursor moves
-// past its tuples, the tail records it, and the commit is replicated —
-// the last two under the tail's mutex, which close takes before OpClose
-// is shipped. A session deleted or expired while the caller held sess.mu
-// therefore records nothing and ships nothing (an OpCommit after the
-// OpClose would resurrect a ghost session on every follower); the caller
-// still writes the block it owes its peer, on its own write reference.
-// It returns the block's number. Caller holds sess.mu.
+// past its tuples (and the next block's carried rows with it), the tail
+// records it, and the commit is replicated — the last two under the
+// tail's mutex, which close takes before OpClose is shipped. A session
+// deleted or expired while the caller held sess.mu therefore records
+// nothing and ships nothing (an OpCommit after the OpClose would
+// resurrect a ghost session on every follower); the caller still writes
+// the block it owes its peer, on its own write reference. It returns the
+// block's number. Caller holds sess.mu.
 func (s *Server) commitLocked(sess *session, rb *replayBlock) uint64 {
 	sess.cursor += int64(rb.tuples)
+	sess.next.rows = sess.next.rows[min(rb.tuples, len(sess.next.rows)):]
 	t := &sess.tail
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -851,65 +933,37 @@ func (s *Server) commitLocked(sess *session, rb *replayBlock) uint64 {
 	return t.produced
 }
 
-// produceBlockLocked advances the session by exactly one block — the
-// cache when it has the block or can be filled, scan + encode otherwise
-// — then sleeps the priced delay and commits. The returned block carries
+// produceBlockLocked advances the session by exactly one block — the one
+// a read-ahead prepared when it fits the size, else a fresh prepare —
+// then sleeps the priced delay and commits. The returned block carries
 // the caller's write reference (see tail). On errProduceCancelled nothing
-// was committed and the state is parked for a same-seq retry. Both
+// was committed and the rows stay carried for a same-seq retry. Both
 // framings drive the session through this single path. Caller holds
 // sess.mu.
 func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int) (rb *replayBlock, seq uint64, err error) {
-	// Cache fast path. Bypassed while rows are parked: a parked block's
-	// shape was fixed by the pull that parked it, so a size-keyed cache
-	// entry would misdescribe it.
-	if s.cfg.Cache != nil && !sess.hasPending {
-		key := blockcache.DeriveKey(sess.cacheFP, sess.cursor, size)
-		// The fill runs on the GetOrFill leader: this goroutine, holding
-		// sess.mu. NewEntry copies the bytes and the pooled buffer is back
-		// in the pool before the entry is published, so a cached payload
-		// can never alias a recycled buffer.
-		ent, _, cerr := s.cfg.Cache.GetOrFill(key, func() (*blockcache.Entry, error) {
-			buf, rows, done, err := s.scanEncodeLocked(sess, size)
-			if err != nil {
-				return nil, err
-			}
-			ent := blockcache.NewEntry(buf.Bytes(), len(rows), done)
-			putBlockBuf(buf)
-			return ent, nil
-		})
-		switch {
-		case cerr == nil:
-			// The reference GetOrFill retained for us becomes the block's.
-			rb = &replayBlock{entry: ent, payload: ent.Bytes(), tuples: ent.Tuples(), done: ent.Done()}
-		case cerr != blockcache.ErrFillFailed:
-			// Our own fill failed (scan or encode error); it has already
-			// parked rows and counted stats where appropriate.
-			return nil, 0, cerr
+	// The tail's reference to a prepared block becomes the caller's.
+	if rb = sess.tail.takeAhead(); rb != nil {
+		if rb.fits(size) {
+			s.stats.readAheadHits.Add(1)
+		} else {
+			// Asked for another size: only the encode is lost, the rows it
+			// pulled are still carried.
+			s.stats.readAheadMisses.Add(1)
+			rb.Release()
+			rb = nil
 		}
-		// ErrFillFailed: another session's concurrent fill of this key
-		// failed; produce the block the uncached way.
 	}
-	var rows []minidb.Row
 	if rb == nil {
-		buf, scanned, done, err := s.scanEncodeLocked(sess, size)
-		if err != nil {
+		if rb, err = s.prepareLocked(sess, size); err != nil {
 			return nil, 0, err
 		}
-		rows = scanned
-		rb = &replayBlock{buf: buf, payload: buf.Bytes(), tuples: len(rows), done: done}
 	}
-	rb.live = s.replayRefs
-	rb.Retain() // the caller's write reference
-
 	var slept bool
 	if rb.delayMS, slept = s.pricedDelay(ctx, rb.tuples, sess.rng); !slept {
 		// The peer is gone mid-delay: release the session now instead of
 		// pinning it for the rest of the simulated delay. Nothing is
-		// committed. Scanned rows are parked, so a same-seq retry re-serves
-		// exactly them; a cache entry stays resident and the retry is a hit.
-		if rb.entry == nil {
-			sess.pendingRows, sess.pendingDone, sess.hasPending = rows, rb.done, true
-		}
+		// committed: the rows stay carried and a cache entry resident, so a
+		// same-seq retry re-serves exactly this block.
 		rb.Release()
 		s.logf("session %s: block cancelled mid-delay", sess.id)
 		return nil, 0, errProduceCancelled
@@ -920,8 +974,31 @@ func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int
 	return rb, s.commitLocked(sess, rb), nil
 }
 
+// readAheadLocked prepares the session's next block of size tuples and
+// leaves it in the tail for the request that asks for it: run after a
+// block is flushed, it overlaps this block's encode with the client's
+// decode of the last one. It commits nothing and prices nothing (the
+// delay-noise draws stay in request order), and a block the next request
+// cannot use costs only its encode (produceBlockLocked). A failure leaves
+// the rows carried for that request to meet. Caller holds sess.mu.
+func (s *Server) readAheadLocked(sess *session, size int) {
+	if !sess.tail.live(0) {
+		return // deleted or expired under this pull
+	}
+	rb, err := s.prepareLocked(sess, size)
+	if err != nil {
+		s.logf("session %s: read ahead: %v", sess.id, err)
+		return
+	}
+	sess.tail.putAhead(rb)
+}
+
 // handleNext serves POST /sessions/{id}/next: the response framing, one
-// block per request.
+// block per request. A client that asks for the size it asked for last
+// is read ahead for: once a fresh block that is not the last is flushed,
+// the handler prepares the next one before it returns — still holding
+// sess.mu, and net/http reads no further request on this connection
+// until it does.
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	sess, ok := s.sessions.get(r.PathValue("id"))
@@ -950,9 +1027,11 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rb *replayBlock
+	held := false
 	if class == SeqReplay {
 		rb = replays[0].rb
 	} else {
+		held, sess.pullSize = q.Size == sess.pullSize, q.Size
 		rb, seq, err = s.produceBlockLocked(r.Context(), sess, q.Size)
 		if err == errProduceCancelled {
 			return
@@ -962,8 +1041,12 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	last := rb.done
 	// A legacy pull that sent no seq gets none echoed.
-	_ = s.serveBlock(w, sess, framing{echoSeq: q.Seq != 0, started: started}, seq, rb, class == SeqReplay, fault)
+	err = s.serveBlock(w, sess, framing{echoSeq: q.Seq != 0, started: started}, seq, rb, class == SeqReplay, fault)
+	if held && !last && err == nil {
+		s.readAheadLocked(sess, q.Size)
+	}
 }
 
 // sleepInterruptible sleeps for d unless the context is cancelled first;
@@ -1005,10 +1088,17 @@ type framing struct {
 // bounds the write by blockWriteDeadline, counts the block before the
 // write and takes a failed write back, and feeds the histograms once the
 // write is through. It takes over the caller's write reference to rb and
-// drops it when the write is over, however it ends (an injected fault
-// leaves by panic).
+// drops it once the payload is written, before the flush that lets its
+// last bytes leave — so a peer that holds the whole block finds it given
+// back — or however the write ends otherwise (an injected fault leaves by
+// panic).
 func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, seq uint64, rb *replayBlock, replayed bool, fault faultKind) error {
-	defer rb.Release()
+	held := true
+	defer func() {
+		if held {
+			rb.Release()
+		}
+	}()
 	if fault == faultDrop {
 		s.countFault(fault)
 		s.logf("session %s: injected fault: dropping connection", sess.id)
@@ -1063,9 +1153,17 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 	// is counted first and a failed write takes it back.
 	s.countServed(fr, rb, replayed, 1)
 	var err error
-	if !fr.stream {
+	if fr.stream {
+		err = wire.WriteFrame(w, f)
+	} else {
 		_, err = w.Write(rb.payload)
-	} else if err = wire.WriteFrame(w, f); err == nil {
+	}
+	if err == nil {
+		// A writer keeps no reference to what it was given (io.Writer).
+		// Both framings flush inside the deadline: a pull's read-ahead runs
+		// after serveBlock returns, and must not hold back this block.
+		held = false
+		rb.Release()
 		err = rc.Flush()
 	}
 	_ = rc.SetWriteDeadline(time.Time{})

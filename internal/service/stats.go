@@ -31,6 +31,8 @@ type serverStats struct {
 	pushCreditStalls     atomic.Int64
 	pushWindowClamped    atomic.Int64
 	pushRetainedBytes    atomic.Int64
+	readAheadHits        atomic.Int64
+	readAheadMisses      atomic.Int64
 	faultsDropped        atomic.Int64
 	faultsTruncated      atomic.Int64
 	faultsRefused        atomic.Int64
@@ -69,6 +71,9 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("wsopt_service_push_credit_grants_total", "Credit updates accepted on the push side channel.", st.pushCreditGrants.Load)
 	reg.CounterFunc("wsopt_service_push_credit_stalls_total", "Push producer waits that blocked on an exhausted credit window.", st.pushCreditStalls.Load)
 	reg.CounterFunc("wsopt_service_push_window_clamped_total", "Push stream opens that asked for a window above the server's cap and were cut to it.", st.pushWindowClamped.Load)
+	const readAheadHelp = "Blocks a pull's read-ahead prepared, by outcome: taken by the next request (hit) or dropped because it asked for another size (miss)."
+	reg.CounterFunc("wsopt_service_read_ahead_total", readAheadHelp, st.readAheadHits.Load, metrics.L("outcome", "hit"))
+	reg.CounterFunc("wsopt_service_read_ahead_total", readAheadHelp, st.readAheadMisses.Load, metrics.L("outcome", "miss"))
 	const faultsHelp = "Transport faults fired by the chaos layer, by kind."
 	reg.CounterFunc("wsopt_service_faults_injected_total", faultsHelp, st.faultsDropped.Load, metrics.L("kind", "dropped"))
 	reg.CounterFunc("wsopt_service_faults_injected_total", faultsHelp, st.faultsTruncated.Load, metrics.L("kind", "truncated"))
@@ -156,6 +161,8 @@ func (s *Server) Stats() Stats {
 		PushCreditStalls:     st.pushCreditStalls.Load(),
 		PushWindowClamped:    st.pushWindowClamped.Load(),
 		PushRetainedBytes:    st.pushRetainedBytes.Load(),
+		ReadAheadHits:        st.readAheadHits.Load(),
+		ReadAheadMisses:      st.readAheadMisses.Load(),
 		FaultsInjected: FaultStats{
 			Dropped:   st.faultsDropped.Load(),
 			Truncated: st.faultsTruncated.Load(),

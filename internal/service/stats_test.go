@@ -35,6 +35,8 @@ func statsSeries(st Stats) map[string]int64 {
 		"wsopt_service_push_credit_grants_total":                st.PushCreditGrants,
 		"wsopt_service_push_credit_stalls_total":                st.PushCreditStalls,
 		"wsopt_service_push_window_clamped_total":               st.PushWindowClamped,
+		`wsopt_service_read_ahead_total{outcome="hit"}`:         st.ReadAheadHits,
+		`wsopt_service_read_ahead_total{outcome="miss"}`:        st.ReadAheadMisses,
 		`wsopt_service_faults_injected_total{kind="dropped"}`:   st.FaultsInjected.Dropped,
 		`wsopt_service_faults_injected_total{kind="truncated"}`: st.FaultsInjected.Truncated,
 		`wsopt_service_faults_injected_total{kind="refused"}`:   st.FaultsInjected.Refused,
@@ -156,6 +158,18 @@ func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 				t.Fatalf("fourth cursor under MaxSessions 3: status %d", status)
 			}
 		}, func(st Stats) bool { return st.SessionsShed == 1 && st.SessionsOpened == 2 }},
+		{"a read-ahead the next pull cannot use", func() {
+			do(pullSeq(t, ts, a, 10, 3), 200) // size held: block 4 is prepared at 10
+			do(pullSeq(t, ts, a, 5, 4), 200)
+		}, func(st Stats) bool {
+			// The one hit is the failed write's: it took block 2, which the
+			// retry of block 1 (size held across the encode failure) prepared.
+			return st.ReadAheadMisses == 1 && st.ReadAheadHits == 1
+		}},
+		{"a read-ahead the next pull takes", func() {
+			do(pullSeq(t, ts, a, 5, 5), 200) // size held: block 6 is prepared at 5
+			do(pullSeq(t, ts, a, 5, 6), 200)
+		}, func(st Stats) bool { return st.ReadAheadHits == 2 && st.ReadAheadMisses == 1 }},
 	}
 	for _, step := range steps {
 		step.act()

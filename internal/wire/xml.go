@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 
 	"wsopt/internal/minidb"
@@ -88,6 +89,10 @@ func (XML) Encode(w io.Writer, schema minidb.Schema, rows []minidb.Row) error {
 func xmlEscape(e *encodeBuf, s string) {
 	start := 0
 	for i := 0; i < len(s); {
+		if escapePlain[s[i]] {
+			i++ // the common case: a run of plain ASCII is copied as it is
+			continue
+		}
 		r, size := utf8.DecodeRuneInString(s[i:])
 		var esc string
 		switch r {
@@ -121,6 +126,17 @@ func xmlEscape(e *encodeBuf, s string) {
 	}
 	e.str(s[start:])
 }
+
+// escapePlain marks the bytes xmlEscape copies unchanged: printable
+// ASCII but the five it escapes. Every other byte (a control, one of the
+// five, any byte of a multi-byte rune) takes the rune path. The decoder's
+// xmlPlain is a different set: it also passes tab and newline.
+var escapePlain = func() (plain [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		plain[c] = !strings.ContainsRune(`"'&<>`, rune(c))
+	}
+	return plain
+}()
 
 // xmlCharOK reports whether r is in the XML character range (the same
 // predicate encoding/xml applies before escaping).
