@@ -175,6 +175,11 @@ type Session struct {
 	// query's own Offset) — the resume cursor of a session move.
 	committed int
 	failovers int
+	// hold promises, on every pull, that the next asks for the same size
+	// (service.Query.Hold): run.transfer sets it when its controller holds
+	// its size (core.HoldsSize). A caller of Next that picks sizes itself
+	// leaves it false.
+	hold bool
 	// transparent is true when the endpoint announced transparent
 	// failover capability (a wsgate tier): backend deaths are handled
 	// behind the session's back, so the client suppresses its own
@@ -639,7 +644,7 @@ func (c *Client) Wait(ctx context.Context) error {
 // pullAttempt makes one attempt at block seq+1 over /next, under the
 // adaptive deadline — a straight line on the caller's goroutine.
 func (s *Session) pullAttempt(ctx context.Context, size, attempt int) (*Block, error) {
-	u := s.url + "/next?" + service.Query{Size: size, Seq: s.seq + 1}.Encode()
+	u := s.url + "/next?" + service.Query{Size: size, Seq: s.seq + 1, Hold: s.hold}.Encode()
 	cctx, cancel := context.WithTimeout(ctx, s.c.attemptDeadline(size, attempt))
 	defer cancel()
 	blk, err := s.pullOnce(cctx, ctx, u)

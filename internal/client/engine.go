@@ -162,8 +162,9 @@ func (r *run) handOff(f *fetched) error {
 // pulled or streamed as the session's way says, closes the session —
 // behind the caller once the result is whole (Client.Wait joins that) —
 // and returns how many tuples it handed off. Session moves and gateway
-// failovers reach the controller as disturbances, and a streaming
-// session asks for the controller's credit window (run.window).
+// failovers reach the controller as disturbances, a streaming session
+// asks for the controller's credit window (run.window), and a pulling one
+// promises its size when the controller holds it (core.HoldsSize).
 //
 // ahead == 0 runs lock-step on the caller's goroutine: every size
 // decision sees the previous block's observation. ahead >= 1 starts a
@@ -175,6 +176,9 @@ func (r *run) handOff(f *fetched) error {
 // goroutines at once.
 func (r *run) transfer(ctx context.Context, sess *Session, ahead int, handle BlockHandler) (tuples int, err error) {
 	sess.stream.win = r.window
+	r.mu.Lock()
+	sess.hold = core.HoldsSize(r.ctl)
+	r.mu.Unlock()
 	sess.OnDisturbance = func(reason string) {
 		r.mu.Lock()
 		core.NotifyDisturbance(r.ctl, reason)

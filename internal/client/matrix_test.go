@@ -100,34 +100,37 @@ func TestTransferMatrix(t *testing.T) {
 		// phased: something on the controller's chain has phases, so every
 		// event must name one.
 		phased bool
-		run    runFn
+		// holds: the controller promises its size, so the gateway reads
+		// its blocks ahead (core.HoldsSize); no other cell is read ahead for.
+		holds bool
+		run   runFn
 	}{
-		{"run", false, false, func(ctx context.Context, c *Client, _ BlockHandler) (*RunResult, error) {
+		{"run", false, false, true, func(ctx context.Context, c *Client, _ BlockHandler) (*RunResult, error) {
 			return c.Run(ctx, Query{Table: "items"}, core.NewStatic(70), MetricPerTuple, false)
 		}},
-		{"pipelined", true, false, func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error) {
+		{"pipelined", true, false, true, func(ctx context.Context, c *Client, handle BlockHandler) (*RunResult, error) {
 			res, err := c.RunPipelined(ctx, Query{Table: "items"}, core.NewStatic(70), MetricPerTuple, false, handle)
 			if res == nil {
 				return nil, err
 			}
 			return &res.RunResult, err
 		}},
-		{"vector/depth=1/streams=1", true, true, vector(1, 1)},
-		{"vector/depth=1/streams=3", true, true, vector(3, 1)},
-		{"vector/depth=3/streams=1", true, true, vector(1, 3)},
-		{"vector/depth=3/streams=3", true, true, vector(3, 3)},
+		{"vector/depth=1/streams=1", true, true, false, vector(1, 1)},
+		{"vector/depth=1/streams=3", true, true, false, vector(3, 1)},
+		{"vector/depth=3/streams=1", true, true, false, vector(1, 3)},
+		{"vector/depth=3/streams=3", true, true, false, vector(3, 3)},
 		// Every controller runs on this runner, at the operating point
 		// core.VectorOf reads off it: a scalar one as one stream at depth
 		// 1, a wrapper at what the controller it drives commands.
-		{"vector/ctl=hybrid", true, true, vectorWith(1, hybrid)},
-		{"vector/ctl=supervisor(vector,hybrid)", true, true, vectorWith(3, func() core.Controller {
+		{"vector/ctl=hybrid", true, true, false, vectorWith(1, hybrid)},
+		{"vector/ctl=supervisor(vector,hybrid)", true, true, false, vectorWith(3, func() core.Controller {
 			s, err := core.NewSupervisor([]core.Controller{pinnedVector(t, 3, 3), hybrid()}, core.SupervisorConfig{DegradeFactor: 1e9})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		})},
-		{"vector/ctl=vector-cold-start", true, true, vectorWith(3, func() core.Controller {
+		{"vector/ctl=vector-cold-start", true, true, false, vectorWith(3, func() core.Controller {
 			cold, err := sysid.NewVectorColdStart(pinnedVector(t, 3, 3), core.Limits{Min: 10, Max: 200}, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -147,7 +150,7 @@ func TestTransferMatrix(t *testing.T) {
 					topology = "gateway"
 				}
 				t.Run(transport+"/"+topology+"/"+mode.name, func(t *testing.T) {
-					_, gwURL, servers := startGatewayFleet(t, 2, rows)
+					gw, gwURL, servers := startGatewayFleet(t, 2, rows)
 					var backends []string
 					for u := range servers {
 						backends = append(backends, u)
@@ -232,6 +235,18 @@ func TestTransferMatrix(t *testing.T) {
 						t.Errorf("%d push frames behind the gateway; the documented pull fallback is gone — update bind's contract and this cell", st.PushFramesSent)
 					case !push && st.PushFramesSent != 0:
 						t.Errorf("%d push frames on a pull run", st.PushFramesSent)
+					}
+					if !viaGateway {
+						return
+					}
+					// The gateway read ahead exactly for the controllers that
+					// promise their size, and none of them broke the promise.
+					gst := gw.Stats()
+					if mode.holds && (gst.ReadAheadHits == 0 || gst.ReadAheadMisses != 0) {
+						t.Errorf("a static controller behind the gateway: %d read-ahead hits, %d misses; want some and 0", gst.ReadAheadHits, gst.ReadAheadMisses)
+					}
+					if !mode.holds && gst.ReadAheadHits+gst.ReadAheadMisses != 0 {
+						t.Errorf("a controller that changes its size was read ahead for: %d hits, %d misses", gst.ReadAheadHits, gst.ReadAheadMisses)
 					}
 				})
 			}

@@ -67,8 +67,8 @@ type Disturber interface {
 //	Unwrap() Controller
 //
 // (nil while it drives none), and forwards no capability itself.
-// NotifyDisturbance, PhaseOf and VectorOf are the three ways a runner
-// reaches a capability, and inner is how all three walk the chain.
+// NotifyDisturbance, PhaseOf, VectorOf and HoldsSize are the four ways a
+// runner reaches a capability, and inner is how all four walk the chain.
 
 // inner returns the controller ctl wraps, nil when it wraps none.
 func inner(ctl Controller) Controller {
@@ -120,6 +120,21 @@ func VectorOf(ctl Controller) Vector {
 		}
 	}
 	return Vector{Size: ctl.Size(), Streams: 1, Depth: 1}
+}
+
+// HoldsSize reports whether ctl promises that every pull to come asks
+// for the size it asks for now — the promise that lets a tier read the
+// next block ahead at that size. The first controller on its chain with
+// an opinion (a HoldsSize() bool method) answers: Static holds, a
+// wrapper that may hand over to another size says no. A chain with no
+// opinion promises nothing.
+func HoldsSize(ctl Controller) bool {
+	for c := ctl; c != nil; c = inner(c) {
+		if h, ok := c.(interface{ HoldsSize() bool }); ok {
+			return h.HoldsSize()
+		}
+	}
+	return false
 }
 
 // Limits bound the block sizes a controller may emit. The paper imposes

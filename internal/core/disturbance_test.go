@@ -163,3 +163,32 @@ func TestSupervisorFailoverUnder503Storm(t *testing.T) {
 		t.Fatalf("failover took %d observations, want <= 10 (two windows)", observed)
 	}
 }
+
+// TestHoldsSize: the first controller on the chain with an opinion
+// answers whether the size it asks for now is the size of every pull to
+// come. A pass-through wrapper has none and answers with what it wraps;
+// a supervisor says no even over two statics, since a failover changes
+// the size.
+func TestHoldsSize(t *testing.T) {
+	sup, err := NewSupervisor([]Controller{NewStatic(50), NewStatic(70)}, SupervisorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := NewHybrid(plainConfig())
+	for _, tc := range []struct {
+		name string
+		ctl  Controller
+		want bool
+	}{
+		{"static", NewStatic(70), true},
+		{"pass-through wrapper over a static", tracer{tracer{NewStatic(70)}}, true},
+		{"supervisor over two statics", sup, false},
+		{"pass-through wrapper over a supervisor", tracer{sup}, false},
+		{"no opinion on the chain", h, false},
+		{"wrapper that drives nothing", tracer{}, false},
+	} {
+		if got := HoldsSize(tc.ctl); got != tc.want {
+			t.Errorf("%s: HoldsSize = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}

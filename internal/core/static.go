@@ -26,3 +26,7 @@ func (s *Static) Observe(float64) {}
 
 // Name implements Controller.
 func (s *Static) Name() string { return s.name }
+
+// HoldsSize implements HoldsSize's capability: a fixed size is asked for
+// on every pull.
+func (s *Static) HoldsSize() bool { return true }

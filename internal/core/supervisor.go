@@ -148,6 +148,11 @@ func (s *Supervisor) Disturb() {
 // disturbance reaction are the supervisor's at this moment.
 func (s *Supervisor) Unwrap() Controller { return s.bank[s.active] }
 
+// HoldsSize implements HoldsSize's capability: it does not promise,
+// since a failover hands the next pull to another controller, whatever
+// the active one holds.
+func (s *Supervisor) HoldsSize() bool { return false }
+
 // Name implements Controller.
 func (s *Supervisor) Name() string {
 	return "supervisor(" + s.bank[s.active].Name() + ")"

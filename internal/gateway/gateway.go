@@ -173,10 +173,33 @@ type gwSession struct {
 	// this session's validated state must survive that. Cleared on the
 	// next fresh pull.
 	standby *replica.SessionState
+	// ahead is the block after lastSeq, read from the backend once the
+	// block before was flushed to a client that promised to ask for
+	// aheadSize next (readAhead). last is the block lastSeq, kept while a
+	// read-ahead is in play: the backend has committed past it and cannot
+	// replay it. Both own pooled buffers until a fresh block is committed
+	// or the session ends. resync marks the backend's cursor unknown — a
+	// promise broken or a read-ahead failed — so the next fresh pull
+	// re-opens at committed.
+	ahead, last *proxiedBlock
+	aheadSize   int
+	resync      bool
 }
 
 // touch records client activity for the expiry janitor.
 func (sess *gwSession) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
+
+// end closes the session and releases the blocks it holds, returning its
+// backend half for the caller to delete.
+func (sess *gwSession) end() (*backend, string) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.closed = true
+	sess.ahead.release()
+	sess.last.release()
+	sess.ahead, sess.last = nil, nil
+	return sess.backend, sess.backendID
+}
 
 // New builds a Gateway over the configured backends.
 func New(cfg Config) (*Gateway, error) {
@@ -287,10 +310,7 @@ func (g *Gateway) ExpireIdle(now time.Time) int {
 	}
 	g.mu.Unlock()
 	for _, sess := range expired {
-		sess.mu.Lock()
-		sess.closed = true
-		b, bid := sess.backend, sess.backendID
-		sess.mu.Unlock()
+		b, bid := sess.end()
 		b.sessions.Add(-1)
 		g.Release()
 		g.stats.sessionsExpired.Add(1)
@@ -487,21 +507,32 @@ const maxBlockBytes = 256 << 20
 // blockBufPool recycles the buffers proxied blocks are read into. The
 // proxiedBlock pullFrom returns owns its buffer until release, which
 // must wait for the client write to return (net/http keeps no reference
-// to a written slice). Nothing that outlives the request — sess.standby,
-// a replica.Store payload — is ever backed by the pool.
-var blockBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// to a written slice). What outlives the request is backed by the pool
+// only as a session's ahead or last, which the session releases;
+// sess.standby and a replica.Store payload never are. bufsOut counts the
+// buffers out of the pool, for tests to find one never given back.
+var (
+	blockBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	bufsOut      atomic.Int64
+)
 
 // release returns the block's buffer, if it has one, to the pool. The
-// block's payload is dead afterwards.
+// block's payload is dead afterwards. A nil block has nothing to return.
 func (blk *proxiedBlock) release() {
-	if blk.buf == nil {
+	if blk == nil || blk.buf == nil {
 		return
 	}
 	blk.buf.Reset()
 	blockBufPool.Put(blk.buf)
+	bufsOut.Add(-1)
 	blk.buf, blk.payload = nil, nil
 }
 
+// handleNext serves POST /sessions/{id}/next. A client that promises to
+// ask for the same size next (hold) is read ahead for: once a fresh block
+// that is not the last is flushed, the handler pulls the next one from
+// the backend before it returns — still holding sess.mu, and net/http
+// reads no further request on this connection until it does.
 func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	g.mu.Lock()
@@ -532,6 +563,14 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 	}
 	replay := class == service.SeqReplay
 
+	if replay && sess.last != nil {
+		// The backend has committed the block after this one: answer as
+		// its replay would.
+		cp := *sess.last
+		cp.buf, cp.meta.Replayed = nil, true
+		g.writeBlock(w, sess, &cp, q.Seq, started)
+		return
+	}
 	if replay && seq == sess.seqBase {
 		// The block predates the current backend session (it was served
 		// from the standby copy during a failover; its translated seq
@@ -544,25 +583,41 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	blk, status, err := g.pullFrom(r.Context(), sess.backend, sess.backendID, q.Size, seq-sess.seqBase)
-	if err == nil && status != 0 {
-		// A definitive client-facing status from the backend (409, 410,
-		// 400...): pass it through untouched.
-		httpError(w, status, "%s", blk.payload)
-		return
-	}
-	if err != nil {
-		sess.backend.ep.Failure()
-		g.logf("session %s: pull seq %d on %s failed: %v", sess.id, seq, sess.backend.url, err)
-		blk, err = g.failover(r.Context(), sess, seq, q.Size, replay)
-		if err != nil {
-			httpError(w, http.StatusBadGateway, "failover: %v", err)
+	var blk *proxiedBlock
+	if !replay && sess.ahead != nil && sess.aheadSize == q.Size {
+		blk, sess.ahead = sess.ahead, nil
+		g.stats.readAheadHits.Add(1)
+	} else {
+		if !replay && (sess.ahead != nil || sess.resync) {
+			// A promise broken or a read-ahead failed: the backend is past
+			// the client, or nobody knows where.
+			g.stats.readAheadMisses.Add(1)
+			sess.ahead.release()
+			sess.ahead = nil
+			err = g.resync(r.Context(), sess)
+		}
+		var status int
+		if err == nil {
+			blk, status, err = g.pullFrom(r.Context(), sess.backend, sess.backendID, service.Query{Size: q.Size, Seq: seq - sess.seqBase, Hold: q.Hold})
+		}
+		if err == nil && status != 0 {
+			// A definitive client-facing status from the backend (409, 410,
+			// 400...): pass it through untouched.
+			httpError(w, status, "%s", blk.payload)
 			return
 		}
-	} else {
-		sess.backend.ep.Success()
+		if err != nil {
+			sess.backend.ep.Failure()
+			g.logf("session %s: pull seq %d on %s failed: %v", sess.id, seq, sess.backend.url, err)
+			blk, err = g.failover(r.Context(), sess, seq, q, replay)
+			if err != nil {
+				httpError(w, http.StatusBadGateway, "failover: %v", err)
+				return
+			}
+		} else {
+			sess.backend.ep.Success()
+		}
 	}
-	defer blk.release()
 
 	if !replay {
 		sess.lastSeq = seq
@@ -570,8 +625,48 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 		sess.committed += int64(blk.meta.Tuples)
 		sess.done = blk.meta.Done
 		sess.standby = nil
+		sess.resync = false
+		sess.last.release()
+		sess.last = nil
 	}
-	g.writeBlock(w, sess, blk, q.Seq, started)
+	if g.writeBlock(w, sess, blk, q.Seq, started) && q.Hold && !replay &&
+		!sess.done && sess.backendID != "" && blk.meta.DelayMS == 0 {
+		// A priced delay models the network: it stays on the client's clock.
+		sess.last = blk
+		g.readAhead(r.Context(), sess, q.Size)
+		return
+	}
+	blk.release()
+}
+
+// readAhead pulls the block after lastSeq from the session's backend into
+// ahead, for a client that promised to ask for size next. The backend
+// commits it; a failure leaves its cursor unknown (resync). The pull is
+// the session's, not the request's: a client that closes its connection
+// once it holds its block (one whose idle pool is full does) must not
+// cancel a pull the backend may already have committed, or the re-open
+// would serve that block twice. Called with sess.mu held.
+func (g *Gateway) readAhead(ctx context.Context, sess *gwSession, size int) {
+	blk, status, err := g.pullFrom(context.WithoutCancel(ctx), sess.backend, sess.backendID, service.Query{Size: size, Seq: sess.lastSeq + 1 - sess.seqBase, Hold: true})
+	if err != nil || status != 0 {
+		g.logf("session %s: read ahead on %s: status %d: %v", sess.id, sess.backend.url, status, err)
+		sess.resync = true
+		return
+	}
+	sess.ahead, sess.aheadSize = blk, size
+}
+
+// resync re-opens sess on its backend at the committed cursor, as a
+// failover's fresh pull does on a successor, and deletes the backend
+// session it leaves. Called with sess.mu held.
+func (g *Gateway) resync(ctx context.Context, sess *gwSession) error {
+	id, err := g.reopen(ctx, sess, sess.backend, sess.committed)
+	if err != nil {
+		return err
+	}
+	g.deleteBackendSession(sess.backend, sess.backendID)
+	sess.backendID, sess.seqBase = id, sess.lastSeq
+	return nil
 }
 
 // standbyBlock wraps a replicated copy of a session's newest block for
@@ -586,13 +681,13 @@ func (g *Gateway) standbyBlock(ss *replica.SessionState) *proxiedBlock {
 	}
 }
 
-// pullFrom forwards one pull to a backend. It returns (block, 0, nil) on
-// success, (message, status, nil) for client-facing backend statuses
-// that must be passed through, and an error for backend failures that
-// warrant failover (transport errors, 5xx, and 404 — the backend lost
-// the session, e.g. it restarted).
-func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, size int, backendSeq uint64) (*proxiedBlock, int, error) {
-	u := b.url + "/sessions/" + url.PathEscape(backendID) + "/next?" + service.Query{Size: size, Seq: backendSeq}.Encode()
+// pullFrom forwards one pull, q naming the backend's seq, to a backend.
+// It returns (block, 0, nil) on success, (message, status, nil) for
+// client-facing backend statuses that must be passed through, and an
+// error for backend failures that warrant failover (transport errors,
+// 5xx, and 404 — the backend lost the session, e.g. it restarted).
+func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, q service.Query) (*proxiedBlock, int, error) {
+	u := b.url + "/sessions/" + url.PathEscape(backendID) + "/next?" + q.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
 	if err != nil {
 		return nil, 0, err
@@ -617,6 +712,7 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, si
 	// spare room ReadFrom wants before the read that returns EOF, the
 	// buffer never regrows; a warm one is not even allocated.
 	buf := blockBufPool.Get().(*bytes.Buffer)
+	bufsOut.Add(1)
 	if n := resp.ContentLength; n > 0 && n <= maxBlockBytes {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
@@ -645,7 +741,7 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, si
 // a FRESH pull, the successor re-opens at the committed cursor and the
 // seq translation (seqBase) splices its sequence numbers into the
 // client's.
-func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, size int, replay bool) (*proxiedBlock, error) {
+func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, q service.Query, replay bool) (*proxiedBlock, error) {
 	dead := sess.backend
 	targetURL := g.ring.successor(dead.url, func(u string) bool { return u != dead.url && g.healthy(u) })
 	if targetURL == "" {
@@ -707,7 +803,7 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 		if err != nil {
 			return nil, err
 		}
-		pulled, status, err := g.pullFrom(ctx, target, id, sess.lastTuples, 1)
+		pulled, status, err := g.pullFrom(ctx, target, id, service.Query{Size: sess.lastTuples, Seq: 1})
 		if err != nil || status != 0 {
 			return nil, fmt.Errorf("re-pull lost block on %s: status %d: %v", targetURL, status, err)
 		}
@@ -726,7 +822,7 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, siz
 		if err != nil {
 			return nil, err
 		}
-		pulled, status, err := g.pullFrom(ctx, target, id, size, 1)
+		pulled, status, err := g.pullFrom(ctx, target, id, service.Query{Size: q.Size, Seq: 1, Hold: q.Hold})
 		if err != nil || status != 0 {
 			return nil, fmt.Errorf("resume pull on %s: status %d: %v", targetURL, status, err)
 		}
@@ -773,12 +869,20 @@ func (g *Gateway) reopen(ctx context.Context, sess *gwSession, b *backend, offse
 	return cr.Session, nil
 }
 
-// writeBlock writes one proxied block to the client, stamping the seq the
-// client named (echoSeq; 0 = it named none, nothing is echoed) and the
-// gateway hop on its metadata. Like the service, it counts the block
-// before the write — the client holds it the moment the write returns —
-// and takes a failed write back. Called with sess.mu held.
-func (g *Gateway) writeBlock(w http.ResponseWriter, sess *gwSession, blk *proxiedBlock, echoSeq uint64, started time.Time) {
+// blockWriteDeadline bounds one block's write and flush to a client: the
+// daemons set no WriteTimeout, and a client that stops reading would
+// otherwise pin sess.mu and the session's pooled buffers. A variable
+// only so that tests can shorten it.
+var blockWriteDeadline = 2 * time.Minute
+
+// writeBlock writes one proxied block to the client and flushes it,
+// within blockWriteDeadline, stamping the seq the client named (echoSeq;
+// 0 = it named none, nothing is echoed) and the gateway hop on its
+// metadata. Like the service, it counts the block before the write — the
+// client holds it the moment the write returns — and takes a failed
+// write back. It reports whether the block went out whole. Called with
+// sess.mu held.
+func (g *Gateway) writeBlock(w http.ResponseWriter, sess *gwSession, blk *proxiedBlock, echoSeq uint64, started time.Time) bool {
 	meta := blk.meta
 	meta.Seq, meta.Backend, meta.Failovers = echoSeq, sess.backend.url, sess.failovers
 	h := w.Header()
@@ -787,15 +891,24 @@ func (g *Gateway) writeBlock(w http.ResponseWriter, sess *gwSession, blk *proxie
 	}
 	meta.WriteHeader(h)
 	h.Set("Content-Length", strconv.Itoa(len(blk.payload)))
+	// Recorders answer ErrNotSupported.
+	rc := http.NewResponseController(w)
+	_ = rc.SetWriteDeadline(time.Now().Add(blockWriteDeadline))
+	defer rc.SetWriteDeadline(time.Time{})
 	g.stats.blocksProxied.Add(1)
 	g.stats.tuplesProxied.Add(int64(meta.Tuples))
-	if _, err := w.Write(blk.payload); err != nil {
+	_, err := w.Write(blk.payload)
+	if err == nil {
+		err = rc.Flush()
+	}
+	if err != nil {
 		g.stats.blocksProxied.Add(-1)
 		g.stats.tuplesProxied.Add(-int64(meta.Tuples))
 		g.logf("session %s: write block: %v", sess.id, err)
-		return
+		return false
 	}
 	g.blockServe.Observe(float64(time.Since(started)) / float64(time.Millisecond))
+	return true
 }
 
 func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -810,10 +923,7 @@ func (g *Gateway) handleDelete(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such session")
 		return
 	}
-	sess.mu.Lock()
-	sess.closed = true
-	b, bid := sess.backend, sess.backendID
-	sess.mu.Unlock()
+	b, bid := sess.end()
 	b.sessions.Add(-1)
 	g.Release()
 	g.deleteBackendSession(b, bid)
@@ -882,6 +992,9 @@ type SessionInfo struct {
 }
 
 // Stats is the gateway's aggregate view, served at GET /stats.
+// ReadAheadHits counts a promising client's fresh pulls answered with the
+// block read ahead for them, ReadAheadMisses those that found the promise
+// broken or the read-ahead failed and re-opened the backend session.
 type Stats struct {
 	SessionsOpened  int64          `json:"sessions_opened"`
 	SessionsShed    int64          `json:"sessions_shed"`
@@ -891,6 +1004,8 @@ type Stats struct {
 	Failovers       int64          `json:"failovers"`
 	StandbyReplays  int64          `json:"standby_replays"`
 	FallbackReplays int64          `json:"fallback_replays"`
+	ReadAheadHits   int64          `json:"read_ahead_hits"`
+	ReadAheadMisses int64          `json:"read_ahead_misses"`
 	SessionLimit    int            `json:"session_limit"`
 	Pressure        float64        `json:"admission_pressure"`
 	Backends        []BackendStats `json:"backends"`
@@ -908,6 +1023,8 @@ func (g *Gateway) Stats() Stats {
 		Failovers:       g.stats.failovers.Load(),
 		StandbyReplays:  g.stats.standbyReplays.Load(),
 		FallbackReplays: g.stats.fallbackReplays.Load(),
+		ReadAheadHits:   g.stats.readAheadHits.Load(),
+		ReadAheadMisses: g.stats.readAheadMisses.Load(),
 		SessionLimit:    g.SessionLimit(),
 		Pressure:        g.AdmissionPressure(),
 	}

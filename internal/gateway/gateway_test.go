@@ -129,7 +129,12 @@ func openSession(t *testing.T, base, body string) (string, *http.Response) {
 
 func pull(t *testing.T, base, id string, size int, seq uint64) *http.Response {
 	t.Helper()
-	resp, err := http.Post(fmt.Sprintf("%s/sessions/%s/next?size=%d&seq=%d", base, id, size, seq), "", nil)
+	return pullQuery(t, base, id, service.Query{Size: size, Seq: seq})
+}
+
+func pullQuery(t testing.TB, base, id string, q service.Query) *http.Response {
+	t.Helper()
+	resp, err := http.Post(base+"/sessions/"+id+"/next?"+q.Encode(), "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

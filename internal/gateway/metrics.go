@@ -18,6 +18,8 @@ type gwStats struct {
 	failovers       atomic.Int64
 	standbyReplays  atomic.Int64
 	fallbackReplays atomic.Int64
+	readAheadHits   atomic.Int64
+	readAheadMisses atomic.Int64
 }
 
 // registerMetrics exposes the gateway in reg. The gateway re-exports an
@@ -36,6 +38,9 @@ func (g *Gateway) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("wsopt_gateway_failovers_total", "Sessions transparently moved to a successor backend after a primary died.", st.failovers.Load)
 	reg.CounterFunc("wsopt_gateway_standby_replays_total", "Post-failover retries served byte-identical from the replicated standby copy.", st.standbyReplays.Load)
 	reg.CounterFunc("wsopt_gateway_fallback_replays_total", "Post-failover retries re-pulled from the successor because replication lagged behind the crash.", st.fallbackReplays.Load)
+	const readAheadHelp = "Fresh pulls of a promising client, by outcome: answered with the block read ahead for them (hit) or re-opened on the backend after a broken promise or a failed read-ahead (miss)."
+	reg.CounterFunc("wsopt_gateway_read_ahead_total", readAheadHelp, st.readAheadHits.Load, metrics.L("outcome", "hit"))
+	reg.CounterFunc("wsopt_gateway_read_ahead_total", readAheadHelp, st.readAheadMisses.Load, metrics.L("outcome", "miss"))
 	g.blockServe = reg.Histogram("wsopt_gateway_block_serve_ms",
 		"Client-observed block serve time through the gateway in milliseconds (fleet-wide; feeds the edge SLO regulator).",
 		metrics.DefServeBuckets)

@@ -221,7 +221,9 @@ func TestGatewayFailsOverOnShortBody(t *testing.T) {
 // The body is read once into a pooled buffer and written once from it,
 // so the per-block cost is net/http's request plumbing on two hops and
 // nothing that scales with the block. Growing the buffer the way
-// io.ReadAll does allocated ~1 MB per 256 KiB block.
+// io.ReadAll does allocated ~1 MB per 256 KiB block. A promising client
+// (hold) is held to the same budget: its blocks are read ahead, into the
+// same pooled buffers, and it must be, or the arm proves nothing.
 func TestGatewayHopAllocGate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race instrumentation")
@@ -234,24 +236,31 @@ func TestGatewayHopAllocGate(t *testing.T) {
 	)
 	block := bytes.Repeat([]byte{0x5a}, size)
 	gw := newFakeGateway(t, fakeBackend(t, func(string) []byte { return block }, nil))
-	id, _ := openSession(t, gw.URL, `{"table":"t"}`)
-
-	var before, after runtime.MemStats
-	for seq := uint64(1); seq <= warm+blocks; seq++ {
-		if seq == warm+1 {
-			runtime.ReadMemStats(&before)
-		}
-		resp := pull(t, gw.URL, id, 1, seq)
-		n, err := io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil || n != size {
-			t.Fatalf("seq %d: %d bytes, %v", seq, n, err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	perBlock := (after.TotalAlloc - before.TotalAlloc) / blocks
-	t.Logf("%d B allocated per proxied %d KiB block (budget %d)", perBlock, size>>10, budget)
-	if perBlock > budget {
-		t.Fatalf("%d B allocated per proxied block, budget %d", perBlock, budget)
+	for _, hold := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hold=%v", hold), func(t *testing.T) {
+			id, _ := openSession(t, gw.URL, `{"table":"t"}`)
+			var before, after runtime.MemStats
+			for seq := uint64(1); seq <= warm+blocks; seq++ {
+				if seq == warm+1 {
+					runtime.ReadMemStats(&before)
+				}
+				resp := pullQuery(t, gw.URL, id, service.Query{Size: 1, Seq: seq, Hold: hold})
+				n, err := io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if err != nil || n != size {
+					t.Fatalf("seq %d: %d bytes, %v", seq, n, err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perBlock := (after.TotalAlloc - before.TotalAlloc) / blocks
+			t.Logf("%d B allocated per proxied %d KiB block (budget %d)", perBlock, size>>10, budget)
+			if perBlock > budget {
+				t.Fatalf("%d B allocated per proxied block, budget %d", perBlock, budget)
+			}
+			deleteSession(t, gw.URL, id)
+			if hits := statsOf(t, gw.URL).ReadAheadHits; hold != (hits > 0) {
+				t.Fatalf("hold=%v, yet %d blocks were read ahead", hold, hits)
+			}
+		})
 	}
 }

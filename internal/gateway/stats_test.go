@@ -18,14 +18,16 @@ import (
 // that must be a view of the same atomic.
 func statsSeries(st Stats) map[string]int64 {
 	return map[string]int64{
-		"wsopt_gateway_sessions_opened_total":  st.SessionsOpened,
-		"wsopt_gateway_sessions_shed_total":    st.SessionsShed,
-		"wsopt_gateway_sessions_expired_total": st.SessionsExpired,
-		"wsopt_gateway_blocks_proxied_total":   st.BlocksProxied,
-		"wsopt_gateway_tuples_proxied_total":   st.TuplesProxied,
-		"wsopt_gateway_failovers_total":        st.Failovers,
-		"wsopt_gateway_standby_replays_total":  st.StandbyReplays,
-		"wsopt_gateway_fallback_replays_total": st.FallbackReplays,
+		"wsopt_gateway_sessions_opened_total":            st.SessionsOpened,
+		"wsopt_gateway_sessions_shed_total":              st.SessionsShed,
+		"wsopt_gateway_sessions_expired_total":           st.SessionsExpired,
+		"wsopt_gateway_blocks_proxied_total":             st.BlocksProxied,
+		"wsopt_gateway_tuples_proxied_total":             st.TuplesProxied,
+		"wsopt_gateway_failovers_total":                  st.Failovers,
+		"wsopt_gateway_standby_replays_total":            st.StandbyReplays,
+		"wsopt_gateway_fallback_replays_total":           st.FallbackReplays,
+		`wsopt_gateway_read_ahead_total{outcome="hit"}`:  st.ReadAheadHits,
+		`wsopt_gateway_read_ahead_total{outcome="miss"}`: st.ReadAheadMisses,
 	}
 }
 
@@ -155,4 +157,17 @@ func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 	if st.FallbackReplays != 1 || st.Failovers != 1 {
 		t.Fatalf("after a fallback replay: %+v", st)
 	}
+
+	// A promising client on the surviving backend: its second block is
+	// read ahead (a hit), its third asks for another size (a miss).
+	b, _ := openSession(t, ts.URL, `{"table":"items"}`)
+	for seq, size := range []int{10, 10, 5} {
+		do(pullQuery(t, ts.URL, b, service.Query{Size: size, Seq: uint64(seq + 1), Hold: true}))
+	}
+	st = gw.Stats()
+	assertViewsAgree(t, "after a read-ahead hit and miss", st, reg.Snapshot())
+	if st.ReadAheadHits != 1 || st.ReadAheadMisses != 1 {
+		t.Fatalf("after a read-ahead hit and miss: %+v", st)
+	}
+	gw.ExpireIdle(time.Now().Add(time.Hour))
 }

@@ -36,6 +36,9 @@ type Query struct {
 	// first block a stream open wants (`from`), Acked the newest block the
 	// peer has durably consumed (`acked`).
 	Seq, From, Acked uint64
+	// Hold is a pull's promise to ask for the same size next (`hold=1`):
+	// a tier may then read the next block ahead at that size.
+	Hold bool
 }
 
 // Limits bounds a Query; a zero field bounds by the int range only.
@@ -47,9 +50,9 @@ type Limits struct {
 
 // ParseQuery is the one parser of the protocol's query grammar. A key
 // that is present must be a decimal integer: at least 1 for size,
-// window, seq and from, at least 0 for acked. Every value is bounded
-// before it is narrowed, so a window of 2^64-1 is clamped like any other
-// instead of wrapping negative past the cap. needSize makes an absent
+// window, seq and from, at least 0 for acked, and exactly 1 for hold.
+// Every value is bounded before it is narrowed, so a window of 2^64-1 is
+// clamped like any other instead of wrapping negative past the cap. needSize makes an absent
 // size an error (the endpoints that produce a block).
 func ParseQuery(v url.Values, lim Limits, needSize bool) (q Query, err error) {
 	key := func(name string, min uint64) (n uint64) {
@@ -65,6 +68,11 @@ func ParseQuery(v url.Values, lim Limits, needSize bool) (q Query, err error) {
 	}
 	size, window := key("size", 1), key("window", 1)
 	q.Seq, q.From, q.Acked = key("seq", 1), key("from", 1), key("acked", 0)
+	if h := v.Get("hold"); h != "" && err == nil {
+		if q.Hold = h == "1"; !q.Hold {
+			err = errors.New("hold must be 1")
+		}
+	}
 	if err != nil {
 		return Query{}, err
 	}
@@ -106,6 +114,9 @@ func (q Query) Encode() string {
 	key("seq", q.Seq)
 	key("from", q.From)
 	key("acked", q.Acked)
+	if q.Hold {
+		key("hold", 1)
+	}
 	return string(b)
 }
 

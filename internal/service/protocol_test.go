@@ -47,6 +47,10 @@ func TestParseQuery(t *testing.T) {
 		// The cap must hold for a window no int can carry.
 		{raw: "size=10&window=18446744073709551615", want: Query{Size: 10, Window: 4}},
 		{raw: "size=10&window=9223372036854775808", want: Query{Size: 10, Window: 4}},
+		{raw: "size=10&seq=3&hold=1", needSize: true, want: Query{Size: 10, Seq: 3, Hold: true}},
+		{raw: "size=10&hold=0", bad: true},
+		{raw: "size=10&hold=true", bad: true},
+		{raw: "size=10&hold=2", bad: true},
 	} {
 		v, err := url.ParseQuery(tc.raw)
 		if err != nil {
@@ -72,7 +76,7 @@ func TestQueryEncodeRoundTrip(t *testing.T) {
 		// The grammar has no negative number, and every subset of absent
 		// keys is a request some tier sends.
 		q.Size, q.Window = q.Size&math.MaxInt, q.Window&math.MaxInt
-		for i, f := range []func(){func() { q.Size = 0 }, func() { q.Window = 0 }, func() { q.Seq = 0 }, func() { q.From = 0 }, func() { q.Acked = 0 }} {
+		for i, f := range []func(){func() { q.Size = 0 }, func() { q.Window = 0 }, func() { q.Seq = 0 }, func() { q.From = 0 }, func() { q.Acked = 0 }, func() { q.Hold = false }} {
 			if zero&(1<<i) != 0 {
 				f()
 			}
@@ -109,6 +113,7 @@ func TestQueryEncodeRoundTrip(t *testing.T) {
 		want    string
 	}{
 		{"pull", Query{Size: 64, Seq: 7}, "size=64&seq=7"},
+		{"promising pull", Query{Size: 64, Seq: 7, Hold: true}, "size=64&seq=7&hold=1"},
 		{"stream open", Query{Size: 64, Window: 4, From: 8}, "size=64&window=4&from=8"},
 		{"credit grant", Query{Acked: 7, Window: 4, Size: 64}, "size=64&window=4&acked=7"},
 		{"ingest block", Query{Seq: 3}, "seq=3"},

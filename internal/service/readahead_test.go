@@ -534,3 +534,40 @@ func TestReadAheadAllocGate(t *testing.T) {
 	}
 	t.Logf("%.1f allocations per block", allocs)
 }
+
+// TestPullHoldReadsAheadFromTheFirstBlock: a pull that promises its size
+// (hold=1) is read ahead for from its first block on; one that does not
+// only once it has asked for the same size twice. The bytes are the same.
+func TestPullHoldReadsAheadFromTheFirstBlock(t *testing.T) {
+	const rows, size = 50, 10 // five blocks, the last one short of a sixth
+	var bodies [2][]byte
+	for i, hold := range []bool{false, true} {
+		srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, rows)})
+		id, _ := openSession(t, ts, `{"table":"items"}`)
+		for seq := uint64(1); seq <= 6; seq++ {
+			q := Query{Size: size, Seq: seq, Hold: hold}
+			resp, err := http.Post(ts.URL+"/sessions/"+id+"/next?"+q.Encode(), "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("hold=%v seq %d: %s, %v", hold, seq, resp.Status, err)
+			}
+			bodies[i] = append(bodies[i], body...)
+		}
+		// Every block after the first (hold) or the second (no hold) was
+		// read ahead, the empty done marker included.
+		want := int64(4)
+		if hold {
+			want = 5
+		}
+		if st := srv.Stats(); st.ReadAheadHits != want || st.ReadAheadMisses != 0 {
+			t.Errorf("hold=%v: %d read-ahead hits, %d misses; want %d and 0", hold, st.ReadAheadHits, st.ReadAheadMisses, want)
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("a promising client was served other bytes")
+	}
+}

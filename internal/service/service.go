@@ -994,8 +994,8 @@ func (s *Server) readAheadLocked(sess *session, size int) {
 }
 
 // handleNext serves POST /sessions/{id}/next: the response framing, one
-// block per request. A client that asks for the size it asked for last
-// is read ahead for: once a fresh block that is not the last is flushed,
+// block per request. A client that asks for the size it asked for last,
+// or promises to ask for this one again (hold), is read ahead for: once a fresh block that is not the last is flushed,
 // the handler prepares the next one before it returns — still holding
 // sess.mu, and net/http reads no further request on this connection
 // until it does.
@@ -1031,7 +1031,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	if class == SeqReplay {
 		rb = replays[0].rb
 	} else {
-		held, sess.pullSize = q.Size == sess.pullSize, q.Size
+		held, sess.pullSize = q.Hold || q.Size == sess.pullSize, q.Size
 		rb, seq, err = s.produceBlockLocked(r.Context(), sess, q.Size)
 		if err == errProduceCancelled {
 			return

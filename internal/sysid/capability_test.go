@@ -73,6 +73,9 @@ func TestCapabilityChainThroughWrappers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if core.HoldsSize(mb) {
+			t.Error("a model-based start promises to hold its size")
+		}
 		// Before the decision the sweep drives no controller.
 		if core.NotifyDisturbance(mb, "failover") {
 			t.Error("before the decision: NotifyDisturbance reports a reaction nothing has")
@@ -90,6 +93,10 @@ func TestCapabilityChainThroughWrappers(t *testing.T) {
 			t.Fatal("precondition: the decision did not hand over to a refiner")
 		}
 		reached(t, mb, refiner)
+		if fixed, _ := NewModelBased(ModelBasedConfig{Limits: limits, Kind: ModelParabolic,
+			Refine: func(initial int) (core.Controller, error) { return core.NewStatic(initial), nil }}); core.HoldsSize(fixed) {
+			t.Error("a model-based start over a static refiner promises to hold its size")
+		}
 	})
 
 	t.Run("vector-cold-start", func(t *testing.T) {
@@ -129,5 +136,8 @@ func TestCapabilityChainThroughWrappers(t *testing.T) {
 			t.Fatal("precondition: the sweep never finished")
 		}
 		reached(t, cold, vctl)
+		if core.HoldsSize(cold) {
+			t.Error("a vector cold start promises to hold its size")
+		}
 	})
 }

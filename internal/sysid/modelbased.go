@@ -236,6 +236,10 @@ func (m *ModelBased) watchResidual(y float64) {
 // controller's (core.PhaseOf, core.NotifyDisturbance).
 func (m *ModelBased) Unwrap() core.Controller { return m.refiner }
 
+// HoldsSize implements core.HoldsSize's capability: it does not promise —
+// identification sweeps sizes, and re-identification may start again.
+func (m *ModelBased) HoldsSize() bool { return false }
+
 // Reidentifications reports how many times the controller restarted its
 // identification sweep due to model drift.
 func (m *ModelBased) Reidentifications() int { return m.reidentify }

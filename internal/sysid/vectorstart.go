@@ -101,3 +101,7 @@ func (c *VectorColdStart) FittedSize() int { return c.fitted }
 
 // Unwrap returns the wrapped vector controller.
 func (c *VectorColdStart) Unwrap() core.Controller { return c.ctl }
+
+// HoldsSize implements core.HoldsSize's capability: it does not promise,
+// since its sweep walks sizes before it hands over.
+func (c *VectorColdStart) HoldsSize() bool { return false }

@@ -38,16 +38,17 @@ check_docs() {
 
 # check_capabilities fails when a non-test file outside internal/core
 # type-asserts a controller capability. A runner reaches a controller's
-# disturbance reaction, phase and operating point through
-# core.NotifyDisturbance, core.PhaseOf and core.VectorOf, which walk the
-# Unwrap chain; an assertion on the controller in hand misses whatever a
-# wrapper drives. (Like check_owned it checks the tree, not behaviour.)
+# disturbance reaction, phase, operating point and size promise through
+# core.NotifyDisturbance, core.PhaseOf, core.VectorOf and core.HoldsSize,
+# which walk the Unwrap chain; an assertion on the controller in hand
+# misses whatever a wrapper drives. (Like check_owned it checks the tree,
+# not behaviour.)
 check_capabilities() {
 	found=$(grep -rnE --include='*.go' --exclude='*_test.go' \
-		'\.\((core\.(Disturber|Resetter|Windower)|interface ?\{ ?(Vector|Window|PhaseSwitches|InSteadyState|Unwrap|Disturb|Reset)\(\))' . |
+		'\.\((core\.(Disturber|Resetter|Windower)|interface ?\{ ?(Vector|Window|PhaseSwitches|InSteadyState|Unwrap|Disturb|Reset|Holds[A-Za-z]*)\(\))' . |
 		grep -v '^\./internal/core/' || true)
 	[ -z "$found" ] || {
-		echo "verify.sh: controller capability asserted outside internal/core (use core.NotifyDisturbance/PhaseOf/VectorOf):" >&2
+		echo "verify.sh: controller capability asserted outside internal/core (use core.NotifyDisturbance/PhaseOf/VectorOf/HoldsSize):" >&2
 		echo "$found" >&2
 		return 1
 	}
@@ -75,7 +76,7 @@ gate_results() {
 #
 #   gate     detector  -run pattern              packages
 owned='
-fuzzseeds   -race    ^Fuzz                        ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica
+fuzzseeds   -race    ^Fuzz                        ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica ./internal/gateway
 stress      -race    ^TestStress                  ./internal/service ./internal/e2e
 allocgate   -norace  ^(TestBinaryRoundTripAllocGate|TestBinaryViewAllocGate|TestXMLDecodeAllocGate|TestGzipEncodeAllocGate)$ ./internal/wire
 allocgate   -norace  ^TestGatewayHopAllocGate$    ./internal/gateway
