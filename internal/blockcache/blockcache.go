@@ -14,16 +14,16 @@
 // mutations since the process started, so a key means nothing to another
 // process: the cache lives and dies with the daemon.
 //
-// Ownership rules are strict because the service's encode path uses
-// pooled buffers: an Entry's payload is always a private immutable
-// slice (NewEntry copies out of whatever buffer produced it), entries
-// are refcounted, and every hit hands the caller its own retained
-// reference. A cache hit can therefore never alias a recycled pool
-// buffer, and a cached block outlives session close, replay
-// supersession, and pool churn by construction.
+// The package also owns the one retained-block type every tier holds
+// blocks by (Entry), the one pool of block buffers (Buffer), and the
+// per-daemon count of held references (Refs). A resident entry is
+// always a private immutable copy (Refs.Copy copies out of whatever
+// buffer produced it), and every hit hands the caller its own retained
+// reference.
 package blockcache
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
@@ -78,32 +78,93 @@ func DeriveKey(fingerprint []byte, cursor int64, size int) Key {
 // encode; retrying through the cache would just re-race the same fill.
 var ErrFillFailed = errors.New("blockcache: concurrent fill failed")
 
-// testEntryRelease, when set, observes every entry whose refcount
-// reaches zero — the hook lifetime tests use to poison payloads and
-// prove no reader still aliases them.
-var testEntryRelease atomic.Value // func(*Entry)
-
-// Entry is one immutable cached block. The payload is private to the
-// entry (never a pooled buffer) and entries are refcounted: the cache
-// holds one reference while the entry is resident, and every hit retains
-// one more for the caller, who must Release it when the bytes have been
-// written out.
+// Entry is one retained block: an encoded payload, its tuple count and
+// whether it ends its plan, under one refcount. It is the one block type
+// of every tier: the cache's residents, a backend's committed and
+// prepared blocks, and a gateway's proxied ones. Its payload has one of
+// two backings:
+//
+//   - a pooled buffer (Refs.Pooled): a daemon's encode or read buffer,
+//     put back into the pool by the last release;
+//   - a private copy (NewEntry, Refs.Copy): what the cache keeps
+//     resident, which the garbage collector frees.
+//
+// The rule is one for both. Every holder owns one reference and gives it
+// back once with Release; a holder may Retain one more for someone else.
+// The last release recycles the backing, and a release past zero panics.
+// A cache hit can therefore never alias a recycled buffer, and a retained
+// block outlives session close, replay supersession and pool churn by
+// construction (DESIGN.md §14).
 type Entry struct {
 	payload []byte
 	tuples  int
 	done    bool
 	refs    atomic.Int32
+	// buf is the pooled backing; nil for a private copy.
+	buf *bytes.Buffer
+	// held counts the entry's references for the daemon holding it; nil
+	// for an uncounted entry.
+	held *Refs
 }
 
-// NewEntry copies payload into a private slice and returns an entry
-// holding one reference owned by the caller. The copy is the ownership
-// boundary: the source buffer (typically pooled) may be recycled the
-// moment NewEntry returns.
-func NewEntry(payload []byte, tuples int, done bool) *Entry {
-	e := &Entry{payload: append([]byte(nil), payload...), tuples: tuples, done: done}
+// Refs is one daemon's count of the block references it holds: every
+// reference to an entry the daemon made, except the one the cache keeps
+// while the entry is resident. It returns to zero once every session is
+// closed and the replication log has dropped its records; tests read it
+// to find a reference never given back. The zero value is ready.
+type Refs struct{ live atomic.Int64 }
+
+// Live returns the number of references held.
+func (r *Refs) Live() int64 { return r.live.Load() }
+
+// Pooled wraps buf, a buffer from Buffer holding one encoded block, in
+// an entry with one reference, its caller's, counted in r. The entry
+// owns buf from here on and recycles it on its last release.
+func (r *Refs) Pooled(buf *bytes.Buffer, tuples int, done bool) *Entry {
+	return r.newEntry(buf.Bytes(), buf, tuples, done)
+}
+
+// Copy copies payload into an entry with one reference, its caller's,
+// counted in r. The copy is the ownership boundary: the source buffer
+// (typically pooled) may be recycled the moment Copy returns.
+func (r *Refs) Copy(payload []byte, tuples int, done bool) *Entry {
+	return r.newEntry(append([]byte(nil), payload...), nil, tuples, done)
+}
+
+func (r *Refs) newEntry(payload []byte, buf *bytes.Buffer, tuples int, done bool) *Entry {
+	e := &Entry{payload: payload, tuples: tuples, done: done, buf: buf, held: r}
 	e.refs.Store(1)
+	e.count(1)
 	return e
 }
+
+// NewEntry is Refs.Copy for an entry no daemon counts.
+func NewEntry(payload []byte, tuples int, done bool) *Entry {
+	return (*Refs)(nil).Copy(payload, tuples, done)
+}
+
+// bufPool is the one pool of block buffers.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// Buffer returns an empty buffer from the block-buffer pool. Its taker
+// either hands it to Refs.Pooled or gives it back with PutBuffer.
+func Buffer() *bytes.Buffer { return bufPool.Get().(*bytes.Buffer) }
+
+// PutBuffer returns a buffer nothing references to the pool, empty.
+func PutBuffer(buf *bytes.Buffer) {
+	buf.Reset()
+	bufPool.Put(buf)
+}
+
+// releaseHook, when set, sees every entry whose last reference goes,
+// before its backing is recycled.
+var releaseHook atomic.Pointer[func(*Entry)]
+
+// OnFinalRelease makes f see every entry whose last reference goes,
+// before its backing is recycled; nil stops it. It is for tests, which
+// record the order of releases or poison payloads to prove no reader
+// still aliases them.
+func OnFinalRelease(f func(*Entry)) { releaseHook.Store(&f) }
 
 // Bytes returns the encoded block. The slice is immutable and valid
 // until the caller's reference is released.
@@ -115,27 +176,72 @@ func (e *Entry) Tuples() int { return e.tuples }
 // Done reports whether this block is the final block of its plan.
 func (e *Entry) Done() bool { return e.done }
 
+// Fits reports whether e is the block a request for size tuples at the
+// same cursor gets: as many tuples, or the result set's last block,
+// which a larger size cannot lengthen.
+func (e *Entry) Fits(size int) bool {
+	return e.tuples == size || e.done && e.tuples < size
+}
+
+// Pinned is what holding e keeps out of the heap, the charge a push
+// stream puts on it: a private copy's length, or a pooled buffer's
+// capacity, at most twice the payload. The client acks by the payload
+// bytes it reads, at half the stream's byte budget, so a larger charge
+// could hold the producer on an ack the client has no reason to send
+// (DESIGN.md §19).
+func (e *Entry) Pinned() int {
+	if e.buf == nil {
+		return len(e.payload)
+	}
+	return min(e.buf.Cap(), 2*len(e.payload))
+}
+
 func (e *Entry) size() int64 { return int64(len(e.payload)) }
+
+func (e *Entry) count(n int64) {
+	if e.held != nil {
+		e.held.live.Add(n)
+	}
+}
 
 // Retain adds a reference. Only holders of a live reference may call
 // it (refcount resurrection is a bug, not a feature).
 func (e *Entry) Retain() {
+	e.retain()
+	e.count(1)
+}
+
+// Release drops one reference; the last one recycles the backing.
+// Holders release in any order.
+func (e *Entry) Release() {
+	e.count(-1)
+	e.release()
+}
+
+// retain and release are Retain and Release uncounted: the cache's
+// residency reference.
+func (e *Entry) retain() {
 	if e.refs.Add(1) <= 1 {
 		panic("blockcache: Retain on a released entry")
 	}
 }
 
-// Release drops one reference. Memory is garbage-collected — the final
-// release is pure accounting plus the test hook.
-func (e *Entry) Release() {
+func (e *Entry) release() {
 	n := e.refs.Add(-1)
+	if n > 0 {
+		return
+	}
 	if n < 0 {
 		panic("blockcache: Release past zero")
 	}
-	if n == 0 {
-		if f, ok := testEntryRelease.Load().(func(*Entry)); ok && f != nil {
-			f(e)
-		}
+	// Only the releaser that took the last reference gets here; the
+	// atomic Add orders it after every other holder's release.
+	if f := releaseHook.Load(); f != nil && *f != nil {
+		(*f)(e)
+	}
+	if buf := e.buf; buf != nil {
+		e.buf, e.payload = nil, nil
+		PutBuffer(buf)
 	}
 }
 
@@ -244,7 +350,7 @@ func (c *Cache) put(key Key, ent *Entry) {
 		c.mu.Unlock()
 		return
 	}
-	ent.Retain()
+	ent.retain()
 	c.entries[key] = c.lru.PushFront(&lruItem{key: key, ent: ent})
 	c.bytes += ent.size()
 	for c.bytes > c.memLimit && c.lru.Len() > 0 {
@@ -258,7 +364,7 @@ func (c *Cache) put(key Key, ent *Entry) {
 	c.mu.Unlock()
 	for _, it := range evicted {
 		c.memEvict.Add(1)
-		it.ent.Release()
+		it.ent.release()
 	}
 }
 

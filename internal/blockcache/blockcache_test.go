@@ -86,8 +86,8 @@ func TestMemHitRetainsAndCounts(t *testing.T) {
 
 func TestLRUEvictsByBytesOldestFirst(t *testing.T) {
 	released := make(map[*Entry]bool)
-	testEntryRelease.Store(func(e *Entry) { released[e] = true })
-	defer testEntryRelease.Store((func(*Entry))(nil))
+	OnFinalRelease(func(e *Entry) { released[e] = true })
+	defer OnFinalRelease(nil)
 
 	c, err := New(Config{MemBytes: 100})
 	if err != nil {
@@ -284,6 +284,117 @@ func TestRetainOnReleasedEntryPanics(t *testing.T) {
 		}
 	}()
 	ent.Retain()
+}
+
+// TestEntryRefcount holds both backings to the one rule: retains and
+// releases on several goroutines, in any order, recycle the backing
+// exactly once, the daemon's count returns to zero, and a release past
+// zero panics with the package's own message.
+func TestEntryRefcount(t *testing.T) {
+	backings := []struct {
+		name string
+		make func(r *Refs) *Entry
+	}{
+		{"pooled buffer", func(r *Refs) *Entry {
+			buf := Buffer()
+			buf.Write(payload(64, 7))
+			return r.Pooled(buf, 3, false)
+		}},
+		{"private copy", func(r *Refs) *Entry { return r.Copy(payload(64, 7), 3, false) }},
+	}
+	for _, b := range backings {
+		t.Run(b.name, func(t *testing.T) {
+			var mu sync.Mutex
+			finals := map[*Entry]int{}
+			OnFinalRelease(func(e *Entry) {
+				mu.Lock()
+				finals[e]++
+				mu.Unlock()
+				if !bytes.Equal(e.Bytes(), payload(64, 7)) {
+					t.Error("the last release saw a recycled payload")
+				}
+			})
+			defer OnFinalRelease(nil)
+
+			var refs Refs
+			const entries, holders = 50, 8
+			for range entries {
+				e := b.make(&refs)
+				// Each holder's reference is retained for it up front, as a
+				// tail retains for a writer; the holders then give theirs back
+				// on their own goroutines while the creator, at some point
+				// among them, gives back its own.
+				for range holders {
+					e.Retain()
+				}
+				var wg sync.WaitGroup
+				for h := range holders {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						if h%2 == 0 {
+							e.Retain()
+							e.Release()
+						}
+						e.Release()
+					}()
+					if h == holders/2 {
+						e.Release()
+					}
+				}
+				wg.Wait()
+			}
+			if len(finals) != entries {
+				t.Fatalf("%d entries saw their last release, want %d", len(finals), entries)
+			}
+			for _, n := range finals {
+				if n != 1 {
+					t.Fatalf("an entry's backing was recycled %d times", n)
+				}
+			}
+			if n := refs.Live(); n != 0 {
+				t.Fatalf("%d references counted after every holder released", n)
+			}
+
+			e := b.make(&refs)
+			e.Release()
+			defer func() {
+				if r := recover(); r != "blockcache: Release past zero" {
+					t.Fatalf("a release past zero recovered %v", r)
+				}
+			}()
+			e.Release()
+		})
+	}
+}
+
+// TestRefsLeaveOutResidency: the count is the references a daemon's
+// holders hold; the cache's own, while an entry is resident, is not one.
+func TestRefsLeaveOutResidency(t *testing.T) {
+	var refs Refs
+	c, err := New(Config{MemBytes: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent, _, err := c.GetOrFill(testKey(1), func() (*Entry, error) { return refs.Copy(payload(60, 1), 1, false), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := c.Get(testKey(1))
+	if n := refs.Live(); n != 2 {
+		t.Fatalf("filler and hit hold %d counted references, want 2", n)
+	}
+	ent.Release()
+	hit.Release()
+	if n := refs.Live(); n != 0 {
+		t.Fatalf("%d counted references with only the cache holding the entry", n)
+	}
+	// Evicting it drops the uncounted residency reference.
+	ent, _, _ = c.GetOrFill(testKey(2), func() (*Entry, error) { return refs.Copy(payload(60, 2), 1, false), nil })
+	ent.Release()
+	if n, st := refs.Live(), c.Stats(); n != 0 || st.MemEvictions != 1 {
+		t.Fatalf("after an eviction: %d counted references, %d evictions; want 0 and 1", n, st.MemEvictions)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

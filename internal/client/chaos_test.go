@@ -77,20 +77,23 @@ func chaosStack(t *testing.T, rows int, codec wire.Codec, seed int64, reg *metri
 	return c, srv
 }
 
-// assertNoLiveReplayRefs is the under-release detector: once every
-// session is closed, every reference to every server-side replay block
-// must have been given back — through dropped connections, truncated
-// responses and abandoned streams alike. It waits briefly, because a
-// writer gives its reference back after the peer already holds the
-// block. live comes from Server.TrackReplayRefs, called before traffic.
-func assertNoLiveReplayRefs(t *testing.T, live func() int64) {
+// assertNoRetainedBlocks is the under-release detector: once every
+// session is closed (and every replication log a daemon ships to), each
+// daemon must have given back every reference to every block it held —
+// through dropped connections, truncated responses and abandoned streams
+// alike. It waits briefly, because a writer gives its reference back
+// after the peer already holds the block. Each daemon is a Server or a
+// Gateway.
+func assertNoRetainedBlocks(t *testing.T, daemons ...interface{ RetainedBlocks() int64 }) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for live() != 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if n := live(); n != 0 {
-		t.Fatalf("%d replay-block references still live after every session closed", n)
+	for _, d := range daemons {
+		deadline := time.Now().Add(2 * time.Second)
+		for d.RetainedBlocks() != 0 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n := d.RetainedBlocks(); n != 0 {
+			t.Fatalf("%T holds %d block references after every session closed", d, n)
+		}
 	}
 }
 
@@ -118,7 +121,6 @@ func assertExactSet(t *testing.T, seen map[int64]int, n int) {
 func TestChaosPullExactlyOnce(t *testing.T) {
 	const rows = 3000
 	c, srv := chaosStack(t, rows, wire.XML{}, 42, nil)
-	live := srv.TrackReplayRefs()
 
 	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
 	if err != nil {
@@ -143,7 +145,7 @@ func TestChaosPullExactlyOnce(t *testing.T) {
 	if err := sess.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	assertNoLiveReplayRefs(t, live)
+	assertNoRetainedBlocks(t, srv)
 
 	st := srv.Stats()
 	injected := st.FaultsInjected.Dropped + st.FaultsInjected.Truncated + st.FaultsInjected.Refused

@@ -16,10 +16,18 @@ import (
 	"wsopt/internal/wire"
 )
 
+// fleetBackend is one backend of startGatewayFleet: its test server, its
+// service and the replication log it ships to the gateway.
+type fleetBackend struct {
+	*httptest.Server
+	srv *service.Server
+	log *replicapkg.Log
+}
+
 // startGatewayFleet brings up n replicated in-process backends behind a
-// gateway and returns the gateway handle, its URL, and the backend test
-// servers by URL.
-func startGatewayFleet(t *testing.T, n, rows int) (*gateway.Gateway, string, map[string]*httptest.Server) {
+// gateway and returns the gateway handle, its URL, and the backends by
+// URL.
+func startGatewayFleet(t *testing.T, n, rows int) (*gateway.Gateway, string, map[string]*fleetBackend) {
 	t.Helper()
 	cat := minidb.NewCatalog()
 	tbl, err := cat.CreateTable("items", minidb.Schema{
@@ -37,16 +45,17 @@ func startGatewayFleet(t *testing.T, n, rows int) (*gateway.Gateway, string, map
 		t.Fatal(err)
 	}
 
-	servers := make(map[string]*httptest.Server, n)
+	servers := make(map[string]*fleetBackend, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
-		srv, err := service.New(service.Config{Catalog: cat, Replica: replicapkg.NewLog(1024)})
+		rlog := replicapkg.NewLog(1024)
+		srv, err := service.New(service.Config{Catalog: cat, Replica: rlog})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
-		servers[ts.URL] = ts
+		servers[ts.URL] = &fleetBackend{ts, srv, rlog}
 		urls[i] = ts.URL
 	}
 	gw, err := gateway.New(gateway.Config{

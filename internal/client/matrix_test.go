@@ -3,9 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"testing"
 
 	"wsopt/internal/core"
@@ -14,22 +12,11 @@ import (
 	"wsopt/internal/wire"
 )
 
-// fleetStats sums the backends' /stats over HTTP (startGatewayFleet hands
-// out test servers, not service handles).
-func fleetStats(t *testing.T, urls []string) service.Stats {
-	t.Helper()
+// fleetStats sums the backends' Stats.
+func fleetStats(servers map[string]*fleetBackend) service.Stats {
 	var sum service.Stats
-	for _, u := range urls {
-		resp, err := http.Get(u + "/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st service.Stats
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("decode %s/stats: %v", u, err)
-		}
+	for _, b := range servers {
+		st := b.srv.Stats()
 		sum.SessionsOpened += st.SessionsOpened
 		sum.BlocksServed += st.BlocksServed
 		sum.TuplesServed += st.TuplesServed
@@ -219,7 +206,7 @@ func TestTransferMatrix(t *testing.T) {
 					// The servers saw the same transfer: every tuple served once,
 					// and no block beyond the accounted ones except each
 					// session's empty done marker.
-					st := fleetStats(t, backends)
+					st := fleetStats(servers)
 					if st.TuplesServed != int64(res.Tuples) || st.BlocksReplayed != 0 {
 						t.Errorf("servers served %d tuples (%d replays), client accounted %d", st.TuplesServed, st.BlocksReplayed, res.Tuples)
 					}
@@ -236,6 +223,19 @@ func TestTransferMatrix(t *testing.T) {
 					case !push && st.PushFramesSent != 0:
 						t.Errorf("%d push frames on a pull run", st.PushFramesSent)
 					}
+
+					// Every block reference is given back once the run's
+					// sessions are deleted (behind Run: Wait) and the logs the
+					// backends ship to the gateway are closed.
+					if err := c.Wait(context.Background()); err != nil {
+						t.Fatal(err)
+					}
+					daemons := []interface{ RetainedBlocks() int64 }{gw}
+					for _, b := range servers {
+						b.log.Close()
+						daemons = append(daemons, b.srv)
+					}
+					assertNoRetainedBlocks(t, daemons...)
 					if !viaGateway {
 						return
 					}

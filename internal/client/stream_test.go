@@ -97,7 +97,6 @@ func TestPushChaosExactlyOnce(t *testing.T) {
 	const rows = 3000
 	reg := metrics.NewRegistry()
 	c, srv := chaosStack(t, rows, wire.Binary{}, 7, reg)
-	live := srv.TrackReplayRefs()
 	c.SetPush(PushConfig{Enabled: true, Window: 4})
 
 	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
@@ -120,7 +119,7 @@ func TestPushChaosExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertExactSet(t, seen, rows)
-	assertNoLiveReplayRefs(t, live)
+	assertNoRetainedBlocks(t, srv)
 
 	st := srv.Stats()
 	injected := st.FaultsInjected.Dropped + st.FaultsInjected.Truncated + st.FaultsInjected.Refused

@@ -127,6 +127,9 @@ type Gateway struct {
 	*service.Admission
 
 	stats gwStats
+	// refs counts the block references this gateway holds
+	// (RetainedBlocks).
+	refs blockcache.Refs
 	// blockServe is the fleet-wide block-serve histogram, registry-owned.
 	blockServe *metrics.Histogram
 	mux        *http.ServeMux
@@ -177,10 +180,10 @@ type gwSession struct {
 	// block before was flushed to a client that promised to ask for
 	// aheadSize next (readAhead). last is the block lastSeq, kept while a
 	// read-ahead is in play: the backend has committed past it and cannot
-	// replay it. Both own pooled buffers until a fresh block is committed
-	// or the session ends. resync marks the backend's cursor unknown — a
-	// promise broken or a read-ahead failed — so the next fresh pull
-	// re-opens at committed.
+	// replay it. The session holds a reference to each until a fresh block
+	// is committed or the session ends. resync marks the backend's cursor
+	// unknown — a promise broken or a read-ahead failed — so the next
+	// fresh pull re-opens at committed.
 	ahead, last *proxiedBlock
 	aheadSize   int
 	resync      bool
@@ -195,8 +198,11 @@ func (sess *gwSession) end() (*backend, string) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.closed = true
-	sess.ahead.release()
-	sess.last.release()
+	for _, blk := range []*proxiedBlock{sess.ahead, sess.last} {
+		if blk != nil {
+			blk.Release()
+		}
+	}
 	sess.ahead, sess.last = nil, nil
 	return sess.backend, sess.backendID
 }
@@ -334,6 +340,11 @@ func (g *Gateway) SessionCount() int {
 	defer g.mu.Unlock()
 	return len(g.sessions)
 }
+
+// RetainedBlocks returns how many references to proxied blocks this
+// gateway holds: its sessions' read-ahead and last blocks and the
+// blocks being written. It is zero once every session is closed.
+func (g *Gateway) RetainedBlocks() int64 { return g.refs.Live() }
 
 // Failovers reports transparent failovers performed so far.
 func (g *Gateway) Failovers() int64 { return g.stats.failovers.Load() }
@@ -487,46 +498,21 @@ func (g *Gateway) openOn(ctx context.Context, b *backend, body []byte) (createRe
 	return cr, nil
 }
 
-// proxiedBlock is one block pulled from a backend, fully buffered so a
-// backend dying mid-body is detected before any byte reaches the client.
+// proxiedBlock is one response's view of a block pulled from a backend:
+// its metadata as the backend (or the standby copy) gave it, which
+// writeBlock stamps with the client's seq and the gateway hop, and its
+// content type. The block itself is held by reference (DESIGN.md §14):
+// a pooled buffer the body was read into whole, so a backend dying
+// mid-body is detected before any byte reaches the client, or a standby
+// copy.
 type proxiedBlock struct {
-	payload     []byte
+	*blockcache.Entry
 	contentType string
-	// meta is the block's metadata as the backend (or the standby copy)
-	// gave it; writeBlock stamps the client's seq and the gateway hop on it.
-	meta service.BlockMeta
-	// buf is the pooled buffer backing payload, owned by this block from
-	// pullFrom until release; nil when payload belongs to someone else (a
-	// standby copy, a backend's error message).
-	buf *bytes.Buffer
+	meta        service.BlockMeta
 }
 
 // maxBlockBytes caps one proxied block's body.
 const maxBlockBytes = 256 << 20
-
-// blockBufPool recycles the buffers proxied blocks are read into. The
-// proxiedBlock pullFrom returns owns its buffer until release, which
-// must wait for the client write to return (net/http keeps no reference
-// to a written slice). What outlives the request is backed by the pool
-// only as a session's ahead or last, which the session releases;
-// sess.standby and a replica.Store payload never are. bufsOut counts the
-// buffers out of the pool, for tests to find one never given back.
-var (
-	blockBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-	bufsOut      atomic.Int64
-)
-
-// release returns the block's buffer, if it has one, to the pool. The
-// block's payload is dead afterwards. A nil block has nothing to return.
-func (blk *proxiedBlock) release() {
-	if blk == nil || blk.buf == nil {
-		return
-	}
-	blk.buf.Reset()
-	blockBufPool.Put(blk.buf)
-	bufsOut.Add(-1)
-	blk.buf, blk.payload = nil, nil
-}
 
 // handleNext serves POST /sessions/{id}/next. A client that promises to
 // ask for the same size next (hold) is read ahead for: once a fresh block
@@ -565,10 +551,12 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 
 	if replay && sess.last != nil {
 		// The backend has committed the block after this one: answer as
-		// its replay would.
+		// its replay would, on a write reference of its own.
 		cp := *sess.last
-		cp.buf, cp.meta.Replayed = nil, true
+		cp.meta.Replayed = true
+		cp.Retain()
 		g.writeBlock(w, sess, &cp, q.Seq, started)
+		cp.Release()
 		return
 	}
 	if replay && seq == sess.seqBase {
@@ -579,7 +567,9 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusConflict, "seq %d is no longer replayable after failover", seq)
 			return
 		}
-		g.writeBlock(w, sess, g.standbyBlock(sess.standby), q.Seq, started)
+		blk := g.standbyBlock(sess.standby)
+		g.writeBlock(w, sess, blk, q.Seq, started)
+		blk.Release()
 		return
 	}
 
@@ -592,18 +582,20 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 			// A promise broken or a read-ahead failed: the backend is past
 			// the client, or nobody knows where.
 			g.stats.readAheadMisses.Add(1)
-			sess.ahead.release()
-			sess.ahead = nil
+			if sess.ahead != nil {
+				sess.ahead.Release()
+				sess.ahead = nil
+			}
 			err = g.resync(r.Context(), sess)
 		}
 		var status int
 		if err == nil {
 			blk, status, err = g.pullFrom(r.Context(), sess.backend, sess.backendID, service.Query{Size: q.Size, Seq: seq - sess.seqBase, Hold: q.Hold})
 		}
-		if err == nil && status != 0 {
+		if status != 0 {
 			// A definitive client-facing status from the backend (409, 410,
-			// 400...): pass it through untouched.
-			httpError(w, status, "%s", blk.payload)
+			// 400...): pass it and its message through untouched.
+			httpError(w, status, "%v", err)
 			return
 		}
 		if err != nil {
@@ -626,8 +618,10 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 		sess.done = blk.meta.Done
 		sess.standby = nil
 		sess.resync = false
-		sess.last.release()
-		sess.last = nil
+		if sess.last != nil {
+			sess.last.Release()
+			sess.last = nil
+		}
 	}
 	if g.writeBlock(w, sess, blk, q.Seq, started) && q.Hold && !replay &&
 		!sess.done && sess.backendID != "" && blk.meta.DelayMS == 0 {
@@ -636,7 +630,7 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 		g.readAhead(r.Context(), sess, q.Size)
 		return
 	}
-	blk.release()
+	blk.Release()
 }
 
 // readAhead pulls the block after lastSeq from the session's backend into
@@ -648,7 +642,7 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 // would serve that block twice. Called with sess.mu held.
 func (g *Gateway) readAhead(ctx context.Context, sess *gwSession, size int) {
 	blk, status, err := g.pullFrom(context.WithoutCancel(ctx), sess.backend, sess.backendID, service.Query{Size: size, Seq: sess.lastSeq + 1 - sess.seqBase, Hold: true})
-	if err != nil || status != 0 {
+	if err != nil {
 		g.logf("session %s: read ahead on %s: status %d: %v", sess.id, sess.backend.url, status, err)
 		sess.resync = true
 		return
@@ -669,23 +663,24 @@ func (g *Gateway) resync(ctx context.Context, sess *gwSession) error {
 	return nil
 }
 
-// standbyBlock wraps a replicated copy of a session's newest block for
-// serving in place of its dead primary, and counts the standby replay.
-// The payload is the copy's own, never a pooled buffer.
+// standbyBlock copies a replicated copy of a session's newest block into
+// a block of its own, for serving in place of its dead primary, and
+// counts the standby replay.
 func (g *Gateway) standbyBlock(ss *replica.SessionState) *proxiedBlock {
 	g.stats.standbyReplays.Add(1)
 	return &proxiedBlock{
-		payload:     ss.Payload,
+		Entry:       g.refs.Copy(ss.Payload, ss.Tuples, ss.Done),
 		contentType: codecContentType(ss.Codec),
 		meta:        service.BlockMeta{Tuples: ss.Tuples, Done: ss.Done, Replayed: true},
 	}
 }
 
 // pullFrom forwards one pull, q naming the backend's seq, to a backend.
-// It returns (block, 0, nil) on success, (message, status, nil) for
-// client-facing backend statuses that must be passed through, and an
-// error for backend failures that warrant failover (transport errors,
-// 5xx, and 404 — the backend lost the session, e.g. it restarted).
+// It returns (block, 0, nil) on success, (nil, status, message) for
+// client-facing backend statuses that must be passed through, and
+// (nil, 0, error) for backend failures that warrant failover (transport
+// errors, 5xx, and 404 — the backend lost the session, e.g. it
+// restarted).
 func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, q service.Query) (*proxiedBlock, int, error) {
 	u := b.url + "/sessions/" + url.PathEscape(backendID) + "/next?" + q.Encode()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
@@ -705,14 +700,13 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, q 
 		return nil, 0, fmt.Errorf("backend returned %s: %s", resp.Status, msg)
 	default:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &proxiedBlock{payload: msg}, resp.StatusCode, nil
+		return nil, resp.StatusCode, errors.New(string(msg))
 	}
 	// Store-and-forward: the whole body lands in one pooled buffer before
 	// the caller sees it. Sized up front from Content-Length, plus the
 	// spare room ReadFrom wants before the read that returns EOF, the
 	// buffer never regrows; a warm one is not even allocated.
-	buf := blockBufPool.Get().(*bytes.Buffer)
-	bufsOut.Add(1)
+	buf := blockcache.Buffer()
 	if n := resp.ContentLength; n > 0 && n <= maxBlockBytes {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
@@ -720,13 +714,12 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, q 
 	if err == nil && (n > maxBlockBytes || resp.ContentLength >= 0 && n != resp.ContentLength) {
 		err = fmt.Errorf("%d bytes against Content-Length %d and a %d-byte cap", n, resp.ContentLength, maxBlockBytes)
 	}
-	blk := &proxiedBlock{payload: buf.Bytes(), buf: buf, contentType: resp.Header.Get("Content-Type")}
 	if err != nil {
-		blk.release()
+		blockcache.PutBuffer(buf)
 		return nil, 0, fmt.Errorf("read block body: %w", err)
 	}
-	blk.meta, _ = service.ParseBlockMeta(resp.Header)
-	return blk, 0, nil
+	meta, _ := service.ParseBlockMeta(resp.Header)
+	return &proxiedBlock{Entry: g.refs.Pooled(buf, meta.Tuples, meta.Done), contentType: resp.Header.Get("Content-Type"), meta: meta}, 0, nil
 }
 
 // failover moves sess to a healthy successor backend after its primary
@@ -804,11 +797,11 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, q s
 			return nil, err
 		}
 		pulled, status, err := g.pullFrom(ctx, target, id, service.Query{Size: sess.lastTuples, Seq: 1})
-		if err != nil || status != 0 {
+		if err != nil {
 			return nil, fmt.Errorf("re-pull lost block on %s: status %d: %v", targetURL, status, err)
 		}
 		if pulled.meta.Tuples != sess.lastTuples {
-			pulled.release()
+			pulled.Release()
 			return nil, fmt.Errorf("re-pulled block has %d tuples, committed block had %d", pulled.meta.Tuples, sess.lastTuples)
 		}
 		pulled.meta.Replayed = true
@@ -823,7 +816,7 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, q s
 			return nil, err
 		}
 		pulled, status, err := g.pullFrom(ctx, target, id, service.Query{Size: q.Size, Seq: 1, Hold: q.Hold})
-		if err != nil || status != 0 {
+		if err != nil {
 			return nil, fmt.Errorf("resume pull on %s: status %d: %v", targetURL, status, err)
 		}
 		sess.backendID = id
@@ -871,8 +864,8 @@ func (g *Gateway) reopen(ctx context.Context, sess *gwSession, b *backend, offse
 
 // blockWriteDeadline bounds one block's write and flush to a client: the
 // daemons set no WriteTimeout, and a client that stops reading would
-// otherwise pin sess.mu and the session's pooled buffers. A variable
-// only so that tests can shorten it.
+// otherwise pin sess.mu and the session's blocks. A variable only so
+// that tests can shorten it.
 var blockWriteDeadline = 2 * time.Minute
 
 // writeBlock writes one proxied block to the client and flushes it,
@@ -890,14 +883,14 @@ func (g *Gateway) writeBlock(w http.ResponseWriter, sess *gwSession, blk *proxie
 		h.Set("Content-Type", blk.contentType)
 	}
 	meta.WriteHeader(h)
-	h.Set("Content-Length", strconv.Itoa(len(blk.payload)))
+	h.Set("Content-Length", strconv.Itoa(len(blk.Bytes())))
 	// Recorders answer ErrNotSupported.
 	rc := http.NewResponseController(w)
 	_ = rc.SetWriteDeadline(time.Now().Add(blockWriteDeadline))
 	defer rc.SetWriteDeadline(time.Time{})
 	g.stats.blocksProxied.Add(1)
 	g.stats.tuplesProxied.Add(int64(meta.Tuples))
-	_, err := w.Write(blk.payload)
+	_, err := w.Write(blk.Bytes())
 	if err == nil {
 		err = rc.Flush()
 	}

@@ -53,7 +53,7 @@ func fakeBackend(t testing.TB, block func(session string) []byte, serve func(w h
 }
 
 // newFakeGateway fronts the fake backends with a started gateway.
-func newFakeGateway(t testing.TB, backends ...*httptest.Server) *httptest.Server {
+func newFakeGateway(t testing.TB, backends ...*httptest.Server) (*Gateway, *httptest.Server) {
 	t.Helper()
 	urls := make([]string, len(backends))
 	for i, b := range backends {
@@ -68,7 +68,7 @@ func newFakeGateway(t testing.TB, backends ...*httptest.Server) *httptest.Server
 	gw.Start(ctx)
 	ts := httptest.NewServer(gw.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return gw, ts
 }
 
 // TestRingSpreadsSequentialIDs is the regression test for ring
@@ -113,7 +113,7 @@ func TestPooledBufferNotReusedWhileClientWriteInFlight(t *testing.T) {
 		fills[id], blocks[id] = fill, bytes.Repeat([]byte{fill}, size)
 	}
 	be := fakeBackend(t, func(id string) []byte { return blocks[id] }, nil)
-	gw := newFakeGateway(t, be)
+	gwy, gw := newFakeGateway(t, be)
 
 	slow, _ := openSession(t, gw.URL, `{"table":"t"}`)  // backend session b1: 'A'
 	churn, _ := openSession(t, gw.URL, `{"table":"t"}`) // backend session b2: 'B'
@@ -140,6 +140,9 @@ func TestPooledBufferNotReusedWhileClientWriteInFlight(t *testing.T) {
 	if got := bytes.Count(head, []byte{'A'}) + bytes.Count(rest, []byte{'A'}); got != size || len(head)+len(rest) != size {
 		t.Fatalf("slow client read %d bytes, %d of its own fill; want %d of each", len(head)+len(rest), got, size)
 	}
+	deleteSession(t, gw.URL, slow)
+	deleteSession(t, gw.URL, churn)
+	wantBlocksBack(t, gwy)
 }
 
 // TestStandbyCopiesNeverAliasPooledBuffers pins the other half of the
@@ -185,6 +188,8 @@ func TestStandbyCopiesNeverAliasPooledBuffers(t *testing.T) {
 	if st := gwy.Stats(); st.StandbyReplays != 3 || st.Failovers != 1 {
 		t.Fatalf("standby replays = %d, failovers = %d; want 3 and 1", st.StandbyReplays, st.Failovers)
 	}
+	deleteSession(t, ts.URL, id)
+	wantBlocksBack(t, gwy)
 }
 
 // TestGatewayFailsOverOnShortBody pins store-and-forward: a backend that
@@ -202,7 +207,7 @@ func TestGatewayFailsOverOnShortBody(t *testing.T) {
 		_, _ = w.Write(payload)
 	}
 	all := func(string) []byte { return block }
-	gw := newFakeGateway(t, fakeBackend(t, all, serve), fakeBackend(t, all, serve))
+	_, gw := newFakeGateway(t, fakeBackend(t, all, serve), fakeBackend(t, all, serve))
 
 	id, _ := openSession(t, gw.URL, `{"table":"t"}`)
 	resp := pull(t, gw.URL, id, 1, 1)
@@ -214,6 +219,40 @@ func TestGatewayFailsOverOnShortBody(t *testing.T) {
 	if got := resp.Header.Get(service.HeaderGatewayFailovers); got != "1" || !truncated.Load() {
 		t.Fatalf("%s = %q, truncated = %v; want one failover past the short body", service.HeaderGatewayFailovers, got, truncated.Load())
 	}
+}
+
+// TestRePullOfOtherTuplesIsRefused: a failover that re-pulls a lost
+// block (no replicated copy to serve) and gets back another number of
+// tuples than the block it lost refuses it — serving it would move the
+// client's cursor by the wrong count — and gives the block back.
+func TestRePullOfOtherTuplesIsRefused(t *testing.T) {
+	var failedOver atomic.Bool
+	serve := func(w http.ResponseWriter, payload []byte) {
+		if failedOver.Load() {
+			w.Header().Set(service.HeaderBlockTuples, "2")
+		}
+		_, _ = w.Write(payload)
+	}
+	all := func(string) []byte { return []byte("block") }
+	a, b := fakeBackend(t, all, serve), fakeBackend(t, all, serve)
+	fleet := map[string]*httptest.Server{a.URL: a, b.URL: b}
+	gwy, gw := newFakeGateway(t, a, b)
+
+	id, _ := openSession(t, gw.URL, `{"table":"t"}`)
+	resp := pull(t, gw.URL, id, 1, 1)
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	fleet[resp.Header.Get(service.HeaderGatewayBackend)].Close()
+	failedOver.Store(true)
+
+	retry := pull(t, gw.URL, id, 1, 1)
+	msg, _ := io.ReadAll(retry.Body)
+	retry.Body.Close()
+	if retry.StatusCode != http.StatusBadGateway || !bytes.Contains(msg, []byte("re-pulled block has 2 tuples")) {
+		t.Fatalf("retry after a re-pull of another size: %s %q, want 502 naming the tuple counts", retry.Status, msg)
+	}
+	deleteSession(t, gw.URL, id)
+	wantBlocksBack(t, gwy)
 }
 
 // TestGatewayHopAllocGate bounds what one proxied block costs the whole
@@ -235,7 +274,7 @@ func TestGatewayHopAllocGate(t *testing.T) {
 		budget = 32 << 10
 	)
 	block := bytes.Repeat([]byte{0x5a}, size)
-	gw := newFakeGateway(t, fakeBackend(t, func(string) []byte { return block }, nil))
+	_, gw := newFakeGateway(t, fakeBackend(t, func(string) []byte { return block }, nil))
 	for _, hold := range []bool{false, true} {
 		t.Run(fmt.Sprintf("hold=%v", hold), func(t *testing.T) {
 			id, _ := openSession(t, gw.URL, `{"table":"t"}`)

@@ -23,7 +23,7 @@ import (
 // that does not promise gets for the same request — the body and every
 // block header. The scripts below run each request sequence on two fresh
 // stacks, one client promising and one not, compare what the two clients
-// saw, and then find every pooled block buffer back in the pool.
+// saw, and then find every block reference given back.
 
 // raOp is one client action of a script.
 type raOp int
@@ -223,10 +223,13 @@ func statsOf(t testing.TB, base string) Stats {
 	return st
 }
 
-// wantBuffersBack waits for every pooled block buffer to be given back.
-func wantBuffersBack(t *testing.T) {
+// wantBlocksBack waits for every gateway's block references to be given
+// back.
+func wantBlocksBack(t *testing.T, gws ...*Gateway) {
 	t.Helper()
-	waitFor(t, 5*time.Second, "every pooled block buffer back in the pool", func() bool { return bufsOut.Load() == 0 })
+	for _, g := range gws {
+		waitFor(t, 5*time.Second, "every block reference given back", func() bool { return g.RetainedBlocks() == 0 })
+	}
 }
 
 // runRAScript runs steps for a client that does not promise and for one
@@ -247,7 +250,7 @@ func runRAScript(t *testing.T, fl raFleet, rows int, hideHop bool, steps []raSte
 	if st := plain.gw.Stats(); st.ReadAheadHits+st.ReadAheadMisses != 0 {
 		t.Errorf("a client that never promised was read ahead for: %d hits, %d misses", st.ReadAheadHits, st.ReadAheadMisses)
 	}
-	wantBuffersBack(t)
+	wantBlocksBack(t, plain.gw, held.gw)
 	return held
 }
 
@@ -361,13 +364,13 @@ func TestGatewayReadAheadOutlivesItsConnection(t *testing.T) {
 	if held != rows || st.TuplesServed != rows {
 		t.Errorf("the client holds %d tuples, the backend served %d; want %d each", held, st.TuplesServed, rows)
 	}
-	wantBuffersBack(t)
+	wantBlocksBack(t, s.gw)
 }
 
 // FuzzGatewayReadAhead drives a promising and a plain client through the
 // same random requests — fresh pulls at changing sizes, legacy pulls,
 // retries, requests past the window and lost writes — and wants the same
-// responses and every pooled buffer back.
+// responses and every block reference given back.
 func FuzzGatewayReadAhead(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0, 5, 0, 2, 10, 0, 15, 15, 2, 0})
@@ -390,13 +393,13 @@ func FuzzGatewayReadAhead(f *testing.F) {
 // TestGatewayStalledReaderHitsWriteDeadline: a promising client asks for
 // a block far larger than the socket buffers and never reads it. The
 // write deadline ends the handler: it takes the block back, the DELETE
-// that waits for sess.mu answers, and every buffer is back in the pool.
+// that waits for sess.mu answers, and every block reference is back.
 func TestGatewayStalledReaderHitsWriteDeadline(t *testing.T) {
 	old := blockWriteDeadline
 	blockWriteDeadline = 300 * time.Millisecond
 	t.Cleanup(func() { blockWriteDeadline = old })
 	block := make([]byte, 8<<20)
-	gw := newFakeGateway(t, fakeBackend(t, func(string) []byte { return block }, nil))
+	gwy, gw := newFakeGateway(t, fakeBackend(t, func(string) []byte { return block }, nil))
 	id, _ := openSession(t, gw.URL, `{"table":"t"}`)
 
 	conn, err := net.Dial("tcp", gw.Listener.Addr().String())
@@ -408,7 +411,7 @@ func TestGatewayStalledReaderHitsWriteDeadline(t *testing.T) {
 	if _, err := fmt.Fprintf(conn, "POST /sessions/%s/next?size=1&seq=1&hold=1 HTTP/1.1\r\nHost: stalled\r\nContent-Length: 0\r\n\r\n", id); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "the stalled block's buffer", func() bool { return bufsOut.Load() > 0 })
+	waitFor(t, 5*time.Second, "the stalled block's buffer", func() bool { return gwy.RetainedBlocks() > 0 })
 
 	started := time.Now()
 	if got := deleteSession(t, gw.URL, id); got != "204 No Content" {
@@ -417,7 +420,7 @@ func TestGatewayStalledReaderHitsWriteDeadline(t *testing.T) {
 	if waited := time.Since(started); waited > 5*time.Second {
 		t.Fatalf("DELETE waited %v behind a stalled reader", waited)
 	}
-	wantBuffersBack(t)
+	wantBlocksBack(t, gwy)
 	if st := statsOf(t, gw.URL); st.BlocksProxied != 0 || st.ReadAheadHits+st.ReadAheadMisses != 0 {
 		t.Fatalf("after a write that timed out: %d blocks proxied, %d/%d read-ahead hits/misses; want all 0",
 			st.BlocksProxied, st.ReadAheadHits, st.ReadAheadMisses)

@@ -56,8 +56,9 @@ func (o Op) String() string {
 	}
 }
 
-// Ref counts the references to a record's payload buffer: Retain adds
-// one, and Release drops one, recycling the buffer with the last.
+// Ref counts the references to a record's payload: Retain adds one, and
+// Release drops one, recycling the payload's buffer with the last. The
+// service's retained block (blockcache.Entry) is one.
 type Ref interface {
 	Retain()
 	Release()
@@ -101,10 +102,10 @@ type Record struct {
 
 	// Ref, when non-nil, holds the reference to Payload that Append
 	// hands the log: its Release is called exactly once when the log no
-	// longer references Payload (eviction or Close) — the hook the
-	// service uses to refcount its pooled replay buffers. Read takes one
-	// more (Retain) to hold a payload past its record's eviction. It is
-	// not shipped.
+	// longer references Payload (eviction or Close), so the service can
+	// recycle a committed block's buffer only once no record names it.
+	// Read takes one more (Retain) to hold a payload past its record's
+	// eviction. It is not shipped.
 	Ref Ref
 }
 

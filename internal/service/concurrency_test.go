@@ -334,6 +334,10 @@ func TestCancelledPullFreesSessionAndParksRows(t *testing.T) {
 	if got := srv.Stats().BlocksServed; got != 0 {
 		t.Fatalf("cancelled pull counted as served (BlocksServed = %d)", got)
 	}
+	// Nothing was committed, so the block's one reference went with it.
+	if n := srv.RetainedBlocks(); n != 0 {
+		t.Fatalf("the cancelled block left %d references held", n)
+	}
 
 	// The retry of the same seq gets the parked rows: no tuple lost.
 	resp := pullBlock(t, ts, id, 10, 1)

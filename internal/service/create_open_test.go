@@ -164,7 +164,6 @@ func TestCreatingOpenShedHonoursAdmission(t *testing.T) {
 func TestCreatingOpenIsIdempotent(t *testing.T) {
 	const rows, size = 100, 10
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, rows), Codec: wire.Binary{}})
-	live := srv.TrackReplayRefs()
 	pc, resp := creatingOpen(t, ts, testName, `{"table":"items"}`, size, 3, 1)
 	if pc == nil {
 		t.Fatalf("creating open: %s", resp.Status)
@@ -209,7 +208,7 @@ func TestCreatingOpenIsIdempotent(t *testing.T) {
 		t.Fatalf("%d sessions opened, %d live, %d frames replayed; want 1, 1, 3", st.SessionsOpened, srv.SessionCount(), st.PushFramesReplayed)
 	}
 	deleteSession(t, ts, testName)
-	assertNoLiveReplayRefs(t, srv, live)
+	assertNoRetainedBlocks(t, srv)
 }
 
 // TestCreatingOpenRefusedByFaultLeavesNoState: an injected 503 answers a

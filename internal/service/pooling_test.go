@@ -16,18 +16,18 @@ import (
 
 // TestPooledBufferNotReusedWhileReplayLive is the liveness proof for the
 // encode-buffer pool: a block's pooled buffer must go back to the pool
-// only when its replayBlock is superseded by the next committed block or
-// the session closes — never while a same-seq retry could still be
-// served from it.
+// only when the block is superseded by the next committed block or the
+// session closes — never while a same-seq retry could still be served
+// from it.
 func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
-	var released []*replayBlock
-	testReplayRelease = func(rb *replayBlock) { released = append(released, rb) }
-	defer func() { testReplayRelease = nil }()
+	var released []*blockcache.Entry
+	blockcache.OnFinalRelease(func(rb *blockcache.Entry) { released = append(released, rb) })
+	defer blockcache.OnFinalRelease(nil)
 
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 200)})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 
-	seqOf := map[*replayBlock]int{}
+	seqOf := map[*blockcache.Entry]int{}
 	payloads := map[int][]byte{}
 	const blocks = 8
 	for seq := 1; seq <= blocks; seq++ {
@@ -48,10 +48,7 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 		sess.tail.mu.Lock()
 		rb := sess.tail.frames[len(sess.tail.frames)-1].rb
 		sess.tail.mu.Unlock()
-		if rb.buf == nil {
-			t.Fatalf("seq %d: live replay has no pooled buffer", seq)
-		}
-		if !bytes.Equal(rb.payload, body) {
+		if !bytes.Equal(rb.Bytes(), body) {
 			t.Fatalf("seq %d: replay buffer differs from served body", seq)
 		}
 		seqOf[rb] = seq
@@ -142,8 +139,8 @@ func TestReplayByteIdenticalUnderPoolReuse(t *testing.T) {
 // buffers too (when no pull holds the session lock).
 func TestExpireIdleReleasesReplayBuffers(t *testing.T) {
 	var released int
-	testReplayRelease = func(*replayBlock) { released++ }
-	defer func() { testReplayRelease = nil }()
+	blockcache.OnFinalRelease(func(*blockcache.Entry) { released++ })
+	defer blockcache.OnFinalRelease(nil)
 
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 50), SessionTTL: time.Nanosecond})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
@@ -179,13 +176,13 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var mu sync.Mutex
-			var released []*replayBlock
-			testReplayRelease = func(rb *replayBlock) {
+			var released []*blockcache.Entry
+			blockcache.OnFinalRelease(func(rb *blockcache.Entry) {
 				mu.Lock()
 				released = append(released, rb)
 				mu.Unlock()
-			}
-			defer func() { testReplayRelease = nil }()
+			})
+			defer blockcache.OnFinalRelease(nil)
 
 			rlog := replica.NewLog(64)
 			cfg := Config{
@@ -202,7 +199,6 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 				cfg.Cache = c
 			}
 			srv, ts := newTestServer(t, cfg)
-			live := srv.TrackReplayRefs()
 			id, _ := openSession(t, ts, `{"table":"items"}`)
 
 			// Block 1 commits normally (and ships), so the close-racing
@@ -268,18 +264,21 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 				t.Fatal("OpClose never shipped")
 			}
 
-			// Ownership invariant: once the log drops its references,
-			// every replay block has been fully released — block 1 (held
-			// by the log) and block 2 (the pull's close handoff). Pre-fix,
-			// block 2 stays parked in the unreachable session forever.
+			// Ownership invariant: the log's reference to block 1 is the
+			// only one left, and once the log drops it every block has been
+			// fully released — block 1 and block 2 (the pull's close
+			// handoff). Pre-fix, block 2 stays parked in the unreachable
+			// session forever. A cached block's last reference is the
+			// cache's, so only the pooled arm sees the final releases.
+			waitFor(t, func() bool { return srv.RetainedBlocks() == 1 })
 			rlog.Close()
 			mu.Lock()
 			n := len(released)
 			mu.Unlock()
-			if n != 2 {
-				t.Fatalf("%d replay blocks released, want 2 (close-racing pull must release its own commit)", n)
+			if !cached && n != 2 {
+				t.Fatalf("%d blocks released, want 2 (close-racing pull must release its own commit)", n)
 			}
-			assertNoLiveReplayRefs(t, srv, live)
+			assertNoRetainedBlocks(t, srv)
 		})
 	}
 }

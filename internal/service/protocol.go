@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"wsopt/internal/blockcache"
 )
 
 // The session protocol, server side (DESIGN.md §8). A session is one
@@ -181,11 +183,14 @@ func (c SeqClass) Refuse(w http.ResponseWriter, seq uint64) bool {
 
 // tailFrame is one committed-but-unacked block; the tail holds one
 // reference to rb for as long as the frame is retained, and a stream's
-// tail charges its bytes what retaining rb pins (replayBlock.pinned).
+// tail charges its bytes what retaining rb pins (Entry.Pinned). delayMS
+// is the delay the commit priced: a cached block is shared across
+// sessions, its price is this commit's.
 type tailFrame struct {
-	seq    uint64
-	rb     *replayBlock
-	charge int
+	seq     uint64
+	rb      *blockcache.Entry
+	delayMS float64
+	charge  int
 }
 
 // tail is a session's protocol state: the retained frames and the
@@ -231,12 +236,12 @@ type tail struct {
 	// ahead is a pull's read-ahead: the block after produced, prepared
 	// but not committed, so it has no number yet. The tail holds its one
 	// reference until a request takes it (takeAhead) or close releases it.
-	ahead *replayBlock
+	ahead *blockcache.Entry
 }
 
 // putAhead hands the tail a prepared block and its reference; a tail
 // closed since is not going to serve it, so it is released at once.
-func (t *tail) putAhead(rb *replayBlock) {
+func (t *tail) putAhead(rb *blockcache.Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -248,7 +253,7 @@ func (t *tail) putAhead(rb *replayBlock) {
 
 // takeAhead hands the prepared block, if any, and its reference to the
 // caller, who holds sess.mu: no other block can be prepared meanwhile.
-func (t *tail) takeAhead() *replayBlock {
+func (t *tail) takeAhead() *blockcache.Entry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rb := t.ahead

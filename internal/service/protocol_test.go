@@ -378,7 +378,6 @@ func TestStressCloseRacesCommit(t *testing.T) {
 	const sessions = 300
 	rlog := replica.NewLog(4 * sessions)
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 100), Codec: wire.Binary{}, Replica: rlog})
-	live := srv.TrackReplayRefs()
 	hc := ts.Client()
 	do := func(method, path string) {
 		req, _ := http.NewRequest(method, ts.URL+path, nil)
@@ -424,21 +423,21 @@ func TestStressCloseRacesCommit(t *testing.T) {
 	}
 	t.Logf("%d commits of a possible %d made it in before their close", commits, 2*sessions)
 	rlog.Close()
-	assertNoLiveReplayRefs(t, srv, live)
+	assertNoRetainedBlocks(t, srv)
 }
 
-// assertNoLiveReplayRefs waits briefly — a writer gives its reference
+// assertNoRetainedBlocks waits briefly — a writer gives its reference
 // back after the peer already holds the block — and then insists that
-// every reference to every replay block has been released, and every
-// byte a push tail charged credited back.
-func assertNoLiveReplayRefs(t *testing.T, srv *Server, live func() int64) {
+// every reference to every block has been released, and every byte a
+// push tail charged credited back.
+func assertNoRetainedBlocks(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for live() != 0 && time.Now().Before(deadline) {
+	for srv.RetainedBlocks() != 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := live(); n != 0 {
-		t.Fatalf("%d replay-block references still live after every session closed and the log drained", n)
+	if n := srv.RetainedBlocks(); n != 0 {
+		t.Fatalf("%d block references still held after every session closed and the log drained", n)
 	}
 	if n := srv.Stats().PushRetainedBytes; n != 0 {
 		t.Fatalf("%d bytes still charged to push tails after every session closed", n)

@@ -142,7 +142,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	for len(replays) > 0 {
 		f := replays[0]
 		replays = replays[1:]
-		if s.serveBlock(w, sess, framing{stream: true}, f.seq, f.rb, true, s.faults.decide(sess.id)) != nil {
+		if s.serveBlock(w, sess, framing{stream: true}, f, true, s.faults.decide(sess.id)) != nil {
 			return
 		}
 	}
@@ -166,7 +166,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			sess.mu.Unlock()
 			return
 		}
-		rb, seq, err := s.produceBlockLocked(r.Context(), sess, size)
+		f, err := s.produceBlockLocked(r.Context(), sess, size)
 		sess.mu.Unlock()
 		if err == errProduceCancelled {
 			return
@@ -175,7 +175,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			s.writeErrorFrame(w, sess, err)
 			return
 		}
-		if s.serveBlock(w, sess, framing{stream: true}, seq, rb, false, s.faults.decide(sess.id)) != nil {
+		if s.serveBlock(w, sess, framing{stream: true}, f, false, s.faults.decide(sess.id)) != nil {
 			return
 		}
 	}

@@ -253,7 +253,6 @@ func TestPushWindowCapIsAnnounced(t *testing.T) {
 func TestPushReconnectReplaysUnacked(t *testing.T) {
 	const rows = 400
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, rows), Codec: wire.Binary{}})
-	live := srv.TrackReplayRefs()
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 	pc, resp := openStream(t, ts, id, 40, 4, 0)
 	if pc == nil {
@@ -340,7 +339,7 @@ func TestPushReconnectReplaysUnacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	dresp.Body.Close()
-	assertNoLiveReplayRefs(t, srv, live)
+	assertNoRetainedBlocks(t, srv)
 }
 
 // TestPushRejectsPullAndStaleFrom: a session in push mode refuses
@@ -526,7 +525,6 @@ func TestPushRetainedBytesAreBounded(t *testing.T) {
 	const rows, size, maxFrame, sessions = 60000, 4000, 64 << 10, 4
 	reg := metrics.NewRegistry()
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, rows), Codec: wire.Binary{}, PushMaxFrameBytes: maxFrame, Metrics: reg})
-	live := srv.TrackReplayRefs()
 	budget := srv.pushBudget()
 	ids := make([]string, sessions)
 	var small atomic.Int64 // the size of a frame too small for the test's premise
@@ -586,5 +584,5 @@ func TestPushRetainedBytesAreBounded(t *testing.T) {
 	if n := srv.ExpireIdle(time.Now().Add(time.Hour)); n != sessions/2 {
 		t.Fatalf("expired %d sessions, want %d", n, sessions/2)
 	}
-	assertNoLiveReplayRefs(t, srv, live)
+	assertNoRetainedBlocks(t, srv)
 }

@@ -207,7 +207,6 @@ func runPullScript(t *testing.T, cat *minidb.Catalog, steps []pullStep) {
 			cfg.Cache = newTestCache(t, 64<<20)
 		}
 		srv, ts := newTestServer(t, cfg)
-		live := srv.TrackReplayRefs()
 		o := newPullOracle(t, cat, rs.codec)
 		passes := 1
 		if rs.cached {
@@ -227,7 +226,7 @@ func runPullScript(t *testing.T, cat *minidb.Catalog, steps []pullStep) {
 				t.Fatalf("%s pass %d: delete: %d", rs.name, pass, code)
 			}
 		}
-		assertNoLiveReplayRefs(t, srv, live)
+		assertNoRetainedBlocks(t, srv)
 		ts.Close()
 	}
 }
@@ -323,8 +322,8 @@ func (c *hookCodec) Encode(w io.Writer, schema minidb.Schema, rows []minidb.Row)
 // readAheadArms runs body on an uncached and a cached server, each with
 // a fresh hookCodec over the binary codec (the oracle encodes with the
 // binary codec itself); each arm must give back every reference
-// (TrackReplayRefs — which counts every cache entry the service holds
-// too, since an entry is only ever held through a replay block).
+// (RetainedBlocks, which counts the cache entries the service holds
+// beside its pooled blocks).
 func readAheadArms(t *testing.T, cat *minidb.Catalog, hook func() func(n int) error, body func(t *testing.T, srv *Server, ts *httptest.Server, o *pullOracle)) {
 	for _, cached := range []bool{false, true} {
 		name := "uncached"
@@ -337,9 +336,8 @@ func readAheadArms(t *testing.T, cat *minidb.Catalog, hook func() func(n int) er
 				cfg.Cache = newTestCache(t, 64<<20)
 			}
 			srv, ts := newTestServer(t, cfg)
-			live := srv.TrackReplayRefs()
 			body(t, srv, ts, newPullOracle(t, cat, wire.Binary{}))
-			assertNoLiveReplayRefs(t, srv, live)
+			assertNoRetainedBlocks(t, srv)
 		})
 	}
 }
@@ -463,7 +461,6 @@ func TestPullReadAheadSkipsStalledReader(t *testing.T) {
 	const rows, size = 12000, 4000 // 8 MiB blocks
 	cat := fatCatalog(t, rows)
 	srv, ts := newTestServer(t, Config{Catalog: cat, Codec: wire.Binary{}})
-	live := srv.TrackReplayRefs()
 	o := newPullOracle(t, cat, wire.Binary{})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 	o.pull(ts, id, pullStep{opFresh, size}, "block 1")
@@ -485,7 +482,7 @@ func TestPullReadAheadSkipsStalledReader(t *testing.T) {
 		t.Fatalf("after the stall: %+v", st)
 	}
 	deleteSession(t, ts, id)
-	assertNoLiveReplayRefs(t, srv, live)
+	assertNoRetainedBlocks(t, srv)
 }
 
 // discardWriter is a ResponseWriter that keeps nothing: the allocation

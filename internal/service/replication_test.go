@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"wsopt/internal/blockcache"
 	"wsopt/internal/replica"
 )
 
@@ -114,8 +115,8 @@ func TestReplicationShipsSessionLifecycle(t *testing.T) {
 func TestShippedReplayBufferRefcount(t *testing.T) {
 	var mu sync.Mutex
 	released := 0
-	testReplayRelease = func(*replayBlock) { mu.Lock(); released++; mu.Unlock() }
-	defer func() { testReplayRelease = nil }()
+	blockcache.OnFinalRelease(func(*blockcache.Entry) { mu.Lock(); released++; mu.Unlock() })
+	defer blockcache.OnFinalRelease(nil)
 
 	rlog := replica.NewLog(256) // large: no eviction during the pulls
 	_, ts := newTestServer(t, Config{Catalog: testCatalog(t, 200), Replica: rlog})
@@ -219,7 +220,7 @@ func TestShippedPayloadStableUnderPoolChurn(t *testing.T) {
 
 // TestShipCommitAllocGate holds replicating a commit to no allocation of
 // its own, steady state (run without the race detector: `scripts/verify.sh
-// allocgate`): the record's reference hook is the replay block itself,
+// allocgate`): the record's reference hook is the block itself,
 // not a closure or method value per block.
 func TestShipCommitAllocGate(t *testing.T) {
 	if testing.Short() {
@@ -228,8 +229,8 @@ func TestShipCommitAllocGate(t *testing.T) {
 	rlog := replica.NewLog(16)
 	srv, _ := newTestServer(t, Config{Catalog: testCatalog(t, 10), Replica: rlog})
 	sess := &session{id: "s"}
-	rb := &replayBlock{buf: new(bytes.Buffer), payload: []byte("block")}
-	rb.refs.Store(1) // the session's: the log's evictions never recycle it
+	// The session's reference: the log's evictions never recycle it.
+	rb := srv.refs.Copy([]byte("block"), 0, false)
 	// Fill the ring: from here on every append evicts.
 	for range 32 {
 		srv.shipCommit(sess, 1, rb)
@@ -238,7 +239,7 @@ func TestShipCommitAllocGate(t *testing.T) {
 		t.Fatalf("shipping a commit allocates %.1f times, gate is 0", allocs)
 	}
 	rlog.Close()
-	if n := rb.refs.Load(); n != 1 {
+	if n := srv.RetainedBlocks(); n != 1 {
 		t.Fatalf("%d references left on the block after the log closed, want the session's 1", n)
 	}
 }

@@ -108,8 +108,8 @@ type Config struct {
 	// session mutation (create, block commit, close/expiry) and is served
 	// as a pull feed at GET /replication/feed, so a follower can keep a
 	// standby copy of every session's cursor and in-flight block. The log
-	// holds a reference to each shipped block's pooled buffer until the
-	// record is evicted (see replayBlock.refs).
+	// holds a reference to each shipped block until the record is
+	// evicted (DESIGN.md §14).
 	Replica *replica.Log
 	// PushDisabled turns the server-push streaming transport off: the
 	// stream and credit endpoints answer 404 and every session is
@@ -164,9 +164,9 @@ type Server struct {
 
 	stats serverStats
 	hist  histograms
-	// replayRefs, when non-nil, counts the live references to this
-	// server's replay blocks (TrackReplayRefs; tests only).
-	replayRefs *atomic.Int64
+	// refs counts the block references this server holds
+	// (RetainedBlocks).
+	refs blockcache.Refs
 }
 
 // New builds a Server; the catalog is required.
@@ -434,101 +434,12 @@ type nextBlock struct {
 // touch records activity for the expiry janitor.
 func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
 
-// replayBlock is one committed block's encoded response. Its payload is
-// backed either by a pooled encode buffer (uncached blocks) or by a
-// retained immutable cache entry (cache hits); the backing is recycled
-// only when the last reference is gone — never while a retry could still
-// request this block — so replays serve the exact committed bytes.
-//
-// refs counts the holders (see tail for the rule): the session's tail
-// while the block is unacked, each writer for the duration of its write,
-// the replication log until the shipped record is evicted, and a feed
-// response for as long as its socket write takes.
-type replayBlock struct {
-	buf     *bytes.Buffer     // pooled encode buffer (nil for cache hits)
-	entry   *blockcache.Entry // retained cache entry (nil for pooled blocks)
-	payload []byte
-	tuples  int
-	done    bool
-	delayMS float64
-	refs    atomic.Int32
-	// live is the owning server's replayRefs (nil outside tests).
-	live *atomic.Int64
-}
-
-// pinned is what retaining rb holds out of the heap, the charge a
-// stream's tail puts on it: its pooled buffer's capacity, or its cache
-// entry's length. It is at most twice the payload, because the client
-// acks by the payload bytes it reads, once they reach half the budget
-// (HeaderPushWindowBytes): a charge past twice them could hold the
-// producer on an ack the client has no reason to send. Capacity past
-// that is a pooled buffer grown by an earlier, larger block.
-func (rb *replayBlock) pinned() int {
-	if rb.buf == nil {
-		return len(rb.payload)
-	}
-	return min(rb.buf.Cap(), 2*len(rb.payload))
-}
-
-// Retain adds a reference.
-func (rb *replayBlock) Retain() {
-	rb.refs.Add(1)
-	if rb.live != nil {
-		rb.live.Add(1)
-	}
-}
-
-// blockBufPool pools the per-pull encode buffers. Ownership rule: a
-// buffer obtained for a pull either travels into a replayBlock (recycled
-// by its last Release) or is returned on the spot when the encode
-// fails or its bytes were copied into a cache entry.
-var blockBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func putBlockBuf(buf *bytes.Buffer) {
-	buf.Reset()
-	blockBufPool.Put(buf)
-}
-
-// testReplayRelease, when non-nil (set only by tests, before traffic),
-// observes every replay-buffer release.
-var testReplayRelease func(rb *replayBlock)
-
-// TrackReplayRefs turns on the live-reference count of this server's
-// replay blocks and returns its reader. It is for tests, which call it
-// before any traffic and expect zero once every session is closed and
-// the replication log drained: an over-release panics (in the cache's
-// own count, or on the nil buffer of a block already recycled), an
-// under-release is otherwise silent.
-func (s *Server) TrackReplayRefs() (live func() int64) {
-	s.replayRefs = new(atomic.Int64)
-	return s.replayRefs.Load
-}
-
-// Release drops one reference to rb's backing and recycles it when the
-// last reference is gone: a pooled encode buffer goes back to the pool, a
-// cache entry gets its retained reference released. Holders release in
-// any order — only the final release recycles the backing.
-func (rb *replayBlock) Release() {
-	if rb.live != nil {
-		rb.live.Add(-1)
-	}
-	if rb.refs.Add(-1) > 0 {
-		return
-	}
-	// Only the releaser that took the last reference gets here; the
-	// atomic Add orders it after every other holder's release.
-	if testReplayRelease != nil {
-		testReplayRelease(rb)
-	}
-	if ent := rb.entry; ent != nil {
-		rb.entry, rb.payload = nil, nil
-		ent.Release()
-		return
-	}
-	buf := rb.buf
-	rb.buf, rb.payload = nil, nil
-	putBlockBuf(buf)
-}
+// RetainedBlocks returns how many references to blocks this server
+// holds: its sessions' tails and prepared blocks, writes in flight, and
+// the replication log's records and feed writes. It is zero once every
+// session is closed and the log closed; the cache's own references to
+// its residents are not counted.
+func (s *Server) RetainedBlocks() int64 { return s.refs.Live() }
 
 // closeSession ends a session already removed from the store: the tail
 // closes (its frames released, a parked producer woken) and only then is
@@ -561,10 +472,10 @@ func (s *Server) shipCreate(sess *session, body []byte) {
 // encoded payload a same-seq retry needs after this process dies. Called
 // at the commit point (commitLocked); the record holds its own reference
 // to the block until it falls out of the log, which releases it through
-// Record.Ref. The feed ships the payload from that same buffer, holding
+// Record.Ref. The feed ships the payload from that same block, holding
 // one more reference (Ref.Retain) for as long as the socket write takes.
 // rb is the Ref itself, so a shipped commit allocates no hook.
-func (s *Server) shipCommit(sess *session, seq uint64, rb *replayBlock) {
+func (s *Server) shipCommit(sess *session, seq uint64, rb *blockcache.Entry) {
 	if s.cfg.Replica == nil {
 		return
 	}
@@ -574,10 +485,10 @@ func (s *Server) shipCommit(sess *session, seq uint64, rb *replayBlock) {
 		Session:   sess.id,
 		Seq:       seq,
 		Committed: sess.cursor,
-		Tuples:    rb.tuples,
-		Done:      rb.done,
+		Tuples:    rb.Tuples(),
+		Done:      rb.Done(),
 		Codec:     s.codec.Name(),
-		Payload:   rb.payload,
+		Payload:   rb.Bytes(),
 		Ref:       rb,
 	})
 }
@@ -825,13 +736,12 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, t
 	rows := sess.next.rows
 	done = len(rows) < size
 	rows = rows[:min(size, len(rows))]
-	buf = blockBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	buf = blockcache.Buffer()
 	began := time.Now()
 	err = s.codec.Encode(buf, sess.iter.Schema(), rows)
 	s.hist.blockEncode.Observe(float64(time.Since(began)) / float64(time.Millisecond))
 	if err != nil {
-		putBlockBuf(buf)
+		blockcache.PutBuffer(buf)
 		s.stats.encodeFailures.Add(1)
 		s.logf("session %s: encode block: %v", sess.id, err)
 		return nil, 0, false, fmt.Errorf("encode block: %w", err)
@@ -844,49 +754,35 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, t
 // + encode otherwise — and returns it with one reference, its holder's.
 // A request and a read-ahead both make blocks here. Caller holds
 // sess.mu.
-func (s *Server) prepareLocked(sess *session, size int) (rb *replayBlock, err error) {
+func (s *Server) prepareLocked(sess *session, size int) (*blockcache.Entry, error) {
 	if s.cfg.Cache != nil {
 		key := blockcache.DeriveKey(sess.cacheFP, sess.cursor, size)
 		// The fill runs on the GetOrFill leader: this goroutine, holding
-		// sess.mu. NewEntry copies the bytes and the pooled buffer is back
-		// in the pool before the entry is published, so a cached payload
-		// can never alias a recycled buffer.
+		// sess.mu. Copy copies the bytes and the pooled buffer is back in
+		// the pool before the entry is published, so a cached payload can
+		// never alias a recycled buffer.
 		ent, _, cerr := s.cfg.Cache.GetOrFill(key, func() (*blockcache.Entry, error) {
 			buf, tuples, done, err := s.scanEncodeLocked(sess, size)
 			if err != nil {
 				return nil, err
 			}
-			ent := blockcache.NewEntry(buf.Bytes(), tuples, done)
-			putBlockBuf(buf)
+			ent := s.refs.Copy(buf.Bytes(), tuples, done)
+			blockcache.PutBuffer(buf)
 			return ent, nil
 		})
-		switch {
-		case cerr == nil:
-			// The reference GetOrFill retained for us becomes the block's.
-			rb = &replayBlock{entry: ent, payload: ent.Bytes(), tuples: ent.Tuples(), done: ent.Done()}
-		case cerr != blockcache.ErrFillFailed:
-			return nil, cerr // our own fill failed (scan or encode error)
+		// The reference GetOrFill retained for us is the holder's. A fill
+		// error is our own (scan or encode); ErrFillFailed is another
+		// session's concurrent fill of this key, and we produce the block
+		// the uncached way.
+		if cerr != blockcache.ErrFillFailed {
+			return ent, cerr
 		}
-		// ErrFillFailed: another session's concurrent fill of this key
-		// failed; produce the block the uncached way.
 	}
-	if rb == nil {
-		buf, tuples, done, err := s.scanEncodeLocked(sess, size)
-		if err != nil {
-			return nil, err
-		}
-		rb = &replayBlock{buf: buf, payload: buf.Bytes(), tuples: tuples, done: done}
+	buf, tuples, done, err := s.scanEncodeLocked(sess, size)
+	if err != nil {
+		return nil, err
 	}
-	rb.live = s.replayRefs
-	rb.Retain()
-	return rb, nil
-}
-
-// fits reports whether rb is the block a request for size tuples at the
-// same cursor gets: as many tuples, or the result set's last block,
-// which a larger size cannot lengthen.
-func (rb *replayBlock) fits(size int) bool {
-	return rb.tuples == size || rb.done && rb.tuples < size
+	return s.refs.Pooled(buf, tuples, done), nil
 }
 
 // pricedDelay prices a block of the given size under the current load
@@ -898,52 +794,53 @@ func (s *Server) pricedDelay(ctx context.Context, tuples int, rng *rand.Rand) (d
 	return delayMS, sleepInterruptible(ctx, time.Duration(delayMS*s.cfg.SleepScale*float64(time.Millisecond)))
 }
 
-// commitLocked makes rb the session's newest block: the cursor moves
-// past its tuples (and the next block's carried rows with it), the tail
-// records it, and the commit is replicated — the last two under the
-// tail's mutex, which close takes before OpClose is shipped. A session
-// deleted or expired while the caller held sess.mu therefore records
-// nothing and ships nothing (an OpCommit after the OpClose would
-// resurrect a ghost session on every follower); the caller still writes
-// the block it owes its peer, on its own write reference. It returns the
-// block's number. Caller holds sess.mu.
-func (s *Server) commitLocked(sess *session, rb *replayBlock) uint64 {
-	sess.cursor += int64(rb.tuples)
-	sess.next.rows = sess.next.rows[min(rb.tuples, len(sess.next.rows)):]
+// commitLocked makes rb, priced at delayMS, the session's newest block:
+// the cursor moves past its tuples (and the next block's carried rows
+// with it), the tail records it, and the commit is replicated — the last
+// two under the tail's mutex, which close takes before OpClose is
+// shipped. A session deleted or expired while the caller held sess.mu
+// therefore records nothing and ships nothing (an OpCommit after the
+// OpClose would resurrect a ghost session on every follower); the caller
+// still writes the block it owes its peer, on its own write reference.
+// It returns the block's frame. Caller holds sess.mu.
+func (s *Server) commitLocked(sess *session, rb *blockcache.Entry, delayMS float64) tailFrame {
+	sess.cursor += int64(rb.Tuples())
+	sess.next.rows = sess.next.rows[min(rb.Tuples(), len(sess.next.rows)):]
 	t := &sess.tail
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.produced++
-	t.done = rb.done
+	t.done = rb.Done()
+	f := tailFrame{seq: t.produced, rb: rb, delayMS: delayMS}
 	if !t.closed {
 		rb.Retain()
-		f := tailFrame{seq: t.produced, rb: rb}
 		if t.gen != 0 {
-			f.charge = rb.pinned()
+			f.charge = rb.Pinned()
 			t.charge(f.charge)
 		}
 		t.frames = append(t.frames, f)
 		s.shipCommit(sess, t.produced, rb)
-		if rb.done {
+		if rb.Done() {
 			// The cursor has left its group's fan-out: a client does not
 			// wait for a finished session's DELETE before its next one.
 			s.groups.leave(sess.group)
 		}
 	}
-	return t.produced
+	return f
 }
 
 // produceBlockLocked advances the session by exactly one block — the one
 // a read-ahead prepared when it fits the size, else a fresh prepare —
-// then sleeps the priced delay and commits. The returned block carries
-// the caller's write reference (see tail). On errProduceCancelled nothing
-// was committed and the rows stay carried for a same-seq retry. Both
-// framings drive the session through this single path. Caller holds
+// then sleeps the priced delay and commits. The returned frame's block
+// carries the caller's write reference (see tail). On errProduceCancelled
+// nothing was committed and the rows stay carried for a same-seq retry.
+// Both framings drive the session through this single path. Caller holds
 // sess.mu.
-func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int) (rb *replayBlock, seq uint64, err error) {
+func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int) (f tailFrame, err error) {
 	// The tail's reference to a prepared block becomes the caller's.
-	if rb = sess.tail.takeAhead(); rb != nil {
-		if rb.fits(size) {
+	rb := sess.tail.takeAhead()
+	if rb != nil {
+		if rb.Fits(size) {
 			s.stats.readAheadHits.Add(1)
 		} else {
 			// Asked for another size: only the encode is lost, the rows it
@@ -955,23 +852,23 @@ func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int
 	}
 	if rb == nil {
 		if rb, err = s.prepareLocked(sess, size); err != nil {
-			return nil, 0, err
+			return f, err
 		}
 	}
-	var slept bool
-	if rb.delayMS, slept = s.pricedDelay(ctx, rb.tuples, sess.rng); !slept {
+	delayMS, slept := s.pricedDelay(ctx, rb.Tuples(), sess.rng)
+	if !slept {
 		// The peer is gone mid-delay: release the session now instead of
 		// pinning it for the rest of the simulated delay. Nothing is
 		// committed: the rows stay carried and a cache entry resident, so a
 		// same-seq retry re-serves exactly this block.
 		rb.Release()
 		s.logf("session %s: block cancelled mid-delay", sess.id)
-		return nil, 0, errProduceCancelled
+		return f, errProduceCancelled
 	}
 	// Commit the block before attempting to write it: from here on the
 	// session state says "seq N was produced", and any delivery failure
 	// is recovered by replaying the retained bytes.
-	return rb, s.commitLocked(sess, rb), nil
+	return s.commitLocked(sess, rb, delayMS), nil
 }
 
 // readAheadLocked prepares the session's next block of size tuples and
@@ -1026,13 +923,13 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	if class.Refuse(w, seq) {
 		return
 	}
-	var rb *replayBlock
+	var f tailFrame
 	held := false
 	if class == SeqReplay {
-		rb = replays[0].rb
+		f = replays[0]
 	} else {
 		held, sess.pullSize = q.Hold || q.Size == sess.pullSize, q.Size
-		rb, seq, err = s.produceBlockLocked(r.Context(), sess, q.Size)
+		f, err = s.produceBlockLocked(r.Context(), sess, q.Size)
 		if err == errProduceCancelled {
 			return
 		}
@@ -1041,9 +938,9 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	last := rb.done
+	last := f.rb.Done()
 	// A legacy pull that sent no seq gets none echoed.
-	err = s.serveBlock(w, sess, framing{echoSeq: q.Seq != 0, started: started}, seq, rb, class == SeqReplay, fault)
+	err = s.serveBlock(w, sess, framing{echoSeq: q.Seq != 0, started: started}, f, class == SeqReplay, fault)
 	if held && !last && err == nil {
 		s.readAheadLocked(sess, q.Size)
 	}
@@ -1087,12 +984,13 @@ type framing struct {
 // or replayed — to a peer. It applies the injected drop/truncate fault,
 // bounds the write by blockWriteDeadline, counts the block before the
 // write and takes a failed write back, and feeds the histograms once the
-// write is through. It takes over the caller's write reference to rb and
-// drops it once the payload is written, before the flush that lets its
-// last bytes leave — so a peer that holds the whole block finds it given
-// back — or however the write ends otherwise (an injected fault leaves by
-// panic).
-func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, seq uint64, rb *replayBlock, replayed bool, fault faultKind) error {
+// write is through. It takes over the caller's write reference to the
+// frame's block and drops it once the payload is written, before the
+// flush that lets its last bytes leave — so a peer that holds the whole
+// block finds it given back — or however the write ends otherwise (an
+// injected fault leaves by panic).
+func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, tf tailFrame, replayed bool, fault faultKind) error {
+	seq, rb, payload := tf.seq, tf.rb, tf.rb.Bytes()
 	held := true
 	defer func() {
 		if held {
@@ -1105,18 +1003,18 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 		abortConnection()
 	}
 	rc := http.NewResponseController(w)
-	meta := BlockMeta{Seq: seq, Tuples: rb.tuples, Done: rb.done, Replayed: replayed, DelayMS: rb.delayMS}
+	meta := BlockMeta{Seq: seq, Tuples: rb.Tuples(), Done: rb.Done(), Replayed: replayed, DelayMS: tf.delayMS}
 	var f wire.Frame
 	if fr.stream {
-		if len(rb.payload) > s.cfg.PushMaxFrameBytes {
+		if len(payload) > s.cfg.PushMaxFrameBytes {
 			// The block stays committed and retained; a reconnect meets the
 			// same answer until the operator fixes the configuration.
 			err := fmt.Errorf("block %d encodes to %d bytes, past the %d push frame cap — lower the block size or raise -push-max-frame",
-				seq, len(rb.payload), s.cfg.PushMaxFrameBytes)
+				seq, len(payload), s.cfg.PushMaxFrameBytes)
 			s.writeErrorFrame(w, sess, err)
 			return err
 		}
-		f = meta.Frame(rb.payload)
+		f = meta.Frame(payload)
 	} else {
 		if !fr.echoSeq {
 			meta.Seq = 0
@@ -1127,7 +1025,7 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 		// The length is known before the first byte: say so, so a block
 		// larger than net/http's buffer does not leave chunked and the next
 		// hop (wsgate) can size its buffer once.
-		h.Set("Content-Length", strconv.Itoa(len(rb.payload)))
+		h.Set("Content-Length", strconv.Itoa(len(payload)))
 	}
 	if fault == faultTruncate {
 		s.countFault(fault)
@@ -1138,7 +1036,7 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 			_, _ = w.Write(image.Bytes()[:image.Len()/2])
 			_ = rc.Flush()
 		} else {
-			_, _ = w.Write(rb.payload[:len(rb.payload)/2])
+			_, _ = w.Write(payload[:len(payload)/2])
 		}
 		abortConnection()
 	}
@@ -1156,7 +1054,7 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 	if fr.stream {
 		err = wire.WriteFrame(w, f)
 	} else {
-		_, err = w.Write(rb.payload)
+		_, err = w.Write(payload)
 	}
 	if err == nil {
 		// A writer keeps no reference to what it was given (io.Writer).
@@ -1172,8 +1070,8 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 		s.logf("session %s: write block %d: %v", sess.id, seq, err)
 		return err
 	}
-	s.hist.blockSize.Observe(float64(rb.tuples))
-	s.hist.blockDelay.Observe(rb.delayMS)
+	s.hist.blockSize.Observe(float64(rb.Tuples()))
+	s.hist.blockDelay.Observe(tf.delayMS)
 	if !fr.stream {
 		s.hist.blockServe.Observe(float64(time.Since(fr.started)) / float64(time.Millisecond))
 	}
@@ -1182,9 +1080,9 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, se
 
 // countServed adds n (+1, or -1 to take a failed write back) serves of rb
 // to the counters a reader reconciles against delivered blocks.
-func (s *Server) countServed(fr framing, rb *replayBlock, replayed bool, n int64) {
+func (s *Server) countServed(fr framing, rb *blockcache.Entry, replayed bool, n int64) {
 	s.stats.blocksServed.Add(n)
-	s.stats.tuplesServed.Add(n * int64(rb.tuples))
+	s.stats.tuplesServed.Add(n * int64(rb.Tuples()))
 	if replayed {
 		s.stats.blocksReplayed.Add(n)
 	}

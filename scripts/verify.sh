@@ -21,13 +21,14 @@ gate_vet() {
 	}
 	check_owned
 	check_capabilities
+	check_retained
 	check_docs
 }
 
 # check_docs holds DESIGN.md to a byte ceiling: a change that does not add
 # a tier leaves it no larger than it found it, and one that adds a tier
 # raises the number here in the same diff.
-design_ceiling=140290
+design_ceiling=140251
 check_docs() {
 	size=$(wc -c <DESIGN.md)
 	[ "$size" -le "$design_ceiling" ] || {
@@ -49,6 +50,23 @@ check_capabilities() {
 		grep -v '^\./internal/core/' || true)
 	[ -z "$found" ] || {
 		echo "verify.sh: controller capability asserted outside internal/core (use core.NotifyDisturbance/PhaseOf/VectorOf/HoldsSize):" >&2
+		echo "$found" >&2
+		return 1
+	}
+}
+
+# check_retained fails when a non-test file outside internal/blockcache
+# declares a sync.Pool of *bytes.Buffer. A block that outlives its call
+# is a blockcache.Entry, whose one pool (blockcache.Buffer) recycles a
+# buffer only on the block's last release; a second pool would bring
+# back a second ownership rule and a second leak count. (Like
+# check_capabilities it checks the tree, not behaviour: a pool whose New
+# names bytes.Buffer within two lines of sync.Pool.)
+check_retained() {
+	found=$(grep -rnE -A2 --include='*.go' --exclude='*_test.go' 'sync\.Pool *\{' . |
+		grep -E 'bytes\.Buffer' | grep -v '^\./internal/blockcache/' || true)
+	[ -z "$found" ] || {
+		echo "verify.sh: a pool of block buffers outside internal/blockcache (use blockcache.Buffer and a retained blockcache.Entry):" >&2
 		echo "$found" >&2
 		return 1
 	}
