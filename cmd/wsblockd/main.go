@@ -10,6 +10,10 @@
 //	wsblockd -addr :8080 -cache-mem-bytes 67108864
 //	wsblockd -addr :8080 -sf 1 -data /var/lib/wsblockd   # tables kept under sf-1/
 //
+// Without -data (or on a first start with it) the tables are generated
+// before the listener opens: about 0.5 s at -sf 1 on two cores of a
+// Xeon, logged as "generated [customer orders] in ...".
+//
 // With -conf, per-block delays are drawn from the named calibrated cost
 // profile and injected (scaled by -timescale) so a laptop reproduces the
 // paper's WAN/loaded-server conditions. Load can also be adjusted at

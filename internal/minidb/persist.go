@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -114,19 +115,24 @@ func LoadTable(r io.Reader) (*Table, error) {
 	if magic != persistMagic {
 		return nil, errors.New("minidb: not a table file (bad magic)")
 	}
-	getString := func(what string, max uint64) (string, error) {
+	// readString appends the next length-prefixed string to b.
+	readString := func(b []byte, what string, max uint64) ([]byte, error) {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
-			return "", fmt.Errorf("minidb: load %s length: %w", what, err)
+			return nil, fmt.Errorf("minidb: load %s length: %w", what, err)
 		}
 		if n > max {
-			return "", fmt.Errorf("minidb: load %s: length %d over its bound %d", what, n, max)
+			return nil, fmt.Errorf("minidb: load %s: length %d over its bound %d", what, n, max)
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", fmt.Errorf("minidb: load %s: %w", what, err)
+		b = slices.Grow(b, int(n))
+		if _, err := io.ReadFull(br, b[len(b):len(b)+int(n)]); err != nil {
+			return nil, fmt.Errorf("minidb: load %s: %w", what, err)
 		}
-		return string(b), nil
+		return b[:len(b)+int(n)], nil
+	}
+	getString := func(what string, max uint64) (string, error) {
+		b, err := readString(nil, what, max)
+		return string(b), err
 	}
 	name, err := getString("table name", 4096)
 	if err != nil {
@@ -163,10 +169,10 @@ func LoadTable(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("minidb: load row count: %w", err)
 	}
-	const batch = 10000
-	rows := make([]Row, 0, batch)
+	b := NewBatch(tbl, int(min(nrows, math.MaxInt)))
+	var f64 [8]byte // out of the loop: io.ReadFull moves it to the heap
 	for i := uint64(0); i < nrows; i++ {
-		row := make(Row, ncols)
+		row := b.Row()
 		for j := range row {
 			flag, err := br.ReadByte()
 			if err != nil {
@@ -193,31 +199,24 @@ func LoadTable(r io.Reader) (*Table, error) {
 				}
 				row[j] = NewDate(v)
 			case Float64:
-				var buf [8]byte
-				if _, err := io.ReadFull(br, buf[:]); err != nil {
+				if _, err := io.ReadFull(br, f64[:]); err != nil {
 					return nil, fmt.Errorf("minidb: load float at row %d: %w", i, err)
 				}
-				row[j] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
+				row[j] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(f64[:])))
 			case String:
-				s, err := getString("string value", 1<<30)
+				text, err := readString(b.Text(), "string value", 1<<30)
 				if err != nil {
 					return nil, err
 				}
-				row[j] = NewString(s)
+				b.SetText(j, text)
 			}
 		}
-		rows = append(rows, row)
-		if len(rows) == batch {
-			if err := tbl.BulkLoad(rows); err != nil {
-				return nil, err
-			}
-			rows = rows[:0]
-		}
-	}
-	if len(rows) > 0 {
-		if err := tbl.BulkLoad(rows); err != nil {
+		if err := b.EndRow(); err != nil {
 			return nil, err
 		}
+	}
+	if err := b.Flush(); err != nil {
+		return nil, err
 	}
 	return tbl, nil
 }

@@ -55,15 +55,17 @@ func GenRegion(cat *minidb.Catalog) (*minidb.Table, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(5))
-	rows := make([]minidb.Row, 0, len(regionNames))
+	b := minidb.NewBatch(t, len(regionNames))
 	for i, name := range regionNames {
-		rows = append(rows, minidb.Row{
-			minidb.NewInt(int64(i)),
-			minidb.NewString(name),
-			minidb.NewString(comment(rng, 5+rng.Intn(8))),
-		})
+		r := b.Row()
+		r[0] = minidb.NewInt(int64(i))
+		r[1] = minidb.NewString(name)
+		b.SetText(2, appendComment(b.Text(), rng, 5+rng.Intn(8)))
+		if err := b.EndRow(); err != nil {
+			return nil, err
+		}
 	}
-	if err := t.BulkLoad(rows); err != nil {
+	if err := b.Flush(); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -76,16 +78,18 @@ func GenNation(cat *minidb.Catalog) (*minidb.Table, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(6))
-	rows := make([]minidb.Row, 0, len(nationTable))
+	b := minidb.NewBatch(t, len(nationTable))
 	for i, n := range nationTable {
-		rows = append(rows, minidb.Row{
-			minidb.NewInt(int64(i)),
-			minidb.NewString(n.name),
-			minidb.NewInt(n.region),
-			minidb.NewString(comment(rng, 4+rng.Intn(8))),
-		})
+		r := b.Row()
+		r[0] = minidb.NewInt(int64(i))
+		r[1] = minidb.NewString(n.name)
+		r[2] = minidb.NewInt(n.region)
+		b.SetText(3, appendComment(b.Text(), rng, 4+rng.Intn(8)))
+		if err := b.EndRow(); err != nil {
+			return nil, err
+		}
 	}
-	if err := t.BulkLoad(rows); err != nil {
+	if err := b.Flush(); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -13,6 +13,7 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"wsopt/internal/minidb"
 )
@@ -66,21 +67,37 @@ var (
 	streets = []string{"Oak", "Maple", "Cedar", "Elm", "Birch", "Walnut", "Spruce", "Ash"}
 )
 
-// comment builds a TPC-H-flavoured filler sentence of n words.
-func comment(rng *rand.Rand, n int) string {
-	out := make([]byte, 0, n*8)
+// appendComment appends a TPC-H-flavoured filler sentence of n words.
+func appendComment(b []byte, rng *rand.Rand, n int) []byte {
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			out = append(out, ' ')
+			b = append(b, ' ')
 		}
-		out = append(out, words[rng.Intn(len(words))]...)
+		b = append(b, words[rng.Intn(len(words))]...)
 	}
-	return string(out)
+	return b
 }
 
-// phone builds a TPC-H-style phone number for a nation key.
-func phone(rng *rand.Rand, nation int64) string {
-	return fmt.Sprintf("%02d-%03d-%03d-%04d", 10+nation, 100+rng.Intn(900), 100+rng.Intn(900), 1000+rng.Intn(9000))
+// appendPadded appends v in decimal, zero-padded to width digits (the
+// %0*d of fmt, for v >= 0).
+func appendPadded(b []byte, v int64, width int) []byte {
+	for d, p := 1, int64(10); d < width; d, p = d+1, p*10 {
+		if v < p {
+			b = append(b, '0')
+		}
+	}
+	return strconv.AppendInt(b, v, 10)
+}
+
+// appendPhone appends a TPC-H-style phone number for a nation key.
+func appendPhone(b []byte, rng *rand.Rand, nation int64) []byte {
+	b = appendPadded(b, 10+nation, 2)
+	b = append(b, '-')
+	b = appendPadded(b, int64(100+rng.Intn(900)), 3)
+	b = append(b, '-')
+	b = appendPadded(b, int64(100+rng.Intn(900)), 3)
+	b = append(b, '-')
+	return appendPadded(b, int64(1000+rng.Intn(9000)), 4)
 }
 
 // CustomerCount returns the CUSTOMER cardinality at the given scale.
@@ -101,31 +118,30 @@ func GenCustomer(cat *minidb.Catalog, sf float64) (*minidb.Table, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(42))
-	const batch = 10_000
-	rows := make([]minidb.Row, 0, batch)
+	b := minidb.NewBatch(t, n)
 	for i := 1; i <= n; i++ {
+		// The draw order is part of the dataset: that of one fmt.Sprintf
+		// per string cell, arguments left to right.
+		r := b.Row()
 		nation := int64(rng.Intn(25))
-		rows = append(rows, minidb.Row{
-			minidb.NewInt(int64(i)),
-			minidb.NewString(fmt.Sprintf("Customer#%09d", i)),
-			minidb.NewString(fmt.Sprintf("%d %s St Apt %d", 1+rng.Intn(9999), streets[rng.Intn(len(streets))], 1+rng.Intn(99))),
-			minidb.NewInt(nation),
-			minidb.NewString(phone(rng, nation)),
-			minidb.NewFloat(float64(rng.Intn(1100000)-100000) / 100), // -999.99 .. 9999.99
-			minidb.NewString(segments[rng.Intn(len(segments))]),
-			minidb.NewString(comment(rng, 8+rng.Intn(10))),
-		})
-		if len(rows) == batch {
-			if err := t.BulkLoad(rows); err != nil {
-				return nil, err
-			}
-			rows = rows[:0]
-		}
-	}
-	if len(rows) > 0 {
-		if err := t.BulkLoad(rows); err != nil {
+		r[0] = minidb.NewInt(int64(i))
+		b.SetText(1, appendPadded(append(b.Text(), "Customer#"...), int64(i), 9))
+		text := strconv.AppendInt(b.Text(), int64(1+rng.Intn(9999)), 10)
+		text = append(text, ' ')
+		text = append(text, streets[rng.Intn(len(streets))]...)
+		text = append(text, " St Apt "...)
+		b.SetText(2, strconv.AppendInt(text, int64(1+rng.Intn(99)), 10))
+		r[3] = minidb.NewInt(nation)
+		b.SetText(4, appendPhone(b.Text(), rng, nation))
+		r[5] = minidb.NewFloat(float64(rng.Intn(1100000)-100000) / 100) // -999.99 .. 9999.99
+		r[6] = minidb.NewString(segments[rng.Intn(len(segments))])
+		b.SetText(7, appendComment(b.Text(), rng, 8+rng.Intn(10)))
+		if err := b.EndRow(); err != nil {
 			return nil, err
 		}
+	}
+	if err := b.Flush(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -149,45 +165,48 @@ func GenOrders(cat *minidb.Catalog, sf float64) (*minidb.Table, error) {
 	const (
 		epochStart = 8035 // 1992-01-01 in days since 1970-01-01
 		dateRange  = 2405 // through 1998-08-02, as in TPC-H
-		batch      = 10000
 	)
-	rows := make([]minidb.Row, 0, batch)
+	b := minidb.NewBatch(t, n)
 	for i := 1; i <= n; i++ {
-		rows = append(rows, minidb.Row{
-			minidb.NewInt(int64(i)),
-			minidb.NewInt(int64(1 + rng.Intn(customers))),
-			minidb.NewString(statuses[rng.Intn(len(statuses))]),
-			minidb.NewFloat(float64(85000+rng.Intn(50000000)) / 100),
-			minidb.NewDate(int64(epochStart + rng.Intn(dateRange))),
-			minidb.NewString(priorities[rng.Intn(len(priorities))]),
-			minidb.NewString(fmt.Sprintf("Clerk#%09d", 1+rng.Intn(1000))),
-			minidb.NewInt(0),
-			minidb.NewString(comment(rng, 6+rng.Intn(12))),
-		})
-		if len(rows) == batch {
-			if err := t.BulkLoad(rows); err != nil {
-				return nil, err
-			}
-			rows = rows[:0]
-		}
-	}
-	if len(rows) > 0 {
-		if err := t.BulkLoad(rows); err != nil {
+		r := b.Row()
+		r[0] = minidb.NewInt(int64(i))
+		r[1] = minidb.NewInt(int64(1 + rng.Intn(customers)))
+		r[2] = minidb.NewString(statuses[rng.Intn(len(statuses))])
+		r[3] = minidb.NewFloat(float64(85000+rng.Intn(50000000)) / 100)
+		r[4] = minidb.NewDate(int64(epochStart + rng.Intn(dateRange)))
+		r[5] = minidb.NewString(priorities[rng.Intn(len(priorities))])
+		b.SetText(6, appendPadded(append(b.Text(), "Clerk#"...), int64(1+rng.Intn(1000)), 9))
+		r[7] = minidb.NewInt(0)
+		b.SetText(8, appendComment(b.Text(), rng, 6+rng.Intn(12)))
+		if err := b.EndRow(); err != nil {
 			return nil, err
 		}
+	}
+	if err := b.Flush(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
 // Load generates both relations at the given scale into a fresh catalog,
-// the standard setup of the examples and the live service.
+// the standard setup of the examples and the live service. The two are
+// generated at once, each from its own seeded source, so the rows do not
+// depend on how the goroutines are scheduled.
 func Load(sf float64) (*minidb.Catalog, error) {
 	cat := minidb.NewCatalog()
-	if _, err := GenCustomer(cat, sf); err != nil {
-		return nil, err
+	var ordersErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, ordersErr = GenOrders(cat, sf)
+	}()
+	_, customerErr := GenCustomer(cat, sf)
+	<-done
+	if customerErr != nil {
+		return nil, customerErr
 	}
-	if _, err := GenOrders(cat, sf); err != nil {
-		return nil, err
+	if ordersErr != nil {
+		return nil, ordersErr
 	}
 	return cat, nil
 }
