@@ -329,14 +329,23 @@ func (c *Cache) residentLocked(key Key) *Entry {
 // Get returns the cached entry for key with a reference retained for
 // the caller, or nil on a miss.
 func (c *Cache) Get(key Key) *Entry {
+	ent := c.Resident(key)
+	if ent == nil {
+		c.misses.Add(1)
+	}
+	return ent
+}
+
+// Resident is Get for a caller that fills key through GetOrFill on a
+// miss: it counts a hit and leaves the miss to GetOrFill, so that one
+// block is counted once.
+func (c *Cache) Resident(key Key) *Entry {
 	c.mu.Lock()
 	ent := c.residentLocked(key)
 	c.mu.Unlock()
-	if ent == nil {
-		c.misses.Add(1)
-		return nil
+	if ent != nil {
+		c.memHits.Add(1)
 	}
-	c.memHits.Add(1)
 	return ent
 }
 

@@ -84,6 +84,32 @@ func TestMemHitRetainsAndCounts(t *testing.T) {
 	}
 }
 
+// TestResidentLeavesTheMissToTheFill: a lookup that fills through
+// GetOrFill on a miss counts one block once — a hit, or the fill's miss.
+func TestResidentLeavesTheMissToTheFill(t *testing.T) {
+	c, err := New(Config{MemBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(1)
+	if got := c.Resident(k); got != nil {
+		t.Fatal("hit on an empty cache")
+	}
+	ent, _, err := c.GetOrFill(k, func() (*Entry, error) { return NewEntry(payload(10, 0xAB), 2, true), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := c.Resident(k)
+	if hit != ent {
+		t.Fatal("Resident did not return the filled entry")
+	}
+	ent.Release()
+	hit.Release()
+	if st := c.Stats(); st.MemHits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 hit and the fill's 1 miss", st)
+	}
+}
+
 func TestLRUEvictsByBytesOldestFirst(t *testing.T) {
 	released := make(map[*Entry]bool)
 	OnFinalRelease(func(e *Entry) { released[e] = true })

@@ -1,7 +1,14 @@
 package minidb
 
+import "slices"
+
 // batchRows is the most rows a Batch holds before it loads them.
 const batchRows = 10_000
+
+// textSlack is the room Text leaves past the arena's end: more than the
+// longest string of the generated relations, so that a string appended
+// to the arena does not grow it by append's small steps.
+const textSlack = 1 << 10
 
 // A Batch builds rows for one table and bulk-loads them 10 000 at a
 // time, in a few allocations per batch instead of one per row or cell:
@@ -15,10 +22,13 @@ const batchRows = 10_000
 //
 // The arena is copied into that string, so it is reused by the next
 // batch while the loaded strings stay as they were. The slab is not
-// reused: the table keeps its rows.
+// reused: the table keeps its rows. The row headers and the string cells
+// are sized from the first slab, and the arena doubles as it fills, so a
+// batch does not copy itself again and again while it grows.
 type Batch struct {
 	table *Table
 	width int
+	texts int // string columns: the most string cells a row holds
 	left  int // rows the caller has yet to start, bounding the next slab
 
 	cells []Value // the current slab; len = width × rows started
@@ -35,7 +45,13 @@ type span struct{ cell, start, end int }
 // to add in all; it only sizes the slabs, so that a short table does not
 // hold a slab of 10 000 rows.
 func NewBatch(t *Table, rows int) *Batch {
-	return &Batch{table: t, width: len(t.schema), left: rows}
+	b := &Batch{table: t, width: len(t.schema), left: rows}
+	for _, c := range t.schema {
+		if c.Type == String {
+			b.texts++
+		}
+	}
+	return b
 }
 
 // Row starts the next row: width zero Values, which the caller fills in
@@ -47,6 +63,9 @@ func (b *Batch) Row() Row {
 			n = min(b.left, batchRows)
 		}
 		b.cells = make([]Value, 0, n*b.width)
+		if b.rows == nil { // the first slab is the largest
+			b.rows, b.spans = make([]Row, 0, n), make([]span, 0, n*b.texts)
+		}
 	}
 	if b.left > 0 {
 		b.left--
@@ -67,9 +86,15 @@ func (b *Batch) EndRow() error {
 	return nil
 }
 
-// Text returns the batch's string arena. The caller appends one string's
-// bytes to it and hands the result to SetText.
-func (b *Batch) Text() []byte { return b.text }
+// Text returns the batch's string arena, with at least textSlack bytes
+// of room past its end: when it has less, the arena doubles. The caller
+// appends one string's bytes to it and hands the result to SetText.
+func (b *Batch) Text() []byte {
+	if cap(b.text)-len(b.text) < textSlack {
+		b.text = slices.Grow(b.text, max(cap(b.text), textSlack))
+	}
+	return b.text
+}
 
 // SetText makes column col of the current row a string: the bytes text
 // holds past the arena's end, text being what Text returned with the

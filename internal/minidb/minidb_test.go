@@ -142,6 +142,20 @@ func TestSchemaValidate(t *testing.T) {
 	if err := s.Validate(withNull); err != nil {
 		t.Errorf("NULL should conform: %v", err)
 	}
+	// The zero Value is the non-NULL INT64 0, not a NULL: a STRING column
+	// rejects it.
+	var zero Value
+	if zero.Null || zero.Kind != Int64 || zero.I != 0 || zero.String() != "0" {
+		t.Errorf("Value{} = %+v (%q), want the non-NULL INT64 0", zero, zero.String())
+	}
+	zeroed := testRow(1, "a", 2.5, 100)
+	zeroed[1] = Value{}
+	if s[1].Type != String {
+		t.Fatalf("column 1 is %v, the case needs a STRING column", s[1].Type)
+	}
+	if err := s.Validate(zeroed); err == nil {
+		t.Error("Value{} in a STRING column should be rejected")
+	}
 }
 
 func TestTableCreationErrors(t *testing.T) {

@@ -43,7 +43,9 @@ func (t Type) String() string {
 }
 
 // Value is a dynamically typed cell. Exactly one representation is
-// meaningful, selected by Kind; the zero value is a NULL.
+// meaningful, selected by Kind. The zero value is not a NULL: it is the
+// non-NULL INT64 0, which a column of another type rejects. Null builds
+// a NULL.
 type Value struct {
 	Kind Type
 	Null bool

@@ -85,7 +85,11 @@ type BlockMeta struct {
 func (m BlockMeta) WriteHeader(h http.Header) {
 	h.Set(HeaderBlockTuples, strconv.Itoa(m.Tuples))
 	h.Set(HeaderBlockDone, strconv.FormatBool(m.Done))
-	h.Set(HeaderInjectedDelayMS, strconv.FormatFloat(m.DelayMS, 'f', 3, 64))
+	delay := "0.000" // what FormatFloat writes for an unpriced block, without its allocation
+	if m.DelayMS != 0 {
+		delay = strconv.FormatFloat(m.DelayMS, 'f', 3, 64)
+	}
+	h.Set(HeaderInjectedDelayMS, delay)
 	if m.Seq != 0 {
 		h.Set(HeaderBlockSeq, strconv.FormatUint(m.Seq, 10))
 	}

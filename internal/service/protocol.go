@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"wsopt/internal/blockcache"
+	"wsopt/internal/minidb"
 )
 
 // The session protocol, server side (DESIGN.md §8). A session is one
@@ -233,31 +234,81 @@ type tail struct {
 	bytes, budget int
 	retained      *atomic.Int64
 
-	// ahead is a pull's read-ahead: the block after produced, prepared
-	// but not committed, so it has no number yet. The tail holds its one
-	// reference until a request takes it (takeAhead) or close releases it.
-	ahead *blockcache.Entry
+	// ahead are a pull's read-ahead slots: up to aheadDepth blocks after
+	// produced, prepared but not committed, so they have no number yet.
+	// aheadN of them are in use, oldest first from ahead[aheadAt]; those
+	// two indices belong to the handler, which holds sess.mu. Each slot's
+	// block is the tail's until a request takes it or close releases it.
+	ahead           [aheadDepth]aheadSlot
+	aheadAt, aheadN int
 }
 
-// putAhead hands the tail a prepared block and its reference; a tail
+// aheadDepth is the most blocks a pull keeps prepared: a pull that
+// promises its size (hold) keeps this many, one that repeats it keeps
+// one (handleNext).
+const aheadDepth = 2
+
+// aheadSlot is one block a pull's read-ahead prepares. The handler, under
+// sess.mu, fills in where the block is and what it holds — a cache hit
+// is ready at once; otherwise its rows are copied into rows, which the
+// slot owns, and encode runs on a goroutine of its own, off the lock.
+// Neither side touches those fields while the other may: the handler
+// writes them before it starts the encode and again only after ready
+// has said the encode ended.
+type aheadSlot struct {
+	srv  *Server
+	sess *session
+	// run is encode and fill is fillCache, each bound once per slot:
+	// `go sl.encode()` would allocate a closure per block.
+	run  func()
+	fill func() (*blockcache.Entry, error)
+	// ready receives once per encode, when its block is published.
+	ready chan struct{}
+
+	schema minidb.Schema
+	key    blockcache.Key
+	rows   []minidb.Row
+	tuples int
+	done   bool
+	// encoding is true from the encode's start until the handler has
+	// received its ready.
+	encoding bool
+	// rb is the prepared block and its one reference: nil while it is
+	// encoded, after a failed encode, or once close released it. Guarded
+	// by tail.mu.
+	rb *blockcache.Entry
+}
+
+// publish hands the tail a prepared block and its reference; a tail
 // closed since is not going to serve it, so it is released at once.
-func (t *tail) putAhead(rb *blockcache.Entry) {
+func (t *tail) publish(sl *aheadSlot, rb *blockcache.Entry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		rb.Release()
+		if rb != nil {
+			rb.Release()
+		}
 		return
 	}
-	t.ahead = rb
+	sl.rb = rb
 }
 
-// takeAhead hands the prepared block, if any, and its reference to the
-// caller, who holds sess.mu: no other block can be prepared meanwhile.
-func (t *tail) takeAhead() *blockcache.Entry {
+// popAhead takes the oldest read-ahead slot out once its encode has
+// ended and hands its block, if it has one, and the tail's reference to
+// the caller, who holds sess.mu: no other block can be prepared
+// meanwhile. The wait holds sess.mu as the encode it stands for once
+// did; neither the encode nor close takes sess.mu.
+func (t *tail) popAhead() *blockcache.Entry {
+	sl := &t.ahead[t.aheadAt]
+	if sl.encoding {
+		<-sl.ready
+		sl.encoding = false
+	}
+	t.aheadAt, t.aheadN = (t.aheadAt+1)%aheadDepth, t.aheadN-1
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rb := t.ahead
-	t.ahead = nil
+	rb := sl.rb
+	sl.rb = nil
 	return rb
 }
 
@@ -347,20 +398,23 @@ func (t *tail) grant(q Query) error {
 	return nil
 }
 
-// close ends the protocol: every retained frame and a prepared block are
-// released and a parked producer wakes. Called from the delete and
-// expiry paths without sess.mu. The caller ships OpClose after it
-// returns; commits take the same mutex, so no commit record can follow
-// the close record. It reports whether the result set was complete by
-// then.
+// close ends the protocol: every retained frame and every prepared block
+// are released and a parked producer wakes. An encode still running is
+// not waited for: it publishes into the closed tail, which releases its
+// block at once. Called from the delete and expiry paths without
+// sess.mu. The caller ships OpClose after it returns; commits take the
+// same mutex, so no commit record can follow the close record. It
+// reports whether the result set was complete by then.
 func (t *tail) close() (done bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.closed = true
 	t.ackLocked(t.produced)
-	if t.ahead != nil {
-		t.ahead.Release()
-		t.ahead = nil
+	for i := range t.ahead {
+		if sl := &t.ahead[i]; sl.rb != nil {
+			sl.rb.Release()
+			sl.rb = nil
+		}
 	}
 	t.cond.Broadcast()
 	return t.done

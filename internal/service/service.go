@@ -167,6 +167,40 @@ type Server struct {
 	// refs counts the block references this server holds
 	// (RetainedBlocks).
 	refs blockcache.Refs
+	// encodes counts the read-ahead encodes running off their handlers;
+	// RetainedBlocks joins them.
+	encodes inflight
+}
+
+// inflight counts goroutines in flight and lets a caller wait until none
+// is. Unlike a sync.WaitGroup, it may be waited on while more start.
+type inflight struct {
+	mu   sync.Mutex
+	idle sync.Cond // on mu; broadcast when n reaches zero
+	n    int
+}
+
+func (f *inflight) add() {
+	f.mu.Lock()
+	f.n++
+	f.mu.Unlock()
+}
+
+func (f *inflight) done() {
+	f.mu.Lock()
+	if f.n--; f.n == 0 {
+		f.idle.Broadcast()
+	}
+	f.mu.Unlock()
+}
+
+// wait returns once no goroutine is in flight.
+func (f *inflight) wait() {
+	f.mu.Lock()
+	for f.n > 0 {
+		f.idle.Wait()
+	}
+	f.mu.Unlock()
 }
 
 // New builds a Server; the catalog is required.
@@ -208,6 +242,7 @@ func New(cfg Config) (*Server, error) {
 
 		Admission: NewAdmission(cfg.MaxSessions, cfg.RetryAfter),
 	}
+	s.encodes.idle.L = &s.encodes.mu
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
@@ -283,9 +318,9 @@ type Stats struct {
 	// now, summed over sessions: each is held to its byte budget plus
 	// one frame.
 	PushRetainedBytes int64 `json:"push_retained_bytes"`
-	// ReadAheadHits counts blocks a pull's read-ahead prepared that the
-	// next request took; ReadAheadMisses those it dropped because the
-	// request asked for another size (handleNext).
+	// ReadAheadHits counts blocks a pull's read-ahead prepared that a
+	// request took; ReadAheadMisses those it released unused, one per
+	// block, so it counts wasted prepares exactly (takeAheadLocked).
 	ReadAheadHits   int64 `json:"read_ahead_hits"`
 	ReadAheadMisses int64 `json:"read_ahead_misses"`
 	// StreamSessionsOpened counts sessions created with a stream-group
@@ -418,13 +453,13 @@ type session struct {
 	pullSize int
 }
 
-// nextBlock is the rows of a session's next block already pulled from
+// nextBlock is the rows of the session's next blocks already pulled from
 // the iterator and not yet committed, from the cursor on. An encode
 // failure, a cancelled delay and a read-ahead leave them here, and a
 // commit consumes its tuples' worth, so every block is cut at the cursor
 // at the size its request asks for, whatever the block before it left
-// behind. The block's encoded bytes, when a read-ahead made them, are
-// the tail's (tail.ahead): close releases them without sess.mu.
+// behind. The encoded bytes of the blocks a read-ahead prepared are the
+// tail's (tail.ahead): close releases them without sess.mu.
 type nextBlock struct {
 	rows []minidb.Row
 	// end reports that the iterator is exhausted after rows.
@@ -438,8 +473,13 @@ func (sess *session) touch() { sess.lastUsed.Store(time.Now().UnixNano()) }
 // holds: its sessions' tails and prepared blocks, writes in flight, and
 // the replication log's records and feed writes. It is zero once every
 // session is closed and the log closed; the cache's own references to
-// its residents are not counted.
-func (s *Server) RetainedBlocks() int64 { return s.refs.Live() }
+// its residents are not counted. It first waits for the read-ahead
+// encodes in flight, so that a block one publishes into a closed tail
+// is already released when it counts.
+func (s *Server) RetainedBlocks() int64 {
+	s.encodes.wait()
+	return s.refs.Live()
+}
 
 // closeSession ends a session already removed from the store: the tail
 // closes (its frames released, a parked producer woken) and only then is
@@ -722,29 +762,57 @@ func (sess *session) fillLocked(size int) error {
 	return nil
 }
 
-// scanEncodeLocked encodes the block of size tuples at the cursor into a
-// pooled buffer, which the caller owns (commit it or pool it): the rows
-// next carries, topped up from the iterator. Its rows stay carried until
-// a commit consumes them, so an encode failure loses none: a retry of the
-// same seq re-encodes. done means the block is shorter than size — the
-// iterator ran out, as minidb.NextBlockAppend reports it. Caller holds
-// sess.mu.
-func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, tuples int, done bool, err error) {
-	if err := sess.fillLocked(size); err != nil {
-		return nil, 0, false, err
+// blockRowsLocked returns the rows of the block of size tuples that
+// starts off tuples past the cursor — the rows next carries, topped up
+// from the iterator — and whether it ends the result set: done means the
+// block is shorter than size, as minidb.NextBlockAppend reports it. The
+// rows stay carried until a commit consumes them, so an encode failure
+// loses none. The slice is a window on sess.batch that the next fill may
+// move. Caller holds sess.mu.
+func (sess *session) blockRowsLocked(off, size int) (rows []minidb.Row, done bool, err error) {
+	if err := sess.fillLocked(off + size); err != nil {
+		return nil, false, err
 	}
-	rows := sess.next.rows
-	done = len(rows) < size
-	rows = rows[:min(size, len(rows))]
-	buf = blockcache.Buffer()
+	rows = sess.next.rows[min(off, len(sess.next.rows)):]
+	return rows[:min(size, len(rows))], len(rows) < size, nil
+}
+
+// encodeBlock encodes rows into a pooled buffer, which the caller owns
+// (commit it or pool it). It reads no session state but its id, so a
+// read-ahead runs it off the session's lock.
+func (s *Server) encodeBlock(sess *session, schema minidb.Schema, rows []minidb.Row) (*bytes.Buffer, error) {
+	buf := blockcache.Buffer()
 	began := time.Now()
-	err = s.codec.Encode(buf, sess.iter.Schema(), rows)
+	err := s.codec.Encode(buf, schema, rows)
 	s.hist.blockEncode.Observe(float64(time.Since(began)) / float64(time.Millisecond))
 	if err != nil {
 		blockcache.PutBuffer(buf)
 		s.stats.encodeFailures.Add(1)
 		s.logf("session %s: encode block: %v", sess.id, err)
-		return nil, 0, false, fmt.Errorf("encode block: %w", err)
+		return nil, fmt.Errorf("encode block: %w", err)
+	}
+	return buf, nil
+}
+
+// cacheCopy is the entry a cache fill publishes: a private copy of buf,
+// which is back in the pool before the entry is resident, so that a
+// cached payload can never alias a recycled buffer.
+func (s *Server) cacheCopy(buf *bytes.Buffer, tuples int, done bool) *blockcache.Entry {
+	ent := s.refs.Copy(buf.Bytes(), tuples, done)
+	blockcache.PutBuffer(buf)
+	return ent
+}
+
+// scanEncodeLocked encodes the block of size tuples at the cursor into a
+// pooled buffer, which the caller owns; a retry of the same seq after a
+// failure re-encodes the carried rows. Caller holds sess.mu.
+func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, tuples int, done bool, err error) {
+	rows, done, err := sess.blockRowsLocked(0, size)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if buf, err = s.encodeBlock(sess, sess.iter.Schema(), rows); err != nil {
+		return nil, 0, false, err
 	}
 	return buf, len(rows), done, nil
 }
@@ -752,23 +820,20 @@ func (s *Server) scanEncodeLocked(sess *session, size int) (buf *bytes.Buffer, t
 // prepareLocked makes the block of size tuples at the cursor without
 // committing it — the cache when it has the block or can be filled, scan
 // + encode otherwise — and returns it with one reference, its holder's.
-// A request and a read-ahead both make blocks here. Caller holds
-// sess.mu.
+// A request makes its block here when no read-ahead prepared it (the
+// read-ahead's own prepare is split at the lock: prepareAheadLocked).
+// Caller holds sess.mu.
 func (s *Server) prepareLocked(sess *session, size int) (*blockcache.Entry, error) {
 	if s.cfg.Cache != nil {
 		key := blockcache.DeriveKey(sess.cacheFP, sess.cursor, size)
 		// The fill runs on the GetOrFill leader: this goroutine, holding
-		// sess.mu. Copy copies the bytes and the pooled buffer is back in
-		// the pool before the entry is published, so a cached payload can
-		// never alias a recycled buffer.
+		// sess.mu.
 		ent, _, cerr := s.cfg.Cache.GetOrFill(key, func() (*blockcache.Entry, error) {
 			buf, tuples, done, err := s.scanEncodeLocked(sess, size)
 			if err != nil {
 				return nil, err
 			}
-			ent := s.refs.Copy(buf.Bytes(), tuples, done)
-			blockcache.PutBuffer(buf)
-			return ent, nil
+			return s.cacheCopy(buf, tuples, done), nil
 		})
 		// The reference GetOrFill retained for us is the holder's. A fill
 		// error is our own (scan or encode); ErrFillFailed is another
@@ -837,19 +902,7 @@ func (s *Server) commitLocked(sess *session, rb *blockcache.Entry, delayMS float
 // Both framings drive the session through this single path. Caller holds
 // sess.mu.
 func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int) (f tailFrame, err error) {
-	// The tail's reference to a prepared block becomes the caller's.
-	rb := sess.tail.takeAhead()
-	if rb != nil {
-		if rb.Fits(size) {
-			s.stats.readAheadHits.Add(1)
-		} else {
-			// Asked for another size: only the encode is lost, the rows it
-			// pulled are still carried.
-			s.stats.readAheadMisses.Add(1)
-			rb.Release()
-			rb = nil
-		}
-	}
+	rb := s.takeAheadLocked(sess, size)
 	if rb == nil {
 		if rb, err = s.prepareLocked(sess, size); err != nil {
 			return f, err
@@ -860,8 +913,10 @@ func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int
 		// The peer is gone mid-delay: release the session now instead of
 		// pinning it for the rest of the simulated delay. Nothing is
 		// committed: the rows stay carried and a cache entry resident, so a
-		// same-seq retry re-serves exactly this block.
+		// same-seq retry re-serves exactly this block. The blocks prepared
+		// after it would follow a block that never was: they go too.
 		rb.Release()
+		s.dropAheadLocked(sess)
 		s.logf("session %s: block cancelled mid-delay", sess.id)
 		return f, errProduceCancelled
 	}
@@ -871,31 +926,143 @@ func (s *Server) produceBlockLocked(ctx context.Context, sess *session, size int
 	return s.commitLocked(sess, rb, delayMS), nil
 }
 
-// readAheadLocked prepares the session's next block of size tuples and
-// leaves it in the tail for the request that asks for it: run after a
-// block is flushed, it overlaps this block's encode with the client's
-// decode of the last one. It commits nothing and prices nothing (the
-// delay-noise draws stay in request order), and a block the next request
-// cannot use costs only its encode (produceBlockLocked). A failure leaves
-// the rows carried for that request to meet. Caller holds sess.mu.
-func (s *Server) readAheadLocked(sess *session, size int) {
-	if !sess.tail.live(0) {
-		return // deleted or expired under this pull
+// takeAheadLocked hands the caller the oldest block the read-ahead
+// prepared, and the tail's reference with it, when it fits size — the
+// block at the cursor is then exactly the one a fresh prepare would make
+// — waiting for its encode if that still runs. Otherwise it drops every
+// prepared block (dropAheadLocked) and returns nil: the caller prepares
+// afresh from the rows still carried. A slot without a block (its encode
+// failed, or close released it) drops the slots after it too. Caller
+// holds sess.mu.
+func (s *Server) takeAheadLocked(sess *session, size int) *blockcache.Entry {
+	if sess.tail.aheadN == 0 {
+		return nil
 	}
-	rb, err := s.prepareLocked(sess, size)
+	if rb := sess.tail.popAhead(); rb != nil {
+		if rb.Fits(size) {
+			s.stats.readAheadHits.Add(1)
+			return rb
+		}
+		rb.Release()
+		s.stats.readAheadMisses.Add(1)
+	}
+	s.dropAheadLocked(sess)
+	return nil
+}
+
+// dropAheadLocked releases every prepared block once its encode has
+// ended, one miss each; the rows they were made of stay carried. Caller
+// holds sess.mu.
+func (s *Server) dropAheadLocked(sess *session) {
+	for sess.tail.aheadN > 0 {
+		if rb := sess.tail.popAhead(); rb != nil {
+			rb.Release()
+			s.stats.readAheadMisses.Add(1)
+		}
+	}
+}
+
+// readAheadLocked tops the session's read-ahead slots up to depth blocks
+// of size tuples, in order after the newest committed block, and returns
+// without waiting for an encode: run after a block is flushed, it
+// overlaps the next blocks' encodes with the client's decode of this
+// one, and with each other. It commits nothing and prices nothing (the
+// delay-noise draws stay in request order), and it stops after a block
+// that ends the result set. A failure leaves the rows carried for a
+// request to meet. Caller holds sess.mu.
+func (s *Server) readAheadLocked(sess *session, size, depth int) {
+	t := &sess.tail
+	at := sess.cursor
+	for i := range t.aheadN {
+		sl := &t.ahead[(t.aheadAt+i)%aheadDepth]
+		if sl.done {
+			return
+		}
+		at += int64(sl.tuples)
+	}
+	for t.aheadN < depth && t.live(0) { // a DELETE or expiry under this pull stops it
+		sl := &t.ahead[(t.aheadAt+t.aheadN)%aheadDepth]
+		if !s.prepareAheadLocked(sess, sl, at, size) {
+			return
+		}
+		t.aheadN++
+		if sl.done {
+			return
+		}
+		at += int64(sl.tuples)
+	}
+}
+
+// prepareAheadLocked is the part of a read-ahead prepare that needs the
+// session: it fills slot sl with the block of size tuples at absolute
+// position at. A cache hit is ready at once; otherwise the block's rows
+// are scanned, their headers copied into the slot (the next fill moves
+// sess.batch's), and the encode started on a goroutine of its own
+// (aheadSlot.encode). It reports false, with nothing in the slot, when
+// the scan failed. Caller holds sess.mu.
+func (s *Server) prepareAheadLocked(sess *session, sl *aheadSlot, at int64, size int) bool {
+	if sl.run == nil {
+		sl.srv, sl.sess, sl.schema, sl.ready = s, sess, sess.iter.Schema(), make(chan struct{}, 1)
+		sl.run, sl.fill = sl.encode, sl.fillCache
+	}
+	if s.cfg.Cache != nil {
+		sl.key = blockcache.DeriveKey(sess.cacheFP, at, size)
+		if rb := s.cfg.Cache.Resident(sl.key); rb != nil {
+			sl.tuples, sl.done = rb.Tuples(), rb.Done()
+			sess.tail.publish(sl, rb)
+			return true
+		}
+	}
+	rows, done, err := sess.blockRowsLocked(int(at-sess.cursor), size)
 	if err != nil {
 		s.logf("session %s: read ahead: %v", sess.id, err)
-		return
+		return false
 	}
-	sess.tail.putAhead(rb)
+	sl.rows, sl.tuples, sl.done, sl.encoding = append(sl.rows[:0], rows...), len(rows), done, true
+	s.encodes.add()
+	go sl.run()
+	return true
+}
+
+// encode is the body of a slot's encode goroutine: it makes the slot's
+// block from the slot's own rows — through the cache when the server has
+// one, so that a concurrent fill of the same key is shared — publishes
+// it, and reports on ready.
+func (sl *aheadSlot) encode() {
+	s := sl.srv
+	var rb *blockcache.Entry
+	var err error
+	if s.cfg.Cache != nil {
+		rb, _, err = s.cfg.Cache.GetOrFill(sl.key, sl.fill)
+	}
+	// No cache, or another session's fill of this key failed: encode
+	// the uncached way.
+	if rb == nil && (err == nil || err == blockcache.ErrFillFailed) {
+		var buf *bytes.Buffer
+		if buf, err = s.encodeBlock(sl.sess, sl.schema, sl.rows); err == nil {
+			rb = s.refs.Pooled(buf, sl.tuples, sl.done)
+		}
+	}
+	sl.sess.tail.publish(sl, rb)
+	sl.ready <- struct{}{}
+	s.encodes.done()
+}
+
+// fillCache is the slot's cache fill.
+func (sl *aheadSlot) fillCache() (*blockcache.Entry, error) {
+	buf, err := sl.srv.encodeBlock(sl.sess, sl.schema, sl.rows)
+	if err != nil {
+		return nil, err
+	}
+	return sl.srv.cacheCopy(buf, sl.tuples, sl.done), nil
 }
 
 // handleNext serves POST /sessions/{id}/next: the response framing, one
-// block per request. A client that asks for the size it asked for last,
-// or promises to ask for this one again (hold), is read ahead for: once a fresh block that is not the last is flushed,
-// the handler prepares the next one before it returns — still holding
-// sess.mu, and net/http reads no further request on this connection
-// until it does.
+// block per request. A client that promises to ask for this size again
+// (hold) is read ahead for two blocks deep, one that asks for the size it
+// asked for last one block deep: once a fresh block that is not the last
+// is flushed, the handler scans the next blocks and starts their encodes
+// (readAheadLocked), then returns.
 func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
 	sess, ok := s.sessions.get(r.PathValue("id"))
@@ -924,11 +1091,17 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var f tailFrame
-	held := false
+	depth := 0
 	if class == SeqReplay {
 		f = replays[0]
 	} else {
-		held, sess.pullSize = q.Hold || q.Size == sess.pullSize, q.Size
+		switch {
+		case q.Hold:
+			depth = aheadDepth
+		case q.Size == sess.pullSize:
+			depth = 1
+		}
+		sess.pullSize = q.Size
 		f, err = s.produceBlockLocked(r.Context(), sess, q.Size)
 		if err == errProduceCancelled {
 			return
@@ -941,8 +1114,8 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	last := f.rb.Done()
 	// A legacy pull that sent no seq gets none echoed.
 	err = s.serveBlock(w, sess, framing{echoSeq: q.Seq != 0, started: started}, f, class == SeqReplay, fault)
-	if held && !last && err == nil {
-		s.readAheadLocked(sess, q.Size)
+	if depth > 0 && !last && err == nil {
+		s.readAheadLocked(sess, q.Size, depth)
 	}
 }
 

@@ -71,7 +71,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("wsopt_service_push_credit_grants_total", "Credit updates accepted on the push side channel.", st.pushCreditGrants.Load)
 	reg.CounterFunc("wsopt_service_push_credit_stalls_total", "Push producer waits that blocked on an exhausted credit window.", st.pushCreditStalls.Load)
 	reg.CounterFunc("wsopt_service_push_window_clamped_total", "Push stream opens that asked for a window above the server's cap and were cut to it.", st.pushWindowClamped.Load)
-	const readAheadHelp = "Blocks a pull's read-ahead prepared, by outcome: taken by the next request (hit) or dropped because it asked for another size (miss)."
+	const readAheadHelp = "Blocks a pull's read-ahead prepared, by outcome: taken by a request (hit) or released unused, one per block (miss)."
 	reg.CounterFunc("wsopt_service_read_ahead_total", readAheadHelp, st.readAheadHits.Load, metrics.L("outcome", "hit"))
 	reg.CounterFunc("wsopt_service_read_ahead_total", readAheadHelp, st.readAheadMisses.Load, metrics.L("outcome", "miss"))
 	const faultsHelp = "Transport faults fired by the chaos layer, by kind."

@@ -170,6 +170,22 @@ func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 			do(pullSeq(t, ts, a, 5, 5), 200) // size held: block 6 is prepared at 5
 			do(pullSeq(t, ts, a, 5, 6), 200)
 		}, func(st Stats) bool { return st.ReadAheadHits == 2 && st.ReadAheadMisses == 1 }},
+		{"two read-aheads a promising pull cannot use", func() {
+			if code := deleteSession(t, ts, b); code != http.StatusNoContent {
+				t.Fatalf("delete: %d", code)
+			}
+			c, _ := openSession(t, ts, `{"table":"items"}`)
+			q := Query{Size: 10, Seq: 1, Hold: true} // blocks 2 and 3 are prepared at 10
+			resp, err := http.Post(ts.URL+"/sessions/"+c+"/next?"+q.Encode(), "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			do(resp, 200)
+			do(pullSeq(t, ts, c, 5, 2), 200)
+		}, func(st Stats) bool {
+			// One miss per prepared block dropped.
+			return st.ReadAheadMisses == 3 && st.ReadAheadHits == 2 && st.SessionsOpened == 3
+		}},
 	}
 	for _, step := range steps {
 		step.act()
