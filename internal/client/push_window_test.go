@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -243,7 +244,10 @@ func TestPushWindowAboveServerCapStillFlows(t *testing.T) {
 // below the frame count that acks (maxAckBatch), so a client that acked
 // by frames alone would leave the producer parked until the watchdog and
 // a reconnect. The open's 200 announces the budget, and the client acks
-// once half of it is pending.
+// once half of it is pending. The consumer holds its first block until
+// the producer has stalled on the budget: the prefetcher pulls one more
+// block meanwhile and then waits, so no further grant is queued and the
+// stall is certain, not left to the scheduler.
 func TestPushWindowBytesStillFlows(t *testing.T) {
 	// Frames of 18.8 kB against a budget of twice 28 KiB.
 	const rows, size = 20000, 2000
@@ -255,7 +259,17 @@ func TestPushWindowBytesStillFlows(t *testing.T) {
 	c.SetRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond})
 	c.SetPush(PushConfig{Enabled: true})
 	start := time.Now()
-	res, err := c.Run(context.Background(), Query{Table: "data"}, core.NewStatic(size), MetricPerBlock, false)
+	first := true
+	awaitStall := func(minidb.Schema, []minidb.Row) error {
+		for ; first && srv.Stats().PushCreditStalls == 0; time.Sleep(time.Millisecond) {
+			if time.Since(start) > time.Second {
+				return errors.New("the producer never stalled on the byte budget")
+			}
+		}
+		first = false
+		return nil
+	}
+	res, err := c.RunPipelined(context.Background(), Query{Table: "data"}, core.NewStatic(size), MetricPerBlock, false, awaitStall)
 	if err != nil || res.Tuples != rows || res.Retries != 0 {
 		t.Fatalf("push run: %+v, %v", res, err)
 	}

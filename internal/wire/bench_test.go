@@ -362,11 +362,9 @@ func TestXMLDecodeAllocGate(t *testing.T) {
 }
 
 // BenchmarkGzipEncode is the server's compute term on the +gzip paths:
-// one block encoded and deflated, alone (serial: the closed-loop pull,
-// where the process's other cores idle) and with every core already
-// encoding (saturated: b.RunParallel, where no core is spare and the
-// chunked deflate must cost what a serial one does). DESIGN.md §14
-// records its -cpu 1,2 figures.
+// one block encoded and deflated, alone (serial: one encode at a time)
+// and with every core already encoding (saturated: b.RunParallel, more
+// callers than cores, as under load).
 func BenchmarkGzipEncode(b *testing.B) {
 	for _, c := range []Codec{Gzip(XML{}), Gzip(Binary{})} {
 		for _, n := range benchBlockSizes {
@@ -406,12 +404,9 @@ func BenchmarkGzipEncode(b *testing.B) {
 	}
 }
 
-// gzipEncodeAllocLimit is the verify gate for the chunk-parallel gzip
-// encode: the per-encode state, the pieces with their deflate writers
-// and the list of pieces in flight are all pooled, and a helper is
-// started through a func value bound once per piece, so a steady-state
-// encode allocates nothing of its own. The budget leaves room for the
-// runtime making a goroutine when none is free to reuse.
+// gzipEncodeAllocLimit is the verify gate for the gzip encode: the
+// per-encode state with its deflate writer is pooled, so a steady-state
+// encode allocates nothing of its own.
 const gzipEncodeAllocLimit = 4
 
 func TestGzipEncodeAllocGate(t *testing.T) {
@@ -430,9 +425,8 @@ func TestGzipEncodeAllocGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Counted by hand at two procs, where the first piece goes to a
-	// helper: testing.AllocsPerRun would pin GOMAXPROCS to 1 and measure
-	// the path with no goroutine in it.
+	// Counted by hand: testing.AllocsPerRun would pin GOMAXPROCS to 1,
+	// and the encode is measured at two procs too.
 	for _, procs := range []int{1, 2} {
 		setGOMAXPROCS(t, procs)
 		for i := 0; i < 3; i++ { // size the buffer, prime the pools

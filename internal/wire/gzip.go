@@ -1,16 +1,13 @@
 package wire
 
 import (
-	"bytes"
 	"compress/flate"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"wsopt/internal/minidb"
 )
@@ -19,11 +16,11 @@ import (
 // bandwidth, the classic WAN optimization knob next to block sizing.
 //
 // Encode deflates the inner codec's bytes in independent 64 KiB pieces,
-// on as many idle cores as there are pieces, and writes them as ONE
-// ordinary gzip member (below). The deflate state and gzip.Reader behind
-// Encode/Decode are pooled (a deflate writer alone is ~1.4 MB of window
-// state), so steady-state compression reuses the same state machines
-// instead of rebuilding them every block.
+// on the encoding goroutine, and writes them as ONE ordinary gzip member
+// (below). The deflate state and gzip.Reader behind Encode/Decode are
+// pooled (a deflate writer alone is ~1.4 MB of window state), so
+// steady-state compression reuses the same state machines instead of
+// rebuilding them every block.
 type Gzipped struct {
 	// Inner is the wrapped codec (required).
 	Inner Codec
@@ -56,103 +53,54 @@ type gzipReader struct {
 var gzipReaderPool = sync.Pool{New: func() any { return new(gzipReader) }}
 
 // gzipPieceSize is where Encode cuts the inner byte stream: every piece
-// but the last is exactly this long. A constant, not an option — it was
-// sized on this repository's blocks. A cut costs ~1 KB (the next piece
-// starts with an empty window and its own Huffman tables): a 512-row
-// customer block (122 KB of XML) grows 3.9 % at 64 KiB, 10.8 % at 32 KiB
-// and 19.7 % at 16 KiB, and larger pieces leave a block of the size the
-// controller settles on with nothing to hand to a second core.
+// but the last is exactly this long and is deflated as a stream of its
+// own. A constant, not an option, kept for the bytes: the cache,
+// same-seq replay and the gateway's standby copies compare +gzip blocks
+// byte for byte, and every one of them is cut here. A cut costs ~1 KB
+// (the next piece starts with an empty window and its own Huffman
+// tables): a 512-row customer block (122 KB of XML) grows 3.9 %. A
+// piece never sees its predecessor's bytes: priming it with them as a
+// dictionary would win back 4–8 % of the output, but a flate.Writer
+// made by NewWriterDict cannot be re-primed on Reset, and a fresh one
+// per piece (1.4 MB to allocate and clear) measured 4.0–4.3 ms on the
+// 512-row block against 3.0–3.3 ms without.
 const gzipPieceSize = 64 << 10
 
-// gzipPiece is one cut of the inner stream and its deflate stream. A
-// piece never sees its predecessor's bytes: priming it with them as a
-// dictionary would win back 4–8 % of the output, but a flate.Writer made
-// by NewWriterDict cannot be re-primed on Reset, and a fresh one per
-// piece (1.4 MB to allocate and clear) measured 4.0–4.3 ms on the
-// 512-row block against 3.0–3.3 ms without.
-type gzipPiece struct {
-	in   []byte // ≤ gzipPieceSize inner bytes
-	out  bytes.Buffer
-	fw   *flate.Writer // at its pool's level
-	last bool          // ends the deflate stream
-	err  error
-	done chan struct{} // a helper's completion; buffered, so it never waits to report
-	help func()        // p.helper, bound once: `go p.helper()` would allocate a closure per piece
+// gzipEncoder is the io.Writer the inner codec encodes into. It deflates
+// what arrives as it arrives, starting a fresh deflate stream every
+// gzipPieceSize inner bytes, and writes the streams to w in order
+// between one gzip header and one trailer: one standard member, laid
+// out as pigz lays out its own, that any inflater reads. The bytes
+// written are a function of the inner bytes and the level alone: the
+// cuts are at fixed offsets, every piece starts from a Reset writer, and
+// compress/flate's output does not depend on how its input is split
+// into Writes.
+type gzipEncoder struct {
+	out   struct{ io.Writer } // Encode's w while it runs; what fw writes to
+	fw    *flate.Writer       // at its pool's level
+	piece int                 // inner bytes deflated into the current piece
+	crc   uint32              // of the inner bytes so far
+	size  uint32              // their count mod 2^32 (ISIZE)
+	err   error               // first failure of fw or of w
+	buf   [10]byte            // header, then trailer
 }
 
-// gzipPiecePools holds one pool per compression level, indexed by
+// gzipEncoderPools holds one pool per compression level, indexed by
 // level - flate.HuffmanOnly (HuffmanOnly is the lowest valid level, -2).
-var gzipPiecePools [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+// An encoder is ~1.4 MB of deflate state, so steady-state compression
+// reuses it instead of rebuilding it every block.
+var gzipEncoderPools [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
 
 func init() {
-	for i := range gzipPiecePools {
+	for i := range gzipEncoderPools {
 		level := i + flate.HuffmanOnly
-		gzipPiecePools[i].New = func() any { return newGzipPiece(level) }
+		gzipEncoderPools[i].New = func() any {
+			e := new(gzipEncoder)
+			e.fw, _ = flate.NewWriter(&e.out, level) // fails on a level out of range only; the pools have none
+			return e
+		}
 	}
 }
-
-func newGzipPiece(level int) *gzipPiece {
-	p := &gzipPiece{in: make([]byte, 0, gzipPieceSize), done: make(chan struct{}, 1)}
-	p.help = p.helper
-	p.fw, _ = flate.NewWriter(&p.out, level) // fails on a level out of range only; the pools have none
-	return p
-}
-
-// deflate compresses in into out as a self-contained run of deflate
-// blocks: byte-aligned by a sync marker so the next piece's blocks can
-// follow, or closed by the final block when it is the last.
-func (p *gzipPiece) deflate() {
-	p.out.Reset()
-	p.fw.Reset(&p.out)
-	_, p.err = p.fw.Write(p.in)
-	switch {
-	case p.err != nil:
-	case p.last:
-		p.err = p.fw.Close()
-	default:
-		p.err = p.fw.Flush()
-	}
-}
-
-// gzipBusyHelpers counts the helper goroutines deflating a piece, over
-// the whole process: cores are what is shared, not encodes.
-var gzipBusyHelpers atomic.Int32
-
-// helper is the body of a helper goroutine.
-func (p *gzipPiece) helper() {
-	p.deflate()
-	gzipBusyHelpers.Add(-1)
-	p.done <- struct{}{}
-}
-
-// gzipEncoder is the io.Writer the inner codec encodes into. It cuts
-// what arrives into pieces and writes their deflate streams to w in
-// order, between one gzip header and one trailer: one standard member,
-// laid out as pigz lays out its own, that any inflater reads.
-//
-// A full piece goes to a helper goroutine only if the process has a
-// core to spare — fewer than GOMAXPROCS−1 helpers busy, tried once,
-// never queued for; otherwise the caller deflates it itself. So the
-// inner codec keeps encoding rows while helpers deflate, a saturated
-// process or GOMAXPROCS=1 pays the serial cost and no more, and at most
-// GOMAXPROCS pieces exist per encode however large the block. The bytes
-// written are a function of the inner bytes and the level alone: the
-// cuts are at fixed offsets and every piece starts from a Reset writer,
-// whoever runs it.
-type gzipEncoder struct {
-	w       io.Writer
-	pool    *sync.Pool   // pieces at this encode's level
-	helpers int          // GOMAXPROCS−1 when the encode began
-	cur     *gzipPiece   // being filled
-	pending []*gzipPiece // with helpers, oldest first
-	free    []*gzipPiece // written out, reusable by this encode
-	crc     uint32       // of the inner bytes so far
-	size    uint32       // their count mod 2^32 (ISIZE)
-	err     error        // first failure of a piece or of w
-	buf     [10]byte     // header, then trailer
-}
-
-var gzipEncoderPool = sync.Pool{New: func() any { return new(gzipEncoder) }}
 
 // Write implements io.Writer for the inner codec.
 func (e *gzipEncoder) Write(b []byte) (int, error) {
@@ -164,92 +112,23 @@ func (e *gzipEncoder) Write(b []byte) (int, error) {
 	for rest := b; len(rest) > 0; {
 		// A full piece is cut only once more bytes follow it, so the
 		// piece in hand at the end is always the last one, even when the
-		// inner stream is a whole number of pieces long.
-		if len(e.cur.in) == gzipPieceSize {
-			if e.cut(); e.err != nil {
+		// inner stream is a whole number of pieces long. A cut piece ends
+		// in a sync marker, byte-aligned so the next one's blocks follow.
+		if e.piece == gzipPieceSize {
+			if e.err = e.fw.Flush(); e.err != nil {
 				return len(b) - len(rest), e.err
 			}
+			e.fw.Reset(&e.out)
+			e.piece = 0
 		}
-		n := copy(e.cur.in[len(e.cur.in):gzipPieceSize], rest)
-		e.cur.in = e.cur.in[:len(e.cur.in)+n]
+		n := min(len(rest), gzipPieceSize-e.piece)
+		if _, e.err = e.fw.Write(rest[:n]); e.err != nil {
+			return len(b) - len(rest), e.err
+		}
+		e.piece += n
 		rest = rest[n:]
 	}
 	return len(b), nil
-}
-
-// piece returns an empty piece: one this encode is done with, else one
-// from the pool.
-func (e *gzipEncoder) piece() *gzipPiece {
-	var p *gzipPiece
-	if n := len(e.free); n > 0 {
-		p, e.free = e.free[n-1], e.free[:n-1]
-	} else {
-		p = e.pool.Get().(*gzipPiece)
-	}
-	p.in, p.last = p.in[:0], false
-	return p
-}
-
-// cut sends the full current piece on its way and starts the next.
-func (e *gzipEncoder) cut() {
-	e.join(false)
-	p := e.cur
-	if len(e.pending) < e.helpers && acquireGzipHelper(e.helpers) {
-		e.pending = append(e.pending, p)
-		go p.help()
-	} else {
-		p.deflate()
-		e.join(true)
-		e.emit(p)
-	}
-	e.cur = e.piece()
-}
-
-// acquireGzipHelper claims one of the process's limit helper slots, if
-// one is free right now.
-func acquireGzipHelper(limit int) bool {
-	for {
-		n := gzipBusyHelpers.Load()
-		if int(n) >= limit {
-			return false
-		}
-		if gzipBusyHelpers.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-// join emits the pieces helpers have finished, oldest first, stopping
-// at the first one still running — or waiting for each in turn.
-func (e *gzipEncoder) join(wait bool) {
-	for len(e.pending) > 0 {
-		p := e.pending[0]
-		if wait {
-			<-p.done
-		} else {
-			select {
-			case <-p.done:
-			default:
-				return
-			}
-		}
-		n := copy(e.pending, e.pending[1:])
-		e.pending[n] = nil
-		e.pending = e.pending[:n]
-		e.emit(p)
-	}
-}
-
-// emit writes a deflated piece to w (nothing, once the encode has
-// failed) and takes the piece back for reuse.
-func (e *gzipEncoder) emit(p *gzipPiece) {
-	if e.err == nil {
-		e.err = p.err
-	}
-	if e.err == nil {
-		_, e.err = e.w.Write(p.out.Bytes())
-	}
-	e.free = append(e.free, p)
 }
 
 // Encode implements Codec.
@@ -261,11 +140,14 @@ func (g Gzipped) Encode(w io.Writer, schema minidb.Schema, rows []minidb.Row) er
 	if level < flate.HuffmanOnly || level > flate.BestCompression {
 		return fmt.Errorf("wire: gzip writer: invalid compression level %d", level)
 	}
-	e := gzipEncoderPool.Get().(*gzipEncoder)
-	e.w, e.pool, e.helpers = w, &gzipPiecePools[level-flate.HuffmanOnly], runtime.GOMAXPROCS(0)-1
-	e.crc, e.size, e.err = 0, 0, nil
-	e.cur = e.piece()
-	defer e.release()
+	pool := &gzipEncoderPools[level-flate.HuffmanOnly]
+	e := pool.Get().(*gzipEncoder)
+	defer func() {
+		e.out.Writer = nil // a pooled encoder keeps no caller's writer alive
+		pool.Put(e)
+	}()
+	e.out.Writer, e.piece, e.crc, e.size, e.err = w, 0, 0, 0, nil
+	e.fw.Reset(&e.out)
 
 	// The header compress/gzip writes: no name, no time, unknown OS, and
 	// XFL telling the two extreme levels apart.
@@ -285,38 +167,13 @@ func (g Gzipped) Encode(w io.Writer, schema minidb.Schema, rows []minidb.Row) er
 	if e.err != nil { // an inner codec that dropped a failed Write
 		return e.err
 	}
-	e.cur.last = true
-	e.cur.deflate()
-	e.join(true)
-	e.emit(e.cur)
-	e.cur = nil
-	if e.err != nil {
-		return e.err
+	if err := e.fw.Close(); err != nil { // the last piece ends the deflate stream
+		return err
 	}
 	binary.LittleEndian.PutUint32(e.buf[0:4], e.crc)
 	binary.LittleEndian.PutUint32(e.buf[4:8], e.size)
 	_, err := w.Write(e.buf[:8])
 	return err
-}
-
-// release joins every helper still running — on every path out of
-// Encode, so no goroutine outlives the call and no piece is pooled
-// while one writes to it — and returns the pieces and e to their pools.
-func (e *gzipEncoder) release() {
-	for i, p := range e.pending {
-		<-p.done
-		e.pool.Put(p)
-		e.pending[i] = nil
-	}
-	for i, p := range e.free {
-		e.pool.Put(p)
-		e.free[i] = nil
-	}
-	if e.cur != nil {
-		e.pool.Put(e.cur)
-	}
-	e.w, e.pool, e.cur, e.pending, e.free = nil, nil, nil, e.pending[:0], e.free[:0]
-	gzipEncoderPool.Put(e)
 }
 
 // Decode implements Codec.

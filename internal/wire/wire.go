@@ -11,7 +11,7 @@
 //   - a compact length-prefixed binary codec, the ablation baseline for
 //     quantifying that overhead (BenchmarkCodecRoundTrip);
 //   - any of them under gzip ("+gzip"): encoded as one standard gzip
-//     member whose 64 KiB pieces are deflated on idle cores, decoded
+//     member deflated in independent 64 KiB pieces, decoded
 //     with the stream's trailer verified and a cap on what a block may
 //     inflate to.
 //
