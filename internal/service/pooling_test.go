@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -20,9 +21,11 @@ import (
 // session closes — never while a same-seq retry could still be served
 // from it.
 func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
+	var mu sync.Mutex
 	var released []*blockcache.Entry
-	blockcache.OnFinalRelease(func(rb *blockcache.Entry) { released = append(released, rb) })
+	blockcache.OnFinalRelease(func(rb *blockcache.Entry) { mu.Lock(); released = append(released, rb); mu.Unlock() })
 	defer blockcache.OnFinalRelease(nil)
+	releasedNow := func() []*blockcache.Entry { mu.Lock(); defer mu.Unlock(); return slices.Clone(released) }
 
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 200)})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
@@ -53,9 +56,9 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 		}
 		seqOf[rb] = seq
 
-		if want := seq - 1; len(released) != want {
+		if n, want := len(releasedNow()), seq-1; n != want {
 			t.Fatalf("after committing seq %d: %d buffers released, want %d (release must happen exactly at supersede)",
-				seq, len(released), want)
+				seq, n, want)
 		}
 
 		// A replay retry must not release anything and must serve the
@@ -70,13 +73,13 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 		if !bytes.Equal(replayed, body) {
 			t.Fatalf("seq %d: replay bytes differ from fresh block", seq)
 		}
-		if len(released) != seq-1 {
+		if len(releasedNow()) != seq-1 {
 			t.Fatalf("seq %d: replay released a buffer", seq)
 		}
 	}
 
 	// Releases happened oldest-first, one per supersede.
-	for i, rb := range released {
+	for i, rb := range releasedNow() {
 		if seqOf[rb] != i+1 {
 			t.Fatalf("release %d was block seq %d, want %d", i, seqOf[rb], i+1)
 		}
@@ -84,20 +87,24 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 
 	// Closing the session releases the final live block's buffer, then
 	// the one block 8's read-ahead prepared (the pulls hold size 10), which
-	// no request took.
+	// no request took. A read-ahead encode that outlives the session
+	// releases its block on its own goroutine: RetainedBlocks joins the
+	// encodes before the count.
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sessions/%s", ts.URL, id), nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(released) != blocks+1 {
-		t.Fatalf("after close: %d buffers released, want %d (the blocks and one read-ahead)", len(released), blocks+1)
+	srv.RetainedBlocks()
+	got := releasedNow()
+	if len(got) != blocks+1 {
+		t.Fatalf("after close: %d buffers released, want %d (the blocks and one read-ahead)", len(got), blocks+1)
 	}
-	if seqOf[released[blocks-1]] != blocks {
-		t.Fatalf("close released block seq %d, want %d", seqOf[released[blocks-1]], blocks)
+	if seqOf[got[blocks-1]] != blocks {
+		t.Fatalf("close released block seq %d, want %d", seqOf[got[blocks-1]], blocks)
 	}
-	if seq, served := seqOf[released[blocks]]; served {
+	if seq, served := seqOf[got[blocks]]; served {
 		t.Fatalf("close's last release was served block %d, want the unserved read-ahead", seq)
 	}
 }

@@ -119,7 +119,7 @@ func TestShippedReplayBufferRefcount(t *testing.T) {
 	defer blockcache.OnFinalRelease(nil)
 
 	rlog := replica.NewLog(256) // large: no eviction during the pulls
-	_, ts := newTestServer(t, Config{Catalog: testCatalog(t, 200), Replica: rlog})
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 200), Replica: rlog})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 
 	const blocks = 8
@@ -149,13 +149,16 @@ func TestShippedReplayBufferRefcount(t *testing.T) {
 
 	// Closing the session drops the last reference to block 8, and the
 	// only one to block 9, which block 8's read-ahead prepared (the pulls
-	// hold size 10) and nothing shipped: it was never committed.
+	// hold size 10) and nothing shipped: it was never committed. A read-ahead
+	// encode that outlives the session releases its block on its own
+	// goroutine: RetainedBlocks joins the encodes before the count.
 	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sessions/%s", ts.URL, id), nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	srv.RetainedBlocks()
 	mu.Lock()
 	defer mu.Unlock()
 	if released != blocks+1 {

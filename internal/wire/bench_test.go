@@ -35,8 +35,7 @@ func benchBlock(n int) (minidb.Schema, []minidb.Row) {
 
 // customerBlock returns the first n rows of the TPC-H CUSTOMER relation:
 // the rows bench/'s cold-xmlgz workload pulls, ~240 B of XML each, so a
-// 512-row block is 122 KB — unlike benchBlock's narrow rows it crosses a
-// gzip piece boundary at the block sizes the controller settles on.
+// 512-row block is 122 KB.
 func customerBlock(tb testing.TB, n int) (minidb.Schema, []minidb.Row) {
 	tb.Helper()
 	return tpchBlock(tb, tpch.GenCustomer, tpch.CustomersPerSF, n)
@@ -416,7 +415,7 @@ func TestGzipEncodeAllocGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc gate needs steady-state timing")
 	}
-	const n = 512 // two pieces of XML
+	const n = 512 // 122 KB of XML
 	schema, rows := customerBlock(t, n)
 	var enc bytes.Buffer
 	encode := func() {
@@ -441,7 +440,7 @@ func TestGzipEncodeAllocGate(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		allocs := float64(after.Mallocs-before.Mallocs) / runs
 		if allocs > gzipEncodeAllocLimit {
-			t.Fatalf("GOMAXPROCS=%d: xml+gzip encode of a %d-row block costs %.1f allocs, gate is %d — the encoder started allocating per encode or per piece",
+			t.Fatalf("GOMAXPROCS=%d: xml+gzip encode of a %d-row block costs %.1f allocs, gate is %d — the encoder started allocating per encode",
 				procs, n, allocs, gzipEncodeAllocLimit)
 		}
 		t.Logf("GOMAXPROCS=%d: xml+gzip encode, %d rows: %.1f allocs/block (gate %d)", procs, n, allocs, gzipEncodeAllocLimit)

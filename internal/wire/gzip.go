@@ -1,11 +1,8 @@
 package wire
 
 import (
-	"compress/flate"
 	"compress/gzip"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 
@@ -15,12 +12,11 @@ import (
 // Gzipped wraps any codec with gzip compression — trading CPU for
 // bandwidth, the classic WAN optimization knob next to block sizing.
 //
-// Encode deflates the inner codec's bytes in independent 64 KiB pieces,
-// on the encoding goroutine, and writes them as ONE ordinary gzip member
-// (below). The deflate state and gzip.Reader behind Encode/Decode are
-// pooled (a deflate writer alone is ~1.4 MB of window state), so
-// steady-state compression reuses the same state machines instead of
-// rebuilding them every block.
+// Encode writes the inner codec's bytes through compress/gzip as one
+// ordinary gzip member. The gzip.Writer and gzip.Reader behind
+// Encode/Decode are pooled (a deflate writer alone is ~1.4 MB of window
+// state), so steady-state compression reuses the same state machines
+// instead of rebuilding them every block.
 type Gzipped struct {
 	// Inner is the wrapped codec (required).
 	Inner Codec
@@ -52,128 +48,42 @@ type gzipReader struct {
 
 var gzipReaderPool = sync.Pool{New: func() any { return new(gzipReader) }}
 
-// gzipPieceSize is where Encode cuts the inner byte stream: every piece
-// but the last is exactly this long and is deflated as a stream of its
-// own. A constant, not an option, kept for the bytes: the cache,
-// same-seq replay and the gateway's standby copies compare +gzip blocks
-// byte for byte, and every one of them is cut here. A cut costs ~1 KB
-// (the next piece starts with an empty window and its own Huffman
-// tables): a 512-row customer block (122 KB of XML) grows 3.9 %. A
-// piece never sees its predecessor's bytes: priming it with them as a
-// dictionary would win back 4–8 % of the output, but a flate.Writer
-// made by NewWriterDict cannot be re-primed on Reset, and a fresh one
-// per piece (1.4 MB to allocate and clear) measured 4.0–4.3 ms on the
-// 512-row block against 3.0–3.3 ms without.
-const gzipPieceSize = 64 << 10
-
-// gzipEncoder is the io.Writer the inner codec encodes into. It deflates
-// what arrives as it arrives, starting a fresh deflate stream every
-// gzipPieceSize inner bytes, and writes the streams to w in order
-// between one gzip header and one trailer: one standard member, laid
-// out as pigz lays out its own, that any inflater reads. The bytes
-// written are a function of the inner bytes and the level alone: the
-// cuts are at fixed offsets, every piece starts from a Reset writer, and
-// compress/flate's output does not depend on how its input is split
-// into Writes.
-type gzipEncoder struct {
-	out   struct{ io.Writer } // Encode's w while it runs; what fw writes to
-	fw    *flate.Writer       // at its pool's level
-	piece int                 // inner bytes deflated into the current piece
-	crc   uint32              // of the inner bytes so far
-	size  uint32              // their count mod 2^32 (ISIZE)
-	err   error               // first failure of fw or of w
-	buf   [10]byte            // header, then trailer
-}
-
-// gzipEncoderPools holds one pool per compression level, indexed by
-// level - flate.HuffmanOnly (HuffmanOnly is the lowest valid level, -2).
-// An encoder is ~1.4 MB of deflate state, so steady-state compression
-// reuses it instead of rebuilding it every block.
-var gzipEncoderPools [flate.BestCompression - flate.HuffmanOnly + 1]sync.Pool
+// gzipWriterPools holds one pool of gzip.Writers per compression level,
+// indexed by level - gzip.HuffmanOnly (the lowest valid level, -2).
+var gzipWriterPools [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool
 
 func init() {
-	for i := range gzipEncoderPools {
-		level := i + flate.HuffmanOnly
-		gzipEncoderPools[i].New = func() any {
-			e := new(gzipEncoder)
-			e.fw, _ = flate.NewWriter(&e.out, level) // fails on a level out of range only; the pools have none
-			return e
+	for i := range gzipWriterPools {
+		level := i + gzip.HuffmanOnly
+		gzipWriterPools[i].New = func() any {
+			zw, _ := gzip.NewWriterLevel(io.Discard, level) // fails on a level out of range only; the pools have none
+			return zw
 		}
 	}
 }
 
-// Write implements io.Writer for the inner codec.
-func (e *gzipEncoder) Write(b []byte) (int, error) {
-	if e.err != nil {
-		return 0, e.err
-	}
-	e.crc = crc32.Update(e.crc, crc32.IEEETable, b)
-	e.size += uint32(len(b))
-	for rest := b; len(rest) > 0; {
-		// A full piece is cut only once more bytes follow it, so the
-		// piece in hand at the end is always the last one, even when the
-		// inner stream is a whole number of pieces long. A cut piece ends
-		// in a sync marker, byte-aligned so the next one's blocks follow.
-		if e.piece == gzipPieceSize {
-			if e.err = e.fw.Flush(); e.err != nil {
-				return len(b) - len(rest), e.err
-			}
-			e.fw.Reset(&e.out)
-			e.piece = 0
-		}
-		n := min(len(rest), gzipPieceSize-e.piece)
-		if _, e.err = e.fw.Write(rest[:n]); e.err != nil {
-			return len(b) - len(rest), e.err
-		}
-		e.piece += n
-		rest = rest[n:]
-	}
-	return len(b), nil
-}
-
-// Encode implements Codec.
+// Encode implements Codec. The block is one gzip member, one deflate
+// stream, byte for byte what compress/gzip writes at the level: its
+// bytes are a function of the inner bytes and the level alone.
 func (g Gzipped) Encode(w io.Writer, schema minidb.Schema, rows []minidb.Row) error {
 	level := g.Level
 	if level == 0 {
-		level = flate.DefaultCompression
+		level = gzip.DefaultCompression
 	}
-	if level < flate.HuffmanOnly || level > flate.BestCompression {
+	if level < gzip.HuffmanOnly || level > gzip.BestCompression {
 		return fmt.Errorf("wire: gzip writer: invalid compression level %d", level)
 	}
-	pool := &gzipEncoderPools[level-flate.HuffmanOnly]
-	e := pool.Get().(*gzipEncoder)
+	pool := &gzipWriterPools[level-gzip.HuffmanOnly]
+	zw := pool.Get().(*gzip.Writer)
 	defer func() {
-		e.out.Writer = nil // a pooled encoder keeps no caller's writer alive
-		pool.Put(e)
+		zw.Reset(io.Discard) // a pooled writer keeps no caller's writer alive
+		pool.Put(zw)
 	}()
-	e.out.Writer, e.piece, e.crc, e.size, e.err = w, 0, 0, 0, nil
-	e.fw.Reset(&e.out)
-
-	// The header compress/gzip writes: no name, no time, unknown OS, and
-	// XFL telling the two extreme levels apart.
-	e.buf = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255}
-	switch level {
-	case flate.BestCompression:
-		e.buf[8] = 2
-	case flate.BestSpeed:
-		e.buf[8] = 4
-	}
-	if _, err := w.Write(e.buf[:]); err != nil {
+	zw.Reset(w)
+	if err := g.Inner.Encode(zw, schema, rows); err != nil {
 		return err
 	}
-	if err := g.Inner.Encode(e, schema, rows); err != nil {
-		return err
-	}
-	if e.err != nil { // an inner codec that dropped a failed Write
-		return e.err
-	}
-	if err := e.fw.Close(); err != nil { // the last piece ends the deflate stream
-		return err
-	}
-	binary.LittleEndian.PutUint32(e.buf[0:4], e.crc)
-	binary.LittleEndian.PutUint32(e.buf[4:8], e.size)
-	_, err := w.Write(e.buf[:8])
-	return err
+	return zw.Close()
 }
 
 // Decode implements Codec.

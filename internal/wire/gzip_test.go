@@ -123,11 +123,9 @@ func TestGzipDecodeCapsInflatedSize(t *testing.T) {
 	}
 }
 
-// The encode kernel's tests. compress/gzip and compress/flate are the
-// oracle throughout: a stdlib reader must take every block as one
-// ordinary member, a block of one piece must be the bytes a stdlib
-// writer emits, and a block of several must be the bytes pigzLayout
-// builds from stdlib parts.
+// The encode kernel's tests. compress/gzip is the oracle throughout:
+// every block must be the bytes a stdlib writer emits at the same level,
+// and a stdlib reader must take it as one ordinary member.
 
 // rawCodec is an inner codec whose encoding is exactly data, for the
 // inner sizes no real codec can produce (0 and 1 byte).
@@ -188,45 +186,30 @@ func blockOfInnerSize(t *testing.T, c Codec, n int) (minidb.Schema, []minidb.Row
 	return nil, nil
 }
 
-// pigzLayout is the specification of Gzipped.Encode's bytes, assembled
-// from stdlib parts: compress/gzip's header, the inner bytes cut at
-// gzipPieceSize with each piece deflated by a fresh flate.Writer (sync
-// flush between pieces, final block after the last), CRC-32 and ISIZE.
-func pigzLayout(t testing.TB, inner []byte, level int) []byte {
+// stdGzip is the specification of Gzipped.Encode's bytes: inner
+// written by a fresh compress/gzip writer at the level a Gzipped.Level
+// stands for.
+func stdGzip(t testing.TB, inner []byte, level int) []byte {
 	t.Helper()
-	level = cmpLevel(level)
 	var out bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&out, level)
+	zw, err := gzip.NewWriterLevel(&out, cmpLevel(level))
 	if err != nil {
 		t.Fatal(err)
 	}
-	zw.Flush() // the header, and an empty sync block to drop
-	out.Truncate(10)
-	for rest := inner; ; {
-		piece := rest[:min(len(rest), gzipPieceSize)]
-		rest = rest[len(piece):]
-		fw, _ := flate.NewWriter(&out, level)
-		fw.Write(piece)
-		if len(rest) == 0 {
-			fw.Close()
-			break
-		}
-		fw.Flush()
-	}
-	out.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(inner)))
-	out.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(inner))))
+	zw.Write(inner)
+	zw.Close()
 	return out.Bytes()
 }
 
-// TestGzipEncodeIsOneStandardMember walks the piece boundaries: for
-// inner encodings of every size around them, at every level, under every
-// codec, the output is one gzip member that compress/gzip inflates to
-// exactly the inner bytes (good trailer, nothing after it) and that
-// Gzipped.Decode reads back — and while the inner bytes fit one piece it
-// is byte for byte what the inner codec writing into a compress/gzip
-// writer produces, which is what Encode was before it cut pieces.
+// TestGzipEncodeIsOneStandardMember: for inner encodings of every size
+// built here, at every level, under every codec, the output is byte for
+// byte what compress/gzip writes for the inner bytes, one gzip member
+// that compress/gzip inflates to exactly the inner bytes (good trailer,
+// nothing after it) and that Gzipped.Decode reads back. The sizes lie on
+// both sides of 64 KiB, the most one stored deflate block holds, and of
+// several of them.
 func TestGzipEncodeIsOneStandardMember(t *testing.T) {
-	sizes := []int{gzipPieceSize - 1, gzipPieceSize, gzipPieceSize + 1, 2 * gzipPieceSize, 3*gzipPieceSize + 7, 1 << 20}
+	sizes := []int{1<<16 - 1, 1 << 16, 1<<16 + 1, 2 << 16, 3<<16 + 7, 1 << 20}
 	levels := []int{-2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9} // all Gzipped accepts; 0 stands for the default
 	if testing.Short() || raceEnabled {
 		// Instrumented deflate is ~10x slower: keep one level of each
@@ -256,6 +239,9 @@ func TestGzipEncodeIsOneStandardMember(t *testing.T) {
 			if err := g.Encode(&out, b.schema, b.rows); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			if want := stdGzip(t, inner, level); !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("%s: not the bytes compress/gzip writes (%d vs %d)", label, out.Len(), len(want))
+			}
 
 			rd := bytes.NewReader(out.Bytes())
 			zr, err := gzip.NewReader(rd)
@@ -279,25 +265,60 @@ func TestGzipEncodeIsOneStandardMember(t *testing.T) {
 				t.Fatalf("%s: Decode: %v", label, err)
 			}
 			rowsEqual(t, b.schema, b.rows, rows)
-
-			if len(inner) > gzipPieceSize {
-				continue
-			}
-			var std bytes.Buffer
-			zw, err := gzip.NewWriterLevel(&std, cmpLevel(level))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.inner.Encode(zw, b.schema, b.rows); err != nil {
-				t.Fatal(err)
-			}
-			if err := zw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), std.Bytes()) {
-				t.Fatalf("%s: one piece, yet not the bytes compress/gzip writes (%d vs %d)", label, out.Len(), std.Len())
-			}
 		}
+	}
+}
+
+// multiStreamMember is one gzip member whose deflate data is several
+// streams: the inner bytes cut every cut bytes, each piece deflated by a
+// fresh flate.Writer (a sync flush between pieces, the final block after
+// the last), between compress/gzip's header and the CRC-32/ISIZE trailer.
+// An encoder before this one wrote every block past 64 KiB this way.
+func multiStreamMember(t testing.TB, inner []byte, cut int) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	zw := gzip.NewWriter(&out)
+	zw.Flush() // the header, and an empty sync block to drop
+	out.Truncate(10)
+	for rest := inner; ; {
+		piece := rest[:min(len(rest), cut)]
+		rest = rest[len(piece):]
+		fw, _ := flate.NewWriter(&out, flate.DefaultCompression)
+		fw.Write(piece)
+		if len(rest) == 0 {
+			fw.Close()
+			break
+		}
+		fw.Flush()
+	}
+	out.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(inner)))
+	out.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(inner))))
+	return out.Bytes()
+}
+
+// TestGzipDecodeReadsMultiStreamMember: while a fleet is upgraded, a
+// client can read a block that a server of the older version cut into
+// 64 KiB deflate streams. Decode and DecodeBlock read such a member to
+// the rows that one stream of the same inner bytes decodes to.
+func TestGzipDecodeReadsMultiStreamMember(t *testing.T) {
+	schema, rows := customerBlock(t, 2048)
+	for _, c := range gzipCodecs() {
+		g := c.(Gzipped)
+		inner := innerBytes(t, g.Inner, schema, rows)
+		member := multiStreamMember(t, inner, 64<<10)
+		if len(inner) <= 2*64<<10 || bytes.Equal(member, stdGzip(t, inner, g.Level)) {
+			t.Fatalf("%s: %d inner bytes make no member of three streams", g.Name(), len(inner))
+		}
+		_, got, err := g.Decode(bytes.NewReader(member))
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", g.Name(), err)
+		}
+		rowsEqual(t, schema, rows, got)
+		_, got, err = DecodeBlock(g, bytes.NewReader(member), &Scratch{})
+		if err != nil {
+			t.Fatalf("%s: DecodeBlock: %v", g.Name(), err)
+		}
+		rowsEqual(t, schema, rows, got)
 	}
 }
 
@@ -321,15 +342,15 @@ func setGOMAXPROCS(t *testing.T, n int) {
 // nothing else — not on GOMAXPROCS, on which goroutine encodes, or on
 // who else was encoding. Run with -race -count=10.
 func TestGzipEncodeBytesDependOnInputAlone(t *testing.T) {
-	schema, rows := customerBlock(t, 2048) // 8 pieces of XML, 3 of binary
+	schema, rows := customerBlock(t, 2048) // 491 KB of XML, 378 KB of binary
 	for _, g := range []Gzipped{Gzip(XML{}), {Inner: Binary{}, Level: gzip.BestSpeed}} {
-		want := pigzLayout(t, innerBytes(t, g.Inner, schema, rows), g.Level)
+		want := stdGzip(t, innerBytes(t, g.Inner, schema, rows), g.Level)
 		encode := func(label string) {
 			var out bytes.Buffer
 			if err := g.Encode(&out, schema, rows); err != nil {
 				t.Errorf("%s, %s: %v", g.Name(), label, err)
 			} else if !bytes.Equal(out.Bytes(), want) {
-				t.Errorf("%s, %s: %d bytes, not the %d of the layout", g.Name(), label, out.Len(), len(want))
+				t.Errorf("%s, %s: %d bytes, not the %d of compress/gzip", g.Name(), label, out.Len(), len(want))
 			}
 		}
 		for _, procs := range []int{1, 2, 8} {
@@ -364,18 +385,18 @@ func (w *failingWriter) Write(b []byte) (int, error) {
 }
 
 // TestGzipEncodeErrorPaths: whichever way an encode fails — the inner
-// codec mid-stream, the writer at the header, inside a middle piece or at
-// the trailer, a level out of range — Encode returns the error, leaves no
+// codec mid-stream, the writer at the header, mid-stream or at the
+// trailer, a level out of range — Encode returns the error, leaves no
 // goroutine behind, and the pooled state it put back encodes the next
 // block correctly.
 func TestGzipEncodeErrorPaths(t *testing.T) {
 	setGOMAXPROCS(t, 4) // cores for any goroutine an encode started to run on
 	schema, rows := customerBlock(t, 2048)
 	g := Gzip(XML{})
-	want := pigzLayout(t, innerBytes(t, XML{}, schema, rows), g.Level)
+	want := stdGzip(t, innerBytes(t, XML{}, schema, rows), g.Level)
 
 	ragged := append([]minidb.Row(nil), rows...)
-	ragged[1500] = ragged[1500][:3] // past the second piece boundary (~270 rows a piece)
+	ragged[1500] = ragged[1500][:3] // ~360 KB into the inner bytes
 
 	cases := []struct {
 		name  string
@@ -386,7 +407,7 @@ func TestGzipEncodeErrorPaths(t *testing.T) {
 	}{
 		{"ragged row mid-stream", g, ragged, io.Discard, nil},
 		{"writer fails on the header", g, rows, &failingWriter{budget: 4}, errWriterFull},
-		{"writer fails in a middle piece", g, rows, &failingWriter{budget: len(want) / 2}, errWriterFull},
+		{"writer fails mid-stream", g, rows, &failingWriter{budget: len(want) / 2}, errWriterFull},
 		{"writer fails on the trailer", g, rows, &failingWriter{budget: len(want) - 3}, errWriterFull},
 		{"level above the range", Gzipped{Inner: XML{}, Level: 10}, rows, io.Discard, nil},
 		{"level below the range", Gzipped{Inner: XML{}, Level: -3}, rows, io.Discard, nil},
@@ -405,35 +426,34 @@ func TestGzipEncodeErrorPaths(t *testing.T) {
 			t.Fatalf("encode after %q: %v", tc.name, err)
 		}
 		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("encode after %q: not the bytes of the layout", tc.name)
+			t.Errorf("encode after %q: not the bytes of compress/gzip", tc.name)
 		}
 	}
 }
 
 // TestGzipEncodeOneStatePerEncode: memory per encode stays bounded
-// however large the block — an encoder is ~1.4 MB of deflate state, and
-// a 20 000-row block is 73 pieces end to end. An encode takes one
-// encoder from its level's pool and deflates every piece with it, so on
-// an empty pool the pool's New runs once per encode, whatever GOMAXPROCS
-// is.
+// however large the block — a writer is ~1.4 MB of deflate state, and a
+// 20 000-row block is ~4.8 MB of XML. An encode takes one writer from its
+// level's pool and deflates the whole block with it, so on an empty pool
+// the pool's New runs once per encode, whatever GOMAXPROCS is.
 func TestGzipEncodeOneStatePerEncode(t *testing.T) {
 	schema, rows := customerBlock(t, 20000)
-	g := Gzipped{Inner: XML{}, Level: gzip.BestSpeed} // the cutting is the same at every level
-	if pieces := len(innerBytes(t, XML{}, schema, rows)) / gzipPieceSize; pieces < 50 {
-		t.Fatalf("the block is only %d pieces", pieces)
+	g := Gzipped{Inner: XML{}, Level: gzip.BestSpeed}
+	if n := len(innerBytes(t, XML{}, schema, rows)); n < 4<<20 {
+		t.Fatalf("the block is only %d bytes", n)
 	}
-	pool := &gzipEncoderPools[g.Level-gzip.HuffmanOnly]
-	newEncoder := pool.New
-	t.Cleanup(func() { *pool = sync.Pool{New: newEncoder} })
+	pool := &gzipWriterPools[g.Level-gzip.HuffmanOnly]
+	newWriter := pool.New
+	t.Cleanup(func() { *pool = sync.Pool{New: newWriter} })
 	for _, procs := range []int{1, 3} {
 		setGOMAXPROCS(t, procs)
 		made := 0
-		*pool = sync.Pool{New: func() any { made++; return newEncoder() }}
+		*pool = sync.Pool{New: func() any { made++; return newWriter() }}
 		if err := g.Encode(io.Discard, schema, rows); err != nil {
 			t.Fatal(err)
 		}
 		if made != 1 {
-			t.Errorf("GOMAXPROCS=%d: %d encoder states made for one encode, want 1", procs, made)
+			t.Errorf("GOMAXPROCS=%d: %d writer states made for one encode, want 1", procs, made)
 		}
 	}
 }

@@ -10,10 +10,10 @@
 //     the one rowset grammar (xml.go, xmldecode.go);
 //   - a compact length-prefixed binary codec, the ablation baseline for
 //     quantifying that overhead (BenchmarkCodecRoundTrip);
-//   - any of them under gzip ("+gzip"): encoded as one standard gzip
-//     member deflated in independent 64 KiB pieces, decoded
-//     with the stream's trailer verified and a cap on what a block may
-//     inflate to.
+//   - any of them under gzip ("+gzip"): encoded by compress/gzip as one
+//     standard gzip member, one deflate stream, decoded with the
+//     stream's trailer verified and a cap on what a block may inflate
+//     to.
 //
 // All codecs round-trip schema and rows exactly, including NULLs. XML
 // and binary decode into a reusable Scratch (scratch.go); ViewBlock

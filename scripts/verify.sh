@@ -29,7 +29,7 @@ gate_vet() {
 # check_docs holds DESIGN.md to a byte ceiling: a change that does not add
 # a tier leaves it no larger than it found it, and one that adds a tier
 # raises the number here in the same diff.
-design_ceiling=138677
+design_ceiling=138571
 check_docs() {
 	size=$(wc -c <DESIGN.md)
 	[ "$size" -le "$design_ceiling" ] || {
