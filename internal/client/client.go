@@ -194,10 +194,10 @@ type Session struct {
 	// block's rows. It is recycled into scratchPool when the next block is
 	// committed — the moment the previous block's rows become invalid.
 	scratch *wire.Scratch
-	// body counts the payload bytes of the block being read, out of capped,
-	// which stops one byte past wire.MaxFramePayload; they live here so
-	// that a block costs no reader of its own.
-	body   countingReader
+	// hdr is the frame header of the /next block being read, and capped
+	// its payload, stopping at the frame's end. They live here so that a
+	// block costs no buffer or reader of its own.
+	hdr    [wire.FrameHeaderLen]byte
 	capped io.LimitedReader
 	// stream is the push framing's connection and credit state.
 	stream stream
@@ -677,8 +677,7 @@ func (s *Session) pullOnce(cctx, parent context.Context, u string) (*Block, erro
 		}
 		return nil, err
 	}
-	meta, announced := service.ParseBlockMeta(resp.Header)
-	blk, err := s.readBlock(resp.Body, t1, meta, announced)
+	blk, err := s.readBlock(resp.Body, resp.ContentLength, t1)
 	if err != nil {
 		// Usually a body truncated by a dying connection or a deadline
 		// expiry mid-body: retry and let the server replay the block.
@@ -687,32 +686,46 @@ func (s *Session) pullOnce(cctx, parent context.Context, u string) (*Block, erro
 	return blk, nil
 }
 
-// readBlock reads one /next body into a view on a pooled scratch (see
-// newBlock). t1 is when the wait for the block began.
-func (s *Session) readBlock(payload io.Reader, t1 time.Time, meta service.BlockMeta, announced bool) (*Block, error) {
-	s.capped = io.LimitedReader{R: payload, N: wire.MaxFramePayload + 1}
-	s.body = countingReader{r: &s.capped}
-	sc := scratchPool.Get().(*wire.Scratch)
-	view, err := wire.ViewBlock(s.c.codec, &s.body, sc)
-	if s.body.n > wire.MaxFramePayload {
-		scratchPool.Put(sc)
-		return nil, errBodyTooLarge
+// readBlock reads one /next body, one data frame of length bytes (-1:
+// not declared), into a view on a pooled scratch (see newBlock): a body
+// that is not exactly one data frame — short, a header whose payload
+// length disagrees with the body's, trailing bytes — is an error. t1 is
+// when the wait for the block began.
+func (s *Session) readBlock(body io.Reader, length int64, t1 time.Time) (*Block, error) {
+	f, n, err := wire.ReadFrameHeader(body, &s.hdr, wire.MaxFramePayload)
+	switch {
+	case err != nil:
+		return nil, err
+	case f.Type != wire.FrameData:
+		return nil, fmt.Errorf("a /next body framed as type 0x%02x, not a data frame", f.Type)
+	case length >= 0 && length != int64(wire.FrameHeaderLen+n):
+		return nil, fmt.Errorf("frame of %d payload bytes in a %d-byte body", n, length)
 	}
-	return s.newBlock(sc, view, err, s.body.n, time.Since(t1), meta, announced)
+	s.capped = io.LimitedReader{R: body, N: int64(n)}
+	sc := scratchPool.Get().(*wire.Scratch)
+	view, err := wire.ViewBlock(s.c.codec, &s.capped, sc)
+	if err == nil {
+		// Every codec reads its payload to the end; the frame ends there too.
+		if s.capped.N != 0 {
+			err = io.ErrUnexpectedEOF
+		} else if m, _ := io.ReadFull(body, s.hdr[:1]); m != 0 {
+			err = errors.New("trailing bytes after the frame")
+		}
+	}
+	return s.newBlock(sc, view, err, int64(n), time.Since(t1), service.FrameMeta(f))
 }
 
 // newBlock makes the block of a view read off either framing — a /next
-// body or a /stream frame's payload — onto the pooled scratch sc: it
-// checks the view against the tuple count the server announced for it
-// and stamps it with what the server said about it. A binary block is
-// checked and indexed by then, its rows built only if someone reads
-// them. A failed block's rows never escape, so its scratch is pooled
-// right away.
-func (s *Session) newBlock(sc *wire.Scratch, view wire.View, err error, n int64, elapsed time.Duration, meta service.BlockMeta, announced bool) (*Block, error) {
+// body's frame or one of a /stream's — onto the pooled scratch sc: it
+// checks the view against the tuple count its frame announced and stamps
+// it with what the frame said about it. A binary block is checked and
+// indexed by then, its rows built only if someone reads them. A failed
+// block's rows never escape, so its scratch is pooled right away.
+func (s *Session) newBlock(sc *wire.Scratch, view wire.View, err error, n int64, elapsed time.Duration, meta service.BlockMeta) (*Block, error) {
 	switch {
 	case err != nil:
 		err = fmt.Errorf("decode block: %w", err)
-	case announced && meta.Tuples != view.Len():
+	case meta.Tuples != view.Len():
 		err = fmt.Errorf("server announced %d tuples but block decoded %d", meta.Tuples, view.Len())
 	}
 	if err != nil {
@@ -872,20 +885,4 @@ func httpFailure(op string, resp *http.Response) error {
 func drain(resp *http.Response) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit))
 	resp.Body.Close()
-}
-
-// errBodyTooLarge fails a block body longer than any block may be — the
-// push frame's cap. A broken or hostile tier gets no more of the heap.
-var errBodyTooLarge = fmt.Errorf("block body exceeds the %d-byte cap", wire.MaxFramePayload)
-
-// countingReader counts the payload bytes the codec actually consumed.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/http"
@@ -244,6 +245,19 @@ func TestServerFailureSurfaces(t *testing.T) {
 	}
 }
 
+// blockFrame is a /next body: rows encoded with codec, framed under m.
+func blockFrame(tb testing.TB, codec wire.Codec, m service.BlockMeta, schema minidb.Schema, rows []minidb.Row) []byte {
+	tb.Helper()
+	var payload, frame bytes.Buffer
+	if err := codec.Encode(&payload, schema, rows); err != nil {
+		tb.Fatal(err)
+	}
+	if err := wire.WriteFrame(&frame, m.Frame(payload.Bytes())); err != nil {
+		tb.Fatal(err)
+	}
+	return frame.Bytes()
+}
+
 func TestTruncatedBlockDetected(t *testing.T) {
 	// A server that announces more tuples than it ships.
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -253,10 +267,8 @@ func TestTruncatedBlockDetected(t *testing.T) {
 			fmt.Fprint(w, `{"session":"s1","columns":["k"]}`)
 			return
 		}
-		w.Header().Set(service.HeaderBlockTuples, "10")
-		w.Header().Set(service.HeaderBlockDone, "false")
-		_ = wire.XML{}.Encode(w, minidb.Schema{{Name: "k", Type: minidb.Int64}},
-			[]minidb.Row{{minidb.NewInt(1)}})
+		_, _ = w.Write(blockFrame(t, wire.XML{}, service.BlockMeta{Tuples: 10}, minidb.Schema{{Name: "k", Type: minidb.Int64}},
+			[]minidb.Row{{minidb.NewInt(1)}}))
 	}))
 	defer ts.Close()
 	c, _ := New(ts.URL, wire.XML{}, nil)
@@ -269,16 +281,22 @@ func TestTruncatedBlockDetected(t *testing.T) {
 	}
 }
 
-// TestPullBodyIsCapped: a /next body longer than any block may be — the
-// push frame's cap — fails the pull once the client has read one byte
-// past the cap, as transient as an oversize push frame, with an error
-// naming the cap; the client's heap does not grow with the body.
+// TestPullBodyIsCapped: a /next frame longer than any block may be — the
+// push frame's cap — fails the pull at its header, before a payload byte
+// is read, as transient as an oversize push frame, with an error naming
+// the cap; the client's heap does not grow with the body.
 func TestPullBodyIsCapped(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/sessions" {
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusCreated)
 			fmt.Fprint(w, `{"session":"s1","columns":["k"]}`)
+			return
+		}
+		var hdr bytes.Buffer
+		_ = wire.WriteFrame(&hdr, wire.Frame{Type: wire.FrameData})
+		binary.BigEndian.PutUint32(hdr.Bytes()[28:32], wire.MaxFramePayload+1) // the payload length
+		if _, err := w.Write(hdr.Bytes()); err != nil {
 			return
 		}
 		chunk := make([]byte, 64<<10)
@@ -295,7 +313,7 @@ func TestPullBodyIsCapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = sess.Next(context.Background(), 10)
-	if !errors.Is(err, errBodyTooLarge) || !isTransient(err) || !strings.Contains(fmt.Sprint(err), strconv.Itoa(wire.MaxFramePayload)) {
+	if !errors.Is(err, wire.ErrFrameTooLarge) || !isTransient(err) || !strings.Contains(fmt.Sprint(err), strconv.Itoa(wire.MaxFramePayload)) {
 		t.Fatalf("pull of a %d-byte body: err = %v, want a transient error naming the %d-byte cap", wire.MaxFramePayload+1, err, wire.MaxFramePayload)
 	}
 }
@@ -314,20 +332,16 @@ func TestRetryReplaysTruncatedResponse(t *testing.T) {
 			fmt.Fprint(w, `{"session":"s1","columns":["k"]}`)
 			return
 		}
-		var buf bytes.Buffer
-		if err := (wire.XML{}).Encode(&buf, schema, rows); err != nil {
-			t.Error(err)
-		}
-		w.Header().Set(service.HeaderBlockTuples, "3")
-		w.Header().Set(service.HeaderBlockDone, "true")
+		meta := service.BlockMeta{Tuples: 3, Done: true}
 		if pulls.Add(1) == 1 {
 			// Truncate: announce the full length, ship half, sever.
-			w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-			_, _ = w.Write(buf.Bytes()[:buf.Len()/2])
+			buf := blockFrame(t, wire.XML{}, meta, schema, rows)
+			w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+			_, _ = w.Write(buf[:len(buf)/2])
 			panic(http.ErrAbortHandler)
 		}
-		w.Header().Set(service.HeaderBlockReplay, "true")
-		_, _ = w.Write(buf.Bytes())
+		meta.Replayed = true
+		_, _ = w.Write(blockFrame(t, wire.XML{}, meta, schema, rows))
 	}))
 	defer ts.Close()
 
@@ -366,10 +380,8 @@ func TestRunRejectsSilentTruncation(t *testing.T) {
 		if pulls.Add(1) == 1 {
 			rows = []minidb.Row{{minidb.NewInt(1)}}
 		}
-		// Never sets the done header: the second block is empty + not done.
-		w.Header().Set(service.HeaderBlockTuples, strconv.Itoa(len(rows)))
-		w.Header().Set(service.HeaderBlockDone, "false")
-		_ = wire.XML{}.Encode(w, schema, rows)
+		// Never sets the done flag: the second block is empty + not done.
+		_, _ = w.Write(blockFrame(t, wire.XML{}, service.BlockMeta{Tuples: len(rows)}, schema, rows))
 	}))
 	defer ts.Close()
 

@@ -18,7 +18,7 @@ import (
 )
 
 // cannedTransport answers the pull protocol from memory: a session open,
-// then the same encoded block for every /next. No socket, no server, and
+// then the same framed block for every /next. No socket, no server, and
 // nothing of its own allocated per pull — the response, its header and
 // its body reader are reused — so a pull through it costs what the
 // client's own code (and the net/http client above the transport) costs.
@@ -31,12 +31,9 @@ type cannedTransport struct {
 
 func newCannedTransport(tb testing.TB, codec wire.Codec, schema minidb.Schema, batch []minidb.Row) *cannedTransport {
 	tb.Helper()
-	var buf bytes.Buffer
-	if err := codec.Encode(&buf, schema, batch); err != nil {
-		tb.Fatal(err)
-	}
-	rt := &cannedTransport{block: buf.Bytes(), header: http.Header{}}
-	service.BlockMeta{Tuples: len(batch)}.WriteHeader(rt.header)
+	block := blockFrame(tb, codec, service.BlockMeta{Tuples: len(batch)}, schema, batch)
+	rt := &cannedTransport{block: block, header: http.Header{}}
+	service.SetFrameHeaders(rt.header, len(block), false)
 	return rt
 }
 
@@ -111,11 +108,11 @@ func cannedSession(tb testing.TB, timeout time.Duration, schema minidb.Schema, b
 }
 
 // pullAllocBudget is what one steady-state pull of a 64-row binary block
-// may allocate on the client: 21 measured (PR 20, which started a
-// goroutine with a channel per pull, copied the deadline window and
-// parsed the base URL twice, measured 35 on the same transport), plus 2
-// of slack for a Go release that moves net/http's share.
-const pullAllocBudget = 23
+// may allocate on the client, measured (go1.24 amd64): 17, the block's
+// metadata read from its frame header into the session's own buffer. A
+// pull that started a goroutine with a channel, copied the deadline
+// window and parsed the base URL twice measured 35 on the same transport.
+const pullAllocBudget = 17
 
 // TestPullAllocGate gates the client's own per-block allocations (run
 // without the race detector: `scripts/verify.sh allocgate`) — under the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"wsopt/internal/core"
@@ -125,8 +126,11 @@ func (p *PushSession) sendOnce(ctx context.Context, u string, payload []byte, tu
 		}
 		return nil, err
 	}
-	ack, _ := service.ParseBlockMeta(resp.Header)
-	return &PushBlock{Tuples: tuples, Elapsed: time.Since(t1), InjectedMS: ack.DelayMS, Replayed: ack.Replayed}, nil
+	// The ack's headers: the priced delay, and whether the block was a
+	// retry the server had already applied. Absent or malformed read as 0.
+	delayMS, _ := strconv.ParseFloat(resp.Header.Get(service.HeaderInjectedDelayMS), 64)
+	replayed, _ := strconv.ParseBool(resp.Header.Get(service.HeaderBlockReplay))
+	return &PushBlock{Tuples: tuples, Elapsed: time.Since(t1), InjectedMS: delayMS, Replayed: replayed}, nil
 }
 
 // Close finishes the upload and returns the server-confirmed tuple count.

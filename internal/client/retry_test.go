@@ -125,10 +125,8 @@ func blockFlakyServer(t *testing.T, failures int) (*httptest.Server, *atomic.Int
 			http.Error(w, "boom", http.StatusServiceUnavailable)
 			return
 		}
-		w.Header().Set(service.HeaderBlockTuples, "1")
-		w.Header().Set(service.HeaderBlockDone, "false")
-		_ = wire.XML{}.Encode(w, minidb.Schema{{Name: "k", Type: minidb.Int64}},
-			[]minidb.Row{{minidb.NewInt(1)}})
+		_, _ = w.Write(blockFrame(t, wire.XML{}, service.BlockMeta{Tuples: 1}, minidb.Schema{{Name: "k", Type: minidb.Int64}},
+			[]minidb.Row{{minidb.NewInt(1)}}))
 	}))
 	t.Cleanup(ts.Close)
 	return ts, &nextCalls, func() []string {

@@ -209,7 +209,7 @@ func (s *Session) streamAttempt(ctx context.Context, size, attempt int) (*Block,
 			sc := scratchPool.Get().(*wire.Scratch)
 			view, spare, verr := wire.ViewPayload(s.c.codec, f.Payload, sc)
 			t.buf = spare
-			blk, err = s.newBlock(sc, view, verr, int64(len(f.Payload)), time.Since(t1), service.FrameMeta(f), true)
+			blk, err = s.newBlock(sc, view, verr, int64(len(f.Payload)), time.Since(t1), service.FrameMeta(f))
 		}
 		if err == nil {
 			t.unacked += len(f.Payload)

@@ -21,9 +21,9 @@
 //     backend seq), so the client's cursor never resets.
 //
 // The client sees the same session id, an uninterrupted seq stream, and
-// a X-WSGate-Failovers header that lets it surface the disturbance to
-// its controller exactly once. Exactly-once delivery holds across
-// process death, not just connection death.
+// a failover count in every block's frame that lets it surface the
+// disturbance to its controller exactly once. Exactly-once delivery holds
+// across process death, not just connection death.
 package gateway
 
 import (
@@ -36,7 +36,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +86,10 @@ type Config struct {
 
 // backend is one wsblockd replica as seen from the gateway.
 type backend struct {
-	url    string
+	url string
+	// idx is the backend's number in a block's frame: its place in
+	// cfg.Backends, and in Stats().Backends, from 1.
+	idx    int
 	ep     *resilience.Endpoint
 	store  *replica.Store
 	puller *replica.Puller
@@ -249,7 +252,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.pool = pool
 	for _, ep := range pool.Endpoints() {
-		b := &backend{url: ep.URL(), ep: ep, store: replica.NewStore(0)}
+		b := &backend{url: ep.URL(), idx: slices.Index(cfg.Backends, ep.URL()) + 1, ep: ep, store: replica.NewStore(0)}
 		b.puller = &replica.Puller{
 			URL:      b.url,
 			Store:    b.store,
@@ -279,7 +282,7 @@ func New(cfg Config) (*Gateway, error) {
 	// push client opens by POST /sessions and pulls, rather than read a
 	// mux 404 as a session the tier forgot.
 	mux.HandleFunc("POST /sessions/{id}/stream", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set(service.HeaderGatewayTransparentFailover, "true")
+		service.MarkTransparentFailover(w.Header())
 		httpError(w, http.StatusNotImplemented, "the gateway does not proxy push streams; open by POST /sessions and pull")
 	})
 	mux.HandleFunc("DELETE /sessions/{id}", g.handleDelete)
@@ -438,7 +441,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	g.logf("session %s opened on %s (backend id %s, offset %d)", id, placed.url, cr.Session, offset)
 
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(service.HeaderGatewayTransparentFailover, "true")
+	service.MarkTransparentFailover(w.Header())
 	w.WriteHeader(http.StatusCreated)
 	cr.Session = id
 	if err := json.NewEncoder(w).Encode(cr); err != nil {
@@ -499,16 +502,14 @@ func (g *Gateway) openOn(ctx context.Context, b *backend, body []byte) (createRe
 }
 
 // proxiedBlock is one response's view of a block pulled from a backend:
-// its metadata as the backend (or the standby copy) gave it, which
-// writeBlock stamps with the client's seq and the gateway hop, and its
-// content type. The block itself is held by reference (DESIGN.md §14):
-// a pooled buffer the body was read into whole, so a backend dying
-// mid-body is detected before any byte reaches the client, or a standby
-// copy.
+// its metadata as the backend's frame (or the standby copy) gave it,
+// which writeBlock stamps with the client's seq and the gateway hop. The
+// payload itself is held by reference (DESIGN.md §14): a pooled buffer
+// the body was read into whole, so a backend dying mid-body is detected
+// before any byte reaches the client, or a standby copy.
 type proxiedBlock struct {
 	*blockcache.Entry
-	contentType string
-	meta        service.BlockMeta
+	meta service.BlockMeta
 }
 
 // maxBlockBytes caps one proxied block's body.
@@ -669,9 +670,8 @@ func (g *Gateway) resync(ctx context.Context, sess *gwSession) error {
 func (g *Gateway) standbyBlock(ss *replica.SessionState) *proxiedBlock {
 	g.stats.standbyReplays.Add(1)
 	return &proxiedBlock{
-		Entry:       g.refs.Copy(ss.Payload, ss.Tuples, ss.Done),
-		contentType: codecContentType(ss.Codec),
-		meta:        service.BlockMeta{Tuples: ss.Tuples, Done: ss.Done, Replayed: true},
+		Entry: g.refs.Copy(ss.Payload, ss.Tuples, ss.Done),
+		meta:  service.BlockMeta{Tuples: ss.Tuples, Done: ss.Done, Replayed: true},
 	}
 }
 
@@ -702,10 +702,11 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, q 
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, resp.StatusCode, errors.New(string(msg))
 	}
-	// Store-and-forward: the whole body lands in one pooled buffer before
-	// the caller sees it. Sized up front from Content-Length, plus the
-	// spare room ReadFrom wants before the read that returns EOF, the
-	// buffer never regrows; a warm one is not even allocated.
+	// Store-and-forward: the whole body, one frame, lands in one pooled
+	// buffer before the caller sees it. Sized up front from
+	// Content-Length, plus the spare room ReadFrom wants before the read
+	// that returns EOF, the buffer never regrows; a warm one is not even
+	// allocated. Only the payload is kept: writeBlock frames it afresh.
 	buf := blockcache.Buffer()
 	if n := resp.ContentLength; n > 0 && n <= maxBlockBytes {
 		buf.Grow(int(n) + bytes.MinRead)
@@ -714,12 +715,25 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, q 
 	if err == nil && (n > maxBlockBytes || resp.ContentLength >= 0 && n != resp.ContentLength) {
 		err = fmt.Errorf("%d bytes against Content-Length %d and a %d-byte cap", n, resp.ContentLength, maxBlockBytes)
 	}
+	var f wire.Frame
+	if err == nil {
+		var paylen int
+		f, paylen, err = wire.ParseFrameHeader(buf.Bytes(), maxBlockBytes)
+		switch {
+		case err != nil:
+		case f.Type != wire.FrameData:
+			err = fmt.Errorf("a frame of type 0x%02x", f.Type)
+		case wire.FrameHeaderLen+paylen != buf.Len():
+			err = fmt.Errorf("a frame of %d payload bytes in a %d-byte body", paylen, buf.Len())
+		}
+	}
 	if err != nil {
 		blockcache.PutBuffer(buf)
 		return nil, 0, fmt.Errorf("read block body: %w", err)
 	}
-	meta, _ := service.ParseBlockMeta(resp.Header)
-	return &proxiedBlock{Entry: g.refs.Pooled(buf, meta.Tuples, meta.Done), contentType: resp.Header.Get("Content-Type"), meta: meta}, 0, nil
+	buf.Next(wire.FrameHeaderLen)
+	meta := service.FrameMeta(f)
+	return &proxiedBlock{Entry: g.refs.Pooled(buf, meta.Tuples, meta.Done), meta: meta}, 0, nil
 }
 
 // failover moves sess to a healthy successor backend after its primary
@@ -868,29 +882,24 @@ func (g *Gateway) reopen(ctx context.Context, sess *gwSession, b *backend, offse
 // that tests can shorten it.
 var blockWriteDeadline = 2 * time.Minute
 
-// writeBlock writes one proxied block to the client and flushes it,
-// within blockWriteDeadline, stamping the seq the client named (echoSeq;
-// 0 = it named none, nothing is echoed) and the gateway hop on its
-// metadata. Like the service, it counts the block before the write — the
-// client holds it the moment the write returns — and takes a failed
-// write back. It reports whether the block went out whole. Called with
-// sess.mu held.
+// writeBlock writes one proxied block to the client as one frame and
+// flushes it, within blockWriteDeadline, stamping the seq the client
+// named (echoSeq; 0 = it named none, nothing is echoed) and the gateway
+// hop on its metadata. Like the service, it counts the block before the
+// write — the client holds it the moment the write returns — and takes a
+// failed write back. It reports whether the block went out whole. Called
+// with sess.mu held.
 func (g *Gateway) writeBlock(w http.ResponseWriter, sess *gwSession, blk *proxiedBlock, echoSeq uint64, started time.Time) bool {
 	meta := blk.meta
-	meta.Seq, meta.Backend, meta.Failovers = echoSeq, sess.backend.url, sess.failovers
-	h := w.Header()
-	if blk.contentType != "" {
-		h.Set("Content-Type", blk.contentType)
-	}
-	meta.WriteHeader(h)
-	h.Set("Content-Length", strconv.Itoa(len(blk.Bytes())))
+	meta.Seq, meta.Backend, meta.Failovers = echoSeq, sess.backend.idx, sess.failovers
+	service.SetFrameHeaders(w.Header(), wire.FrameHeaderLen+len(blk.Bytes()), meta.Done)
 	// Recorders answer ErrNotSupported.
 	rc := http.NewResponseController(w)
 	_ = rc.SetWriteDeadline(time.Now().Add(blockWriteDeadline))
 	defer rc.SetWriteDeadline(time.Time{})
 	g.stats.blocksProxied.Add(1)
 	g.stats.tuplesProxied.Add(int64(meta.Tuples))
-	_, err := w.Write(blk.Bytes())
+	err := wire.WriteFrame(w, meta.Frame(blk.Bytes()))
 	if err == nil {
 		err = rc.Flush()
 	}
@@ -1104,18 +1113,6 @@ func (g *Gateway) attachBackendCaches(ctx context.Context, st *Stats) {
 		}(&st.Backends[i])
 	}
 	wg.Wait()
-}
-
-// codecContentType maps a shipped codec name to its HTTP content type.
-func codecContentType(name string) string {
-	if name == "" {
-		return "application/octet-stream"
-	}
-	c, err := wire.ByName(name)
-	if err != nil {
-		return "application/octet-stream"
-	}
-	return c.ContentType()
 }
 
 func (g *Gateway) logf(format string, args ...any) {

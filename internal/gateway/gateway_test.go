@@ -9,7 +9,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +140,39 @@ func pullQuery(t testing.TB, base, id string, q service.Query) *http.Response {
 	return resp
 }
 
+// readFrame reads a /next 200's body, one data frame, and closes it: the
+// block's metadata and payload. Another status, another frame type, a
+// short frame or bytes after it fail the test.
+func readFrame(t testing.TB, resp *http.Response) (service.BlockMeta, []byte) {
+	t.Helper()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s (%v): %s", resp.Status, err, body)
+	}
+	f, n, err := wire.ParseFrameHeader(body, 0)
+	switch {
+	case err != nil:
+	case f.Type != wire.FrameData:
+		err = fmt.Errorf("frame type 0x%02x", f.Type)
+	case wire.FrameHeaderLen+n != len(body):
+		err = fmt.Errorf("a frame of %d payload bytes", n)
+	}
+	if err != nil {
+		t.Fatalf("a %d-byte body that is not one data frame: %v", len(body), err)
+	}
+	return service.FrameMeta(f), body[wire.FrameHeaderLen:]
+}
+
+// backendURL is the URL of the backend a block's frame names (Stats lists
+// the backends in their frame order), or "" when it names none.
+func backendURL(gw *Gateway, m service.BlockMeta) string {
+	if m.Backend == 0 {
+		return ""
+	}
+	return gw.Stats().Backends[m.Backend-1].URL
+}
+
 // decodeIDs decodes a block payload and returns the id column values.
 func decodeIDs(t *testing.T, payload []byte) []int64 {
 	t.Helper()
@@ -156,25 +188,18 @@ func decodeIDs(t *testing.T, payload []byte) []int64 {
 }
 
 // drainSession pulls blocks of size until done, starting at seq start,
-// asserting headers along the way. Returns all ids seen and the max
+// asserting frame headers along the way. Returns all ids seen and the max
 // failover count observed.
 func drainSession(t *testing.T, base, id string, size int, start uint64) (ids []int64, failovers int) {
 	t.Helper()
 	for seq := start; ; seq++ {
-		resp := pull(t, base, id, size, seq)
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("seq %d: %s (%v): %s", seq, resp.Status, err, body)
+		meta, body := readFrame(t, pull(t, base, id, size, seq))
+		if meta.Seq != seq {
+			t.Fatalf("seq %d: frame seq = %d", seq, meta.Seq)
 		}
-		if got := resp.Header.Get(service.HeaderBlockSeq); got != strconv.FormatUint(seq, 10) {
-			t.Fatalf("seq %d: %s header = %q", seq, service.HeaderBlockSeq, got)
-		}
-		if fo, _ := strconv.Atoi(resp.Header.Get(service.HeaderGatewayFailovers)); fo > failovers {
-			failovers = fo
-		}
+		failovers = max(failovers, meta.Failovers)
 		ids = append(ids, decodeIDs(t, body)...)
-		if done, _ := strconv.ParseBool(resp.Header.Get(service.HeaderBlockDone)); done {
+		if meta.Done {
 			return ids, failovers
 		}
 	}
@@ -330,18 +355,14 @@ func TestGatewayReplayAndSeqValidation(t *testing.T) {
 	_, ts := newTestGateway(t, fleet, nil)
 	id, _ := openSession(t, ts.URL, `{"table":"items"}`)
 
-	first := pull(t, ts.URL, id, 10, 1)
-	b1, _ := io.ReadAll(first.Body)
-	first.Body.Close()
+	_, b1 := readFrame(t, pull(t, ts.URL, id, 10, 1))
 
 	// Verbatim replay of the last seq.
-	again := pull(t, ts.URL, id, 10, 1)
-	b2, _ := io.ReadAll(again.Body)
-	again.Body.Close()
-	if again.StatusCode != http.StatusOK || !bytes.Equal(b1, b2) {
-		t.Fatalf("replay: %s, equal=%v", again.Status, bytes.Equal(b1, b2))
+	again, b2 := readFrame(t, pull(t, ts.URL, id, 10, 1))
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("replay: equal=%v", bytes.Equal(b1, b2))
 	}
-	if rp, _ := strconv.ParseBool(again.Header.Get(service.HeaderBlockReplay)); !rp {
+	if !again.Replayed {
 		t.Fatal("replay not flagged")
 	}
 
@@ -479,14 +500,9 @@ func TestGatewayFailoverFresh(t *testing.T) {
 	gw, ts := newTestGateway(t, fleet, nil)
 	id, _ := openSession(t, ts.URL, `{"table":"items"}`)
 
-	resp := pull(t, ts.URL, id, 20, 1)
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("seq 1: %s", resp.Status)
-	}
+	meta, body := readFrame(t, pull(t, ts.URL, id, 20, 1))
 	ids := decodeIDs(t, body)
-	primary := resp.Header.Get(service.HeaderGatewayBackend)
+	primary := backendURL(gw, meta)
 
 	backendFor(t, fleet, primary).kill()
 
@@ -520,10 +536,8 @@ func TestGatewayFailoverStandbyReplay(t *testing.T) {
 	gw, ts := newTestGateway(t, fleet, nil)
 	id, _ := openSession(t, ts.URL, `{"table":"items"}`)
 
-	resp := pull(t, ts.URL, id, 25, 1)
-	committed, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	primary := resp.Header.Get(service.HeaderGatewayBackend)
+	meta, committed := readFrame(t, pull(t, ts.URL, id, 25, 1))
+	primary := backendURL(gw, meta)
 
 	// Wait until the standby store has applied the create + commit.
 	waitFor(t, 2*time.Second, "replication to catch up", func() bool {
@@ -537,16 +551,11 @@ func TestGatewayFailoverStandbyReplay(t *testing.T) {
 	backendFor(t, fleet, primary).kill()
 
 	for attempt := 1; attempt <= 2; attempt++ {
-		retry := pull(t, ts.URL, id, 25, 1)
-		replayed, _ := io.ReadAll(retry.Body)
-		retry.Body.Close()
-		if retry.StatusCode != http.StatusOK {
-			t.Fatalf("retry %d after kill: %s: %s", attempt, retry.Status, replayed)
-		}
+		retry, replayed := readFrame(t, pull(t, ts.URL, id, 25, 1))
 		if !bytes.Equal(replayed, committed) {
 			t.Fatalf("retry %d: replayed block differs from the committed block", attempt)
 		}
-		if rp, _ := strconv.ParseBool(retry.Header.Get(service.HeaderBlockReplay)); !rp {
+		if !retry.Replayed {
 			t.Fatalf("retry %d not flagged as replay", attempt)
 		}
 	}
@@ -570,18 +579,11 @@ func TestGatewayFailoverFallbackReplay(t *testing.T) {
 	gw, ts := newTestGateway(t, fleet, nil)
 	id, _ := openSession(t, ts.URL, `{"table":"items"}`)
 
-	resp := pull(t, ts.URL, id, 25, 1)
-	committed, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	primary := resp.Header.Get(service.HeaderGatewayBackend)
+	meta, committed := readFrame(t, pull(t, ts.URL, id, 25, 1))
+	primary := backendURL(gw, meta)
 	backendFor(t, fleet, primary).kill()
 
-	retry := pull(t, ts.URL, id, 25, 1)
-	replayed, _ := io.ReadAll(retry.Body)
-	retry.Body.Close()
-	if retry.StatusCode != http.StatusOK {
-		t.Fatalf("retry after kill: %s: %s", retry.Status, replayed)
-	}
+	_, replayed := readFrame(t, pull(t, ts.URL, id, 25, 1))
 	if !bytes.Equal(replayed, committed) {
 		t.Fatal("fallback re-pull produced a different block")
 	}
@@ -610,13 +612,11 @@ func TestGatewayStandbyReplayOfFinalBlock(t *testing.T) {
 	id, _ := openSession(t, ts.URL, `{"table":"items"}`)
 
 	// size > rows: block 1 is the final block.
-	resp := pull(t, ts.URL, id, rows+5, 1)
-	final, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if done, _ := strconv.ParseBool(resp.Header.Get(service.HeaderBlockDone)); !done {
+	meta, final := readFrame(t, pull(t, ts.URL, id, rows+5, 1))
+	if !meta.Done {
 		t.Fatal("first block not final; test setup broken")
 	}
-	primary := resp.Header.Get(service.HeaderGatewayBackend)
+	primary := backendURL(gw, meta)
 	waitFor(t, 2*time.Second, "replication to catch up", func() bool {
 		for _, b := range gw.Stats().Backends {
 			if b.URL == primary {
@@ -628,16 +628,11 @@ func TestGatewayStandbyReplayOfFinalBlock(t *testing.T) {
 	backendFor(t, fleet, primary).kill()
 
 	for attempt := 1; attempt <= 3; attempt++ {
-		retry := pull(t, ts.URL, id, rows+5, 1)
-		replayed, _ := io.ReadAll(retry.Body)
-		retry.Body.Close()
-		if retry.StatusCode != http.StatusOK {
-			t.Fatalf("retry %d of the final block: %s: %s", attempt, retry.Status, replayed)
-		}
+		retry, replayed := readFrame(t, pull(t, ts.URL, id, rows+5, 1))
 		if !bytes.Equal(replayed, final) {
 			t.Fatalf("retry %d: replayed final block differs from the committed one", attempt)
 		}
-		if rp, _ := strconv.ParseBool(retry.Header.Get(service.HeaderBlockReplay)); !rp {
+		if !retry.Replayed {
 			t.Fatalf("retry %d not flagged as replay", attempt)
 		}
 	}
@@ -676,10 +671,8 @@ func TestGatewayStandbyGuardRejectsForeignState(t *testing.T) {
 	gw, ts := newTestGateway(t, fleet, nil)
 	id, _ := openSession(t, ts.URL, `{"table":"items"}`)
 
-	resp := pull(t, ts.URL, id, 25, 1)
-	committed, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	primary := resp.Header.Get(service.HeaderGatewayBackend)
+	meta, committed := readFrame(t, pull(t, ts.URL, id, 25, 1))
+	primary := backendURL(gw, meta)
 	waitFor(t, 2*time.Second, "replication to catch up", func() bool {
 		for _, b := range gw.Stats().Backends {
 			if b.URL == primary {
@@ -701,12 +694,7 @@ func TestGatewayStandbyGuardRejectsForeignState(t *testing.T) {
 	})
 	backendFor(t, fleet, primary).kill()
 
-	retry := pull(t, ts.URL, id, 25, 1)
-	replayed, _ := io.ReadAll(retry.Body)
-	retry.Body.Close()
-	if retry.StatusCode != http.StatusOK {
-		t.Fatalf("retry after kill: %s: %s", retry.Status, replayed)
-	}
+	_, replayed := readFrame(t, pull(t, ts.URL, id, 25, 1))
 	if bytes.Contains(replayed, []byte("forged")) {
 		t.Fatal("gateway replayed foreign standby state")
 	}
@@ -846,9 +834,11 @@ func TestGatewayRoutesNewSessionsAroundDeadBackend(t *testing.T) {
 	})
 
 	for i := 0; i < 8; i++ {
-		id, resp := openSession(t, ts.URL, `{"table":"items"}`)
-		if got := resp.Header.Get(service.HeaderGatewayBackend); got == dead.ts.URL {
-			t.Fatalf("session %s placed on the dead backend", id)
+		id, _ := openSession(t, ts.URL, `{"table":"items"}`)
+		for _, s := range gw.Stats().Sessions {
+			if s.ID == id && s.Backend == dead.ts.URL {
+				t.Fatalf("session %s placed on the dead backend", id)
+			}
 		}
 	}
 	for _, b := range gw.Stats().Backends {

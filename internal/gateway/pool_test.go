@@ -14,14 +14,15 @@ import (
 	"time"
 
 	"wsopt/internal/service"
+	"wsopt/internal/wire"
 )
 
 // fakeBackend speaks just enough of the block protocol for the gateway
-// to proxy it: every session serves block(session id) on every pull and
-// is never done. serve writes the block's body, so a test can mangle it;
-// nil writes it whole under its Content-Length. No replication feed
+// to proxy it: every session serves block(session id), one tuple, on
+// every pull and is never done. serve writes the block's frame, so a test
+// can mangle it; nil writes it whole under its Content-Length. No replication feed
 // (404: alive, not replicated).
-func fakeBackend(t testing.TB, block func(session string) []byte, serve func(w http.ResponseWriter, payload []byte)) *httptest.Server {
+func fakeBackend(t testing.TB, block func(session string) []byte, serve func(w http.ResponseWriter, frame []byte)) *httptest.Server {
 	t.Helper()
 	var next atomic.Int64
 	mux := http.NewServeMux()
@@ -31,18 +32,16 @@ func fakeBackend(t testing.TB, block func(session string) []byte, serve func(w h
 		fmt.Fprintf(w, `{"session":"b%d"}`, next.Add(1))
 	})
 	mux.HandleFunc("POST /sessions/{id}/next", func(w http.ResponseWriter, r *http.Request) {
-		payload := block(r.PathValue("id"))
-		h := w.Header()
-		h.Set("Content-Type", "application/octet-stream")
-		h.Set(service.HeaderBlockTuples, "1")
-		h.Set(service.HeaderBlockDone, "false")
-		h.Set(service.HeaderBlockSeq, r.URL.Query().Get("seq"))
-		h.Set("Content-Length", strconv.Itoa(len(payload)))
-		if serve != nil {
-			serve(w, payload)
+		seq, _ := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
+		f := service.BlockMeta{Seq: seq, Tuples: 1}.Frame(block(r.PathValue("id")))
+		service.SetFrameHeaders(w.Header(), wire.FrameHeaderLen+len(f.Payload), false)
+		if serve == nil {
+			_ = wire.WriteFrame(w, f)
 			return
 		}
-		_, _ = w.Write(payload)
+		var frame bytes.Buffer
+		_ = wire.WriteFrame(&frame, f)
+		serve(w, frame.Bytes())
 	})
 	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
@@ -119,26 +118,21 @@ func TestPooledBufferNotReusedWhileClientWriteInFlight(t *testing.T) {
 	churn, _ := openSession(t, gw.URL, `{"table":"t"}`) // backend session b2: 'B'
 
 	resp := pull(t, gw.URL, slow, 1, 1)
-	defer resp.Body.Close()
 	head := make([]byte, 4096)
 	if _, err := io.ReadFull(resp.Body, head); err != nil {
 		t.Fatal(err)
 	}
 	// The slow client now sits on its unread body while the pool churns.
 	for seq := uint64(1); seq <= 6; seq++ {
-		r := pull(t, gw.URL, churn, 1, seq)
-		body, err := io.ReadAll(r.Body)
-		r.Body.Close()
-		if err != nil || len(body) != size || bytes.Count(body, []byte{'B'}) != size {
-			t.Fatalf("churn seq %d: %d bytes, err %v, or a foreign fill", seq, len(body), err)
+		_, body := readFrame(t, pull(t, gw.URL, churn, 1, seq))
+		if len(body) != size || bytes.Count(body, []byte{'B'}) != size {
+			t.Fatalf("churn seq %d: %d bytes, or a foreign fill", seq, len(body))
 		}
 	}
-	rest, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := bytes.Count(head, []byte{'A'}) + bytes.Count(rest, []byte{'A'}); got != size || len(head)+len(rest) != size {
-		t.Fatalf("slow client read %d bytes, %d of its own fill; want %d of each", len(head)+len(rest), got, size)
+	resp.Body = io.NopCloser(io.MultiReader(bytes.NewReader(head), resp.Body))
+	_, payload := readFrame(t, resp)
+	if got := bytes.Count(payload, []byte{'A'}); got != size || len(payload) != size {
+		t.Fatalf("slow client read %d bytes, %d of its own fill; want %d of each", len(payload), got, size)
 	}
 	deleteSession(t, gw.URL, slow)
 	deleteSession(t, gw.URL, churn)
@@ -156,10 +150,8 @@ func TestStandbyCopiesNeverAliasPooledBuffers(t *testing.T) {
 	gwy, ts := newTestGateway(t, fleet, nil)
 	id, _ := openSession(t, ts.URL, `{"table":"items"}`)
 
-	resp := pull(t, ts.URL, id, 100, 1)
-	committed, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	primary := resp.Header.Get(service.HeaderGatewayBackend)
+	meta, committed := readFrame(t, pull(t, ts.URL, id, 100, 1))
+	primary := backendURL(gwy, meta)
 	waitFor(t, 2*time.Second, "replication to catch up", func() bool {
 		for _, b := range gwy.Stats().Backends {
 			if b.URL == primary {
@@ -171,11 +163,9 @@ func TestStandbyCopiesNeverAliasPooledBuffers(t *testing.T) {
 	backendFor(t, fleet, primary).kill()
 
 	for attempt := 1; attempt <= 3; attempt++ {
-		retry := pull(t, ts.URL, id, 100, 1)
-		replayed, _ := io.ReadAll(retry.Body)
-		retry.Body.Close()
-		if retry.StatusCode != http.StatusOK || !bytes.Equal(replayed, committed) {
-			t.Fatalf("retry %d: %s, replay differs from the committed block: %v", attempt, retry.Status, !bytes.Equal(replayed, committed))
+		_, replayed := readFrame(t, pull(t, ts.URL, id, 100, 1))
+		if !bytes.Equal(replayed, committed) {
+			t.Fatalf("retry %d: replay differs from the committed block", attempt)
 		}
 		// Another session's blocks, of other rows, through every pooled buffer.
 		other, _ := openSession(t, ts.URL, `{"table":"items","where":"id >= 200"}`)
@@ -199,25 +189,23 @@ func TestStandbyCopiesNeverAliasPooledBuffers(t *testing.T) {
 func TestGatewayFailsOverOnShortBody(t *testing.T) {
 	block := bytes.Repeat([]byte("0123456789abcdef"), 64<<10) // 1 MiB
 	var truncated atomic.Bool
-	serve := func(w http.ResponseWriter, payload []byte) {
+	serve := func(w http.ResponseWriter, frame []byte) {
 		if truncated.CompareAndSwap(false, true) {
-			_, _ = w.Write(payload[:len(payload)/2])
+			_, _ = w.Write(frame[:len(frame)/2])
 			panic(http.ErrAbortHandler) // sever the connection mid-body
 		}
-		_, _ = w.Write(payload)
+		_, _ = w.Write(frame)
 	}
 	all := func(string) []byte { return block }
 	_, gw := newFakeGateway(t, fakeBackend(t, all, serve), fakeBackend(t, all, serve))
 
 	id, _ := openSession(t, gw.URL, `{"table":"t"}`)
-	resp := pull(t, gw.URL, id, 1, 1)
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, block) {
-		t.Fatalf("pull across a short body: %s, %d bytes, err %v; want the whole %d-byte block", resp.Status, len(body), err, len(block))
+	meta, body := readFrame(t, pull(t, gw.URL, id, 1, 1))
+	if !bytes.Equal(body, block) {
+		t.Fatalf("pull across a short body: %d bytes; want the whole %d-byte block", len(body), len(block))
 	}
-	if got := resp.Header.Get(service.HeaderGatewayFailovers); got != "1" || !truncated.Load() {
-		t.Fatalf("%s = %q, truncated = %v; want one failover past the short body", service.HeaderGatewayFailovers, got, truncated.Load())
+	if meta.Failovers != 1 || !truncated.Load() {
+		t.Fatalf("frame failovers = %d, truncated = %v; want one failover past the short body", meta.Failovers, truncated.Load())
 	}
 }
 
@@ -227,11 +215,14 @@ func TestGatewayFailsOverOnShortBody(t *testing.T) {
 // client's cursor by the wrong count — and gives the block back.
 func TestRePullOfOtherTuplesIsRefused(t *testing.T) {
 	var failedOver atomic.Bool
-	serve := func(w http.ResponseWriter, payload []byte) {
+	serve := func(w http.ResponseWriter, frame []byte) {
 		if failedOver.Load() {
-			w.Header().Set(service.HeaderBlockTuples, "2")
+			f, _, _ := wire.ReadFrame(bytes.NewReader(frame), 0, nil)
+			f.Tuples = 2
+			_ = wire.WriteFrame(w, f)
+			return
 		}
-		_, _ = w.Write(payload)
+		_, _ = w.Write(frame)
 	}
 	all := func(string) []byte { return []byte("block") }
 	a, b := fakeBackend(t, all, serve), fakeBackend(t, all, serve)
@@ -239,10 +230,8 @@ func TestRePullOfOtherTuplesIsRefused(t *testing.T) {
 	gwy, gw := newFakeGateway(t, a, b)
 
 	id, _ := openSession(t, gw.URL, `{"table":"t"}`)
-	resp := pull(t, gw.URL, id, 1, 1)
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	fleet[resp.Header.Get(service.HeaderGatewayBackend)].Close()
+	meta, _ := readFrame(t, pull(t, gw.URL, id, 1, 1))
+	fleet[backendURL(gwy, meta)].Close()
 	failedOver.Store(true)
 
 	retry := pull(t, gw.URL, id, 1, 1)
@@ -283,10 +272,11 @@ func TestGatewayHopAllocGate(t *testing.T) {
 				if seq == warm+1 {
 					runtime.ReadMemStats(&before)
 				}
+				// Read without a copy: readFrame's would be the largest cost.
 				resp := pullQuery(t, gw.URL, id, service.Query{Size: 1, Seq: seq, Hold: hold})
 				n, err := io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				if err != nil || n != size {
+				if err != nil || n != wire.FrameHeaderLen+size {
 					t.Fatalf("seq %d: %d bytes, %v", seq, n, err)
 				}
 			}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -73,10 +72,13 @@ func TestSessionProtocolTable(t *testing.T) {
 				u += "&seq=" + seq
 			}
 			resp := post(t, u, nil)
-			defer resp.Body.Close()
-			io.Copy(io.Discard, resp.Body)
-			served, _ := strconv.ParseUint(resp.Header.Get(service.HeaderBlockSeq), 10, 64)
-			return answer{resp.StatusCode, resp.Header.Get(service.HeaderBlockReplay) == "true", served}
+			if resp.StatusCode != http.StatusOK {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				return answer{status: resp.StatusCode}
+			}
+			meta, _ := readFrame(t, resp)
+			return answer{resp.StatusCode, meta.Replayed, meta.Seq}
 		}
 	}
 	// stream opens a window-1 stream per step and classifies its first

@@ -20,8 +20,8 @@ import (
 
 // The read-ahead's contract (handleNext): a client that promises to ask
 // for the same size next (hold=1) gets, for every request, what a client
-// that does not promise gets for the same request — the body and every
-// block header. The scripts below run each request sequence on two fresh
+// that does not promise gets for the same request — every header, every
+// frame field and the payload. The scripts below run each request sequence on two fresh
 // stacks, one client promising and one not, compare what the two clients
 // saw, and then find every block reference given back.
 
@@ -62,8 +62,8 @@ type raStack struct {
 	ts    *httptest.Server
 	fleet []*testBackend
 	hold  bool
-	// hideHop leaves the gateway's hop headers out of what do reports:
-	// a failover a read-ahead moves by one block changes them.
+	// hideHop leaves the gateway's hop (its frame fields) out of what do
+	// reports: a failover a read-ahead moves by one block changes it.
 	hideHop bool
 	id      string
 	// last is the newest block the client was served fresh; backend the
@@ -151,22 +151,7 @@ func (s *raStack) do(step raStep) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := resp.Header
-	if b := h.Get(service.HeaderGatewayBackend); b != "" {
-		if _, ok := s.roles[b]; !ok {
-			s.roles[b] = fmt.Sprintf("backend#%d", len(s.roles))
-		}
-		s.backend = b
-	}
-	if resp.StatusCode == http.StatusOK && h.Get(service.HeaderBlockReplay) == "" {
-		s.last++
-		s.bodies = append(s.bodies, body)
-	}
 	var out strings.Builder
 	fmt.Fprintf(&out, "%d\n", resp.StatusCode)
 	keys := make([]string, 0, len(h))
@@ -175,18 +160,35 @@ func (s *raStack) do(step raStep) string {
 	}
 	slices.Sort(keys)
 	for _, k := range keys {
-		v := strings.Join(h[k], ", ")
-		switch {
-		case k == "Date":
-			continue
-		case strings.HasPrefix(k, "X-Wsgate-") && s.hideHop:
-			continue
-		case k == http.CanonicalHeaderKey(service.HeaderGatewayBackend):
-			v = s.roles[v]
+		if k != "Date" {
+			fmt.Fprintf(&out, "%s: %s\n", k, strings.Join(h[k], ", "))
 		}
-		fmt.Fprintf(&out, "%s: %s\n", k, v)
 	}
-	out.Write(body)
+	if resp.StatusCode != http.StatusOK {
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(body)
+		return out.String()
+	}
+	meta, body := readFrame(t, resp)
+	if b := backendURL(s.gw, meta); b != "" {
+		if _, ok := s.roles[b]; !ok {
+			s.roles[b] = fmt.Sprintf("backend#%d", len(s.roles))
+		}
+		s.backend = b
+	}
+	if !meta.Replayed {
+		s.last++
+		s.bodies = append(s.bodies, body)
+	}
+	fmt.Fprintf(&out, "frame: seq %d, %d tuples, done %v, replayed %v, delay %v ms", meta.Seq, meta.Tuples, meta.Done, meta.Replayed, meta.DelayMS)
+	if !s.hideHop {
+		fmt.Fprintf(&out, ", from %s after %d failovers", s.roles[backendURL(s.gw, meta)], meta.Failovers)
+	}
+	fmt.Fprintf(&out, "\n%s", body)
 	return out.String()
 }
 
@@ -338,13 +340,9 @@ func TestGatewayReadAheadOutlivesItsConnection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("seq %d: %s, %v", seq, resp.Status, err)
-		}
+		meta, body := readFrame(t, resp)
 		held += len(decodeIDs(t, body))
-		if resp.Header.Get(service.HeaderBlockDone) == "true" {
+		if meta.Done {
 			break
 		}
 	}

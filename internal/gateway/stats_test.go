@@ -3,7 +3,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -75,14 +74,10 @@ func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 	reg := metrics.NewRegistry()
 	fleet := newFleet(t, 2, 60, true)
 	gw, ts := newTestGateway(t, fleet, func(c *Config) { c.Metrics, c.MaxSessions = reg, 2 })
-	do := func(resp *http.Response) *http.Response {
+	do := func(resp *http.Response) service.BlockMeta {
 		t.Helper()
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %s", resp.Status)
-		}
-		return resp
+		meta, _ := readFrame(t, resp)
+		return meta
 	}
 	// direct serves one pull into a samplingWriter and returns the blocks
 	// and tuples the registry showed inside its write.
@@ -100,7 +95,7 @@ func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 		{"before traffic", func() {}, func(st Stats) bool { return st.SessionsOpened+st.BlocksProxied+st.Failovers == 0 }},
 		{"create", func() { a, _ = openSession(t, ts.URL, `{"table":"items"}`) },
 			func(st Stats) bool { return st.SessionsOpened == 1 }},
-		{"block", func() { primary = do(pull(t, ts.URL, a, 25, 1)).Header.Get(service.HeaderGatewayBackend) },
+		{"block", func() { primary = backendURL(gw, do(pull(t, ts.URL, a, 25, 1))) },
 			func(st Stats) bool { return st.BlocksProxied == 1 && st.TuplesProxied == 25 }},
 		{"block counted inside its write", func() {
 			if blocks, tuples := direct(fmt.Sprintf("/sessions/%s/next?size=25&seq=2", a), nil); blocks != 2 || tuples != 50 {
@@ -149,7 +144,7 @@ func TestStatsAndMetricsAreTwoViewsOfOneCounter(t *testing.T) {
 	fleet = newFleet(t, 2, 60, false)
 	gw, ts = newTestGateway(t, fleet, func(c *Config) { c.Metrics = reg })
 	a, _ = openSession(t, ts.URL, `{"table":"items"}`)
-	primary = do(pull(t, ts.URL, a, 25, 1)).Header.Get(service.HeaderGatewayBackend)
+	primary = backendURL(gw, do(pull(t, ts.URL, a, 25, 1)))
 	backendFor(t, fleet, primary).kill()
 	do(pull(t, ts.URL, a, 25, 1))
 	st := gw.Stats()

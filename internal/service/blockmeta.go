@@ -7,21 +7,22 @@ import (
 	"wsopt/internal/wire"
 )
 
-// Block-transfer response headers.
+// Block-transfer headers. A block's metadata travels in its frame's
+// header (BlockMeta.Frame), on /next as on /stream; what is left here is
+// the one header a /next response still carries for readers that do not
+// parse frames, the ingest ack's, and the stream open's.
 const (
-	// HeaderBlockTuples reports how many tuples the block carries.
-	HeaderBlockTuples = "X-Block-Tuples"
-	// HeaderBlockDone is "true" on the final block of a result set.
+	// HeaderBlockDone is "true" on the final /next block of a result set,
+	// and absent on every other.
 	HeaderBlockDone = "X-Block-Done"
-	// HeaderInjectedDelayMS reports the simulated (model) latency that
-	// was injected for this block, in milliseconds, before scaling.
+	// HeaderBlockTuples, HeaderInjectedDelayMS and HeaderBlockReplay are
+	// the ingest ack's (a 204 has no body to frame): the tuples the
+	// uploaded block loaded, the simulated (model) latency injected for
+	// it in milliseconds, before scaling, and "true" when the block was a
+	// retry of one already applied.
+	HeaderBlockTuples     = "X-Block-Tuples"
 	HeaderInjectedDelayMS = "X-Injected-Delay-Ms"
-	// HeaderBlockSeq echoes the sequence number the block was served
-	// under (absent for legacy pulls that sent no seq).
-	HeaderBlockSeq = "X-Block-Seq"
-	// HeaderBlockReplay is "true" when the block was served from the
-	// replay buffer rather than by advancing the iterator.
-	HeaderBlockReplay = "X-Block-Replay"
+	HeaderBlockReplay     = "X-Block-Replay"
 	// HeaderPushWindow, on a stream open's 200, is the largest credit
 	// window the server applies on this stream: a larger `window`, on the
 	// open or on a credit, is cut to it, so a client bounds what it asks
@@ -38,32 +39,50 @@ const (
 	// JSON array: what POST /sessions answers in its 201 body, for a client
 	// whose stream open was what created the session.
 	HeaderSessionColumns = "X-Session-Columns"
-)
-
-// Gateway-tier headers, spoken by cmd/wsgate and understood by the
-// client. They live here (next to the block headers) so the client and
-// the gateway share one definition without an import cycle.
-const (
 	// HeaderGatewayTransparentFailover is "true" on session-create
 	// responses from a tier that replicates session state and handles
-	// backend failover itself. A capable client must then NOT fail over
-	// endpoints on its own, and must not surface gateway failovers as a
-	// second disturbance to its controller.
+	// backend failover itself (cmd/wsgate). A capable client must then NOT
+	// fail over endpoints on its own, and must not surface gateway
+	// failovers as a second disturbance to its controller. It lives here,
+	// next to the block headers, so the client and the gateway share one
+	// definition without an import cycle.
 	HeaderGatewayTransparentFailover = "X-WSGate-Transparent-Failover"
-	// HeaderGatewayFailovers carries the session's cumulative transparent
-	// failover count on every block response, so the client can surface
-	// each backend death to its controller exactly once.
-	HeaderGatewayFailovers = "X-WSGate-Failovers"
-	// HeaderGatewayBackend names the backend that actually served the
-	// block, for traces and tests.
-	HeaderGatewayBackend = "X-WSGate-Backend"
 )
 
-// BlockMeta is what travels beside a block's bytes: response headers in
-// the /next framing, the frame header in the /stream framing. Every tier
-// that writes or reads a block goes through this one type (the service,
-// the gateway on both of its sides, the client on both transports), so a
-// field added here exists on every path.
+// frameContentType is the Content-Type of every framed body, /next and
+// /stream alike, and headerTrue a "true" header value: shared slices, so
+// that setting one allocates nothing (net/http only reads them).
+var (
+	frameContentType = []string{"application/octet-stream"}
+	headerTrue       = []string{"true"}
+)
+
+// SetFrameHeaders sets the headers of a /next 200 whose body is one frame
+// of n bytes, its header included: the framing's Content-Type, the
+// length — known before the first byte, so that a block larger than
+// net/http's buffer does not leave chunked and the next hop can size its
+// buffer once — no Date, and X-Block-Done on the final block. Both tiers
+// that answer /next call it.
+func SetFrameHeaders(h http.Header, n int, done bool) {
+	h["Content-Type"] = frameContentType
+	h["Content-Length"] = []string{strconv.Itoa(n)}
+	h["Date"] = nil // net/http writes none
+	if done {
+		h[HeaderBlockDone] = headerTrue
+	}
+}
+
+// MarkTransparentFailover stamps a session-create response of a tier that
+// fails sessions over itself (HeaderGatewayTransparentFailover).
+func MarkTransparentFailover(h http.Header) {
+	h.Set(HeaderGatewayTransparentFailover, "true")
+}
+
+// BlockMeta is what travels beside a block's bytes: the header of the
+// frame that carries them, on either transport. Every tier that writes or
+// reads a block goes through this one type (the service, the gateway on
+// both of its sides, the client on both transports), so a field added
+// here exists on every path.
 type BlockMeta struct {
 	// Seq is the block's number; 0 is a block served to a legacy pull that
 	// named none (nothing is echoed).
@@ -75,56 +94,21 @@ type BlockMeta struct {
 	// DelayMS is the priced (model) delay, before time scaling.
 	DelayMS float64
 	// Backend and Failovers are the gateway's hop: the backend that served
-	// the block and the session's cumulative transparent failovers. A
-	// backend leaves Backend empty and neither header is written.
-	Backend   string
+	// the block, numbered from 1 in the gateway's backend order
+	// (gateway.Stats().Backends[Backend-1]), and the session's cumulative
+	// transparent failovers. A backend leaves both 0.
+	Backend   int
 	Failovers int
 }
 
-// WriteHeader stamps m on a block response.
-func (m BlockMeta) WriteHeader(h http.Header) {
-	h.Set(HeaderBlockTuples, strconv.Itoa(m.Tuples))
-	h.Set(HeaderBlockDone, strconv.FormatBool(m.Done))
-	delay := "0.000" // what FormatFloat writes for an unpriced block, without its allocation
-	if m.DelayMS != 0 {
-		delay = strconv.FormatFloat(m.DelayMS, 'f', 3, 64)
-	}
-	h.Set(HeaderInjectedDelayMS, delay)
-	if m.Seq != 0 {
-		h.Set(HeaderBlockSeq, strconv.FormatUint(m.Seq, 10))
-	}
-	if m.Replayed {
-		h.Set(HeaderBlockReplay, "true")
-	}
-	if m.Backend != "" {
-		h.Set(HeaderGatewayBackend, m.Backend)
-		h.Set(HeaderGatewayFailovers, strconv.Itoa(m.Failovers))
-	}
-}
-
-// ParseBlockMeta reads a block response's headers back. Absent or
-// malformed fields read as zero; announced reports whether the tuple
-// count was actually on the wire, so a reader can check it against what
-// it decoded.
-func ParseBlockMeta(h http.Header) (m BlockMeta, announced bool) {
-	tuples, err := strconv.Atoi(h.Get(HeaderBlockTuples))
-	m.Tuples, announced = tuples, err == nil
-	m.Done, _ = strconv.ParseBool(h.Get(HeaderBlockDone))
-	m.DelayMS, _ = strconv.ParseFloat(h.Get(HeaderInjectedDelayMS), 64)
-	m.Seq, _ = strconv.ParseUint(h.Get(HeaderBlockSeq), 10, 64)
-	m.Replayed, _ = strconv.ParseBool(h.Get(HeaderBlockReplay))
-	m.Backend = h.Get(HeaderGatewayBackend)
-	m.Failovers, _ = strconv.Atoi(h.Get(HeaderGatewayFailovers))
-	return m, announced
-}
-
-// Frame is m as the header of a stream data frame carrying payload. The
-// gateway fields have no frame encoding: wsgate does not proxy streams.
+// Frame is m as the header of a data frame carrying payload.
 func (m BlockMeta) Frame(payload []byte) wire.Frame {
-	return wire.Frame{Type: wire.FrameData, Seq: m.Seq, Tuples: uint32(m.Tuples), Done: m.Done, Replay: m.Replayed, DelayMS: m.DelayMS, Payload: payload}
+	return wire.Frame{Type: wire.FrameData, Seq: m.Seq, Tuples: uint32(m.Tuples), Done: m.Done, Replay: m.Replayed, DelayMS: m.DelayMS,
+		Failovers: uint32(m.Failovers), Backend: uint32(m.Backend), Payload: payload}
 }
 
 // FrameMeta reads a data frame's header back.
 func FrameMeta(f wire.Frame) BlockMeta {
-	return BlockMeta{Seq: f.Seq, Tuples: int(f.Tuples), Done: f.Done, Replayed: f.Replay, DelayMS: f.DelayMS}
+	return BlockMeta{Seq: f.Seq, Tuples: int(f.Tuples), Done: f.Done, Replayed: f.Replay, DelayMS: f.DelayMS,
+		Backend: int(f.Backend), Failovers: int(f.Failovers)}
 }

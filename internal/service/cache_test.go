@@ -23,17 +23,17 @@ func newTestCache(t *testing.T, memBytes int64) *blockcache.Cache {
 	return c
 }
 
-// pullBody pulls one seq'd block and returns the body plus the done
-// header.
+// pullBody pulls one seq'd block and returns its payload plus the done
+// flag.
 func pullBody(t *testing.T, ts *httptest.Server, id string, size, seq int) ([]byte, bool) {
 	t.Helper()
 	resp := pullSeq(t, ts, id, size, seq)
-	body, err := io.ReadAll(resp.Body)
+	meta, body, err := readFrame(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("session %s seq %d: %s, %v", id, seq, resp.Status, err)
 	}
-	return body, resp.Header.Get(HeaderBlockDone) == "true"
+	return body, meta.Done
 }
 
 // TestCacheHitByteIdenticalAcrossSessions is the headline behavior: a
@@ -96,12 +96,12 @@ func TestCachedBlockReplayAndStats(t *testing.T) {
 	fresh, _ := pullBody(t, ts, id, 30, 1)
 	before := cache.Stats()
 	resp := pullSeq(t, ts, id, 30, 1)
-	replayed, err := io.ReadAll(resp.Body)
+	meta, replayed, err := readFrame(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("replay: %s, %v", resp.Status, err)
 	}
-	if resp.Header.Get(HeaderBlockReplay) != "true" {
+	if !meta.Replayed {
 		t.Fatal("replay not flagged")
 	}
 	if !bytes.Equal(replayed, fresh) {
@@ -148,13 +148,13 @@ func TestCacheExactlyOnceEncodeUnderConcurrency(t *testing.T) {
 			defer wg.Done()
 			for seq, done := 1, false; !done; seq++ {
 				resp := pullSeq(t, ts, id, size, seq)
-				body, err := io.ReadAll(resp.Body)
+				meta, body, err := readFrame(resp.Body)
 				resp.Body.Close()
 				if err != nil || resp.StatusCode != http.StatusOK {
 					t.Errorf("session %s seq %d: %s, %v", id, seq, resp.Status, err)
 					return
 				}
-				done = resp.Header.Get(HeaderBlockDone) == "true"
+				done = meta.Done
 				bodies[i] = append(bodies[i], body)
 			}
 		}(i, id)
@@ -195,16 +195,13 @@ func TestCacheInvalidationOnDatasetVersion(t *testing.T) {
 		total := 0
 		for seq, done := 1, false; !done; seq++ {
 			resp := pullSeq(t, ts, id, 40, seq)
-			body, err := io.ReadAll(resp.Body)
+			meta, _, err := readFrame(resp.Body)
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != http.StatusOK {
 				t.Fatalf("seq %d: %s, %v", seq, resp.Status, err)
 			}
-			_ = body
-			done = resp.Header.Get(HeaderBlockDone) == "true"
-			var n int
-			fmt.Sscanf(resp.Header.Get(HeaderBlockTuples), "%d", &n)
-			total += n
+			done = meta.Done
+			total += meta.Tuples
 		}
 		return total
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -263,12 +264,12 @@ func TestStressExpiredMidPullFinishesCleanly(t *testing.T) {
 	go func() {
 		resp := pullBlock(t, ts, id, 25, 1)
 		defer resp.Body.Close()
-		_, rows, err := wire.XML{}.Decode(resp.Body)
-		if err != nil && resp.StatusCode == http.StatusOK {
+		meta, payload, err := readFrame(resp.Body)
+		_, rows, derr := wire.XML{}.Decode(bytes.NewReader(payload))
+		if err = errors.Join(err, derr); err != nil && resp.StatusCode == http.StatusOK {
 			t.Errorf("decode in-flight block: %v", err)
 		}
-		done, _ := strconv.ParseBool(resp.Header.Get(HeaderBlockDone))
-		ch <- pulled{resp.StatusCode, len(rows), done, resp.Header.Get(HeaderBlockTuples)}
+		ch <- pulled{resp.StatusCode, len(rows), meta.Done, strconv.Itoa(meta.Tuples)}
 	}()
 
 	// Let the pull enter its injected delay, then expire everything.
@@ -345,14 +346,18 @@ func TestCancelledPullFreesSessionAndParksRows(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("retry after cancel = %s", resp.Status)
 	}
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	meta, payload, err := readFrame(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, err := wire.XML{}.Decode(bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 10 {
 		t.Fatalf("retry served %d rows, want all 10", len(rows))
 	}
-	if resp.Header.Get(HeaderBlockReplay) == "true" {
+	if meta.Replayed {
 		t.Fatal("retry was a replay; the cancelled pull must not have committed")
 	}
 }
@@ -375,11 +380,12 @@ func TestSingleSessionDelayDeterminism(t *testing.T) {
 		var delays []string
 		for seq := uint64(1); seq <= 5; seq++ {
 			resp := pullBlock(t, ts, id, 10, seq)
+			meta, _, err := readFrame(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("pull %d = %s", seq, resp.Status)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("pull %d = %s, %v", seq, resp.Status, err)
 			}
-			delays = append(delays, resp.Header.Get(HeaderInjectedDelayMS))
+			delays = append(delays, strconv.FormatFloat(meta.DelayMS, 'f', 3, 64))
 		}
 		return delays
 	}
@@ -511,14 +517,18 @@ func TestStressConcurrentSessions(t *testing.T) {
 						t.Errorf("pull = %s", resp.Status)
 						return
 					}
-					_, rows, err := wire.XML{}.Decode(resp.Body)
+					meta, payload, err := readFrame(resp.Body)
 					resp.Body.Close()
+					var rows []minidb.Row
+					if err == nil {
+						_, rows, err = wire.XML{}.Decode(bytes.NewReader(payload))
+					}
 					if err != nil {
 						t.Errorf("decode: %v", err)
 						return
 					}
 					total += len(rows)
-					if done, _ := strconv.ParseBool(resp.Header.Get(HeaderBlockDone)); done {
+					if meta.Done {
 						break
 					}
 				}

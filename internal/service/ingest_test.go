@@ -440,7 +440,7 @@ func TestIngestedRowsAreQueryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	_, got, err := (wire.XML{}).Decode(resp.Body)
+	_, got, err := (wire.XML{}).Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}

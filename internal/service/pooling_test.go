@@ -21,13 +21,11 @@ import (
 // session closes — never while a same-seq retry could still be served
 // from it.
 func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 200)})
 	var mu sync.Mutex
 	var released []*blockcache.Entry
-	blockcache.OnFinalRelease(func(rb *blockcache.Entry) { mu.Lock(); released = append(released, rb); mu.Unlock() })
-	defer blockcache.OnFinalRelease(nil)
+	onFinalRelease(t, srv, func(rb *blockcache.Entry) { mu.Lock(); released = append(released, rb); mu.Unlock() })
 	releasedNow := func() []*blockcache.Entry { mu.Lock(); defer mu.Unlock(); return slices.Clone(released) }
-
-	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 200)})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 
 	seqOf := map[*blockcache.Entry]int{}
@@ -37,7 +35,7 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 		// Fresh pull commits block seq; the previous block (and only it)
 		// must have been released by the time the response is back.
 		resp := pullSeq(t, ts, id, 10, seq)
-		body, err := io.ReadAll(resp.Body)
+		_, body, err := readFrame(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("seq %d: %s, %v", seq, resp.Status, err)
@@ -65,7 +63,7 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 		// exact committed bytes even though other buffers have cycled
 		// through the pool.
 		resp = pullSeq(t, ts, id, 10, seq)
-		replayed, err := io.ReadAll(resp.Body)
+		_, replayed, err := readFrame(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("seq %d replay: %s, %v", seq, resp.Status, err)
@@ -109,6 +107,19 @@ func TestPooledBufferNotReusedWhileReplayLive(t *testing.T) {
 	}
 }
 
+// onFinalRelease installs hook as blockcache's final-release hook for the
+// rest of the test. Its cleanup joins srv's read-ahead encodes before it
+// clears the hook, so that a release they make late — a failed test
+// leaves its session and its encodes behind — cannot land in the next
+// test's hook.
+func onFinalRelease(t *testing.T, srv *Server, hook func(*blockcache.Entry)) {
+	blockcache.OnFinalRelease(hook)
+	t.Cleanup(func() {
+		srv.RetainedBlocks()
+		blockcache.OnFinalRelease(nil)
+	})
+}
+
 // TestReplayByteIdenticalUnderPoolReuse interleaves two sessions so
 // pooled buffers cycle between them, and checks every replay still
 // serves the exact bytes of its fresh block.
@@ -120,7 +131,7 @@ func TestReplayByteIdenticalUnderPoolReuse(t *testing.T) {
 	fetch := func(id string, size, seq int) []byte {
 		t.Helper()
 		resp := pullSeq(t, ts, id, size, seq)
-		body, err := io.ReadAll(resp.Body)
+		_, body, err := readFrame(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("session %s seq %d: %s, %v", id, seq, resp.Status, err)
@@ -145,11 +156,9 @@ func TestReplayByteIdenticalUnderPoolReuse(t *testing.T) {
 // TestExpireIdleReleasesReplayBuffers checks the janitor path returns
 // buffers too (when no pull holds the session lock).
 func TestExpireIdleReleasesReplayBuffers(t *testing.T) {
-	var released int
-	blockcache.OnFinalRelease(func(*blockcache.Entry) { released++ })
-	defer blockcache.OnFinalRelease(nil)
-
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 50), SessionTTL: time.Nanosecond})
+	var released int
+	onFinalRelease(t, srv, func(*blockcache.Entry) { released++ })
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 	resp := pullSeq(t, ts, id, 10, 1)
 	io.Copy(io.Discard, resp.Body)
@@ -182,15 +191,6 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 			name = "cached"
 		}
 		t.Run(name, func(t *testing.T) {
-			var mu sync.Mutex
-			var released []*blockcache.Entry
-			blockcache.OnFinalRelease(func(rb *blockcache.Entry) {
-				mu.Lock()
-				released = append(released, rb)
-				mu.Unlock()
-			})
-			defer blockcache.OnFinalRelease(nil)
-
 			rlog := replica.NewLog(64)
 			cfg := Config{
 				Catalog:    testCatalog(t, 200),
@@ -206,6 +206,13 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 				cfg.Cache = c
 			}
 			srv, ts := newTestServer(t, cfg)
+			var mu sync.Mutex
+			var released []*blockcache.Entry
+			onFinalRelease(t, srv, func(rb *blockcache.Entry) {
+				mu.Lock()
+				released = append(released, rb)
+				mu.Unlock()
+			})
 			id, _ := openSession(t, ts, `{"table":"items"}`)
 
 			// Block 1 commits normally (and ships), so the close-racing
@@ -223,7 +230,7 @@ func TestCloseRaceOwnershipHandoff(t *testing.T) {
 			pulled := make(chan []byte, 1)
 			go func() {
 				resp := pullSeq(t, ts, id, 10, 2)
-				body, _ := io.ReadAll(resp.Body)
+				_, body, _ := readFrame(resp.Body)
 				resp.Body.Close()
 				pulled <- body
 			}()

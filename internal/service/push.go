@@ -130,7 +130,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	})
 	defer stopWake()
 
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header()["Content-Type"] = frameContentType
 	w.Header().Set(HeaderPushWindow, strconv.Itoa(s.limits.MaxWindow))
 	w.Header().Set(HeaderPushWindowBytes, strconv.Itoa(s.pushBudget()))
 	cols, _ := json.Marshal(sess.columns) // a []string always marshals

@@ -144,13 +144,13 @@ func TestPushPullByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				body, _ := io.ReadAll(resp.Body)
+				meta, body, err := readFrame(resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("pull %d: %s", seq, resp.Status)
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("pull %d: %s, %v", seq, resp.Status, err)
 				}
 				pullBodies = append(pullBodies, body)
-				if resp.Header.Get(HeaderBlockDone) == "true" {
+				if meta.Done {
 					break
 				}
 			}

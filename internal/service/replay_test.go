@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -32,26 +31,26 @@ func TestSeqReplayServesIdenticalBytes(t *testing.T) {
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 
 	resp := pullSeq(t, ts, id, 15, 1)
-	first, err := io.ReadAll(resp.Body)
+	meta, first, err := readFrame(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresh pull: %s, %v", resp.Status, err)
 	}
-	if got := resp.Header.Get(HeaderBlockSeq); got != "1" {
-		t.Fatalf("seq header = %q, want 1", got)
+	if meta.Seq != 1 {
+		t.Fatalf("frame seq = %d, want 1", meta.Seq)
 	}
-	if resp.Header.Get(HeaderBlockReplay) != "" {
+	if meta.Replayed {
 		t.Fatal("fresh block must not be marked replayed")
 	}
 
 	// Re-requesting the same seq replays the buffered bytes verbatim.
 	resp = pullSeq(t, ts, id, 15, 1)
-	replayed, err := io.ReadAll(resp.Body)
+	meta, replayed, err := readFrame(resp.Body)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("replay pull: %s, %v", resp.Status, err)
 	}
-	if resp.Header.Get(HeaderBlockReplay) != "true" {
+	if !meta.Replayed {
 		t.Fatal("replay not flagged")
 	}
 	if string(first) != string(replayed) {
@@ -63,7 +62,7 @@ func TestSeqReplayServesIdenticalBytes(t *testing.T) {
 
 	// The next fresh seq continues the cursor with no skipped tuples.
 	resp = pullSeq(t, ts, id, 100, 2)
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +108,15 @@ func TestSeqFinalBlockReplayableAfterDone(t *testing.T) {
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 
 	resp := pullSeq(t, ts, id, 50, 1)
-	io.Copy(io.Discard, resp.Body)
+	meta, _, err := readFrame(resp.Body)
 	resp.Body.Close()
-	if done, _ := strconv.ParseBool(resp.Header.Get(HeaderBlockDone)); !done {
+	if err != nil || !meta.Done {
 		t.Fatal("single-block result should be done")
 	}
 	// The final block can still be replayed (its response may have been
 	// lost in flight) ...
 	resp = pullSeq(t, ts, id, 50, 1)
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	resp.Body.Close()
 	if err != nil || len(rows) != 10 {
 		t.Fatalf("final-block replay: %d rows, %v", len(rows), err)
@@ -172,7 +171,7 @@ func TestEncodeFailureCountedAndRecoverable(t *testing.T) {
 	// The rows were parked, not lost: the same-seq retry re-encodes and
 	// delivers all 20 tuples.
 	resp = pullSeq(t, ts, id, 20, 1)
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +295,7 @@ func TestExpireIdleRacesInFlightPull(t *testing.T) {
 		resp := pullSeq(t, ts, id, 10, seq)
 		switch resp.StatusCode {
 		case http.StatusOK:
-			_, rows, err := wire.XML{}.Decode(resp.Body)
+			_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 			if err != nil {
 				t.Fatalf("seq %d: decode: %v", seq, err)
 			}

@@ -29,7 +29,7 @@ func TestReplicationShipsSessionLifecycle(t *testing.T) {
 	served := map[uint64][]byte{}
 	for seq := 1; seq <= 3; seq++ {
 		resp := pullSeq(t, ts, id, 10, seq)
-		b, err := io.ReadAll(resp.Body)
+		_, b, err := readFrame(resp.Body)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("seq %d: %s, %v", seq, resp.Status, err)
@@ -113,13 +113,11 @@ func TestReplicationShipsSessionLifecycle(t *testing.T) {
 // retains its payload, and go back exactly once when the LAST reference
 // drops — in either order (supersede-then-evict or evict-then-supersede).
 func TestShippedReplayBufferRefcount(t *testing.T) {
-	var mu sync.Mutex
-	released := 0
-	blockcache.OnFinalRelease(func(*blockcache.Entry) { mu.Lock(); released++; mu.Unlock() })
-	defer blockcache.OnFinalRelease(nil)
-
 	rlog := replica.NewLog(256) // large: no eviction during the pulls
 	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 200), Replica: rlog})
+	var mu sync.Mutex
+	released := 0
+	onFinalRelease(t, srv, func(*blockcache.Entry) { mu.Lock(); released++; mu.Unlock() })
 	id, _ := openSession(t, ts, `{"table":"items"}`)
 
 	const blocks = 8

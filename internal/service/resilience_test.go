@@ -71,7 +71,7 @@ func TestSessionOffsetResumesMidResultSet(t *testing.T) {
 	}
 	resp := pullSeq(t, ts, id, 100, 1)
 	defer resp.Body.Close()
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestSessionOffsetPastEndYieldsEmptyDoneBlock(t *testing.T) {
 	}
 	resp := pullSeq(t, ts, id, 10, 1)
 	defer resp.Body.Close()
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1141,9 +1141,9 @@ func sleepInterruptible(ctx context.Context, d time.Duration) bool {
 // variable only so that tests can shorten it.
 var blockWriteDeadline = 2 * time.Minute
 
-// framing is how serveBlock puts a block on the wire: as one HTTP
-// response, metadata in headers and the payload as the body (/next), or
-// as one wire.Frame on the open stream, flushed (/stream).
+// framing is how serveBlock puts a block's frame on the wire: as the
+// whole body of one HTTP response (/next), or as one of the frames of the
+// open stream, flushed (/stream).
 type framing struct {
 	stream bool
 	// The response framing echoes the seq when the request named one and
@@ -1177,7 +1177,6 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, tf
 	}
 	rc := http.NewResponseController(w)
 	meta := BlockMeta{Seq: seq, Tuples: rb.Tuples(), Done: rb.Done(), Replayed: replayed, DelayMS: tf.delayMS}
-	var f wire.Frame
 	if fr.stream {
 		if len(payload) > s.cfg.PushMaxFrameBytes {
 			// The block stays committed and retained; a reconnect meets the
@@ -1187,30 +1186,22 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, tf
 			s.writeErrorFrame(w, sess, err)
 			return err
 		}
-		f = meta.Frame(payload)
 	} else {
 		if !fr.echoSeq {
 			meta.Seq = 0
 		}
-		h := w.Header()
-		h.Set("Content-Type", s.codec.ContentType())
-		meta.WriteHeader(h)
-		// The length is known before the first byte: say so, so a block
-		// larger than net/http's buffer does not leave chunked and the next
-		// hop (wsgate) can size its buffer once.
-		h.Set("Content-Length", strconv.Itoa(len(payload)))
+		SetFrameHeaders(w.Header(), wire.FrameHeaderLen+len(payload), meta.Done)
 	}
+	f := meta.Frame(payload)
 	if fault == faultTruncate {
+		// A short frame: the peer reads a header, then the stream or the
+		// declared body ends inside the frame.
 		s.countFault(fault)
 		s.logf("session %s: injected fault: truncating block %d", sess.id, seq)
-		if fr.stream {
-			var image bytes.Buffer
-			_ = wire.WriteFrame(&image, f)
-			_, _ = w.Write(image.Bytes()[:image.Len()/2])
-			_ = rc.Flush()
-		} else {
-			_, _ = w.Write(payload[:len(payload)/2])
-		}
+		var image bytes.Buffer
+		_ = wire.WriteFrame(&image, f)
+		_, _ = w.Write(image.Bytes()[:image.Len()/2])
+		_ = rc.Flush()
 		abortConnection()
 	}
 
@@ -1223,12 +1214,7 @@ func (s *Server) serveBlock(w http.ResponseWriter, sess *session, fr framing, tf
 	// /metrics after receiving a block must find it counted, so the block
 	// is counted first and a failed write takes it back.
 	s.countServed(fr, rb, replayed, 1)
-	var err error
-	if fr.stream {
-		err = wire.WriteFrame(w, f)
-	} else {
-		_, err = w.Write(payload)
-	}
+	err := wire.WriteFrame(w, f)
 	if err == nil {
 		// A writer keeps no reference to what it was given (io.Writer).
 		// Both framings flush inside the deadline: a pull's read-ahead runs

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"wsopt/internal/metrics"
@@ -47,6 +50,32 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// readFrame reads a /next 200's body: one data frame, whose metadata and
+// payload it returns. Anything else — another frame type, a short frame,
+// bytes after it — is an error.
+func readFrame(body io.Reader) (BlockMeta, []byte, error) {
+	f, _, err := wire.ReadFrame(body, 0, nil)
+	if err == nil && f.Type != wire.FrameData {
+		err = fmt.Errorf("frame type 0x%02x, want a data frame", f.Type)
+	}
+	if err == nil {
+		if rest, _ := io.ReadAll(body); len(rest) > 0 {
+			err = fmt.Errorf("%d bytes after the frame", len(rest))
+		}
+	}
+	return FrameMeta(f), f.Payload, err
+}
+
+// framePayload is readFrame's payload as a reader, for a codec to decode;
+// a body that is not one data frame reads as readFrame's error.
+func framePayload(body io.Reader) io.Reader {
+	_, payload, err := readFrame(body)
+	if err != nil {
+		return iotest.ErrReader(err)
+	}
+	return bytes.NewReader(payload)
 }
 
 func openSession(t *testing.T, ts *httptest.Server, body string) (id string, status int) {
@@ -107,13 +136,17 @@ func TestSessionLifecycle(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("next = %s", resp.Status)
 		}
-		_, rows, err := codec.Decode(resp.Body)
+		meta, payload, err := readFrame(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, rows, err := codec.Decode(bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
 		total += len(rows)
-		if done, _ := strconv.ParseBool(resp.Header.Get(HeaderBlockDone)); done {
+		if meta.Done {
 			break
 		}
 	}
@@ -200,7 +233,7 @@ func TestProjectionOnWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	schema, rows, err := wire.XML{}.Decode(resp.Body)
+	schema, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +256,7 @@ func TestBinaryCodecService(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("content type = %s", ct)
 	}
-	_, rows, err := wire.Binary{}.Decode(resp.Body)
+	_, rows, err := wire.Binary{}.Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,9 +312,9 @@ func TestLoadEndpointAndDelayInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	delay, err := strconv.ParseFloat(resp.Header.Get(HeaderInjectedDelayMS), 64)
-	if err != nil || delay <= 0 {
-		t.Fatalf("injected delay header = %q", resp.Header.Get(HeaderInjectedDelayMS))
+	meta, _, err := readFrame(resp.Body)
+	if err != nil || meta.DelayMS <= 0 {
+		t.Fatalf("injected delay = %v, %v", meta.DelayMS, err)
 	}
 }
 
@@ -300,6 +333,8 @@ func TestExpireIdle(t *testing.T) {
 	}
 }
 
+// TestTupleCountHeader: the frame header of a /next body carries the
+// block's tuple count and done flag.
 func TestTupleCountHeader(t *testing.T) {
 	_, ts := newTestServer(t, Config{Catalog: testCatalog(t, 12)})
 	id, _ := openSession(t, ts, `{"table":"items"}`)
@@ -308,11 +343,48 @@ func TestTupleCountHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if got := resp.Header.Get(HeaderBlockTuples); got != "7" {
-		t.Fatalf("tuple header = %q, want 7", got)
+	meta, _, err := readFrame(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if done := resp.Header.Get(HeaderBlockDone); done != "false" {
-		t.Fatalf("done header = %q, want false", done)
+	if meta.Tuples != 7 {
+		t.Fatalf("frame tuples = %d, want 7", meta.Tuples)
+	}
+	if meta.Done {
+		t.Fatal("frame done = true, want false")
+	}
+}
+
+// TestNextHeaderSet pins every header of a /next 200, fresh and replayed:
+// the framing's Content-Type and the body's Content-Length, plus
+// X-Block-Done: true on the final block only. No Date, and no block
+// metadata: that travels in the frame.
+func TestNextHeaderSet(t *testing.T) {
+	_, ts := newTestServer(t, Config{Catalog: testCatalog(t, 12)})
+	id, _ := openSession(t, ts, `{"table":"items"}`)
+	for _, step := range []struct {
+		seq, size int
+		done      bool
+	}{{1, 7, false}, {1, 7, false}, {2, 7, true}, {2, 7, true}} {
+		resp := pullSeq(t, ts, id, step.size, step.seq)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("seq %d: %s, %v", step.seq, resp.Status, err)
+		}
+		want := http.Header{
+			"Content-Type":   {"application/octet-stream"},
+			"Content-Length": {strconv.Itoa(len(body))},
+		}
+		if step.done {
+			want[HeaderBlockDone] = []string{"true"}
+		}
+		if !reflect.DeepEqual(resp.Header, want) {
+			t.Fatalf("seq %d: headers %v, want %v", step.seq, resp.Header, want)
+		}
+		if meta, _, err := readFrame(bytes.NewReader(body)); err != nil || meta.Done != step.done {
+			t.Fatalf("seq %d: frame done %v, %v; want %v", step.seq, meta.Done, err, step.done)
+		}
 	}
 }
 
@@ -324,7 +396,7 @@ func TestWhereQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +414,7 @@ func TestWhereQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	_, rows, err = wire.XML{}.Decode(resp.Body)
+	_, rows, err = wire.XML{}.Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +450,7 @@ func TestDistinctQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +467,7 @@ func TestLimitQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	_, rows, err := wire.XML{}.Decode(resp.Body)
+	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
 	if err != nil {
 		t.Fatal(err)
 	}

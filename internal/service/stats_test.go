@@ -268,10 +268,10 @@ func TestGzipBlockCarriesNoContentEncoding(t *testing.T) {
 	if resp.Uncompressed {
 		t.Error("the transport inflated the body behind the codec's back")
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/xml" {
-		t.Errorf("Content-Type = %q, want the inner codec's", ct)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Errorf("Content-Type = %q, want the framing's", ct)
 	}
-	if _, rows, err := wire.Gzip(wire.XML{}).Decode(resp.Body); err != nil || len(rows) != 30 {
+	if _, rows, err := wire.Gzip(wire.XML{}).Decode(framePayload(resp.Body)); err != nil || len(rows) != 30 {
 		t.Fatalf("body is not an xml+gzip block: %d rows, %v", len(rows), err)
 	}
 }

@@ -11,7 +11,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Type: FrameData, Seq: 1, Tuples: 3, DelayMS: 12.5, Payload: []byte("payload-one")},
 		{Type: FrameData, Seq: 2, Tuples: 0, Done: true, Payload: nil},
-		{Type: FrameData, Seq: 7, Tuples: 9, Replay: true, DelayMS: 0.25, Payload: []byte{0, 1, 2, 3}},
+		{Type: FrameData, Seq: 7, Tuples: 9, Replay: true, DelayMS: 0.25, Failovers: 2, Backend: 3, Payload: []byte{0, 1, 2, 3}},
 		{Type: FrameError, Payload: []byte("session expired")},
 	}
 	var buf bytes.Buffer
@@ -29,7 +29,8 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: read: %v", i, err)
 		}
 		if got.Type != want.Type || got.Done != want.Done || got.Replay != want.Replay ||
-			got.Seq != want.Seq || got.Tuples != want.Tuples || got.DelayMS != want.DelayMS {
+			got.Seq != want.Seq || got.Tuples != want.Tuples || got.DelayMS != want.DelayMS ||
+			got.Failovers != want.Failovers || got.Backend != want.Backend {
 			t.Fatalf("frame %d: header mismatch: got %+v want %+v", i, got, want)
 		}
 		if !bytes.Equal(got.Payload, want.Payload) {
@@ -52,7 +53,7 @@ func TestFrameReadErrors(t *testing.T) {
 	good := encode(Frame{Type: FrameData, Seq: 3, Tuples: 2, Payload: []byte("abcdef")})
 
 	t.Run("truncated header", func(t *testing.T) {
-		_, _, err := ReadFrame(bytes.NewReader(good[:frameHeaderLen-5]), 0, nil)
+		_, _, err := ReadFrame(bytes.NewReader(good[:FrameHeaderLen-5]), 0, nil)
 		if err != io.ErrUnexpectedEOF {
 			t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 		}
@@ -132,8 +133,8 @@ func FuzzFrame(f *testing.F) {
 	seed(Frame{Type: FrameData, Seq: 42, Done: true})
 	seed(Frame{Type: FrameError, Payload: []byte("gone")})
 	f.Add([]byte{})
-	f.Add([]byte("WSF1"))
-	f.Add(bytes.Repeat([]byte{0xff}, frameHeaderLen+4))
+	f.Add([]byte("WSF2"))
+	f.Add(bytes.Repeat([]byte{0xff}, FrameHeaderLen+4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxPayload = 1 << 20

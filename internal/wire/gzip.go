@@ -48,7 +48,7 @@ type gzipReader struct {
 
 var gzipReaderPool = sync.Pool{New: func() any { return new(gzipReader) }}
 
-// gzipWriterPools holds one pool of gzip.Writers per compression level,
+// gzipWriterPools holds one pool of gzipEncoders per compression level,
 // indexed by level - gzip.HuffmanOnly (the lowest valid level, -2).
 var gzipWriterPools [gzip.BestCompression - gzip.HuffmanOnly + 1]sync.Pool
 
@@ -56,10 +56,34 @@ func init() {
 	for i := range gzipWriterPools {
 		level := i + gzip.HuffmanOnly
 		gzipWriterPools[i].New = func() any {
-			zw, _ := gzip.NewWriterLevel(io.Discard, level) // fails on a level out of range only; the pools have none
-			return zw
+			e := new(gzipEncoder)
+			e.zw, _ = gzip.NewWriterLevel(e, level) // fails on a level out of range only; the pools have none
+			return e
 		}
 	}
+}
+
+// gzipEncoder is the pooled encode state: a gzip.Writer that only ever
+// writes to the encoder itself, which forwards to the caller's writer w
+// during an encode and holds none between encodes. So one Reset per
+// encode — one clear of the deflate tables — restarts the stream, and a
+// pooled encoder keeps no caller's writer alive.
+type gzipEncoder struct {
+	zw *gzip.Writer
+	w  io.Writer
+}
+
+func (e *gzipEncoder) Write(p []byte) (int, error) { return e.w.Write(p) }
+
+// encode deflates inner's encoding of the rows into w as one gzip member.
+func (e *gzipEncoder) encode(w io.Writer, inner Codec, schema minidb.Schema, rows []minidb.Row) error {
+	e.w = w
+	defer func() { e.w = nil }()
+	e.zw.Reset(e)
+	if err := inner.Encode(e.zw, schema, rows); err != nil {
+		return err
+	}
+	return e.zw.Close()
 }
 
 // Encode implements Codec. The block is one gzip member, one deflate
@@ -74,16 +98,9 @@ func (g Gzipped) Encode(w io.Writer, schema minidb.Schema, rows []minidb.Row) er
 		return fmt.Errorf("wire: gzip writer: invalid compression level %d", level)
 	}
 	pool := &gzipWriterPools[level-gzip.HuffmanOnly]
-	zw := pool.Get().(*gzip.Writer)
-	defer func() {
-		zw.Reset(io.Discard) // a pooled writer keeps no caller's writer alive
-		pool.Put(zw)
-	}()
-	zw.Reset(w)
-	if err := g.Inner.Encode(zw, schema, rows); err != nil {
-		return err
-	}
-	return zw.Close()
+	e := pool.Get().(*gzipEncoder)
+	defer pool.Put(e)
+	return e.encode(w, g.Inner, schema, rows)
 }
 
 // Decode implements Codec.

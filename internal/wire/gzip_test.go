@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -456,4 +457,83 @@ func TestGzipEncodeOneStatePerEncode(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%d: %d writer states made for one encode, want 1", procs, made)
 		}
 	}
+}
+
+// TestGzipEncoderKeepsNoCallerWriter: a pooled encoder keeps no caller's
+// writer alive — not after an encode, and not after one whose writer
+// failed. Its gzip.Writer and deflate state only ever hold the encoder
+// itself, which forgets the caller's writer as the encode returns.
+func TestGzipEncoderKeepsNoCallerWriter(t *testing.T) {
+	schema, rows := customerBlock(t, 64)
+	e := gzipWriterPools[gzip.BestSpeed-gzip.HuffmanOnly].New().(*gzipEncoder)
+	for _, w := range []io.Writer{new(bytes.Buffer), &failingWriter{budget: 100}} {
+		err := e.encode(w, XML{}, schema, rows)
+		if _, failing := w.(*failingWriter); failing != (err != nil) {
+			t.Fatalf("encode into %T: %v", w, err)
+		}
+		if reaches(reflect.ValueOf(e), reflect.ValueOf(w).Pointer(), map[uintptr]bool{}) {
+			t.Fatalf("after an encode into %T the pooled encoder still reaches it", w)
+		}
+	}
+	// The oracle of the walk: during an encode the encoder does reach it.
+	var w bytes.Buffer
+	e.w = &w
+	if !reaches(reflect.ValueOf(e), reflect.ValueOf(&w).Pointer(), map[uintptr]bool{}) {
+		t.Fatal("the walk does not find a writer the sink holds")
+	}
+}
+
+// reaches reports whether the object at target is reachable from v
+// through pointers, interfaces, struct fields, arrays and slices.
+func reaches(v reflect.Value, target uintptr, seen map[uintptr]bool) bool {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return false
+		}
+		p := v.Pointer()
+		if p == target {
+			return true
+		}
+		if seen[p] {
+			return false
+		}
+		seen[p] = true
+		return reaches(v.Elem(), target, seen)
+	case reflect.Interface:
+		return !v.IsNil() && reaches(v.Elem(), target, seen)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if reaches(v.Field(i), target, seen) {
+				return true
+			}
+		}
+	case reflect.Array, reflect.Slice:
+		if !holdsPointers(v.Type().Elem()) {
+			return false
+		}
+		for i := range v.Len() {
+			if reaches(v.Index(i), target, seen) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// holdsPointers reports whether a value of type t can lead reaches on.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Interface, reflect.Slice:
+		return true
+	case reflect.Array:
+		return holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -23,13 +23,14 @@ gate_vet() {
 	check_capabilities
 	check_retained
 	check_codec_goroutines
+	check_block_headers
 	check_docs
 }
 
 # check_docs holds DESIGN.md to a byte ceiling: a change that does not add
 # a tier leaves it no larger than it found it, and one that adds a tier
 # raises the number here in the same diff.
-design_ceiling=138571
+design_ceiling=138542
 check_docs() {
 	size=$(wc -c <DESIGN.md)
 	[ "$size" -le "$design_ceiling" ] || {
@@ -88,6 +89,26 @@ check_codec_goroutines() {
 	}
 }
 
+# check_block_headers fails when a non-test file sets an X-Block-,
+# X-Injected- or X-WSGate- header outside internal/service/blockmeta.go
+# and the ingest ack (internal/service/ingest.go). A block's metadata
+# travels in its frame header (wire.Frame), on /next as on /stream; a
+# header that carries it again is a second encoding of one fact, and a
+# per-block cost. (Like check_codec_goroutines it checks the tree, not
+# behaviour: a Set, Add or map assignment whose key is one of them, by
+# constant or literal, or a header map handed to a method that writes
+# them, `.WriteHeader(h)`.)
+check_block_headers() {
+	found=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+		'(\.(Set|Add)\(|\[) *(service\.)?(Header(Block|InjectedDelay|Gateway)[A-Za-z]*|"X-(Block|Injected|WSGate)-)|\.WriteHeader\(h\)' . |
+		grep -vE '^\./internal/service/(blockmeta|ingest)\.go:' || true)
+	[ -z "$found" ] || {
+		echo "verify.sh: a block header set outside internal/service/blockmeta.go and the ingest ack (a block's metadata travels in its frame):" >&2
+		echo "$found" >&2
+		return 1
+	}
+}
+
 # Committed-numbers gate: every experiment is deterministic per seed, so
 # results/ must be exactly what the code prints. Regenerate all of them
 # into a scratch directory and compare; a difference is either an
@@ -110,7 +131,7 @@ gate_results() {
 #
 #   gate     detector  -run pattern              packages
 owned='
-fuzzseeds   -race    ^Fuzz                        ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica ./internal/gateway
+fuzzseeds   -race    ^Fuzz                        ./internal/wire ./internal/minidb ./internal/blockcache ./internal/service ./internal/replica ./internal/gateway ./internal/client
 stress      -race    ^TestStress                  ./internal/service ./internal/e2e
 allocgate   -norace  ^(TestBinaryRoundTripAllocGate|TestBinaryViewAllocGate|TestXMLDecodeAllocGate|TestGzipEncodeAllocGate)$ ./internal/wire
 allocgate   -norace  ^TestGatewayHopAllocGate$    ./internal/gateway
