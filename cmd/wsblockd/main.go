@@ -8,11 +8,10 @@
 //	wsblockd -addr :8080 -sf 1 -codec binary -conf conf2.2 -timescale 0.001
 //	wsblockd -addr :8080 -metrics-addr :9090   # Prometheus /metrics + pprof
 //	wsblockd -addr :8080 -cache-mem-bytes 67108864
-//	wsblockd -addr :8080 -sf 1 -data /var/lib/wsblockd   # tables kept under sf-1/
 //
-// Without -data (or on a first start with it) the tables are generated
-// before the listener opens: about 0.5 s at -sf 1 on two cores of a
-// Xeon, logged as "generated [customer orders] in ...".
+// The tables are generated before the listener opens, the same rows on
+// every start: about 0.5 s at -sf 1 on two cores of a Xeon, logged as
+// "generated [customer orders] in ...".
 //
 // With -conf, per-block delays are drawn from the named calibrated cost
 // profile and injected (scaled by -timescale) so a laptop reproduces the
@@ -35,15 +34,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
 	"syscall"
 	"time"
 
 	"wsopt/internal/blockcache"
 	"wsopt/internal/daemon"
 	"wsopt/internal/metrics"
-	"wsopt/internal/minidb"
 	"wsopt/internal/netsim"
 	"wsopt/internal/profile"
 	"wsopt/internal/replica"
@@ -87,10 +83,13 @@ func main() {
 // model, fault injection, the replication log, the block cache — into
 // the service tier, announcing each on the way.
 func buildServer(o *options, reg *metrics.Registry, logger *log.Logger) (*service.Server, error) {
-	cat, err := loadCatalog(o, logger)
+	logger.Printf("generating TPC-H data at scale %g ...", o.sf)
+	start := time.Now()
+	cat, err := tpch.Load(o.sf)
 	if err != nil {
 		return nil, err
 	}
+	logger.Printf("generated %v in %v", cat.Names(), time.Since(start).Round(time.Millisecond))
 	var model netsim.CostModel
 	if o.conf != "" {
 		spec, err := profile.SpecByName(o.conf)
@@ -146,34 +145,4 @@ func buildServer(o *options, reg *metrics.Registry, logger *log.Logger) (*servic
 		logger.Printf("block cache: %d MiB memory", o.cacheMemBytes>>20)
 	}
 	return srv, nil
-}
-
-// loadCatalog returns the tables cached for -sf under -data, or
-// generates them at -sf (and caches them there for the next start). Each
-// scale has its own subdirectory, so a restart at another -sf never
-// serves the tables of the last one.
-func loadCatalog(o *options, logger *log.Logger) (*minidb.Catalog, error) {
-	dir := ""
-	if o.dataDir != "" {
-		dir = filepath.Join(o.dataDir, "sf-"+strconv.FormatFloat(o.sf, 'g', -1, 64))
-		if cat, err := minidb.LoadCatalog(dir); err == nil {
-			logger.Printf("loaded cached tables %v from %s", cat.Names(), dir)
-			return cat, nil
-		}
-	}
-	logger.Printf("generating TPC-H data at scale %g ...", o.sf)
-	start := time.Now()
-	cat, err := tpch.Load(o.sf)
-	if err != nil {
-		return nil, err
-	}
-	logger.Printf("generated %v in %v", cat.Names(), time.Since(start).Round(time.Millisecond))
-	if dir != "" {
-		if err := minidb.SaveCatalog(dir, cat); err != nil {
-			logger.Printf("warning: could not cache tables: %v", err)
-		} else {
-			logger.Printf("cached tables to %s", dir)
-		}
-	}
-	return cat, nil
 }

@@ -36,7 +36,6 @@ type options struct {
 	codec     wire.Codec
 	conf      string
 	timescale float64
-	dataDir   string
 	loadLive  bool
 
 	faults    service.FaultConfig
@@ -60,7 +59,6 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	codec := fs.String("codec", "xml", "block codec: xml or binary, each optionally +gzip (e.g. xml+gzip)")
 	fs.StringVar(&o.conf, "conf", "", "inject delays from a calibrated profile (conf1.1 .. conf2.2)")
 	fs.Float64Var(&o.timescale, "timescale", 0.001, "real milliseconds slept per simulated millisecond")
-	fs.StringVar(&o.dataDir, "data", "", "cache generated tables in this directory across restarts, one subdirectory per -sf")
 	fs.BoolVar(&o.loadLive, "load-live", false, "couple the injected-delay model to the live session count (each extra open session adds one concurrent query to the simulated load)")
 
 	fs.Float64Var(&o.faults.DropProb, "fault-drop", 0, "chaos: probability of severing the connection after a block is processed")

@@ -305,12 +305,8 @@ func TestChaosMetricsAccounting(t *testing.T) {
 
 func TestChaosPushExactlyOnce(t *testing.T) {
 	const rows = 1500
-	schema := minidb.Schema{
-		{Name: "k", Type: minidb.Int64},
-		{Name: "v", Type: minidb.String},
-	}
 	serverCat := minidb.NewCatalog()
-	sink, err := serverCat.CreateTable("sink", schema)
+	sink, err := serverCat.CreateTable("sink", pushSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,25 +326,9 @@ func TestChaosPushExactlyOnce(t *testing.T) {
 	}
 	c.SetRetry(chaosRetry)
 
-	localCat := minidb.NewCatalog()
-	local, err := localCat.CreateTable("src", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]minidb.Row, 0, rows)
-	for i := 0; i < rows; i++ {
-		batch = append(batch, minidb.Row{minidb.NewInt(int64(i)), minidb.NewString(fmt.Sprintf("v%d", i))})
-	}
-	if err := local.BulkLoad(batch); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := c.Push(context.Background(), "sink", local.Scan(), core.NewStatic(64), MetricPerTuple, true)
-	if err != nil {
-		t.Fatalf("push under chaos failed: %v", err)
-	}
-	if res.Tuples != rows {
-		t.Fatalf("push reported %d tuples, want %d", res.Tuples, rows)
+	tuples, retries := upload(t, c, "sink", pushRows(rows), 64)
+	if tuples != rows {
+		t.Fatalf("server confirmed %d tuples, want %d", tuples, rows)
 	}
 	if sink.RowCount() != rows {
 		t.Fatalf("sink holds %d rows, want exactly %d (duplicates or losses)", sink.RowCount(), rows)
@@ -366,7 +346,7 @@ func TestChaosPushExactlyOnce(t *testing.T) {
 		seen[r[0].I]++
 	}
 	assertExactSet(t, seen, rows)
-	if res.Retries == 0 {
+	if retries == 0 {
 		t.Fatal("push reported no retries despite injected faults")
 	}
 }

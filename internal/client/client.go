@@ -138,8 +138,6 @@ type Query struct {
 	// Where optionally filters rows server-side; SQL-flavoured syntax
 	// parsed by minidb.ParseExpr (e.g. "c_acctbal > 0 AND c_mktsegment = 'BUILDING'").
 	Where string `json:"where,omitempty"`
-	// Distinct drops duplicate result rows server-side.
-	Distinct bool `json:"distinct,omitempty"`
 	// Limit truncates the result when positive.
 	Limit int `json:"limit,omitempty"`
 	// Offset skips the first N result tuples server-side — how a
@@ -815,7 +813,7 @@ type RunResult struct {
 	Sizes []int
 	// Retries counts extra attempts beyond the first, and Replays counts
 	// blocks the server recognized as a repeat (served from its replay
-	// buffer, or an upload it deduplicated) — both 0 on a fault-free run.
+	// buffer) — both 0 on a fault-free run.
 	Retries int
 	Replays int
 	// Failovers counts session moves to another replica — 0 on a healthy

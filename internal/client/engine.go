@@ -13,8 +13,7 @@ import (
 // Algorithm 1's loop — pick a size, pull a block, time it, feed the
 // controller — and the per-block accounting exist here once. Run,
 // RunPipelined and every RunVector chunk are configurations of
-// run.transfer; Push (the upload direction, whose data flows the other
-// way) keeps its own loop but accounts through run.account too.
+// run.transfer.
 
 // run is the accounting state of one transfer: the controller it drives,
 // what that controller observes, and the result the blocks add up to.
@@ -52,40 +51,29 @@ func (r *run) window() int {
 	return r.win
 }
 
-// sample is what the accounting point reads of one transferred block; a
-// pulled Block and an uploaded PushBlock both reduce to it.
-type sample struct {
-	tuples     int
-	elapsed    time.Duration
-	injectedMS float64
-	attempts   int
-	replayed   bool
-}
-
 // account is the one per-block accounting point: it adds a block
 // requested at size to the result and feeds the controller its
 // observation — wall time by default, the scale-free injected delay when
 // the run asked for it and the server reported one, per tuple or per
-// block. Callers hold r.mu, except Push, whose run never leaves its
-// goroutine.
-func (r *run) account(size int, s sample) {
+// block. Callers hold r.mu.
+func (r *run) account(size int, blk *Block) {
 	res := r.res
-	res.Tuples += s.tuples
+	res.Tuples += blk.Tuples
 	res.Blocks++
-	res.Elapsed += s.elapsed
-	res.SimulatedMS += s.injectedMS
+	res.Elapsed += blk.Elapsed
+	res.SimulatedMS += blk.InjectedMS
 	res.Sizes = append(res.Sizes, size)
-	res.Retries += s.attempts - 1
-	if s.replayed {
+	res.Retries += blk.Attempts - 1
+	if blk.Replayed {
 		res.Replays++
 	}
 
-	y := float64(s.elapsed) / float64(time.Millisecond)
-	if r.useInjected && s.injectedMS > 0 {
-		y = s.injectedMS
+	y := float64(blk.Elapsed) / float64(time.Millisecond)
+	if r.useInjected && blk.InjectedMS > 0 {
+		y = blk.InjectedMS
 	}
 	if r.metric == MetricPerTuple {
-		y /= float64(s.tuples)
+		y /= float64(blk.Tuples)
 	}
 	r.ctl.Observe(y)
 }
@@ -131,7 +119,7 @@ func (r *run) handOff(f *fetched) error {
 	blk, sink := f.blk, r.c.events
 	var ev BlockEvent
 	r.mu.Lock()
-	r.account(f.size, sample{blk.Tuples, blk.Elapsed, blk.InjectedMS, blk.Attempts, blk.Replayed})
+	r.account(f.size, blk)
 	if sink != nil {
 		ev = BlockEvent{
 			Session:    f.session,

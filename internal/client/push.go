@@ -5,12 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"wsopt/internal/core"
 	"wsopt/internal/minidb"
 	"wsopt/internal/service"
 )
@@ -150,63 +148,4 @@ func (p *PushSession) Close(ctx context.Context) (int, error) {
 		return 0, fmt.Errorf("client: decode close response: %w", err)
 	}
 	return cr.Tuples, nil
-}
-
-// PushResult summarizes one adaptive upload: a RunResult whose Replays
-// counts duplicate blocks the server deduplicated and whose Failovers
-// stays 0.
-type PushResult = RunResult
-
-// Push ships every row of the iterator to the named server table,
-// Algorithm 1 in the upload direction: the controller picks each block's
-// size from the observed per-tuple (or per-block) upload cost. The data
-// flows the other way, so Push keeps its own loop, but it accounts each
-// block through the same function the transfer engine uses.
-func (c *Client) Push(ctx context.Context, table string, src minidb.Iterator, ctl core.Controller, metric Metric, useInjected bool) (*PushResult, error) {
-	sess, err := c.OpenPush(ctx, table)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		_, _ = sess.Close(context.WithoutCancel(ctx))
-	}()
-
-	schema := src.Schema()
-	r := run{c: c, ctl: ctl, metric: metric, useInjected: useInjected, res: &PushResult{}}
-	for {
-		size := ctl.Size()
-		rows, done, err := nextRows(src, size)
-		if err != nil {
-			return r.res, err
-		}
-		if len(rows) > 0 {
-			blk, err := sess.Send(ctx, schema, rows)
-			if err != nil {
-				return r.res, err
-			}
-			r.account(size, sample{blk.Tuples, blk.Elapsed, blk.InjectedMS, blk.Attempts, blk.Replayed})
-		}
-		if done {
-			return r.res, nil
-		}
-	}
-}
-
-// nextRows pulls up to size rows from the iterator.
-func nextRows(it minidb.Iterator, size int) (rows []minidb.Row, done bool, err error) {
-	if size < 1 {
-		size = 1
-	}
-	rows = make([]minidb.Row, 0, size)
-	for len(rows) < size {
-		r, err := it.Next()
-		if err == io.EOF {
-			return rows, true, nil
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		rows = append(rows, r)
-	}
-	return rows, false, nil
 }

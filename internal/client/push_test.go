@@ -6,24 +6,32 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"wsopt/internal/core"
 	"wsopt/internal/minidb"
 	"wsopt/internal/netsim"
 	"wsopt/internal/service"
 	"wsopt/internal/wire"
 )
 
-// pushStack builds a service with an empty sink table and a client, plus
-// a local source table with n rows.
-func pushStack(t *testing.T, n int) (*Client, *service.Server, *minidb.Catalog, minidb.Iterator) {
-	t.Helper()
-	schema := minidb.Schema{
-		{Name: "k", Type: minidb.Int64},
-		{Name: "v", Type: minidb.String},
+// pushSchema is the schema of the upload tests' sink and source rows.
+var pushSchema = minidb.Schema{
+	{Name: "k", Type: minidb.Int64},
+	{Name: "v", Type: minidb.String},
+}
+
+// pushRows returns n source rows (i, "v<i>") with unique keys.
+func pushRows(n int) []minidb.Row {
+	rows := make([]minidb.Row, 0, n)
+	for i := 0; i < n; i++ {
+		rows = append(rows, minidb.Row{minidb.NewInt(int64(i)), minidb.NewString(fmt.Sprintf("v%d", i))})
 	}
-	// Server side: empty sink.
+	return rows
+}
+
+// pushStack builds a service with an empty sink table and a client.
+func pushStack(t *testing.T) (*Client, *service.Server, *minidb.Catalog) {
+	t.Helper()
 	serverCat := minidb.NewCatalog()
-	if _, err := serverCat.CreateTable("sink", schema); err != nil {
+	if _, err := serverCat.CreateTable("sink", pushSchema); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := service.New(service.Config{
@@ -39,38 +47,36 @@ func pushStack(t *testing.T, n int) (*Client, *service.Server, *minidb.Catalog, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Client side: local source rows.
-	localCat := minidb.NewCatalog()
-	local, err := localCat.CreateTable("src", schema)
+	return c, srv, serverCat
+}
+
+// upload ships rows to table in blocks of size through one ingest
+// session and returns the tuples the server confirmed at close and the
+// retries the blocks took.
+func upload(t *testing.T, c *Client, table string, rows []minidb.Row, size int) (tuples, retries int) {
+	t.Helper()
+	ctx := context.Background()
+	sess, err := c.OpenPush(ctx, table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := make([]minidb.Row, 0, n)
-	for i := 0; i < n; i++ {
-		rows = append(rows, minidb.Row{minidb.NewInt(int64(i)), minidb.NewString(fmt.Sprintf("v%d", i))})
+	for off := 0; off < len(rows); off += size {
+		blk, err := sess.Send(ctx, pushSchema, rows[off:min(off+size, len(rows))])
+		if err != nil {
+			t.Fatalf("send block at row %d: %v", off, err)
+		}
+		retries += blk.Attempts - 1
 	}
-	if err := local.BulkLoad(rows); err != nil {
+	if tuples, err = sess.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	return c, srv, serverCat, local.Scan()
+	return tuples, retries
 }
 
 func TestPushRoundTrip(t *testing.T) {
-	c, srv, serverCat, src := pushStack(t, 137)
-	cfg := core.Config{
-		InitialSize: 10, Limits: core.Limits{Min: 5, Max: 60},
-		B1: 15, B2: 25, AvgHorizon: 1, CriterionWindow: 5, CriterionThreshold: 1,
-	}
-	ctl, err := core.NewConstant(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Push(context.Background(), "sink", src, ctl, MetricPerTuple, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tuples != 137 {
-		t.Fatalf("pushed %d tuples, want 137", res.Tuples)
+	c, srv, serverCat := pushStack(t)
+	if n, _ := upload(t, c, "sink", pushRows(137), 10); n != 137 {
+		t.Fatalf("server confirmed %d tuples, want 137", n)
 	}
 	sink, err := serverCat.Table("sink")
 	if err != nil {
@@ -78,16 +84,6 @@ func TestPushRoundTrip(t *testing.T) {
 	}
 	if sink.RowCount() != 137 {
 		t.Fatalf("server received %d rows, want 137", sink.RowCount())
-	}
-	// The controller adapted the upload block size.
-	allSame := true
-	for _, s := range res.Sizes[1:] {
-		if s != res.Sizes[0] {
-			allSame = false
-		}
-	}
-	if allSame && len(res.Sizes) > 2 {
-		t.Fatal("push controller never adapted")
 	}
 	// Stats counted the ingest.
 	st := srv.Stats()
@@ -113,17 +109,13 @@ func TestPushRoundTrip(t *testing.T) {
 }
 
 func TestPushSessionLifecycle(t *testing.T) {
-	c, _, _, _ := pushStack(t, 1)
+	c, _, _ := pushStack(t)
 	ctx := context.Background()
 	sess, err := c.OpenPush(ctx, "sink")
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema := minidb.Schema{
-		{Name: "k", Type: minidb.Int64},
-		{Name: "v", Type: minidb.String},
-	}
-	blk, err := sess.Send(ctx, schema, []minidb.Row{{minidb.NewInt(1), minidb.NewString("x")}})
+	blk, err := sess.Send(ctx, pushSchema, []minidb.Row{{minidb.NewInt(1), minidb.NewString("x")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +136,7 @@ func TestPushSessionLifecycle(t *testing.T) {
 }
 
 func TestPushErrors(t *testing.T) {
-	c, _, _, _ := pushStack(t, 1)
+	c, _, _ := pushStack(t)
 	ctx := context.Background()
 	if _, err := c.OpenPush(ctx, "ghost"); err == nil {
 		t.Error("unknown table should fail")
@@ -161,29 +153,5 @@ func TestPushErrors(t *testing.T) {
 	wrong := minidb.Schema{{Name: "z", Type: minidb.Float64}}
 	if _, err := sess.Send(ctx, wrong, []minidb.Row{{minidb.NewFloat(1)}}); err == nil {
 		t.Error("schema mismatch should fail")
-	}
-}
-
-func TestPushWithHybridController(t *testing.T) {
-	c, _, serverCat, src := pushStack(t, 400)
-	cfg := core.Config{
-		InitialSize: 20, Limits: core.Limits{Min: 5, Max: 100},
-		B1: 20, B2: 25, DitherFactor: 2, AvgHorizon: 2,
-		CriterionWindow: 5, CriterionThreshold: 1, Seed: 3,
-	}
-	ctl, err := core.NewHybrid(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Push(context.Background(), "sink", src, ctl, MetricPerTuple, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tuples != 400 {
-		t.Fatalf("pushed %d, want 400", res.Tuples)
-	}
-	sink, _ := serverCat.Table("sink")
-	if sink.RowCount() != 400 {
-		t.Fatalf("sink has %d rows", sink.RowCount())
 	}
 }

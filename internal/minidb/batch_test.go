@@ -1,7 +1,6 @@
 package minidb
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -90,57 +89,5 @@ func TestBatch(t *testing.T) {
 			}
 			c.run(t, tbl)
 		})
-	}
-}
-
-// loadTableAllocBudget bounds LoadTable's allocations for the 25 005-row
-// table of TestLoadTableAllocGate: the reader, the schema, and per batch
-// a value slab and one string.
-const loadTableAllocBudget = 200
-
-// TestLoadTableAllocGate fails when LoadTable goes back to allocating per
-// row or per string, and checks that the table it loads over several
-// batches is the one saved.
-func TestLoadTableAllocGate(t *testing.T) {
-	schema := Schema{{Name: "k", Type: Int64}, {Name: "s", Type: String}, {Name: "f", Type: Float64}, {Name: "d", Type: Date}}
-	src, err := NewTable("t", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 2*batchRows + 5005
-	rows := make([]Row, n)
-	for k := range rows {
-		rows[k] = Row{NewInt(int64(k)), NewString(fmt.Sprintf("s%d", k)), NewFloat(float64(k) / 3), NewDate(int64(k % 9000))}
-		if k%7 == 0 {
-			rows[k][1] = Null(String)
-		}
-	}
-	if err := src.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
-	var file bytes.Buffer
-	if err := SaveTable(&file, src); err != nil {
-		t.Fatal(err)
-	}
-	var got *Table
-	allocs := testing.AllocsPerRun(1, func() {
-		if got, err = LoadTable(bytes.NewReader(file.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("LoadTable of %d rows: %.0f allocations", n, allocs)
-	if allocs > loadTableAllocBudget {
-		t.Fatalf("LoadTable made %.0f allocations, budget %d", allocs, loadTableAllocBudget)
-	}
-	loaded, _ := Collect(got.Scan())
-	if len(loaded) != n {
-		t.Fatalf("loaded %d rows, want %d", len(loaded), n)
-	}
-	for k, r := range loaded {
-		for j := range r {
-			if r[j] != rows[k][j] {
-				t.Fatalf("row %d column %d = %+v, saved %+v", k, j, r[j], rows[k][j])
-			}
-		}
 	}
 }

@@ -135,8 +135,6 @@ type Query struct {
 	Columns []string
 	// Where optionally filters rows.
 	Where Expr
-	// Distinct drops duplicate result rows.
-	Distinct bool
 	// Limit truncates the result when positive.
 	Limit int
 }
@@ -156,9 +154,6 @@ func (c *Catalog) Execute(q Query) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if q.Distinct {
-		out = Distinct(out)
 	}
 	if q.Limit > 0 {
 		out = Limit(out, q.Limit)

@@ -34,7 +34,7 @@ func salesRows() []Row {
 
 // TestOperatorsCompose runs the service's one query shape through the
 // operators it is built from:
-// SELECT DISTINCT region FROM sales WHERE amount > 15 LIMIT 1.
+// SELECT region FROM sales WHERE amount > 15 LIMIT 1.
 func TestOperatorsCompose(t *testing.T) {
 	pred, err := ParseExpr("amount > 15")
 	if err != nil {
@@ -44,7 +44,7 @@ func TestOperatorsCompose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Collect(Limit(Distinct(proj), 1))
+	rows, err := Collect(Limit(proj, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -563,11 +564,10 @@ func (s *Server) sessionSeed(n uint64) int64 {
 
 // createRequest is the body of POST /sessions.
 type createRequest struct {
-	Table    string   `json:"table"`
-	Columns  []string `json:"columns,omitempty"`
-	Where    string   `json:"where,omitempty"`
-	Distinct bool     `json:"distinct,omitempty"`
-	Limit    int      `json:"limit,omitempty"`
+	Table   string   `json:"table"`
+	Columns []string `json:"columns,omitempty"`
+	Where   string   `json:"where,omitempty"`
+	Limit   int      `json:"limit,omitempty"`
 	// Offset skips the first Offset result tuples before the first block.
 	// A failed-over client uses it to resume a query on another replica
 	// from its committed cursor.
@@ -612,8 +612,18 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request, id string
 		httpError(w, http.StatusBadRequest, "read request body: %v", err)
 		return nil, false
 	}
+	// A key this server does not know is refused, not ignored: a client
+	// that asks for an operator the server lacks must not get rows the
+	// operator would have changed. Anything after the one object is
+	// refused too, as json.Unmarshal refuses it.
 	var req createRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&req)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("data after the request object")
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return nil, false
 	}
@@ -625,7 +635,7 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request, id string
 		httpError(w, http.StatusBadRequest, "offset must be non-negative")
 		return nil, false
 	}
-	q := minidb.Query{Table: req.Table, Columns: req.Columns, Distinct: req.Distinct, Limit: req.Limit}
+	q := minidb.Query{Table: req.Table, Columns: req.Columns, Limit: req.Limit}
 	if req.Where != "" {
 		where, err := minidb.ParseExpr(req.Where)
 		if err != nil {
@@ -710,7 +720,6 @@ func (s *Server) planFingerprint(req *createRequest) []byte {
 		req.Table,
 		strings.Join(req.Columns, "\x00"),
 		req.Where,
-		strconv.FormatBool(req.Distinct),
 		strconv.Itoa(req.Limit),
 		s.codec.Name(),
 		strconv.Itoa(level),

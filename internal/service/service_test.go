@@ -423,39 +423,41 @@ func TestWhereQuery(t *testing.T) {
 	}
 }
 
+// TestDistinctQuery: the server has no distinct operator, so a create
+// body that asks for one — or names any key the server does not know, or
+// carries data after its object — is refused with a 400 on both ways a
+// session is created, never answered with the rows the key would have
+// changed. A body of every known key is still accepted on both.
 func TestDistinctQuery(t *testing.T) {
-	// "items" labels are unique, but projecting a constant-prefix slice
-	// via distinct over the label column still returns all; instead build
-	// a table with duplicates.
-	cat := minidb.NewCatalog()
-	tbl, err := cat.CreateTable("dup", minidb.Schema{{Name: "v", Type: minidb.String}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []string{"a", "b", "a", "c", "b", "a"} {
-		if err := tbl.Insert(minidb.Row{minidb.NewString(v)}); err != nil {
-			t.Fatal(err)
+	srv, ts := newTestServer(t, Config{Catalog: testCatalog(t, 10)})
+	const known = `{"table":"items","columns":["id"],"where":"id > 1","limit":5,"offset":1,"stream_group":"g"}`
+	for _, tc := range []struct {
+		what, body string
+		ok         bool
+	}{
+		{"distinct", `{"table":"items","distinct":true}`, false},
+		{"another unknown key", `{"table":"items","order_by":"id"}`, false},
+		{"data after the object", `{"table":"items"} {"limit":1}`, false},
+		{"every known key", known, true},
+	} {
+		id, status := openSession(t, ts, tc.body)
+		if (status == http.StatusCreated) != tc.ok || !tc.ok && status != http.StatusBadRequest {
+			t.Errorf("POST /sessions, %s: %d", tc.what, status)
 		}
-	}
-	srv, err := New(Config{Catalog: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	id, _ := openSession(t, ts, `{"table":"dup","distinct":true}`)
-	resp, err := http.Post(ts.URL+"/sessions/"+id+"/next?size=100", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	_, rows, err := wire.XML{}.Decode(framePayload(resp.Body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("distinct query returned %d rows, want 3", len(rows))
+		if id != "" {
+			deleteSession(t, ts, id)
+		}
+		pc, resp := creatingOpen(t, ts, testName, tc.body, 5, 2, 1)
+		if (pc != nil) != tc.ok || !tc.ok && resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("creating stream open, %s: %d", tc.what, resp.StatusCode)
+		}
+		if pc != nil {
+			pc.close()
+			deleteSession(t, ts, testName)
+		}
+		if n := srv.SessionCount(); n != 0 {
+			t.Fatalf("%s: %d sessions live", tc.what, n)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ gate_vet() {
 # check_docs holds DESIGN.md to a byte ceiling: a change that does not add
 # a tier leaves it no larger than it found it, and one that adds a tier
 # raises the number here in the same diff.
-design_ceiling=138542
+design_ceiling=137996
 check_docs() {
 	size=$(wc -c <DESIGN.md)
 	[ "$size" -le "$design_ceiling" ] || {
@@ -139,7 +139,6 @@ allocgate   -norace  ^(TestPullAllocGate|TestFramedBlockAllocGate)$ ./internal/c
 allocgate   -norace  ^(TestShipCommitAllocGate|TestReadAheadAllocGate)$ ./internal/service
 allocgate   -norace  ^TestDeadlineForDoesNotAllocate$ ./internal/resilience
 allocgate   -norace  ^TestLoadAllocGate$          ./internal/tpch
-allocgate   -norace  ^TestLoadTableAllocGate$     ./internal/minidb
 slo-sim     -race    ^Test                        ./internal/regulator
 slo-sim     -race    ^TestCoupledLoop             ./internal/sim
 chaos-gate  -race    ^TestFailover                ./internal/sim

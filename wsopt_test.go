@@ -147,23 +147,23 @@ func TestFacadePushFlow(t *testing.T) {
 	}
 
 	// Matching codec works end to end.
+	ctx := context.Background()
 	c2, _ := wsopt.NewClient(ts.URL, wsopt.CodecXML(), nil)
-	localCat := minidb.NewCatalog()
-	local, _ := localCat.CreateTable("src", schema)
 	rows := make([]minidb.Row, 50)
 	for i := range rows {
 		rows[i] = minidb.Row{minidb.NewInt(int64(i))}
 	}
-	if err := local.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c2.Push(context.Background(), "sink", local.Scan(),
-		wsopt.NewStaticController(7), wsopt.MetricPerTuple, false)
+	sess, err := c2.OpenPush(ctx, "sink")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Tuples != 50 {
-		t.Fatalf("pushed %d tuples, want 50", res.Tuples)
+	for off := 0; off < len(rows); off += 7 {
+		if _, err := sess.Send(ctx, schema, rows[off:min(off+7, len(rows))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := sess.Close(ctx); err != nil || n != 50 {
+		t.Fatalf("close: server confirmed %d tuples (%v), want 50", n, err)
 	}
 	sink, _ := cat.Table("sink")
 	if sink.RowCount() != 50 {
