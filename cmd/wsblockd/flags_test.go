@@ -24,7 +24,7 @@ func parseArgs(args []string) (*options, error) {
 func TestOptionsValidate(t *testing.T) {
 	valid := map[string]string{
 		"session-ttl": "5m", "replicate": "8192", "cache-mem-bytes": "67108864",
-		"push": "true", "push-window": "32", "push-max-frame": "4194304",
+		"push-window": "32", "push-max-frame": "4194304",
 	}
 	set := func(kv ...string) func(map[string]string) {
 		return func(m map[string]string) {
@@ -52,12 +52,10 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative cache mem", set("cache-mem-bytes", "-1"), "-cache-mem-bytes"},
 		{"cache disk tier is gone", set("cache-dir", "/tmp/c"), "-cache-dir"},
 		{"valid push defaults", set("push-window", "0", "push-max-frame", "0"), ""},
-		{"valid push off", set("push", "false", "push-window", "", "push-max-frame", ""), ""},
+		{"push switch is gone", set("push", "false"), "-push"},
 		{"negative push window", set("push-window", "-1"), "-push-window"},
 		{"negative push frame cap", set("push-max-frame", "-1"), "-push-max-frame"},
 		{"push frame cap above wire limit", set("push-max-frame", fmt.Sprint(wire.MaxFramePayload+1)), "wire frame limit"},
-		{"push window without push", set("push", "false", "push-max-frame", ""), "-push-window is meaningless"},
-		{"push frame cap without push", set("push", "false", "push-window", ""), "-push-max-frame is meaningless"},
 
 		{"unknown codec", set("codec", "yaml"), "-codec"},
 		{"codec compressed twice", set("codec", "binary+gzip+gzip"), `-codec: wire: codec "binary+gzip+gzip"`},
@@ -119,8 +117,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Addr != ":8080" || o.codec.Name() != "xml" || !o.push || o.SessionTTL.Minutes() != 5 || o.RegulateMode != "proportional" {
-		t.Fatalf("defaults: addr %q codec %q push %v ttl %s mode %q", o.Addr, o.codec.Name(), o.push, o.SessionTTL, o.RegulateMode)
+	if o.Addr != ":8080" || o.codec.Name() != "xml" || o.SessionTTL.Minutes() != 5 || o.RegulateMode != "proportional" {
+		t.Fatalf("defaults: addr %q codec %q ttl %s mode %q", o.Addr, o.codec.Name(), o.SessionTTL, o.RegulateMode)
 	}
 	if _, err := parseArgs([]string{"-h"}); err != flag.ErrHelp {
 		t.Fatalf("-h = %v, want flag.ErrHelp", err)

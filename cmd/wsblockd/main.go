@@ -125,7 +125,6 @@ func buildServer(o *options, reg *metrics.Registry, logger *log.Logger) (*servic
 		Replica:           replog,
 		SessionTTL:        o.SessionTTL,
 		Cache:             cache,
-		PushDisabled:      !o.push,
 		PushMaxWindow:     o.pushWindow,
 		PushMaxFrameBytes: o.pushMaxFrame,
 	})
@@ -134,9 +133,6 @@ func buildServer(o *options, reg *metrics.Registry, logger *log.Logger) (*servic
 	}
 	if f := o.faults; f != (service.FaultConfig{}) {
 		logger.Printf("fault injection enabled: drop=%.2f truncate=%.2f 503=%.2f", f.DropProb, f.TruncateProb, f.Error503Prob)
-	}
-	if !o.push {
-		logger.Print("push transport disabled: serving pull only")
 	}
 	if replog != nil {
 		logger.Printf("replication: shipping session mutations via /replication/feed (retaining %d records)", o.replicate)

@@ -43,7 +43,6 @@ type options struct {
 
 	replicate int
 
-	push         bool
 	pushWindow   int
 	pushMaxFrame int
 
@@ -68,7 +67,6 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 
 	fs.IntVar(&o.replicate, "replicate", 0, "replication: retain this many session-mutation records in the log served at GET /replication/feed for follower shipping (0 = disabled)")
 
-	fs.BoolVar(&o.push, "push", true, "serve the push streaming transport (POST /sessions/{id}/stream + credit side channel) alongside pull")
 	fs.IntVar(&o.pushWindow, "push-window", 0, "push: cap the credit window a client may grant, in frames, announced on every stream open (0 = default 1024; memory is bounded by -push-max-frame)")
 	fs.IntVar(&o.pushMaxFrame, "push-max-frame", 0, "push: cap one frame's encoded payload in bytes; twice it is each stream's budget of unacked bytes (0 = default 8 MiB)")
 
@@ -117,12 +115,6 @@ func (o *options) validate() error {
 	}
 	if o.pushMaxFrame > wire.MaxFramePayload {
 		return fmt.Errorf("-push-max-frame %d exceeds the wire frame limit %d", o.pushMaxFrame, wire.MaxFramePayload)
-	}
-	if !o.push && o.pushWindow > 0 {
-		return fmt.Errorf("-push-window is meaningless with -push=false")
-	}
-	if !o.push && o.pushMaxFrame > 0 {
-		return fmt.Errorf("-push-max-frame is meaningless with -push=false")
 	}
 	return nil
 }

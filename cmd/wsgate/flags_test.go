@@ -30,8 +30,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative session ttl", []string{backends, "-session-ttl=-1m"}, "-session-ttl"},
 		{"zero pull interval", []string{backends, "-pull-interval=0"}, "-pull-interval"},
 		{"negative pull interval", []string{backends, "-pull-interval=-1ms"}, "-pull-interval"},
-		{"zero vnodes", []string{backends, "-vnodes=0"}, "-vnodes"},
-		{"negative vnodes", []string{backends, "-vnodes=-8"}, "-vnodes"},
 
 		{"no backends", nil, "-backends"},
 		{"blank backends", []string{"-backends= , "}, "-backends"},
@@ -50,7 +48,8 @@ func TestOptionsValidate(t *testing.T) {
 
 		// Syntax errors are the flag package's; they name the flag too.
 		{"undefined flag", []string{backends, "-push"}, "-push"},
-		{"malformed value", []string{backends, "-vnodes=many"}, "-vnodes"},
+		{"hash ring is gone", []string{backends, "-vnodes", "8"}, "-vnodes"},
+		{"malformed value", []string{backends, "-pull-interval=soon"}, "-pull-interval"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -78,8 +77,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if got := strings.Join(o.backends, "|"); got != "http://h1:8080|http://h2:8080" {
 		t.Fatalf("backends = %q", got)
 	}
-	if o.Addr != ":8079" || o.vnodes != 64 || o.breaker.FailureThreshold != 5 || o.SessionTTL.Minutes() != 5 {
-		t.Fatalf("defaults: addr %q vnodes %d breaker %d ttl %s", o.Addr, o.vnodes, o.breaker.FailureThreshold, o.SessionTTL)
+	if o.Addr != ":8079" || o.breaker.FailureThreshold != 5 || o.SessionTTL.Minutes() != 5 {
+		t.Fatalf("defaults: addr %q breaker %d ttl %s", o.Addr, o.breaker.FailureThreshold, o.SessionTTL)
 	}
 	if _, err := parseArgs([]string{"-h"}); err != flag.ErrHelp {
 		t.Fatalf("-h = %v, want flag.ErrHelp", err)

@@ -1,10 +1,11 @@
 // Command wsgate runs the replicated-session gateway tier in front of a
 // fleet of wsblockd backends. Clients speak the ordinary block-pull
-// protocol to the gateway; underneath, sessions are placed with
-// consistent-hash affinity, every session mutation is log-shipped from
-// its primary to the gateway's standby store, and a backend dying
-// mid-transfer is failed over transparently — the client's next pull
-// serves the correct seq with zero duplicate or lost tuples.
+// protocol to the gateway; underneath, sessions are placed on the
+// backends in turn, every session mutation is log-shipped from its
+// primary to the gateway's standby store, and a backend dying
+// mid-transfer is failed over transparently to the next healthy one —
+// the client's next pull serves the correct seq with zero duplicate or
+// lost tuples.
 //
 // Usage:
 //
@@ -14,7 +15,7 @@
 //
 // The backends should run with -replicate so the gateway can serve
 // byte-identical replays after a crash; without it, post-crash retries
-// fall back to re-pulling the lost block from the successor.
+// fall back to re-pulling the lost block from the next backend.
 //
 // With -slo-p95-ms the feedback loop wsblockd runs per replica moves to
 // the edge: the measured variable is the gateway's own block-serve
@@ -59,7 +60,6 @@ func main() {
 		MaxSessions:  opts.MaxSessions,
 		SessionTTL:   opts.SessionTTL,
 		RetryAfter:   opts.RetryAfter,
-		Vnodes:       opts.vnodes,
 		Metrics:      reg,
 		Logger:       opts.RequestLogger(logger),
 	})

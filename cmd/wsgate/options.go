@@ -25,13 +25,12 @@ var words = daemon.Wording{
 
 // options holds every flag value. The shared group (listener, metrics
 // plane, edge admission, SLO regulation, session TTL) is the chassis's;
-// the rest is wsgate's own: the backends, their ring, replication polling
-// and circuit breakers.
+// the rest is wsgate's own: the backends, replication polling and circuit
+// breakers.
 type options struct {
 	*daemon.Flags
 
 	backends     []string
-	vnodes       int
 	pullInterval time.Duration
 	breaker      resilience.BreakerConfig
 }
@@ -42,7 +41,6 @@ type options struct {
 func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{Flags: daemon.Register(fs, words)}
 	backends := fs.String("backends", "", "comma-separated wsblockd base URLs (required)")
-	fs.IntVar(&o.vnodes, "vnodes", 64, "consistent-hash ring points per backend")
 	fs.DurationVar(&o.pullInterval, "pull-interval", 25*time.Millisecond, "replication poll period per backend")
 	fs.IntVar(&o.breaker.FailureThreshold, "breaker-failures", 5, "consecutive failures that open a backend's circuit breaker")
 	fs.DurationVar(&o.breaker.Cooldown, "breaker-cooldown", 2*time.Second, "how long an open breaker refuses a backend before a half-open probe")
@@ -59,8 +57,8 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 
 // validate fails fast, before any backend is contacted, on settings that
 // would otherwise slip into the gateway's timers (a zero pull interval
-// spins the replication puller flat-out; a non-positive vnode count
-// builds an empty hash ring). Every error names the flag at fault.
+// spins the replication puller flat-out). Every error names the flag at
+// fault.
 func (o *options) validate() error {
 	if err := o.Flags.Validate(); err != nil {
 		return err
@@ -70,9 +68,6 @@ func (o *options) validate() error {
 	}
 	if o.pullInterval <= 0 {
 		return fmt.Errorf("-pull-interval must be positive, got %s", o.pullInterval)
-	}
-	if o.vnodes <= 0 {
-		return fmt.Errorf("-vnodes must be positive, got %d", o.vnodes)
 	}
 	if o.breaker.FailureThreshold <= 0 {
 		return fmt.Errorf("-breaker-failures must be positive, got %d", o.breaker.FailureThreshold)

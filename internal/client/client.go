@@ -129,26 +129,10 @@ func NewMulti(urls []string, codec wire.Codec, hc *http.Client) (*Client, error)
 	return c, nil
 }
 
-// Query names the server-side plan to open.
-type Query struct {
-	// Table is the relation to scan.
-	Table string `json:"table"`
-	// Columns to project; empty selects all.
-	Columns []string `json:"columns,omitempty"`
-	// Where optionally filters rows server-side; SQL-flavoured syntax
-	// parsed by minidb.ParseExpr (e.g. "c_acctbal > 0 AND c_mktsegment = 'BUILDING'").
-	Where string `json:"where,omitempty"`
-	// Limit truncates the result when positive.
-	Limit int `json:"limit,omitempty"`
-	// Offset skips the first N result tuples server-side — how a
-	// failed-over session resumes from the committed cursor on a different
-	// replica.
-	Offset int `json:"offset,omitempty"`
-	// StreamGroup tags the session as one parallel stream of a larger
-	// logical query, for the service's stream accounting. RunVector sets
-	// it automatically; standalone sessions leave it empty.
-	StreamGroup string `json:"stream_group,omitempty"`
-}
+// Query names the server-side plan to open: the create body every tier
+// parses, declared once by the service. The vector runner sets its
+// StreamGroup; a failed-over session resumes by its Offset.
+type Query = service.Create
 
 // Session is an open result cursor. Not safe for concurrent use.
 type Session struct {
@@ -308,10 +292,7 @@ func (c *Client) openSessionOn(ctx context.Context, ep *resilience.Endpoint, q Q
 		return o, httpFailure("open session", resp)
 	}
 	o.transparent, _ = strconv.ParseBool(resp.Header.Get(service.HeaderGatewayTransparentFailover))
-	var cr struct {
-		Session string   `json:"session"`
-		Columns []string `json:"columns"`
-	}
+	var cr service.Created
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 		return o, fmt.Errorf("client: decode session response: %w", err)
 	}

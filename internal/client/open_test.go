@@ -162,8 +162,8 @@ func TestVectorChunkSessionsPayOneRequestEach(t *testing.T) {
 }
 
 // TestPushAgainstTierWithoutStreams: a push client against a tier that
-// does not serve /stream — a backend run with push disabled, whose mux
-// answers 404, or a gateway, which answers 501. The creating open's
+// does not serve /stream — one whose mux has no such route answers 404,
+// a gateway answers 501. The creating open's
 // refusal used to read as a lost session, and the client re-opened
 // sessions in a tight loop until its context ended (14 852 in two
 // seconds). It is a tier that pulls: the session is opened by POST
@@ -176,7 +176,11 @@ func TestPushAgainstTierWithoutStreams(t *testing.T) {
 		url  func(t *testing.T) (url string, sessionsOpened func() int64)
 	}{
 		{"push disabled", func(t *testing.T) (string, func() int64) {
-			srv, ts := dataServer(t, rows, service.Config{PushDisabled: true})
+			srv, _ := dataServer(t, rows, service.Config{})
+			g := &gate{h: srv.Handler()}
+			g.pullOnly.Store(true)
+			ts := httptest.NewServer(g)
+			t.Cleanup(ts.Close)
 			return ts.URL, func() int64 { return srv.Stats().SessionsOpened }
 		}},
 		{"gateway", func(t *testing.T) (string, func() int64) {

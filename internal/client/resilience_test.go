@@ -21,9 +21,12 @@ import (
 
 // gate wraps a replica's handler so a test can make its block
 // endpoints — pull and push alike — misbehave on command: refuse them
-// with 503, or stall them.
+// with 503, or stall them. A pullOnly gate is a tier that does not
+// stream: /stream and /credit answer 404, as a mux without the routes
+// does.
 type gate struct {
-	h http.Handler
+	h        http.Handler
+	pullOnly atomic.Bool
 
 	mu     sync.Mutex
 	fail   bool
@@ -68,6 +71,10 @@ func (g *gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if stall > 0 {
 			time.Sleep(stall)
 		}
+	}
+	if g.pullOnly.Load() && (strings.HasSuffix(r.URL.Path, "/stream") || strings.HasSuffix(r.URL.Path, "/credit")) {
+		http.NotFound(w, r)
+		return
 	}
 	g.h.ServeHTTP(w, r)
 }

@@ -204,14 +204,16 @@ func TestPushSessionLostReopens(t *testing.T) {
 	}
 }
 
-// pushFailoverPair is a two-replica push client: A built under cfgA, B
-// under cfgB, A's breaker opening after two failures, frame deadlines of
+// pushFailoverPair is a two-replica push client: A, and B, pull only
+// when asked to, A's breaker opening after two failures, frame deadlines of
 // 50–250 ms and a window of 2, so that refusing A mid-query stalls its
 // stream and moves the session to B within a few retries.
-func pushFailoverPair(t *testing.T, rows int, cfgA, cfgB service.Config) (c *Client, srvA, srvB *service.Server, gateA *gate, urlB string) {
+func pushFailoverPair(t *testing.T, rows int, pullOnlyA, pullOnlyB bool) (c *Client, srvA, srvB *service.Server, gateA *gate, urlB string) {
 	t.Helper()
-	srvA, gateA, urlA := replicaWith(t, rows, cfgA)
-	srvB, _, urlB = replicaWith(t, rows, cfgB)
+	srvA, gateA, urlA := replicaWith(t, rows, service.Config{})
+	srvB, gateB, urlB := replicaWith(t, rows, service.Config{})
+	gateA.pullOnly.Store(pullOnlyA)
+	gateB.pullOnly.Store(pullOnlyB)
 	c, err := NewMulti([]string{urlA, urlB}, wire.XML{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +267,7 @@ func drainFailingA(t *testing.T, c *Client, sess *Session, rows int, gateA *gate
 // fails over to replica B, resuming at the committed cursor.
 func TestPushFailoverResumesOnSecondReplica(t *testing.T) {
 	const rows = 1200
-	c, _, _, gateA, urlB := pushFailoverPair(t, rows, service.Config{}, service.Config{})
+	c, _, _, gateA, urlB := pushFailoverPair(t, rows, false, false)
 	sess, err := c.OpenSession(context.Background(), Query{Table: "data"})
 	if err != nil {
 		t.Fatal(err)
@@ -477,7 +479,7 @@ func TestPushStreamOpenStallFailsOver(t *testing.T) {
 // a session (it used to hold an admission slot on B until the TTL).
 func TestPushFailoverOntoReplicaWithoutStreams(t *testing.T) {
 	const rows = 1200
-	c, srvA, srvB, gateA, urlB := pushFailoverPair(t, rows, service.Config{}, service.Config{PushDisabled: true})
+	c, srvA, srvB, gateA, urlB := pushFailoverPair(t, rows, false, true)
 	sess, err := c.session(context.Background(), Query{Table: "data"})
 	if err != nil {
 		t.Fatal(err)
@@ -498,7 +500,7 @@ func TestPushFailoverOntoReplicaWithoutStreams(t *testing.T) {
 // back used to pull for ever, wherever it went.
 func TestPushFallenBackSessionStreamsAfterFailover(t *testing.T) {
 	const rows = 1200
-	c, _, srvB, gateA, urlB := pushFailoverPair(t, rows, service.Config{PushDisabled: true}, service.Config{})
+	c, _, srvB, gateA, urlB := pushFailoverPair(t, rows, true, false)
 	sess, err := c.session(context.Background(), Query{Table: "data"})
 	if err != nil {
 		t.Fatal(err)

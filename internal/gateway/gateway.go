@@ -1,7 +1,7 @@
 // Package gateway is the replicated-session front tier (cmd/wsgate): it
-// terminates client block-pull sessions, routes them across N wsblockd
-// backends with consistent-hash affinity, and makes a backend death
-// mid-transfer invisible to the client.
+// terminates client block-pull sessions, places them across N wsblockd
+// backends in turn, and makes a backend death mid-transfer invisible to
+// the client.
 //
 // Every session mutation on a backend is shipped to the gateway through
 // the internal/replica log-shipping channel (one Puller per backend
@@ -10,7 +10,7 @@
 // each session's committed cursor, last-acked seq, and holds the last
 // committed block's bytes. When a primary dies (circuit breaker opened
 // by proxy or replication-pull failures, or an in-flight pull error) the
-// session's next pull is served by promoting a successor backend:
+// session's next pull is served by promoting the next healthy backend:
 //
 //   - a RETRY of the last seq is served verbatim from the standby copy
 //     (byte-identical replay, zero duplicate or lost tuples), falling
@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"net/url"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,8 +52,10 @@ import (
 
 // Config parameterizes a Gateway.
 type Config struct {
-	// Backends are the wsblockd base URLs (required, at least one). Each
-	// must serve /replication/feed (wsblockd -replicate) for transparent
+	// Backends are the wsblockd base URLs (required, at least one,
+	// distinct). New sessions are placed on them in turn, in this order,
+	// and a session whose backend dies moves to the next healthy one.
+	// Each must serve /replication/feed (wsblockd -replicate) for transparent
 	// failover; without it the gateway still routes and fails over fresh
 	// pulls, but same-seq retries after a death fall back to re-pulling.
 	Backends []string
@@ -74,8 +77,6 @@ type Config struct {
 	// RetryAfter is the base backoff hint for shed creates (default 1s),
 	// scaled by the live admission pressure.
 	RetryAfter time.Duration
-	// Vnodes is the number of ring points per backend (default 64).
-	Vnodes int
 	// HTTP is the client used for backend requests (default 2m timeout).
 	HTTP *http.Client
 	// Metrics receives the gateway series; nil uses a private registry.
@@ -89,17 +90,17 @@ type backend struct {
 	url string
 	// idx is the backend's number in a block's frame: its place in
 	// cfg.Backends, and in Stats().Backends, from 1.
-	idx    int
-	ep     *resilience.Endpoint
-	store  *replica.Store
-	puller *replica.Puller
+	idx     int
+	breaker *resilience.Breaker
+	store   *replica.Store
+	puller  *replica.Puller
 	// sessions counts gateway sessions currently primaried here.
 	sessions atomic.Int64
 }
 
 // healthScore maps the backend's breaker state to a gauge value.
 func (b *backend) healthScore() float64 {
-	switch b.ep.State() {
+	switch b.breaker.State() {
 	case resilience.Closed:
 		return 1
 	case resilience.HalfOpen:
@@ -111,13 +112,10 @@ func (b *backend) healthScore() float64 {
 
 // Gateway terminates client sessions and proxies them to backends.
 type Gateway struct {
-	cfg  Config
-	hc   *http.Client
-	pool *resilience.Pool
-	ring *ring
-	// backends by URL; order mirrors cfg.Backends.
-	backends map[string]*backend
-	order    []string
+	cfg Config
+	hc  *http.Client
+	// backends in cfg.Backends order: backends[i].idx is i+1.
+	backends []*backend
 	logger   *log.Logger
 
 	mu       sync.Mutex
@@ -145,9 +143,9 @@ type Gateway struct {
 type gwSession struct {
 	mu sync.Mutex
 	id string
-	// query is the parsed create body; offset is rewritten on every
-	// failover re-open so the successor resumes at the committed cursor.
-	query map[string]any
+	// query is the client's create body; its Offset is rewritten on every
+	// re-open so the backend resumes at the committed cursor.
+	query service.Create
 	// backend is the current primary; backendID the session id there.
 	backend   *backend
 	backendID string
@@ -215,12 +213,6 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: need at least one backend URL")
 	}
-	for _, raw := range cfg.Backends {
-		u, err := url.Parse(raw)
-		if err != nil || u.Scheme == "" || u.Host == "" {
-			return nil, fmt.Errorf("gateway: backend URL %q must be absolute", raw)
-		}
-	}
 	if cfg.PullInterval <= 0 {
 		cfg.PullInterval = 25 * time.Millisecond
 	}
@@ -234,9 +226,6 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:      cfg,
 		hc:       hc,
-		ring:     newRing(cfg.Backends, cfg.Vnodes),
-		backends: make(map[string]*backend, len(cfg.Backends)),
-		order:    append([]string(nil), cfg.Backends...),
 		sessions: make(map[string]*gwSession),
 		logger:   cfg.Logger,
 
@@ -246,13 +235,14 @@ func New(cfg Config) (*Gateway, error) {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	pool, err := resilience.NewPool(cfg.Backends, cfg.Breaker, nil)
-	if err != nil {
-		return nil, err
-	}
-	g.pool = pool
-	for _, ep := range pool.Endpoints() {
-		b := &backend{url: ep.URL(), idx: slices.Index(cfg.Backends, ep.URL()) + 1, ep: ep, store: replica.NewStore(0)}
+	for i, raw := range cfg.Backends {
+		if u, err := url.Parse(raw); err != nil || u.Scheme == "" || u.Host == "" {
+			return nil, fmt.Errorf("gateway: backend URL %q must be absolute", raw)
+		}
+		if slices.Contains(cfg.Backends[:i], raw) {
+			return nil, fmt.Errorf("gateway: backend URL %q given twice", raw)
+		}
+		b := &backend{url: raw, idx: i + 1, breaker: resilience.NewBreaker(cfg.Breaker), store: replica.NewStore(0)}
 		b.puller = &replica.Puller{
 			URL:      b.url,
 			Store:    b.store,
@@ -268,10 +258,10 @@ func New(cfg Config) (*Gateway, error) {
 				if errors.As(err, &se) {
 					return
 				}
-				ep.Failure()
+				b.breaker.Failure()
 			},
 		}
-		g.backends[b.url] = b
+		g.backends = append(g.backends, b)
 	}
 	g.registerMetrics(reg)
 
@@ -299,8 +289,8 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 // is cancelled. Idle sessions are expired by whoever runs the gateway
 // calling ExpireIdle (cmd/wsgate's daemon chassis runs that janitor).
 func (g *Gateway) Start(ctx context.Context) {
-	for _, url := range g.order {
-		go g.backends[url].puller.Run(ctx)
+	for _, b := range g.backends {
+		go b.puller.Run(ctx)
 	}
 }
 
@@ -352,12 +342,6 @@ func (g *Gateway) RetainedBlocks() int64 { return g.refs.Live() }
 // Failovers reports transparent failovers performed so far.
 func (g *Gateway) Failovers() int64 { return g.stats.failovers.Load() }
 
-// healthy reports whether a backend's breaker currently admits traffic.
-func (g *Gateway) healthy(url string) bool {
-	b, ok := g.backends[url]
-	return ok && b.ep.Allow()
-}
-
 // admit reserves an edge admission slot, shedding with 503 + Retry-After
 // (priced by the regulator's pressure) when the fleet-wide ceiling is
 // reached.
@@ -368,13 +352,6 @@ func (g *Gateway) admit(w http.ResponseWriter) bool {
 		httpError(w, http.StatusServiceUnavailable, "gateway session limit reached (%d open)", limit)
 	}
 	return ok
-}
-
-// createResponse mirrors the service's session-create body.
-type createResponse struct {
-	Session string   `json:"session"`
-	Columns []string `json:"columns"`
-	Offset  int      `json:"offset,omitempty"`
 }
 
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -392,36 +369,32 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "read request body: %v", err)
 		return
 	}
-	var query map[string]any
-	if err := json.Unmarshal(body, &query); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	// The backends' own parse: a body they would refuse is refused here,
+	// before any backend sees it.
+	query, err := service.ParseCreate(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	offset := int64(0)
-	if v, ok := query["offset"].(float64); ok {
-		offset = int64(v)
-	}
 
-	id := fmt.Sprintf("g%08x", g.nextID.Add(1))
-	// Consistent-hash placement, skipping backends whose breakers refuse
-	// traffic: health-aware rebalancing applies to NEW sessions only.
-	first := g.ring.pick(id, g.healthy)
-	tried := map[string]bool{}
-	var cr createResponse
+	n := g.nextID.Add(1)
+	id := fmt.Sprintf("g%08x", n)
+	var cr service.Created
 	var placed *backend
-	for _, candidate := range g.placementOrder(first) {
-		if tried[candidate] {
-			continue
+	for _, b := range g.placement(n - 1) {
+		resp, status, err := g.openOn(r.Context(), b, body)
+		if status != 0 {
+			// The backend refused the query itself (404 for an unknown
+			// table, 400 for a bad where), as every backend would.
+			httpError(w, status, "%v", err)
+			return
 		}
-		tried[candidate] = true
-		b := g.backends[candidate]
-		resp, err := g.openOn(r.Context(), b, body)
 		if err != nil {
-			b.ep.Failure()
-			g.logf("create %s: backend %s: %v", id, candidate, err)
+			b.breaker.Failure()
+			g.logf("create %s: backend %s: %v", id, b.url, err)
 			continue
 		}
-		b.ep.Success()
+		b.breaker.Success()
 		cr, placed = resp, b
 		break
 	}
@@ -430,7 +403,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sess := &gwSession{id: id, query: query, backend: placed, backendID: cr.Session, committed: offset, openBody: body}
+	sess := &gwSession{id: id, query: query, backend: placed, backendID: cr.Session, committed: int64(query.Offset), openBody: body}
 	sess.touch()
 	g.mu.Lock()
 	g.sessions[id] = sess
@@ -438,7 +411,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	placed.sessions.Add(1)
 	committed = true
 	g.stats.sessionsOpened.Add(1)
-	g.logf("session %s opened on %s (backend id %s, offset %d)", id, placed.url, cr.Session, offset)
+	g.logf("session %s opened on %s (backend id %s, offset %d)", id, placed.url, cr.Session, query.Offset)
 
 	w.Header().Set("Content-Type", "application/json")
 	service.MarkTransparentFailover(w.Header())
@@ -449,56 +422,71 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// placementOrder yields candidate backends for a new session: the ring
-// owner first, then the remaining backends in ring-successor order.
-func (g *Gateway) placementOrder(first string) []string {
-	order := []string{first}
-	cur := first
-	for i := 1; i < len(g.order); i++ {
-		next := g.ring.successor(cur, nil)
-		if next == "" || next == first {
-			break
-		}
-		order = append(order, next)
-		cur = next
-	}
-	// Ring walk can miss backends when successor cycles early; append any
-	// leftovers in registration order.
-	seen := map[string]bool{}
-	for _, u := range order {
-		seen[u] = true
-	}
-	for _, u := range g.order {
-		if !seen[u] {
-			order = append(order, u)
+// placement is the order in which the n-th new session (from 0) tries
+// the backends: each once, cyclically from backend n mod N, those whose
+// breakers admit traffic first and then the rest, so that a session is
+// placed even when every breaker is open. Sessions never move for load,
+// only for death.
+func (g *Gateway) placement(n uint64) []*backend {
+	k := len(g.backends)
+	order := make([]*backend, 0, k)
+	var rest []*backend
+	for i := range k {
+		b := g.backends[(int(n%uint64(k))+i)%k]
+		if b.breaker.Allow() {
+			order = append(order, b)
+		} else {
+			rest = append(rest, b)
 		}
 	}
-	return order
+	return append(order, rest...)
 }
 
-// openOn creates a backend-side session with the given body.
-func (g *Gateway) openOn(ctx context.Context, b *backend, body []byte) (createResponse, error) {
+// successor is where a session whose backend died moves: the first
+// backend after it, cyclically, whose breaker admits traffic; nil when
+// none does.
+func (g *Gateway) successor(dead *backend) *backend {
+	k := len(g.backends)
+	for i := 1; i < k; i++ {
+		if b := g.backends[(dead.idx-1+i)%k]; b.breaker.Allow() {
+			return b
+		}
+	}
+	return nil
+}
+
+// openOn creates a backend-side session with the given body. Like
+// pullFrom it returns (created, 0, nil) on success, (_, status, message)
+// for a client-facing refusal — a 4xx, the query's own fault, passed
+// through — and (_, 0, error) for a backend failure: transport errors,
+// 5xx, a malformed answer.
+func (g *Gateway) openOn(ctx context.Context, b *backend, body []byte) (service.Created, int, error) {
+	var cr service.Created
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/sessions", bytes.NewReader(body))
 	if err != nil {
-		return createResponse{}, err
+		return cr, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := g.hc.Do(req)
 	if err != nil {
-		return createResponse{}, err
+		return cr, 0, err
 	}
 	defer drain(resp)
-	if resp.StatusCode != http.StatusCreated {
-		return createResponse{}, fmt.Errorf("backend returned %s", resp.Status)
+	switch {
+	case resp.StatusCode == http.StatusCreated:
+	case resp.StatusCode >= 400 && resp.StatusCode < 500:
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return cr, resp.StatusCode, errors.New(strings.TrimSpace(string(msg)))
+	default:
+		return cr, 0, fmt.Errorf("backend returned %s", resp.Status)
 	}
-	var cr createResponse
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		return createResponse{}, fmt.Errorf("decode create response: %w", err)
+		return cr, 0, fmt.Errorf("decode create response: %w", err)
 	}
 	if cr.Session == "" {
-		return createResponse{}, fmt.Errorf("backend returned empty session id")
+		return cr, 0, fmt.Errorf("backend returned empty session id")
 	}
-	return cr, nil
+	return cr, 0, nil
 }
 
 // proxiedBlock is one response's view of a block pulled from a backend:
@@ -600,7 +588,7 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err != nil {
-			sess.backend.ep.Failure()
+			sess.backend.breaker.Failure()
 			g.logf("session %s: pull seq %d on %s failed: %v", sess.id, seq, sess.backend.url, err)
 			blk, err = g.failover(r.Context(), sess, seq, q, replay)
 			if err != nil {
@@ -608,7 +596,7 @@ func (g *Gateway) handleNext(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		} else {
-			sess.backend.ep.Success()
+			sess.backend.breaker.Success()
 		}
 	}
 
@@ -736,7 +724,7 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, q 
 	return &proxiedBlock{Entry: g.refs.Pooled(buf, meta.Tuples, meta.Done), meta: meta}, 0, nil
 }
 
-// failover moves sess to a healthy successor backend after its primary
+// failover moves sess to the next healthy backend after its primary
 // died, and produces the block for the in-flight pull. Called with
 // sess.mu held.
 //
@@ -750,18 +738,10 @@ func (g *Gateway) pullFrom(ctx context.Context, b *backend, backendID string, q 
 // client's.
 func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, q service.Query, replay bool) (*proxiedBlock, error) {
 	dead := sess.backend
-	targetURL := g.ring.successor(dead.url, func(u string) bool { return u != dead.url && g.healthy(u) })
-	if targetURL == "" {
-		// Every other breaker refuses traffic; take any other backend and
-		// let its breaker's half-open probe logic decide.
-		if ep, ok := g.pool.Other(dead.ep); ok && ep.URL() != dead.url {
-			targetURL = ep.URL()
-		}
-	}
-	if targetURL == "" {
+	target := g.successor(dead)
+	if target == nil {
 		return nil, fmt.Errorf("no healthy backend to promote for session %s", sess.id)
 	}
-	target := g.backends[targetURL]
 
 	var blk *proxiedBlock
 	switch {
@@ -812,7 +792,7 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, q s
 		}
 		pulled, status, err := g.pullFrom(ctx, target, id, service.Query{Size: sess.lastTuples, Seq: 1})
 		if err != nil {
-			return nil, fmt.Errorf("re-pull lost block on %s: status %d: %v", targetURL, status, err)
+			return nil, fmt.Errorf("re-pull lost block on %s: status %d: %v", target.url, status, err)
 		}
 		if pulled.meta.Tuples != sess.lastTuples {
 			pulled.Release()
@@ -831,45 +811,37 @@ func (g *Gateway) failover(ctx context.Context, sess *gwSession, seq uint64, q s
 		}
 		pulled, status, err := g.pullFrom(ctx, target, id, service.Query{Size: q.Size, Seq: 1, Hold: q.Hold})
 		if err != nil {
-			return nil, fmt.Errorf("resume pull on %s: status %d: %v", targetURL, status, err)
+			return nil, fmt.Errorf("resume pull on %s: status %d: %v", target.url, status, err)
 		}
 		sess.backendID = id
 		sess.seqBase = sess.lastSeq
 		blk = pulled
 	}
 
-	target.ep.Success()
+	target.breaker.Success()
 	dead.sessions.Add(-1)
 	target.sessions.Add(1)
 	sess.backend = target
 	sess.failovers++
 	g.stats.failovers.Add(1)
-	// Prefer the proven-healthy successor for future picks too.
-	g.pool.Promote(target.ep)
 	g.logf("session %s failed over %s -> %s (seq %d, committed %d, replay=%v)",
-		sess.id, dead.url, targetURL, seq, sess.committed, replay)
+		sess.id, dead.url, target.url, seq, sess.committed, replay)
 	return blk, nil
 }
 
 // reopen creates a backend-side session for sess on b at the given
-// absolute cursor, rewriting the query's offset.
+// absolute cursor: the client's query with its Offset rewritten. Any
+// refusal is b's failure — the query itself was accepted once.
 func (g *Gateway) reopen(ctx context.Context, sess *gwSession, b *backend, offset int64) (string, error) {
-	q := make(map[string]any, len(sess.query)+1)
-	for k, v := range sess.query {
-		q[k] = v
-	}
-	if offset > 0 {
-		q["offset"] = offset
-	} else {
-		delete(q, "offset")
-	}
+	q := sess.query
+	q.Offset = int(offset)
 	body, err := json.Marshal(q)
 	if err != nil {
 		return "", err
 	}
-	cr, err := g.openOn(ctx, b, body)
+	cr, _, err := g.openOn(ctx, b, body)
 	if err != nil {
-		b.ep.Failure()
+		b.breaker.Failure()
 		return "", fmt.Errorf("re-open session on %s: %w", b.url, err)
 	}
 	sess.openBody = body
@@ -1030,11 +1002,10 @@ func (g *Gateway) Stats() Stats {
 		SessionLimit:    g.SessionLimit(),
 		Pressure:        g.AdmissionPressure(),
 	}
-	for _, u := range g.order {
-		b := g.backends[u]
+	for _, b := range g.backends {
 		st.Backends = append(st.Backends, BackendStats{
 			URL:             b.url,
-			State:           b.ep.State().String(),
+			State:           b.breaker.State().String(),
 			Sessions:        b.sessions.Load(),
 			LagRecords:      b.puller.Lag(),
 			LagMS:           b.store.LastLagMS(),

@@ -88,7 +88,6 @@ func newTestGateway(t *testing.T, fleet []*testBackend, mutate func(*Config)) (*
 		Backends:     urls,
 		Breaker:      resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour},
 		PullInterval: 2 * time.Millisecond,
-		Vnodes:       16,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -248,62 +247,6 @@ func backendFor(t *testing.T, fleet []*testBackend, url string) *testBackend {
 	}
 	t.Fatalf("unknown backend %q", url)
 	return nil
-}
-
-func TestRingAffinityAndSuccessor(t *testing.T) {
-	backends := []string{"http://a", "http://b", "http://c"}
-	r := newRing(backends, 64)
-
-	// Same key, same owner — and the distribution is roughly balanced.
-	counts := map[string]int{}
-	for i := 0; i < 3000; i++ {
-		key := fmt.Sprintf("session-%d", i)
-		first := r.pick(key, nil)
-		if again := r.pick(key, nil); again != first {
-			t.Fatalf("pick(%q) not deterministic: %q then %q", key, first, again)
-		}
-		counts[first]++
-	}
-	for _, b := range backends {
-		if counts[b] < 300 {
-			t.Fatalf("backend %s got %d/3000 placements; ring is badly unbalanced: %v", b, counts[b], counts)
-		}
-	}
-
-	// Unhealthy owners are skipped; with everyone down the owner wins.
-	down := map[string]bool{}
-	healthy := func(u string) bool { return !down[u] }
-	key := "session-42"
-	owner := r.pick(key, healthy)
-	down[owner] = true
-	alt := r.pick(key, healthy)
-	if alt == owner {
-		t.Fatalf("pick returned the unhealthy owner %q", owner)
-	}
-	for _, b := range backends {
-		down[b] = true
-	}
-	if got := r.pick(key, healthy); got != owner {
-		t.Fatalf("all-down pick = %q, want true owner %q", got, owner)
-	}
-
-	// successor: deterministic, never self, honors the health filter.
-	for _, b := range backends {
-		s1 := r.successor(b, nil)
-		if s1 == b || s1 == "" {
-			t.Fatalf("successor(%s) = %q", b, s1)
-		}
-		if s2 := r.successor(b, nil); s2 != s1 {
-			t.Fatalf("successor(%s) not deterministic: %q then %q", b, s1, s2)
-		}
-	}
-	if got := r.successor("http://a", func(u string) bool { return false }); got != "" {
-		t.Fatalf("successor with no healthy backend = %q, want empty", got)
-	}
-	only := r.successor("http://a", func(u string) bool { return u == "http://c" })
-	if only != "http://c" {
-		t.Fatalf("successor filtered to c = %q", only)
-	}
 }
 
 func TestGatewayProxiesFullScan(t *testing.T) {
@@ -688,7 +631,7 @@ func TestGatewayStandbyGuardRejectsForeignState(t *testing.T) {
 	sess.mu.Lock()
 	bid := sess.backendID
 	sess.mu.Unlock()
-	gw.backends[primary].store.Apply(replica.Record{
+	gw.backends[meta.Backend-1].store.Apply(replica.Record{
 		Op: replica.OpCommit, Session: bid, Seq: 1,
 		Committed: 999, Tuples: 25, Codec: "xml", Payload: []byte("<forged/>"),
 	})

@@ -54,9 +54,8 @@ func (g *Gateway) registerMetrics(reg *metrics.Registry) {
 		"Edge delay-pricing pressure commanded by the SLO regulator.",
 		g.AdmissionPressure)
 
-	for _, url := range g.order {
-		b := g.backends[url]
-		lbl := metrics.L("backend", url)
+	for _, b := range g.backends {
+		lbl := metrics.L("backend", b.url)
 		reg.GaugeFunc("wsopt_gateway_backend_healthy",
 			"Backend health from its circuit breaker: 1 closed, 0.5 half-open, 0 open.",
 			b.healthScore, lbl)

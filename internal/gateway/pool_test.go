@@ -8,11 +8,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"wsopt/internal/resilience"
 	"wsopt/internal/service"
 	"wsopt/internal/wire"
 )
@@ -68,31 +71,6 @@ func newFakeGateway(t testing.TB, backends ...*httptest.Server) (*Gateway, *http
 	ts := httptest.NewServer(gw.Handler())
 	t.Cleanup(ts.Close)
 	return gw, ts
-}
-
-// TestRingSpreadsSequentialIDs is the regression test for ring
-// clustering: the gateway's own session ids are sequential, and raw
-// FNV-1a put a whole run of them on one backend.
-func TestRingSpreadsSequentialIDs(t *testing.T) {
-	for _, backends := range [][]string{
-		{"http://127.0.0.1:8081", "http://127.0.0.1:8082"},
-		{"http://127.0.0.1:8081", "http://127.0.0.1:8082", "http://127.0.0.1:8083"},
-		{"http://a", "http://b"},
-		{"http://a", "http://b", "http://c"},
-	} {
-		r := newRing(backends, 0)
-		counts := map[string]int{}
-		const ids = 1000
-		for i := 1; i <= ids; i++ {
-			counts[r.pick(fmt.Sprintf("g%08x", i), nil)]++
-		}
-		for _, b := range backends {
-			share, fair := 100*counts[b]/ids, 100/len(backends)
-			if share < fair-15 || share > fair+15 {
-				t.Errorf("%v: backend %s owns %d%% of %d sequential ids, want %d%% ± 15: %v", backends, b, share, ids, fair, counts)
-			}
-		}
-	}
 }
 
 // TestPooledBufferNotReusedWhileClientWriteInFlight is the -race
@@ -289,6 +267,80 @@ func TestGatewayHopAllocGate(t *testing.T) {
 			deleteSession(t, gw.URL, id)
 			if hits := statsOf(t, gw.URL).ReadAheadHits; hold != (hits > 0) {
 				t.Fatalf("hold=%v, yet %d blocks were read ahead", hold, hits)
+			}
+		})
+	}
+}
+
+// TestPlacementRule: the n-th new session (from 0) takes the first backend
+// whose breaker admits traffic, cyclically from backend n mod N, and the
+// rest after; a session whose backend died moves to the first healthy
+// backend after it. Backends are numbered from 1, as in a block's frame.
+func TestPlacementRule(t *testing.T) {
+	tests := []struct {
+		n      int
+		down   []int // breakers open
+		placed []int // where sessions 0, 1, ... start
+		dead   int   // a session's primary that died
+		next   int   // its failover target; 0 = none
+	}{
+		{n: 2, placed: []int{1, 2, 1, 2}, dead: 1, next: 2},
+		{n: 2, down: []int{1}, placed: []int{2, 2, 2, 2}, dead: 1, next: 2},
+		{n: 2, down: []int{1, 2}, placed: []int{1, 2, 1, 2}, dead: 1},
+		{n: 3, placed: []int{1, 2, 3, 1, 2, 3}, dead: 2, next: 3},
+		{n: 3, down: []int{2}, placed: []int{1, 3, 3, 1, 3, 3}, dead: 2, next: 3},
+		{n: 3, down: []int{1, 2}, placed: []int{3, 3, 3, 3}, dead: 1, next: 3},
+		{n: 3, down: []int{2, 3}, placed: []int{1, 1, 1, 1}, dead: 3, next: 1},
+		{n: 3, down: []int{1, 2, 3}, placed: []int{1, 2, 3, 1}, dead: 2},
+	}
+	for _, tt := range tests {
+		t.Run(fmt.Sprintf("n=%d down=%v", tt.n, tt.down), func(t *testing.T) {
+			urls := make([]string, tt.n)
+			for i := range urls {
+				urls[i] = fmt.Sprintf("http://b%d", i+1)
+			}
+			g, err := New(Config{Backends: urls, Breaker: resilience.BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			down := map[int]bool{}
+			for _, i := range tt.down {
+				g.backends[i-1].breaker.Failure()
+				down[i] = true
+			}
+			counts := make([]int, tt.n)
+			for s := range 10 * tt.n {
+				order := g.placement(uint64(s))
+				if len(order) != tt.n {
+					t.Fatalf("session %d tries %d backends, want all %d", s, len(order), tt.n)
+				}
+				if s < len(tt.placed) && order[0].idx != tt.placed[s] {
+					t.Errorf("session %d placed on %d, want %d", s, order[0].idx, tt.placed[s])
+				}
+				for i := 1; i < tt.n; i++ {
+					if down[order[i-1].idx] && !down[order[i].idx] {
+						t.Fatalf("session %d tries %d before the healthy %d", s, order[i-1].idx, order[i].idx)
+					}
+				}
+				counts[order[0].idx-1]++
+			}
+			if len(tt.down) == 0 && slices.Max(counts)-slices.Min(counts) > 1 {
+				t.Errorf("%d sequential sessions land %v, want counts within 1", 10*tt.n, counts)
+			}
+
+			dead := g.backends[tt.dead-1]
+			got := g.successor(dead)
+			switch {
+			case tt.next == 0 && got != nil:
+				t.Errorf("failover from %d with no healthy backend took %d", tt.dead, got.idx)
+			case tt.next != 0 && (got == nil || got.idx != tt.next):
+				t.Errorf("failover from %d took %v, want %d", tt.dead, got, tt.next)
+			}
+			if tt.next == 0 {
+				sess := &gwSession{id: "g00000001", backend: dead}
+				if _, err := g.failover(context.Background(), sess, 1, service.Query{Size: 1}, false); err == nil || !strings.Contains(err.Error(), "no healthy backend") {
+					t.Errorf("failover with no healthy backend: %v", err)
+				}
 			}
 		})
 	}

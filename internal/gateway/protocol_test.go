@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"wsopt/internal/minidb"
@@ -195,5 +197,75 @@ func TestGatewayDeclinesStreams(t *testing.T) {
 	}
 	if gw.SessionCount() != 0 {
 		t.Fatalf("%d gateway sessions after a declined open", gw.SessionCount())
+	}
+}
+
+// TestCreateBodyTable: a create body is answered alike by a backend and by
+// the gateway in front of it. service.ParseCreate is the one parse: what
+// it refuses the gateway answers 400 at its edge, without a backend round
+// trip; a query a backend refuses (an unknown table, a bad where) comes
+// back with the backend's status, tried on no second backend. Neither is a
+// backend failure: every breaker stays closed (the gateway used to answer
+// all of them 502 and open a breaker on each).
+func TestCreateBodyTable(t *testing.T) {
+	cat := testCatalog(t, 10)
+	var creates atomic.Int64 // POST /sessions reaching any backend
+	fleet := make([]*testBackend, 2)
+	for i := range fleet {
+		srv, err := service.New(service.Config{Catalog: cat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := srv.Handler()
+		fleet[i] = &testBackend{ts: httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/sessions" {
+				creates.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))}
+		t.Cleanup(fleet[i].ts.Close)
+	}
+	gw, gts := newTestGateway(t, fleet, nil) // a breaker opens on one failure
+	bodies := []struct {
+		what   string
+		body   string
+		status int
+		edge   bool // refused by ParseCreate
+	}{
+		{"unknown key", `{"table":"items","order_by":"id"}`, http.StatusBadRequest, true},
+		{"data after the object", `{"table":"items"} {}`, http.StatusBadRequest, true},
+		{"no table", `{"columns":["id"]}`, http.StatusBadRequest, true},
+		{"negative offset", `{"table":"items","offset":-1}`, http.StatusBadRequest, true},
+		{"bad where", `{"table":"items","where":"id >"}`, http.StatusBadRequest, false},
+		{"unknown table", `{"table":"nosuch"}`, http.StatusNotFound, false},
+		{"valid", `{"table":"items","offset":3}`, http.StatusCreated, false},
+	}
+	for _, tier := range []struct{ name, url string }{{"wsblockd", fleet[0].ts.URL}, {"gateway", gts.URL}} {
+		t.Run(tier.name, func(t *testing.T) {
+			for _, b := range bodies {
+				before := creates.Load()
+				resp, err := http.Post(tier.url+"/sessions", "application/json", strings.NewReader(b.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != b.status {
+					t.Errorf("%s: %s (%s), want %d", b.what, resp.Status, bytes.TrimSpace(msg), b.status)
+				}
+				want := int64(1)
+				if b.edge && tier.name == "gateway" {
+					want = 0
+				}
+				if got := creates.Load() - before; got != want {
+					t.Errorf("%s: %d backend creates, want %d", b.what, got, want)
+				}
+			}
+		})
+	}
+	for _, b := range gw.Stats().Backends {
+		if b.State != "closed" {
+			t.Errorf("backend %s breaker %s after the refusals, want closed", b.URL, b.State)
+		}
 	}
 }

@@ -420,21 +420,6 @@ func TestPushMaxFrameError(t *testing.T) {
 	}
 }
 
-// TestPushDisabled: the endpoints don't exist when push is off.
-func TestPushDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{Catalog: testCatalog(t, 10), PushDisabled: true})
-	id, _ := openSession(t, ts, `{"table":"items"}`)
-	resp, err := http.Post(ts.URL+"/sessions/"+id+"/stream?size=10&window=1", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("stream with push disabled: %s, want 404", resp.Status)
-	}
-}
-
 // TestPushDeleteMidStream: deleting the session mid-stream wakes the
 // producer, ends the stream, and releases every retained buffer (the
 // pooling invariants are checked by the release hook).

@@ -112,11 +112,6 @@ type Config struct {
 	// holds a reference to each shipped block until the record is
 	// evicted (DESIGN.md §14).
 	Replica *replica.Log
-	// PushDisabled turns the server-push streaming transport off: the
-	// stream and credit endpoints answer 404 and every session is
-	// pull-only. The default (false) serves both transports; pull stays
-	// the default on the client side.
-	PushDisabled bool
 	// PushMaxWindow caps the credit window a client may grant (default
 	// 1024 blocks in flight). A grant above the cap is clamped, not
 	// refused. The cap bounds bookkeeping, the frames a tail and a
@@ -252,10 +247,8 @@ func New(cfg Config) (*Server, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /sessions", s.handleCreate)
 	mux.HandleFunc("POST /sessions/{id}/next", s.handleNext)
-	if !cfg.PushDisabled {
-		mux.HandleFunc("POST /sessions/{id}/stream", s.handleStream)
-		mux.HandleFunc("POST /sessions/{id}/credit", s.handleCredit)
-	}
+	mux.HandleFunc("POST /sessions/{id}/stream", s.handleStream)
+	mux.HandleFunc("POST /sessions/{id}/credit", s.handleCredit)
 	mux.HandleFunc("DELETE /sessions/{id}", s.handleDelete)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.HandleFunc("GET /load", s.handleGetLoad)
@@ -562,29 +555,62 @@ func (s *Server) sessionSeed(n uint64) int64 {
 	return int64(z)
 }
 
-// createRequest is the body of POST /sessions.
-type createRequest struct {
-	Table   string   `json:"table"`
+// Create is the body of POST /sessions, and of the stream open that
+// creates its session: the one definition of it on every tier. The
+// client sends it (client.Query is this type), the gateway parses it at
+// its edge and re-sends it with a new Offset when it re-opens a session.
+type Create struct {
+	// Table is the relation to scan.
+	Table string `json:"table"`
+	// Columns to project; empty selects all.
 	Columns []string `json:"columns,omitempty"`
-	Where   string   `json:"where,omitempty"`
-	Limit   int      `json:"limit,omitempty"`
+	// Where optionally filters rows server-side; SQL-flavoured syntax
+	// parsed by minidb.ParseExpr (e.g. "c_acctbal > 0 AND c_mktsegment = 'BUILDING'").
+	Where string `json:"where,omitempty"`
+	// Limit truncates the result when positive.
+	Limit int `json:"limit,omitempty"`
 	// Offset skips the first Offset result tuples before the first block.
-	// A failed-over client uses it to resume a query on another replica
-	// from its committed cursor.
+	// A failed-over session resumes on another replica from its committed
+	// cursor with it.
 	Offset int `json:"offset,omitempty"`
 	// StreamGroup tags this cursor as one parallel stream of a larger
 	// logical query. Sessions sharing a group are counted together in the
 	// service's stream accounting (Stats.PeakGroupStreams); the tag has no
-	// effect on query semantics.
+	// effect on query semantics. The vector runner sets it.
 	StreamGroup string `json:"stream_group,omitempty"`
 }
 
-// createResponse is the body of a successful session creation.
-type createResponse struct {
+// Created is the body of a successful session creation.
+type Created struct {
 	Session string   `json:"session"`
 	Columns []string `json:"columns"`
 	// Offset echoes how many result tuples were skipped.
 	Offset int `json:"offset,omitempty"`
+}
+
+// ParseCreate parses a create body strictly. A key this server does not
+// know is refused, not ignored: a client that asks for an operator the
+// server lacks must not get rows the operator would have changed.
+// Anything after the one object is refused too, as json.Unmarshal
+// refuses it. The table is required and the offset non-negative. Every
+// error is the client's: a 400.
+func ParseCreate(body []byte) (Create, error) {
+	var req Create
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if _, tail := dec.Token(); err == nil && tail != io.EOF {
+		err = errors.New("data after the request object")
+	}
+	switch {
+	case err != nil:
+		return req, fmt.Errorf("bad request body: %w", err)
+	case req.Table == "":
+		return req, errors.New("missing table")
+	case req.Offset < 0:
+		return req, errors.New("offset must be non-negative")
+	}
+	return req, nil
 }
 
 // createSession is the one way a download session comes to exist, for
@@ -612,27 +638,9 @@ func (s *Server) createSession(w http.ResponseWriter, r *http.Request, id string
 		httpError(w, http.StatusBadRequest, "read request body: %v", err)
 		return nil, false
 	}
-	// A key this server does not know is refused, not ignored: a client
-	// that asks for an operator the server lacks must not get rows the
-	// operator would have changed. Anything after the one object is
-	// refused too, as json.Unmarshal refuses it.
-	var req createRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	err = dec.Decode(&req)
-	if _, tail := dec.Token(); err == nil && tail != io.EOF {
-		err = errors.New("data after the request object")
-	}
+	req, err := ParseCreate(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return nil, false
-	}
-	if req.Table == "" {
-		httpError(w, http.StatusBadRequest, "missing table")
-		return nil, false
-	}
-	if req.Offset < 0 {
-		httpError(w, http.StatusBadRequest, "offset must be non-negative")
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
 	q := minidb.Query{Table: req.Table, Columns: req.Columns, Limit: req.Limit}
@@ -683,7 +691,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
 	// Nobody else knows the id yet: the cursor is still the create offset.
-	if err := json.NewEncoder(w).Encode(createResponse{Session: sess.id, Columns: sess.columns, Offset: int(sess.cursor)}); err != nil {
+	if err := json.NewEncoder(w).Encode(Created{Session: sess.id, Columns: sess.columns, Offset: int(sess.cursor)}); err != nil {
 		s.logf("session %s: encode response: %v", sess.id, err)
 	}
 }
@@ -711,7 +719,7 @@ func skipRows(it minidb.Iterator, n int) error {
 // create offset is deliberately excluded: the cache key carries the
 // absolute cursor, so two sessions over the same plan share entries no
 // matter where each started — including a gateway failover re-open.
-func (s *Server) planFingerprint(req *createRequest) []byte {
+func (s *Server) planFingerprint(req *Create) []byte {
 	level := 0
 	if gz, ok := s.codec.(wire.Gzipped); ok {
 		level = gz.Level
