@@ -256,7 +256,7 @@ func benchBlock(b *testing.B) (minidb.Schema, []minidb.Row) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows, _, err := minidb.NextBlock(it, 1000)
+	rows, _, err := minidb.NextBlockAppend(it, 1000, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func BenchmarkMinidbScan(b *testing.B) {
 		}
 		n := 0
 		for {
-			rows, done, err := minidb.NextBlock(it, 5000)
+			rows, done, err := minidb.NextBlockAppend(it, 5000, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -95,6 +95,13 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero deadline floor", []string{"-deadline-min=0"}, "-deadline-min"},
 		{"deadline ceiling below floor", []string{"-deadline-min=2s", "-deadline-max=1s"}, "-deadline-max"},
 		{"valid command line", []string{"-endpoints=http://a:8080, http://b:8080", "-codec=binary+gzip", "-streams=4", "-push", "-push-window=8"}, ""},
+		// Vector-only flags on a scalar run used to be accepted and ignored.
+		{"profile store on a scalar run", []string{"-profile-store=p.json"}, "-profile-store"},
+		{"chunk tuples on a scalar run", []string{"-controller=static", "-chunk-tuples=1500"}, "-chunk-tuples"},
+		{"workload bytes on a scalar run", []string{"-workload-bytes=120"}, "-workload-bytes"},
+		{"workload sf on a scalar run", []string{"-controller=mimd", "-workload-sf=0.1"}, "-workload-sf"},
+		{"vector-only flags on streams", []string{"-streams=4", "-profile-store=p.json", "-chunk-tuples=1500", "-workload-bytes=120", "-workload-sf=0.1"}, ""},
+		{"vector-only flags on a named vector run", []string{"-controller=vector", "-profile-store=p.json"}, ""},
 		// Syntax errors are the flag package's; they name the flag too.
 		{"undefined flag", []string{"-addr=:8080"}, "-addr"},
 		{"malformed value", []string{"-size=big"}, "-size"},

@@ -17,9 +17,10 @@ import (
 // confusing mid-query failure or, worse, run in silence (a credit window
 // of zero grants nothing and the stream would sit stalled forever; a
 // window without -push silently does nothing; a named controller that
-// -streams would silently replace; -size 0 under a static controller
-// pulls the relation one tuple at a time). validate fails fast, before a
-// session is opened.
+// -streams would silently replace; a -profile-store on a scalar run is
+// neither read nor written; -size 0 under a static controller pulls the
+// relation one tuple at a time). validate fails fast, before a session is
+// opened.
 type options struct {
 	url, table, columns, where string
 	endpoints                  string   // -endpoints, as given
@@ -52,6 +53,7 @@ type options struct {
 	profileStore string
 	chunkTuples  int
 	workload     sysid.WorkloadDescriptor
+	vectorFlags  []string // the vector-only flags given (-profile-store, -chunk-tuples, -workload-*), by name
 }
 
 // parseOptions defines the flags on fs, parses args and validates the
@@ -80,10 +82,10 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 
 	fs.IntVar(&o.streams, "streams", 1, "max parallel streams; >1 (or -controller vector) runs the multi-dimensional vector controller")
 	fs.IntVar(&o.pipeDepth, "pipeline-depth", 1, "max per-stream pipeline depth (blocks in flight ahead of processing; vector runs only)")
-	fs.StringVar(&o.profileStore, "profile-store", "", "JSON profile store; warm-starts the vector controller from the nearest stored workload optimum and records this run's outcome")
+	fs.StringVar(&o.profileStore, "profile-store", "", "JSON profile store; warm-starts the vector controller from the nearest stored workload optimum and records this run's outcome (vector runs only)")
 	fs.IntVar(&o.chunkTuples, "chunk-tuples", 4096, "cursor-range lease size per stream chunk (vector runs only)")
-	fs.IntVar(&o.workload.TupleBytes, "workload-bytes", 0, "average tuple width of the workload, for profile-store matching (0 = unknown)")
-	fs.Float64Var(&o.workload.ScaleFactor, "workload-sf", 0, "dataset scale factor of the workload, for profile-store matching (0 = unknown)")
+	fs.IntVar(&o.workload.TupleBytes, "workload-bytes", 0, "average tuple width of the workload, for profile-store matching (0 = unknown; vector runs only)")
+	fs.Float64Var(&o.workload.ScaleFactor, "workload-sf", 0, "dataset scale factor of the workload, for profile-store matching (0 = unknown; vector runs only)")
 
 	fs.StringVar(&o.endpoints, "endpoints", "", "comma-separated replica base URLs (overrides -url; enables failover)")
 	fs.IntVar(&o.breaker.FailureThreshold, "breaker-threshold", 5, "consecutive failures before an endpoint's circuit breaker opens")
@@ -95,7 +97,14 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	fs.Visit(func(f *flag.Flag) { o.controllerSet = o.controllerSet || f.Name == "controller" })
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "controller":
+			o.controllerSet = true
+		case "profile-store", "chunk-tuples", "workload-bytes", "workload-sf":
+			o.vectorFlags = append(o.vectorFlags, f.Name)
+		}
+	})
 	return o, o.validate()
 }
 
@@ -146,6 +155,11 @@ func (o *options) validate() (err error) {
 			return fmt.Errorf("-controller %s drives one stream at depth 1: drop -streams/-pipeline-depth above 1, or use -controller vector", o.controller)
 		}
 		o.controller = "vector"
+	}
+	if err == nil && o.controller != "vector" && len(o.vectorFlags) > 0 {
+		// Only the vector runner reads these; any other run would accept
+		// and ignore them.
+		return fmt.Errorf("-%s: vector runs only (add -controller vector or -streams above 1)", strings.Join(o.vectorFlags, ", -"))
 	}
 	return err
 }

@@ -56,7 +56,7 @@ func customerBlock(tb testing.TB, n int) (minidb.Schema, []minidb.Row) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rows, _, err := minidb.NextBlock(table.Scan(), n)
+	rows, _, err := minidb.NextBlockAppend(table.Scan(), n, nil)
 	if err != nil || len(rows) != n {
 		tb.Fatalf("customer block of %d rows: %d rows, err %v", n, len(rows), err)
 	}

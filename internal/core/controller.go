@@ -246,10 +246,6 @@ type Config struct {
 	CriterionThreshold int
 	// Criterion selects Eq. 5 (default) or Eq. 6 for the hybrid.
 	Criterion TransitionCriterion
-	// Eq6Threshold overrides the windowed-mean closeness threshold of
-	// Eq. 6. When zero, b1/(n'-1) is used. (The published formula's
-	// threshold is garbled by typesetting; see DESIGN.md.)
-	Eq6Threshold float64
 	// AllowSwitchBack enables the second hybrid flavor ("hybrid-s"): the
 	// controller may fall back from adaptive to constant gain when the
 	// sign statistic indicates a consistent drift. The paper found this

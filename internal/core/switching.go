@@ -153,10 +153,10 @@ func (e *extremum) driftDetected() bool {
 	return len(e.signHist) >= e.window && math.Abs(sum(e.signHist)) >= float64(e.window)
 }
 
+// eq6Threshold is Eq. 6's windowed-mean closeness threshold, b1/(n'-1).
+// (The published formula's threshold is garbled by typesetting; see
+// DESIGN.md.)
 func (e *extremum) eq6Threshold() float64 {
-	if e.cfg.Eq6Threshold > 0 {
-		return e.cfg.Eq6Threshold
-	}
 	den := float64(e.window - 1)
 	if den <= 0 {
 		den = 1

@@ -237,17 +237,6 @@ func TestEq6ThresholdFallbackWindowOne(t *testing.T) {
 	}
 }
 
-func TestHybridEq6ThresholdOverride(t *testing.T) {
-	cfg := plainConfig()
-	cfg.Criterion = CriterionWindowedMean
-	cfg.Eq6Threshold = 1e-9 // effectively never
-	h, _ := NewHybrid(cfg)
-	drive(h, vProfile(3000), 60)
-	if h.InSteadyState() {
-		t.Fatal("an impossible Eq.6 threshold should keep the controller transient")
-	}
-}
-
 func TestHybridPeriodicReset(t *testing.T) {
 	cfg := plainConfig()
 	cfg.ResetPeriod = 12

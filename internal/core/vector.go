@@ -182,11 +182,6 @@ type VectorConfig struct {
 	CriterionWindow int
 	// CriterionThreshold is s in Eq. 5.
 	CriterionThreshold int
-	// RefreshPeriod makes the coordinate-descent scheduler revisit the
-	// least-recently-stepped dimension every RefreshPeriod steps, so the
-	// sensitivity estimate of a dormant dimension cannot go permanently
-	// stale. Zero defaults to 2·NumDims.
-	RefreshPeriod int
 	// ResetPeriod, when positive, forces the controller back into the
 	// transient phase after ResetPeriod steps in steady state, counted from
 	// the transition — the vector analogue of the scalar periodic reset.
@@ -246,9 +241,6 @@ func (c VectorConfig) Validate() error {
 	if c.CriterionThreshold < 0 {
 		return fmt.Errorf("core: criterion threshold s = %d must be non-negative", c.CriterionThreshold)
 	}
-	if c.RefreshPeriod < 0 {
-		return fmt.Errorf("core: refresh period %d must be non-negative", c.RefreshPeriod)
-	}
 	if c.ResetPeriod < 0 {
 		return fmt.Errorf("core: reset period %d must be non-negative", c.ResetPeriod)
 	}
@@ -294,22 +286,18 @@ func NewVector(cfg VectorConfig) (*VectorController, error) {
 	if cfg.SensitivityGain == 0 {
 		cfg.SensitivityGain = 0.5
 	}
-	refresh := cfg.RefreshPeriod
-	if refresh == 0 {
-		// The schedule only cycles through unpinned dimensions, so the
-		// default refresh period scales with the active count — a pinned
-		// window leaves the three-dimensional cadence untouched.
-		active := 0
-		for d := Dim(0); d < NumDims; d++ {
-			if !cfg.Dims[d].pinned() {
-				active++
-			}
+	// The scheduler revisits the least-recently-stepped dimension every
+	// refresh steps, so the sensitivity estimate of a dormant dimension
+	// cannot go permanently stale. It only cycles through unpinned
+	// dimensions, so the period scales with the active count — a pinned
+	// window leaves the three-dimensional cadence untouched.
+	active := 0
+	for d := Dim(0); d < NumDims; d++ {
+		if !cfg.Dims[d].pinned() {
+			active++
 		}
-		if active == 0 {
-			active = 1
-		}
-		refresh = 2 * active
 	}
+	refresh := 2 * max(active, 1)
 	v := &VectorController{
 		cfg:          cfg,
 		refresh:      refresh,
@@ -421,14 +409,14 @@ func (v *VectorController) updateSensitivity(d Dim, dy, dx, y float64) {
 // chooseDim implements the coordinate-descent schedule: first a probe
 // sweep through every dimension (so each has a sensitivity estimate), then
 // the dominant dimension, with the least-recently-stepped one revisited
-// every RefreshPeriod steps.
+// every refresh steps.
 func (v *VectorController) chooseDim() Dim {
 	for d := Dim(0); d < NumDims; d++ {
 		if !v.probed[d] {
 			return d
 		}
 	}
-	if v.refresh > 0 && v.steps%v.refresh == 0 {
+	if v.steps%v.refresh == 0 {
 		return v.stalestDim()
 	}
 	return v.DominantDim()

@@ -49,7 +49,6 @@ func TestVectorConfigValidate(t *testing.T) {
 		func(c *VectorConfig) { c.Dims[DimSize].Limits = Limits{Min: 10, Max: 5} },
 		func(c *VectorConfig) { c.CriterionWindow = 0 },
 		func(c *VectorConfig) { c.CriterionThreshold = -1 },
-		func(c *VectorConfig) { c.RefreshPeriod = -1 },
 		func(c *VectorConfig) { c.ResetPeriod = -1 },
 		func(c *VectorConfig) { c.SensitivityGain = 1.5 },
 	}

@@ -161,16 +161,10 @@ func (c *Catalog) Execute(q Query) (Iterator, error) {
 	return out, nil
 }
 
-// NextBlock pulls up to size rows from it. done is true when the iterator
-// is exhausted (the returned rows may still be non-empty for the final
-// partial block).
-func NextBlock(it Iterator, size int) (rows []Row, done bool, err error) {
-	return NextBlockAppend(it, size, nil)
-}
-
-// NextBlockAppend is NextBlock with a caller-supplied batch: up to size
-// rows are appended to batch[:0], so a reused batch makes the per-block
-// row-header allocation O(1) amortized. The returned slice aliases batch
+// NextBlockAppend pulls up to size rows from it, appended to batch[:0].
+// done is true when the iterator is exhausted (the returned rows may
+// still be non-empty for the final partial block). A reused batch makes
+// the per-block row-header allocation O(1) amortized; a nil one allocates. The returned slice aliases batch
 // (when its capacity sufficed) — callers that reuse the batch must be
 // done with the previous block's rows first. The Row values themselves
 // are produced by the iterator and are not recycled.

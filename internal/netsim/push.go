@@ -40,14 +40,3 @@ func (m CostModel) Push(overheadMS float64) CostModel {
 	out.LatencyMS = overheadMS
 	return out
 }
-
-// PushSpeedup returns the expected pull/push total-time ratio for a
-// whole transfer of `tuples` rows at fixed block size x — the headline
-// number of the push-vs-pull experiment, which its shape test gates.
-func (m CostModel) PushSpeedup(tuples, x int, overheadMS float64) float64 {
-	push := m.Push(overheadMS).ExpectedTotalMS(tuples, x)
-	if push <= 0 {
-		return 0
-	}
-	return m.ExpectedTotalMS(tuples, x) / push
-}

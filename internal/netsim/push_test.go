@@ -41,19 +41,22 @@ func TestPushRemovesPerBlockOverhead(t *testing.T) {
 	}
 }
 
-// TestPushSpeedupGrowsWithRTT checks the headline relation the bench
-// gates on: at equal block size, push wins by more on slower links, and
-// on a WAN profile the win at the pull optimum's typical sizes clears
-// the 1.5x acceptance bar.
+// TestPushSpeedupGrowsWithRTT checks the headline relation of the
+// push-vs-pull experiment: at equal block size, push wins by more on
+// slower links, and on a WAN profile the win at the pull optimum's
+// typical sizes clears the 1.5x acceptance bar.
 func TestPushSpeedupGrowsWithRTT(t *testing.T) {
 	const tuples, x = 100_000, 2000
+	speedup := func(m CostModel) float64 {
+		return m.ExpectedTotalMS(tuples, x) / m.Push(0).ExpectedTotalMS(tuples, x)
+	}
 	wan := wanModel()
 	lan := wanModel()
 	lan.LatencyMS = 30
-	if sw, sl := wan.PushSpeedup(tuples, x, 0), lan.PushSpeedup(tuples, x, 0); sw <= sl {
+	if sw, sl := speedup(wan), speedup(lan); sw <= sl {
 		t.Fatalf("WAN speedup %.2f <= LAN speedup %.2f", sw, sl)
 	}
-	if s := wan.PushSpeedup(tuples, x, 0); s < 1.5 {
+	if s := speedup(wan); s < 1.5 {
 		t.Fatalf("WAN speedup at %d tuples/block = %.2f, want >= 1.5", x, s)
 	}
 }

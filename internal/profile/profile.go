@@ -60,9 +60,6 @@ func (f *Fixed) Tuples() int { return f.tuples }
 // Name implements Profile.
 func (f *Fixed) Name() string { return f.name }
 
-// Reseed replaces the noise stream, for replicated runs.
-func (f *Fixed) Reseed(seed int64) { f.rng = rand.New(rand.NewSource(seed)) }
-
 // Segment is one phase of a Switching profile.
 type Segment struct {
 	// Model is the cost model active during this segment.

@@ -27,11 +27,6 @@ func TestFixedProfile(t *testing.T) {
 			t.Fatal("same seed should reproduce the noise stream")
 		}
 	}
-	a.Reseed(9)
-	c := New("x", testModel(), 1000, 9)
-	if a.BlockMS(500) != c.BlockMS(500) {
-		t.Fatal("Reseed should restart the stream")
-	}
 }
 
 func TestSwitchingProfile(t *testing.T) {

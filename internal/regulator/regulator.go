@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -68,6 +67,25 @@ func (m Mode) String() string {
 	return "proportional"
 }
 
+// The fixed shape of both laws.
+const (
+	// stepFrac is ModeStep's large multiplicative step.
+	stepFrac = 0.25
+	// bigError is the normalized error beyond which ModeStep takes the
+	// large step instead of creeping by one.
+	bigError = 0.5
+	// pressureGain integrates normalized overload into the delay-pricing
+	// pressure each over-SLO tick.
+	pressureGain = 0.5
+	// pressureDecay multiplies the pressure on each in-band or under-SLO
+	// tick, so pricing relaxes quickly once the SLO holds.
+	pressureDecay = 0.5
+	// pressureMax caps the pressure — the anti-windup bound on the
+	// integrating actuator: Retry-After pricing saturates instead of
+	// growing without bound during a long overload.
+	pressureMax = 8
+)
+
 // Config parameterizes a Regulator.
 type Config struct {
 	// SLOp95MS is the setpoint: the p95 block-serve time, in
@@ -90,29 +108,6 @@ type Config struct {
 	// Initial is the starting limit (default Ceiling: start permissive,
 	// let the loop claw back).
 	Initial int
-	// StepFrac is the large-step fraction of ModeStep (default 0.25).
-	StepFrac float64
-	// BigError is the normalized error beyond which ModeStep takes the
-	// large step instead of creeping by one (default 0.5).
-	BigError float64
-	// PressureGain integrates normalized overload into the delay-pricing
-	// pressure each over-SLO tick (default 0.5).
-	PressureGain float64
-	// PressureDecay multiplies the pressure on each in-band tick
-	// (default 0.5), so pricing relaxes quickly once the SLO holds.
-	PressureDecay float64
-	// PressureMax caps the pressure (default 8) — the anti-windup bound
-	// on the integrating actuator: Retry-After pricing saturates instead
-	// of growing without bound during a long overload.
-	PressureMax float64
-	// DitherProb superimposes a ±1 probe on the commanded limit with this
-	// per-tick probability (default 0 = off). Like the block-size
-	// controllers' dither, it keeps the admission space explored when the
-	// loop would otherwise lock onto a limit cycle; it draws from a
-	// dedicated RNG so runs are bit-identical per seed.
-	DitherProb float64
-	// Seed seeds the dither RNG.
-	Seed int64
 	// Now supplies tick timestamps (default time.Now); tests inject a
 	// fake clock so decision timestamps are deterministic.
 	Now func() time.Time
@@ -139,24 +134,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Deadband <= 0 {
 		c.Deadband = 0.1
-	}
-	if c.StepFrac <= 0 {
-		c.StepFrac = 0.25
-	}
-	if c.BigError <= 0 {
-		c.BigError = 0.5
-	}
-	if c.PressureGain <= 0 {
-		c.PressureGain = 0.5
-	}
-	if c.PressureDecay <= 0 {
-		c.PressureDecay = 0.5
-	}
-	if c.PressureMax <= 0 {
-		c.PressureMax = 8
-	}
-	if c.DitherProb < 0 || c.DitherProb >= 1 {
-		return c, fmt.Errorf("regulator: dither probability %g outside [0, 1)", c.DitherProb)
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -208,7 +185,6 @@ type Regulator struct {
 	lastP95  float64
 	lastErr  float64
 	ticks    int64
-	rng      *rand.Rand
 }
 
 // New builds a Regulator; the SLO, floor, and ceiling are required.
@@ -221,7 +197,6 @@ func New(cfg Config) (*Regulator, error) {
 		cfg:   cfg,
 		x:     float64(cfg.Initial),
 		limit: cfg.Initial,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
 }
 
@@ -280,7 +255,7 @@ func (r *Regulator) Step(p95 float64, hasData bool) Decision {
 		d.P95MS = r.lastP95
 		d.ErrorMS = r.lastErr
 		d.NormError = r.normError(r.lastErr)
-		r.pressure = decayPressure(r.pressure, cfg.PressureDecay)
+		r.pressure = decayPressure(r.pressure)
 		d.Pressure = r.pressure
 		return d
 	}
@@ -295,17 +270,17 @@ func (r *Regulator) Step(p95 float64, hasData bool) Decision {
 	switch {
 	case math.Abs(norm) <= cfg.Deadband:
 		// In band: hold the actuator, relax the pricing.
-		r.pressure = decayPressure(r.pressure, cfg.PressureDecay)
+		r.pressure = decayPressure(r.pressure)
 	default:
 		switch cfg.Mode {
 		case ModeStep:
 			switch {
-			case norm > cfg.BigError:
-				r.x *= 1 - cfg.StepFrac
+			case norm > bigError:
+				r.x *= 1 - stepFrac
 			case norm > 0:
 				r.x -= 1
-			case norm < -cfg.BigError:
-				r.x *= 1 + cfg.StepFrac
+			case norm < -bigError:
+				r.x *= 1 + stepFrac
 			default:
 				r.x += 1
 			}
@@ -323,28 +298,15 @@ func (r *Regulator) Step(p95 float64, hasData bool) Decision {
 		if norm > 0 {
 			// Over SLO: integrate delay pricing, capped (anti-windup) so a
 			// day-long overload does not price clients out for a week.
-			r.pressure = math.Min(cfg.PressureMax, r.pressure+cfg.PressureGain*norm)
+			r.pressure = math.Min(pressureMax, r.pressure+pressureGain*norm)
 		} else {
-			r.pressure = decayPressure(r.pressure, cfg.PressureDecay)
+			r.pressure = decayPressure(r.pressure)
 		}
 	}
 
-	limit := int(math.Round(r.x))
-	if cfg.DitherProb > 0 && r.rng.Float64() < cfg.DitherProb {
-		if r.rng.Intn(2) == 0 {
-			limit--
-		} else {
-			limit++
-		}
-	}
-	if limit < cfg.Floor {
-		limit = cfg.Floor
-	}
-	if limit > cfg.Ceiling {
-		limit = cfg.Ceiling
-	}
-	r.limit = limit
-	d.Limit = limit
+	// x never leaves [Floor, Ceiling], so neither does its rounding.
+	r.limit = int(math.Round(r.x))
+	d.Limit = r.limit
 	d.Pressure = r.pressure
 	return d
 }
@@ -366,8 +328,8 @@ func (r *Regulator) normError(errMS float64) float64 {
 
 // decayPressure relaxes the delay pricing geometrically and snaps the
 // tail to exactly zero so a recovered server stops advertising pressure.
-func decayPressure(p, decay float64) float64 {
-	p *= decay
+func decayPressure(p float64) float64 {
+	p *= pressureDecay
 	if p < 1e-3 {
 		p = 0
 	}

@@ -197,7 +197,6 @@ func RunCoupled(sc CoupledScenario, opt CoupledOptions) CoupledResult {
 		Deadband: sc.Deadband,
 		Floor:    sc.Floor,
 		Ceiling:  sc.Ceiling,
-		Seed:     opt.Seed,
 		Now: func() time.Time {
 			tick++
 			return time.Unix(0, 0).Add(time.Duration(tick) * time.Second)

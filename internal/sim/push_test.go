@@ -5,6 +5,7 @@ import (
 
 	"wsopt/internal/core"
 	"wsopt/internal/netsim"
+	"wsopt/internal/profile"
 )
 
 // wanPushModel is the high-RTT link the push transport targets (the
@@ -37,11 +38,42 @@ func lanPushModel() netsim.CostModel {
 
 func pushSizes() []int { return []int{200, 500, 1000, 2000, 4000, 8000, 12000, 16000, 20000} }
 
+// pushComparison is one pull-vs-push sweep over fixed block sizes on a
+// single cost model: the same link and server priced through both
+// transports, so any difference between the arms is the transport.
+type pushComparison struct {
+	// PullOpt and PushOpt are each transport's post-mortem best fixed
+	// size.
+	PullOpt, PushOpt SweepPoint
+	// EqualSizeSpeedup is mean pull time over mean push time at the
+	// pull arm's own optimum size — the conservative headline ratio.
+	EqualSizeSpeedup float64
+	// OptimumSpeedup compares each transport at its own optimum.
+	OptimumSpeedup float64
+}
+
+// comparePushPull sweeps sizes over m through both transports, reps
+// noisy runs per point seeded from seed0, with the default push overhead.
+func comparePushPull(name string, m netsim.CostModel, tuples int, sizes []int, reps int, seed0 int64) pushComparison {
+	mkPull := func(seed int64) profile.Profile { return profile.New(name+"-pull", m, tuples, seed) }
+	mkPush := func(seed int64) profile.Profile { return profile.New(name+"-push", m.Push(0), tuples, seed) }
+	pull := FixedSweep(mkPull, tuples, sizes, reps, seed0)
+	push := FixedSweep(mkPush, tuples, sizes, reps, seed0)
+	cmp := pushComparison{PullOpt: BestPoint(pull), PushOpt: BestPoint(push)}
+	for _, p := range push {
+		if p.Size == cmp.PullOpt.Size {
+			cmp.EqualSizeSpeedup = cmp.PullOpt.MeanMS / p.MeanMS
+		}
+	}
+	cmp.OptimumSpeedup = cmp.PullOpt.MeanMS / cmp.PushOpt.MeanMS
+	return cmp
+}
+
 // TestComparePushPullWAN pins the headline claim on the high-RTT
 // profile: at the pull arm's own optimum fixed size, push is at least
 // 1.5x faster, and the push optimum sits at a strictly smaller size.
 func TestComparePushPullWAN(t *testing.T) {
-	cmp := ComparePushPull("wan", wanPushModel(), 30_000, pushSizes(), 3, 17, 0)
+	cmp := comparePushPull("wan", wanPushModel(), 30_000, pushSizes(), 3, 17)
 	if cmp.EqualSizeSpeedup < 1.5 {
 		t.Fatalf("equal-size speedup = %.2f, want >= 1.5 on the WAN model", cmp.EqualSizeSpeedup)
 	}
@@ -61,11 +93,11 @@ func TestComparePushPullWAN(t *testing.T) {
 // always some overhead to remove) but modestly — the contrast that
 // shows the speedup really is the round-trip and not an artifact.
 func TestComparePushPullLAN(t *testing.T) {
-	cmp := ComparePushPull("lan", lanPushModel(), 30_000, []int{200, 500, 1000, 2000, 3500, 5000}, 3, 23, 0)
+	cmp := comparePushPull("lan", lanPushModel(), 30_000, []int{200, 500, 1000, 2000, 3500, 5000}, 3, 23)
 	if cmp.EqualSizeSpeedup < 1.0 {
 		t.Fatalf("equal-size speedup = %.2f, want >= 1.0 (push never loses)", cmp.EqualSizeSpeedup)
 	}
-	wan := ComparePushPull("wan", wanPushModel(), 30_000, pushSizes(), 3, 17, 0)
+	wan := comparePushPull("wan", wanPushModel(), 30_000, pushSizes(), 3, 17)
 	if cmp.EqualSizeSpeedup >= wan.EqualSizeSpeedup {
 		t.Fatalf("LAN speedup %.2f >= WAN speedup %.2f: the win must scale with the overhead removed",
 			cmp.EqualSizeSpeedup, wan.EqualSizeSpeedup)

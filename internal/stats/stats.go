@@ -1,15 +1,11 @@
 // Package stats provides the small set of statistical helpers used across
-// the experiment harness: means, standard deviations, medians,
-// normalization and simple series utilities.
+// the experiment harness: means, standard deviations, extrema and sums.
 //
 // All functions treat an empty input as a programming error only where
 // noted; otherwise they return 0 so that aggregation code can stay simple.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -42,21 +38,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Median returns the median of xs, or 0 for an empty slice. The input is
-// not modified.
-func Median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // Min returns the minimum of xs and its index. For an empty slice it
 // returns (0, -1).
 func Min(xs []float64) (min float64, idx int) {
@@ -87,21 +68,6 @@ func Max(xs []float64) (max float64, idx int) {
 	return max, idx
 }
 
-// Normalize divides every element of xs by base. It is used to express
-// response times relative to the post-mortem optimum, as in Tables I–III of
-// the paper. A zero base yields a zero slice to avoid Inf propagation in
-// reports.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	if base == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / base
-	}
-	return out
-}
-
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 {
 	sum := 0.0
@@ -115,48 +81,4 @@ func Sum(xs []float64) float64 {
 // single pass pair, convenient for profile tables with error bars.
 func MeanStd(xs []float64) (mean, std float64) {
 	return Mean(xs), StdDev(xs)
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// nearest-rank on a sorted copy. An empty slice yields 0.
-func Percentile(xs []float64, p float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[n-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	return cp[rank-1]
-}
-
-// MovingAverage returns the k-point trailing moving average of xs. The
-// first k-1 outputs average the available prefix, so the result has the
-// same length as the input. k <= 1 returns a copy.
-func MovingAverage(xs []float64, k int) []float64 {
-	out := make([]float64, len(xs))
-	if k <= 1 {
-		copy(out, xs)
-		return out
-	}
-	sum := 0.0
-	for i, x := range xs {
-		sum += x
-		if i >= k {
-			sum -= xs[i-k]
-			out[i] = sum / float64(k)
-		} else {
-			out[i] = sum / float64(i+1)
-		}
-	}
-	return out
 }

@@ -42,24 +42,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %g, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even median = %g, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("empty median = %g, want 0", got)
-	}
-	// Median must not mutate its input.
-	in := []float64{9, 1, 5}
-	Median(in)
-	if in[0] != 9 || in[1] != 1 || in[2] != 5 {
-		t.Errorf("Median mutated input: %v", in)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 7, 2}
 	if v, i := Min(xs); v != -1 || i != 1 {
@@ -70,52 +52,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if v, i := Min(nil); v != 0 || i != -1 {
 		t.Errorf("Min(nil) = (%g, %d), want (0, -1)", v, i)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Normalize = %v, want %v", got, want)
-		}
-	}
-	zero := Normalize([]float64{1, 2}, 0)
-	for _, v := range zero {
-		if v != 0 {
-			t.Fatalf("Normalize by zero base = %v, want zeros", zero)
-		}
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(xs, 50); got != 5 {
-		t.Errorf("P50 = %g, want 5", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %g, want 1", got)
-	}
-	if got := Percentile(xs, 100); got != 10 {
-		t.Errorf("P100 = %g, want 10", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("P50 of empty = %g, want 0", got)
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	got := MovingAverage([]float64{1, 2, 3, 4, 5}, 2)
-	want := []float64{1, 1.5, 2.5, 3.5, 4.5}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("MovingAverage = %v, want %v", got, want)
-		}
-	}
-	cp := MovingAverage([]float64{7, 8}, 1)
-	if cp[0] != 7 || cp[1] != 8 {
-		t.Errorf("k=1 moving average should copy, got %v", cp)
 	}
 }
 

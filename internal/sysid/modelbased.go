@@ -82,7 +82,6 @@ type ModelBased struct {
 	size    int
 	model   Model
 	refiner core.Controller
-	fitErr  error
 
 	residuals  []float64 // recent |y - ŷ|/ŷ after the decision
 	reidentify int       // completed re-identification rounds
@@ -170,7 +169,6 @@ func (m *ModelBased) decide() {
 		model, err = FitQuadratic(m.xs, m.ys)
 	}
 	if err != nil {
-		m.fitErr = err
 		m.size = lo
 		return
 	}
@@ -223,7 +221,6 @@ func (m *ModelBased) watchResidual(y float64) {
 	// Drift confirmed: rerun the LS identification from scratch.
 	m.decided = false
 	m.model = nil
-	m.fitErr = nil
 	m.xs, m.ys = m.xs[:0], m.ys[:0]
 	m.idx, m.reps, m.sumY = 0, 0, 0
 	m.size = m.plan[0]
@@ -273,9 +270,6 @@ func (m *ModelBased) Decision() int {
 // FittedModel returns the model chosen at decision time, or nil when the
 // fit failed or has not happened yet.
 func (m *ModelBased) FittedModel() Model { return m.model }
-
-// FitError returns the error of a failed fit, if any.
-func (m *ModelBased) FitError() error { return m.fitErr }
 
 // UsefulModel reports whether the decision came from a usable interior
 // optimum rather than the lower-limit fallback.

@@ -122,9 +122,6 @@ type SelfTuningConfig struct {
 	// ReestimatePeriod is how many observed blocks pass between jumps to
 	// the re-estimated optimum (default 5).
 	ReestimatePeriod int
-	// ProbeSamples is the size of the initial identification plan
-	// (default 6, as in the one-shot model-based scheme).
-	ProbeSamples int
 	// ProbeAmp is the relative amplitude of the persistent excitation
 	// around the current decision (default 0.08). Without probing the
 	// recursive estimator only ever sees one operating point and the
@@ -157,9 +154,6 @@ func NewSelfTuning(cfg SelfTuningConfig) (*SelfTuning, error) {
 	if cfg.ReestimatePeriod < 1 {
 		cfg.ReestimatePeriod = 5
 	}
-	if cfg.ProbeSamples == 0 {
-		cfg.ProbeSamples = DefaultSampleCount
-	}
 	if cfg.ProbeAmp == 0 {
 		cfg.ProbeAmp = 0.08
 	}
@@ -171,7 +165,7 @@ func NewSelfTuning(cfg SelfTuningConfig) (*SelfTuning, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := SamplePlan(cfg.Limits, cfg.ProbeSamples)
+	plan, err := SamplePlan(cfg.Limits, DefaultSampleCount)
 	if err != nil {
 		return nil, err
 	}

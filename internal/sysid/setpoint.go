@@ -30,6 +30,18 @@ type SetpointTracking struct {
 	up   bool
 }
 
+const (
+	// kappa is the proportional tracking gain: the fraction of the
+	// distance to the estimated optimum covered per adaptivity step.
+	kappa = 0.4
+	// exploreEvery spaces the wide exploration pulses (5x the probe
+	// amplitude, capped at 50%): a narrow probe band around a single
+	// operating point leaves the three-parameter estimator
+	// ill-conditioned, and the pulse restores identifiability after
+	// regime changes.
+	exploreEvery = 7
+)
+
 // SetpointConfig parameterizes the controller.
 type SetpointConfig struct {
 	// Limits bound every decision.
@@ -40,22 +52,9 @@ type SetpointConfig struct {
 	Kind ModelKind
 	// Lambda is the RLS forgetting factor (default 0.97).
 	Lambda float64
-	// Kappa is the proportional tracking gain in (0, 1] (default 0.4):
-	// the fraction of the distance to the estimated optimum covered per
-	// adaptivity step.
-	Kappa float64
 	// ProbeAmp is the relative persistent-excitation amplitude
 	// (default 0.05).
 	ProbeAmp float64
-	// ProbeSamples is the initial identification sweep length
-	// (default 6).
-	ProbeSamples int
-	// ExploreEvery inserts a wide exploration pulse (5x the probe
-	// amplitude, capped at 50%) every ExploreEvery steps: a narrow probe
-	// band around a single operating point leaves the three-parameter
-	// estimator ill-conditioned, and the pulse restores identifiability
-	// after regime changes. Default 7; negative disables.
-	ExploreEvery int
 }
 
 // NewSetpointTracking builds the controller.
@@ -63,23 +62,11 @@ func NewSetpointTracking(cfg SetpointConfig) (*SetpointTracking, error) {
 	if cfg.Lambda == 0 {
 		cfg.Lambda = 0.97
 	}
-	if cfg.Kappa == 0 {
-		cfg.Kappa = 0.4
-	}
-	if cfg.Kappa <= 0 || cfg.Kappa > 1 {
-		return nil, fmt.Errorf("sysid: tracking gain κ = %g must be in (0, 1]", cfg.Kappa)
-	}
 	if cfg.ProbeAmp == 0 {
 		cfg.ProbeAmp = 0.05
 	}
 	if cfg.ProbeAmp < 0 || cfg.ProbeAmp >= 1 {
 		return nil, fmt.Errorf("sysid: probe amplitude %g must be in [0, 1)", cfg.ProbeAmp)
-	}
-	if cfg.ProbeSamples == 0 {
-		cfg.ProbeSamples = DefaultSampleCount
-	}
-	if cfg.ExploreEvery == 0 {
-		cfg.ExploreEvery = 7
 	}
 	kind := cfg.Kind
 	if kind == ModelBest {
@@ -89,7 +76,7 @@ func NewSetpointTracking(cfg SetpointConfig) (*SetpointTracking, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan, err := SamplePlan(cfg.Limits, cfg.ProbeSamples)
+	plan, err := SamplePlan(cfg.Limits, DefaultSampleCount)
 	if err != nil {
 		return nil, err
 	}
@@ -115,13 +102,13 @@ func (s *SetpointTracking) Observe(responseTime float64) {
 	next := s.cur
 	if m := s.rls.Model(); m != nil {
 		if target, ok := m.Optimum(s.cfg.Limits); ok {
-			next = s.cur + s.cfg.Kappa*(target-s.cur)
+			next = s.cur + kappa*(target-s.cur)
 		}
 		// An unusable estimate holds position — but keeps probing below,
 		// so the estimator stays excited and can recover.
 	}
 	probe := s.cfg.ProbeAmp
-	if s.cfg.ExploreEvery > 0 && s.step%s.cfg.ExploreEvery == 0 {
+	if s.step%exploreEvery == 0 {
 		probe = math.Min(0.5, probe*5)
 	}
 	amp := 1 + probe

@@ -10,8 +10,6 @@ import (
 func TestSetpointValidation(t *testing.T) {
 	limits := core.Limits{Min: 100, Max: 20000}
 	bad := []SetpointConfig{
-		{Limits: limits, Kappa: -0.1},
-		{Limits: limits, Kappa: 1.5},
 		{Limits: limits, ProbeAmp: -0.1},
 		{Limits: limits, ProbeAmp: 1},
 		{Limits: core.Limits{Min: 100, Max: 100}},

@@ -54,7 +54,7 @@ func tpchBlock(tb testing.TB, gen func(*minidb.Catalog, float64) (*minidb.Table,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rows, _, err := minidb.NextBlock(table.Scan(), n)
+	rows, _, err := minidb.NextBlockAppend(table.Scan(), n, nil)
 	if err != nil || len(rows) != n {
 		tb.Fatalf("%s block of %d rows: %d rows, err %v", table.Name(), n, len(rows), err)
 	}
